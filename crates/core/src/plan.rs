@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 
 use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
 use autopipe_model::{Granularity, ModelConfig};
-use autopipe_planner::autopipe::{plan as planner_plan, AutoPipeConfig};
-use autopipe_planner::family::{plan_families_with, FamilyConfig, PartitionPlanner};
+use autopipe_planner::autopipe::{plan as planner_plan, AutoPipeConfig, PartitionPlanner};
+use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
 use autopipe_schedule::Schedule;
@@ -115,29 +115,37 @@ impl AutoPipe {
     /// synthetic profiler), choose the DP×PP strategy, partition with the
     /// Planner, and reschedule the Warmup phase with the Slicer.
     pub fn plan(req: &PlanRequest) -> Result<Plan, PlanError> {
-        Self::plan_with_planner(req, &|db, p, m, c| planner_plan(db, p, m, c))
+        Self::plan_with_planner(req, &Self::cost_db(req), &|db, p, m, c| {
+            planner_plan(db, p, m, c)
+        })
     }
 
     /// [`Self::plan`] served through a [`PlanService`]: every backing
-    /// partition search (one per candidate depth, plus the family search's)
-    /// goes through the service's content-addressed cache, so re-planning a
-    /// known job answers from cache instead of searching. The request's own
-    /// `planner` config is the cache key's config component, so the result
-    /// is bit-identical to [`Self::plan`].
-    pub fn plan_with(req: &PlanRequest, service: &PlanService) -> Result<Plan, PlanError> {
-        Self::plan_with_planner(req, &|db, p, m, c| {
+    /// partition search (one per candidate depth) goes through the service's
+    /// content-addressed cache, so re-planning a known job answers from
+    /// cache instead of searching. The request's own `planner` config is
+    /// the cache key's config component, so the result is bit-identical to
+    /// [`Self::plan`]. `db` is [`Self::cost_db`] of `req`, built once by the
+    /// caller, who usually needs it afterwards too.
+    pub fn plan_with(
+        req: &PlanRequest,
+        db: &CostDb,
+        service: &PlanService,
+    ) -> Result<Plan, PlanError> {
+        Self::plan_with_planner(req, db, &|db, p, m, c| {
             service.plan_cfg(db, p, m, c).map(|s| (*s.outcome).clone())
         })
     }
 
-    /// [`Self::plan`] with an arbitrary partition-planner hook.
+    /// [`Self::plan`] on a prebuilt cost database ([`Self::cost_db`] of
+    /// `req`) with an arbitrary partition-planner hook.
     pub fn plan_with_planner(
         req: &PlanRequest,
+        db: &CostDb,
         planner: PartitionPlanner<'_>,
     ) -> Result<Plan, PlanError> {
-        let db = Self::cost_db(req);
         let choice = choose_strategy_with(
-            &db,
+            db,
             &req.hardware,
             req.n_devices,
             req.gbs,
@@ -153,9 +161,9 @@ impl AutoPipe {
         let mask = &choice.outcome.recompute;
         let recomputes = mask.iter().any(|&r| r);
         let costs = if recomputes {
-            choice.outcome.partition.stage_costs_recompute(&db, mask)
+            choice.outcome.partition.stage_costs_recompute(db, mask)
         } else {
-            choice.outcome.partition.stage_costs(&db)
+            choice.outcome.partition.stage_costs(db)
         };
         let (schedule, partition, est_pipeline_time) =
             if req.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
@@ -167,13 +175,16 @@ impl AutoPipe {
                 if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
                     fam_cfg.sliced_counts.insert(0, algo2);
                 }
+                // Strategy selection already planned this depth under the
+                // same search config; its winner backs the single-chunk
+                // families.
                 let fam = plan_families_with(
-                    &db,
+                    db,
                     &req.hardware,
                     choice.stages,
                     choice.microbatches,
                     &fam_cfg,
-                    planner,
+                    choice.outcome.partition.clone(),
                 )?;
                 (fam.schedule, fam.partition, fam.iteration_time)
             } else if req.enable_slicer && choice.stages >= 2 {
@@ -211,7 +222,7 @@ impl AutoPipe {
             dp: choice.dp,
             microbatches: choice.microbatches,
             n_sliced: schedule.n_sliced,
-            layer_counts: partition.layer_counts(&db),
+            layer_counts: partition.layer_counts(db),
             partition,
             schedule,
             est_pipeline_time,

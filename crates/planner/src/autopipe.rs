@@ -38,17 +38,22 @@
 //!
 //! # Serving-oriented hot path
 //!
-//! Three refinements keep the search fast when it runs as a service
+//! Four refinements keep the search fast when it runs as a service
 //! ([`crate::service`]) handling many requests:
 //!
-//! * The visited set and the Algorithm-1 prefix memo are keyed by 64-bit
-//!   fingerprints instead of owned boundary vectors, so membership tests
-//!   cost one hash of `p + 1` words and no allocation. Debug builds keep the
-//!   full boundary vectors alongside and assert on fingerprint collisions.
+//! * The visited set is keyed by 64-bit fingerprints instead of owned
+//!   boundary vectors, so membership tests cost one hash of `p + 1` words
+//!   and no allocation. Debug builds keep the full boundary vectors
+//!   alongside and assert on fingerprint collisions.
+//! * Algorithm 1 runs once per search: its `(n+1)×(p+1)` table seeds the
+//!   search and answers every prefix re-balance of step 3 by an O(stages)
+//!   backtrack (see [`crate::balanced`]). Successors are assembled in one
+//!   reusable boundary buffer and only become an owned [`Partition`] once
+//!   they pass the visited set and the dominance bound.
 //! * All search state (visited set, frontier, wave buffers, per-worker
-//!   simulator scratch, prefix memo) lives in a [`PlannerScratch`] that can
-//!   be reused across requests via [`plan_in`], making a steady-state plan
-//!   request allocation-light.
+//!   simulator scratch) lives in a [`PlannerScratch`] that can be reused
+//!   across requests via [`plan_in`], making a steady-state plan request
+//!   allocation-light.
 //! * With [`AutoPipeConfig::prune`] on, candidates whose work balance alone
 //!   already lower-bounds them above the incumbent (`m · max stage work ≥
 //!   best iteration time`) are dropped at frontier-push time. The bound is
@@ -66,7 +71,9 @@
 //! only moves the master stage forward, so a stale partition whose new
 //! bottleneck is stage 0 could never repair itself).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+#[cfg(debug_assertions)]
+use std::collections::HashMap;
+use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use autopipe_cost::memory::{in_flight_1f1b, stage_memory_frac, ACT_FRAG_MULT};
@@ -76,7 +83,7 @@ use autopipe_sim::analytic::{
 };
 use autopipe_sim::partition::{Partition, StageCosts};
 
-use crate::balanced::balanced_partition;
+use crate::balanced::BalancedTable;
 use crate::types::PlanError;
 
 /// Which analytic engine scores candidate schemes during the search.
@@ -188,6 +195,13 @@ pub struct AutoPipeOutcome {
     pub search_time: Duration,
 }
 
+/// Partition-planner hook for the layers above the search (strategy
+/// selection, the `AutoPipe` front-end): anything with [`plan`]'s signature.
+/// A [`crate::service::PlanService`] caller routes this through the plan
+/// cache; the default is the cold planner.
+pub type PartitionPlanner<'a> = &'a (dyn Fn(&CostDb, usize, usize, &AutoPipeConfig) -> Result<AutoPipeOutcome, PlanError>
+         + Sync);
+
 /// 64-bit FNV-1a fingerprint of a boundary vector. Stable across runs and
 /// platforms; used as the visited-set key so membership tests neither hash
 /// nor allocate a `Vec<usize>` per candidate.
@@ -202,29 +216,11 @@ pub fn scheme_fingerprint(boundaries: &[usize]) -> u64 {
     h
 }
 
-/// Prefix-memo key: `(prefix length, stages)` packed exactly into 64 bits.
-/// Both halves are block/stage counts well under 2³², so the packing is
-/// injective — no collision check needed, unlike [`scheme_fingerprint`].
-#[inline]
-fn memo_key(len: usize, stages: usize) -> u64 {
-    ((len as u64) << 32) | stages as u64
-}
-
-/// Memo of Algorithm-1 prefix re-balances keyed by [`memo_key`].
-/// The DP is deterministic, so caching changes nothing but speed: step 3
-/// re-balances the same few prefixes for most schemes the search visits,
-/// and the O(n²·p) DP would otherwise dominate the whole search.
-type PrefixMemo = HashMap<u64, Vec<usize>>;
-
 /// Reusable search state: the visited set, the frontier, the wave and score
-/// buffers, one simulator scratch per worker thread, and the Algorithm-1
-/// prefix memo. A service handling many plan requests keeps one of these
+/// buffers, the successor boundary buffer and one simulator scratch per
+/// worker thread. A service handling many plan requests keeps one of these
 /// per worker and calls [`plan_in`], so steady-state requests reuse every
 /// allocation; [`plan`] creates a fresh one per call.
-///
-/// The prefix memo is *cleared between requests* — its values depend on the
-/// cost database's block weights, so carrying it across databases would be
-/// wrong, not just stale.
 #[derive(Default)]
 pub struct PlannerScratch {
     visited: HashSet<u64>,
@@ -236,7 +232,8 @@ pub struct PlannerScratch {
     wave: Vec<Partition>,
     scores: Vec<Score>,
     workers: Vec<(SimScratch, StageCosts, Vec<bool>)>,
-    memo: PrefixMemo,
+    /// Boundaries of the successor currently being assembled.
+    cand: Vec<usize>,
 }
 
 impl PlannerScratch {
@@ -253,7 +250,6 @@ impl PlannerScratch {
         self.queue.clear();
         self.wave.clear();
         self.scores.clear();
-        self.memo.clear();
         if self.workers.len() < threads {
             self.workers.resize_with(threads, || {
                 (SimScratch::new(), StageCosts::default(), Vec::new())
@@ -416,14 +412,14 @@ fn score(
     }
 }
 
-/// The heaviest stage's forward+backward work under `part`, via the cost
-/// database's prefix sums — O(p), no allocation. `m ×` this is a sound
-/// lower bound on the scheme's 1F1B iteration time: the heaviest device
-/// must run its `m` forwards and `m` backwards back-to-back at best.
-fn max_stage_work(db: &CostDb, part: &Partition) -> f64 {
-    let b = part.boundaries();
+/// The heaviest stage's forward+backward work under the scheme with
+/// boundaries `b`, via the cost database's prefix sums — O(p), no
+/// allocation. `m ×` this is a sound lower bound on the scheme's 1F1B
+/// iteration time: the heaviest device must run its `m` forwards and `m`
+/// backwards back-to-back at best.
+fn max_stage_work(db: &CostDb, b: &[usize]) -> f64 {
     let mut mx = 0.0_f64;
-    for s in 0..part.n_stages() {
+    for s in 0..b.len() - 1 {
         let w =
             (db.range_fwd(b[s]..b[s + 1]) + db.range_bwd(b[s]..b[s + 1])) * db.device_multiplier(s);
         if w > mx {
@@ -574,7 +570,10 @@ fn search(
         }
     }
 
-    let init = balanced_partition(&weights, p);
+    // Algorithm 1, once: the table yields the seed here and every prefix
+    // re-balance of step 3 below.
+    let table = BalancedTable::build(&weights, p);
+    let init = table.partition(weights.len(), p);
     let fp = scheme_fingerprint(init.boundaries());
     scratch.visit(fp, init.boundaries());
     scratch.queue.push_back(init);
@@ -589,7 +588,7 @@ fn search(
         wave,
         scores,
         workers,
-        memo,
+        cand,
     } = scratch;
 
     while !queue.is_empty() && explored < cfg.max_schemes {
@@ -647,18 +646,20 @@ fn search(
             }
 
             let best_time = best.as_ref().map(|(_, t)| *t);
-            let mut push = |cand: Partition, queue: &mut VecDeque<Partition>| {
-                let fp = scheme_fingerprint(cand.boundaries());
+            // A successor becomes an owned partition only once it is new
+            // and survives the dominance bound.
+            let mut push = |cand: &[usize]| {
+                let fp = scheme_fingerprint(cand);
                 #[cfg(debug_assertions)]
                 {
                     if let Some(prev) = visited_schemes.get(&fp) {
                         assert_eq!(
                             prev.as_slice(),
-                            cand.boundaries(),
+                            cand,
                             "scheme fingerprint collision on {fp:#018x}"
                         );
                     } else {
-                        visited_schemes.insert(fp, cand.boundaries().to_vec());
+                        visited_schemes.insert(fp, cand.to_vec());
                     }
                 }
                 if !visited.insert(fp) {
@@ -669,26 +670,22 @@ fn search(
                         // Relative epsilon absorbs the different rounding of
                         // the prefix-sum bound vs the simulator's op-order
                         // accumulation.
-                        if m as f64 * max_stage_work(db, &cand) > bt * (1.0 + 1e-9) {
+                        if m as f64 * max_stage_work(db, cand) > bt * (1.0 + 1e-9) {
                             pruned += 1;
                             return;
                         }
                     }
                 }
-                queue.push_back(cand);
+                queue.push_back(Partition::new(cand.to_vec()));
             };
 
             // Step 2: eliminate Cooldown bubbles behind the master stage.
-            if i + 1 < p {
-                if let Some(adj) = cooldown_adjust(&part, s.b_master, &weights, i) {
-                    push(adj, queue);
-                }
+            if i + 1 < p && cooldown_adjust(&part, s.b_master, &weights, i, cand) {
+                push(cand);
             }
             // Step 3: shift the master stage forward.
             if i > 0 {
-                for cand in shift_candidates(&part, &weights, i, memo) {
-                    push(cand, queue);
-                }
+                shift_candidates(&part, &table, i, cand, &mut push);
             }
         }
     }
@@ -739,18 +736,26 @@ fn search(
 /// Redistribute the blocks behind master stage `i` so Eq. 1 holds: greedily
 /// fill each stage `s > i` up to the cumulative budget `(s−i)·b_i` (where
 /// `b_i` is the master stage's backward time), leaving the remainder to the
-/// last stage. Returns `None` if nothing changed.
-fn cooldown_adjust(part: &Partition, b_i: f64, weights: &[f64], i: usize) -> Option<Partition> {
+/// last stage. Writes the new boundaries into `out`; `false` if nothing
+/// changed.
+fn cooldown_adjust(
+    part: &Partition,
+    b_i: f64,
+    weights: &[f64],
+    i: usize,
+    out: &mut Vec<usize>,
+) -> bool {
     let p = part.n_stages();
     let n = part.n_blocks();
     let first = part.boundaries()[i + 1]; // first block behind the master
     let tail_blocks = n - first;
     let tail_stages = p - i - 1;
     if tail_blocks < tail_stages {
-        return None;
+        return false;
     }
 
-    let mut bounds = part.boundaries()[..=i + 1].to_vec();
+    out.clear();
+    out.extend_from_slice(&part.boundaries()[..=i + 1]);
     let mut cursor = first;
     let mut cum = 0.0;
     for s in (i + 1)..(p - 1) {
@@ -768,77 +773,62 @@ fn cooldown_adjust(part: &Partition, b_i: f64, weights: &[f64], i: usize) -> Opt
             cursor += 1;
             taken += 1;
         }
-        bounds.push(cursor);
+        out.push(cursor);
     }
-    bounds.push(n);
-    if bounds == part.boundaries() {
-        None
-    } else {
-        Some(Partition::new(bounds))
-    }
+    out.push(n);
+    out.as_slice() != part.boundaries()
 }
 
-/// Boundaries of `balanced_partition(&weights[..len], stages)`, cached.
-fn balanced_prefix<'a>(
-    memo: &'a mut PrefixMemo,
-    weights: &[f64],
-    len: usize,
-    stages: usize,
-) -> &'a [usize] {
-    memo.entry(memo_key(len, stages)).or_insert_with(|| {
-        balanced_partition(&weights[..len], stages)
-            .boundaries()
-            .to_vec()
-    })
-}
-
-/// The four master-shifting candidates of step 3.
+/// The four master-shifting candidates of step 3, each assembled in `buf`
+/// and handed to `emit` in the paper's order: first block of stage `i` to
+/// stage `i−1`, the same with Algorithm 1 re-applied to the prefix ahead of
+/// stage `i`, last block of stage `i` to stage `i+1`, the same with the
+/// prefix through stage `i` re-balanced. Re-balances that reproduce `part`
+/// are dropped.
 fn shift_candidates(
     part: &Partition,
-    weights: &[f64],
+    table: &BalancedTable,
     i: usize,
-    memo: &mut PrefixMemo,
-) -> Vec<Partition> {
+    buf: &mut Vec<usize>,
+    emit: &mut impl FnMut(&[usize]),
+) {
     let b = part.boundaries();
     let p = part.n_stages();
-    let mut out = Vec::with_capacity(4);
+    buf.clear();
+    buf.extend_from_slice(b);
 
     // Move the first block of stage i to stage i−1 (stage i must keep one).
     if b[i] + 1 < b[i + 1] {
-        let mut nb = b.to_vec();
-        nb[i] += 1;
-        out.push(Partition::new(nb.clone()));
+        buf[i] += 1;
+        emit(buf);
         // With Algorithm 1 re-applied to the prefix ahead of stage i.
-        if i >= 1 && nb[i] >= i {
-            let pre = balanced_prefix(memo, weights, nb[i], i);
-            let mut nb2 = pre.to_vec();
-            nb2.extend_from_slice(&nb[i + 1..]);
-            if nb2 != b {
-                out.push(Partition::new(nb2));
+        if buf[i] >= i {
+            table.prefix_into(buf[i], i, buf);
+            if buf.as_slice() != b {
+                emit(buf);
             }
+            buf[..i].copy_from_slice(&b[..i]);
         }
+        buf[i] = b[i];
     }
     // Move the last block of stage i to stage i+1.
     if i + 1 < p && b[i + 1] - 1 > b[i] {
-        let mut nb = b.to_vec();
-        nb[i + 1] -= 1;
-        out.push(Partition::new(nb.clone()));
+        buf[i + 1] -= 1;
+        emit(buf);
         // With Algorithm 1 re-applied to the prefix through stage i.
-        if nb[i + 1] > i {
-            let pre = balanced_prefix(memo, weights, nb[i + 1], i + 1);
-            let mut nb2 = pre.to_vec();
-            nb2.extend_from_slice(&nb[i + 2..]);
-            if nb2 != b {
-                out.push(Partition::new(nb2));
+        if buf[i + 1] > i {
+            table.prefix_into(buf[i + 1], i + 1, buf);
+            if buf.as_slice() != b {
+                emit(buf);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balanced::balanced_partition;
     use autopipe_cost::Hardware;
     use autopipe_model::{zoo, Granularity};
     use autopipe_sim::analytic::{simulate_replay, simulate_replay_with};
@@ -1073,8 +1063,8 @@ mod tests {
     fn scratch_reuse_is_bit_identical_to_fresh_runs() {
         // One scratch serving a mixed request stream (different models,
         // depths and micro-batch counts back-to-back) must produce exactly
-        // what fresh per-request state does — in particular the prefix memo
-        // must not leak balances across cost databases.
+        // what fresh per-request state does — in particular the simulator
+        // scratch's cached sweep order must re-key with every new (p, m).
         let hw = Hardware::rtx3090_cluster();
         let cfg = AutoPipeConfig::default();
         let mut scratch = PlannerScratch::new();

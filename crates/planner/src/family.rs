@@ -23,15 +23,9 @@ use autopipe_sim::schedule_replay::{replay_schedule, ReplayScratch};
 use autopipe_sim::CommConfig;
 use autopipe_sim::Partition;
 
-use crate::autopipe::{plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy};
+use crate::autopipe::{plan as autopipe_plan, AutoPipeConfig, RecomputePolicy};
 use crate::balanced::balanced_partition;
 use crate::types::PlanError;
-
-/// Partition-planner hook for [`plan_families_with`]: anything with
-/// [`autopipe_plan`]'s signature. A [`crate::service::PlanService`] caller
-/// routes this through the plan cache; the default is the cold planner.
-pub type PartitionPlanner<'a> = &'a (dyn Fn(&CostDb, usize, usize, &AutoPipeConfig) -> Result<AutoPipeOutcome, PlanError>
-         + Sync);
 
 /// Knobs for the cross-family search.
 #[derive(Debug, Clone)]
@@ -134,22 +128,25 @@ pub fn plan_families(
     m: usize,
     cfg: &FamilyConfig,
 ) -> Result<FamilyOutcome, PlanError> {
-    plan_families_with(db, hw, p, m, cfg, &|db, p, m, c| autopipe_plan(db, p, m, c))
+    let base = autopipe_plan(db, p, m, &cfg.autopipe)?.partition;
+    plan_families_with(db, hw, p, m, cfg, base)
 }
 
-/// [`plan_families`] with a caller-supplied partition planner, so a serving
-/// layer can satisfy the backing partition search from its cache instead of
-/// always searching cold. The family enumeration and ranking are unchanged.
+/// [`plan_families`] around a partition the caller already holds: `base`
+/// must be the `p`-stage plan of `(db, p, m, cfg.autopipe)` — strategy
+/// selection has just searched exactly that, cold or through a plan cache,
+/// so the front-end hands its winner forward instead of searching (or
+/// looking up and deep-cloning) it a second time. The family enumeration
+/// and ranking are unchanged.
 pub fn plan_families_with(
     db: &CostDb,
     hw: &Hardware,
     p: usize,
     m: usize,
     cfg: &FamilyConfig,
-    planner: PartitionPlanner<'_>,
+    base: Partition,
 ) -> Result<FamilyOutcome, PlanError> {
     // One optimised p-stage partition backs every single-chunk family.
-    let base = planner(db, p, m, &cfg.autopipe)?.partition;
     let weights: Vec<f64> = db.blocks.iter().map(|b| b.work()).collect();
 
     // Fixed enumeration order; ties in the ranking keep the earlier entry.
@@ -232,9 +229,8 @@ pub fn plan_families_with(
     let mut scratch = ReplayScratch::new();
     let mut best: Option<(usize, f64)> = None; // (entries index, time)
     let mut best_mask: Vec<bool> = Vec::new();
-    let mut entry_idx: Vec<usize> = Vec::new(); // candidates index -> entries index
     for idx in 0..entries.len() {
-        let (sched, partition) = entries[idx].clone();
+        let (sched, partition) = &entries[idx];
         let mut cand = FamilyCandidate {
             kind: sched.kind,
             n_sliced: sched.n_sliced,
@@ -243,10 +239,9 @@ pub fn plan_families_with(
             iteration_time: None,
             skipped: None,
         };
-        if let Err(e) = validate(&sched) {
+        if let Err(e) = validate(sched) {
             cand.skipped = Some(format!("validate: {e}"));
             candidates.push(cand);
-            entry_idx.push(idx);
             continue;
         }
         let n_stages = sched.n_stages();
@@ -258,7 +253,7 @@ pub fn plan_families_with(
                 attempts.push(vec![false; n_stages]);
                 // Minimal mask: recompute exactly on the stages of the
                 // devices that blow the budget with full stashes.
-                let usage = device_memory(&partition, db, &sched);
+                let usage = device_memory(partition, db, sched);
                 let mut minimal = vec![false; n_stages];
                 let mut any = false;
                 for (dev, bd) in usage.iter().enumerate() {
@@ -278,14 +273,16 @@ pub fn plan_families_with(
                 }
             }
         }
-        let mut chosen: Option<(Schedule, Vec<bool>)> = None;
+        // The schedule is copied only when a mask actually rewrites it.
+        let mut chosen: Option<(Option<Schedule>, Vec<bool>)> = None;
         let mut oom_note: Option<String> = None;
         for mask in attempts {
-            let mut masked = sched.clone();
-            if mask.iter().any(|&r| r) {
+            let masked = mask.iter().any(|&r| r).then(|| {
+                let mut masked = sched.clone();
                 apply_recompute(&mut masked, &mask);
-            }
-            match check_memory_budget(&partition, db, &masked, budget) {
+                masked
+            });
+            match check_memory_budget(partition, db, masked.as_ref().unwrap_or(sched), budget) {
                 Ok(_) => {
                     chosen = Some((masked, mask));
                     break;
@@ -296,7 +293,6 @@ pub fn plan_families_with(
         let Some((masked_sched, mask)) = chosen else {
             cand.skipped = oom_note;
             candidates.push(cand);
-            entry_idx.push(idx);
             continue;
         };
         let mut sc = if mask.iter().any(|&r| r) {
@@ -319,11 +315,19 @@ pub fn plan_families_with(
             comm: cfg.comm,
             ..EventConfig::default()
         };
-        match replay_schedule(&masked_sched, &costs, &ev, &mut scratch) {
+        let scored = replay_schedule(
+            masked_sched.as_ref().unwrap_or(sched),
+            &costs,
+            &ev,
+            &mut scratch,
+        );
+        match scored {
             Ok(summary) => {
                 cand.iteration_time = Some(summary.iteration_time);
                 cand.recompute = mask;
-                entries[idx].0 = masked_sched;
+                if let Some(masked_sched) = masked_sched {
+                    entries[idx].0 = masked_sched;
+                }
                 if best.is_none_or(|(_, t)| summary.iteration_time < t) {
                     best = Some((idx, summary.iteration_time));
                     best_mask = cand.recompute.clone();
@@ -332,7 +336,6 @@ pub fn plan_families_with(
             Err(e) => cand.skipped = Some(e.to_string()),
         }
         candidates.push(cand);
-        entry_idx.push(idx);
     }
 
     let Some((idx, iteration_time)) = best else {

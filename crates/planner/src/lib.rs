@@ -39,13 +39,11 @@ pub mod service;
 pub mod types;
 
 pub use autopipe::{
-    plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy, SimTier,
+    plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, PartitionPlanner, RecomputePolicy,
+    SimTier,
 };
 pub use balanced::balanced_partition;
-pub use family::{
-    plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome,
-    PartitionPlanner,
-};
+pub use family::{plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome};
 pub use replan::{observed_cost_db, replan, ReplanOutcome};
 pub use service::{PlanService, Served, ServiceStats, Source};
 pub use types::{HybridPlan, PlanError};

@@ -6,8 +6,6 @@
 //! finished, the schedule would deadlock on a real cluster (with adequately
 //! buffered, non-blocking sends) and validation fails.
 
-use std::collections::HashMap;
-
 use crate::op::{OpKind, Part};
 use crate::Schedule;
 
@@ -17,11 +15,16 @@ pub enum ValidationError {
     /// Replay stalled: no device could advance. Contains per-device program
     /// counters at the stall point.
     Deadlock { counters: Vec<usize> },
-    /// A send had no matching receive (message would be leaked).
+    /// A send had no matching receive (message would be leaked), or names
+    /// a destination that cannot exist: a device, stage or micro-batch
+    /// outside the schedule. `device` is the addressee.
     UnmatchedSend { device: usize, description: String },
-    /// A (stage, micro-batch) pair's forward fractions do not sum to 1.
+    /// A (stage, micro-batch) pair's forward fractions do not sum to 1, or
+    /// a forward names a pair outside the schedule (`frac` is then that
+    /// op's own fraction).
     BadForwardCoverage { stage: usize, mb: usize, frac: f64 },
-    /// A (stage, micro-batch) pair does not have exactly one backward.
+    /// A (stage, micro-batch) pair does not have exactly one backward, or a
+    /// backward names a pair outside the schedule.
     BadBackwardCoverage {
         stage: usize,
         mb: usize,
@@ -99,19 +102,6 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Message identity used to pair sends with receives. `dst_stage` is the
-/// pipeline stage that consumes the message: for activations the receiver's
-/// stage, for gradients the stage below the sender. This disambiguates
-/// multiple chunks flowing between the same device pair in the interleaved
-/// schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MsgKey {
-    is_grad: bool,
-    mb: usize,
-    part: Part,
-    dst_stage: usize,
-}
-
 /// Validate a schedule: forward/backward coverage per (stage, micro-batch),
 /// then deadlock-freedom of the replay, then absence of orphan sends.
 pub fn validate(s: &Schedule) -> Result<(), ValidationError> {
@@ -140,10 +130,14 @@ fn check_send_adjacency(s: &Schedule) -> Result<(), ValidationError> {
 fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
     let n_stages = s.n_stages();
     let m = s.n_microbatches;
-    let mut fwd = vec![vec![0.0_f64; m]; n_stages];
-    let mut fused = vec![vec![0usize; m]; n_stages];
-    let mut inputs = vec![vec![0usize; m]; n_stages];
-    let mut weights = vec![vec![0usize; m]; n_stages];
+    // Per (stage, micro-batch), at `stage * m + mb`: the forward fraction
+    // seen so far and the [fused, grad-input, grad-weight] backward counts.
+    let mut fwd = vec![0.0_f64; n_stages * m];
+    let mut bwd = vec![[0u32; 3]; n_stages * m];
+    const FUSED: usize = 0;
+    const INPUT: usize = 1;
+    const WEIGHT: usize = 2;
+    let in_grid = |stage: usize, mb: usize| stage < n_stages && mb < m;
     for (d, dev) in s.devices.iter().enumerate() {
         for o in dev {
             match o.kind {
@@ -152,23 +146,37 @@ fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
                     if part == Part::Both {
                         return Err(ValidationError::BothOnCompute { stage, mb });
                     }
-                    fwd[stage][mb] += part.frac();
-                }
-                OpKind::Bwd { mb, chunk } => {
-                    fused[s.stage_of(d, chunk)][mb] += 1;
-                }
-                OpKind::BwdInput { mb, chunk } => {
-                    inputs[s.stage_of(d, chunk)][mb] += 1;
-                }
-                OpKind::BwdWeight { mb, chunk } => {
-                    let stage = s.stage_of(d, chunk);
-                    // A grad-weight consumes gradients stashed by its
-                    // grad-input; program order on the owning device must
-                    // put the input first.
-                    if inputs[stage][mb] == 0 {
-                        return Err(ValidationError::WeightBeforeInput { stage, mb });
+                    let frac = part.frac();
+                    if !in_grid(stage, mb) {
+                        return Err(ValidationError::BadForwardCoverage { stage, mb, frac });
                     }
-                    weights[stage][mb] += 1;
+                    fwd[stage * m + mb] += frac;
+                }
+                OpKind::Bwd { mb, chunk }
+                | OpKind::BwdInput { mb, chunk }
+                | OpKind::BwdWeight { mb, chunk } => {
+                    let stage = s.stage_of(d, chunk);
+                    if !in_grid(stage, mb) {
+                        return Err(ValidationError::BadBackwardCoverage {
+                            stage,
+                            mb,
+                            count: 1,
+                        });
+                    }
+                    let counts = &mut bwd[stage * m + mb];
+                    match o.kind {
+                        OpKind::Bwd { .. } => counts[FUSED] += 1,
+                        OpKind::BwdInput { .. } => counts[INPUT] += 1,
+                        _ => {
+                            // A grad-weight consumes gradients stashed by
+                            // its grad-input; program order on the owning
+                            // device must put the input first.
+                            if counts[INPUT] == 0 {
+                                return Err(ValidationError::WeightBeforeInput { stage, mb });
+                            }
+                            counts[WEIGHT] += 1;
+                        }
+                    }
                 }
                 _ => {}
             }
@@ -176,11 +184,11 @@ fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
     }
     for stage in 0..n_stages {
         for mb in 0..m {
-            let frac = fwd[stage][mb];
+            let frac = fwd[stage * m + mb];
             if (frac - 1.0).abs() > 1e-9 {
                 return Err(ValidationError::BadForwardCoverage { stage, mb, frac });
             }
-            let (f, i, w) = (fused[stage][mb], inputs[stage][mb], weights[stage][mb]);
+            let [f, i, w] = bwd[stage * m + mb].map(|c| c as usize);
             if i == 0 && w == 0 {
                 if f != 1 {
                     return Err(ValidationError::BadBackwardCoverage {
@@ -203,11 +211,100 @@ fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
     Ok(())
 }
 
+/// In-flight message counts of the replay: one small dense table instead of
+/// a hash map per device.
+///
+/// A message is identified by the stage that consumes it (for activations
+/// the receiver's stage, for gradients the stage below the sender — which
+/// disambiguates multiple chunks flowing between the same device pair in
+/// the interleaved schedule), its micro-batch, and for activations its
+/// [`Part`]. Device `to` can only ever consume messages for its own
+/// `n_chunks` stages, so the table holds `n_chunks · m` cells of
+/// [`Mailbox::KINDS`] counters per device — sized by what a device can
+/// receive, not by all stages.
+struct Mailbox<'a> {
+    s: &'a Schedule,
+    counts: Vec<u32>,
+    /// The first send nothing in the schedule could ever receive, with its
+    /// addressee.
+    undeliverable: Option<(usize, OpKind)>,
+}
+
+impl Mailbox<'_> {
+    /// Counters per (device, chunk, micro-batch): the four activation parts,
+    /// then the gradient.
+    const KINDS: usize = 5;
+    const GRAD: usize = 4;
+    const KIND_NAMES: [&'static str; 5] = [
+        "activation",
+        "first-half activation",
+        "second-half activation",
+        "aggregated activation",
+        "gradient",
+    ];
+
+    fn new(s: &Schedule) -> Mailbox<'_> {
+        Mailbox {
+            s,
+            counts: vec![0; s.n_devices * s.n_chunks * s.n_microbatches * Self::KINDS],
+            undeliverable: None,
+        }
+    }
+
+    /// The counter of the message `kind` of micro-batch `mb` consumed by
+    /// `dst_stage` on device `to`; `None` when the schedule has no such
+    /// device, stage or micro-batch, or `dst_stage` does not live on `to`.
+    fn cell(&mut self, to: usize, dst_stage: usize, mb: usize, kind: usize) -> Option<&mut u32> {
+        let s = self.s;
+        if to >= s.n_devices || dst_stage % s.n_devices != to || mb >= s.n_microbatches {
+            return None;
+        }
+        let chunk = dst_stage / s.n_devices;
+        if chunk >= s.n_chunks {
+            return None;
+        }
+        let at = ((to * s.n_chunks + chunk) * s.n_microbatches + mb) * Self::KINDS + kind;
+        Some(&mut self.counts[at])
+    }
+
+    /// Deposit the message `op` (a send) puts on the wire for `dst_stage`
+    /// (`None`: there is no such stage), or remember it as undeliverable.
+    fn send(&mut self, op: OpKind, to: usize, dst_stage: Option<usize>, mb: usize, kind: usize) {
+        match dst_stage.and_then(|stage| self.cell(to, stage, mb, kind)) {
+            Some(n) => *n += 1,
+            None => {
+                self.undeliverable.get_or_insert((to, op));
+            }
+        }
+    }
+
+    /// Take one message out of its counter, if one is waiting.
+    fn consume(&mut self, device: usize, chunk: usize, mb: usize, kind: usize) -> bool {
+        let stage = self.s.stage_of(device, chunk);
+        match self.cell(device, stage, mb, kind) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+fn act_kind(part: Part) -> usize {
+    match part {
+        Part::Full => 0,
+        Part::Half1 => 1,
+        Part::Half2 => 2,
+        Part::Both => 3,
+    }
+}
+
 fn replay(s: &Schedule) -> Result<(), ValidationError> {
     let p = s.n_devices;
     let mut pc = vec![0usize; p];
-    // Messages sent but not yet consumed, per destination device.
-    let mut mailbox: Vec<HashMap<MsgKey, usize>> = vec![HashMap::new(); p];
+    // Messages sent but not yet consumed.
+    let mut mailbox = Mailbox::new(s);
 
     loop {
         let mut progressed = false;
@@ -230,47 +327,22 @@ fn replay(s: &Schedule) -> Result<(), ValidationError> {
                         ..
                     } => {
                         let dst_stage = s.stage_of(d, chunk) + 1;
-                        *mailbox[to]
-                            .entry(MsgKey {
-                                is_grad: false,
-                                mb,
-                                part,
-                                dst_stage,
-                            })
-                            .or_insert(0) += 1;
+                        mailbox.send(o.kind, to, Some(dst_stage), mb, act_kind(part));
                     }
                     OpKind::SendGrad { mb, chunk, to } => {
-                        let dst_stage = s.stage_of(d, chunk) - 1;
-                        *mailbox[to]
-                            .entry(MsgKey {
-                                is_grad: true,
-                                mb,
-                                part: Part::Full,
-                                dst_stage,
-                            })
-                            .or_insert(0) += 1;
+                        // Stage 0 has no stage below it to send to.
+                        let dst_stage = s.stage_of(d, chunk).checked_sub(1);
+                        mailbox.send(o.kind, to, dst_stage, mb, Mailbox::GRAD);
                     }
                     OpKind::RecvAct {
                         mb, chunk, part, ..
                     } => {
-                        let key = MsgKey {
-                            is_grad: false,
-                            mb,
-                            part,
-                            dst_stage: s.stage_of(d, chunk),
-                        };
-                        if !consume(&mut mailbox[d], key) {
+                        if !mailbox.consume(d, chunk, mb, act_kind(part)) {
                             break;
                         }
                     }
                     OpKind::RecvGrad { mb, chunk, .. } => {
-                        let key = MsgKey {
-                            is_grad: true,
-                            mb,
-                            part: Part::Full,
-                            dst_stage: s.stage_of(d, chunk),
-                        };
-                        if !consume(&mut mailbox[d], key) {
+                        if !mailbox.consume(d, chunk, mb, Mailbox::GRAD) {
                             break;
                         }
                     }
@@ -290,25 +362,29 @@ fn replay(s: &Schedule) -> Result<(), ValidationError> {
         }
     }
 
-    for (d, mbx) in mailbox.iter().enumerate() {
-        if let Some((key, n)) = mbx.iter().find(|(_, &n)| n > 0) {
-            return Err(ValidationError::UnmatchedSend {
-                device: d,
-                description: format!("{n} undelivered message(s) {key:?} addressed to device {d}"),
-            });
-        }
+    if let Some((device, op)) = mailbox.undeliverable {
+        return Err(ValidationError::UnmatchedSend {
+            device,
+            description: format!("{op:?} names a destination the schedule does not have"),
+        });
+    }
+    if let Some(at) = mailbox.counts.iter().position(|&n| n > 0) {
+        let (cell, kind) = (at / Mailbox::KINDS, at % Mailbox::KINDS);
+        let mb = cell % s.n_microbatches;
+        let chunk = cell / s.n_microbatches % s.n_chunks;
+        let device = cell / s.n_microbatches / s.n_chunks;
+        return Err(ValidationError::UnmatchedSend {
+            device,
+            description: format!(
+                "{} undelivered {} message(s) of micro-batch {mb} for stage {} \
+                 addressed to device {device}",
+                mailbox.counts[at],
+                Mailbox::KIND_NAMES[kind],
+                s.stage_of(device, chunk)
+            ),
+        });
     }
     Ok(())
-}
-
-fn consume(mbx: &mut HashMap<MsgKey, usize>, key: MsgKey) -> bool {
-    match mbx.get_mut(&key) {
-        Some(n) if *n > 0 => {
-            *n -= 1;
-            true
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -339,6 +415,101 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn generators_validate_at_the_benchmark_ceiling() {
+        // The deepest, widest point of the planning benchmark's grid.
+        let (p, m) = (16, 64);
+        validate(&one_f_one_b(p, m)).unwrap();
+        validate(&gpipe(p, m)).unwrap();
+        validate(&zero_bubble(p, m)).unwrap();
+        validate(&sliced_1f1b(p, m, 3)).unwrap();
+        validate(&interleaved(p, 2, m).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn grad_send_from_stage_zero_is_an_unmatched_send() {
+        // There is no stage below stage 0; the send must be reported, not
+        // wrap around into some other stage's mailbox.
+        let mut s = one_f_one_b(2, 1);
+        assert!(s.devices[0].last().unwrap().is_compute());
+        s.devices[0].push(Op::new(OpKind::SendGrad {
+            mb: 0,
+            chunk: 0,
+            to: 1,
+        }));
+        assert!(matches!(
+            validate(&s),
+            Err(ValidationError::UnmatchedSend { device: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn send_to_a_missing_device_is_an_unmatched_send() {
+        let mut s = one_f_one_b(2, 1);
+        assert!(s.devices[0].last().unwrap().is_compute());
+        s.devices[0].push(Op::new(OpKind::SendAct {
+            mb: 0,
+            chunk: 0,
+            part: Part::Full,
+            to: 7,
+        }));
+        assert!(matches!(
+            validate(&s),
+            Err(ValidationError::UnmatchedSend { device: 7, .. })
+        ));
+        // The same for a micro-batch nobody runs.
+        let mut s = one_f_one_b(2, 1);
+        s.devices[0].push(Op::new(OpKind::SendAct {
+            mb: 9,
+            chunk: 0,
+            part: Part::Full,
+            to: 1,
+        }));
+        assert!(matches!(
+            validate(&s),
+            Err(ValidationError::UnmatchedSend { device: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn compute_on_a_missing_microbatch_is_a_coverage_error() {
+        let mut s = one_f_one_b(2, 2);
+        s.devices[0].push(Op::new(OpKind::Fwd {
+            mb: 2,
+            chunk: 0,
+            part: Part::Full,
+        }));
+        assert_eq!(
+            validate(&s),
+            Err(ValidationError::BadForwardCoverage {
+                stage: 0,
+                mb: 2,
+                frac: 1.0
+            })
+        );
+        let mut s = one_f_one_b(2, 2);
+        s.devices[1].push(Op::new(OpKind::Bwd { mb: 5, chunk: 0 }));
+        assert_eq!(
+            validate(&s),
+            Err(ValidationError::BadBackwardCoverage {
+                stage: 1,
+                mb: 5,
+                count: 1
+            })
+        );
+        // A chunk the device does not hold is a stage outside the grid.
+        let mut s = zero_bubble(2, 2);
+        s.devices[0].push(Op::new(OpKind::BwdInput { mb: 0, chunk: 1 }));
+        assert_eq!(
+            validate(&s),
+            Err(ValidationError::BadBackwardCoverage {
+                stage: 2,
+                mb: 0,
+                count: 1
+            })
+        );
     }
 
     #[test]

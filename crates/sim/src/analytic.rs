@@ -14,7 +14,9 @@
 //!   readiness bookkeeping and the explicit critical path.
 //! * [`simulate_time`] — the fast tier: the *same* dependency replay, same
 //!   arithmetic, same tie rules, but carrying only flat `f64` end-time
-//!   arrays inside a caller-owned [`SimScratch`]. After the first call with
+//!   arrays inside a caller-owned [`SimScratch`], swept in a dependency
+//!   order that is decoded once per `(n, m)` and cached there — a search
+//!   scores all its candidates at one `(n, m)`. After the first call with
 //!   a given problem size it performs zero heap allocations, and it returns
 //!   only the scalars a search loop needs ([`FastResult`]). Bit-identical
 //!   to [`simulate_replay`] on iteration time, startup overhead and master
@@ -381,14 +383,27 @@ pub struct FastResult {
     pub master_stage: usize,
 }
 
+/// One op of the cached 1F1B sweep order.
+#[derive(Debug, Clone, Copy)]
+struct ProgOp {
+    /// `stage·m + mb`: the op's slot in the end-time and arrival arrays.
+    slot: u32,
+    stage: u16,
+    bwd: bool,
+}
+
 /// Caller-owned, reusable working memory for [`simulate_time`].
 ///
 /// All per-candidate state lives here as flat arrays sized `2·n·m` floats
-/// plus a few `n`-length vectors; buffers grow monotonically, so after the
-/// first call at the largest problem size the fast path performs **zero**
-/// heap allocations (asserted by `tests/fast_sim_alloc.rs`).
+/// plus a few `n`-length vectors, next to the `2·n·m`-entry sweep order of
+/// the last `(n, m)`; buffers keep their capacity, so after the first call
+/// at the largest problem size the fast path performs **zero** heap
+/// allocations, re-keying to a smaller `(n, m)` included (asserted by
+/// `tests/fast_sim_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct SimScratch {
+    /// Every op of the `(n, m)` 1F1B program in the sweep's visiting order.
+    program: Vec<ProgOp>,
     /// End time of the forward of micro-batch `mb` at stage `x`, at `x*m+mb`.
     fwd_end: Vec<f64>,
     /// End time of the backward, same layout.
@@ -407,8 +422,11 @@ pub struct SimScratch {
     act_link: Vec<f64>,
     /// Overlap mode: busy-until time of the gradient edge x → x−1.
     grad_link: Vec<f64>,
-    /// Stage count of the last simulation (bounds [`Self::stage_busy`]).
+    /// Stage count of the last simulation (bounds [`Self::stage_busy`]);
+    /// with `m`, the key `program` was built for.
     n: usize,
+    /// Micro-batch count of the last simulation.
+    m: usize,
 }
 
 impl SimScratch {
@@ -420,6 +438,45 @@ impl SimScratch {
     /// Per-stage busy time of the last simulated candidate.
     pub fn stage_busy(&self) -> &[f64] {
         &self.stage_busy[..self.n]
+    }
+
+    /// Make `program` the sweep order of the `(n, m)` 1F1B schedule, reusing
+    /// its capacity.
+    ///
+    /// For the 1F1B program the dependency of a forward at index `i` of
+    /// stage `x` sits at index ≤ `i` of stage `x−1` (equality only while
+    /// both are in Warmup), and the dependency of a backward sits at index
+    /// ≤ `i` of stage `x+1` (equality in Cooldown and at the 1F1B/Cooldown
+    /// seam). So visiting each index with forwards in ascending and
+    /// backwards in descending stage order executes every op after its
+    /// dependencies in ONE pass — no work-list retries — and the order
+    /// depends on nothing but `(n, m)`.
+    fn rekey(&mut self, n: usize, m: usize) {
+        if (self.n, self.m) == (n, m) {
+            return;
+        }
+        assert!(
+            n <= usize::from(u16::MAX) && n * m <= u32::MAX as usize,
+            "{n} stages x {m} micro-batches overflow the sweep table"
+        );
+        self.n = n;
+        self.m = m;
+        self.program.clear();
+        let forwards = (0..n).map(|x| (x, OpClass::Fwd));
+        let backwards = (0..n).rev().map(|x| (x, OpClass::Bwd));
+        for i in 0..2 * m {
+            for (x, class) in forwards.clone().chain(backwards.clone()) {
+                let w = warmup_count(x, n, m);
+                let (at_i, mb, _) = decode_op(w, m - w, i);
+                if at_i == class {
+                    self.program.push(ProgOp {
+                        slot: (x * m + mb) as u32,
+                        stage: x as u16,
+                        bwd: class == OpClass::Bwd,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -507,7 +564,9 @@ pub fn simulate_time_masked(
     let k = overlap.map_or(1, OverlapModel::k);
     let overlapped = overlap.is_some();
 
+    scratch.rekey(n, m);
     let SimScratch {
+        program,
         fwd_end,
         bwd_end,
         dev_free,
@@ -517,13 +576,16 @@ pub fn simulate_time_masked(
         grad_arr,
         act_link,
         grad_link,
-        n: scratch_n,
+        ..
     } = scratch;
-    *scratch_n = n;
-    fwd_end.clear();
+    // Every end time and arrival is written by the sweep before anything
+    // reads it, so these only need the right length, not zeroing.
     fwd_end.resize(n * m, 0.0);
-    bwd_end.clear();
     bwd_end.resize(n * m, 0.0);
+    if overlapped {
+        act_arr.resize(n * m, 0.0);
+        grad_arr.resize(n * m, 0.0);
+    }
     dev_free.clear();
     dev_free.resize(n, 0.0);
     path_count.clear();
@@ -532,60 +594,46 @@ pub fn simulate_time_masked(
     stage_busy.extend(
         (0..n).map(|x| m as f64 * (costs.work(x) + if masked(x) { costs.f[x] } else { 0.0 })),
     );
-    let arr_len = if overlapped { n * m } else { 0 };
-    act_arr.clear();
-    act_arr.resize(arr_len, 0.0);
-    grad_arr.clear();
-    grad_arr.resize(arr_len, 0.0);
     act_link.clear();
     act_link.resize(n, 0.0);
     grad_link.clear();
     grad_link.resize(n, 0.0);
 
-    // Single-pass topological sweep over program indices. For the 1F1B
-    // program the dependency of a forward at index `i` of stage `x` sits at
-    // index ≤ `i` of stage `x−1` (equality only while both are in Warmup),
-    // and the dependency of a backward sits at index ≤ `i` of stage `x+1`
-    // (equality in Cooldown and at the 1F1B/Cooldown seam). So visiting each
-    // index with forwards in ascending and backwards in descending stage
-    // order executes every op after its dependencies in ONE pass — no
-    // work-list retries. Each end time is produced by the exact expression
-    // of `simulate_replay`'s loop, so all floats stay bit-identical.
-    for i in 0..prog_len {
-        for x in 0..n {
-            let w = warmup_count(x, n, m);
-            let (class, mb, _) = decode_op(w, m - w, i);
-            if class != OpClass::Fwd {
-                continue;
-            }
+    // Single-pass topological sweep in the cached order. Each end time is
+    // produced by the exact expression of `simulate_replay`'s loop from the
+    // same operands, so all floats stay bit-identical. The loop indexes
+    // plain slices so their pointers and lengths stay in registers.
+    let (f, b) = (&costs.f[..n], &costs.b[..n]);
+    let (fwd_end, bwd_end) = (&mut fwd_end[..], &mut bwd_end[..]);
+    let (act_arr, grad_arr) = (&mut act_arr[..], &mut grad_arr[..]);
+    let (act_link, grad_link) = (&mut act_link[..], &mut grad_link[..]);
+    let dev_free = &mut dev_free[..];
+    for op in program.iter() {
+        let x = usize::from(op.stage);
+        let slot = op.slot as usize;
+        if !op.bwd {
             let cross_ready = if x > 0 {
                 if overlapped {
-                    act_arr[(x - 1) * m + mb]
+                    act_arr[slot - m]
                 } else {
-                    fwd_end[(x - 1) * m + mb] + comm
+                    fwd_end[slot - m] + comm
                 }
             } else {
                 0.0
             };
             let start = dev_free[x].max(cross_ready);
-            let e = start + costs.f[x];
-            fwd_end[x * m + mb] = e;
+            let e = start + f[x];
+            fwd_end[slot] = e;
             dev_free[x] = e;
             if overlapped && x < n - 1 {
-                act_arr[x * m + mb] = eager_send(&mut act_link[x], e, costs.f[x], chunk_cost, k);
+                act_arr[slot] = eager_send(&mut act_link[x], e, f[x], chunk_cost, k);
             }
-        }
-        for x in (0..n).rev() {
-            let w = warmup_count(x, n, m);
-            let (class, mb, _) = decode_op(w, m - w, i);
-            if class != OpClass::Bwd {
-                continue;
-            }
+        } else {
             let cross_ready = if x < n - 1 {
                 if overlapped {
-                    grad_arr[(x + 1) * m + mb]
+                    grad_arr[slot + m]
                 } else {
-                    bwd_end[(x + 1) * m + mb] + comm
+                    bwd_end[slot + m] + comm
                 }
             } else {
                 0.0
@@ -593,16 +641,16 @@ pub fn simulate_time_masked(
             // Masked stages replay the forward before the backward — the
             // exact `dev_free + f` expression of the full replay.
             let intra_ready = if masked(x) {
-                dev_free[x] + costs.f[x]
+                dev_free[x] + f[x]
             } else {
                 dev_free[x]
             };
             let start = intra_ready.max(cross_ready);
-            let e = start + costs.b[x];
-            bwd_end[x * m + mb] = e;
+            let e = start + b[x];
+            bwd_end[slot] = e;
             dev_free[x] = e;
             if overlapped && x > 0 {
-                grad_arr[x * m + mb] = eager_send(&mut grad_link[x], e, costs.b[x], chunk_cost, k);
+                grad_arr[slot] = eager_send(&mut grad_link[x], e, b[x], chunk_cost, k);
             }
         }
     }
@@ -616,21 +664,21 @@ pub fn simulate_time_masked(
         }
     };
 
-    // Iteration end and the backtrack anchor: the arena-order scan of the
-    // replay (`max_by` keeps the *last* maximal op; arena order is stage-
-    // major, program-minor).
+    // Iteration end and the backtrack anchor. The replay scans its arena
+    // (stage-major, program-minor) and `max_by` keeps the *last* maximal
+    // op. Durations are non-negative and an op starts no earlier than its
+    // device frees, so end times never decrease along one stage's program:
+    // each stage's maximum, and its last maximal op, is its final op, whose
+    // end is what the sweep left in `dev_free`. Scanning those `n` values
+    // with the same comparison picks the same anchor.
     let mut iteration_time = 0.0_f64;
-    let (mut cx, mut ci) = (0usize, 0usize);
+    let (mut cx, mut ci) = (0usize, prog_len - 1);
     let mut anchor_end = f64::NEG_INFINITY;
-    for x in 0..n {
-        for i in 0..prog_len {
-            let e = end_of(x, i);
-            iteration_time = iteration_time.max(e);
-            if e.total_cmp(&anchor_end) != std::cmp::Ordering::Less {
-                anchor_end = e;
-                cx = x;
-                ci = i;
-            }
+    for (x, &e) in dev_free.iter().enumerate() {
+        iteration_time = iteration_time.max(e);
+        if e.total_cmp(&anchor_end) != std::cmp::Ordering::Less {
+            anchor_end = e;
+            cx = x;
         }
     }
 
@@ -1100,6 +1148,12 @@ mod tests {
             (vec![1.0, 1.3, 0.9, 1.1], vec![2.0, 2.6, 1.8, 2.2], 0.05, 10),
             (vec![1.0; 4], vec![2.0; 4], 0.0, 2), // m < n
             (vec![0.0, 1.0, 0.0], vec![0.0, 2.0, 0.0], 0.01, 6), // degenerate
+            // Zero-duration backwards tie the iteration end within a stage
+            // and, with free comm, across stages: the anchor must be the
+            // last maximal op in stage-major order.
+            (vec![1.0, 1.0], vec![0.0, 0.0], 0.0, 3),
+            (vec![0.0, 0.0, 0.0], vec![1.0, 0.0, 1.0], 0.0, 4),
+            (vec![0.0; 3], vec![0.0; 3], 0.0, 4),
         ];
         let mut scratch = SimScratch::new();
         for (f, b, comm, m) in cases {

@@ -362,8 +362,8 @@ impl Session {
         let mut req = self.cfg.plan_request();
         req.enable_slicer = false;
         let service = self.resolve_service();
-        let plan = AutoPipe::plan_with(&req, &service)?;
         let db = AutoPipe::cost_db(&req);
+        let plan = AutoPipe::plan_with(&req, &db, &service)?;
         Ok(PlannedSession {
             cfg: self.cfg,
             db,

@@ -15,8 +15,8 @@ use autopipe_schedule::{
     gpipe, interleaved, one_f_one_b, sliced_1f1b, validate, zero_bubble, Schedule,
 };
 use autopipe_sim::analytic::{
-    recurrence, simulate_replay, simulate_replay_with, simulate_time, simulate_time_with,
-    OverlapModel, SimScratch,
+    recurrence, simulate_replay, simulate_replay_masked, simulate_replay_with, simulate_time,
+    simulate_time_masked, simulate_time_with, OverlapModel, SimScratch,
 };
 use autopipe_sim::event::{run_schedule_untraced, EventConfig, EventCosts};
 use autopipe_sim::{replay_schedule, CommConfig, ReplayScratch, StageCosts};
@@ -73,6 +73,51 @@ fn recurrence_friendly_costs() -> impl Strategy<Value = (StageCosts, usize)> {
                 (StageCosts::new(f, b, comm_milli as f64 * 1e-3), m)
             })
     })
+}
+
+/// One fast-tier call in any of its modes.
+type ModalCase = (StageCosts, usize, Option<OverlapModel>, Option<Vec<bool>>);
+
+/// A random pipeline in a random mode: blocking or overlapped (1..=8
+/// chunks), with or without a recompute mask, and with a random subset of
+/// the stage times set to exactly 0.0 — zero-duration ops tie their
+/// predecessor's end time, which is where the iteration-end anchor's
+/// "last maximal op" rule decides.
+fn modal_case() -> impl Strategy<Value = ModalCase> {
+    (
+        (1usize..=8, 1usize..=24, 0usize..=100),
+        (0usize..=8, 0usize..3, 0usize..256),
+        (0usize..65536, 0usize..65536),
+    )
+        .prop_flat_map(
+            |((p, m, comm_tenths_ms), (k, mask_sel, mask_bits), (z1, z2))| {
+                (
+                    proptest::collection::vec(1e-4f64..3.0, p),
+                    proptest::collection::vec(1e-4f64..6.0, p),
+                )
+                    .prop_map(move |(mut f, mut b)| {
+                        // Two independent draws ANDed: each time is zero with
+                        // probability 1/4.
+                        let zeros = z1 & z2;
+                        for x in 0..p {
+                            if zeros & (1 << x) != 0 {
+                                f[x] = 0.0;
+                            }
+                            if zeros & (1 << (8 + x)) != 0 {
+                                b[x] = 0.0;
+                            }
+                        }
+                        let comm = comm_tenths_ms as f64 * 1e-4;
+                        let overlap = (k > 0).then_some(OverlapModel {
+                            latency: comm.min(30e-6),
+                            chunks: k,
+                        });
+                        let mask = (mask_sel > 0)
+                            .then(|| (0..p).map(|x| mask_bits & (1 << x) != 0).collect());
+                        (StageCosts::new(f, b, comm), m, overlap, mask)
+                    })
+            },
+        )
 }
 
 fn assert_fast_matches_replay(costs: &StageCosts, m: usize) -> Result<(), String> {
@@ -186,6 +231,49 @@ proptest! {
             let fast = simulate_time(costs, *m, &mut scratch);
             prop_assert_eq!(fast.iteration_time.to_bits(), full.iteration_time.to_bits());
             prop_assert_eq!(fast.master_stage, full.master_stage);
+        }
+    }
+
+    /// One scratch serving a random sequence of `(n, m, overlap, mask)`
+    /// calls — the cached sweep order must re-key whenever `(n, m)` moves
+    /// and must not care when only the mode does — stays bit-equal to the
+    /// full replay, zero-duration stages included.
+    #[test]
+    fn one_scratch_rekeys_across_sizes_and_modes(
+        cases in proptest::collection::vec(modal_case(), 1..8)
+    ) {
+        let mut scratch = SimScratch::new();
+        // Run the sequence twice so every case is also reached from the
+        // last one's key.
+        for (costs, m, overlap, mask) in cases.iter().chain(cases.iter()) {
+            let full = simulate_replay_masked(costs, *m, overlap.as_ref(), mask.as_deref());
+            let fast =
+                simulate_time_masked(costs, *m, &mut scratch, overlap.as_ref(), mask.as_deref());
+            prop_assert_eq!(
+                fast.iteration_time.to_bits(),
+                full.iteration_time.to_bits(),
+                "iteration time: fast {} vs replay {} ({:?}, m={}, {:?}, {:?})",
+                fast.iteration_time,
+                full.iteration_time,
+                costs,
+                m,
+                overlap,
+                mask
+            );
+            prop_assert_eq!(
+                fast.startup_overhead.to_bits(),
+                full.startup_overhead.to_bits()
+            );
+            prop_assert_eq!(
+                fast.master_stage,
+                full.master_stage,
+                "master stage ({:?}, m={}, {:?}, {:?})",
+                costs,
+                m,
+                overlap,
+                mask
+            );
+            prop_assert_eq!(scratch.stage_busy(), &full.stage_busy[..]);
         }
     }
 
