@@ -179,12 +179,6 @@ impl Pipeline {
         })
     }
 
-    /// Build stages from a deterministic full-model initialisation.
-    #[deprecated(note = "use `Pipeline::try_new`, which reports invalid configurations")]
-    pub fn new(cfg: &PipelineConfig) -> Pipeline {
-        Pipeline::try_new(cfg).expect("invalid pipeline configuration")
-    }
-
     /// Install a fault script. All the script's delays are in virtual
     /// seconds; the runtime sleeps `time_scale` wall seconds per virtual
     /// second, so the same script the event simulator replays exactly can

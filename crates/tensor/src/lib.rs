@@ -2,8 +2,8 @@
 //! runtime substrate.
 //!
 //! The paper's training back-end is PyTorch + CUDA; this crate is the
-//! laptop-scale stand-in: dense row-major f32 tensors, a thread-parallel
-//! GEMM, and hand-written forward/backward pairs for every operation a
+//! laptop-scale stand-in: dense row-major f32 tensors, one register-tiled
+//! single-threaded GEMM, and hand-written forward/backward pairs for every operation a
 //! GPT-2/BERT block needs (linear, layer-norm, GELU, softmax, multi-head
 //! attention, embedding lookup, fused softmax-cross-entropy). Every
 //! backward is validated against finite differences in the test suite.

@@ -153,7 +153,8 @@ pub struct FfnCache {
     ln: ops::LnCache,
     ln_out: Tensor,
     pre_gelu: Tensor,
-    gelu_out: Tensor,
+    /// `tanh` inside the GELU; with `pre_gelu` it rebuilds the GELU output.
+    gelu_tanh: Tensor,
 }
 
 impl FfnBlock {
@@ -174,7 +175,7 @@ impl FfnBlock {
     pub fn forward(&self, x: &Hidden) -> (Hidden, FfnCache) {
         let (ln_out, ln) = ops::layernorm_fwd(x, &self.ln_g, &self.ln_b);
         let pre_gelu = ops::linear_fwd(&ln_out, &self.w1, &self.b1);
-        let gelu_out = ops::gelu_fwd(&pre_gelu);
+        let (gelu_out, gelu_tanh) = ops::gelu_fwd(&pre_gelu);
         let y = x.add(&ops::linear_fwd(&gelu_out, &self.w2, &self.b2));
         (
             y,
@@ -182,15 +183,16 @@ impl FfnBlock {
                 ln,
                 ln_out,
                 pre_gelu,
-                gelu_out,
+                gelu_tanh,
             },
         )
     }
 
     /// Backward: `(dx, grads)`.
     pub fn backward(&self, cache: &FfnCache, dy: &Hidden) -> (Hidden, Vec<Tensor>) {
-        let (dgelu_out, dw2, db2) = ops::linear_bwd(&cache.gelu_out, &self.w2, dy);
-        let dpre = ops::gelu_bwd(&cache.pre_gelu, &dgelu_out);
+        let gelu_out = ops::gelu_from_tanh(&cache.pre_gelu, &cache.gelu_tanh);
+        let (dgelu_out, dw2, db2) = ops::linear_bwd(&gelu_out, &self.w2, dy);
+        let dpre = ops::gelu_bwd(&cache.pre_gelu, &cache.gelu_tanh, &dgelu_out);
         let (dln_out, dw1, db1) = ops::linear_bwd(&cache.ln_out, &self.w1, &dpre);
         let (dx_ln, dg, db) = ops::layernorm_bwd(&cache.ln, &self.ln_g, &dln_out);
         let dx = dy.add(&dx_ln);

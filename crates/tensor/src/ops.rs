@@ -36,36 +36,48 @@ pub fn linear_bwd(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tenso
 
 // ---------------------------------------------------------------- gelu
 
-/// GELU (tanh approximation), elementwise.
-pub fn gelu_fwd(x: &Tensor) -> Tensor {
-    let mut y = x.clone();
-    for v in y.data_mut() {
-        *v = gelu_scalar(*v);
-    }
-    y
+/// GELU (tanh approximation), elementwise: returns `(y, t)` where `t` is
+/// the `tanh` inside it, which [`gelu_bwd`] reuses instead of calling `tanh`
+/// a second time per element.
+pub fn gelu_fwd(x: &Tensor) -> (Tensor, Tensor) {
+    let t: Vec<f32> = x
+        .data()
+        .iter()
+        .map(|&v| (GELU_C * (v + 0.044715 * v * v * v)).tanh())
+        .collect();
+    let t = Tensor::from_vec(x.shape(), t);
+    (gelu_from_tanh(x, &t), t)
 }
 
-/// Backward of [`gelu_fwd`].
-pub fn gelu_bwd(x: &Tensor, dy: &Tensor) -> Tensor {
-    let mut dx = dy.clone();
-    for (g, &xv) in dx.data_mut().iter_mut().zip(x.data()) {
-        *g *= gelu_grad_scalar(xv);
-    }
-    dx
+/// The GELU output from its input and [`gelu_fwd`]'s `t` — the forward's
+/// own expression, so a cache can keep `t` and rebuild the output bit for
+/// bit instead of storing both.
+pub fn gelu_from_tanh(x: &Tensor, t: &Tensor) -> Tensor {
+    let y = x
+        .data()
+        .iter()
+        .zip(t.data())
+        .map(|(&v, &t)| 0.5 * v * (1.0 + t))
+        .collect();
+    Tensor::from_vec(x.shape(), y)
+}
+
+/// Backward of [`gelu_fwd`], given the forward's input `x` and its `t`.
+pub fn gelu_bwd(x: &Tensor, t: &Tensor, dy: &Tensor) -> Tensor {
+    let dx = x
+        .data()
+        .iter()
+        .zip(t.data())
+        .zip(dy.data())
+        .map(|((&v, &t), &g)| {
+            let du = GELU_C * (1.0 + 3.0 * 0.044715 * v * v);
+            g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
+        })
+        .collect();
+    Tensor::from_vec(dy.shape(), dx)
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-fn gelu_scalar(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-fn gelu_grad_scalar(x: f32) -> f32 {
-    let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
-    let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
 
 // ---------------------------------------------------------------- layernorm
 
@@ -211,16 +223,18 @@ pub fn cross_entropy_logits(logits: &Tensor, targets: &[usize]) -> (f32, Tensor)
     let v = *logits.shape().last().unwrap();
     let n = logits.len() / v;
     assert_eq!(n, targets.len());
-    let probs = softmax_fwd(logits);
+    // One `[n, V]` buffer: the softmax output becomes the gradient in place.
+    let mut dl = softmax_fwd(logits);
     let mut loss = 0.0_f64;
-    let mut dl = probs.clone();
-    for (r, &t) in targets.iter().enumerate() {
-        let p = probs.data()[r * v + t].max(1e-12);
-        loss -= (p as f64).ln();
-        dl.data_mut()[r * v + t] -= 1.0;
-    }
     let scale = 1.0 / n as f32;
-    ((loss / n as f64) as f32, dl.scale(scale))
+    for (row, &t) in dl.data_mut().chunks_mut(v).zip(targets) {
+        loss -= (row[t].max(1e-12) as f64).ln();
+        row[t] -= 1.0;
+        for g in row {
+            *g *= scale;
+        }
+    }
+    ((loss / n as f64) as f32, dl)
 }
 
 // ---------------------------------------------------------------- attention
@@ -396,8 +410,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let x = Tensor::randn(&[2, 6], 1.0, &mut rng);
         let probe = Tensor::randn(&[2, 6], 1.0, &mut rng);
-        let dx = gelu_bwd(&x, &probe);
-        let fd = finite_diff(&x, &probe, &gelu_fwd);
+        let dx = gelu_bwd(&x, &gelu_fwd(&x).1, &probe);
+        let fd = finite_diff(&x, &probe, &|x| gelu_fwd(x).0);
         assert_close(&dx, &fd, 2e-2, "gelu dx");
     }
 

@@ -1,5 +1,7 @@
 //! Dense row-major f32 tensors.
 
+use std::cell::RefCell;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -124,141 +126,178 @@ impl Tensor {
         self.data.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
     }
 
-    /// Matrix multiply: `self [m,k] × other [k,n] → [m,n]`, thread-parallel
-    /// over row blocks for large problems.
+    /// Matrix multiply: `self [m,k] × other [k,n] → [m,n]`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-        let mut out = vec![0.0_f32; m * n];
-        gemm(&self.data, &other.data, &mut out, m, k, n);
+        let (m, k, n) = product_dims("matmul", self, 1, other, 0);
         Tensor {
             shape: vec![m, n],
-            data: out,
+            data: gemm(&self.data, (k, 1), &other.data, m, k, n),
         }
     }
 
     /// `selfᵀ × other`: `[k,m]ᵀ·[k,n] → [m,n]` without materialising the
     /// transpose (weight-gradient shape).
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2);
-        assert_eq!(other.shape.len(), 2);
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2);
-        let mut out = vec![0.0_f32; m * n];
-        for kk in 0..k {
-            let a_row = &self.data[kk * m..(kk + 1) * m];
-            let b_row = &other.data[kk * n..(kk + 1) * n];
-            for i in 0..m {
-                let a = a_row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let o = &mut out[i * n..(i + 1) * n];
-                for (oj, bj) in o.iter_mut().zip(b_row) {
-                    *oj += a * bj;
-                }
-            }
-        }
+        let (m, k, n) = product_dims("t_matmul", self, 0, other, 0);
         Tensor {
             shape: vec![m, n],
-            data: out,
+            data: gemm(&self.data, (1, m), &other.data, m, k, n),
         }
     }
 
     /// `self × otherᵀ`: `[m,k]·[n,k]ᵀ → [m,n]` (input-gradient shape).
+    /// `other` is transposed into a per-thread scratch first — O(k·n) next
+    /// to the product's O(m·k·n) — so the kernel reads it row-major.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2);
-        assert_eq!(other.shape.len(), 2);
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2);
-        let mut out = vec![0.0_f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o = &mut out[i * n..(i + 1) * n];
-            for (j, oj) in o.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0_f32;
-                for (av, bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *oj = acc;
+        let (m, k, n) = product_dims("matmul_t", self, 1, other, 1);
+        let data = TRANSPOSED.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            if scratch.len() < k * n {
+                scratch.resize(k * n, 0.0);
             }
-        }
+            let other_t = &mut scratch[..k * n];
+            transpose(&other.data, other_t, n, k);
+            gemm(&self.data, (k, 1), other_t, m, k, n)
+        });
         Tensor {
             shape: vec![m, n],
-            data: out,
+            data,
         }
     }
 }
 
-/// Row-blocked GEMM; splits rows across threads above a work threshold.
-fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let work = m * k * n;
-    let threads = if work < 1 << 18 {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(m)
-    };
-    if threads <= 1 {
-        gemm_rows(a, b, out, 0, m, k, n);
-        return;
+/// Both operands 2-D and the contracted axes (`lhs_k` of `lhs`, `rhs_k` of
+/// `rhs`) equally long; returns `(m, k, n)` of the product.
+fn product_dims(
+    op: &str,
+    lhs: &Tensor,
+    lhs_k: usize,
+    rhs: &Tensor,
+    rhs_k: usize,
+) -> (usize, usize, usize) {
+    assert_eq!(lhs.shape.len(), 2, "{op} lhs must be 2-D");
+    assert_eq!(rhs.shape.len(), 2, "{op} rhs must be 2-D");
+    let (k, k2) = (lhs.shape[lhs_k], rhs.shape[rhs_k]);
+    assert_eq!(k, k2, "{op} inner dims {k} vs {k2}");
+    (lhs.shape[1 - lhs_k], k, rhs.shape[1 - rhs_k])
+}
+
+thread_local! {
+    /// `matmul_t`'s transposed right-hand side: grows to the largest `[k,n]`
+    /// this thread has seen and is reused, so a product allocates only its
+    /// output.
+    static TRANSPOSED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `dst [cols,rows] = src [rows,cols]ᵀ`, in square blocks so both sides stay
+/// within a few cache lines per block.
+fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    const BLOCK: usize = 16;
+    for r0 in (0..rows).step_by(BLOCK) {
+        let r1 = (r0 + BLOCK).min(rows);
+        for c0 in (0..cols).step_by(BLOCK) {
+            let c1 = (c0 + BLOCK).min(cols);
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    dst[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
     }
-    let rows_per = m.div_ceil(threads);
-    let chunks: Vec<(usize, &mut [f32])> = out
-        .chunks_mut(rows_per * n)
-        .enumerate()
-        .map(|(i, c)| (i * rows_per, c))
-        .collect();
-    std::thread::scope(|s| {
-        for (row0, chunk) in chunks {
-            s.spawn(move || {
-                let rows = chunk.len() / n;
-                gemm_block(&a[row0 * k..(row0 + rows) * k], b, chunk, rows, k, n);
-            });
-        }
-    });
 }
 
-fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, row1: usize, k: usize, n: usize) {
-    gemm_block(
-        &a[row0 * k..row1 * k],
-        b,
-        &mut out[row0 * n..row1 * n],
-        row1 - row0,
-        k,
-        n,
-    );
-}
+/// Rows of the accumulator tile [`gemm`] keeps in registers.
+const MR: usize = 4;
+/// Columns of that tile.
+const NR: usize = 16;
 
-/// ikj-order kernel: streams B rows, vectorises the inner j loop.
-fn gemm_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (oj, bj) in o.iter_mut().zip(b_row) {
-                *oj += av * bj;
+/// `A [m,k] · b [k,n]` as a row-major `[m,n]`: `b` is row-major, `A[i][kk]`
+/// is `a[i * row_stride + kk * k_stride]` with `a_strides = (row_stride,
+/// k_stride)` — `(k, 1)` for a row-major `A`, `(1, m)` for one stored
+/// transposed.
+///
+/// Every output element is the one chain `acc = 0.0; acc += a·b` over
+/// ascending `kk`, multiply and add rounded separately (never `mul_add`),
+/// whatever the layout or tile position: float addition is not associative,
+/// so this order is what makes all three products bit-reproducible, and the
+/// kernel is fast by running `MR × NR` such chains side by side (vector lanes
+/// across `j`), never by splitting one. `k` is not blocked for the same
+/// reason.
+///
+/// There is no `a == 0.0` shortcut: for finite operands a skipped `+ ±0.0` is
+/// unobservable (an accumulator that starts at `+0.0` never becomes `-0.0`,
+/// and `x + ±0.0 == x` for every other `x`). The only infinities in this
+/// crate, the causal mask's, pass through `softmax_fwd` before any product.
+///
+/// Single-threaded on purpose: a pipeline stage is one device and already
+/// runs on its own thread.
+fn gemm(a: &[f32], a_strides: (usize, usize), b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0_f32; m * n];
+    if k == 0 {
+        return out; // empty sums; `a` and `b` have no element to slice at
+    }
+    // Column panels outermost: a `[k, NR]` panel of `b` stays in L1 while
+    // every row tile of A streams past it.
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        let b_panel = &b[j0..];
+        for i0 in (0..m).step_by(MR) {
+            let mr = MR.min(m - i0);
+            let a_tile = &a[i0 * a_strides.0..];
+            let out_tile = &mut out[i0 * n + j0..];
+            if mr == MR && nr == NR {
+                // Constant bounds: the accumulators live in vector registers.
+                tile(a_tile, a_strides, b_panel, out_tile, MR, NR, k, n);
+            } else {
+                tile(a_tile, a_strides, b_panel, out_tile, mr, nr, k, n);
             }
         }
+    }
+    out
+}
+
+/// One `mr × nr` tile of [`gemm`] (`mr ≤ MR`, `nr ≤ NR`); `a`, `b` and `out`
+/// start at the tile's first row / column and keep the full matrices'
+/// strides.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile(
+    a: &[f32],
+    (a_row_stride, a_k_stride): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    mr: usize,
+    nr: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut acc = [[0.0_f32; NR]; MR];
+    for kk in 0..k {
+        let b_row = &b[kk * n..][..nr];
+        let a_col = &a[kk * a_k_stride..];
+        // `while`, not `for`: tier-1 tests run unoptimised, where every
+        // `Range::next` is a call and this loop nest is most of their time.
+        let mut r = 0;
+        while r < mr {
+            let av = a_col[r * a_row_stride];
+            let acc_row = &mut acc[r];
+            let mut c = 0;
+            while c < nr {
+                acc_row[c] += av * b_row[c];
+                c += 1;
+            }
+            r += 1;
+        }
+    }
+    for r in 0..mr {
+        out[r * n..][..nr].copy_from_slice(&acc[r][..nr]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -286,11 +325,7 @@ mod tests {
             }
             t
         };
-        let want = at.matmul(&b);
-        let got = a.t_matmul(&b);
-        for (w, g) in want.data().iter().zip(got.data()) {
-            assert!((w - g).abs() < 1e-5);
-        }
+        assert_eq!(bits(at.matmul(&b).data()), bits(a.t_matmul(&b).data()));
         // a·cᵀ via matmul_t.
         let c = Tensor::randn(&[7, 5], 1.0, &mut rng);
         let ct = {
@@ -302,25 +337,166 @@ mod tests {
             }
             t
         };
-        let want2 = a.matmul(&ct);
-        let got2 = a.matmul_t(&c);
-        for (w, g) in want2.data().iter().zip(got2.data()) {
-            assert!((w - g).abs() < 1e-5);
+        assert_eq!(bits(a.matmul(&ct).data()), bits(a.matmul_t(&c).data()));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    // The three loop nests `gemm` replaced, kept as oracles: each computes
+    // every element as `0.0 + a·b + a·b + …` over ascending `kk`.
+
+    fn oracle_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (m, k, n) = (a.shape[0], a.shape[1], b.shape[1]);
+        let mut out = vec![0.0_f32; m * n];
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            let o = &mut out[i * n..(i + 1) * n];
+            for (kk, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let b_row = &b.data[kk * n..(kk + 1) * n];
+                for (oj, bj) in o.iter_mut().zip(b_row) {
+                    *oj += av * bj;
+                }
+            }
         }
+        out
+    }
+
+    fn oracle_t_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (k, m, n) = (a.shape[0], a.shape[1], b.shape[1]);
+        let mut out = vec![0.0_f32; m * n];
+        for kk in 0..k {
+            let a_row = &a.data[kk * m..(kk + 1) * m];
+            let b_row = &b.data[kk * n..(kk + 1) * n];
+            for i in 0..m {
+                let av = a_row[i];
+                if av == 0.0 {
+                    continue;
+                }
+                let o = &mut out[i * n..(i + 1) * n];
+                for (oj, bj) in o.iter_mut().zip(b_row) {
+                    *oj += av * bj;
+                }
+            }
+        }
+        out
+    }
+
+    fn oracle_matmul_t(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (m, k, n) = (a.shape[0], a.shape[1], b.shape[0]);
+        let mut out = vec![0.0_f32; m * n];
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            for j in 0..n {
+                let b_row = &b.data[j * k..(j + 1) * k];
+                let mut acc = 0.0_f32;
+                for (av, bv) in a_row.iter().zip(b_row) {
+                    acc += av * bv;
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Operand with exact `0.0` and `-0.0` entries; the rest are `±10^e`
+    /// times a mantissa in [1, 10). With `wide`, `e` spans [-25, 15): products
+    /// underflow to zero and to denormals but a sum of 512 of them stays
+    /// finite. Otherwise `e` spans [-1, 1), so every add rounds.
+    fn operand(shape: &[usize], wide: bool, rng: &mut ChaCha8Rng) -> Tensor {
+        let (lo, hi) = if wide { (-25.0, 15.0) } else { (-1.0, 1.0) };
+        let data = (0..shape.iter().product())
+            .map(|_| match rng.gen_range(0..10_usize) {
+                0 => 0.0,
+                1 => -0.0,
+                class => {
+                    let sign = if class % 2 == 0 { 1.0 } else { -1.0 };
+                    let mantissa: f32 = rng.gen_range(1.0..10.0);
+                    sign * mantissa * 10.0_f32.powf(rng.gen_range(lo..hi))
+                }
+            })
+            .collect();
+        Tensor::from_vec(shape, data)
+    }
+
+    /// All three products against their oracles, bit for bit.
+    fn check_products(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let wide = seed % 2 == 0;
+        let what = |op: &str| format!("{op} differs from its oracle at ({m},{k},{n}) seed {seed}");
+
+        let a = operand(&[m, k], wide, &mut rng);
+        let b = operand(&[k, n], wide, &mut rng);
+        let got = a.matmul(&b);
+        prop_assert_eq!(got.shape(), &[m, n]);
+        prop_assert!(got.data().iter().all(|v| v.is_finite()));
+        prop_assert_eq!(
+            bits(got.data()),
+            bits(&oracle_matmul(&a, &b)),
+            "{}",
+            what("matmul")
+        );
+
+        let at = operand(&[k, m], wide, &mut rng);
+        let got = at.t_matmul(&b);
+        prop_assert_eq!(got.shape(), &[m, n]);
+        prop_assert_eq!(
+            bits(got.data()),
+            bits(&oracle_t_matmul(&at, &b)),
+            "{}",
+            what("t_matmul")
+        );
+
+        let bt = operand(&[n, k], wide, &mut rng);
+        let got = a.matmul_t(&bt);
+        prop_assert_eq!(got.shape(), &[m, n]);
+        prop_assert_eq!(
+            bits(got.data()),
+            bits(&oracle_matmul_t(&a, &bt)),
+            "{}",
+            what("matmul_t")
+        );
+        Ok(())
     }
 
     #[test]
-    fn parallel_gemm_matches_serial() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        // Big enough to trigger the threaded path.
-        let a = Tensor::randn(&[128, 96], 1.0, &mut rng);
-        let b = Tensor::randn(&[96, 80], 1.0, &mut rng);
-        let big = a.matmul(&b);
-        // Serial reference.
-        let mut serial = vec![0.0_f32; 128 * 80];
-        gemm_rows(a.data(), b.data(), &mut serial, 0, 128, 96, 80);
-        for (x, y) in big.data().iter().zip(&serial) {
-            assert!((x - y).abs() < 1e-4);
+    fn products_match_the_old_kernels_bit_for_bit_on_fixed_shapes() {
+        // The benchmark's linear layers, an attention head, and shapes below,
+        // equal to and one past the tile in each of m and n; k = 0.
+        let shapes = [
+            (128, 128, 512),
+            (128, 512, 128),
+            (32, 16, 32),
+            (1, 1, 1),
+            (5, 0, 3),
+            (MR - 1, 7, NR - 1),
+            (MR, 7, NR),
+            (MR + 1, 7, NR + 1),
+            (2 * MR + 1, 33, 2 * NR + 1),
+        ];
+        for (i, (m, k, n)) in shapes.into_iter().enumerate() {
+            // An even and an odd seed: wide and narrow magnitudes.
+            for seed in [2 * i as u64, 2 * i as u64 + 1] {
+                check_products(m, k, n, seed).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn products_match_the_old_kernels_bit_for_bit(
+            m in 0usize..=70,
+            k in 0usize..=70,
+            n in 0usize..=70,
+            seed in 0usize..1_000_000,
+        ) {
+            check_products(m, k, n, seed as u64)?;
         }
     }
 
