@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use autopipe_bench::systems::cost_db;
 use autopipe_cost::Hardware;
 use autopipe_model::zoo;
-use autopipe_planner::autopipe::{plan as autopipe_plan, AutoPipeConfig, SimTier};
+use autopipe_planner::autopipe::{plan as autopipe_plan, AutoPipeConfig};
 use autopipe_planner::balanced::balanced_partition;
 use autopipe_planner::baselines::{dapple, piper};
 
@@ -17,26 +17,12 @@ fn bench_planners(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("autopipe", "345M-p4"), |b| {
         b.iter(|| autopipe_plan(&db, 4, 16, &AutoPipeConfig::default()).unwrap())
     });
-    // The issue's reference workload: fast tier vs replay tier, serial vs
-    // 4-thread waves, all on the same search space.
-    g.bench_function(BenchmarkId::new("autopipe-fast-serial", "345M-p8"), |b| {
+    // The reference workload: serial vs 4-thread waves on the same search
+    // space.
+    g.bench_function(BenchmarkId::new("autopipe-serial", "345M-p8"), |b| {
         b.iter(|| autopipe_plan(&db, 8, 16, &AutoPipeConfig::default()).unwrap())
     });
-    g.bench_function(BenchmarkId::new("autopipe-replay-serial", "345M-p8"), |b| {
-        b.iter(|| {
-            autopipe_plan(
-                &db,
-                8,
-                16,
-                &AutoPipeConfig {
-                    sim_tier: SimTier::Replay,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        })
-    });
-    g.bench_function(BenchmarkId::new("autopipe-fast-wave4", "345M-p8"), |b| {
+    g.bench_function(BenchmarkId::new("autopipe-wave4", "345M-p8"), |b| {
         b.iter(|| {
             autopipe_plan(
                 &db,

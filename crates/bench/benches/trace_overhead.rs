@@ -2,10 +2,10 @@
 //!
 //! The executor spine records per-op times via the `TraceSink` abstraction
 //! (`autopipe_exec::Recorder` stores the 24-byte `OpTimes` third of each
-//! event; the op lanes are block-copied from the schedule). The untraced
-//! entry point plugs in the no-op sink instead. This bench measures both on
-//! a large schedule and asserts the recording overhead stays below 5% of
-//! the replay time, so full telemetry can stay on by default in the
+//! event; the op lanes are block-copied from the schedule).
+//! `replay_schedule` plugs in the no-op sink instead. This bench measures
+//! both on a large schedule and asserts the recording overhead stays below
+//! 5% of the replay time, so full telemetry can stay on by default in the
 //! experiment harness.
 //!
 //! Measurement notes, learned the hard way on shared machines:
@@ -42,7 +42,14 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use autopipe_exec::{OpTimes, Recorder, TraceSink};
 use autopipe_schedule::{sliced_1f1b, Schedule};
-use autopipe_sim::event::{run_schedule, run_schedule_untraced, EventConfig, EventCosts};
+use autopipe_sim::event::{run_schedule, EventConfig, EventCosts, EventSummary};
+use autopipe_sim::{replay_schedule, ReplayScratch};
+
+/// The null side: the same sweep with no recorder. A fresh scratch per run,
+/// so both sides pay for their transport and per-device state.
+fn untraced(sched: &Schedule, costs: &EventCosts, cfg: &EventConfig) -> EventSummary {
+    replay_schedule(sched, costs, cfg, &mut ReplayScratch::new()).unwrap()
+}
 
 fn big_case() -> (Schedule, EventCosts) {
     let p = 8;
@@ -133,14 +140,14 @@ fn trial(sched: &Schedule, costs: &EventCosts, reps: usize, n_ops: usize) -> (f6
     // Its magnitude is this machine's measurement bias, granted as an
     // allowance on top of the 5% budget below.
     let null_cfg = EventConfig::actual_run(1e-4, 1);
-    run_schedule_untraced(sched, costs, &null_cfg).unwrap();
+    untraced(sched, costs, &null_cfg);
     let (null_diff, null_base) = paired_median(
         reps / 2,
         || {
-            run_schedule_untraced(sched, costs, &null_cfg).unwrap();
+            untraced(sched, costs, &null_cfg);
         },
         || {
-            run_schedule_untraced(sched, costs, &null_cfg).unwrap();
+            untraced(sched, costs, &null_cfg);
         },
     );
     let noise = (null_diff / null_base).abs();
@@ -158,11 +165,11 @@ fn trial(sched: &Schedule, costs: &EventCosts, reps: usize, n_ops: usize) -> (f6
     ] {
         // Warm up both paths once before timing.
         run_schedule(sched, costs, &cfg).unwrap();
-        run_schedule_untraced(sched, costs, &cfg).unwrap();
+        untraced(sched, costs, &cfg);
         let (diff, base) = paired_median(
             reps,
             || {
-                run_schedule_untraced(sched, costs, &cfg).unwrap();
+                untraced(sched, costs, &cfg);
             },
             || {
                 run_schedule(sched, costs, &cfg).unwrap();
@@ -222,7 +229,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         b.iter(|| run_schedule(&sched, &costs, &cfg).unwrap())
     });
     g.bench_function(BenchmarkId::new("untraced", n_ops), |b| {
-        b.iter(|| run_schedule_untraced(&sched, &costs, &cfg).unwrap())
+        b.iter(|| untraced(&sched, &costs, &cfg))
     });
     g.finish();
 }

@@ -106,10 +106,12 @@ fn main() {
                 },
             )
             .unwrap();
-            let base_under_overlap = autopipe_sim::analytic::simulate_replay_with(
+            let base_under_overlap = autopipe_sim::analytic::simulate_replay_masked(
                 &base.partition.stage_costs(&db),
                 m,
+                &mut autopipe_sim::SimScratch::new(),
                 Some(&ov),
+                None,
             );
             assert!(
                 aware.analytic.iteration_time <= base_under_overlap.iteration_time + 1e-12,

@@ -9,7 +9,6 @@ use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
 use autopipe_schedule::one_f_one_b;
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
-use autopipe_sim::trace::{analyze, bubble_fraction, chrome_trace};
 use autopipe_slicer::plan_slicing;
 
 use crate::report::{save_json, Table};
@@ -36,15 +35,15 @@ pub fn run() {
         let ev = EventCosts::from_stage_costs(&sc, hw.link_latency);
         let r = run_schedule(&sched, &ev, &EventConfig::actual_run(hw.kernel_overhead, 1)).unwrap();
         let file = format!("trace_{name}");
-        save_json(&file, &chrome_trace(&r));
+        save_json(&file, &r.timeline.chrome_trace());
         t.row(vec![
             name.into(),
             format!("{:.1}", r.iteration_time * 1e3),
-            format!("{:.3}", bubble_fraction(&r)),
+            format!("{:.3}", r.timeline.bubble_ratio()),
             format!("results/{file}.json"),
         ]);
         // Per-device decomposition to stdout.
-        for d in analyze(&r) {
+        for d in r.timeline.breakdown() {
             println!(
                 "  {name} device {}: fwd {:.0}ms bwd {:.0}ms wait {:.0}ms idle {:.0}ms",
                 d.device,

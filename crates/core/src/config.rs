@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use autopipe_cost::profiler::ProfilerConfig;
 use autopipe_cost::Hardware;
 use autopipe_model::{Granularity, ModelConfig};
-use autopipe_planner::{AutoPipeConfig, FamilyConfig, RecomputePolicy, SimTier};
+use autopipe_planner::{AutoPipeConfig, FamilyConfig, RecomputePolicy};
 use autopipe_sim::event::EventConfig;
 use autopipe_sim::{CommConfig, OverlapModel};
 
@@ -319,8 +319,6 @@ pub struct SessionConfig {
     pub max_schemes: usize,
     /// Planner wave-evaluation threads (`0` = one per core).
     pub planner_threads: usize,
-    /// Analytic engine scoring candidate schemes.
-    pub sim_tier: SimTier,
     /// What the plan must satisfy: memory budget, comm overlap, recompute
     /// policy, pruning — lowered into every layer by [`Self::planner`] and
     /// [`Self::family`].
@@ -371,7 +369,6 @@ impl SessionConfig {
             profiler: None,
             max_schemes: AutoPipeConfig::default().max_schemes,
             planner_threads: AutoPipeConfig::default().threads,
-            sim_tier: SimTier::default(),
             constraints: Constraints::default(),
             kernel_overhead: event.kernel_overhead,
             jitter_sigma: event.jitter_sigma,
@@ -482,7 +479,6 @@ impl SessionConfig {
         AutoPipeConfig {
             max_schemes: self.max_schemes,
             threads: self.planner_threads,
-            sim_tier: self.sim_tier,
             overlap: self.constraints.overlap,
             prune: self.constraints.prune,
             memory_budget: self.constraints.memory_budget,

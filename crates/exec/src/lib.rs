@@ -41,5 +41,5 @@ pub use recorder::{NoTrace, Recorder, TraceSink, WallClock};
 pub use timeline::{DeviceBreakdown, OpTimes, PhaseTimes, Timeline, TraceEvent, TraceMismatch};
 pub use transport::{
     channel_mesh, schedule_edges, AlphaBeta, ChannelEndpoint, ChannelSender, ChunkPayload,
-    CommConfig, LinkCost, LinkCostTable, LinkFault, Transport, VirtualTransport,
+    CommConfig, LinkCost, LinkCostTable, LinkFault, LinkStorage, Transport, VirtualTransport,
 };

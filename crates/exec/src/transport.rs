@@ -249,21 +249,50 @@ pub type LinkFault = Box<dyn FnMut(usize, usize, &MsgKey, f64) -> f64>;
 pub struct VirtualTransport<C: LinkCost> {
     costs: C,
     n_devices: usize,
+    storage: LinkStorage,
+    fault: Option<LinkFault>,
+}
+
+/// The allocations behind a [`VirtualTransport`] — `p²` link busy-until
+/// times and one mailbox per destination — so a caller that builds a
+/// transport per candidate ([`VirtualTransport::with_storage`]) pays for
+/// their growth once per problem shape rather than once per candidate.
+#[derive(Debug, Default)]
+pub struct LinkStorage {
     link_free: Vec<f64>,
     mailbox: Vec<VecDeque<(MsgKey, f64)>>,
-    fault: Option<LinkFault>,
 }
 
 impl<C: LinkCost> VirtualTransport<C> {
     /// A fault-free transport over `n_devices` devices with the given costs.
     pub fn new(n_devices: usize, costs: C) -> Self {
+        Self::with_storage(n_devices, costs, LinkStorage::default())
+    }
+
+    /// [`new`](Self::new) over recycled `storage`, which is reset: idle
+    /// links, empty mailboxes. [`into_storage`](Self::into_storage) hands
+    /// it back.
+    pub fn with_storage(n_devices: usize, costs: C, mut storage: LinkStorage) -> Self {
+        storage.link_free.clear();
+        storage.link_free.resize(n_devices * n_devices, 0.0);
+        // Surplus mailboxes from a wider pipeline stay (empty) for the next.
+        if storage.mailbox.len() < n_devices {
+            storage.mailbox.resize_with(n_devices, VecDeque::new);
+        }
+        for queue in &mut storage.mailbox {
+            queue.clear();
+        }
         VirtualTransport {
             costs,
             n_devices,
-            link_free: vec![0.0; n_devices * n_devices],
-            mailbox: vec![VecDeque::new(); n_devices],
+            storage,
             fault: None,
         }
+    }
+
+    /// Give the storage back for the next transport.
+    pub fn into_storage(self) -> LinkStorage {
+        self.storage
     }
 
     /// Install a fault hook: its return value (clamped to ≥ 0) is added to
@@ -298,17 +327,19 @@ impl<C: LinkCost> VirtualTransport<C> {
 impl<C: LinkCost> Transport for VirtualTransport<C> {
     type Payload = ();
 
+    #[inline]
     fn send(&mut self, from: usize, to: usize, key: MsgKey, _payload: (), now: f64) -> f64 {
         let mut transfer = self.costs.transfer(from, to, key.part);
         transfer += self.fault_extra(from, to, &key, now);
-        let free = &mut self.link_free[from * self.n_devices + to];
+        let free = &mut self.storage.link_free[from * self.n_devices + to];
         let depart = free.max(now);
         let arrival = depart + transfer;
         *free = arrival;
-        self.mailbox[to].push_back((key, arrival));
+        self.storage.mailbox[to].push_back((key, arrival));
         arrival
     }
 
+    #[inline]
     fn send_overlapped(
         &mut self,
         from: usize,
@@ -324,7 +355,7 @@ impl<C: LinkCost> Transport for VirtualTransport<C> {
         // One fault draw per message, at the same virtual time the blocking
         // path would use, charged to the last chunk.
         let fault_extra = self.fault_extra(from, to, &key, span_end + stall);
-        let free = &mut self.link_free[from * self.n_devices + to];
+        let free = &mut self.storage.link_free[from * self.n_devices + to];
         let mut arrival = 0.0;
         for j in 1..=k {
             let mut cost = self.costs.transfer_chunk(from, to, key.part, k);
@@ -339,12 +370,13 @@ impl<C: LinkCost> Transport for VirtualTransport<C> {
             arrival = depart + cost;
             *free = arrival;
         }
-        self.mailbox[to].push_back((key, arrival));
+        self.storage.mailbox[to].push_back((key, arrival));
         arrival
     }
 
+    #[inline]
     fn try_recv(&mut self, at: usize, key: MsgKey) -> Option<((), f64)> {
-        let queue = &mut self.mailbox[at];
+        let queue = &mut self.storage.mailbox[at];
         let idx = queue.iter().position(|(k, _)| *k == key)?;
         let (_, arrival) = queue.remove(idx).expect("index from position");
         Some(((), arrival))

@@ -29,8 +29,8 @@
 //! # Wave evaluation
 //!
 //! The loop is organised as a *deterministic wave search*: the whole frontier
-//! is drained into a batch, every candidate in the batch is scored (fast-tier
-//! simulation, optionally across threads), and the results are merged back
+//! is drained into a batch, every candidate in the batch is scored
+//! (`simulate_time`, optionally across threads), and the results are merged back
 //! **in submission order**. Because successor generation, visited-set updates
 //! and best-scheme ranking all happen during the sequential merge, the
 //! explored set and the chosen plan are bit-identical to the serial FIFO
@@ -86,23 +86,6 @@ use autopipe_sim::partition::{Partition, StageCosts};
 use crate::balanced::BalancedTable;
 use crate::types::PlanError;
 
-/// Which analytic engine scores candidate schemes during the search.
-///
-/// Both tiers produce bit-identical iteration times and master stages (see
-/// `autopipe_sim::analytic`); [`SimTier::Fast`] just skips the per-op trace
-/// arena, so it is allocation-free per candidate and much cheaper. The final
-/// winning scheme is always re-run through the full replay so the outcome
-/// carries a complete [`AnalyticResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimTier {
-    /// Allocation-free fast path ([`simulate_time`]) for every candidate.
-    #[default]
-    Fast,
-    /// Full per-op replay ([`simulate_replay`]) for every candidate — the
-    /// pre-wave-search behaviour, kept for benchmark comparison.
-    Replay,
-}
-
 /// Per-stage activation recomputation policy for the planner.
 ///
 /// Recomputation trades compute for memory: a recomputing stage stashes only
@@ -130,8 +113,6 @@ pub struct AutoPipeConfig {
     /// `0` uses one thread per available core. The plan is bit-identical at
     /// every setting.
     pub threads: usize,
-    /// Simulation engine used to score candidates during the search.
-    pub sim_tier: SimTier,
     /// Score candidates under the overlapped comm engine instead of the
     /// blocking one: per-edge eager chunked sends pipelined against the
     /// producing compute span, exactly as the event simulator and the
@@ -167,7 +148,6 @@ impl Default for AutoPipeConfig {
         AutoPipeConfig {
             max_schemes: 512,
             threads: 1,
-            sim_tier: SimTier::Fast,
             overlap: None,
             prune: false,
             memory_budget: None,
@@ -369,8 +349,8 @@ fn resolve_mask(
     }
 }
 
-/// Score one candidate with the configured engine, reusing the caller's
-/// scratch buffers so the per-candidate cost is allocation-free. Candidates
+/// Score one candidate, reusing the caller's scratch buffers so the
+/// per-candidate cost is allocation-free. Candidates
 /// that fit the budget only with recomputation are scored under their mask
 /// (masked stage costs + forward replays); infeasible candidates are scored
 /// plain — their time still drives successor generation, but the merge loop
@@ -393,21 +373,11 @@ fn score(
         None
     };
     apply_device_multipliers(db, sc);
-    let overlap = cfg.overlap.as_ref();
-    let (iteration_time, master_stage) = match cfg.sim_tier {
-        SimTier::Fast => {
-            let r = simulate_time_masked(sc, m, scratch, overlap, recompute);
-            (r.iteration_time, r.master_stage)
-        }
-        SimTier::Replay => {
-            let r = simulate_replay_masked(sc, m, overlap, recompute);
-            (r.iteration_time, r.master_stage)
-        }
-    };
+    let r = simulate_time_masked(sc, m, scratch, cfg.overlap.as_ref(), recompute);
     Score {
-        iteration_time,
-        master_stage,
-        b_master: sc.b[master_stage],
+        iteration_time: r.iteration_time,
+        master_stage: r.master_stage,
+        b_master: sc.b[r.master_stage],
         feasible,
     }
 }
@@ -432,7 +402,7 @@ fn max_stage_work(db: &CostDb, b: &[usize]) -> f64 {
 /// Scale per-stage costs by the device multipliers of a heterogeneous
 /// cluster (stage `s` runs on device `s` in single-chunk families). A no-op
 /// on homogeneous databases, so the hot path pays one branch.
-fn apply_device_multipliers(db: &CostDb, sc: &mut StageCosts) {
+pub(crate) fn apply_device_multipliers(db: &CostDb, sc: &mut StageCosts) {
     if !db.is_heterogeneous() {
         return;
     }
@@ -703,8 +673,9 @@ fn search(
         )));
     };
     // Re-derive the winner's mask (deterministic, same code path that scored
-    // it) and run the full-fidelity tier under it: the outcome carries the
-    // complete per-op trace and critical path of the plan as it will run.
+    // it) and run the full replay under it: the outcome carries the complete
+    // per-op trace and critical path of the plan as it will run. The search's
+    // own scratch already holds the sweep order for this `(p, m)`.
     let mut mask = Vec::new();
     let (_, use_mask) = resolve_mask(&partition, db, m, cfg, &mut mask);
     if !use_mask {
@@ -720,6 +691,7 @@ fn search(
     let analytic = simulate_replay_masked(
         &costs,
         m,
+        &mut workers[0].0,
         cfg.overlap.as_ref(),
         use_mask.then_some(mask.as_slice()),
     );
@@ -831,7 +803,7 @@ mod tests {
     use crate::balanced::balanced_partition;
     use autopipe_cost::Hardware;
     use autopipe_model::{zoo, Granularity};
-    use autopipe_sim::analytic::{simulate_replay, simulate_replay_with};
+    use autopipe_sim::analytic::simulate_replay;
     use autopipe_sim::metrics::balance_stddev;
 
     fn db(g: Granularity) -> CostDb {
@@ -945,39 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_tier_plans_identically_to_replay_tier() {
-        let d = db(Granularity::SubLayer);
-        for (p, m) in [(4, 8), (8, 16), (2, 4)] {
-            let fast = plan(
-                &d,
-                p,
-                m,
-                &AutoPipeConfig {
-                    sim_tier: SimTier::Fast,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let replay = plan(
-                &d,
-                p,
-                m,
-                &AutoPipeConfig {
-                    sim_tier: SimTier::Replay,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(fast.partition, replay.partition, "p={p} m={m}");
-            assert_eq!(fast.schemes_explored, replay.schemes_explored);
-            assert_eq!(
-                fast.analytic.iteration_time.to_bits(),
-                replay.analytic.iteration_time.to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn overlap_aware_search_scores_under_the_overlapped_model() {
         // With k = 1 an overlapped send is the blocking send minus the
         // device-blocking: same wire schedule, strictly no-later arrivals.
@@ -1008,14 +947,25 @@ mod tests {
             overlapped.analytic.iteration_time,
             blocking.analytic.iteration_time
         );
-        let rescored = simulate_replay_with(&overlapped.partition.stage_costs(&d), m, Some(&ov));
+        let rescored = simulate_replay_masked(
+            &overlapped.partition.stage_costs(&d),
+            m,
+            &mut SimScratch::new(),
+            Some(&ov),
+            None,
+        );
         assert_eq!(
             overlapped.analytic.iteration_time.to_bits(),
             rescored.iteration_time.to_bits(),
             "outcome must carry the overlapped replay of its own partition"
         );
-        let blocking_rescored =
-            simulate_replay_with(&blocking.partition.stage_costs(&d), m, Some(&ov));
+        let blocking_rescored = simulate_replay_masked(
+            &blocking.partition.stage_costs(&d),
+            m,
+            &mut SimScratch::new(),
+            Some(&ov),
+            None,
+        );
         assert!(
             overlapped.analytic.iteration_time <= blocking_rescored.iteration_time + 1e-12,
             "overlap-aware search must not lose to the blocking winner under its own model"
@@ -1220,7 +1170,13 @@ mod tests {
         assert!(busy(&auto.analytic) > busy(&base.analytic));
         // The reported analytic must be reproducible from the outcome alone.
         let costs = auto.partition.stage_costs_recompute(&d, &auto.recompute);
-        let check = simulate_replay_masked(&costs, m, None, Some(&auto.recompute));
+        let check = simulate_replay_masked(
+            &costs,
+            m,
+            &mut SimScratch::new(),
+            None,
+            Some(&auto.recompute),
+        );
         assert_eq!(
             check.iteration_time.to_bits(),
             auto.analytic.iteration_time.to_bits()

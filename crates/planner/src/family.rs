@@ -7,8 +7,8 @@
 //! GPipe, zero-bubble, and Megatron-style interleaving at several chunk
 //! depths — pairs each with an appropriate balanced partition, gates each
 //! candidate on [`autopipe_schedule::validate`] and the static memory check
-//! ([`autopipe_sim::memcheck`]), and scores the survivors with the generic
-//! fast-tier replay ([`autopipe_sim::replay_schedule`]).
+//! ([`autopipe_sim::memcheck`]), and scores the survivors with the event
+//! simulator's sweep, untraced ([`autopipe_sim::replay_schedule`]).
 //!
 //! The enumeration is **sequential and in a fixed order**, candidates are
 //! ranked by strict `<` on simulated iteration time (ties keep the earlier
@@ -23,7 +23,9 @@ use autopipe_sim::schedule_replay::{replay_schedule, ReplayScratch};
 use autopipe_sim::CommConfig;
 use autopipe_sim::Partition;
 
-use crate::autopipe::{plan as autopipe_plan, AutoPipeConfig, RecomputePolicy};
+use crate::autopipe::{
+    apply_device_multipliers, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy,
+};
 use crate::balanced::balanced_partition;
 use crate::types::PlanError;
 
@@ -105,7 +107,7 @@ pub struct FamilyOutcome {
     pub schedule: Schedule,
     /// The partition paired with it (`schedule.n_stages()` stages).
     pub partition: Partition,
-    /// Its simulated iteration time (fast-tier replay).
+    /// Its simulated iteration time (`replay_schedule`).
     pub iteration_time: f64,
     /// Every candidate considered, in enumeration order.
     pub candidates: Vec<FamilyCandidate>,
@@ -300,16 +302,10 @@ pub fn plan_families_with(
         } else {
             partition.stage_costs(db)
         };
-        if db.is_heterogeneous() {
-            // Stage s of a v-chunk interleaved partition runs on device
-            // s % p; `device_multiplier` wraps by profile length, which the
-            // coordinator sizes to the device count.
-            for s in 0..sc.f.len() {
-                let mult = db.device_multiplier(s);
-                sc.f[s] *= mult;
-                sc.b[s] *= mult;
-            }
-        }
+        // Stage s of a v-chunk interleaved partition runs on device s % p;
+        // `device_multiplier` wraps by profile length, which the coordinator
+        // sizes to the device count.
+        apply_device_multipliers(db, &mut sc);
         let costs = EventCosts::from_stage_costs(&sc, cfg.latency);
         let ev = EventConfig {
             comm: cfg.comm,

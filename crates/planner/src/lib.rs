@@ -28,7 +28,7 @@
 //! * [`family`] — **cross-family schedule search**: enumerate every schedule
 //!   family (1F1B, sliced, GPipe, zero-bubble, interleaved) over matching
 //!   balanced partitions, gate on validation + memory, and pick the fastest
-//!   by deterministic fast-tier replay.
+//!   by the event simulator's untraced sweep (`replay_schedule`).
 
 pub mod autopipe;
 pub mod balanced;
@@ -40,7 +40,6 @@ pub mod types;
 
 pub use autopipe::{
     plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, PartitionPlanner, RecomputePolicy,
-    SimTier,
 };
 pub use balanced::balanced_partition;
 pub use family::{plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome};

@@ -41,7 +41,7 @@ use autopipe_sim::analytic::simulate_replay;
 use autopipe_sim::Partition;
 
 use crate::autopipe::{
-    plan_in, plan_seeded, AutoPipeConfig, AutoPipeOutcome, PlannerScratch, RecomputePolicy, SimTier,
+    plan_in, plan_seeded, AutoPipeConfig, AutoPipeOutcome, PlannerScratch, RecomputePolicy,
 };
 use crate::replan::observed_cost_db;
 use crate::types::PlanError;
@@ -88,10 +88,6 @@ impl Fnv {
 /// requests differing only in worker count are the same plan.
 fn fold_cfg(h: &mut Fnv, cfg: &AutoPipeConfig) {
     h.word(cfg.max_schemes as u64);
-    h.word(match cfg.sim_tier {
-        SimTier::Fast => 0,
-        SimTier::Replay => 1,
-    });
     match &cfg.overlap {
         None => h.word(0),
         Some(o) => {

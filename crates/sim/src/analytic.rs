@@ -4,29 +4,28 @@
 //! by [`StageCosts`], producing the iteration time, per-op start times, the
 //! unique critical path and the master stage.
 //!
-//! Three engines:
+//! One replay, two things it can report:
 //!
-//! * [`simulate_replay`] — exact per-op dependency replay. Every forward and
-//!   backward of every micro-batch on every stage is an op; an op starts at
-//!   the max of its intra-stage predecessor's end and its cross-stage
-//!   dependency's end plus `Comm`. This is the physically precise model,
-//!   and the full-fidelity tier: it materialises the op arena, per-op
-//!   readiness bookkeeping and the explicit critical path.
-//! * [`simulate_time`] — the fast tier: the *same* dependency replay, same
-//!   arithmetic, same tie rules, but carrying only flat `f64` end-time
-//!   arrays inside a caller-owned [`SimScratch`], swept in a dependency
-//!   order that is decoded once per `(n, m)` and cached there — a search
-//!   scores all its candidates at one `(n, m)`. After the first call with
-//!   a given problem size it performs zero heap allocations, and it returns
-//!   only the scalars a search loop needs ([`FastResult`]). Bit-identical
-//!   to [`simulate_replay`] on iteration time, startup overhead and master
-//!   stage (property-tested in `tests/fast_sim_equivalence.rs`).
+//! * The replay is a single sweep over the `(n, m)` 1F1B program: every
+//!   forward and backward of every micro-batch on every stage is an op; an
+//!   op starts at the max of its intra-stage predecessor's end and its
+//!   cross-stage dependency's end plus `Comm`. The sweep keeps flat `f64`
+//!   end-time arrays inside a caller-owned [`SimScratch`] and visits the ops
+//!   in a dependency order that is decoded once per `(n, m)` and cached
+//!   there — a search scores all its candidates at one `(n, m)` — then
+//!   backtracks the critical path and counts the master stage.
+//! * [`simulate_time`] reports only the scalars a search loop ranks by
+//!   ([`FastResult`]); after the first call with a given problem size it
+//!   performs zero heap allocations. [`simulate_replay`] reports the op
+//!   arena, per-op readiness bookkeeping and the explicit critical path
+//!   ([`AnalyticResult`]) from the *same* sweep, so the two agree bit for
+//!   bit by construction (`tests/analytic_golden.rs` pins the bits).
 //! * [`recurrence`] — the paper's closed-form equations: 1F1B blocks
 //!   renumbered per stage (`max(0, m−n+k+1)` blocks at stage `k`), the
 //!   `t(x,y,z)` recurrences with `Comm` added after the max (the paper's
 //!   formulation), Cooldown renumbered in reverse, Warmup estimated from an
-//!   unchoked fill. Used to cross-validate the replay and to reproduce the
-//!   paper's exact arithmetic.
+//!   unchoked fill. The independent oracle the tests compare the replay
+//!   against, and the paper's exact arithmetic.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +33,7 @@ use crate::partition::StageCosts;
 
 /// Overlap-aware comm model for the analytic tiers.
 ///
-/// When passed to [`simulate_time_with`] / [`simulate_replay_with`], the flat
+/// When passed to [`simulate_time_masked`] / [`simulate_replay_masked`], the flat
 /// per-hop `comm` cost of [`StageCosts`] is split into a per-message latency
 /// α (`latency.min(comm)`, the same split as
 /// [`crate::event::EventCosts::from_stage_costs`]) and a volume term, and
@@ -164,214 +163,11 @@ pub fn block_count(stage: usize, n: usize, m: usize) -> usize {
     (m + stage + 1).saturating_sub(n)
 }
 
-/// Exact per-op replay of the 1F1B schedule for the given stage costs and
-/// micro-batch count.
-pub fn simulate_replay(costs: &StageCosts, m: usize) -> AnalyticResult {
-    simulate_replay_with(costs, m, None)
-}
-
-/// [`simulate_replay`] with an optional overlap-aware comm model.
-///
-/// With `overlap`, cross-stage gates are the arrivals of chunked eager sends
-/// computed at the *sender* (stored in [`OpTime::cross_ready`]); without it,
-/// the classic blocking `end + comm` — byte-identical to the original path.
-pub fn simulate_replay_with(
-    costs: &StageCosts,
-    m: usize,
-    overlap: Option<&OverlapModel>,
-) -> AnalyticResult {
-    simulate_replay_masked(costs, m, overlap, None)
-}
-
-/// [`simulate_replay_with`] with an optional per-stage recompute mask.
-///
-/// A masked stage replays its forward (`f[x]`) before each backward — the
-/// analytic image of the schedule IR's `Recompute` op, which the lowering
-/// places *before* the gradient receive. The replay therefore starts as soon
-/// as the device is free, and the backward starts at
-/// `max(dev_free + f[x], grad_arrival)` — the same floats, in the same
-/// order, as the event simulator's `Recompute` arm, keeping all three tiers
-/// bit-identical. Callers pass `b[x]` at the *non-checkpointed* rate for
-/// masked stages ([`crate::partition::Partition::stage_costs_recompute`]).
-pub fn simulate_replay_masked(
-    costs: &StageCosts,
-    m: usize,
-    overlap: Option<&OverlapModel>,
-    recompute: Option<&[bool]>,
-) -> AnalyticResult {
-    let n = costs.n_stages();
-    assert!(m >= 1, "need at least one micro-batch");
-    if let Some(r) = recompute {
-        assert_eq!(r.len(), n, "recompute mask/stage count mismatch");
-    }
-    let masked = |x: usize| recompute.is_some_and(|r| r[x]);
-    // Overlap mode: per-directed-edge link state and sender-computed
-    // arrivals. `act_arr[x*m+mb]` gates stage x+1's forward of `mb`;
-    // `grad_arr[x*m+mb]` gates stage x−1's backward of `mb`.
-    let chunk_cost = overlap.map_or(0.0, |ov| ov.chunk_cost(costs.comm));
-    let k = overlap.map_or(1, OverlapModel::k);
-    let mut act_link = vec![0.0_f64; n];
-    let mut grad_link = vec![0.0_f64; n];
-    let mut act_arr = vec![0.0_f64; if overlap.is_some() { n * m } else { 0 }];
-    let mut grad_arr = vec![0.0_f64; if overlap.is_some() { n * m } else { 0 }];
-
-    // Build per-stage programs and the op arena.
-    let mut ops: Vec<OpTime> = Vec::with_capacity(2 * n * m);
-    let mut programs: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut fwd_idx = vec![vec![usize::MAX; m]; n];
-    let mut bwd_idx = vec![vec![usize::MAX; m]; n];
-    for x in 0..n {
-        let w = warmup_count(x, n, m);
-        let blocks = m - w;
-        let mut prog = Vec::with_capacity(2 * m);
-        let mut push = |class: OpClass, mb: usize, phase: Phase, prog: &mut Vec<usize>| {
-            let idx = ops.len();
-            ops.push(OpTime {
-                stage: x,
-                class,
-                mb,
-                phase,
-                start: 0.0,
-                end: 0.0,
-                intra_ready: 0.0,
-                cross_ready: 0.0,
-                intra_pred: None,
-                cross_pred: None,
-            });
-            match class {
-                OpClass::Fwd => fwd_idx[x][mb] = idx,
-                OpClass::Bwd => bwd_idx[x][mb] = idx,
-            }
-            prog.push(idx);
-        };
-        for i in 0..w {
-            push(OpClass::Fwd, i, Phase::Warmup, &mut prog);
-        }
-        for j in 0..blocks {
-            push(OpClass::Fwd, w + j, Phase::OneFOneB, &mut prog);
-            push(OpClass::Bwd, j, Phase::OneFOneB, &mut prog);
-        }
-        for j in blocks..m {
-            push(OpClass::Bwd, j, Phase::Cooldown, &mut prog);
-        }
-        programs.push(prog);
-    }
-
-    // Replay with per-stage program counters.
-    let mut pc = vec![0usize; n];
-    let mut done = vec![false; ops.len()];
-    let mut dev_free = vec![0.0_f64; n];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for x in 0..n {
-            while pc[x] < programs[x].len() {
-                let idx = programs[x][pc[x]];
-                let (class, mb) = (ops[idx].class, ops[idx].mb);
-                let cross = match class {
-                    OpClass::Fwd if x > 0 => Some(fwd_idx[x - 1][mb]),
-                    OpClass::Bwd if x < n - 1 => Some(bwd_idx[x + 1][mb]),
-                    _ => None,
-                };
-                if let Some(c) = cross {
-                    if !done[c] {
-                        break;
-                    }
-                }
-                let intra_pred = if pc[x] > 0 {
-                    Some(programs[x][pc[x] - 1])
-                } else {
-                    None
-                };
-                let intra_ready = if class == OpClass::Bwd && masked(x) {
-                    // The forward replay runs while the gradient is on the
-                    // wire; the backward cannot start before it finishes.
-                    dev_free[x] + costs.f[x]
-                } else {
-                    dev_free[x]
-                };
-                let cross_ready = match cross {
-                    Some(c) => {
-                        if overlap.is_some() {
-                            match class {
-                                OpClass::Fwd => act_arr[(x - 1) * m + mb],
-                                OpClass::Bwd => grad_arr[(x + 1) * m + mb],
-                            }
-                        } else {
-                            ops[c].end + costs.comm
-                        }
-                    }
-                    None => 0.0,
-                };
-                let start = intra_ready.max(cross_ready);
-                let dur = match class {
-                    OpClass::Fwd => costs.f[x],
-                    OpClass::Bwd => costs.b[x],
-                };
-                let o = &mut ops[idx];
-                o.intra_pred = intra_pred;
-                o.cross_pred = cross;
-                o.intra_ready = intra_ready;
-                o.cross_ready = cross_ready;
-                o.start = start;
-                o.end = start + dur;
-                dev_free[x] = o.end;
-                if overlap.is_some() {
-                    // Sender-side eager send right after the producing span.
-                    match class {
-                        OpClass::Fwd if x < n - 1 => {
-                            act_arr[x * m + mb] =
-                                eager_send(&mut act_link[x], o.end, dur, chunk_cost, k);
-                        }
-                        OpClass::Bwd if x > 0 => {
-                            grad_arr[x * m + mb] =
-                                eager_send(&mut grad_link[x], o.end, dur, chunk_cost, k);
-                        }
-                        _ => {}
-                    }
-                }
-                done[idx] = true;
-                pc[x] += 1;
-                progressed = true;
-            }
-            if pc[x] < programs[x].len() {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        assert!(progressed, "1F1B replay stalled — internal bug");
-    }
-
-    let iteration_time = ops.iter().map(|o| o.end).fold(0.0, f64::max);
-    let startup_overhead = if n == 1 {
-        0.0
-    } else {
-        ops[fwd_idx[n - 1][0]].cross_ready
-    };
-    let critical_path = backtrack_critical_path(&ops);
-    let master_stage = find_master_stage(&ops, &critical_path, costs);
-    // A masked stage pays one forward replay per backward on top of its work.
-    let stage_busy = (0..n)
-        .map(|x| m as f64 * (costs.work(x) + if masked(x) { costs.f[x] } else { 0.0 }))
-        .collect();
-
-    AnalyticResult {
-        iteration_time,
-        startup_overhead,
-        master_stage,
-        critical_path,
-        ops,
-        stage_busy,
-    }
-}
-
-/// Scalar output of the fast-tier simulator [`simulate_time`].
+/// Scalar output of [`simulate_time`].
 ///
 /// Carries exactly what a search loop ranks candidates by; the winning
-/// scheme is re-run through [`simulate_replay`] for the op arena, critical
-/// path and trace hand-off.
+/// scheme is run through [`simulate_replay_masked`] for the op arena,
+/// critical path and trace hand-off.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FastResult {
     /// End-to-end iteration time, seconds. Bit-identical to
@@ -379,7 +175,7 @@ pub struct FastResult {
     pub iteration_time: f64,
     /// Startup overhead (arrival of micro-batch 0 at the last stage).
     pub startup_overhead: f64,
-    /// The master stage, under the same tie rules as the replay.
+    /// The master stage — equal to [`AnalyticResult::master_stage`].
     pub master_stage: usize,
 }
 
@@ -392,12 +188,12 @@ struct ProgOp {
     bwd: bool,
 }
 
-/// Caller-owned, reusable working memory for [`simulate_time`].
+/// Caller-owned, reusable working memory for the 1F1B sweep.
 ///
 /// All per-candidate state lives here as flat arrays sized `2·n·m` floats
 /// plus a few `n`-length vectors, next to the `2·n·m`-entry sweep order of
 /// the last `(n, m)`; buffers keep their capacity, so after the first call
-/// at the largest problem size the fast path performs **zero** heap
+/// at the largest problem size [`simulate_time`] performs **zero** heap
 /// allocations, re-keying to a smaller `(n, m)` included (asserted by
 /// `tests/fast_sim_alloc.rs`).
 #[derive(Debug, Default)]
@@ -452,29 +248,42 @@ impl SimScratch {
     /// dependencies in ONE pass — no work-list retries — and the order
     /// depends on nothing but `(n, m)`.
     fn rekey(&mut self, n: usize, m: usize) {
-        if (self.n, self.m) == (n, m) {
-            return;
-        }
         assert!(
             n <= usize::from(u16::MAX) && n * m <= u32::MAX as usize,
             "{n} stages x {m} micro-batches overflow the sweep table"
         );
         self.n = n;
         self.m = m;
+        // One block of `n` ops per program index, each stage decoded once:
+        // forwards fill the block front to back (ascending stage), backwards
+        // back to front (descending stage, since stages are read ascending).
         self.program.clear();
-        let forwards = (0..n).map(|x| (x, OpClass::Fwd));
-        let backwards = (0..n).rev().map(|x| (x, OpClass::Bwd));
-        for i in 0..2 * m {
-            for (x, class) in forwards.clone().chain(backwards.clone()) {
+        self.program.resize(
+            2 * n * m,
+            ProgOp {
+                slot: 0,
+                stage: 0,
+                bwd: false,
+            },
+        );
+        for (i, block) in self.program.chunks_exact_mut(n).enumerate() {
+            let (mut lo, mut hi) = (0, n);
+            for x in 0..n {
                 let w = warmup_count(x, n, m);
-                let (at_i, mb, _) = decode_op(w, m - w, i);
-                if at_i == class {
-                    self.program.push(ProgOp {
-                        slot: (x * m + mb) as u32,
-                        stage: x as u16,
-                        bwd: class == OpClass::Bwd,
-                    });
-                }
+                let (class, mb, _) = decode_op(w, m - w, i);
+                let bwd = class == OpClass::Bwd;
+                let at = if bwd {
+                    hi -= 1;
+                    hi
+                } else {
+                    lo += 1;
+                    lo - 1
+                };
+                block[at] = ProgOp {
+                    slot: (x * m + mb) as u32,
+                    stage: x as u16,
+                    bwd,
+                };
             }
         }
     }
@@ -519,38 +328,174 @@ fn bwd_pos(w: usize, blocks: usize, mb: usize) -> usize {
     }
 }
 
-/// Fast-tier 1F1B replay: the exact dependency replay of
-/// [`simulate_replay`] over flat end-time arrays, no per-op structs, no
-/// allocation after `scratch` warmup.
-///
-/// Every float is produced by the same expression in the same order as the
-/// full replay, so `iteration_time` and `startup_overhead` are bit-identical
-/// and `master_stage` follows the identical critical-path tie rules.
-pub fn simulate_time(costs: &StageCosts, m: usize, scratch: &mut SimScratch) -> FastResult {
-    simulate_time_with(costs, m, scratch, None)
+/// What a [`sweep`] reports beyond its scalars. The sweep is the only code
+/// that walks the 1F1B program; a sink decides how much of the walk is kept.
+trait Sink {
+    /// An op's readiness and end time, as the sweep computes them.
+    fn op(&mut self, x: usize, mb: usize, bwd: bool, intra_ready: f64, cross_ready: f64, end: f64);
+
+    /// The op at program position `i` of stage `x` is on the critical path
+    /// (called from the iteration's last op back to its first).
+    fn visit(&mut self, x: usize, i: usize);
 }
 
-/// [`simulate_time`] with an optional overlap-aware comm model — the fast
-/// tier of the overlapped cost model, bit-identical to
-/// [`simulate_replay_with`] (and to the event simulator's overlap sweep).
-pub fn simulate_time_with(
-    costs: &StageCosts,
+/// Keeps nothing: [`simulate_time`]'s sink. Both methods inline to nothing,
+/// so this instantiation of the sweep is the bare scalar loop.
+struct Scalars;
+
+impl Sink for Scalars {
+    #[inline(always)]
+    fn op(&mut self, _: usize, _: usize, _: bool, _: f64, _: f64, _: f64) {}
+
+    #[inline(always)]
+    fn visit(&mut self, _: usize, _: usize) {}
+}
+
+/// Keeps everything: fills the op arena (stage-major, program-minor — op
+/// `i` of stage `x` at `x·2m + i`) and records the critical path.
+struct Arena {
+    n: usize,
     m: usize,
-    scratch: &mut SimScratch,
-    overlap: Option<&OverlapModel>,
-) -> FastResult {
-    simulate_time_masked(costs, m, scratch, overlap, None)
+    ops: Vec<OpTime>,
+    /// Critical path, last op first.
+    path: Vec<usize>,
 }
 
-/// [`simulate_time_with`] with an optional per-stage recompute mask — the
-/// fast tier of [`simulate_replay_masked`], bit-identical to it (and to the
-/// event simulator on a `Recompute`-lowered schedule).
+impl Arena {
+    /// Arena index of the forward or backward of `mb` at stage `x`.
+    fn index(&self, x: usize, bwd: bool, mb: usize) -> usize {
+        let w = warmup_count(x, self.n, self.m);
+        let pos = if bwd {
+            bwd_pos(w, self.m - w, mb)
+        } else {
+            fwd_pos(w, mb)
+        };
+        x * 2 * self.m + pos
+    }
+}
+
+impl Sink for Arena {
+    fn op(&mut self, x: usize, mb: usize, bwd: bool, intra_ready: f64, cross_ready: f64, end: f64) {
+        let idx = self.index(x, bwd, mb);
+        let pos = idx - x * 2 * self.m;
+        let w = warmup_count(x, self.n, self.m);
+        let (class, _, phase) = decode_op(w, self.m - w, pos);
+        let cross_pred = match class {
+            OpClass::Fwd if x > 0 => Some(self.index(x - 1, bwd, mb)),
+            OpClass::Bwd if x < self.n - 1 => Some(self.index(x + 1, bwd, mb)),
+            _ => None,
+        };
+        self.ops[idx] = OpTime {
+            stage: x,
+            class,
+            mb,
+            phase,
+            start: intra_ready.max(cross_ready),
+            end,
+            intra_ready,
+            cross_ready,
+            intra_pred: (pos > 0).then(|| idx - 1),
+            cross_pred,
+        };
+    }
+
+    fn visit(&mut self, x: usize, i: usize) {
+        self.path.push(x * 2 * self.m + i);
+    }
+}
+
+/// Iteration time, startup overhead and master stage of the 1F1B schedule,
+/// allocation-free once `scratch` has seen the problem size.
+pub fn simulate_time(costs: &StageCosts, m: usize, scratch: &mut SimScratch) -> FastResult {
+    simulate_time_masked(costs, m, scratch, None, None)
+}
+
+/// [`simulate_time`] with an optional overlap-aware comm model and an
+/// optional per-stage recompute mask (see [`simulate_replay_masked`]) — the
+/// planner's per-candidate call.
 pub fn simulate_time_masked(
     costs: &StageCosts,
     m: usize,
     scratch: &mut SimScratch,
     overlap: Option<&OverlapModel>,
     recompute: Option<&[bool]>,
+) -> FastResult {
+    sweep(costs, m, scratch, overlap, recompute, &mut Scalars)
+}
+
+/// Per-op replay of the 1F1B schedule for the given stage costs and
+/// micro-batch count: [`simulate_time`]'s numbers plus the op arena and the
+/// critical path.
+pub fn simulate_replay(costs: &StageCosts, m: usize) -> AnalyticResult {
+    simulate_replay_masked(costs, m, &mut SimScratch::new(), None, None)
+}
+
+/// [`simulate_replay`] with an optional overlap-aware comm model and an
+/// optional per-stage recompute mask, over a caller-owned scratch — a search
+/// passes the scratch it scored its candidates with, whose sweep order is
+/// already decoded for this `(n, m)`.
+///
+/// With `overlap`, cross-stage gates are the arrivals of chunked eager sends
+/// computed at the *sender* (stored in [`OpTime::cross_ready`]); without it,
+/// the classic blocking `end + comm`.
+///
+/// A masked stage replays its forward (`f[x]`) before each backward — the
+/// analytic image of the schedule IR's `Recompute` op, which the lowering
+/// places *before* the gradient receive. The replay therefore starts as soon
+/// as the device is free, and the backward starts at
+/// `max(dev_free + f[x], grad_arrival)` — the same floats, in the same
+/// order, as the event simulator's `Recompute` arm, keeping the two
+/// bit-identical. Callers pass `b[x]` at the *non-checkpointed* rate for
+/// masked stages ([`crate::partition::Partition::stage_costs_recompute`]).
+pub fn simulate_replay_masked(
+    costs: &StageCosts,
+    m: usize,
+    scratch: &mut SimScratch,
+    overlap: Option<&OverlapModel>,
+    recompute: Option<&[bool]>,
+) -> AnalyticResult {
+    let n = costs.n_stages();
+    // Every arena slot is overwritten: the sweep executes each op once.
+    let blank = OpTime {
+        stage: 0,
+        class: OpClass::Fwd,
+        mb: 0,
+        phase: Phase::Warmup,
+        start: 0.0,
+        end: 0.0,
+        intra_ready: 0.0,
+        cross_ready: 0.0,
+        intra_pred: None,
+        cross_pred: None,
+    };
+    let mut arena = Arena {
+        n,
+        m,
+        ops: vec![blank; 2 * n * m],
+        path: Vec::new(),
+    };
+    let scalars = sweep(costs, m, scratch, overlap, recompute, &mut arena);
+    arena.path.reverse();
+    AnalyticResult {
+        iteration_time: scalars.iteration_time,
+        startup_overhead: scalars.startup_overhead,
+        master_stage: scalars.master_stage,
+        critical_path: arena.path,
+        ops: arena.ops,
+        stage_busy: scratch.stage_busy().to_vec(),
+    }
+}
+
+/// The 1F1B replay: one dependency-ordered pass over the cached program,
+/// the critical-path backtrack, the master-stage count.
+#[inline]
+fn sweep<S: Sink>(
+    costs: &StageCosts,
+    m: usize,
+    scratch: &mut SimScratch,
+    overlap: Option<&OverlapModel>,
+    recompute: Option<&[bool]>,
+    sink: &mut S,
 ) -> FastResult {
     let n = costs.n_stages();
     assert!(m >= 1, "need at least one micro-batch");
@@ -564,7 +509,11 @@ pub fn simulate_time_masked(
     let k = overlap.map_or(1, OverlapModel::k);
     let overlapped = overlap.is_some();
 
-    scratch.rekey(n, m);
+    // A search scores every candidate at one `(n, m)`: the decode runs once
+    // per search, and per candidate only this comparison does.
+    if (scratch.n, scratch.m) != (n, m) {
+        scratch.rekey(n, m);
+    }
     let SimScratch {
         program,
         fwd_end,
@@ -590,6 +539,7 @@ pub fn simulate_time_masked(
     dev_free.resize(n, 0.0);
     path_count.clear();
     path_count.resize(n, 0);
+    // A masked stage pays one forward replay per backward on top of its work.
     stage_busy.clear();
     stage_busy.extend(
         (0..n).map(|x| m as f64 * (costs.work(x) + if masked(x) { costs.f[x] } else { 0.0 })),
@@ -599,10 +549,10 @@ pub fn simulate_time_masked(
     grad_link.clear();
     grad_link.resize(n, 0.0);
 
-    // Single-pass topological sweep in the cached order. Each end time is
-    // produced by the exact expression of `simulate_replay`'s loop from the
-    // same operands, so all floats stay bit-identical. The loop indexes
-    // plain slices so their pointers and lengths stay in registers.
+    // Single-pass topological sweep in the cached order: an op starts at the
+    // max of its intra-stage predecessor's end and its cross-stage gate. The
+    // loop indexes plain slices so their pointers and lengths stay in
+    // registers.
     let (f, b) = (&costs.f[..n], &costs.b[..n]);
     let (fwd_end, bwd_end) = (&mut fwd_end[..], &mut bwd_end[..]);
     let (act_arr, grad_arr) = (&mut act_arr[..], &mut grad_arr[..]);
@@ -623,9 +573,11 @@ pub fn simulate_time_masked(
             };
             let start = dev_free[x].max(cross_ready);
             let e = start + f[x];
+            sink.op(x, slot - x * m, false, dev_free[x], cross_ready, e);
             fwd_end[slot] = e;
             dev_free[x] = e;
             if overlapped && x < n - 1 {
+                // Sender-side eager send right after the producing span.
                 act_arr[slot] = eager_send(&mut act_link[x], e, f[x], chunk_cost, k);
             }
         } else {
@@ -638,8 +590,8 @@ pub fn simulate_time_masked(
             } else {
                 0.0
             };
-            // Masked stages replay the forward before the backward — the
-            // exact `dev_free + f` expression of the full replay.
+            // Masked stages replay the forward while the gradient is on the
+            // wire; the backward cannot start before that finishes.
             let intra_ready = if masked(x) {
                 dev_free[x] + f[x]
             } else {
@@ -647,6 +599,7 @@ pub fn simulate_time_masked(
             };
             let start = intra_ready.max(cross_ready);
             let e = start + b[x];
+            sink.op(x, slot - x * m, true, intra_ready, cross_ready, e);
             bwd_end[slot] = e;
             dev_free[x] = e;
             if overlapped && x > 0 {
@@ -664,13 +617,13 @@ pub fn simulate_time_masked(
         }
     };
 
-    // Iteration end and the backtrack anchor. The replay scans its arena
-    // (stage-major, program-minor) and `max_by` keeps the *last* maximal
-    // op. Durations are non-negative and an op starts no earlier than its
-    // device frees, so end times never decrease along one stage's program:
-    // each stage's maximum, and its last maximal op, is its final op, whose
-    // end is what the sweep left in `dev_free`. Scanning those `n` values
-    // with the same comparison picks the same anchor.
+    // Iteration end and the backtrack anchor: the *last* op, in arena order
+    // (stage-major, program-minor), with the maximal end. Durations are
+    // non-negative and an op starts no earlier than its device frees, so end
+    // times never decrease along one stage's program: each stage's maximum,
+    // and its last maximal op, is its final op, whose end is what the sweep
+    // left in `dev_free`. Scanning those `n` values, later stages winning
+    // ties, picks that anchor without touching the other `2·n·m − n` ends.
     let mut iteration_time = 0.0_f64;
     let (mut cx, mut ci) = (0usize, prog_len - 1);
     let mut anchor_end = f64::NEG_INFINITY;
@@ -683,10 +636,13 @@ pub fn simulate_time_masked(
     }
 
     // Backtrack the unique critical path, counting 1F1B-phase visits per
-    // stage — predecessors and tie rules recomputed exactly as stored by
-    // the full replay (start = max(intra_ready, cross_ready); ties among
-    // zero-slack predecessors go to the higher stage).
+    // stage. A predecessor is on the path when its readiness equals the
+    // start (no slack) — `start = max(intra_ready, cross_ready)` makes the
+    // equality exact — and among zero-slack predecessors the one at the
+    // higher stage wins: the paper's tie rule ("the one closest to the last
+    // pipeline stage in the 1F1B phase", Fig. 4).
     loop {
+        sink.visit(cx, ci);
         let w = warmup_count(cx, n, m);
         let blocks = m - w;
         let (class, mb, phase) = decode_op(w, blocks, ci);
@@ -752,8 +708,12 @@ pub fn simulate_time_masked(
         }
     }
 
-    // Master selection: highest 1F1B count, ties to the latest stage; the
-    // same degenerate-pipeline fallback (heaviest stage) as the replay.
+    // The master stage: the stage the critical path traverses horizontally
+    // in the 1F1B phase (§III-B, "the stage that the critical path passes in
+    // 1F1B phase ... it has the heaviest load and dominates the pipeline").
+    // Highest count wins; ties go to the stage closest to the end of the
+    // pipeline (the paper's uniqueness rule). Degenerate pipelines (m < n
+    // can leave no 1F1B ops on the path) fall back to the heaviest stage.
     let mut master = None;
     let mut best = 0usize;
     for (x, &c) in path_count.iter().take(n).enumerate() {
@@ -781,77 +741,6 @@ pub fn simulate_time_masked(
         startup_overhead,
         master_stage,
     }
-}
-
-/// Backtrack the unique critical path. Among zero-slack predecessors, pick
-/// the one at the highest stage — the paper's tie rule ("the one closest to
-/// the last pipeline stage in the 1F1B phase", Fig. 4).
-fn backtrack_critical_path(ops: &[OpTime]) -> Vec<usize> {
-    let mut cur = ops
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.end.total_cmp(&b.1.end))
-        .map(|(i, _)| i)
-        .unwrap();
-    let mut path = vec![cur];
-    loop {
-        let o = &ops[cur];
-        let mut best: Option<usize> = None;
-        // Candidate predecessors whose readiness equals the start (no slack).
-        // `start = max(intra_ready, cross_ready)` makes equality exact.
-        if let Some(c) = o.cross_pred {
-            if o.cross_ready == o.start {
-                best = Some(c);
-            }
-        }
-        if let Some(i) = o.intra_pred {
-            if o.intra_ready == o.start {
-                best = match best {
-                    Some(c) if ops[c].stage >= ops[i].stage => Some(c),
-                    _ => Some(i),
-                };
-            }
-        }
-        match best {
-            Some(p) => {
-                path.push(p);
-                cur = p;
-            }
-            None => break,
-        }
-    }
-    path.reverse();
-    path
-}
-
-/// The master stage: the stage the critical path traverses horizontally in
-/// the 1F1B phase (§III-B, "the stage that the critical path passes in 1F1B
-/// phase ... it has the heaviest load and dominates the pipeline").
-fn find_master_stage(ops: &[OpTime], path: &[usize], costs: &StageCosts) -> usize {
-    let n = costs.n_stages();
-    let mut count = vec![0usize; n];
-    for &i in path {
-        if ops[i].phase == Phase::OneFOneB {
-            count[ops[i].stage] += 1;
-        }
-    }
-    // Highest count wins; ties go to the stage closest to the end of the
-    // pipeline (the paper's uniqueness rule).
-    let mut master = None;
-    let mut best = 0usize;
-    for (x, &c) in count.iter().enumerate() {
-        if c >= best && c > 0 {
-            best = c;
-            master = Some(x);
-        }
-    }
-    master.unwrap_or_else(|| {
-        // Degenerate pipelines (m < n can leave no 1F1B ops on the path):
-        // fall back to the heaviest stage.
-        (0..n)
-            .max_by(|&a, &b| costs.work(a).total_cmp(&costs.work(b)))
-            .unwrap()
-    })
 }
 
 /// The paper's closed-form recurrence engine.
@@ -1212,8 +1101,8 @@ mod tests {
                     chunks: k,
                 };
                 let c = costs(f, b, comm);
-                let full = simulate_replay_with(&c, m, Some(&ov));
-                let fast = simulate_time_with(&c, m, &mut scratch, Some(&ov));
+                let full = simulate_replay_masked(&c, m, &mut SimScratch::new(), Some(&ov), None);
+                let fast = simulate_time_masked(&c, m, &mut scratch, Some(&ov), None);
                 assert_eq!(fast.iteration_time, full.iteration_time, "k={k}");
                 assert_eq!(fast.startup_overhead, full.startup_overhead, "k={k}");
                 assert_eq!(fast.master_stage, full.master_stage, "k={k}");
@@ -1223,7 +1112,8 @@ mod tests {
 
     #[test]
     fn overlapped_analytic_matches_overlapped_event_sim_bit_for_bit() {
-        use crate::event::{run_schedule_untraced, EventConfig, EventCosts};
+        use crate::event::{EventConfig, EventCosts};
+        use crate::{replay_schedule, ReplayScratch};
         use autopipe_exec::CommConfig;
         use autopipe_schedule::generators::one_f_one_b;
         // Comm-heavy enough that the eager chunks actually queue on links.
@@ -1233,14 +1123,15 @@ mod tests {
         for k in [1usize, 2, 4, 8] {
             for m in [4, 8, 12] {
                 let ov = OverlapModel { latency, chunks: k };
-                let a = simulate_time_with(&c, m, &mut scratch, Some(&ov));
-                let e = run_schedule_untraced(
+                let a = simulate_time_masked(&c, m, &mut scratch, Some(&ov), None);
+                let e = replay_schedule(
                     &one_f_one_b(4, m),
                     &EventCosts::from_stage_costs(&c, latency),
                     &EventConfig {
                         comm: CommConfig::overlapped(k),
                         ..Default::default()
                     },
+                    &mut ReplayScratch::new(),
                 )
                 .unwrap();
                 assert_eq!(
@@ -1276,7 +1167,13 @@ mod tests {
                 }),
             ] {
                 let c = costs(vec![1.0, 1.3, 0.9, 1.1], vec![2.0, 2.6, 1.8, 2.2], 1.05);
-                let full = simulate_replay_masked(&c, 10, overlap.as_ref(), Some(mask));
+                let full = simulate_replay_masked(
+                    &c,
+                    10,
+                    &mut SimScratch::new(),
+                    overlap.as_ref(),
+                    Some(mask),
+                );
                 let fast = simulate_time_masked(&c, 10, &mut scratch, overlap.as_ref(), Some(mask));
                 assert_eq!(fast.iteration_time, full.iteration_time, "mask {mask:?}");
                 assert_eq!(
@@ -1291,7 +1188,8 @@ mod tests {
 
     #[test]
     fn masked_overlapped_analytic_matches_event_sim_bit_for_bit() {
-        use crate::event::{run_schedule_untraced, EventConfig, EventCosts};
+        use crate::event::{EventConfig, EventCosts};
+        use crate::{replay_schedule, ReplayScratch};
         use autopipe_exec::CommConfig;
         use autopipe_schedule::{apply_recompute, generators::one_f_one_b};
         let c = costs(vec![1.0, 1.3, 0.9, 1.1], vec![2.0, 2.6, 1.8, 2.2], 1.5);
@@ -1309,13 +1207,14 @@ mod tests {
                     let a = simulate_time_masked(&c, m, &mut scratch, Some(&ov), Some(mask));
                     let mut sched = one_f_one_b(4, m);
                     apply_recompute(&mut sched, mask);
-                    let e = run_schedule_untraced(
+                    let e = replay_schedule(
                         &sched,
                         &EventCosts::from_stage_costs(&c, latency),
                         &EventConfig {
                             comm: CommConfig::overlapped(k),
                             ..Default::default()
                         },
+                        &mut ReplayScratch::new(),
                     )
                     .unwrap();
                     assert_eq!(
@@ -1339,7 +1238,7 @@ mod tests {
         for s in 0..4 {
             let mut mask = vec![false; 4];
             mask[s] = true;
-            let rec = simulate_replay_masked(&c, 8, None, Some(&mask));
+            let rec = simulate_replay_masked(&c, 8, &mut SimScratch::new(), None, Some(&mask));
             assert!(
                 rec.iteration_time >= plain.iteration_time,
                 "stage {s}: {} < {}",
@@ -1358,7 +1257,7 @@ mod tests {
             latency: 0.01,
             chunks: 4,
         };
-        let overlapped = simulate_time_with(&c, 8, &mut scratch, Some(&ov));
+        let overlapped = simulate_time_masked(&c, 8, &mut scratch, Some(&ov), None);
         let gain = 1.0 - overlapped.iteration_time / blocking.iteration_time;
         assert!(
             gain >= 0.10,

@@ -8,11 +8,11 @@
 //! "actual run" of Fig. 11 is synthesised.
 //!
 //! Message movement and trace emission live in the shared executor spine
-//! ([`autopipe_exec`]): the sweep here is generic over any
+//! ([`autopipe_exec`]): the one sweep here is generic over any
 //! [`Transport`] carrying `()` payloads (so latency/jitter faults can be
 //! injected via [`VirtualTransport::with_fault`]) and any
-//! [`TraceSink`] (so benches can replay schedules without materialising
-//! events — see [`run_schedule_untraced`]).
+//! [`TraceSink`] (so search loops can score schedules without materialising
+//! events — [`crate::replay_schedule`] is this sweep with [`NoTrace`]).
 //!
 //! [`VirtualTransport::with_fault`]: autopipe_exec::VirtualTransport::with_fault
 
@@ -21,8 +21,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use autopipe_exec::{
-    op_key, CommConfig, FailStopKind, FaultPlan, LinkCost, NoTrace, OpTimes, Recorder, Timeline,
-    TraceSink, Transport, VirtualTransport,
+    op_key, CommConfig, FailStopKind, FaultPlan, LinkCost, OpTimes, Recorder, Timeline, TraceSink,
+    Transport, VirtualTransport,
 };
 use autopipe_schedule::{OpKind, Part, Schedule};
 
@@ -170,7 +170,7 @@ impl EventResult {
 }
 
 /// The scalar outputs of a simulation, without the per-op timeline (what
-/// [`run_schedule_untraced`] returns).
+/// [`crate::replay_schedule`] returns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventSummary {
     /// Iteration time: max end over all devices.
@@ -221,8 +221,7 @@ pub fn run_schedule(
     costs: &EventCosts,
     cfg: &EventConfig,
 ) -> Result<EventResult, SimError> {
-    let mut transport = VirtualTransport::new(sched.n_devices, costs);
-    run_schedule_on(sched, costs, cfg, &mut transport)
+    run_traced(sched, costs, cfg, None)
 }
 
 /// Replay a seeded [`FaultPlan`] — link degradation/drops through the
@@ -239,24 +238,46 @@ pub fn run_schedule_faulty(
     cfg: &EventConfig,
     plan: &FaultPlan,
 ) -> Result<EventResult, SimError> {
-    let mut transport =
-        VirtualTransport::new(sched.n_devices, costs).with_boxed_fault(plan.link_fault_hook());
+    run_traced(sched, costs, cfg, Some(plan))
+}
+
+fn run_traced(
+    sched: &Schedule,
+    costs: &EventCosts,
+    cfg: &EventConfig,
+    faults: Option<&FaultPlan>,
+) -> Result<EventResult, SimError> {
+    let mut transport = faulted_transport(sched, costs, faults);
     let mut recorder = Recorder::for_programs(&sched.devices);
-    let out = sweep(
+    let summary = sweep(
         sched,
         costs,
         cfg,
-        Some(plan),
+        faults,
         false,
+        &mut SweepState::default(),
         &mut transport,
         &mut recorder,
     )?;
     Ok(EventResult {
-        iteration_time: out.summary.iteration_time,
-        startup_overhead: out.summary.startup_overhead,
-        device_busy: out.summary.device_busy,
+        iteration_time: summary.iteration_time,
+        startup_overhead: summary.startup_overhead,
+        device_busy: summary.device_busy,
         timeline: recorder.finish(),
     })
+}
+
+/// A fresh transport over `costs`, with `faults`' link script hooked in.
+fn faulted_transport<'c>(
+    sched: &Schedule,
+    costs: &'c EventCosts,
+    faults: Option<&FaultPlan>,
+) -> VirtualTransport<&'c EventCosts> {
+    let transport = VirtualTransport::new(sched.n_devices, costs);
+    match faults {
+        Some(plan) => transport.with_boxed_fault(plan.link_fault_hook()),
+        None => transport,
+    }
 }
 
 /// Replay a fail-stop script deterministically: scripted [`StageCrash`] /
@@ -274,86 +295,96 @@ pub fn run_schedule_failstop(
     cfg: &EventConfig,
     plan: &FaultPlan,
 ) -> Result<FailStopResult, SimError> {
-    let mut transport =
-        VirtualTransport::new(sched.n_devices, costs).with_boxed_fault(plan.link_fault_hook());
+    let mut transport = faulted_transport(sched, costs, Some(plan));
     let mut recorder = Recorder::for_programs(&sched.devices);
-    let out = sweep(
+    let mut state = SweepState::default();
+    let summary = sweep(
         sched,
         costs,
         cfg,
         Some(plan),
         true,
+        &mut state,
         &mut transport,
         &mut recorder,
     )?;
-    let completed = out.crashed.is_empty()
-        && out
-            .counters
+    let crashed: Vec<SimCrash> = state.dead.into_iter().flatten().collect();
+    let completed = crashed.is_empty()
+        && state
+            .pc
             .iter()
             .zip(&sched.devices)
             .all(|(&pc, prog)| pc == prog.len());
     Ok(FailStopResult {
-        counters: out.counters,
-        crashed: out.crashed,
-        halted_at: out.summary.iteration_time,
+        counters: state.pc,
+        crashed,
+        halted_at: summary.iteration_time,
         completed,
         timeline: recorder.finish_partial(),
     })
 }
 
-/// Run `sched` over a caller-supplied transport — the hook for injecting
-/// link faults (latency spikes, jitter) via
-/// [`autopipe_exec::VirtualTransport::with_fault`] or for substituting a
-/// different link model entirely.
-pub fn run_schedule_on<T: Transport<Payload = ()>>(
-    sched: &Schedule,
-    costs: &EventCosts,
-    cfg: &EventConfig,
-    transport: &mut T,
-) -> Result<EventResult, SimError> {
-    let mut recorder = Recorder::for_programs(&sched.devices);
-    let out = sweep(sched, costs, cfg, None, false, transport, &mut recorder)?;
-    Ok(EventResult {
-        iteration_time: out.summary.iteration_time,
-        startup_overhead: out.summary.startup_overhead,
-        device_busy: out.summary.device_busy,
-        timeline: recorder.finish(),
-    })
+/// Per-device state of one [`sweep`], owned by the caller so a search loop
+/// keeps its capacity across candidates ([`crate::ReplayScratch`]). After a
+/// sweep it holds how far every device got and who died.
+#[derive(Debug, Default)]
+pub(crate) struct SweepState {
+    /// Program counters: ops each device has executed.
+    pc: Vec<usize>,
+    dev_free: Vec<f64>,
+    device_busy: Vec<f64>,
+    /// Comm lane (overlap mode): the (end, duration) of each device's most
+    /// recent compute op — the span an eager send pipelines against.
+    last_span: Vec<(f64, f64)>,
+    /// Comm lane (overlap mode): gates the device's *next* compute op on the
+    /// arrivals its recvs have posted; recvs themselves do not block it.
+    pending: Vec<f64>,
+    /// Times for the current device's run of ops, flushed to the sink as one
+    /// block when the device yields. The buffer stays hot across the sweep,
+    /// which is what keeps tracing cheap (see the `trace_overhead` bench).
+    burst: Vec<OpTimes>,
+    /// Fail-stop mode: a scripted death freezes the device's program counter
+    /// for the rest of the sweep; this records the event once.
+    dead: Vec<Option<SimCrash>>,
 }
 
-/// Run `sched` without materialising a timeline: identical numbers to
-/// [`run_schedule`], none of the trace-emission cost. For hot loops
-/// (planner search, benches).
-pub fn run_schedule_untraced(
-    sched: &Schedule,
-    costs: &EventCosts,
-    cfg: &EventConfig,
-) -> Result<EventSummary, SimError> {
-    let mut transport = VirtualTransport::new(sched.n_devices, costs);
-    sweep(sched, costs, cfg, None, false, &mut transport, &mut NoTrace).map(|out| out.summary)
-}
-
-/// What [`sweep`] hands back: the scalar summary plus how far every device
-/// got and who died (both only interesting in fail-stop mode).
-struct SweepOutcome {
-    summary: EventSummary,
-    counters: Vec<usize>,
-    crashed: Vec<SimCrash>,
+impl SweepState {
+    fn reset(&mut self, p: usize) {
+        self.pc.clear();
+        self.pc.resize(p, 0);
+        self.dev_free.clear();
+        self.dev_free.resize(p, 0.0);
+        self.device_busy.clear();
+        self.device_busy.resize(p, 0.0);
+        self.last_span.clear();
+        self.last_span.resize(p, (0.0, 0.0));
+        self.pending.clear();
+        self.pending.resize(p, 0.0);
+        self.dead.clear();
+        self.dead.resize(p, None);
+    }
 }
 
 /// The sweep: advance every device through its program as far as it can,
 /// repeatedly, until all programs finish (or nothing can advance: deadlock).
 /// Generic over the transport (how messages move) and the sink (whether a
-/// timeline is kept).
-fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
+/// timeline is kept) — the only loop that times a [`Schedule`].
+///
+/// Inlined into each caller so the loop is specialised to that caller's
+/// constant `faults` / `failstop`: [`crate::replay_schedule`]'s copy carries
+/// no fault probes (≈ 1 ns per op at p = 8, m = 16 when they stay).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
     sched: &Schedule,
     costs: &EventCosts,
     cfg: &EventConfig,
     faults: Option<&FaultPlan>,
     failstop: bool,
+    state: &mut SweepState,
     transport: &mut T,
     sink: &mut S,
-) -> Result<SweepOutcome, SimError> {
+) -> Result<EventSummary, SimError> {
     let n_stages = sched.n_stages();
     if costs.f.len() != n_stages || costs.b.len() != n_stages {
         return Err(SimError::BadSchedule(format!(
@@ -363,29 +394,27 @@ fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
         )));
     }
     let p = sched.n_devices;
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    state.reset(p);
+    let SweepState {
+        pc,
+        dev_free,
+        device_busy,
+        last_span,
+        pending,
+        burst,
+        dead,
+    } = state;
+    // Plain slices, so their pointers and lengths stay in registers across
+    // the transport and sink calls.
+    let (pc, dev_free, device_busy) = (&mut pc[..], &mut dev_free[..], &mut device_busy[..]);
+    let (last_span, pending, dead) = (&mut last_span[..], &mut pending[..], &mut dead[..]);
     // Jitter is drawn on use; the sweep order is deterministic and each op
     // executes exactly once, so a seed fully determines a run.
-    let mut pc = vec![0usize; p];
-    let mut dev_free = vec![0.0_f64; p];
-    let mut device_busy = vec![0.0_f64; p];
+    let mut rng = (cfg.jitter_sigma > 0.0).then(|| ChaCha8Rng::seed_from_u64(cfg.seed));
     let mut startup: Option<f64> = None;
-    // Comm lane (overlap mode). `last_span[d]` is the (end, duration) of the
-    // device's most recent compute op — the span an eager send pipelines
-    // against. `pending[d]` gates the *next* compute op on the arrivals its
-    // recvs have posted; recvs themselves no longer block the device.
     let overlap = cfg.comm.overlap;
     let chunks = cfg.comm.effective_chunks();
-    let mut last_span = vec![(0.0_f64, 0.0_f64); p];
-    let mut pending = vec![0.0_f64; p];
-    // Times for the current device's run of ops, flushed to the sink as one
-    // block when the device yields. The buffer stays hot across the sweep,
-    // which is what keeps tracing cheap (see the `trace_overhead` bench).
     let tracing = sink.enabled();
-    let mut burst: Vec<OpTimes> = Vec::new();
-    // Fail-stop mode: a scripted death freezes the device's program counter
-    // for the rest of the sweep. `dead[d]` records the event once.
-    let mut dead: Vec<Option<SimCrash>> = vec![None; p];
 
     loop {
         let mut progressed = false;
@@ -395,7 +424,7 @@ fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
                 continue;
             }
             burst.clear();
-            while pc[d] < sched.devices[d].len() {
+            'run: while pc[d] < sched.devices[d].len() {
                 if failstop {
                     if let Some(kind) = faults.and_then(|f| f.crash_at(d, pc[d])) {
                         dead[d] = Some(SimCrash {
@@ -417,163 +446,94 @@ fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
                 // waiting on an absent message re-checks without stalling
                 // twice).
                 let stall = faults.map_or(0.0, |f| f.stall_pause(d, pc[d]));
-                let (start, end) = match op.kind {
-                    OpKind::Fwd { chunk, part, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let eff = if part.is_half() {
-                            cfg.half_efficiency
-                        } else {
-                            1.0
-                        };
-                        let mut dur = duration(costs.f[stage] * part.frac() * eff, cfg, &mut rng);
-                        dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
-                        let s = if overlap {
-                            let s = (dev_free[d] + stall).max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d] + stall
-                        };
-                        device_busy[d] += dur;
-                        (s, s + dur)
-                    }
-                    OpKind::Bwd { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let mut dur = duration(costs.b[stage], cfg, &mut rng);
-                        dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
-                        let s = if overlap {
-                            let s = (dev_free[d] + stall).max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d] + stall
-                        };
-                        device_busy[d] += dur;
-                        (s, s + dur)
-                    }
-                    // Split backward: grad-input and grad-weight each take
-                    // half the fused backward's time (the two GEMMs of a
-                    // linear layer's backward are the same shape), chosen so
-                    // the pair sums bit-exactly to the fused cost.
-                    OpKind::BwdInput { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let mut dur = duration(costs.b[stage] * 0.5, cfg, &mut rng);
-                        dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
-                        let s = if overlap {
-                            let s = (dev_free[d] + stall).max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d] + stall
-                        };
-                        device_busy[d] += dur;
-                        (s, s + dur)
-                    }
-                    // Forward replay before a backward on a recomputing
-                    // stage: costs one full stage forward. Placed before the
-                    // backward's RecvGrad by the lowering, so in overlap mode
-                    // it runs while the gradient is still on the wire (no
-                    // pending arrival gates it — the recv has not posted yet).
-                    OpKind::Recompute { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let mut dur = duration(costs.f[stage], cfg, &mut rng);
-                        dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
-                        let s = if overlap {
-                            let s = (dev_free[d] + stall).max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d] + stall
-                        };
-                        device_busy[d] += dur;
-                        (s, s + dur)
-                    }
-                    OpKind::BwdWeight { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let b_in = costs.b[stage] * 0.5;
-                        let mut dur = duration(costs.b[stage] - b_in, cfg, &mut rng);
-                        dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
-                        let s = if overlap {
-                            let s = (dev_free[d] + stall).max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d] + stall
-                        };
-                        device_busy[d] += dur;
-                        (s, s + dur)
-                    }
-                    OpKind::SendAct { to, .. } | OpKind::SendGrad { to, .. } => {
-                        let (key, _) = op_key(sched, d, &op).expect("send op has a key");
-                        // Sends are asynchronous: zero device time.
-                        let t = dev_free[d] + stall;
-                        if overlap {
-                            // Eager chunked send: chunks depart while the
-                            // producing compute span is still running.
-                            let (span_end, span_dur) = last_span[d];
-                            transport.send_overlapped(
-                                d,
-                                to,
-                                key,
-                                (),
-                                span_end,
-                                span_dur,
-                                stall,
-                                chunks,
-                            );
-                        } else {
-                            transport.send(d, to, key, (), t);
+                let (start, end) = 'timed: {
+                    // A compute op's stage and base duration; comm ops are
+                    // timed in their arms and leave the block early.
+                    let stage = sched.stage_of(d, op.chunk());
+                    let base = match op.kind {
+                        OpKind::Fwd { part, .. } => {
+                            let eff = if part.is_half() {
+                                cfg.half_efficiency
+                            } else {
+                                1.0
+                            };
+                            costs.f[stage] * part.frac() * eff
                         }
-                        (t, t)
-                    }
-                    OpKind::RecvAct { .. } => {
-                        let (key, _) = op_key(sched, d, &op).expect("recv op has a key");
-                        match transport.try_recv(d, key) {
-                            Some(((), arrival)) => {
-                                let s = dev_free[d];
-                                ready = arrival;
-                                // Startup overhead: when the last *device*
-                                // first receives activations (§II-B). With
-                                // the interleaved schedule the last device
-                                // hosts an early chunk, which is exactly why
-                                // interleaving shortens startup.
-                                if d == p - 1 && startup.is_none() {
-                                    startup = Some(arrival);
-                                }
-                                if overlap {
-                                    // Prefetch semantics: the recv posts the
-                                    // arrival as an input gate for the next
-                                    // compute op instead of blocking here.
-                                    pending[d] = pending[d].max(arrival);
-                                    (s, s + stall)
-                                } else {
-                                    (s, (s + stall).max(arrival))
-                                }
+                        OpKind::Bwd { .. } => costs.b[stage],
+                        // Split backward: grad-input and grad-weight each
+                        // take half the fused backward's time (the two GEMMs
+                        // of a linear layer's backward are the same shape),
+                        // chosen so the pair sums bit-exactly to the fused
+                        // cost.
+                        OpKind::BwdInput { .. } => costs.b[stage] * 0.5,
+                        OpKind::BwdWeight { .. } => costs.b[stage] - costs.b[stage] * 0.5,
+                        // Forward replay before a backward on a recomputing
+                        // stage: costs one full stage forward. Placed before
+                        // the backward's RecvGrad by the lowering, so in
+                        // overlap mode it runs while the gradient is still
+                        // on the wire (no pending arrival gates it — the
+                        // recv has not posted yet).
+                        OpKind::Recompute { .. } => costs.f[stage],
+                        OpKind::SendAct { to, .. } | OpKind::SendGrad { to, .. } => {
+                            let (key, _) = op_key(sched, d, &op).expect("send op has a key");
+                            // Sends are asynchronous: zero device time.
+                            let t = dev_free[d] + stall;
+                            if overlap {
+                                // Eager chunked send: chunks depart while the
+                                // producing compute span is still running.
+                                let (span_end, span_dur) = last_span[d];
+                                transport.send_overlapped(
+                                    d,
+                                    to,
+                                    key,
+                                    (),
+                                    span_end,
+                                    span_dur,
+                                    stall,
+                                    chunks,
+                                );
+                            } else {
+                                transport.send(d, to, key, (), t);
                             }
-                            None => break,
+                            break 'timed (t, t);
                         }
-                    }
-                    OpKind::RecvGrad { .. } => {
-                        let (key, _) = op_key(sched, d, &op).expect("recv op has a key");
-                        match transport.try_recv(d, key) {
-                            Some(((), arrival)) => {
-                                ready = arrival;
-                                let s = dev_free[d];
-                                if overlap {
-                                    pending[d] = pending[d].max(arrival);
-                                    (s, s + stall)
-                                } else {
-                                    (s, (s + stall).max(arrival))
-                                }
+                        OpKind::RecvAct { .. } | OpKind::RecvGrad { .. } => {
+                            let (key, _) = op_key(sched, d, &op).expect("recv op has a key");
+                            let Some(((), arrival)) = transport.try_recv(d, key) else {
+                                break 'run;
+                            };
+                            ready = arrival;
+                            // Startup overhead: when the last *device* first
+                            // receives activations (§II-B). With the
+                            // interleaved schedule the last device hosts an
+                            // early chunk, which is exactly why interleaving
+                            // shortens startup.
+                            if !key.is_grad && d == p - 1 && startup.is_none() {
+                                startup = Some(arrival);
                             }
-                            None => break,
+                            let s = dev_free[d];
+                            if overlap {
+                                // Prefetch semantics: the recv posts the
+                                // arrival as an input gate for the next
+                                // compute op instead of blocking here.
+                                pending[d] = pending[d].max(arrival);
+                                break 'timed (s, s + stall);
+                            }
+                            break 'timed (s, (s + stall).max(arrival));
                         }
-                    }
+                    };
+                    let mut dur = duration(base, cfg, &mut rng);
+                    dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
+                    let s = if overlap {
+                        let s = (dev_free[d] + stall).max(pending[d]);
+                        pending[d] = 0.0;
+                        last_span[d] = (s + dur, dur);
+                        s
+                    } else {
+                        dev_free[d] + stall
+                    };
+                    device_busy[d] += dur;
+                    (s, s + dur)
                 };
                 dev_free[d] = end;
                 if tracing {
@@ -583,7 +543,7 @@ fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
                 progressed = true;
             }
             if !burst.is_empty() {
-                sink.record_run(d, &burst);
+                sink.record_run(d, burst);
             }
             if pc[d] < sched.devices[d].len() && dead[d].is_none() {
                 all_done = false;
@@ -598,7 +558,9 @@ fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
             if dead.iter().any(Option::is_some) {
                 break;
             }
-            return Err(SimError::Stalled { counters: pc });
+            return Err(SimError::Stalled {
+                counters: pc.to_vec(),
+            });
         }
     }
 
@@ -607,29 +569,26 @@ fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
         .chain(pending.iter())
         .copied()
         .fold(0.0, f64::max);
-    Ok(SweepOutcome {
-        summary: EventSummary {
-            iteration_time,
-            startup_overhead: if n_stages == 1 {
-                0.0
-            } else {
-                startup.unwrap_or(0.0)
-            },
-            device_busy,
+    Ok(EventSummary {
+        iteration_time,
+        startup_overhead: if n_stages == 1 {
+            0.0
+        } else {
+            startup.unwrap_or(0.0)
         },
-        counters: pc,
-        crashed: dead.into_iter().flatten().collect(),
+        device_busy: device_busy.to_vec(),
     })
 }
 
-fn duration(base: f64, cfg: &EventConfig, rng: &mut ChaCha8Rng) -> f64 {
-    let jitter = if cfg.jitter_sigma > 0.0 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let g = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (1.0 + cfg.jitter_sigma * g).max(0.2)
-    } else {
-        1.0
+fn duration(base: f64, cfg: &EventConfig, rng: &mut Option<ChaCha8Rng>) -> f64 {
+    let jitter = match rng {
+        Some(rng) => {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let g = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            (1.0 + cfg.jitter_sigma * g).max(0.2)
+        }
+        None => 1.0,
     };
     base * jitter + cfg.kernel_overhead
 }
@@ -813,7 +772,13 @@ mod tests {
         );
         let sched = sliced_1f1b(4, 8, 2);
         let traced = run_schedule(&sched, &c, &EventConfig::default()).unwrap();
-        let bare = run_schedule_untraced(&sched, &c, &EventConfig::default()).unwrap();
+        let bare = crate::replay_schedule(
+            &sched,
+            &c,
+            &EventConfig::default(),
+            &mut crate::ReplayScratch::new(),
+        )
+        .unwrap();
         assert_eq!(traced.iteration_time, bare.iteration_time);
         assert_eq!(traced.startup_overhead, bare.startup_overhead);
         assert_eq!(traced.device_busy, bare.device_busy);
@@ -836,8 +801,18 @@ mod tests {
         // Degrade the 1→2 link by a flat 0.5 per message.
         let mut slow_link = VirtualTransport::new(sched.n_devices, &c)
             .with_fault(|from, to, _key, _now| if (from, to) == (1, 2) { 0.5 } else { 0.0 });
-        let degraded =
-            run_schedule_on(&sched, &c, &EventConfig::default(), &mut slow_link).unwrap();
+        let mut recorder = Recorder::for_programs(&sched.devices);
+        let degraded = sweep(
+            &sched,
+            &c,
+            &EventConfig::default(),
+            None,
+            false,
+            &mut SweepState::default(),
+            &mut slow_link,
+            &mut recorder,
+        )
+        .unwrap();
         assert!(
             degraded.iteration_time > clean.iteration_time + 0.4,
             "degraded {} vs clean {}",
@@ -845,7 +820,7 @@ mod tests {
             clean.iteration_time
         );
         // Op orderings are untouched by link faults.
-        clean.timeline.same_op_order(&degraded.timeline).unwrap();
+        clean.timeline.same_op_order(&recorder.finish()).unwrap();
     }
 
     #[test]
@@ -994,5 +969,76 @@ mod tests {
             clean.iteration_time
         );
         clean.timeline.same_op_order(&stalled.timeline).unwrap();
+    }
+
+    // Timeline analysis of simulated iterations: the metrics live on the
+    // shared `Timeline`; these check them against what the simulator ran.
+
+    fn balanced(p: usize, m: usize) -> EventResult {
+        let c = costs(vec![1.0; p], vec![2.0; p], 0.0, 0.01);
+        run_schedule(&one_f_one_b(p, m), &c, &EventConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn decomposition_accounts_for_the_whole_iteration() {
+        let r = balanced(4, 8);
+        for d in r.timeline.breakdown() {
+            let total = d.fwd + d.bwd + d.wait + d.idle;
+            assert!(
+                (total - r.iteration_time).abs() < 1e-9,
+                "device {}: {} vs {}",
+                d.device,
+                total,
+                r.iteration_time
+            );
+        }
+    }
+
+    #[test]
+    fn compute_time_matches_schedule_math() {
+        let m = 8;
+        let r = balanced(4, m);
+        for d in r.timeline.breakdown() {
+            assert!((d.fwd - m as f64 * 1.0).abs() < 1e-9);
+            assert!((d.bwd - m as f64 * 2.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn bubble_fraction_shrinks_with_more_microbatches() {
+        let b8 = balanced(4, 8).timeline.bubble_ratio();
+        let b32 = balanced(4, 32).timeline.bubble_ratio();
+        assert!(b32 < b8, "{b32} vs {b8}");
+        assert!((0.0..1.0).contains(&b8));
+    }
+
+    #[test]
+    fn single_device_has_no_bubbles() {
+        let b = balanced(1, 4).timeline.bubble_ratio();
+        assert!(b < 1e-9, "bubble {b}");
+    }
+
+    #[test]
+    fn bubble_fraction_agrees_with_scalar_utilisation() {
+        // The Timeline-derived bubble must match the sweep's own busy
+        // accounting — one telemetry source, two views.
+        let r = balanced(4, 8);
+        assert!((r.timeline.bubble_ratio() - (1.0 - r.utilisation())).abs() < 1e-9);
+    }
+
+    #[test]
+    fn chrome_trace_is_wellformed() {
+        let v = balanced(2, 4).timeline.chrome_trace();
+        let events = v["traceEvents"].as_array().unwrap();
+        // 2 devices x (4 F + 4 B) compute events at least, plus waits.
+        assert!(events.len() >= 16);
+        for e in events {
+            assert!(e["ts"].as_f64().unwrap() >= 0.0);
+            assert!(e["dur"].as_f64().unwrap() > 0.0);
+            assert!(e["tid"].as_u64().unwrap() < 2);
+        }
+        // Serialises to valid JSON text.
+        let text = serde_json::to_string(&v).unwrap();
+        assert!(text.contains("traceEvents"));
     }
 }

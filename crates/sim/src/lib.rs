@@ -1,19 +1,20 @@
 //! Pipeline simulators.
 //!
-//! Two simulators live here, mirroring the paper's methodology:
+//! Two simulators live here, mirroring the paper's methodology, each with
+//! exactly one timing loop:
 //!
 //! * [`analytic`] — the **AutoPipe pipeline simulator** (§III-B.1). Given a
 //!   partition scheme's per-stage forward/backward times and a communication
 //!   cost, it computes the start time of every operation of the synchronous
 //!   1F1B schedule, the iteration time, the **critical path** (unique, ties
-//!   broken toward the last stage) and the **master stage**. It has three
-//!   engines: an exact per-op `replay`, the allocation-free fast tier
-//!   `simulate_time` (bit-identical times over reusable [`SimScratch`]
-//!   buffers — the planner's per-candidate engine), and the paper's
-//!   closed-form `recurrence` (block-renumbered 1F1B equations +
-//!   reverse-renumbered Cooldown equations + Warmup estimated from one
-//!   micro-batch's total forward time), which agrees up to the paper's own
-//!   approximations.
+//!   broken toward the last stage) and the **master stage**. One sweep over
+//!   the 1F1B program serves both `simulate_time` (scalars only,
+//!   allocation-free over reusable [`SimScratch`] buffers — the planner's
+//!   per-candidate call) and `simulate_replay` (the op arena and critical
+//!   path as well). The paper's closed-form `recurrence` (block-renumbered
+//!   1F1B equations + reverse-renumbered Cooldown equations + Warmup
+//!   estimated from one micro-batch's total forward time) is the independent
+//!   oracle; it agrees up to the paper's own approximations.
 //!
 //! * [`event`] — a **discrete-event cluster simulator** that executes any
 //!   [`autopipe_schedule::Schedule`] (1F1B, GPipe, interleaved, sliced)
@@ -21,7 +22,10 @@
 //!   FIFO links (α+β cost), optional per-op jitter and launch overhead, and
 //!   static memory feasibility checks. This is the stand-in for the paper's
 //!   16-GPU testbed: all "measured" numbers in the experiment harness come
-//!   from here.
+//!   from here. One sweep serves `run_schedule` (traced),
+//!   `run_schedule_faulty` / `run_schedule_failstop` (scripted faults) and
+//!   [`replay_schedule`] (no recorder, reusable scratch — what search loops
+//!   score schedule families with).
 
 pub mod analytic;
 pub mod event;
@@ -30,18 +34,15 @@ pub mod memtrace;
 pub mod metrics;
 pub mod partition;
 pub mod schedule_replay;
-pub mod trace;
 
 pub use analytic::{
-    simulate_replay, simulate_replay_masked, simulate_replay_with, simulate_time,
-    simulate_time_masked, simulate_time_with, AnalyticResult, FastResult, OpClass, OpTime,
-    OverlapModel, Phase, SimScratch,
+    simulate_replay, simulate_replay_masked, simulate_time, simulate_time_masked, AnalyticResult,
+    FastResult, OpClass, OpTime, OverlapModel, Phase, SimScratch,
 };
 pub use autopipe_exec::CommConfig;
 pub use event::{
-    run_schedule, run_schedule_failstop, run_schedule_faulty, run_schedule_on,
-    run_schedule_untraced, EventConfig, EventCosts, EventResult, EventSummary, FailStopResult,
-    SimCrash, SimError,
+    run_schedule, run_schedule_failstop, run_schedule_faulty, EventConfig, EventCosts, EventResult,
+    EventSummary, FailStopResult, SimCrash, SimError,
 };
 pub use partition::{Partition, StageCosts};
 pub use schedule_replay::{replay_schedule, ReplayScratch};

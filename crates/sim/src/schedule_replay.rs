@@ -1,50 +1,25 @@
-//! Deterministic fast-tier replay for *any* schedule family.
+//! Scratch-reusing schedule scoring for *any* schedule family.
 //!
-//! [`crate::analytic::simulate_time`] is the allocation-free fast tier for
-//! the plain 1F1B program; it knows nothing about interleaving, slicing or
-//! split backwards. This module is its generalisation: it replays an
-//! arbitrary [`Schedule`] — any op program the IR can express — against
-//! [`EventCosts`], producing numbers **bit-identical** to
-//! [`crate::event::run_schedule`] with jitter disabled, while keeping all
-//! working state in a caller-owned [`ReplayScratch`] so planner search
-//! loops can score thousands of candidates without rebuilding transports
-//! or recorders.
-//!
-//! Bit-identity holds because, with `jitter_sigma == 0`, every duration is
-//! the order-independent expression `base + kernel_overhead` and the link
-//! arithmetic below is the exact FIFO recurrence of
-//! [`autopipe_exec::VirtualTransport`] (`depart = max(link_free, now)`,
-//! `arrival = depart + latency + frac·volume`). The sweep itself is the
-//! same run-until-blocked loop as the event simulator, so every float is
-//! produced by the same expression in the same order (asserted bitwise in
-//! `tests/fast_sim_equivalence.rs` across random families).
+//! [`replay_schedule`] is the event simulator's sweep ([`crate::event`])
+//! without a recorder or a fault plan, over a transport built on the
+//! caller-owned [`ReplayScratch`]'s storage. It returns the scalars
+//! [`crate::event::run_schedule`] does, bit for bit, so planner search loops
+//! can score thousands of candidates without growing a transport, a recorder
+//! or per-device state each time.
 
-use std::collections::VecDeque;
+use autopipe_exec::{LinkStorage, NoTrace, VirtualTransport};
+use autopipe_schedule::Schedule;
 
-use autopipe_exec::{op_key, MsgKey};
-use autopipe_schedule::{OpKind, Schedule};
+use crate::event::{sweep, EventConfig, EventCosts, EventSummary, SimError, SweepState};
 
-use crate::event::{EventConfig, EventCosts, EventSummary, SimError};
-
-/// Caller-owned, reusable working memory for [`replay_schedule`].
-///
-/// Flat per-device vectors (dense in `p`, mirroring
-/// [`autopipe_exec::VirtualTransport`]'s storage); all buffers are retained
-/// between calls, so a search loop pays for growth once per problem shape
-/// rather than once per candidate.
+/// Caller-owned, reusable working memory for [`replay_schedule`]: the
+/// sweep's per-device state and the transport's link and mailbox storage.
+/// All buffers are retained between calls, so a search loop pays for growth
+/// once per problem shape rather than once per candidate.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    pc: Vec<usize>,
-    dev_free: Vec<f64>,
-    device_busy: Vec<f64>,
-    /// `p²` per-directed-edge busy-until times, indexed `from · p + to`.
-    link_free: Vec<f64>,
-    /// Per-destination deposit-ordered mailboxes.
-    mailbox: Vec<VecDeque<(MsgKey, f64)>>,
-    /// Overlap mode: (end, duration) of each device's last compute span.
-    last_span: Vec<(f64, f64)>,
-    /// Overlap mode: arrival gate posted by recvs for the next compute op.
-    pending: Vec<f64>,
+    state: SweepState,
+    links: LinkStorage,
 }
 
 impl ReplayScratch {
@@ -52,238 +27,36 @@ impl ReplayScratch {
     pub fn new() -> ReplayScratch {
         ReplayScratch::default()
     }
-
-    fn reset(&mut self, p: usize) {
-        self.pc.clear();
-        self.pc.resize(p, 0);
-        self.dev_free.clear();
-        self.dev_free.resize(p, 0.0);
-        self.device_busy.clear();
-        self.device_busy.resize(p, 0.0);
-        self.link_free.clear();
-        self.link_free.resize(p * p, 0.0);
-        if self.mailbox.len() < p {
-            self.mailbox.resize_with(p, VecDeque::new);
-        }
-        for mb in &mut self.mailbox {
-            mb.clear();
-        }
-        self.last_span.clear();
-        self.last_span.resize(p, (0.0, 0.0));
-        self.pending.clear();
-        self.pending.resize(p, 0.0);
-    }
 }
 
-/// Replay `sched` against `costs` deterministically, returning the same
-/// scalars — bit for bit — as [`crate::event::run_schedule_untraced`] would
-/// with the same (jitter-free) config.
-///
-/// Panics if `cfg.jitter_sigma != 0`: jittered runs draw from an RNG in
-/// sweep order and belong to the event simulator, not the fast tier.
+/// Run `sched` against `costs`, returning the same scalars — bit for bit —
+/// as [`crate::event::run_schedule`] with the same config, and no timeline.
 pub fn replay_schedule(
     sched: &Schedule,
     costs: &EventCosts,
     cfg: &EventConfig,
     scratch: &mut ReplayScratch,
 ) -> Result<EventSummary, SimError> {
-    assert!(
-        cfg.jitter_sigma == 0.0,
-        "the fast tier is deterministic; use run_schedule for jittered runs"
+    let links = std::mem::take(&mut scratch.links);
+    let mut transport = VirtualTransport::with_storage(sched.n_devices, costs, links);
+    let summary = sweep(
+        sched,
+        costs,
+        cfg,
+        None,
+        false,
+        &mut scratch.state,
+        &mut transport,
+        &mut NoTrace,
     );
-    let n_stages = sched.n_stages();
-    if costs.f.len() != n_stages || costs.b.len() != n_stages {
-        return Err(SimError::BadSchedule(format!(
-            "costs cover {} stages, schedule has {}",
-            costs.f.len(),
-            n_stages
-        )));
-    }
-    let p = sched.n_devices;
-    scratch.reset(p);
-    let ReplayScratch {
-        pc,
-        dev_free,
-        device_busy,
-        link_free,
-        mailbox,
-        last_span,
-        pending,
-    } = scratch;
-    let mut startup: Option<f64> = None;
-    let overlap = cfg.comm.overlap;
-    let k = cfg.comm.effective_chunks();
-
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for d in 0..p {
-            while pc[d] < sched.devices[d].len() {
-                let op = sched.devices[d][pc[d]];
-                let end = match op.kind {
-                    OpKind::Fwd { chunk, part, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let eff = if part.is_half() {
-                            cfg.half_efficiency
-                        } else {
-                            1.0
-                        };
-                        let dur = costs.f[stage] * part.frac() * eff + cfg.kernel_overhead;
-                        device_busy[d] += dur;
-                        let s = if overlap {
-                            let s = dev_free[d].max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d]
-                        };
-                        s + dur
-                    }
-                    OpKind::Bwd { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let dur = costs.b[stage] + cfg.kernel_overhead;
-                        device_busy[d] += dur;
-                        let s = if overlap {
-                            let s = dev_free[d].max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d]
-                        };
-                        s + dur
-                    }
-                    OpKind::BwdInput { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let dur = costs.b[stage] * 0.5 + cfg.kernel_overhead;
-                        device_busy[d] += dur;
-                        let s = if overlap {
-                            let s = dev_free[d].max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d]
-                        };
-                        s + dur
-                    }
-                    OpKind::Recompute { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let dur = costs.f[stage] + cfg.kernel_overhead;
-                        device_busy[d] += dur;
-                        let s = if overlap {
-                            let s = dev_free[d].max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d]
-                        };
-                        s + dur
-                    }
-                    OpKind::BwdWeight { chunk, .. } => {
-                        let stage = sched.stage_of(d, chunk);
-                        let b_in = costs.b[stage] * 0.5;
-                        let dur = (costs.b[stage] - b_in) + cfg.kernel_overhead;
-                        device_busy[d] += dur;
-                        let s = if overlap {
-                            let s = dev_free[d].max(pending[d]);
-                            pending[d] = 0.0;
-                            last_span[d] = (s + dur, dur);
-                            s
-                        } else {
-                            dev_free[d]
-                        };
-                        s + dur
-                    }
-                    OpKind::SendAct { to, .. } | OpKind::SendGrad { to, .. } => {
-                        let (key, _) = op_key(sched, d, &op).expect("send op has a key");
-                        let free = &mut link_free[d * p + to];
-                        if overlap {
-                            // The VirtualTransport chunked eager-send
-                            // recurrence, verbatim (stall-free).
-                            let (span_end, span_dur) = last_span[d];
-                            let mut arrival = 0.0;
-                            for j in 1..=k {
-                                let cost = costs.transfer_chunk(key.part, k);
-                                let ready = span_end - span_dur * ((k - j) as f64 / k as f64);
-                                let depart = free.max(ready);
-                                arrival = depart + cost;
-                                *free = arrival;
-                            }
-                            mailbox[to].push_back((key, arrival));
-                        } else {
-                            // The VirtualTransport FIFO recurrence, verbatim.
-                            let transfer = costs.transfer(key.part);
-                            let depart = free.max(dev_free[d]);
-                            let arrival = depart + transfer;
-                            *free = arrival;
-                            mailbox[to].push_back((key, arrival));
-                        }
-                        dev_free[d]
-                    }
-                    OpKind::RecvAct { .. } | OpKind::RecvGrad { .. } => {
-                        let (key, _) = op_key(sched, d, &op).expect("recv op has a key");
-                        let queue = &mut mailbox[d];
-                        match queue.iter().position(|(mk, _)| *mk == key) {
-                            Some(idx) => {
-                                let (_, arrival) = queue.remove(idx).expect("index from position");
-                                if matches!(op.kind, OpKind::RecvAct { .. })
-                                    && d == p - 1
-                                    && startup.is_none()
-                                {
-                                    startup = Some(arrival);
-                                }
-                                if overlap {
-                                    pending[d] = pending[d].max(arrival);
-                                    dev_free[d]
-                                } else {
-                                    dev_free[d].max(arrival)
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                };
-                dev_free[d] = end;
-                pc[d] += 1;
-                progressed = true;
-            }
-            if pc[d] < sched.devices[d].len() {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            return Err(SimError::Stalled {
-                counters: pc.clone(),
-            });
-        }
-    }
-
-    let iteration_time = dev_free
-        .iter()
-        .chain(pending.iter())
-        .copied()
-        .fold(0.0, f64::max);
-    Ok(EventSummary {
-        iteration_time,
-        startup_overhead: if n_stages == 1 {
-            0.0
-        } else {
-            startup.unwrap_or(0.0)
-        },
-        device_busy: device_busy.clone(),
-    })
+    scratch.links = transport.into_storage();
+    summary
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::run_schedule_untraced;
+    use crate::event::run_schedule;
     use autopipe_schedule::generators::{
         gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble,
     };
@@ -313,7 +86,7 @@ mod tests {
         };
         let mut scratch = ReplayScratch::new();
         for sched in &scheds {
-            let slow = run_schedule_untraced(sched, &c, &cfg).unwrap();
+            let slow = run_schedule(sched, &c, &cfg).unwrap();
             let fast = replay_schedule(sched, &c, &cfg, &mut scratch).unwrap();
             assert_eq!(
                 fast.iteration_time.to_bits(),
@@ -330,7 +103,7 @@ mod tests {
         // Interleaved needs per-chunk-stage costs.
         let int = interleaved(p, 2, m).unwrap();
         let ci = costs(p * 2, 0.55, 1.15, 0.003, 0.04);
-        let slow = run_schedule_untraced(&int, &ci, &cfg).unwrap();
+        let slow = run_schedule(&int, &ci, &cfg).unwrap();
         let fast = replay_schedule(&int, &ci, &cfg, &mut scratch).unwrap();
         assert_eq!(fast.iteration_time.to_bits(), slow.iteration_time.to_bits());
         assert_eq!(fast.device_busy, slow.device_busy);
@@ -374,7 +147,7 @@ mod tests {
         for (p, m) in [(4usize, 8usize), (2, 4), (6, 12), (1, 3), (4, 8)] {
             let c = costs(p, 1.0, 2.0, 0.001, 0.02);
             let sched = one_f_one_b(p, m);
-            let slow = run_schedule_untraced(&sched, &c, &cfg).unwrap();
+            let slow = run_schedule(&sched, &c, &cfg).unwrap();
             let fast = replay_schedule(&sched, &c, &cfg, &mut scratch).unwrap();
             assert_eq!(
                 fast.iteration_time.to_bits(),
@@ -404,7 +177,7 @@ mod tests {
                 ..Default::default()
             };
             for sched in &scheds {
-                let slow = run_schedule_untraced(sched, &c, &cfg).unwrap();
+                let slow = run_schedule(sched, &c, &cfg).unwrap();
                 let fast = replay_schedule(sched, &c, &cfg, &mut scratch).unwrap();
                 assert_eq!(
                     fast.iteration_time.to_bits(),

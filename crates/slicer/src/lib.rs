@@ -13,8 +13,9 @@
 use serde::{Deserialize, Serialize};
 
 use autopipe_schedule::{apply_recompute, sliced_1f1b, Schedule};
-use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
+use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::partition::StageCosts;
+use autopipe_sim::{replay_schedule, ReplayScratch};
 
 /// Outcome of slicing a partition scheme.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,9 +126,10 @@ pub fn solve_sliced_count_empirical(costs: &StageCosts, m: usize, latency: f64) 
     let ev = EventCosts::from_stage_costs(costs, latency);
     let cfg = EventConfig::default();
     let max_k = (p - 1).min(m);
+    let mut scratch = ReplayScratch::new();
     let times: Vec<f64> = (0..=max_k)
         .map(|k| {
-            run_schedule(&sliced_1f1b(p, m, k), &ev, &cfg)
+            replay_schedule(&sliced_1f1b(p, m, k), &ev, &cfg, &mut scratch)
                 .expect("sliced schedule must simulate")
                 .iteration_time
         })
@@ -202,6 +204,7 @@ pub fn validate_sliced_count(costs: &StageCosts, m: usize, n_sliced: usize) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autopipe_sim::event::run_schedule;
 
     fn balanced(p: usize, f: f64, b: f64, comm: f64) -> StageCosts {
         StageCosts::new(vec![f; p], vec![b; p], comm)

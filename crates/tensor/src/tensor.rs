@@ -426,7 +426,7 @@ mod tests {
     /// All three products against their oracles, bit for bit.
     fn check_products(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let wide = seed % 2 == 0;
+        let wide = seed.is_multiple_of(2);
         let what = |op: &str| format!("{op} differs from its oracle at ({m},{k},{n}) seed {seed}");
 
         let a = operand(&[m, k], wide, &mut rng);

@@ -23,9 +23,9 @@ use autopipe_exec::{AlphaBeta, CommConfig, MsgKey, Transport, VirtualTransport};
 use autopipe_model::{ModelConfig, ModelFamily};
 use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig};
 use autopipe_schedule::{one_f_one_b, Part};
-use autopipe_sim::analytic::{simulate_time_with, OverlapModel, SimScratch};
-use autopipe_sim::event::{run_schedule_untraced, EventConfig, EventCosts};
-use autopipe_sim::{Partition, StageCosts};
+use autopipe_sim::analytic::{simulate_time_masked, OverlapModel, SimScratch};
+use autopipe_sim::event::{EventConfig, EventCosts};
+use autopipe_sim::{replay_schedule, Partition, ReplayScratch, StageCosts};
 
 /// A stream of back-to-back messages on one directed edge: for each, the
 /// producing compute span's duration and the gap before it starts, plus a
@@ -160,12 +160,13 @@ fn overlap_wins_ten_percent_on_comm_heavy_pipelines_across_engines() {
     let sched = one_f_one_b(p, m);
     let ec = EventCosts::from_stage_costs(&sc, latency);
 
-    let blocking = run_schedule_untraced(&sched, &ec, &EventConfig::default()).unwrap();
+    let mut replay = ReplayScratch::new();
+    let blocking = replay_schedule(&sched, &ec, &EventConfig::default(), &mut replay).unwrap();
     let cfg = EventConfig {
         comm: CommConfig::overlapped(k),
         ..EventConfig::default()
     };
-    let overlapped = run_schedule_untraced(&sched, &ec, &cfg).unwrap();
+    let overlapped = replay_schedule(&sched, &ec, &cfg, &mut replay).unwrap();
     let gain = 1.0 - overlapped.iteration_time / blocking.iteration_time;
     assert!(
         gain >= 0.10,
@@ -178,7 +179,7 @@ fn overlap_wins_ten_percent_on_comm_heavy_pipelines_across_engines() {
     // bit for bit.
     let ov = OverlapModel { latency, chunks: k };
     let mut scratch = SimScratch::new();
-    let fast = simulate_time_with(&sc, m, &mut scratch, Some(&ov));
+    let fast = simulate_time_masked(&sc, m, &mut scratch, Some(&ov), None);
     assert_eq!(
         fast.iteration_time.to_bits(),
         overlapped.iteration_time.to_bits(),

@@ -15,10 +15,10 @@ use autopipe_schedule::{
     gpipe, interleaved, one_f_one_b, sliced_1f1b, validate, zero_bubble, Schedule,
 };
 use autopipe_sim::analytic::{
-    recurrence, simulate_replay, simulate_replay_masked, simulate_replay_with, simulate_time,
-    simulate_time_masked, simulate_time_with, OverlapModel, SimScratch,
+    recurrence, simulate_replay, simulate_replay_masked, simulate_time, simulate_time_masked,
+    OverlapModel, SimScratch,
 };
-use autopipe_sim::event::{run_schedule_untraced, EventConfig, EventCosts};
+use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::{replay_schedule, CommConfig, ReplayScratch, StageCosts};
 
 /// Fully random pipelines: any depth 1..=8, any m 1..=32 (including m < n),
@@ -178,18 +178,21 @@ proptest! {
 
     /// Every family the IR generates validates, and the generic fast-tier
     /// replay reproduces the event simulator bit-for-bit on it — split
-    /// backwards, slicing, interleaving and all.
+    /// backwards, slicing, interleaving and all, with and without jitter
+    /// (the same seed draws the same stream in the same sweep order).
     #[test]
     fn every_family_validates_and_replays_bit_identically(
-        (sched, costs) in any_family()
+        (sched, costs) in any_family(),
+        jittered in 0usize..=1,
     ) {
         validate(&sched).expect("generated schedules must validate");
         let ec = EventCosts::from_stage_costs(&costs, costs.comm.min(30e-6));
         let cfg = EventConfig {
             kernel_overhead: 1e-5,
+            jitter_sigma: 0.02 * jittered as f64,
             ..EventConfig::default()
         };
-        let event = run_schedule_untraced(&sched, &ec, &cfg).unwrap();
+        let event = run_schedule(&sched, &ec, &cfg).unwrap();
         let mut scratch = ReplayScratch::new();
         let fast = replay_schedule(&sched, &ec, &cfg, &mut scratch).unwrap();
         prop_assert_eq!(
@@ -246,7 +249,13 @@ proptest! {
         // Run the sequence twice so every case is also reached from the
         // last one's key.
         for (costs, m, overlap, mask) in cases.iter().chain(cases.iter()) {
-            let full = simulate_replay_masked(costs, *m, overlap.as_ref(), mask.as_deref());
+            let full = simulate_replay_masked(
+                costs,
+                *m,
+                &mut SimScratch::new(),
+                overlap.as_ref(),
+                mask.as_deref(),
+            );
             let fast =
                 simulate_time_masked(costs, *m, &mut scratch, overlap.as_ref(), mask.as_deref());
             prop_assert_eq!(
@@ -291,7 +300,7 @@ proptest! {
             comm: CommConfig::overlapped(k),
             ..EventConfig::default()
         };
-        let event = run_schedule_untraced(&sched, &ec, &cfg).unwrap();
+        let event = run_schedule(&sched, &ec, &cfg).unwrap();
         let mut scratch = ReplayScratch::new();
         let fast = replay_schedule(&sched, &ec, &cfg, &mut scratch).unwrap();
         prop_assert_eq!(
@@ -318,9 +327,9 @@ proptest! {
     #[test]
     fn overlapped_analytic_tiers_agree_bitwise((costs, m) in wild_costs(), k in 1usize..=8) {
         let ov = OverlapModel { latency: costs.comm.min(30e-6), chunks: k };
-        let full = simulate_replay_with(&costs, m, Some(&ov));
+        let full = simulate_replay_masked(&costs, m, &mut SimScratch::new(), Some(&ov), None);
         let mut scratch = SimScratch::new();
-        let fast = simulate_time_with(&costs, m, &mut scratch, Some(&ov));
+        let fast = simulate_time_masked(&costs, m, &mut scratch, Some(&ov), None);
         prop_assert_eq!(
             fast.iteration_time.to_bits(),
             full.iteration_time.to_bits(),

@@ -16,7 +16,7 @@ use autopipe_schedule::{
     zero_bubble, Schedule,
 };
 use autopipe_sim::analytic::{simulate_replay_masked, simulate_time_masked, SimScratch};
-use autopipe_sim::event::{run_schedule, run_schedule_untraced, EventConfig, EventCosts};
+use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::memcheck::{check_memory_budget, peak_in_flight};
 use autopipe_sim::memtrace::{dynamic_peaks, StageQuanta};
 use autopipe_sim::{replay_schedule, ReplayScratch, StageCosts};
@@ -79,7 +79,7 @@ proptest! {
         prop_assert_eq!(recompute_mask(&sched), mask);
         let ec = EventCosts::from_stage_costs(&costs, costs.comm.min(30e-6));
         let cfg = EventConfig { kernel_overhead: 1e-5, ..EventConfig::default() };
-        let event = run_schedule_untraced(&sched, &ec, &cfg).unwrap();
+        let event = run_schedule(&sched, &ec, &cfg).unwrap();
         let mut scratch = ReplayScratch::new();
         let fast = replay_schedule(&sched, &ec, &cfg, &mut scratch).unwrap();
         prop_assert_eq!(
@@ -106,7 +106,7 @@ proptest! {
     ) {
         let costs = StageCosts::new(fs[..p].to_vec(), bs[..p].to_vec(), 0.0);
         let mask: Vec<bool> = mask_bits[..p].iter().map(|&x| x == 1).collect();
-        let analytic = simulate_replay_masked(&costs, m, None, Some(&mask));
+        let analytic = simulate_replay_masked(&costs, m, &mut SimScratch::new(), None, Some(&mask));
         let mut scratch = SimScratch::new();
         let fast = simulate_time_masked(&costs, m, &mut scratch, None, Some(&mask));
         prop_assert_eq!(fast.iteration_time.to_bits(), analytic.iteration_time.to_bits());
@@ -115,7 +115,8 @@ proptest! {
         let mut sched = one_f_one_b(p, m);
         apply_recompute(&mut sched, &mask);
         let ec = EventCosts { f: costs.f.clone(), b: costs.b.clone(), latency: 0.0, volume: 0.0 };
-        let event = run_schedule_untraced(&sched, &ec, &EventConfig::default()).unwrap();
+        let event =
+            replay_schedule(&sched, &ec, &EventConfig::default(), &mut ReplayScratch::new()).unwrap();
         prop_assert_eq!(
             event.iteration_time.to_bits(),
             analytic.iteration_time.to_bits(),

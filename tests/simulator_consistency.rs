@@ -10,7 +10,6 @@ use autopipe_planner::baselines::megatron;
 use autopipe_schedule::one_f_one_b;
 use autopipe_sim::analytic::{recurrence, simulate_replay};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
-use autopipe_sim::trace::{analyze, bubble_fraction};
 
 fn db(model: &autopipe_model::ModelConfig, mbs: usize) -> CostDb {
     CostDb::build(
@@ -101,11 +100,11 @@ fn planner_reduces_bubble_fraction() {
     let auto = run(&plan(&d, p, m, &AutoPipeConfig::default())
         .unwrap()
         .partition);
-    let bm = bubble_fraction(&mega);
-    let ba = bubble_fraction(&auto);
+    let bm = mega.timeline.bubble_ratio();
+    let ba = auto.timeline.bubble_ratio();
     assert!(ba < bm, "autopipe bubbles {ba:.3} vs megatron {bm:.3}");
     // And the decomposition accounts for each device's whole iteration.
-    for d in analyze(&auto) {
+    for d in auto.timeline.breakdown() {
         let total = d.fwd + d.bwd + d.wait + d.idle;
         assert!((total - auto.iteration_time).abs() < 1e-9);
     }
