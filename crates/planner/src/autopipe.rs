@@ -665,10 +665,9 @@ fn search(
         // memory gate on (without it the seed always ranks).
         let budget = cfg.memory_budget.unwrap_or(0);
         return Err(PlanError::Oom(format!(
-            "no {p}-stage partition of {} blocks fits {:.2} GB per device \
+            "no {p}-stage partition of {} blocks fits {budget} bytes per device \
              with {m} micro-batches (recompute policy {:?}, {explored} schemes tried)",
             weights.len(),
-            budget as f64 / 1e9,
             cfg.recompute
         )));
     };

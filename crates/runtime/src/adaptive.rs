@@ -4,8 +4,8 @@
 //! iterations.
 //!
 //! This is the detection half of straggler-aware re-planning; the response
-//! half is `autopipe_planner`'s re-plan entry point (scale the cost model by
-//! the observed ratios, re-partition) plus
+//! half is the `Session` facade's re-planning path (the observed ratios go
+//! in as device multipliers, like a membership slowdown) plus
 //! [`Pipeline::repartition`](crate::Pipeline::repartition) (hot-swap the
 //! stages with exact parameter migration).
 

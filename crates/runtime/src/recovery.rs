@@ -25,9 +25,10 @@
 //!   [`Replanner`] produces a partition and schedule for the surviving
 //!   device count and the pipeline hot-swaps onto it through
 //!   [`Pipeline::repartition`] after restoring the checkpoint. The
-//!   `Session` facade supplies a replanner that runs the real AutoPipe
-//!   planner + slicer; [`EvenReplanner`] is the dependency-light stand-in
-//!   used by this crate's own tests.
+//!   `Session` facade passes a closure over its one re-planning path (the
+//!   real planner, under the session's policy and constraints);
+//!   [`EvenReplanner`] is the dependency-light stand-in used by this
+//!   crate's own tests.
 
 use std::fmt;
 
@@ -56,8 +57,8 @@ pub struct ShrinkPlan {
 }
 
 /// Produces a plan for `survivors` devices after a shrink. The runtime
-/// cannot depend on the slicer crate (layering), so the slicing-aware
-/// implementation lives behind this trait in the `Session` facade.
+/// cannot depend on the slicer crate (layering), so the real planner sits
+/// behind this trait: the `Session` facade passes a closure.
 pub trait Replanner {
     /// Plan the same block sequence onto `survivors` devices, keeping
     /// `n_microbatches` per iteration.
@@ -69,9 +70,20 @@ pub trait Replanner {
     ) -> Result<ShrinkPlan, Error>;
 }
 
+impl<F: FnMut(usize, &Partition, usize) -> Result<ShrinkPlan, Error>> Replanner for F {
+    fn replan(
+        &mut self,
+        survivors: usize,
+        current: &Partition,
+        m: usize,
+    ) -> Result<ShrinkPlan, Error> {
+        self(survivors, current, m)
+    }
+}
+
 /// Dependency-light replanner: splits the block sequence evenly and runs
-/// plain 1F1B. Used by runtime-level tests; the facade installs the real
-/// planner + slicer instead.
+/// plain 1F1B. Used by runtime-level tests; the facade passes the real
+/// planner instead.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EvenReplanner;
 

@@ -25,8 +25,22 @@
 //!
 //! The fault-tolerance machinery rides on the same facade: seeded
 //! [`FaultPlan`] scripts ([`Session::faults`]), the stall watchdog
-//! ([`Session::watchdog`]) and straggler-aware re-planning
-//! ([`Session::adaptive`]) are all wired into [`PlannedSession::run`].
+//! ([`Session::watchdog`]), fail-stop recovery ([`Session::recovery`]),
+//! elastic membership ([`Session::elastic`]) and straggler-aware re-planning
+//! ([`Session::adaptive`]) are wired into the one training loop that
+//! [`PlannedSession::run`] and [`Session::resume`] share.
+//!
+//! Within a step the loop decides in a fixed order: a fail-stop crash is
+//! recovered first (restore, shrink if a device is gone, replay); a completed
+//! step is checkpointed, then its membership actions are taken in log order,
+//! and only a step without one asks the straggler monitor for a flag. Every
+//! re-shape — fail-stop shrink, elastic shrink / grow / slowdown re-plan,
+//! straggler — is planned by one private `replan` (the session's own request
+//! at the new width through [`AutoPipe::plan_with`], validated and checked
+//! against the memory budget before anything moves) and swapped in at the
+//! loop's single [`Pipeline::repartition`] site, so a run finishes on a plan
+//! that meets what its first plan was searched under, or stops with an
+//! [`Error::Plan`] naming the trigger.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,32 +50,19 @@ use autopipe_core::{
     SessionConfig,
 };
 use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
-use autopipe_exec::{CommConfig, FaultPlan};
+use autopipe_exec::FaultPlan;
 use autopipe_model::ModelConfig;
-use autopipe_planner::{AutoPipeConfig, FamilyConfig, PlanService, RecomputePolicy};
+use autopipe_planner::{PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
     BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent, FaultReport,
-    Pipeline, PipelineConfig, PipelineSnapshot, RecoveryCoordinator, RecoveryRecord, Replanner,
-    RuntimeError, ShrinkPlan, StragglerConfig, StragglerMonitor, WatchdogConfig,
+    Pipeline, PipelineConfig, PipelineSnapshot, RecoveryCoordinator, RecoveryRecord, RuntimeError,
+    ShrinkPlan, StragglerConfig, StragglerMonitor, WatchdogConfig,
 };
-use autopipe_schedule::Schedule;
-use autopipe_schedule::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble, ScheduleKind};
+use autopipe_schedule::{validate, ScheduleKind};
 use autopipe_sim::event::{run_schedule, run_schedule_faulty, EventCosts, EventResult};
+use autopipe_sim::memcheck::check_memory_budget;
 use autopipe_sim::OverlapModel;
 use autopipe_sim::Partition;
-use autopipe_slicer::{plan_slicing, validate_sliced_count};
-
-/// Lower a session's [`Constraints`] into every layer's configuration in
-/// one place: the planner's search knobs ([`AutoPipeConfig`]), the
-/// cross-family search's knobs ([`FamilyConfig`]), and the executors' comm
-/// engine ([`CommConfig`]). Overlap, pruning, the memory budget and the
-/// recompute policy are each read from `cfg.constraints` exactly once —
-/// every builder method and internal consumer (the plan request, the plan
-/// service, the runtime pipeline) goes through these lowerings, so the
-/// layers can never disagree about what was asked for.
-pub fn lower_constraints(cfg: &SessionConfig) -> (AutoPipeConfig, FamilyConfig, CommConfig) {
-    (cfg.planner(), cfg.family(), cfg.constraints.comm())
-}
 
 /// Builder for a training session. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -257,8 +258,8 @@ impl Session {
     }
 
     /// Enable straggler-aware re-planning: when a stage stays slow past the
-    /// monitor's window, the session re-profiles from the recorded timeline,
-    /// re-plans, and hot-swaps the partition between iterations.
+    /// monitor's window, the session re-plans with the observed ratios as
+    /// device multipliers and hot-swaps the partition between iterations.
     pub fn adaptive(mut self, cfg: StragglerConfig) -> Session {
         self.tolerance.straggler = Some(cfg);
         self
@@ -324,10 +325,7 @@ impl Session {
     fn resolve_service(&self) -> Arc<PlanService> {
         match &self.service {
             Some(s) => Arc::clone(s),
-            None => {
-                let (planner_cfg, _, _) = lower_constraints(&self.cfg);
-                Arc::new(PlanService::with_config(planner_cfg))
-            }
+            None => Arc::new(PlanService::with_config(self.cfg.planner())),
         }
     }
 
@@ -385,9 +383,11 @@ impl Session {
     /// error instead of corrupting state.
     ///
     /// Runs [`Session::iterations`] *additional* steps past the
-    /// checkpointed step. When [`Session::recovery`] is also configured,
-    /// checkpointing (into the same directory) and fail-stop recovery stay
-    /// armed across the resumed run.
+    /// checkpointed step, through the same loop as [`PlannedSession::run`]:
+    /// when [`Session::recovery`] is also configured, checkpointing (into
+    /// the same directory) and fail-stop recovery stay armed, and
+    /// [`Session::elastic`] / [`Session::adaptive`] are honoured, with steps
+    /// numbered from the checkpointed one.
     pub fn resume(mut self, dir: impl Into<PathBuf>) -> Result<RunReport, Error> {
         let dir = dir.into();
         let retain = self.cfg.recovery.as_ref().map(|r| r.retain).unwrap_or(3);
@@ -414,6 +414,7 @@ impl Session {
         let p = n_stages / v;
         let m = manifest.n_microbatches;
         let partition = Partition::new(manifest.boundaries.clone());
+        use autopipe_schedule::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
         let schedule = match manifest.kind {
             ScheduleKind::OneFOneB => one_f_one_b(p, m),
             ScheduleKind::Sliced1F1B => sliced_1f1b(p, m, manifest.n_sliced),
@@ -466,11 +467,14 @@ impl Session {
             )));
         }
         // The geometry is the manifest's; align the config with it so
-        // validation and the replanner's cost model see a consistent
-        // single-replica pipeline.
+        // validation and re-planning see a consistent single-replica
+        // pipeline. New generations continue the sequence in `dir`.
         self.cfg.n_devices = p;
         self.cfg.fixed_stages = Some(p);
         self.cfg.gbs = m * self.cfg.mbs;
+        if let Some(rc) = &mut self.cfg.recovery {
+            rc.dir = dir;
+        }
         self.cfg.validate()?;
         let db = AutoPipe::cost_db(&self.cfg.plan_request());
 
@@ -489,171 +493,19 @@ impl Session {
         }
         .restore(&mut pipe)
         .map_err(Error::from)?;
-        if let Some(fp) = self.tolerance.faults.clone() {
-            pipe.set_faults(fp, self.tolerance.time_scale);
-        }
-        if let Some(wd) = self.tolerance.watchdog {
-            let wd = if wd.jitter_seed == 0 {
-                WatchdogConfig {
-                    jitter_seed: self.cfg.seed,
-                    ..wd
-                }
-            } else {
-                wd
-            };
-            pipe.set_watchdog(wd);
-        }
-        let batch = BatchSet::synthetic(
-            self.cfg.seed,
-            m,
-            self.cfg.mbs,
-            self.cfg.model.seq_len,
-            self.cfg.model.vocab_size,
-        );
-
-        let mut coordinator = match &self.cfg.recovery {
-            // Same directory: new generations continue the sequence the
-            // resumed run left behind. No re-priming — the generation we
-            // just loaded *is* the baseline.
-            Some(rc) => Some(RecoveryCoordinator::new(RecoveryConfig {
-                dir: dir.clone(),
-                ..rc.clone()
-            })?),
-            None => None,
-        };
-        let service = self.resolve_service();
-        let mut replanner = SessionReplanner {
+        Run {
+            cfg: &self.cfg,
             db: &db,
-            service: &service,
-            planner_cfg: self.cfg.planner(),
-            slice: self.cfg.enable_slicer,
-        };
-
-        let base = manifest.step;
-        let mut losses: Vec<f32> = Vec::new();
-        let mut iteration_seconds = Vec::new();
-        let mut fault_report = None;
-        while losses.len() < self.tolerance.iterations {
-            match pipe.train_iteration(&batch) {
-                Ok(stats) => {
-                    losses.push(stats.loss);
-                    iteration_seconds.push(stats.wall.as_secs_f64());
-                    if let Some(coord) = &mut coordinator {
-                        coord.maybe_checkpoint(&mut pipe, base + losses.len() as u64)?;
-                    }
-                }
-                Err(RuntimeError::StageDown { report, .. }) if coordinator.is_some() => {
-                    fault_report = Some(report.clone());
-                    let coord = coordinator.as_mut().expect("guarded above");
-                    let action = coord.recover(&mut pipe, &report, &mut replanner)?;
-                    // Exactly-once, in the resumed run's local step space.
-                    let from = action.from_step().saturating_sub(base) as usize;
-                    losses.truncate(from);
-                    iteration_seconds.truncate(from);
-                }
-                Err(other) => return Err(other.into()),
-            }
+            service: &self.resolve_service(),
+            tolerance: &self.tolerance,
+            microbatches: m,
+            sliced: manifest.kind == ScheduleKind::Sliced1F1B,
         }
-        let (recoveries, recovery_log) = match &coordinator {
-            Some(c) => {
-                c.drain();
-                (c.recoveries(), c.log().to_vec())
-            }
-            None => (0, Vec::new()),
-        };
-        Ok(RunReport {
-            family: pipe.schedule().kind,
-            losses,
-            iteration_seconds,
-            fault_report,
-            replans: 0,
-            recoveries,
-            recovery_log,
-            resumed_from_step: Some(base),
-            final_partition: pipe.partition().clone(),
-            param_checksum: pipe.param_checksum(),
-            elastic_log: Vec::new(),
-        })
+        .drive(pipe, Some(manifest.step))
     }
 }
 
-/// [`Replanner`] backed by the real AutoPipe stack: after a shrink the
-/// planner re-partitions the block sequence for the surviving device count
-/// on the session's cost database, and — when slicing is enabled — the
-/// Slicer re-solves the warmup for the new depth, with the result
-/// re-validated by [`validate_sliced_count`] (a sliced count tuned for `p`
-/// stages is not in general valid for `p − 1`). The partition search goes
-/// through the session's [`PlanService`], so repeated shrinks to the same
-/// survivor count answer from the plan cache.
-struct SessionReplanner<'a> {
-    db: &'a CostDb,
-    service: &'a PlanService,
-    planner_cfg: AutoPipeConfig,
-    slice: bool,
-}
-
-impl Replanner for SessionReplanner<'_> {
-    fn replan(
-        &mut self,
-        survivors: usize,
-        _current: &Partition,
-        n_microbatches: usize,
-    ) -> Result<ShrinkPlan, Error> {
-        let served =
-            self.service
-                .plan_cfg(self.db, survivors, n_microbatches, &self.planner_cfg)?;
-        let outcome = &served.outcome;
-        let costs = outcome.partition.stage_costs(self.db);
-        let schedule = if self.slice && survivors >= 2 {
-            let sp = plan_slicing(&costs, n_microbatches);
-            validate_sliced_count(&costs, n_microbatches, sp.n_sliced).map_err(Error::Config)?;
-            sp.schedule
-        } else {
-            one_f_one_b(survivors, n_microbatches)
-        };
-        Ok(ShrinkPlan {
-            partition: outcome.partition.clone(),
-            schedule,
-            predicted_iteration: Some(outcome.analytic.iteration_time),
-        })
-    }
-}
-
-/// Re-plan for `width` stages through the plan service, optionally on a
-/// heterogeneity-scaled cost database (any off-baseline multiplier attaches
-/// a device profile, which the planner's balance objective and the service's
-/// fingerprints both honour). Shared by the elastic grow, shrink and
-/// slowdown-replan paths so every elastic transition plans identically.
-fn elastic_plan(
-    service: &PlanService,
-    db: &CostDb,
-    planner_cfg: &AutoPipeConfig,
-    slice: bool,
-    width: usize,
-    m: usize,
-    multipliers: &[f64],
-) -> Result<(Partition, Schedule), Error> {
-    let hetero;
-    let db = if multipliers.iter().any(|&x| x != 1.0) {
-        hetero = db.clone().with_device_multipliers(multipliers);
-        &hetero
-    } else {
-        db
-    };
-    let served = service.plan_cfg(db, width, m, planner_cfg)?;
-    let outcome = &served.outcome;
-    let schedule = if slice && width >= 2 {
-        let costs = outcome.partition.stage_costs(db);
-        let sp = plan_slicing(&costs, m);
-        validate_sliced_count(&costs, m, sp.n_sliced).map_err(Error::Config)?;
-        sp.schedule
-    } else {
-        one_f_one_b(width, m)
-    };
-    Ok((outcome.partition.clone(), schedule))
-}
-
-///// A planned session: the chosen strategy, partition and schedule, ready to
+/// A planned session: the chosen strategy, partition and schedule, ready to
 /// slice, simulate or execute.
 #[derive(Debug, Clone)]
 pub struct PlannedSession {
@@ -677,7 +529,7 @@ pub struct SimReport {
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Schedule family the run finished on (the planner's pick under
-    /// [`SchedulePolicy::Auto`]; may differ from the plan's after a shrink).
+    /// [`SchedulePolicy::Auto`]; stays within the session's policy).
     pub family: ScheduleKind,
     /// Mean loss per iteration.
     pub losses: Vec<f32>,
@@ -685,7 +537,8 @@ pub struct RunReport {
     pub iteration_seconds: Vec<f64>,
     /// Watchdog/fault telemetry from the last iteration that had any.
     pub fault_report: Option<FaultReport>,
-    /// How many times straggler-aware re-planning hot-swapped the partition.
+    /// How many times elastic or straggler-aware re-planning hot-swapped
+    /// the partition.
     pub replans: usize,
     /// How many fail-stop recoveries were executed ([`Session::recovery`]).
     pub recoveries: usize,
@@ -770,7 +623,7 @@ impl PlannedSession {
             return Ok(self);
         }
         let costs = self.plan.partition.stage_costs(&self.db);
-        let sp = plan_slicing(&costs, self.plan.microbatches);
+        let sp = autopipe_slicer::plan_slicing(&costs, self.plan.microbatches);
         self.plan.schedule = sp.schedule;
         self.plan.n_sliced = sp.n_sliced;
         Ok(self)
@@ -800,15 +653,90 @@ impl PlannedSession {
 
     /// Execute the plan on the threaded runtime with synthetic data: build
     /// the pipeline, arm the configured faults/watchdog, train the session's
-    /// iterations, and — when [`Session::adaptive`] is on — monitor for
-    /// stragglers and hot-swap the partition the moment one is flagged.
+    /// iterations, and hot-swap the partition whenever recovery, elastic
+    /// membership or — when [`Session::adaptive`] is on — the straggler
+    /// monitor calls for a re-plan.
     pub fn run(self) -> Result<RunReport, Error> {
-        let m = self.plan.microbatches;
-        let mut pipe = Pipeline::try_new(&PipelineConfig::from_session(
+        let pipe = Pipeline::try_new(&PipelineConfig::from_session(
             &self.cfg,
             self.plan.partition.clone(),
             self.plan.schedule.clone(),
         ))?;
+        self.contract().drive(pipe, None)
+    }
+
+    fn contract(&self) -> Run<'_> {
+        Run {
+            cfg: &self.cfg,
+            db: &self.db,
+            service: &self.service,
+            tolerance: &self.tolerance,
+            microbatches: self.plan.microbatches,
+            sliced: self.plan.schedule.kind == ScheduleKind::Sliced1F1B,
+        }
+    }
+}
+
+/// What stays fixed across a run however often the pipeline is re-shaped:
+/// the session's half, and what every re-plan keeps of the starting plan.
+struct Run<'a> {
+    cfg: &'a SessionConfig,
+    db: &'a CostDb,
+    service: &'a PlanService,
+    tolerance: &'a Tolerance,
+    /// Micro-batches per iteration.
+    microbatches: usize,
+    /// The starting plan was sliced by Algorithm 2 (the plan `run()` was
+    /// called on, or the manifest's kind on `resume`) — not the schedule in
+    /// force, or a grow after a width-1 spell would never re-slice.
+    sliced: bool,
+}
+
+impl Run<'_> {
+    /// Plan onto `width` devices, device `d` running `slowdown[d]` times
+    /// slower than profiled (empty = as profiled): the session's own plan
+    /// request at the new width through the entry point [`Session::plan`]
+    /// uses, so policy, recompute mask and planner knobs carry over. The
+    /// result is validated and checked against the session's memory budget
+    /// here, before any stage is re-split; errors name `trigger`.
+    fn replan(&self, trigger: &str, width: usize, slowdown: &[f64]) -> Result<Plan, Error> {
+        let mut req = self.cfg.plan_request();
+        req.n_devices = width;
+        req.fixed_stages = Some(width);
+        req.gbs = self.microbatches * self.cfg.mbs;
+        req.enable_slicer = self.sliced;
+        let slowed;
+        let db = if slowdown.iter().any(|&x| x != 1.0) {
+            slowed = self.db.clone().with_device_multipliers(slowdown);
+            &slowed
+        } else {
+            self.db
+        };
+        let budget = self.cfg.constraints.memory_budget;
+        let under = budget.map_or(String::new(), |b| format!(" under a {b}-byte budget"));
+        let named = |e: PlanError| {
+            let tag = |msg: String| format!("{trigger} to width {width}{under}: {msg}");
+            Error::Plan(match e {
+                PlanError::Infeasible(msg) => PlanError::Infeasible(tag(msg)),
+                PlanError::RuntimeError(msg) => PlanError::RuntimeError(tag(msg)),
+                PlanError::Oom(msg) => PlanError::Oom(tag(msg)),
+            })
+        };
+        let plan = AutoPipe::plan_with(&req, db, self.service).map_err(named)?;
+        validate(&plan.schedule)
+            .map_err(|e| named(PlanError::Infeasible(format!("invalid schedule: {e}"))))?;
+        if let Some(budget) = budget {
+            check_memory_budget(&plan.partition, db, &plan.schedule, budget)
+                .map_err(|e| named(PlanError::Oom(e.to_string())))?;
+        }
+        Ok(plan)
+    }
+
+    /// The training loop (see the module docs): `tolerance.iterations`
+    /// steps past `resumed_from`; a fresh run starts at step 0 and primes a
+    /// baseline checkpoint generation.
+    fn drive(&self, mut pipe: Pipeline, resumed_from: Option<u64>) -> Result<RunReport, Error> {
+        let base = resumed_from.unwrap_or(0);
         if let Some(fp) = self.tolerance.faults.clone() {
             pipe.set_faults(fp, self.tolerance.time_scale);
         }
@@ -816,19 +744,15 @@ impl PlannedSession {
             // Thread the session seed into the retry jitter unless the
             // caller picked an explicit one — deterministic, and distinct
             // sessions de-synchronize naturally.
-            let wd = if wd.jitter_seed == 0 {
-                WatchdogConfig {
-                    jitter_seed: self.cfg.seed,
-                    ..wd
-                }
-            } else {
-                wd
+            let jitter_seed = match wd.jitter_seed {
+                0 => self.cfg.seed,
+                explicit => explicit,
             };
-            pipe.set_watchdog(wd);
+            pipe.set_watchdog(WatchdogConfig { jitter_seed, ..wd });
         }
         let batch = BatchSet::synthetic(
             self.cfg.seed,
-            m,
+            self.microbatches,
             self.cfg.mbs,
             self.cfg.model.seq_len,
             self.cfg.model.vocab_size,
@@ -838,51 +762,56 @@ impl PlannedSession {
             Some(rc) => {
                 let mut c = RecoveryCoordinator::new(rc.clone())?;
                 // Baseline generation: a crash in the very first iteration
-                // must still have a valid state to restart from.
-                c.prime(&mut pipe)?;
+                // must still have a valid state to restart from. A resumed
+                // run has one — the generation it was restored from.
+                if resumed_from.is_none() {
+                    c.prime(&mut pipe)?;
+                }
                 Some(c)
             }
             None => None,
         };
         // Elastic membership: the chaos script's (or health checker's)
-        // join/leave/flap/slowdown events drive the coordinator; its
-        // grow/shrink/replan decisions execute between iterations through
-        // the same repartition migration path recovery uses.
-        let mut elastic = self
-            .cfg
-            .elastic
-            .as_ref()
-            .map(|ec| ElasticCoordinator::new(self.cfg.n_devices, ec.clone()));
+        // join/leave/flap/slowdown events drive the coordinator.
+        let mut elastic =
+            (self.cfg.elastic.clone()).map(|ec| ElasticCoordinator::new(self.cfg.n_devices, ec));
         let membership_faults = self.tolerance.faults.clone().unwrap_or_default();
-        let mut replanner = SessionReplanner {
-            db: &self.db,
-            service: &self.service,
-            planner_cfg: self.cfg.planner(),
-            slice: self.cfg.enable_slicer,
+        // What membership knows about each serving device's speed; every
+        // re-plan is charged it, so a shrink away from a slowed device plans
+        // on what the survivors can actually sustain.
+        let hetero = (self.cfg.elastic.as_ref()).is_some_and(|e| e.heterogeneity_aware);
+        let known_slowdown = |el: &ElasticCoordinator| match hetero {
+            true => el.serving_multipliers(),
+            false => Vec::new(),
         };
 
         let mut losses: Vec<f32> = Vec::new();
         let mut iteration_seconds = Vec::new();
         let mut fault_report = None;
         let mut replans = 0usize;
-        // The monitor self-calibrates: the first iteration's timeline is the
-        // wall-clock expectation the following iterations are judged against
-        // (simulated times are virtual seconds, so they cannot serve as the
-        // wall-clock baseline directly).
+        // The monitor self-calibrates: a plan's first timeline is the
+        // wall-clock expectation its later iterations are judged against
+        // (simulated times are virtual seconds and cannot be).
         let mut monitor: Option<StragglerMonitor> = None;
         while losses.len() < self.tolerance.iterations {
             let stats = match pipe.train_iteration(&batch) {
                 Ok(stats) => stats,
                 Err(RuntimeError::StageDown { report, .. }) if coordinator.is_some() => {
                     // Fail-stop: restore the newest durable generation and
-                    // replay from its step. Exactly-once — losses past the
-                    // restored step are discarded and re-earned on the
-                    // restored parameters, so the recorded trajectory holds
-                    // each optimiser step exactly once.
+                    // replay from its step. Exactly-once — losses past it are
+                    // discarded and re-earned on the restored parameters.
                     fault_report = Some(report.clone());
                     let coord = coordinator.as_mut().expect("guarded above");
-                    let action = coord.recover(&mut pipe, &report, &mut replanner)?;
-                    let from = action.from_step() as usize;
+                    let mut shrink = |survivors: usize, _: &Partition, _: usize| {
+                        let plan = self.replan("fail-stop shrink", survivors, &[])?;
+                        Ok(ShrinkPlan {
+                            predicted_iteration: Some(plan.est_pipeline_time),
+                            partition: plan.partition,
+                            schedule: plan.schedule,
+                        })
+                    };
+                    let action = coord.recover(&mut pipe, &report, &mut shrink)?;
+                    let from = action.from_step().saturating_sub(base) as usize;
                     losses.truncate(from);
                     iteration_seconds.truncate(from);
                     // The old wall-clock baseline is meaningless on the
@@ -894,94 +823,73 @@ impl PlannedSession {
             };
             losses.push(stats.loss);
             iteration_seconds.push(stats.wall.as_secs_f64());
+            let step = base + losses.len() as u64;
             if let Some(coord) = &mut coordinator {
-                coord.maybe_checkpoint(&mut pipe, losses.len() as u64)?;
+                coord.maybe_checkpoint(&mut pipe, step)?;
             }
+            if let Some(r) = pipe.last_fault_report().filter(|r| !r.events.is_empty()) {
+                fault_report = Some(r.clone());
+            }
+
+            // This step's re-shapes as (trigger, new width, slowdown), in
+            // the order they are swapped in; no width = the one in force.
+            let mut reshapes: Vec<(&str, Option<usize>, Vec<f64>)> = Vec::new();
             if let Some(el) = elastic.as_mut() {
-                let step = losses.len() as u64;
-                let events = membership_faults.membership_at(step);
-                let hetero_aware = self
-                    .cfg
-                    .elastic
-                    .as_ref()
-                    .is_some_and(|e| e.heterogeneity_aware);
-                for action in el.on_step(step, &events) {
-                    let (width, mult) = match &action {
+                for action in el.on_step(step, &membership_faults.membership_at(step)) {
+                    reshapes.push(match action {
                         ElasticAction::Halt { reason } => {
-                            return Err(RuntimeError::Elastic(reason.clone()).into());
+                            return Err(RuntimeError::Elastic(reason).into());
                         }
-                        ElasticAction::Shrink { survivors, .. } => (*survivors, None),
-                        ElasticAction::Grow { target, .. } => (*target, None),
+                        ElasticAction::Shrink { survivors, .. } => {
+                            ("elastic shrink", Some(survivors), known_slowdown(el))
+                        }
+                        ElasticAction::Grow { target, .. } => {
+                            ("elastic grow", Some(target), known_slowdown(el))
+                        }
                         ElasticAction::Replan { multipliers } => {
-                            (pipe.partition().n_stages(), Some(multipliers.clone()))
+                            ("slowdown re-plan", None, multipliers)
                         }
-                    };
-                    let mult = match mult {
-                        Some(m) => m,
-                        // Grow/shrink fold the live per-device multipliers
-                        // too, so a shrink away from a slowed device plans
-                        // on what the survivors can actually sustain.
-                        None if hetero_aware => el.serving_multipliers(),
-                        None => Vec::new(),
-                    };
-                    let (part, sched) = elastic_plan(
-                        &self.service,
-                        &self.db,
-                        &self.cfg.planner(),
-                        self.cfg.enable_slicer,
-                        width,
-                        m,
-                        &mult,
-                    )?;
-                    // State migrates through the same checkpoint-path
-                    // repartition recovery uses: bit-identical params and
-                    // optimizer state on the new width.
-                    pipe.repartition(&part, sched)?;
-                    replans += 1;
-                    monitor = None;
+                    });
                 }
             }
-            if pipe
-                .last_fault_report()
-                .is_some_and(|r| !r.events.is_empty())
-            {
-                fault_report = pipe.last_fault_report().cloned();
-            }
-            let Some(scfg) = self.tolerance.straggler else {
-                continue;
-            };
-            let Some(tl) = pipe.last_timeline().cloned() else {
-                continue;
-            };
-            match monitor.as_mut() {
-                None => {
-                    monitor = Some(StragglerMonitor::from_timeline(&tl, pipe.schedule(), scfg)?);
-                }
-                Some(mon) => {
-                    let obs = mon.observe(&tl, pipe.schedule());
-                    if obs.flagged.is_empty() {
-                        continue;
+            if let (true, Some(scfg), Some(tl)) = (
+                reshapes.is_empty(),
+                self.tolerance.straggler,
+                pipe.last_timeline(),
+            ) {
+                let sched = pipe.schedule();
+                match monitor.as_mut() {
+                    None => monitor = Some(StragglerMonitor::from_timeline(tl, sched, scfg)?),
+                    Some(mon) => {
+                        let obs = mon.observe(tl, sched);
+                        if !obs.flagged.is_empty() {
+                            // A device is as slow as its slowest chunk-stage,
+                            // on top of what membership knows. Ratios below 1
+                            // are clamped: a fast stage is not evidence the
+                            // cost model overcharges it.
+                            let known = elastic.as_ref().map(known_slowdown).unwrap_or_default();
+                            let slowdown = (0..sched.n_devices)
+                                .map(|d| {
+                                    (0..sched.n_chunks)
+                                        .map(|c| obs.ratios[sched.stage_of(d, c)])
+                                        .fold(1.0, f64::max)
+                                        * known.get(d).copied().unwrap_or(1.0)
+                                })
+                                .collect();
+                            reshapes.push(("straggler re-plan", None, slowdown));
+                        }
                     }
-                    // Re-profile from the observation, re-plan, hot-swap.
-                    // Ratios below 1 are clamped: a faster-than-expected
-                    // stage is not evidence the cost model overcharges it.
-                    let ratios: Vec<f64> = obs.ratios.iter().map(|&r| r.max(1.0)).collect();
-                    // Served through the plan cache: the drifted request
-                    // warm-starts from the running partition, and repeat
-                    // observations of the same drift are pure cache hits.
-                    let r = self
-                        .service
-                        .replan(&self.db, pipe.partition(), &ratios, m)?;
-                    let new_partition = &r.served.outcome.partition;
-                    let schedule = if self.plan.n_sliced > 0 {
-                        plan_slicing(&new_partition.stage_costs(&r.observed_db), m).schedule
-                    } else {
-                        one_f_one_b(new_partition.n_stages(), m)
-                    };
-                    pipe.repartition(new_partition, schedule)?;
-                    replans += 1;
-                    monitor = None; // re-calibrate against the new partition
                 }
+            }
+            for (trigger, width, slowdown) in reshapes {
+                let width = width.unwrap_or(pipe.schedule().n_devices);
+                let plan = self.replan(trigger, width, &slowdown)?;
+                // State migrates through the same checkpoint-path
+                // repartition recovery uses: bit-identical params and
+                // optimizer state on the new shape.
+                pipe.repartition(&plan.partition, plan.schedule)?;
+                replans += 1;
+                monitor = None; // re-calibrate against the new plan
             }
         }
         let (recoveries, recovery_log) = match &coordinator {
@@ -999,7 +907,7 @@ impl PlannedSession {
             replans,
             recoveries,
             recovery_log,
-            resumed_from_step: None,
+            resumed_from_step: resumed_from,
             final_partition: pipe.partition().clone(),
             param_checksum: pipe.param_checksum(),
             elastic_log: elastic.map(|el| el.log().to_vec()).unwrap_or_default(),
@@ -1012,7 +920,10 @@ mod tests {
     use super::*;
     use autopipe_exec::{DeviceLost, FaultPlan, StageCrash};
     use autopipe_model::zoo;
+    use autopipe_planner::AutoPipeConfig;
     use autopipe_runtime::RecoveryAction;
+    use autopipe_schedule::{recompute_mask, zero_bubble};
+    use proptest::prelude::*;
     use std::time::Duration;
 
     /// Watchdog tuned for millisecond-scale crash tests (the default waits
@@ -1403,5 +1314,119 @@ mod tests {
                 .unwrap_err(),
             Error::Plan(_)
         ));
+    }
+
+    /// A four-stage `gpt2_tiny` session (m = 4, mbs = 2) — the shape the
+    /// re-planning contract is checked on.
+    fn four_stage() -> Session {
+        Session::for_model(zoo::gpt2_tiny())
+            .stages(4)
+            .microbatches(4)
+            .microbatch_size(2)
+    }
+
+    /// `None`, then budgets between the tightest four-stage plan and ample:
+    /// at 1.85 MB one and two stages do not fit at all, and at 1.85, 2.10,
+    /// 2.45 and 2.75 MB three stages fit only with a recompute mask.
+    const BUDGETS: [Option<u64>; 6] = [
+        None,
+        Some(1_850_000),
+        Some(2_100_000),
+        Some(2_450_000),
+        Some(2_750_000),
+        Some(3_150_000),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the trigger asks for, `replan` returns either a plan that
+        /// keeps the contract the run started under — executable, inside the
+        /// session's memory budget, of a family the policy permits, carrying
+        /// the recompute mask the partition search chose — or a typed plan
+        /// error naming the width.
+        #[test]
+        fn every_replan_keeps_the_contract_or_names_the_width(
+            width in 1usize..=4,
+            slow in (0usize..5, 1.5f64..3.0),
+            policy in 0usize..3,
+            budget in 0usize..BUDGETS.len(),
+        ) {
+            let (auto, sliced) = (policy == 2, policy == 1);
+            let mut session = four_stage().recompute_policy(RecomputePolicy::Auto);
+            if auto {
+                session = session.schedule_policy(SchedulePolicy::Auto);
+            }
+            if let Some(b) = BUDGETS[budget] {
+                session = session.memory_budget(b);
+            }
+            let mut planned = session.plan().unwrap();
+            if sliced {
+                planned = planned.slice().unwrap();
+            }
+            // Device 4 does not exist: no slowdown.
+            let mut slowdown = vec![1.0; width];
+            if let Some(x) = slowdown.get_mut(slow.0) {
+                *x = slow.1;
+            }
+            let plan = match planned.contract().replan("test swap", width, &slowdown) {
+                Ok(plan) => plan,
+                Err(e) => {
+                    prop_assert!(matches!(e, Error::Plan(_)), "not a plan error: {e}");
+                    let named = format!("test swap to width {width}");
+                    prop_assert!(e.to_string().contains(&named), "{e}");
+                    return Ok(());
+                }
+            };
+            prop_assert!(validate(&plan.schedule).is_ok());
+            prop_assert_eq!(plan.schedule.n_stages(), plan.partition.n_stages());
+            prop_assert_eq!(plan.schedule.n_devices, width);
+            prop_assert_eq!(plan.schedule.n_microbatches, 4);
+            let db = planned.cost_db().clone().with_device_multipliers(&slowdown);
+            if let Some(b) = BUDGETS[budget] {
+                prop_assert!(
+                    check_memory_budget(&plan.partition, &db, &plan.schedule, b).is_ok()
+                );
+            }
+            if !auto || width == 1 {
+                let kind = if sliced && width >= 2 {
+                    ScheduleKind::Sliced1F1B
+                } else {
+                    ScheduleKind::OneFOneB
+                };
+                prop_assert_eq!(plan.schedule.kind, kind);
+                // Outside the family search the schedule carries exactly the
+                // mask the partition search bought feasibility with.
+                let cfg = planned.config().planner();
+                let searched = planned.plan_service().plan_cfg(&db, width, 4, &cfg).unwrap();
+                let mask = &searched.outcome.recompute;
+                if mask.iter().any(|&r| r) {
+                    prop_assert_eq!(&recompute_mask(&plan.schedule), mask);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replan_uses_the_sessions_knobs_and_charges_a_slow_device() {
+        // A shared service whose own config could plan nothing: the session's
+        // knobs, not the service's, decide every re-plan.
+        let shared = Arc::new(PlanService::with_config(AutoPipeConfig {
+            memory_budget: Some(1),
+            ..AutoPipeConfig::default()
+        }));
+        let planned = four_stage().plan_service(shared).plan().unwrap();
+        let run = planned.contract();
+        let even = run.replan("test swap", 4, &[]).unwrap();
+        assert_eq!(even.partition, planned.plan().partition);
+        // "Device 1 is 3× slower" goes in as a device multiplier and moves
+        // blocks off that device.
+        let skewed = run.replan("test swap", 4, &[1.0, 3.0, 1.0, 1.0]).unwrap();
+        assert!(
+            skewed.partition.range(1).len() < even.partition.range(1).len(),
+            "{:?} vs {:?}",
+            skewed.partition,
+            even.partition
+        );
     }
 }

@@ -9,8 +9,10 @@
 //!    terminal membership;
 //! 2. **session-level elasticity** — scripted leaves shrink the pipeline
 //!    into degraded mode, rejoins grow it back through the checkpoint-path
-//!    repartition, slowdowns trigger heterogeneity-aware re-plans, and the
-//!    whole run stays deterministic under replay;
+//!    repartition, slowdowns trigger heterogeneity-aware re-plans, every
+//!    swap keeps the policy and memory budget the run was planned under
+//!    (also on a resumed run), and the whole run stays deterministic under
+//!    replay;
 //! 3. **config validation** — elastic sessions without recovery, bad
 //!    multipliers and bad thresholds are rejected up front with actionable
 //!    errors.
@@ -19,10 +21,16 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use autopipe::{ElasticAction, ElasticConfig, Error, MembershipConfig, RecoveryConfig, Session};
+use autopipe::{
+    ElasticAction, ElasticConfig, Error, MembershipConfig, RecomputePolicy, RecoveryConfig,
+    SchedulePolicy, Session,
+};
 use autopipe_exec::{splitmix64, FaultPlan, MembershipChange, MembershipFault};
 use autopipe_model::zoo;
+use autopipe_planner::PlanError;
 use autopipe_runtime::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, WatchdogConfig};
+use autopipe_schedule::recompute_mask;
+use autopipe_sim::memcheck::check_memory_budget;
 
 // ---------------------------------------------------------------------------
 // 1. Property suite over the membership state machine.
@@ -258,41 +266,122 @@ fn a_scripted_leave_shrinks_into_degraded_mode() {
 
 /// Leave then rejoin: the pipeline shrinks to p − 1, the returning device
 /// proves itself through quarantine, and the coordinator grows back to p —
-/// parameters migrating through the same repartition path both ways.
+/// parameters migrating through the same repartition path both ways. Back
+/// at the starting width the run is on the starting plan again (same costs,
+/// deterministic search): a run that never called `.slice()` is on plain
+/// 1F1B, not silently sliced, and an `Auto` run is on the family search's
+/// winner, not on whatever a swap hard-codes.
 #[test]
 fn a_rejoining_device_grows_the_pipeline_back() {
+    // The grow lands on step 3; the `Auto` pass stops one step after it.
+    for (policy, iterations) in [(SchedulePolicy::Slicer, 6), (SchedulePolicy::Auto, 4)] {
+        let mut faults = FaultPlan::default();
+        faults.membership.push(MembershipFault {
+            device: 1,
+            at_step: 1,
+            change: MembershipChange::Leave,
+        });
+        faults.membership.push(MembershipFault {
+            device: 1,
+            at_step: 2,
+            change: MembershipChange::Join,
+        });
+        let (session, dir) = elastic_session("rejoin", faults, iterations);
+        let planned = session.schedule_policy(policy).plan().unwrap();
+        let start = planned.plan().clone();
+        let report = planned.run().unwrap();
+        assert_eq!(report.losses.len(), iterations);
+        assert!(report.losses.iter().all(|l| l.is_finite()));
+        let shrinks = report
+            .elastic_log
+            .iter()
+            .filter(|e| matches!(e.action, ElasticAction::Shrink { .. }))
+            .count();
+        let grows = report
+            .elastic_log
+            .iter()
+            .filter(|e| matches!(e.action, ElasticAction::Grow { target: 2, .. }))
+            .count();
+        assert_eq!(shrinks, 1, "log: {:?}", report.elastic_log);
+        assert_eq!(grows, 1, "log: {:?}", report.elastic_log);
+        assert_eq!(
+            report.final_partition, start.partition,
+            "{policy:?}: pipeline should be back on the starting partition"
+        );
+        assert_eq!(
+            report.family, start.schedule.kind,
+            "{policy:?}: the grow left the family the run started on"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A memory-budgeted `Auto` run that loses a device ends on what the
+/// session's own budgeted plan for the narrower pipeline is — at this budget
+/// a family-search winner whose partition only fits with a recompute mask,
+/// carried by the schedule — or stops with the typed OOM naming the width;
+/// it never finishes on an unbudgeted plain or sliced 1F1B.
+#[test]
+fn a_budgeted_auto_run_keeps_its_budget_across_a_shrink() {
+    const BUDGET: u64 = 2_450_000;
     let mut faults = FaultPlan::default();
     faults.membership.push(MembershipFault {
-        device: 1,
+        device: 3,
         at_step: 1,
         change: MembershipChange::Leave,
     });
+    let (session, dir) = elastic_session("budget", faults, 2);
+    let session = session
+        .schedule_policy(SchedulePolicy::Auto)
+        .memory_budget(BUDGET)
+        .recompute_policy(RecomputePolicy::Auto);
+    // What the session plans for three devices under the same constraints.
+    let narrow = session.clone().stages(3).plan().unwrap();
+    let (expect, db) = (narrow.plan(), narrow.cost_db());
+    assert!(
+        recompute_mask(&expect.schedule).iter().any(|&r| r),
+        "the budget no longer forces a mask at width 3; pick another budget"
+    );
+    check_memory_budget(&expect.partition, db, &expect.schedule, BUDGET).unwrap();
+    match session.stages(4).plan().unwrap().run() {
+        Ok(report) => {
+            assert_eq!(report.final_partition, expect.partition);
+            assert_eq!(report.family, expect.schedule.kind);
+        }
+        Err(Error::Plan(PlanError::Oom(msg))) => assert!(msg.contains("width 3"), "{msg}"),
+        Err(other) => panic!("expected the run to finish or a typed OOM, got {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resumed run goes through the same loop as a fresh one: a leave scripted
+/// past the checkpointed step shrinks the resumed pipeline, and the decision
+/// is logged at the step counted from the manifest.
+#[test]
+fn a_resumed_run_honours_a_scripted_leave() {
+    let mut faults = FaultPlan::default();
     faults.membership.push(MembershipFault {
         device: 1,
         at_step: 2,
-        change: MembershipChange::Join,
+        change: MembershipChange::Leave,
     });
-    let (session, dir) = elastic_session("rejoin", faults, 6);
-    let report = session.plan().unwrap().run().unwrap();
-    assert_eq!(report.losses.len(), 6);
-    assert!(report.losses.iter().all(|l| l.is_finite()));
-    let shrinks = report
-        .elastic_log
-        .iter()
-        .filter(|e| matches!(e.action, ElasticAction::Shrink { .. }))
-        .count();
-    let grows = report
-        .elastic_log
-        .iter()
-        .filter(|e| matches!(e.action, ElasticAction::Grow { target: 2, .. }))
-        .count();
-    assert_eq!(shrinks, 1, "log: {:?}", report.elastic_log);
-    assert_eq!(grows, 1, "log: {:?}", report.elastic_log);
-    assert_eq!(
-        report.final_partition.n_stages(),
-        2,
-        "pipeline should be back at full width"
-    );
+    let (session, dir) = elastic_session("resume", faults, 2);
+    let first = session.clone().iterations(1).plan().unwrap().run().unwrap();
+    assert!(first.elastic_log.is_empty(), "{:?}", first.elastic_log);
+    let resumed = session.resume(&dir).unwrap();
+    assert_eq!(resumed.resumed_from_step, Some(1));
+    assert_eq!(resumed.losses.len(), 2);
+    assert_eq!(resumed.final_partition.n_stages(), 1);
+    assert_eq!(resumed.replans, 1);
+    assert_eq!(resumed.elastic_log.len(), 1, "{:?}", resumed.elastic_log);
+    assert_eq!(resumed.elastic_log[0].step, 2);
+    assert!(matches!(
+        resumed.elastic_log[0].action,
+        ElasticAction::Shrink {
+            survivors: 1,
+            device: 1
+        }
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,11 +2,12 @@
 //! scripts are pure time perturbations. Across many random seeded scripts
 //! the runtime's losses and parameter checksum stay bit-identical to a
 //! fault-free run, and injected stalls surface as structured watchdog
-//! reports instead of hangs.
+//! reports instead of hangs; on the event simulator the same kind of scripts
+//! at paper scale never deadlock, reorder or speed up the pipeline.
 
 use autopipe::{PlannedSession, Session};
 use autopipe_exec::{FaultPlan, FaultSpec, StageStall};
-use autopipe_model::{ModelConfig, ModelFamily};
+use autopipe_model::{zoo, ModelConfig, ModelFamily};
 use autopipe_runtime::WatchdogConfig;
 use std::time::Duration;
 
@@ -80,6 +81,47 @@ fn fifty_random_fault_scripts_never_change_numerics() {
             "seed {seed}: the run aborted"
         );
     }
+}
+
+/// The simulator side, at paper scale: 50 random fault scripts against GPT-2
+/// 345M on a 4-stage sliced pipeline all complete (a lost dependency would
+/// error out of the event simulator), keep the fault-free per-device op
+/// order, and never finish before the fault-free run.
+#[test]
+fn fifty_random_fault_scripts_only_move_simulated_time() {
+    let base = Session::for_model(zoo::gpt2_345m())
+        .stages(4)
+        .microbatches(8)
+        .microbatch_size(4)
+        .plan()
+        .unwrap()
+        .slice()
+        .unwrap();
+    assert!(base.plan().n_sliced >= 1, "the campaign runs sliced");
+    let sched = &base.plan().schedule;
+    let program_len = sched.devices.iter().map(Vec::len).max().unwrap();
+    // Fault magnitudes in units of the mean stage forward time, so the
+    // scripts meaningfully perturb the 345M timeline.
+    let fwd = base.plan().partition.stage_costs(base.cost_db()).f;
+    let spec = FaultSpec::new(4, program_len, fwd.iter().sum::<f64>() / 4.0);
+    let mut slowed = 0;
+    for seed in 0..50u64 {
+        let sim = base
+            .clone()
+            .faults(FaultPlan::random(seed, &spec), 0.0)
+            .simulate()
+            .unwrap_or_else(|e| panic!("seed {seed} deadlocked: {e}"));
+        let faulty = sim.faulty.expect("a script was set");
+        if let Err(e) = sim.clean.timeline.same_op_order(&faulty.timeline) {
+            panic!("seed {seed} reordered ops: {e}");
+        }
+        assert!(
+            faulty.iteration_time >= sim.clean.iteration_time - 1e-9,
+            "seed {seed}: faults sped the pipeline up"
+        );
+        slowed += usize::from(faulty.iteration_time > sim.clean.iteration_time);
+    }
+    assert!(slowed > 0, "no script perturbed the timeline at all");
 }
 
 /// An injected stall long past the watchdog's first deadline produces a
