@@ -351,18 +351,7 @@ fn grow_demo(db: &CostDb, cfg: &AutoPipeConfig) -> serde_json::Value {
     let (manifest, states) = store.load_latest().expect("pre-grow generation loads");
     assert_eq!(manifest.step, grow_step as u64);
     let mut fresh = tiny_pipeline(degraded_sched, degraded_part);
-    autopipe_runtime::PipelineSnapshot {
-        step: manifest.step,
-        tag: manifest.tag.clone(),
-        boundaries: manifest.boundaries.clone(),
-        kind: manifest.kind,
-        n_sliced: manifest.n_sliced,
-        n_chunks: manifest.n_chunks,
-        n_microbatches: manifest.n_microbatches,
-        stages: states,
-    }
-    .restore(&mut fresh)
-    .expect("pre-grow state restores");
+    autopipe_runtime::restore_states(&mut fresh, &states).expect("pre-grow state restores");
     fresh
         .repartition(&grown_part, grown_sched)
         .expect("fresh grow migrates");

@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use serde::{Deserialize, Serialize};
 
 use autopipe_schedule::{OpKind, Part, Schedule};
@@ -460,13 +460,22 @@ struct Packet<T> {
     payload: T,
 }
 
+/// One inbound edge of a [`ChannelEndpoint`].
+struct Inbound<T> {
+    from: usize,
+    link: Receiver<Packet<T>>,
+    /// Every sending half is gone *and* the queue has been drained: nothing
+    /// will ever arrive on this link again.
+    hung_up: bool,
+}
+
 /// One device's end of a wall-clock channel mesh: senders for each outbound
 /// edge, receivers for each inbound edge, and a stash that parks messages
 /// for other (chunk, micro-batch) pairs sharing this device's links.
 pub struct ChannelEndpoint<T> {
     device: usize,
     tx: HashMap<usize, Sender<Packet<T>>>,
-    rx: Vec<Receiver<Packet<T>>>,
+    rx: Vec<Inbound<T>>,
     stash: HashMap<MsgKey, VecDeque<T>>,
     /// Partially reassembled chunked messages.
     assembly: HashMap<MsgKey, Vec<T>>,
@@ -490,7 +499,11 @@ pub fn channel_mesh<T>(
     for (from, to) in edges {
         let (tx, rx) = unbounded::<Packet<T>>();
         endpoints[from].tx.insert(to, tx);
-        endpoints[to].rx.push(rx);
+        endpoints[to].rx.push(Inbound {
+            from,
+            link: rx,
+            hung_up: false,
+        });
     }
     endpoints
 }
@@ -563,6 +576,14 @@ impl<T> ChannelEndpoint<T> {
             tx: self.tx.clone(),
         }
     }
+
+    /// Whether the link from device `from` is closed and drained: the peer
+    /// dropped its endpoint (and every [`ChannelSender`] cloned off it) and
+    /// all it had sent has been moved into the stash, so a key that is not
+    /// stashed by now will never arrive. As of the last receive.
+    pub fn hung_up(&self, from: usize) -> bool {
+        self.rx.iter().any(|l| l.from == from && l.hung_up)
+    }
 }
 
 impl<T: ChunkPayload> ChannelEndpoint<T> {
@@ -594,8 +615,18 @@ impl<T: ChunkPayload> ChannelEndpoint<T> {
     /// reassembling chunked messages; true if anything arrived.
     fn drain_inbound(&mut self) -> bool {
         let mut any = false;
-        for r in &self.rx {
-            while let Ok(pkt) = r.try_recv() {
+        for inbound in &mut self.rx {
+            loop {
+                let pkt = match inbound.link.try_recv() {
+                    Ok(pkt) => pkt,
+                    Err(TryRecvError::Empty) => break,
+                    // Reported only once the queue is empty, so nothing in
+                    // flight is lost.
+                    Err(TryRecvError::Disconnected) => {
+                        inbound.hung_up = true;
+                        break;
+                    }
+                };
                 any = true;
                 let (idx, of) = pkt.seq;
                 if of <= 1 {
@@ -826,6 +857,28 @@ mod tests {
             }
         };
         assert_eq!(got, 7);
+    }
+
+    #[test]
+    fn a_link_hangs_up_only_once_closed_and_drained() {
+        let mut eps = channel_mesh::<u32>(2, [(0, 1)]);
+        let mut receiver = eps.pop().unwrap();
+        let endpoint = eps.pop().unwrap();
+        let detached = endpoint.sender();
+        endpoint.send_to(1, key(0), 7);
+        drop(endpoint);
+        // A cloned sender (the comm thread's handle) keeps the link open.
+        assert!(receiver.try_recv(1, key(1)).is_none());
+        assert!(!receiver.hung_up(0));
+        detached.send_to(1, key(1), 8);
+        drop(detached);
+        // Closed now, but what was in flight is delivered before the
+        // hang-up is reported.
+        assert_eq!(receiver.try_recv(1, key(1)).unwrap().0, 8);
+        assert_eq!(receiver.try_recv(1, key(0)).unwrap().0, 7);
+        assert!(receiver.try_recv(1, key(2)).is_none());
+        assert!(receiver.hung_up(0));
+        assert!(!receiver.hung_up(1), "no such link is not a hang-up");
     }
 
     #[test]

@@ -1,27 +1,56 @@
 //! Crash-consistent training-state checkpointing.
 //!
-//! Two layers live here:
+//! [`CheckpointStore`] is the durable, versioned store behind fail-stop
+//! recovery, elastic grows and `Session::resume`. Each snapshot becomes a
+//! *generation* directory:
 //!
-//! * [`Checkpoint`] — the legacy single-file snapshot (every stage's
-//!   parameters and Adam moments as one JSON document). Since PR 4 its
-//!   `save` is atomic (temp file + fsync + rename) and its payload carries a
-//!   CRC-32 header, so a torn or bit-rotted file is *rejected* with a typed
-//!   [`CheckpointError`] instead of silently accepted.
+//! ```text
+//! gen-000007/
+//!   manifest.json   pretty-printed JSON: format version, step, tag, partition
+//!                   boundaries, schedule geometry + recompute mask, and per
+//!                   stage payload its file name, byte length and CRC-32
+//!   stage-0.bin     one binary payload per stage, (device, chunk) order
+//!   stage-1.bin
+//! ```
 //!
-//! * [`CheckpointStore`] — the durable, versioned store behind fail-stop
-//!   recovery. Each snapshot becomes a *generation* directory
-//!   `gen-NNNNNN/` holding a `manifest.json` (step, tag, partition
-//!   boundaries, schedule geometry, per-stage CRC-32 checksums) and one
-//!   payload file per stage. A generation is committed by writing everything
-//!   into a `tmp-` directory, fsyncing, and renaming — a crash anywhere
-//!   before the rename leaves only a `tmp-` directory the loader ignores,
-//!   so **no generation is ever loadable in a torn state**. On load the
-//!   store walks generations newest-first and falls back past any corrupt
-//!   one. [`BackgroundCheckpointer`] moves the serialisation and disk work
-//!   off the training thread: the trainer exports stage states (cheap
-//!   tensor clones — the double buffer) and hands them to a writer thread
-//!   over a bounded channel; a full channel skips the snapshot rather than
-//!   blocking the 1F1B steady state.
+//! A stage payload is little-endian throughout:
+//!
+//! ```text
+//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 2)
+//! [16] Adam lr, beta1, beta2, eps (f32 × 4)    [8] Adam step (u64)
+//! [4]  tensor count n (u32)
+//! n ×  { [4] rank r (u32), r × [8] dimension (u64) }    the shape table
+//! 3 ×  Σ elements × [4]          raw f32 runs: params, then Adam `m`, then
+//!                                 Adam `v`, each in table order
+//! ```
+//!
+//! Parameters and both moment lists share the one shape table. The writer
+//! streams the payload into the file through a CRC-accumulating adaptor, so
+//! the snapshot is the only whole copy of the state a save holds.
+//!
+//! A generation is committed by writing everything into a `tmp-` directory,
+//! fsyncing, and renaming — a crash anywhere before the rename leaves only a
+//! `tmp-` directory the loader ignores, so **no generation is ever loadable
+//! in a torn state**. On load each payload is checked in this order: length
+//! against the manifest, CRC-32 against the manifest, then decoded by a
+//! *total* decoder (the file is outside input: every count, rank and
+//! dimension is bounded by the bytes actually present before anything is
+//! allocated, and the three runs must add up to the file length exactly).
+//! The store walks generations newest-first and falls back past any that
+//! fails.
+//!
+//! There is one on-disk format and no reader for an older one: generations
+//! are per-run scratch, none is committed to the repository, and a second
+//! reader would be a second path. A generation written before the format was
+//! versioned (JSON payloads, a manifest without `format`) is rejected as
+//! corrupt with a detail naming its version, and skipped like any other
+//! invalid generation.
+//!
+//! [`BackgroundCheckpointer`] moves the encoding and disk work off the
+//! training thread: the trainer exports stage states (cheap tensor clones —
+//! the double buffer) and hands them to a writer thread over a bounded
+//! channel; a full channel skips the snapshot rather than blocking the 1F1B
+//! steady state.
 //!
 //! The failure-injection hook [`FailPoint`] exists so tests can prove the
 //! kill-9 window: abort a save between temp write and rename, or flip a
@@ -30,7 +59,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -39,7 +68,10 @@ use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
-use autopipe_schedule::ScheduleKind;
+use autopipe_schedule::{
+    apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, sliced_1f1b, zero_bubble,
+    Schedule, ScheduleKind,
+};
 use autopipe_tensor::{optim::Adam, Tensor};
 
 use crate::engine::Pipeline;
@@ -49,11 +81,14 @@ use crate::stage::StageModel;
 // CRC-32 (IEEE 802.3), hand-rolled: the container has no crates.io access.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+/// Slicing-by-8 tables: `t[0]` is the classic byte table, `t[k][i]` the CRC
+/// of byte `i` followed by `k` zero bytes, so eight input bytes fold into the
+/// running value with eight independent lookups.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for i in 0..256 {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -62,20 +97,43 @@ fn crc32_table() -> &'static [u32; 256] {
                     c >> 1
                 };
             }
-            *slot = c;
+            t[0][i] = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     })
+}
+
+/// Fold `bytes` into a running (pre-inverted) CRC-32 register.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = crc32_tables();
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 /// CRC-32 (IEEE) of `bytes` — the payload checksum of every checkpoint file.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -142,33 +200,6 @@ fn io_err(path: &Path) -> impl FnOnce(io::Error) -> CheckpointError + '_ {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Durable-write primitives
-// ---------------------------------------------------------------------------
-
-/// Write `bytes` to `path` durably and atomically: temp sibling + fsync +
-/// rename + parent-directory fsync. A crash at any point leaves either the
-/// old file or the new one — never a torn mix.
-fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let tmp = sibling_tmp(path);
-    {
-        let mut f = fs::File::create(&tmp).map_err(io_err(&tmp))?;
-        io::Write::write_all(&mut f, bytes).map_err(io_err(&tmp))?;
-        f.sync_all().map_err(io_err(&tmp))?;
-    }
-    fs::rename(&tmp, path).map_err(io_err(path))?;
-    sync_parent(path)
-}
-
-fn sibling_tmp(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "ckpt".into());
-    name.insert_str(0, ".tmp-");
-    path.with_file_name(name)
-}
-
 fn sync_parent(path: &Path) -> Result<(), CheckpointError> {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         fs::File::open(parent)
@@ -179,15 +210,11 @@ fn sync_parent(path: &Path) -> Result<(), CheckpointError> {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy single-file checkpoint (now atomic + checksummed)
+// Stage state and its binary payload
 // ---------------------------------------------------------------------------
 
-/// Header prefix of the single-file format; the hex CRC-32 of the JSON body
-/// follows, then a newline, then the body.
-const FILE_MAGIC: &str = "autopipe-ckpt v1 crc32=";
-
-/// Serialisable state of one stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Training state of one stage.
+#[derive(Debug, Clone)]
 pub struct StageState {
     /// Parameter tensors in module order.
     pub params: Vec<Tensor>,
@@ -195,77 +222,210 @@ pub struct StageState {
     pub adam: Adam,
 }
 
-/// A whole pipeline's training state (stage-major, flattened (device,
-/// chunk) order).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Per-stage states.
-    pub stages: Vec<StageState>,
-    /// Free-form tag (model name, iteration, ...).
-    pub tag: String,
+/// Version of the on-disk format (manifest `format` field and payload
+/// header). Version 1 was the unversioned JSON-payload layout.
+const FORMAT: u32 = 2;
+const MAGIC: [u8; 8] = *b"AUTOPCKP";
+
+/// A `Write` that accumulates the CRC-32 and length of what passes through.
+struct CrcWriter<W> {
+    inner: W,
+    crc: u32,
+    bytes: u64,
 }
 
-impl Checkpoint {
-    /// Capture a pipeline's state.
-    pub fn capture(pipeline: &mut Pipeline, tag: &str) -> Checkpoint {
-        Checkpoint {
-            stages: pipeline
-                .stages_mut()
-                .iter_mut()
-                .map(|s| s.export_state())
-                .collect(),
-            tag: tag.to_string(),
-        }
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc = crc32_update(self.crc, &buf[..n]);
+        self.bytes += n as u64;
+        Ok(n)
     }
 
-    /// Restore into a pipeline of identical shape. Stage counts and
-    /// parameter shapes are validated *before* any state is touched, so a
-    /// rejected restore leaves the pipeline unmodified.
-    pub fn restore(&self, pipeline: &mut Pipeline) -> Result<(), CheckpointError> {
-        restore_states(pipeline, &self.stages)
-    }
-
-    /// Write durably: atomic rename plus a CRC-32 payload header, so a torn
-    /// or corrupted file can never load as a valid checkpoint.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let body = serde_json::to_string(self).map_err(|e| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("serialise failed: {e}"),
-        })?;
-        let payload = format!("{FILE_MAGIC}{:08x}\n{body}", crc32(body.as_bytes()));
-        write_durable(path, payload.as_bytes())
-    }
-
-    /// Read and validate: the header checksum must match the body, byte for
-    /// byte. Files written by the pre-durability format (no header) are
-    /// rejected as corrupt rather than trusted.
-    pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        let text = fs::read_to_string(path).map_err(io_err(path))?;
-        let corrupt = |detail: String| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
-            detail,
-        };
-        let rest = text
-            .strip_prefix(FILE_MAGIC)
-            .ok_or_else(|| corrupt("missing checksum header".into()))?;
-        let (hex, body) = rest
-            .split_once('\n')
-            .ok_or_else(|| corrupt("truncated header".into()))?;
-        let want =
-            u32::from_str_radix(hex, 16).map_err(|e| corrupt(format!("bad crc hex: {e}")))?;
-        let got = crc32(body.as_bytes());
-        if got != want {
-            return Err(corrupt(format!("crc32 {got:08x} != declared {want:08x}")));
-        }
-        serde_json::from_str(body).map_err(|e| corrupt(format!("parse failed: {e}")))
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
     }
 }
 
-/// Validate then import `states` into `pipeline` (shared by the legacy
-/// [`Checkpoint`], the generation store, and the recovery coordinator).
-/// Validation is two-phase so a mismatch never leaves the pipeline
-/// half-restored.
-pub(crate) fn restore_states(
+/// Why `state` cannot be encoded: its moment lists must mirror its
+/// parameters tensor for tensor (they share the payload's one shape table).
+fn shape_table_mismatch(state: &StageState) -> Option<String> {
+    let (m, v) = state.adam.moments();
+    if m.len() != state.params.len() || v.len() != state.params.len() {
+        return Some(format!(
+            "{} params but {} / {} Adam moments",
+            state.params.len(),
+            m.len(),
+            v.len()
+        ));
+    }
+    (state.params.iter().zip(m.iter().zip(v)))
+        .position(|(p, (m, v))| p.shape() != m.shape() || p.shape() != v.shape())
+        .map(|j| format!("param {j} and its Adam moments differ in shape"))
+}
+
+fn write_f32s(w: &mut impl Write, data: &[f32]) -> io::Result<()> {
+    let mut buf = [0u8; 4096];
+    for block in data.chunks(buf.len() / 4) {
+        for (dst, x) in buf.chunks_exact_mut(4).zip(block) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        w.write_all(&buf[..block.len() * 4])?;
+    }
+    Ok(())
+}
+
+/// Stream one stage payload (see the module docs for the layout). The caller
+/// has checked [`shape_table_mismatch`].
+fn encode_stage(w: &mut impl Write, state: &StageState) -> io::Result<()> {
+    let adam = &state.adam;
+    w.write_all(&MAGIC)?;
+    w.write_all(&FORMAT.to_le_bytes())?;
+    for x in [adam.lr, adam.beta1, adam.beta2, adam.eps] {
+        w.write_all(&x.to_le_bytes())?;
+    }
+    w.write_all(&adam.step_count().to_le_bytes())?;
+    w.write_all(&(state.params.len() as u32).to_le_bytes())?;
+    for p in &state.params {
+        w.write_all(&(p.shape().len() as u32).to_le_bytes())?;
+        for &d in p.shape() {
+            w.write_all(&(d as u64).to_le_bytes())?;
+        }
+    }
+    let (m, v) = adam.moments();
+    for run in [&state.params[..], m, v] {
+        for t in run {
+            write_f32s(w, t.data())?;
+        }
+    }
+    Ok(())
+}
+
+/// Bounds-checked little-endian cursor over a payload.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if n > self.rest.len() {
+            return Err(format!(
+                "truncated: {what} needs {n} bytes, {} left",
+                self.rest.len()
+            ));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, String> {
+        let b = self.take(8, what)?;
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
+    }
+
+    fn f32(&mut self, what: &str) -> Result<f32, String> {
+        self.u32(what).map(f32::from_bits)
+    }
+}
+
+/// Decode one stage payload. Total: any byte string yields a state or a
+/// reason, never a panic, and nothing is allocated beyond what the bytes
+/// present can fill.
+fn decode_stage(bytes: &[u8]) -> Result<StageState, String> {
+    let mut r = Reader { rest: bytes };
+    if r.take(MAGIC.len(), "magic")? != MAGIC {
+        return Err("not a stage payload (bad magic)".into());
+    }
+    let version = r.u32("format version")?;
+    if version != FORMAT {
+        return Err(format!(
+            "payload format version {version}, this build reads version {FORMAT} only"
+        ));
+    }
+    let [lr, beta1, beta2, eps] = [
+        r.f32("lr")?,
+        r.f32("beta1")?,
+        r.f32("beta2")?,
+        r.f32("eps")?,
+    ];
+    let step = r.u64("Adam step")?;
+
+    // Every tensor costs at least its 4-byte rank, every dimension 8 bytes:
+    // counts are bounded by the bytes left before they size anything.
+    let n = r.u32("tensor count")? as usize;
+    if n > r.rest.len() / 4 {
+        return Err(format!(
+            "tensor count {n} exceeds what {} bytes can describe",
+            r.rest.len()
+        ));
+    }
+    let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut total = 0usize;
+    for j in 0..n {
+        let rank = r.u32("rank")? as usize;
+        if rank > r.rest.len() / 8 {
+            return Err(format!(
+                "tensor {j}: rank {rank} exceeds what {} bytes can describe",
+                r.rest.len()
+            ));
+        }
+        let mut shape = Vec::with_capacity(rank);
+        let mut elements = 1usize;
+        for _ in 0..rank {
+            let d = usize::try_from(r.u64("dimension")?).ok();
+            let d = d.ok_or_else(|| format!("tensor {j}: dimension overflows"))?;
+            elements = elements
+                .checked_mul(d)
+                .ok_or_else(|| format!("tensor {j}: dimension product overflows"))?;
+            shape.push(d);
+        }
+        total = total
+            .checked_add(elements)
+            .ok_or_else(|| format!("tensor {j}: element count overflows"))?;
+        shapes.push(shape);
+    }
+    let want = total.checked_mul(3 * 4);
+    if want != Some(r.rest.len()) {
+        return Err(format!(
+            "shape table describes {total} elements × 3 runs, {} payload bytes follow it",
+            r.rest.len()
+        ));
+    }
+
+    let mut run = |what: &str| -> Result<Vec<Tensor>, String> {
+        shapes
+            .iter()
+            .map(|shape| {
+                let raw = r.take(shape.iter().product::<usize>() * 4, what)?;
+                let data = raw
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                Ok(Tensor::from_vec(shape, data))
+            })
+            .collect()
+    };
+    let params = run("params")?;
+    let m = run("Adam m")?;
+    let v = run("Adam v")?;
+    let mut adam = Adam::from_moments(lr, step, m, v);
+    (adam.beta1, adam.beta2, adam.eps) = (beta1, beta2, eps);
+    Ok(StageState { params, adam })
+}
+
+/// Validate then import `states` into `pipeline` — what every consumer of
+/// [`CheckpointStore::load_latest`] does with its second half. Validation is
+/// two-phase so a mismatch never leaves the pipeline half-restored; the
+/// values are then copied into the stages' own parameter buffers.
+pub fn restore_states(
     pipeline: &mut Pipeline,
     states: &[StageState],
 ) -> Result<(), CheckpointError> {
@@ -297,7 +457,7 @@ pub(crate) fn restore_states(
         }
     }
     for (stage, state) in stages.iter_mut().zip(states) {
-        stage.import_state(state.clone());
+        stage.import_state(&state.params, state.adam.clone());
     }
     Ok(())
 }
@@ -315,9 +475,9 @@ impl StageModel {
     /// all transient per-iteration state — importing means rolling back to
     /// a step boundary, so partial gradients and stale stashes from a
     /// crash-aborted iteration must not survive.
-    pub fn import_state(&mut self, state: StageState) {
-        self.restore_params(&state.params);
-        self.restore_adam(state.adam);
+    pub fn import_state(&mut self, params: &[Tensor], adam: Adam) {
+        self.restore_params(params);
+        self.restore_adam(adam);
         self.reset_transient();
     }
 }
@@ -338,10 +498,13 @@ pub struct StagePayload {
 }
 
 /// A generation's manifest: everything needed to validate the payloads and
-/// resume training — including the partition and schedule geometry, so
-/// [`Session::resume`](https://docs.rs) can rebuild the exact pipeline.
+/// resume training — including the partition and the schedule (geometry and
+/// recompute mask), so [`Session::resume`](https://docs.rs) can rebuild the
+/// exact pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
+    /// On-disk format version of this generation.
+    pub format: u32,
     /// Generation index (monotonic).
     pub generation: u64,
     /// Training step (completed optimiser steps) this snapshot captured.
@@ -358,13 +521,47 @@ pub struct Manifest {
     pub n_chunks: usize,
     /// Micro-batches per iteration.
     pub n_microbatches: usize,
+    /// Per-stage recompute mask of the schedule ([`recompute_mask`]).
+    pub recompute: Vec<bool>,
     /// Per-stage payload entries, in (device, chunk) order.
     pub stages: Vec<StagePayload>,
 }
 
+impl Manifest {
+    /// The schedule of the pipeline that wrote the snapshot: its family's
+    /// generator at the recorded geometry, with the recorded recompute mask
+    /// applied. Equal to the `Pipeline::schedule()` that was captured.
+    pub fn schedule(&self) -> Result<Schedule, CheckpointError> {
+        let bad = |why: String| CheckpointError::Mismatch(format!("manifest schedule: {why}"));
+        let n_stages = self.boundaries.len().saturating_sub(1);
+        let v = self.n_chunks;
+        if n_stages < 1 || v < 1 || !n_stages.is_multiple_of(v) {
+            return Err(bad(format!(
+                "{n_stages} stages cannot be {v} chunks per device"
+            )));
+        }
+        if self.recompute.len() != n_stages {
+            return Err(bad(format!(
+                "recompute mask has {} entries for {n_stages} stages",
+                self.recompute.len()
+            )));
+        }
+        let (p, m) = (n_stages / v, self.n_microbatches);
+        let mut schedule = match self.kind {
+            ScheduleKind::OneFOneB => one_f_one_b(p, m),
+            ScheduleKind::Sliced1F1B => sliced_1f1b(p, m, self.n_sliced),
+            ScheduleKind::GPipe => gpipe(p, m),
+            ScheduleKind::ZeroBubble => zero_bubble(p, m),
+            ScheduleKind::Interleaved => interleaved(p, v, m).map_err(|e| bad(e.to_string()))?,
+        };
+        apply_recompute(&mut schedule, &self.recompute);
+        Ok(schedule)
+    }
+}
+
 /// Everything one snapshot carries: the manifest metadata plus the stage
 /// states themselves. This is what the training thread exports (the double
-/// buffer) and the background writer serialises.
+/// buffer) and the background writer encodes.
 #[derive(Debug, Clone)]
 pub struct PipelineSnapshot {
     /// Training step (completed optimiser steps).
@@ -381,6 +578,8 @@ pub struct PipelineSnapshot {
     pub n_chunks: usize,
     /// Micro-batches per iteration.
     pub n_microbatches: usize,
+    /// Per-stage recompute mask of the schedule.
+    pub recompute: Vec<bool>,
     /// Per-stage states, (device, chunk) order.
     pub stages: Vec<StageState>,
 }
@@ -391,11 +590,12 @@ impl PipelineSnapshot {
     pub fn capture(pipeline: &mut Pipeline, step: u64, tag: &str) -> PipelineSnapshot {
         let boundaries = pipeline.partition().boundaries().to_vec();
         let sched = pipeline.schedule();
-        let (kind, n_sliced, n_chunks, n_microbatches) = (
+        let (kind, n_sliced, n_chunks, n_microbatches, recompute) = (
             sched.kind,
             sched.n_sliced,
             sched.n_chunks,
             sched.n_microbatches,
+            recompute_mask(sched),
         );
         PipelineSnapshot {
             step,
@@ -405,6 +605,7 @@ impl PipelineSnapshot {
             n_sliced,
             n_chunks,
             n_microbatches,
+            recompute,
             stages: pipeline
                 .stages_mut()
                 .iter_mut()
@@ -515,24 +716,33 @@ impl CheckpointStore {
 
         let mut entries = Vec::with_capacity(snap.stages.len());
         for (i, stage) in snap.stages.iter().enumerate() {
-            let body = serde_json::to_string(stage).map_err(|e| CheckpointError::Corrupt {
-                path: tmp.clone(),
-                detail: format!("stage {i} serialise failed: {e}"),
-            })?;
-            let file = format!("stage-{i}.json");
-            let path = tmp.join(&file);
-            {
-                let mut f = fs::File::create(&path).map_err(io_err(&path))?;
-                io::Write::write_all(&mut f, body.as_bytes()).map_err(io_err(&path))?;
-                f.sync_all().map_err(io_err(&path))?;
+            if let Some(why) = shape_table_mismatch(stage) {
+                return Err(CheckpointError::Mismatch(format!("stage {i}: {why}")));
             }
+            let file = format!("stage-{i}.bin");
+            let path = tmp.join(&file);
+            let mut w = CrcWriter {
+                inner: BufWriter::with_capacity(
+                    1 << 16,
+                    fs::File::create(&path).map_err(io_err(&path))?,
+                ),
+                crc: 0xFFFF_FFFF,
+                bytes: 0,
+            };
+            encode_stage(&mut w, stage).map_err(io_err(&path))?;
+            let f = w
+                .inner
+                .into_inner()
+                .map_err(|e| io_err(&path)(e.into_error()))?;
+            f.sync_all().map_err(io_err(&path))?;
             entries.push(StagePayload {
                 file,
-                crc32: crc32(body.as_bytes()),
-                bytes: body.len() as u64,
+                crc32: w.crc ^ 0xFFFF_FFFF,
+                bytes: w.bytes,
             });
         }
         let manifest = Manifest {
+            format: FORMAT,
             generation,
             step: snap.step,
             tag: snap.tag.clone(),
@@ -541,6 +751,7 @@ impl CheckpointStore {
             n_sliced: snap.n_sliced,
             n_chunks: snap.n_chunks,
             n_microbatches: snap.n_microbatches,
+            recompute: snap.recompute.clone(),
             stages: entries,
         };
         let mpath = tmp.join("manifest.json");
@@ -551,7 +762,7 @@ impl CheckpointStore {
             })?;
         {
             let mut f = fs::File::create(&mpath).map_err(io_err(&mpath))?;
-            io::Write::write_all(&mut f, mbody.as_bytes()).map_err(io_err(&mpath))?;
+            f.write_all(mbody.as_bytes()).map_err(io_err(&mpath))?;
             f.sync_all().map_err(io_err(&mpath))?;
         }
 
@@ -575,7 +786,7 @@ impl CheckpointStore {
             .is_some()
         {
             // Post-commit bit rot on stage 0's payload.
-            let victim = committed.join("stage-0.json");
+            let victim = committed.join("stage-0.bin");
             let mut bytes = fs::read(&victim).map_err(io_err(&victim))?;
             if let Some(b) = bytes.get_mut(0) {
                 *b ^= 0xFF;
@@ -607,6 +818,21 @@ impl CheckpointStore {
         let corrupt = |path: PathBuf, detail: String| CheckpointError::Corrupt { path, detail };
         let mpath = dir.join("manifest.json");
         let mtext = fs::read_to_string(&mpath).map_err(io_err(&mpath))?;
+        // The version gate comes first, on the untyped document: an older
+        // manifest lacks fields, and "missing field" would not say why.
+        let version = serde_json::from_str::<serde_json::Value>(&mtext)
+            .map_err(|e| corrupt(mpath.clone(), format!("manifest parse failed: {e}")))?
+            .get("format")
+            .map_or(Some(1), |f| f.as_u64());
+        if version != Some(FORMAT as u64) {
+            let found = version.map_or("an unreadable version".into(), |v| format!("version {v}"));
+            return Err(corrupt(
+                mpath,
+                format!(
+                    "generation is checkpoint format {found}, this build reads version {FORMAT} only"
+                ),
+            ));
+        }
         let manifest: Manifest = serde_json::from_str(&mtext)
             .map_err(|e| corrupt(mpath.clone(), format!("manifest parse failed: {e}")))?;
         let mut stages = Vec::with_capacity(manifest.stages.len());
@@ -630,17 +856,13 @@ impl CheckpointStore {
                     format!("crc32 {got:08x} != manifest {:08x}", entry.crc32),
                 ));
             }
-            let text = String::from_utf8(bytes)
-                .map_err(|e| corrupt(path.clone(), format!("payload not UTF-8: {e}")))?;
-            let state: StageState = serde_json::from_str(&text)
-                .map_err(|e| corrupt(path.clone(), format!("payload parse failed: {e}")))?;
-            stages.push(state);
+            stages.push(decode_stage(&bytes).map_err(|why| corrupt(path, why))?);
         }
         Ok((manifest, stages))
     }
 
     /// Load the newest generation that validates, falling back past corrupt
-    /// ones (each payload is length- and CRC-checked before it is parsed).
+    /// ones (each payload is length- and CRC-checked before it is decoded).
     pub fn load_latest(&self) -> Result<(Manifest, Vec<StageState>), CheckpointError> {
         let gens = self.generations();
         let mut failures = Vec::new();
@@ -682,7 +904,7 @@ pub struct WriterStatus {
 /// Snapshots at a step cadence without blocking the 1F1B steady state: the
 /// training thread exports stage states (the cheap double-buffered copy)
 /// and [`offer`](Self::offer)s them over a bounded channel; a dedicated
-/// writer thread serialises and commits them. A busy writer causes the
+/// writer thread encodes and commits them. A busy writer causes the
 /// snapshot to be *skipped* (counted, never blocked on).
 #[derive(Debug)]
 pub struct BackgroundCheckpointer {
@@ -786,8 +1008,8 @@ mod tests {
     use crate::data::BatchSet;
     use crate::engine::PipelineConfig;
     use autopipe_model::{ModelConfig, ModelFamily};
-    use autopipe_schedule::one_f_one_b;
     use autopipe_sim::Partition;
+    use proptest::prelude::*;
 
     fn tiny() -> ModelConfig {
         ModelConfig {
@@ -822,6 +1044,17 @@ mod tests {
         dir
     }
 
+    /// The one-table, byte-at-a-time CRC-32 the slicing implementation
+    /// replaced, kept as its oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &crc32_tables()[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
@@ -831,52 +1064,203 @@ mod tests {
     }
 
     #[test]
-    fn save_load_resume_is_exact() {
-        let model = tiny();
-        let batch = BatchSet::synthetic(1, 4, 2, model.seq_len, model.vocab_size);
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        let mut rng = proptest::test_runner::TestRng::deterministic();
+        let mut random =
+            |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
+        // Every length around the 8-byte stride, at every alignment of it.
+        for len in 0..=64 {
+            let bytes = random(len);
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "length {len}");
+        }
+        let big = random(1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+        // Streaming in uneven pieces is the same register walk.
+        let streamed = big.chunks(4099).fold(0xFFFF_FFFF, crc32_update);
+        assert_eq!(streamed ^ 0xFFFF_FFFF, crc32(&big));
+    }
 
-        // Train 3 iterations, checkpoint, train 2 more.
-        let mut a = pipe(5);
-        for _ in 0..3 {
-            a.train_iteration(&batch).unwrap();
-        }
-        let dir = temp_dir("ckpt_legacy");
-        let path = dir.join("ckpt.json");
-        Checkpoint::capture(&mut a, "iter3").save(&path).unwrap();
-        let mut tail_a = Vec::new();
-        for _ in 0..2 {
-            tail_a.push(a.train_iteration(&batch).unwrap().loss);
-        }
+    fn encoded(state: &StageState) -> Vec<u8> {
+        assert_eq!(shape_table_mismatch(state), None);
+        let mut bytes = Vec::new();
+        encode_stage(&mut bytes, state).unwrap();
+        bytes
+    }
 
-        // Fresh pipeline with a *different* seed, restored from the
-        // checkpoint, must continue identically (params AND Adam moments).
-        let mut b = pipe(999);
-        let ck = Checkpoint::load(&path).unwrap();
-        assert_eq!(ck.tag, "iter3");
-        ck.restore(&mut b).unwrap();
-        // `a` has trained past the checkpoint; `b` starts back at it.
-        assert!((a.param_checksum() - b.param_checksum()).abs() > 0.0);
-        let mut tail_b = Vec::new();
-        for _ in 0..2 {
-            tail_b.push(b.train_iteration(&batch).unwrap().loss);
+    #[test]
+    fn stage_payload_round_trips_every_bit() {
+        let mut p = pipe(3);
+        let batch = BatchSet::synthetic(2, 4, 2, tiny().seq_len, tiny().vocab_size);
+        p.train_iteration(&batch).unwrap(); // non-zero moments, step = 1
+        for stage in p.stages_mut() {
+            let state = stage.export_state();
+            let back = decode_stage(&encoded(&state)).unwrap();
+            assert_eq!(back.params, state.params);
+            assert_eq!(back.adam.moments(), state.adam.moments());
+            assert_eq!(back.adam.step_count(), 1);
+            let hyper = |a: &Adam| [a.lr, a.beta1, a.beta2, a.eps].map(f32::to_bits);
+            assert_eq!(hyper(&back.adam), hyper(&state.adam));
         }
-        for (x, y) in tail_a.iter().zip(&tail_b) {
-            assert!(
-                (x - y).abs() < 1e-6,
-                "resumed training diverged: {tail_a:?} vs {tail_b:?}"
-            );
-        }
+    }
+
+    #[test]
+    fn moments_that_do_not_mirror_the_params_are_an_error_not_an_assert() {
+        let dir = temp_dir("ckpt_moments");
+        let mut store = CheckpointStore::open(&dir, 2).unwrap();
+        let mut snap = PipelineSnapshot::capture(&mut pipe(1), 0, "x");
+        let wrong = vec![Tensor::zeros(&[3, 2])];
+        snap.stages[1] = StageState {
+            params: vec![Tensor::zeros(&[2, 3])],
+            adam: Adam::from_moments(1e-3, 0, wrong.clone(), wrong),
+        };
+        let err = store.save(&snap).unwrap_err();
         assert!(
-            (a.param_checksum() - b.param_checksum()).abs() < 1e-7,
-            "final params diverged"
+            matches!(&err, CheckpointError::Mismatch(why) if why.contains("stage 1")),
+            "{err}"
         );
+        assert!(store.generations().is_empty(), "nothing may commit");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // Byte offsets of the payload's structural fields (module docs).
+    const VERSION_AT: usize = 8;
+    const COUNT_AT: usize = 36;
+    const RANK0_AT: usize = 40;
+    const DIM0_AT: usize = 44;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The decoder on bytes the CRC would have passed (it only proves
+        /// the file is what the writer wrote, not that the writer was this
+        /// program): a damaged header, count, rank or dimension, a truncated
+        /// or an extended payload is an error — never a panic, never an
+        /// allocation sized from the damaged field.
+        #[test]
+        fn the_decoder_is_total(
+            kind in 0usize..7,
+            pick in 0usize..6,
+            noise in 0usize..usize::MAX,
+            frac in 0.0f64..1.0,
+        ) {
+            let state = pipe(9).stages_mut()[0].export_state();
+            let valid = encoded(&state);
+            prop_assert!(decode_stage(&valid).is_ok());
+            let value = [0, 1, 7, u32::MAX as u64, 1 << 62, noise as u64][pick];
+            let mut bytes = valid.clone();
+            let mut put = |at: usize, width: usize| {
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            };
+            match kind {
+                0 => put(0, 8),
+                1 => put(VERSION_AT, 4),
+                2 => put(COUNT_AT, 4),
+                3 => put(RANK0_AT, 4),
+                4 => put(DIM0_AT, 8),
+                5 => bytes.truncate((frac * valid.len() as f64) as usize),
+                _ => bytes.extend(std::iter::repeat_n(noise as u8, 1 + pick * 3)),
+            }
+            if bytes != valid {
+                prop_assert!(decode_stage(&bytes).is_err(), "kind {kind} value {value}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_old_format_generation_is_skipped_naming_its_version() {
+        let dir = temp_dir("ckpt_v1");
+        let mut store = CheckpointStore::open(&dir, 4).unwrap();
+        let v1 = dir.join("gen-000000");
+        fs::create_dir_all(&v1).unwrap();
+        // What the unversioned JSON-payload layout left on disk.
+        fs::write(
+            v1.join("manifest.json"),
+            r#"{"generation": 0, "step": 4, "tag": "step", "boundaries": [0, 3, 7],
+                "kind": "OneFOneB", "n_sliced": 0, "n_chunks": 1, "n_microbatches": 4,
+                "stages": [{"file": "stage-0.json", "crc32": 0, "bytes": 2},
+                           {"file": "stage-1.json", "crc32": 0, "bytes": 2}]}"#,
+        )
+        .unwrap();
+        fs::write(v1.join("stage-0.json"), "{}").unwrap();
+        fs::write(v1.join("stage-1.json"), "{}").unwrap();
+
+        let names_v1 = |e: &CheckpointError| e.to_string().contains("format version 1");
+        let err = store.load_generation(0).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Corrupt { .. }) && names_v1(&err),
+            "{err}"
+        );
+        let err = store.load_latest().unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::NoValidGeneration { .. }) && names_v1(&err),
+            "{err}"
+        );
+
+        // A current generation on either side of it is what loads.
+        let mut p = pipe(21);
+        assert_eq!(store.save(&p.snapshot(5, "new")).unwrap(), 1);
+        assert_eq!(store.load_latest().unwrap().0.generation, 1);
+        fs::rename(&v1, dir.join("gen-000002")).unwrap();
+        assert_eq!(store.load_latest().unwrap().0.generation, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_rebuilds_the_schedule_it_captured() {
+        // Nine blocks, so four chunk-stages still hold two blocks each.
+        let three_layers = ModelConfig {
+            num_layers: 3,
+            ..tiny()
+        };
+        let mut masked = sliced_1f1b(2, 4, 2);
+        apply_recompute(&mut masked, &[true, false]);
+        let mut masked_chunks = interleaved(2, 2, 4).unwrap();
+        apply_recompute(&mut masked_chunks, &[false, true, true, false]);
+        let dir = temp_dir("ckpt_sched");
+        let mut store = CheckpointStore::open(&dir, 1).unwrap();
+        for schedule in [
+            one_f_one_b(2, 4),
+            sliced_1f1b(2, 4, 2),
+            gpipe(2, 4),
+            zero_bubble(2, 4),
+            interleaved(2, 2, 4).unwrap(),
+            masked,
+            masked_chunks,
+        ] {
+            let even = |n: usize| (0..=n).map(|s| s * 9 / n).collect();
+            let mut p = Pipeline::try_new(&PipelineConfig {
+                model: three_layers.clone(),
+                partition: Partition::new(even(schedule.n_stages())),
+                schedule,
+                lr: 1e-3,
+                seed: 1,
+                checkpointing: false,
+                comm: autopipe_exec::CommConfig::default(),
+            })
+            .unwrap();
+            store.save(&p.snapshot(0, "sched")).unwrap();
+            let (manifest, _) = store.load_latest().unwrap();
+            assert_eq!(manifest.schedule().unwrap(), *p.schedule());
+        }
+
+        let (mut manifest, _) = store.load_latest().unwrap();
+        manifest.recompute.pop();
+        assert!(matches!(
+            manifest.schedule(),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        manifest.n_chunks = 3;
+        assert!(matches!(
+            manifest.schedule(),
+            Err(CheckpointError::Mismatch(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_rejects_mismatched_shapes() {
         let mut a = pipe(1);
-        let ck = Checkpoint::capture(&mut a, "x");
+        let snap = PipelineSnapshot::capture(&mut a, 0, "x");
         // 4-stage pipeline: different stage count.
         let mut b = Pipeline::try_new(&PipelineConfig {
             model: tiny(),
@@ -889,37 +1273,13 @@ mod tests {
         })
         .unwrap();
         let before = b.param_checksum();
-        let err = ck.restore(&mut b).unwrap_err();
+        let err = snap.restore(&mut b).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
         assert_eq!(
             before.to_bits(),
             b.param_checksum().to_bits(),
             "rejected restore must not touch the pipeline"
         );
-    }
-
-    #[test]
-    fn torn_single_file_is_rejected_not_trusted() {
-        let dir = temp_dir("ckpt_torn");
-        let path = dir.join("ckpt.json");
-        let mut a = pipe(2);
-        Checkpoint::capture(&mut a, "t").save(&path).unwrap();
-
-        // Truncate mid-body: the CRC no longer matches.
-        let full = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(matches!(
-            Checkpoint::load(&path),
-            Err(CheckpointError::Corrupt { .. })
-        ));
-
-        // A header-less legacy file is also rejected.
-        fs::write(&path, "{\"stages\":[],\"tag\":\"x\"}").unwrap();
-        assert!(matches!(
-            Checkpoint::load(&path),
-            Err(CheckpointError::Corrupt { .. })
-        ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

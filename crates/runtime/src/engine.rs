@@ -31,7 +31,7 @@ use autopipe_sim::Partition;
 use autopipe_tensor::{optim::Adam, Tensor};
 use crossbeam::channel::{bounded, SyncSender};
 
-use crate::checkpoint::{PipelineSnapshot, StageState};
+use crate::checkpoint::PipelineSnapshot;
 use crate::data::BatchSet;
 use crate::stage::{
     build_modules, concat_halves, split_halves, Module, StageInput, StageModel, StageOutput,
@@ -430,7 +430,7 @@ impl Pipeline {
 
     /// Hot-swap the partition between iterations: parameters and Adam
     /// moments migrate stage-to-stage through the checkpoint path
-    /// ([`StageState`] export/import), so training continues bit-exactly —
+    /// ([`StageState`](crate::StageState) export/import), so training continues bit-exactly —
     /// the payoff of straggler-aware re-planning is purely in iteration
     /// time, never in numerics.
     ///
@@ -515,10 +515,10 @@ impl Pipeline {
             let stage_m: Vec<Tensor> = m_iter.by_ref().take(nparams).collect();
             let stage_v: Vec<Tensor> = v_iter.by_ref().take(nparams).collect();
             let mut stage = StageModel::from_parts(mods, self.seq, lr, self.checkpointing);
-            stage.import_state(StageState {
-                params: stage_params,
-                adam: Adam::from_moments(lr, step_count, stage_m, stage_v),
-            });
+            stage.import_state(
+                &stage_params,
+                Adam::from_moments(lr, step_count, stage_m, stage_v),
+            );
             built[s] = Some(stage);
         }
         let p = self.schedule.n_devices;
@@ -779,7 +779,8 @@ fn run_device(ctx: DeviceCtx<'_>) -> DeviceOutcome {
         }
         // Scripted fail-stop: the stage thread dies *silently* at this op —
         // no poison, no farewell message, exactly like a killed process.
-        // Downstream peers discover the death through the watchdog; the
+        // Returning drops `ep`, so peers discover the death as a hang-up on
+        // their next receive (or a closed channel on their next send); the
         // coordinator learns the cause when it reaps this outcome.
         if let Some(kind) = faults.and_then(|f| f.crash_at(d, j)) {
             crashed = Some((j, kind));
@@ -1526,6 +1527,47 @@ mod tests {
             other => panic!("expected a stall report, got {other}"),
         }
         assert!(pipe.last_timeline().is_none(), "no timeline for an abort");
+    }
+
+    #[test]
+    fn waiting_on_a_finished_peer_stalls_at_once() {
+        let model = tiny();
+        let m = 4;
+        let batch = BatchSet::synthetic(44, m, 2, model.seq_len, model.vocab_size);
+        // A schedule bug, not a fault: device 0 sends one activation and is
+        // done; device 1 consumes it, then waits for a second that is never
+        // sent (and never sends anything back to the finished device).
+        let mut schedule = one_f_one_b(2, m);
+        let sent = (schedule.devices[0].iter())
+            .position(|op| matches!(op.kind, OpKind::SendAct { .. }))
+            .unwrap();
+        schedule.devices[0].truncate(sent + 1);
+        let wanted = |op: &Op| match op.kind {
+            OpKind::RecvAct { mb, .. } => mb < 2,
+            OpKind::Fwd { mb, .. } => mb == 0,
+            _ => false,
+        };
+        schedule.devices[1].retain(wanted);
+        let mut pipe = Pipeline::try_new(&cfg(schedule, partition2(), false)).unwrap();
+        pipe.set_watchdog(WatchdogConfig {
+            base_timeout: Duration::from_secs(60),
+            ..WatchdogConfig::default()
+        });
+        let start = Instant::now();
+        let err = pipe.train_iteration(&batch).unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "a drained, closed link is not waited on"
+        );
+        match err {
+            RuntimeError::Stalled(report) => {
+                assert_eq!(report.stalls(), 1, "{report}");
+                let stall = &report.events[0];
+                assert_eq!((stall.device, stall.op_index, stall.timeouts), (1, 2, 0));
+                assert_eq!(report.counters, vec![sent + 1, 2]);
+            }
+            other => panic!("expected a stall report, got {other}"),
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod watchdog;
 
 pub use adaptive::{stage_compute_times, StragglerConfig, StragglerMonitor, StragglerObservation};
 pub use checkpoint::{
-    BackgroundCheckpointer, Checkpoint, CheckpointError, CheckpointStore, FailPoint, Manifest,
+    restore_states, BackgroundCheckpointer, CheckpointError, CheckpointStore, FailPoint, Manifest,
     PipelineSnapshot, StagePayload, StageState, WriterStatus,
 };
 pub use data::BatchSet;

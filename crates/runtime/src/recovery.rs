@@ -5,10 +5,12 @@
 //! ([`RecoveryCoordinator::maybe_checkpoint`]) and hands it the
 //! [`RuntimeError::StageDown`] report when an iteration dies
 //! ([`RecoveryCoordinator::recover`]). Detection itself is split across two
-//! mechanisms that already exist in the engine: the *watchdog* notices a
-//! dead peer (its messages stop arriving, the wait is abandoned) and the
-//! coordinator's *join reaping* attributes the death to the right stage
-//! with a structured [`CrashEvent`].
+//! mechanisms that already exist in the engine: a dead stage's dropped
+//! endpoint closes its links, so a neighbour's next receive sees the
+//! *hang-up* and abandons the wait at once (the watchdog's deadlines are for
+//! peers that are alive and late), and the coordinator's *join reaping*
+//! attributes the death to the right stage with a structured
+//! [`CrashEvent`].
 //!
 //! Recovery executes one of two policies:
 //!
@@ -363,11 +365,10 @@ mod tests {
     use super::*;
     use crate::data::BatchSet;
     use crate::engine::{Pipeline, PipelineConfig};
-    use crate::watchdog::{RuntimeError, WatchdogConfig};
+    use crate::watchdog::RuntimeError;
     use autopipe_exec::{FaultPlan, StageCrash};
     use autopipe_model::{ModelConfig, ModelFamily};
     use std::path::PathBuf;
-    use std::time::Duration;
 
     fn tiny() -> ModelConfig {
         ModelConfig {
@@ -398,16 +399,6 @@ mod tests {
             comm: autopipe_exec::CommConfig::default(),
         })
         .unwrap()
-    }
-
-    fn snappy() -> WatchdogConfig {
-        WatchdogConfig {
-            base_timeout: Duration::from_millis(5),
-            slack: 4.0,
-            backoff: 1.5,
-            max_retries: 2,
-            jitter_seed: 0,
-        }
     }
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -468,7 +459,6 @@ mod tests {
         })
         .unwrap();
         let mut crashed = pipe(2, m);
-        crashed.set_watchdog(snappy());
         crashed.set_faults(
             FaultPlan {
                 crashes: vec![StageCrash {
@@ -519,7 +509,6 @@ mod tests {
         })
         .unwrap();
         let mut crashed = pipe(4, m);
-        crashed.set_watchdog(snappy());
         crashed.set_faults(
             FaultPlan {
                 crashes: vec![StageCrash {

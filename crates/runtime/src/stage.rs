@@ -663,7 +663,7 @@ impl StageModel {
         assert_eq!(mine.len(), params.len(), "parameter count mismatch");
         for (dst, src) in mine.iter_mut().zip(params) {
             assert_eq!(dst.shape(), src.shape(), "parameter shape mismatch");
-            **dst = src.clone();
+            dst.data_mut().copy_from_slice(src.data());
         }
     }
 

@@ -1,19 +1,31 @@
 //! Stall watchdog: bounded channel waits instead of indefinite blocking.
 //!
-//! The threaded engine used to block forever on [`ChannelEndpoint::recv`] —
-//! a missing message (peer crash, schedule bug, injected stall) silently
-//! deadlocked the whole `thread::scope`. The watchdog replaces every channel
-//! wait with a deadline loop:
+//! A blocking [`ChannelEndpoint::recv`] on a message that never comes (peer
+//! crash, schedule bug, injected stall) would silently deadlock the whole
+//! `thread::scope`. The engine's channel waits go through the watchdog
+//! instead, and always end, one of two ways:
 //!
-//! 1. Poll for the message; on arrival, deliver (recording a
-//!    [`WatchdogEvent`] if any deadline had already expired — a *resolved*
-//!    firing, the signature of an injected stall or straggler upstream).
-//! 2. On an expired deadline, extend the budget by `backoff`× and retry,
-//!    up to `max_retries` times.
-//! 3. When retries are exhausted, set a shared poison flag so every device
-//!    thread bails cooperatively, and report the wait as an *unresolved*
-//!    stall. The iteration returns [`RuntimeError::Stalled`] carrying a
-//!    structured [`FaultReport`] — a silent deadlock becomes data.
+//! * **Hang-up** — for a peer that is *gone*. A stage thread that dies or
+//!   finishes drops its endpoint, which closes its links; once the link
+//!   from the awaited op's own `from` device is closed and drained
+//!   ([`ChannelEndpoint::hung_up`]) and the message is not in the stash, it
+//!   will never arrive. The wait is abandoned on that poll: one unresolved
+//!   [`WatchdogEvent`], the poison flag, done. No deadline is involved.
+//! * **Deadlines** — for a peer that is alive and *late*:
+//!
+//!   1. Poll for the message; on arrival, deliver (recording a
+//!      [`WatchdogEvent`] if any deadline had already expired — a
+//!      *resolved* firing, the signature of an injected stall or straggler
+//!      upstream).
+//!   2. On an expired deadline, extend the budget by `backoff`× and retry,
+//!      up to `max_retries` times.
+//!   3. When retries are exhausted, set a shared poison flag so every
+//!      device thread bails cooperatively, and report the wait as an
+//!      *unresolved* stall.
+//!
+//! Either way the iteration returns [`RuntimeError::Stalled`] (or
+//! [`RuntimeError::StageDown`] when a stage died) carrying a structured
+//! [`FaultReport`] — a silent deadlock becomes data.
 //!
 //! Per-op deadlines derive from the simulator's expected end-times: the
 //! expected *gap* between an op and its predecessor (scaled into wall time)
@@ -21,12 +33,13 @@
 //! timeline the flat `base_timeout` applies.
 //!
 //! [`ChannelEndpoint::recv`]: autopipe_exec::ChannelEndpoint::recv
+//! [`ChannelEndpoint::hung_up`]: autopipe_exec::ChannelEndpoint::hung_up
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use autopipe_exec::{ChannelEndpoint, FailStopKind, MsgKey, Timeline, Transport};
-use autopipe_schedule::Op;
+use autopipe_schedule::{Op, OpKind};
 
 /// Watchdog knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,6 +245,12 @@ impl Watchdog {
     /// Deadline-looped receive. `Ok` delivers the payload; `Err(true)` means
     /// this wait was abandoned (and the pipeline poisoned); `Err(false)`
     /// means another thread poisoned the pipeline while we waited.
+    ///
+    /// A wait on a peer that has hung up (`op`'s own `from` device dropped
+    /// its endpoint and the link is drained) is abandoned at once: the
+    /// message cannot arrive, so there is nothing for the ladder to wait
+    /// out. The unresolved event it records says where this device was
+    /// blocked.
     pub(crate) fn recv<T: autopipe_exec::ChunkPayload>(
         &self,
         ep: &mut ChannelEndpoint<T>,
@@ -241,39 +260,47 @@ impl Watchdog {
         key: MsgKey,
         events: &mut Vec<WatchdogEvent>,
     ) -> Result<T, bool> {
+        let from = match op.kind {
+            OpKind::RecvAct { from, .. } | OpKind::RecvGrad { from, .. } => Some(from),
+            _ => None,
+        };
         let started = Instant::now();
         let mut budget = self.budget(device, op_index);
         let mut deadline = started + budget;
         let mut timeouts = 0u32;
+        let event = |timeouts, resolved| WatchdogEvent {
+            device,
+            op_index,
+            op: *op,
+            waited: started.elapsed().as_secs_f64(),
+            timeouts,
+            resolved,
+        };
         loop {
             if let Some((payload, _)) = ep.try_recv(device, key) {
                 if timeouts > 0 {
-                    events.push(WatchdogEvent {
-                        device,
-                        op_index,
-                        op: *op,
-                        waited: started.elapsed().as_secs_f64(),
-                        timeouts,
-                        resolved: true,
-                    });
+                    events.push(event(timeouts, true));
                 }
                 return Ok(payload);
             }
+            // Read before the poison flag: a peer that bailed out *because*
+            // of the flag hangs up too, and the channel's own synchronisation
+            // makes the flag it saw visible here — so its departure is
+            // never reported as a second stall.
+            let hung_up = from.is_some_and(|f| ep.hung_up(f));
             if self.poisoned() {
                 return Err(false);
+            }
+            if hung_up {
+                events.push(event(timeouts, false));
+                self.poison();
+                return Err(true);
             }
             let now = Instant::now();
             if now >= deadline {
                 timeouts += 1;
                 if timeouts > self.cfg.max_retries {
-                    events.push(WatchdogEvent {
-                        device,
-                        op_index,
-                        op: *op,
-                        waited: started.elapsed().as_secs_f64(),
-                        timeouts,
-                        resolved: false,
-                    });
+                    events.push(event(timeouts, false));
                     self.poison();
                     return Err(true);
                 }
@@ -471,6 +498,34 @@ mod tests {
         assert!(!events[0].resolved);
         // 5 + 7.5 + 11.25 ms of budgets: well under a second.
         assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_peer_that_hung_up_is_given_up_at_once() {
+        let mut eps = channel_mesh::<u32>(2, [(0, 1)]);
+        let mut rx = eps.pop().unwrap();
+        let tx = eps.pop().unwrap();
+        tx.send_to(1, key(0), 7);
+        drop(tx);
+        let patient = WatchdogConfig {
+            base_timeout: Duration::from_secs(60),
+            ..fast_cfg()
+        };
+        let wd = Watchdog::new(patient, None);
+        let mut events = Vec::new();
+        // What the peer sent before it went is still delivered…
+        let got = wd.recv(&mut rx, 1, 0, &recv_op(0), key(0), &mut events);
+        assert_eq!(got.unwrap(), 7);
+        assert!(events.is_empty() && !wd.poisoned());
+        // …what it never sent is not waited for.
+        let started = Instant::now();
+        let got = wd.recv(&mut rx, 1, 4, &recv_op(1), key(1), &mut events);
+        assert!(matches!(got, Err(true)));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert!(wd.poisoned());
+        assert_eq!(events.len(), 1);
+        assert!(!events[0].resolved);
+        assert_eq!((events[0].op_index, events[0].timeouts), (4, 0));
     }
 
     #[test]

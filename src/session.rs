@@ -54,8 +54,8 @@ use autopipe_exec::FaultPlan;
 use autopipe_model::ModelConfig;
 use autopipe_planner::{PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
-    BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent, FaultReport,
-    Pipeline, PipelineConfig, PipelineSnapshot, RecoveryCoordinator, RecoveryRecord, RuntimeError,
+    restore_states, BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent,
+    FaultReport, Pipeline, PipelineConfig, RecoveryCoordinator, RecoveryRecord, RuntimeError,
     ShrinkPlan, StragglerConfig, StragglerMonitor, WatchdogConfig,
 };
 use autopipe_schedule::{validate, ScheduleKind};
@@ -414,16 +414,7 @@ impl Session {
         let p = n_stages / v;
         let m = manifest.n_microbatches;
         let partition = Partition::new(manifest.boundaries.clone());
-        use autopipe_schedule::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
-        let schedule = match manifest.kind {
-            ScheduleKind::OneFOneB => one_f_one_b(p, m),
-            ScheduleKind::Sliced1F1B => sliced_1f1b(p, m, manifest.n_sliced),
-            ScheduleKind::GPipe => gpipe(p, m),
-            ScheduleKind::ZeroBubble => zero_bubble(p, m),
-            ScheduleKind::Interleaved => {
-                interleaved(p, v, m).map_err(|e| Error::Config(e.to_string()))?
-            }
-        };
+        let schedule = manifest.schedule().map_err(Error::from)?;
         // Validate the on-disk shape against what this session asked for
         // *before* touching the pipeline: a mismatch here used to surface as
         // an opaque failure deep inside repartition/restore.
@@ -481,18 +472,7 @@ impl Session {
         let mut pipe = Pipeline::try_new(&PipelineConfig::from_session(
             &self.cfg, partition, schedule,
         ))?;
-        PipelineSnapshot {
-            step: manifest.step,
-            tag: manifest.tag.clone(),
-            boundaries: manifest.boundaries.clone(),
-            kind: manifest.kind,
-            n_sliced: manifest.n_sliced,
-            n_chunks: manifest.n_chunks,
-            n_microbatches: m,
-            stages: states,
-        }
-        .restore(&mut pipe)
-        .map_err(Error::from)?;
+        restore_states(&mut pipe, &states).map_err(Error::from)?;
         Run {
             cfg: &self.cfg,
             db: &db,
@@ -924,19 +904,6 @@ mod tests {
     use autopipe_runtime::RecoveryAction;
     use autopipe_schedule::{recompute_mask, zero_bubble};
     use proptest::prelude::*;
-    use std::time::Duration;
-
-    /// Watchdog tuned for millisecond-scale crash tests (the default waits
-    /// hundreds of milliseconds before giving a dead peer up).
-    fn snappy() -> WatchdogConfig {
-        WatchdogConfig {
-            base_timeout: Duration::from_millis(100),
-            slack: 4.0,
-            backoff: 2.0,
-            max_retries: 3,
-            jitter_seed: 0,
-        }
-    }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("autopipe_{name}_{}", std::process::id()));
@@ -1134,7 +1101,6 @@ mod tests {
                 },
                 0.0,
             )
-            .watchdog(snappy())
             .recovery(RecoveryConfig {
                 background: false,
                 ..RecoveryConfig::new(&dir)
@@ -1178,7 +1144,6 @@ mod tests {
                 },
                 0.0,
             )
-            .watchdog(snappy())
             .recovery(RecoveryConfig {
                 background: false,
                 ..RecoveryConfig::new(&dir)

@@ -1,30 +1,33 @@
 //! Crash-consistency and fail-stop recovery, end to end.
 //!
-//! Three layers of evidence, mirroring `results/BENCH_recovery.json`:
+//! Four layers of evidence:
 //!
 //! 1. a **seeded campaign** of random fail-stop scripts against the
 //!    threaded runtime with durable checkpointing armed — every crash
 //!    recovers, every restart-in-place trajectory is bit-identical to the
 //!    uninterrupted run, every device loss shrinks and converges;
-//! 2. the **kill-9 guarantee** — a writer aborted between the temp-dir
+//! 2. **every crash position** of a sliced two-stage and a plain four-stage
+//!    program is detected by a neighbour's next receive, not by the
+//!    watchdog's deadlines;
+//! 3. the **kill-9 guarantee** — a writer aborted between the temp-dir
 //!    write and the commit rename leaves the previous generation loadable;
-//! 3. **property tests** — snapshot → save → load round-trips exactly for
+//! 4. **property tests** — snapshot → save → load round-trips exactly for
 //!    random training prefixes, and a byte flipped anywhere in a committed
 //!    payload is rejected (falling back to the previous valid generation).
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use autopipe_core::{RecoveryConfig, RecoveryPolicy};
-use autopipe_exec::{FaultPlan, FaultSpec};
+use autopipe_exec::{FaultPlan, FaultSpec, StageCrash};
 use autopipe_model::{ModelConfig, ModelFamily};
 use autopipe_runtime::{
     BatchSet, CheckpointError, CheckpointStore, EvenReplanner, FailPoint, Pipeline, PipelineConfig,
     RecoveryCoordinator, RuntimeError, WatchdogConfig,
 };
-use autopipe_schedule::one_f_one_b;
+use autopipe_schedule::{one_f_one_b, recompute_mask, sliced_1f1b, Schedule};
 use autopipe_sim::Partition;
 
 const M: usize = 4;
@@ -44,7 +47,11 @@ fn tiny() -> ModelConfig {
 }
 
 fn pipe(p: usize, seed: u64) -> Pipeline {
-    let partition = match p {
+    pipe_on(one_f_one_b(p, M), seed)
+}
+
+fn pipe_on(schedule: Schedule, seed: u64) -> Pipeline {
+    let partition = match schedule.n_devices {
         2 => Partition::new(vec![0, 3, 7]),
         4 => Partition::new(vec![0, 2, 4, 6, 7]),
         other => panic!("no fixture for {other} devices"),
@@ -52,23 +59,13 @@ fn pipe(p: usize, seed: u64) -> Pipeline {
     Pipeline::try_new(&PipelineConfig {
         model: tiny(),
         partition,
-        schedule: one_f_one_b(p, M),
+        schedule,
         lr: 1e-3,
         seed,
         checkpointing: false,
         comm: autopipe_exec::CommConfig::default(),
     })
     .unwrap()
-}
-
-fn snappy() -> WatchdogConfig {
-    WatchdogConfig {
-        base_timeout: Duration::from_millis(5),
-        slack: 4.0,
-        backoff: 1.5,
-        max_retries: 2,
-        jitter_seed: 0,
-    }
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -128,7 +125,6 @@ fn seeded_crashes_restart_bit_identically() {
         })
         .unwrap();
         let mut crashed = pipe(2, 77);
-        crashed.set_watchdog(snappy());
         crashed.set_faults(
             FaultPlan::random_failstop(seed, &FaultSpec::new(2, program_len, 1.0), 0.0),
             0.0,
@@ -167,7 +163,6 @@ fn seeded_losses_shrink_and_converge() {
         })
         .unwrap();
         let mut crashed = pipe(4, 77);
-        crashed.set_watchdog(snappy());
         crashed.set_faults(
             FaultPlan::random_failstop(seed, &FaultSpec::new(4, program_len, 1.0), 1.0),
             0.0,
@@ -182,6 +177,109 @@ fn seeded_losses_shrink_and_converge() {
         assert_eq!(clean_losses, losses, "seed {seed}: trajectory drifted");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Every (device, op) crash position of a sliced p = 2 and a plain p = 4
+/// program, under a watchdog that would need two seconds to give a wait up:
+/// the iteration comes back `StageDown` naming that device and op long before
+/// the first deadline, because a survivor's next receive sees the dead
+/// stage's links closed. One position where the survivor is blocked in a
+/// receive then goes through the coordinator and replays bit for bit.
+#[test]
+fn every_crash_position_is_detected_by_a_neighbours_next_receive() {
+    let patient = WatchdogConfig {
+        base_timeout: Duration::from_secs(2),
+        max_retries: 0,
+        ..WatchdogConfig::default()
+    };
+    let model = tiny();
+    let batch = BatchSet::synthetic(50, M, 2, model.seq_len, model.vocab_size);
+    let crash_at = |device, at_op| FaultPlan {
+        crashes: vec![StageCrash { device, at_op }],
+        ..FaultPlan::none()
+    };
+    for schedule in [sliced_1f1b(2, M, 2), one_f_one_b(4, M)] {
+        for device in 0..schedule.n_devices {
+            for at_op in 0..schedule.devices[device].len() {
+                let mut crashed = pipe_on(schedule.clone(), 77);
+                crashed.set_watchdog(patient);
+                crashed.set_faults(crash_at(device, at_op), 0.0);
+                let started = Instant::now();
+                let err = crashed.train_iteration(&batch).unwrap_err();
+                let took = started.elapsed();
+                let RuntimeError::StageDown { stage, report } = err else {
+                    panic!("device {device} op {at_op}: expected StageDown, got {err}");
+                };
+                let crash = report.first_crash().expect("crash event recorded");
+                assert_eq!((stage, crash.device, crash.at_op), (device, device, at_op));
+                assert!(
+                    took < patient.base_timeout / 2,
+                    "{:?} device {device} op {at_op}: {took:?} to detect, waited out a deadline",
+                    schedule.kind
+                );
+            }
+        }
+    }
+
+    // Stage 0 dying at op 5 leaves stage 1 waiting for an activation.
+    let sliced = sliced_1f1b(2, M, 2);
+    let mut clean = pipe_on(sliced.clone(), 77);
+    let clean_losses: Vec<f32> = (0..STEPS)
+        .map(|_| clean.train_iteration(&batch).unwrap().loss)
+        .collect();
+    let dir = temp_dir("crash_positions");
+    let mut coord = RecoveryCoordinator::new(RecoveryConfig {
+        background: false,
+        ..RecoveryConfig::new(&dir)
+    })
+    .unwrap();
+    let mut crashed = pipe_on(sliced, 77);
+    crashed.set_watchdog(patient);
+    crashed.set_faults(crash_at(0, 5), 0.0);
+    let (losses, recovered) = train_with_recovery(crashed, &mut coord, &batch, STEPS);
+    assert_eq!(coord.recoveries(), 1);
+    assert_eq!(clean_losses, losses);
+    assert_eq!(
+        clean.param_checksum().to_bits(),
+        recovered.param_checksum().to_bits()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plan whose schedule carries `Recompute` ops (the budgeted four-stage
+/// `Auto` plan `tests/train_golden.rs` trains) comes back from its manifest
+/// with them: capture → save → load → `Manifest::schedule` is the schedule
+/// the pipeline ran.
+#[test]
+fn a_masked_plan_survives_the_manifest() {
+    use autopipe::{RecomputePolicy, SchedulePolicy, Session};
+    let planned = Session::for_model(autopipe::model::zoo::gpt2_tiny())
+        .stages(4)
+        .microbatches(4)
+        .microbatch_size(2)
+        .schedule_policy(SchedulePolicy::Auto)
+        .recompute_policy(RecomputePolicy::Auto)
+        .memory_budget(1_528_236)
+        .plan()
+        .unwrap();
+    let plan = planned.plan();
+    assert!(
+        recompute_mask(&plan.schedule).contains(&true),
+        "the budget no longer forces a recompute mask"
+    );
+    let mut pipe = Pipeline::try_new(&PipelineConfig::from_session(
+        planned.config(),
+        plan.partition.clone(),
+        plan.schedule.clone(),
+    ))
+    .unwrap();
+    let dir = temp_dir("masked_manifest");
+    let mut store = CheckpointStore::open(&dir, 1).unwrap();
+    store.save(&pipe.snapshot(0, "masked")).unwrap();
+    let (manifest, _) = store.load_latest().unwrap();
+    assert_eq!(manifest.recompute, recompute_mask(&plan.schedule));
+    assert_eq!(manifest.schedule().unwrap(), plan.schedule);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The kill-9-mid-write guarantee: a writer that dies after the temp-dir
@@ -217,18 +315,7 @@ fn a_write_killed_before_the_rename_falls_back_to_the_previous_generation() {
     // And that state restores into a working pipeline with the exact
     // parameters of step 1.
     let mut restored = pipe(2, 123);
-    autopipe_runtime::PipelineSnapshot {
-        step: manifest.step,
-        tag: manifest.tag.clone(),
-        boundaries: manifest.boundaries.clone(),
-        kind: manifest.kind,
-        n_sliced: manifest.n_sliced,
-        n_chunks: manifest.n_chunks,
-        n_microbatches: manifest.n_microbatches,
-        stages: states,
-    }
-    .restore(&mut restored)
-    .unwrap();
+    autopipe_runtime::restore_states(&mut restored, &states).unwrap();
     // Replaying step 2 on the restored state reaches the crashed run's
     // parameters bit-for-bit.
     restored.train_iteration(&batch).unwrap();
@@ -255,18 +342,7 @@ proptest! {
         let (manifest, states) = store.load_latest().unwrap();
         prop_assert_eq!(manifest.step, steps as u64);
         let mut restored = pipe(2, seed as u64 + 1);
-        autopipe_runtime::PipelineSnapshot {
-            step: manifest.step,
-            tag: manifest.tag.clone(),
-            boundaries: manifest.boundaries.clone(),
-            kind: manifest.kind,
-            n_sliced: manifest.n_sliced,
-            n_chunks: manifest.n_chunks,
-            n_microbatches: manifest.n_microbatches,
-            stages: states,
-        }
-        .restore(&mut restored)
-        .unwrap();
+        autopipe_runtime::restore_states(&mut restored, &states).unwrap();
         prop_assert_eq!(
             restored.param_checksum().to_bits(),
             original.param_checksum().to_bits()
