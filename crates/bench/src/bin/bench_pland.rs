@@ -16,7 +16,6 @@ use autopipe_bench::systems::cost_db;
 use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::zoo;
 use autopipe_planner::autopipe::{plan, plan_seeded, AutoPipeConfig, PlannerScratch};
-use autopipe_planner::replan as cold_replan;
 use autopipe_planner::replan::observed_cost_db;
 use autopipe_planner::service::{BatchRequest, PlanService, Source};
 use serde_json::json;
@@ -76,36 +75,40 @@ fn main() {
 
     // ---- 2. Warm-started incremental re-plan vs the cold re-plan path. --
     // Drift: two stages of the running plan slow down (the StragglerMonitor
-    // scenario). The cold baseline is the pre-existing `replan` path — a
-    // full unseeded search on the observed costs.
+    // scenario). Both sides build the observed cost database and simulate
+    // the degraded baseline, as `PlanService::replan` does on a miss.
     let base = plan(&db, P, M, &serving_cfg).unwrap();
     let mut ratios = vec![1.0f64; P];
     ratios[1] = 1.8;
     ratios[P - 2] = 1.4;
+    let observe = || {
+        let observed = observed_cost_db(&db, &base.partition, &ratios).unwrap();
+        let degraded =
+            autopipe_sim::analytic::simulate_replay(&base.partition.stage_costs(&observed), M)
+                .iteration_time;
+        black_box(degraded);
+        observed
+    };
 
+    // The cold baseline: a full unseeded search on the observed costs.
     let t0 = Instant::now();
     let mut cold_r = None;
     for _ in 0..replan_reps {
+        let observed = observe();
         cold_r = Some(black_box(
-            cold_replan(&db, &base.partition, &ratios, M, &AutoPipeConfig::default()).unwrap(),
+            plan(&observed, P, M, &AutoPipeConfig::default()).unwrap(),
         ));
     }
     let cold_replan_us = t0.elapsed().as_secs_f64() / replan_reps as f64 * 1e6;
     let cold_r = cold_r.unwrap();
 
     // The warm path as the service runs it on a content miss: seed the
-    // pruned search with the running partition (the observed-db build and
-    // degraded-time simulation are charged to both sides by `cold_replan`
-    // above, so time the whole equivalent here too).
+    // pruned search with the running partition.
     let mut scratch = PlannerScratch::new();
     let t0 = Instant::now();
     let mut warm = None;
     for _ in 0..replan_reps {
-        let observed = observed_cost_db(&db, &base.partition, &ratios).unwrap();
-        let degraded =
-            autopipe_sim::analytic::simulate_replay(&base.partition.stage_costs(&observed), M)
-                .iteration_time;
-        black_box(degraded);
+        let observed = observe();
         warm = Some(black_box(
             plan_seeded(
                 &observed,
@@ -120,9 +123,9 @@ fn main() {
     }
     let warm_replan_us = t0.elapsed().as_secs_f64() / replan_reps as f64 * 1e6;
     let warm = warm.unwrap();
-    let drift_same_plan = warm.partition == cold_r.outcome.partition
-        && (warm.analytic.iteration_time - cold_r.outcome.analytic.iteration_time).abs()
-            <= 1e-9 * cold_r.outcome.analytic.iteration_time;
+    let drift_same_plan = warm.partition == cold_r.partition
+        && (warm.analytic.iteration_time - cold_r.analytic.iteration_time).abs()
+            <= 1e-9 * cold_r.analytic.iteration_time;
     assert!(
         drift_same_plan,
         "warm re-plan diverged from the cold re-plan"
@@ -207,7 +210,7 @@ fn main() {
         "cold_replan_us": cold_replan_us,
         "warm_replan_us": warm_replan_us,
         "speedup": cold_replan_us / warm_replan_us,
-        "schemes_cold": cold_r.outcome.schemes_explored,
+        "schemes_cold": cold_r.schemes_explored,
         "schemes_warm": warm.schemes_explored,
         "drift_same_plan": drift_same_plan,
         "no_drift_pure_hit": no_drift_pure_hit,
@@ -242,7 +245,7 @@ fn main() {
         "incremental: cold re-plan {cold_replan_us:.1}us vs warm {warm_replan_us:.1}us \
          ({:.1}x, {} vs {} schemes)",
         cold_replan_us / warm_replan_us,
-        cold_r.outcome.schemes_explored,
+        cold_r.schemes_explored,
         warm.schemes_explored
     );
     for (w, pps) in &rates {

@@ -83,9 +83,12 @@ pub enum RecoveryPolicy {
     /// semantics: the post-recovery loss trajectory is bit-identical to an
     /// uninterrupted run.
     RestartInPlace,
-    /// Re-plan the pipeline onto the surviving devices (planner `replan` at
-    /// p−1 stages), hot-swap via the repartition migration path, and re-run
-    /// the slicer for the new warmup.
+    /// Give up the crashed device: recovery restores the newest checkpoint
+    /// and names the device, and the `Session` re-plans the surviving p−1
+    /// devices through its one re-planning path (the run's own policy,
+    /// recompute mask and memory budget; sliced again if the run started
+    /// sliced) and hot-swaps via the repartition migration path. Under
+    /// elastic membership the loss is a departure like a scripted leave.
     ShrinkAndReplan,
 }
 
@@ -172,16 +175,6 @@ pub struct MembershipConfig {
     pub flap_threshold: u32,
     /// Width of the flap-detection window, in heartbeat ticks.
     pub flap_window: u64,
-    /// Base probe interval for suspect/quarantined devices, in heartbeat
-    /// periods; doubles per failed probe (`probe_factor`) up to `probe_max`,
-    /// with seeded jitter so simultaneous probes don't synchronize.
-    pub probe_base: f64,
-    /// Exponential probe backoff factor (≥ 1).
-    pub probe_factor: f64,
-    /// Probe interval cap, in heartbeat periods.
-    pub probe_max: f64,
-    /// Seed for the deterministic probe jitter.
-    pub seed: u64,
 }
 
 impl Default for MembershipConfig {
@@ -193,10 +186,6 @@ impl Default for MembershipConfig {
             quarantine_cooldown: 3,
             flap_threshold: 3,
             flap_window: 16,
-            probe_base: 1.0,
-            probe_factor: 2.0,
-            probe_max: 8.0,
-            seed: 0,
         }
     }
 }
@@ -228,18 +217,6 @@ impl MembershipConfig {
         }
         if self.flap_window < 1 {
             return fail("flap_window must be at least 1 tick".into());
-        }
-        if !(self.probe_base.is_finite() && self.probe_base > 0.0) {
-            return fail(format!("bad probe_base {}", self.probe_base));
-        }
-        if !(self.probe_factor.is_finite() && self.probe_factor >= 1.0) {
-            return fail(format!("bad probe_factor {}", self.probe_factor));
-        }
-        if !(self.probe_max.is_finite() && self.probe_max >= self.probe_base) {
-            return fail(format!(
-                "probe_max {} below probe_base {}",
-                self.probe_max, self.probe_base
-            ));
         }
         Ok(())
     }

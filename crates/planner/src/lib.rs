@@ -23,8 +23,8 @@
 //!   less balanced pipelines of Tables III–IV and Fig. 13.
 
 //! * [`replan`] — **straggler-aware re-planning**: fold observed per-stage
-//!   slowdowns back into the cost database and re-run the AutoPipe planner,
-//!   producing the partition the runtime hot-swaps to.
+//!   slowdowns back into the cost database, for [`PlanService::replan`] to
+//!   re-run the AutoPipe planner on.
 //! * [`family`] — **cross-family schedule search**: enumerate every schedule
 //!   family (1F1B, sliced, GPipe, zero-bubble, interleaved) over matching
 //!   balanced partitions, gate on validation + memory, and pick the fastest
@@ -43,6 +43,6 @@ pub use autopipe::{
 };
 pub use balanced::balanced_partition;
 pub use family::{plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome};
-pub use replan::{observed_cost_db, replan, ReplanOutcome};
+pub use replan::observed_cost_db;
 pub use service::{PlanService, Served, ServiceStats, Source};
 pub use types::{HybridPlan, PlanError};

@@ -1,46 +1,18 @@
-//! Straggler-aware re-planning: fold *observed* per-stage slowdowns back
-//! into the cost model and re-run the AutoPipe planner.
+//! Observed-cost folding for straggler re-planning: scale the cost model by
+//! *observed* per-stage slowdowns so the planner can be re-run on it.
 //!
-//! When the runtime's `StragglerMonitor` flags a persistently slow stage
-//! (observed/expected compute ratio over threshold for k iterations), the
-//! recorded timeline is the new profile: every block the degraded stage
-//! hosts really does cost `ratio ×` its modelled time on that device. The
-//! re-plan scales those block costs, re-partitions with the ordinary planner
-//! (§III-B.2 heuristics unchanged), and the runtime hot-swaps the result via
-//! `Pipeline::repartition` — shrinking the straggler's stage so every device
-//! finishes together again.
+//! When a stage persistently runs slower than modelled (observed/expected
+//! compute ratio over threshold for k iterations), the recorded timeline is
+//! the new profile: every block the degraded stage hosts really does cost
+//! `ratio ×` its modelled time on that device. [`observed_cost_db`] scales
+//! those block costs; [`crate::PlanService::replan`] serves the re-plan on
+//! the adjusted database through the plan cache, warm-started from the
+//! running partition, with the degraded baseline it is judged against.
 
 use autopipe_cost::CostDb;
 use autopipe_sim::Partition;
 
-use crate::autopipe::{plan, AutoPipeConfig, AutoPipeOutcome};
 use crate::types::PlanError;
-
-/// Result of a re-plan.
-#[derive(Debug, Clone)]
-pub struct ReplanOutcome {
-    /// The new plan (partition + simulation) under the observed costs.
-    pub outcome: AutoPipeOutcome,
-    /// The straggler-adjusted cost database the plan was computed on (also
-    /// what the new expected stage times should be derived from).
-    pub observed_db: CostDb,
-    /// Simulated iteration time of the *old* partition under the observed
-    /// costs — the degraded baseline the new plan is judged against.
-    pub degraded_time: f64,
-}
-
-impl ReplanOutcome {
-    /// Fraction of the straggler-induced slowdown the new plan recovers:
-    /// `(degraded − replanned) / (degraded − healthy)`. 0 = no help,
-    /// 1 = back to the healthy iteration time.
-    pub fn recovery(&self, healthy_time: f64) -> f64 {
-        let lost = self.degraded_time - healthy_time;
-        if lost <= 0.0 {
-            return 0.0;
-        }
-        (self.degraded_time - self.outcome.analytic.iteration_time) / lost
-    }
-}
 
 /// Scale the block costs of `db` by the observed per-stage compute ratios
 /// under `partition` (ratio ≥ 1 = that stage runs that much slower than
@@ -81,35 +53,12 @@ pub fn observed_cost_db(
     Ok(out)
 }
 
-/// Re-plan a degraded pipeline: scale the cost model by the observed
-/// per-stage ratios, then run the AutoPipe planner on the adjusted costs.
-/// `m` is the micro-batch count per iteration.
-pub fn replan(
-    db: &CostDb,
-    partition: &Partition,
-    ratios: &[f64],
-    m: usize,
-    cfg: &AutoPipeConfig,
-) -> Result<ReplanOutcome, PlanError> {
-    let observed_db = observed_cost_db(db, partition, ratios)?;
-    let p = partition.n_stages();
-    let degraded_time =
-        autopipe_sim::analytic::simulate_replay(&partition.stage_costs(&observed_db), m)
-            .iteration_time;
-    let outcome = plan(&observed_db, p, m, cfg)?;
-    Ok(ReplanOutcome {
-        outcome,
-        observed_db,
-        degraded_time,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autopipe::{plan, AutoPipeConfig};
     use autopipe_cost::Hardware;
     use autopipe_model::{zoo, Granularity};
-    use autopipe_sim::analytic::simulate_replay;
 
     fn db() -> CostDb {
         CostDb::build(
@@ -153,45 +102,5 @@ mod tests {
         assert!(observed_cost_db(&d, &part, &[1.0; 3]).is_err());
         assert!(observed_cost_db(&d, &part, &[1.0, -2.0, 1.0, 1.0]).is_err());
         assert!(observed_cost_db(&d, &Partition::even(d.len() - 1, 4), &[1.0; 4]).is_err());
-    }
-
-    #[test]
-    fn replanning_a_2x_straggler_recovers_most_of_the_loss() {
-        // The acceptance scenario: one of four stages persistently runs at
-        // 2x its modelled cost. Re-planning must recover ≥ 30% of the lost
-        // iteration time (analytically it recovers ~70%+: the planner
-        // shrinks the slow stage until all four balance again).
-        let d = db();
-        let cfg = AutoPipeConfig::default();
-        let m = 8;
-        let base = plan(&d, 4, m, &cfg).unwrap();
-        let healthy = base.analytic.iteration_time;
-        let ratios = [1.0, 2.0, 1.0, 1.0];
-        let r = replan(&d, &base.partition, &ratios, m, &cfg).unwrap();
-        assert!(r.degraded_time > healthy * 1.3, "straggler must hurt");
-        assert!(
-            r.outcome.analytic.iteration_time < r.degraded_time,
-            "replan must help"
-        );
-        let rec = r.recovery(healthy);
-        assert!(rec >= 0.3, "recovery {rec} below the 30% bar");
-        // The new plan gives the degraded stage fewer blocks.
-        let old_sizes = base.partition.sizes();
-        let new_sizes = r.outcome.partition.sizes();
-        assert!(
-            new_sizes[1] < old_sizes[1],
-            "straggler stage should shrink: {old_sizes:?} -> {new_sizes:?}"
-        );
-    }
-
-    #[test]
-    fn recovery_is_measured_against_the_degraded_simulation() {
-        let d = db();
-        let cfg = AutoPipeConfig::default();
-        let m = 8;
-        let base = plan(&d, 4, m, &cfg).unwrap();
-        let r = replan(&d, &base.partition, &[1.0, 2.0, 1.0, 1.0], m, &cfg).unwrap();
-        let manual = simulate_replay(&base.partition.stage_costs(&r.observed_db), m);
-        assert_eq!(manual.iteration_time.to_bits(), r.degraded_time.to_bits());
     }
 }

@@ -197,7 +197,7 @@ pub struct Served {
 }
 
 /// A re-plan served through the cache: [`Served`] plus the degraded
-/// baseline, mirroring [`crate::replan::ReplanOutcome`].
+/// baseline it is judged against.
 #[derive(Debug, Clone)]
 pub struct ReplanServed {
     /// The new plan under the observed costs.
@@ -210,8 +210,9 @@ pub struct ReplanServed {
 }
 
 impl ReplanServed {
-    /// Fraction of the straggler-induced slowdown the new plan recovers
-    /// (same definition as [`crate::replan::ReplanOutcome::recovery`]).
+    /// Fraction of the straggler-induced slowdown the new plan recovers:
+    /// `(degraded − replanned) / (degraded − healthy)`. 0 = no help,
+    /// 1 = back to the healthy iteration time.
     pub fn recovery(&self, healthy_time: f64) -> f64 {
         let lost = self.degraded_time - healthy_time;
         if lost <= 0.0 {
@@ -714,6 +715,48 @@ mod tests {
         // Re-issuing the drifted request is now a content hit.
         let again = svc.replan(&d, &base.outcome.partition, &ratios, 8).unwrap();
         assert_eq!(again.served.source, Source::Hit);
+    }
+
+    #[test]
+    fn replanning_a_2x_straggler_recovers_most_of_the_loss() {
+        // The acceptance scenario: one of four stages persistently runs at
+        // 2x its modelled cost. Re-planning must recover ≥ 30% of the lost
+        // iteration time (analytically it recovers ~70%+: the planner
+        // shrinks the slow stage until all four balance again).
+        let d = db();
+        let svc = PlanService::new();
+        let m = 8;
+        let base = svc.plan(&d, 4, m).unwrap();
+        let healthy = base.outcome.analytic.iteration_time;
+        let r = svc
+            .replan(&d, &base.outcome.partition, &[1.0, 2.0, 1.0, 1.0], m)
+            .unwrap();
+        assert!(r.degraded_time > healthy * 1.3, "straggler must hurt");
+        assert!(
+            r.served.outcome.analytic.iteration_time < r.degraded_time,
+            "replan must help"
+        );
+        let rec = r.recovery(healthy);
+        assert!(rec >= 0.3, "recovery {rec} below the 30% bar");
+        // The new plan gives the degraded stage fewer blocks.
+        let old_sizes = base.outcome.partition.sizes();
+        let new_sizes = r.served.outcome.partition.sizes();
+        assert!(
+            new_sizes[1] < old_sizes[1],
+            "straggler stage should shrink: {old_sizes:?} -> {new_sizes:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_is_measured_against_the_degraded_simulation() {
+        let d = db();
+        let svc = PlanService::new();
+        let m = 8;
+        let base = svc.plan(&d, 4, m).unwrap();
+        let part = &base.outcome.partition;
+        let r = svc.replan(&d, part, &[1.0, 2.0, 1.0, 1.0], m).unwrap();
+        let manual = simulate_replay(&part.stage_costs(&r.observed_db), m);
+        assert_eq!(manual.iteration_time.to_bits(), r.degraded_time.to_bits());
     }
 
     #[test]

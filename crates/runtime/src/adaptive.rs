@@ -114,23 +114,6 @@ impl StragglerMonitor {
         }
         StragglerObservation { ratios, flagged }
     }
-
-    /// Reset all streaks (call after acting on a flag, e.g. repartitioning,
-    /// so the new plan gets a clean window).
-    pub fn reset(&mut self) {
-        self.streaks.iter_mut().for_each(|s| *s = 0);
-    }
-
-    /// Replace the expectations (after re-profiling or re-planning).
-    pub fn set_expected(&mut self, expected: Vec<f64>) -> Result<(), RuntimeError> {
-        *self = StragglerMonitor::new(expected, self.cfg)?;
-        Ok(())
-    }
-
-    /// The current expected per-stage compute times.
-    pub fn expected(&self) -> &[f64] {
-        &self.expected
-    }
 }
 
 /// Sum each chunk-stage's compute (Fwd + Bwd) durations over a timeline —

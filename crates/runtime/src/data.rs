@@ -51,16 +51,6 @@ impl BatchSet {
         }
     }
 
-    /// A *learnable* synthetic task: predict the current token (targets =
-    /// inputs). A causal LM solves it exactly from the embedding alone, so
-    /// the loss can be driven to ~0 — used by the convergence tests to show
-    /// the pipelined trainer really learns.
-    pub fn copy_task(seed: u64, m: usize, mbs: usize, seq: usize, vocab: usize) -> BatchSet {
-        let mut b = BatchSet::synthetic(seed, m, mbs, seq, vocab);
-        b.targets = b.ids.clone();
-        b
-    }
-
     /// Number of micro-batches.
     pub fn n_microbatches(&self) -> usize {
         self.ids.len()

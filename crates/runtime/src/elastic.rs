@@ -1,34 +1,39 @@
 //! The elastic coordinator: membership transitions → pipeline actions.
 //!
 //! [`ElasticCoordinator`] sits between the chaos/ops layer (scripted or real
-//! [`autopipe_exec::MembershipFault`] events) and the session run loop. Each
-//! training step it feeds the step's membership events plus implicit
-//! heartbeats through the [`ClusterMembership`] state machine, then
-//! translates the new transitions into [`ElasticAction`]s the caller
-//! executes against the pipeline:
+//! [`autopipe_exec::MembershipFault`] events, and the fail-stop losses
+//! recovery names) and the session run loop. It owns the
+//! [`ClusterMembership`] — the one record of which devices serve and how
+//! slow each is — and keeps only its config, a cursor into the membership's
+//! transition log and its own decision log beside it. Each training step it
+//! feeds the step's membership events plus implicit heartbeats through the
+//! state machine one event at a time, and translates each new transition
+//! into an [`ElasticAction`] the caller executes against the pipeline,
+//! naming the width the membership now serves:
 //!
-//! * a device entering `Quarantined`/`Evicted` while serving →
-//!   [`ElasticAction::Shrink`] — re-plan at p−1 and keep training degraded
-//!   while the device proves itself;
+//! * a serving device entering `Quarantined`/`Evicted` (a scripted leave, a
+//!   missed-heartbeat walk, or a fail-stop loss folded in as a leave by
+//!   [`ElasticCoordinator::on_loss`]) → [`ElasticAction::Shrink`] — re-plan
+//!   at the serving width and keep training degraded while the device
+//!   proves itself;
 //! * a device reaching `Readmitted` (or joining and proving itself) →
-//!   [`ElasticAction::Grow`] — re-plan at p and migrate state back through
-//!   the repartition path;
-//! * an observed slowdown on a serving device →
-//!   [`ElasticAction::Replan`] with the current per-device multipliers, so
-//!   the planner's balance objective charges the slow device honestly
-//!   (heterogeneity-aware planning);
+//!   [`ElasticAction::Grow`] — re-plan at the serving width and migrate
+//!   state back through the repartition path;
+//! * an observed slowdown → [`ElasticAction::Replan`] with the serving
+//!   devices' multipliers, so the planner's balance objective charges the
+//!   slow device honestly (heterogeneity-aware planning);
 //! * the serving set dropping below the configured floor →
 //!   [`ElasticAction::Halt`].
 //!
 //! The coordinator is deterministic: actions are a pure function of the
-//! event history, and the per-step event order is canonicalised by
-//! [`ClusterMembership::apply_all`], so replaying a chaos script reproduces
-//! the same grow/shrink sequence bit-for-bit on both executors.
+//! event history, and the per-step event order is canonicalised the way
+//! [`ClusterMembership::apply_all`] orders a batch, so replaying a chaos script reproduces the same
+//! grow/shrink sequence bit-for-bit on both executors.
 
 use autopipe_core::ElasticConfig;
 use autopipe_exec::{MembershipChange, MembershipFault};
 
-use crate::membership::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, Transition};
+use crate::membership::{sort_canonical, ClusterMembership, DeviceState, MemberEvent, TimedEvent};
 
 /// What the run loop must do in response to membership churn, in the order
 /// emitted.
@@ -78,10 +83,6 @@ pub struct ElasticEvent {
 pub struct ElasticCoordinator {
     cfg: ElasticConfig,
     membership: ClusterMembership,
-    /// Devices currently serving pipeline stages, in stage order.
-    serving: Vec<usize>,
-    /// Last observed compute multiplier per device (1.0 = baseline).
-    multipliers: Vec<f64>,
     /// Transitions already translated into actions.
     cursor: usize,
     log: Vec<ElasticEvent>,
@@ -93,48 +94,25 @@ impl ElasticCoordinator {
         ElasticCoordinator {
             membership: ClusterMembership::new(n, cfg.membership),
             cfg,
-            serving: (0..n).collect(),
-            multipliers: vec![1.0; n],
             cursor: 0,
             log: Vec::new(),
         }
     }
 
-    /// Read access to the membership state machine.
-    pub fn membership(&self) -> &ClusterMembership {
-        &self.membership
-    }
-
     /// Devices currently serving stages, in stage order.
-    pub fn serving(&self) -> &[usize] {
-        &self.serving
+    pub fn serving(&self) -> Vec<usize> {
+        self.membership.serving_devices()
     }
 
     /// Current multiplier of each *serving* device, in stage order — what a
     /// heterogeneity-aware re-plan should fold into the cost database.
     pub fn serving_multipliers(&self) -> Vec<f64> {
-        self.serving.iter().map(|&d| self.multipliers[d]).collect()
+        self.membership.serving_multipliers()
     }
 
     /// Every action taken so far.
     pub fn log(&self) -> &[ElasticEvent] {
         &self.log
-    }
-
-    /// How many grows happened.
-    pub fn grows(&self) -> usize {
-        self.log
-            .iter()
-            .filter(|e| matches!(e.action, ElasticAction::Grow { .. }))
-            .count()
-    }
-
-    /// How many shrinks happened.
-    pub fn shrinks(&self) -> usize {
-        self.log
-            .iter()
-            .filter(|e| matches!(e.action, ElasticAction::Shrink { .. }))
-            .count()
     }
 
     /// Feed one training step's membership faults (from the chaos script or
@@ -143,146 +121,120 @@ impl ElasticCoordinator {
     /// quarantined device proves itself simply by staying healthy.
     pub fn on_step(&mut self, step: u64, faults: &[MembershipFault]) -> Vec<ElasticAction> {
         let mut events: Vec<TimedEvent> = Vec::new();
-        let mut explicit = vec![false; self.membership.len()];
+        let at = |device, event| TimedEvent {
+            at: step,
+            device,
+            event,
+        };
         let mut slowdown = false;
         for f in faults {
             match f.change {
-                MembershipChange::Leave => {
-                    if f.device < explicit.len() {
-                        explicit[f.device] = true;
-                    }
-                    events.push(TimedEvent {
-                        at: step,
-                        device: f.device,
-                        event: MemberEvent::Leave,
-                    });
-                }
-                MembershipChange::Join => {
-                    if f.device < explicit.len() {
-                        explicit[f.device] = true;
-                    }
-                    events.push(TimedEvent {
-                        at: step,
-                        device: f.device,
-                        event: MemberEvent::Join,
-                    });
-                }
+                MembershipChange::Leave => events.push(at(f.device, MemberEvent::Leave)),
+                MembershipChange::Join => events.push(at(f.device, MemberEvent::Join)),
                 MembershipChange::Flap { beats } => {
-                    if f.device < explicit.len() {
-                        explicit[f.device] = true;
-                    }
                     // A flap is `beats` silent heartbeat periods followed by
                     // the device coming back — all observed within this
                     // step's health-check window.
-                    for b in 0..beats {
-                        events.push(TimedEvent {
-                            at: step,
-                            device: f.device,
-                            event: MemberEvent::Missed,
-                        });
-                        let _ = b;
+                    for _ in 0..beats {
+                        events.push(at(f.device, MemberEvent::Missed));
                     }
-                    events.push(TimedEvent {
-                        at: step,
-                        device: f.device,
-                        event: MemberEvent::Heartbeat,
-                    });
+                    events.push(at(f.device, MemberEvent::Heartbeat));
                 }
                 MembershipChange::Slowdown { factor } => {
-                    while self.multipliers.len() <= f.device {
-                        self.multipliers.push(1.0);
-                    }
-                    self.multipliers[f.device] = factor.max(f64::MIN_POSITIVE);
+                    self.membership
+                        .set_multiplier(f.device, factor.max(f64::MIN_POSITIVE));
                     slowdown = true;
                 }
             }
         }
         // Implicit heartbeats for everyone else still on the roster.
         for d in 0..self.membership.len() {
-            if (d >= explicit.len() || !explicit[d])
-                && self.membership.state(d) != DeviceState::Evicted
+            if self.membership.state(d) != DeviceState::Evicted
+                && !events.iter().any(|e| e.device == d)
             {
-                events.push(TimedEvent {
-                    at: step,
-                    device: d,
-                    event: MemberEvent::Heartbeat,
-                });
+                events.push(at(d, MemberEvent::Heartbeat));
             }
         }
         // Flap misses and the recovery beat must fold in script order for
         // one device, which the canonical (at, device, rank) sort preserves
-        // (Missed ranks before Heartbeat).
-        self.membership.apply_all(&events);
-        while self.multipliers.len() < self.membership.len() {
-            self.multipliers.push(1.0);
-        }
-
+        // (Missed ranks before Heartbeat). Each event's transition is
+        // translated before the next event folds, so every action names the
+        // width serving at that moment.
+        sort_canonical(&mut events);
         let mut actions = Vec::new();
-        // Translate the new transitions, in observation order.
-        let fresh: Vec<Transition> = self.membership.log()[self.cursor..].to_vec();
-        self.cursor = self.membership.log().len();
-        for t in fresh {
-            match t.to {
-                DeviceState::Quarantined | DeviceState::Evicted => {
-                    let Some(pos) = self.serving.iter().position(|&d| d == t.device) else {
-                        continue; // already out of the pipeline
-                    };
-                    self.serving.remove(pos);
-                    let survivors = self.serving.len();
-                    if survivors < self.cfg.min_devices {
-                        actions.push(ElasticAction::Halt {
-                            reason: format!(
-                                "device {} {} left {survivors} serving devices, below the \
-                                 elastic floor of {}",
-                                t.device,
-                                if t.to == DeviceState::Evicted {
-                                    "evicted"
-                                } else {
-                                    "quarantined"
-                                },
-                                self.cfg.min_devices
-                            ),
-                        });
-                    } else {
-                        actions.push(ElasticAction::Shrink {
-                            survivors,
-                            device: t.device,
-                        });
-                    }
-                }
-                DeviceState::Readmitted => {
-                    if !self.cfg.grow {
-                        continue;
-                    }
-                    if self.serving.contains(&t.device) {
-                        continue;
-                    }
-                    self.serving.push(t.device);
-                    self.serving.sort_unstable();
-                    self.membership.mark_grown(step, t.device);
-                    self.cursor = self.membership.log().len();
-                    actions.push(ElasticAction::Grow {
-                        target: self.serving.len(),
-                        device: t.device,
-                    });
-                }
-                DeviceState::Ready | DeviceState::Suspect => {}
-            }
+        for e in events {
+            self.membership.observe(e.at, e.device, e.event);
+            self.translate(step, &mut actions);
         }
-        if slowdown && self.cfg.heterogeneity_aware && !self.serving.is_empty() {
+        if slowdown && self.cfg.heterogeneity_aware {
             // Only re-plan when the serving set is actually skewed — an
             // all-baseline update is a no-op.
-            let mult = self.serving_multipliers();
-            if mult.iter().any(|&m| m != 1.0) {
-                actions.push(ElasticAction::Replan { multipliers: mult });
+            let multipliers = self.serving_multipliers();
+            if multipliers.iter().any(|&m| m != 1.0) {
+                actions.push(ElasticAction::Replan { multipliers });
             }
         }
-        for a in &actions {
-            self.log.push(ElasticEvent {
-                step,
-                action: a.clone(),
-            });
+        self.record(step, actions)
+    }
+
+    /// Fold a fail-stop loss into the membership as a graceful `Leave` of
+    /// the device serving pipeline position `position` (the crashed stage's
+    /// device index), and return what it calls for: a shrink to the width
+    /// still serving, or a halt below the floor.
+    ///
+    /// # Panics
+    ///
+    /// When `position` is not below the serving count — the pipeline is
+    /// always as wide as the membership's serving set.
+    pub fn on_loss(&mut self, step: u64, position: usize) -> Vec<ElasticAction> {
+        let device = self.serving()[position];
+        self.membership.observe(step, device, MemberEvent::Leave);
+        let mut actions = Vec::new();
+        self.translate(step, &mut actions);
+        self.record(step, actions)
+    }
+
+    /// Translate the transitions the membership logged since the last call.
+    fn translate(&mut self, step: u64, actions: &mut Vec<ElasticAction>) {
+        while let Some(&t) = self.membership.log().get(self.cursor) {
+            self.cursor += 1;
+            if t.from.serves() && !t.to.serves() {
+                let survivors = self.membership.serving();
+                actions.push(if survivors < self.cfg.min_devices {
+                    ElasticAction::Halt {
+                        reason: format!(
+                            "device {} {} left {survivors} serving devices, below the \
+                             elastic floor of {}",
+                            t.device,
+                            if t.to == DeviceState::Evicted {
+                                "evicted"
+                            } else {
+                                "quarantined"
+                            },
+                            self.cfg.min_devices
+                        ),
+                    }
+                } else {
+                    ElasticAction::Shrink {
+                        survivors,
+                        device: t.device,
+                    }
+                });
+            } else if t.to == DeviceState::Readmitted && self.cfg.grow {
+                self.membership.mark_grown(step, t.device);
+                actions.push(ElasticAction::Grow {
+                    target: self.membership.serving(),
+                    device: t.device,
+                });
+            }
         }
+    }
+
+    fn record(&mut self, step: u64, actions: Vec<ElasticAction>) -> Vec<ElasticAction> {
+        self.log.extend(actions.iter().map(|a| ElasticEvent {
+            step,
+            action: a.clone(),
+        }));
         actions
     }
 }
@@ -332,8 +284,42 @@ mod tests {
             }]
         );
         assert_eq!(c.serving(), &[0, 1, 2, 3]);
-        assert_eq!(c.grows(), 1);
-        assert_eq!(c.shrinks(), 1);
+        assert_eq!(c.log().len(), 2);
+    }
+
+    #[test]
+    fn a_loss_is_a_leave_of_the_device_serving_that_position() {
+        let mut ec = cfg();
+        ec.min_devices = 2;
+        let mut c = ElasticCoordinator::new(4, ec);
+        let _ = c.on_step(1, &[fault(1, 1, MembershipChange::Leave)]);
+        // Position 1 of the degraded pipeline [0, 2, 3] is device 2.
+        assert_eq!(
+            c.on_loss(2, 1),
+            vec![ElasticAction::Shrink {
+                survivors: 2,
+                device: 2
+            }]
+        );
+        assert_eq!(c.serving(), &[0, 3]);
+        // The lost device rejoins like any other departed one.
+        let _ = c.on_step(3, &[fault(2, 3, MembershipChange::Join)]);
+        let cooldown = cfg().membership.quarantine_cooldown as u64;
+        let grown: Vec<_> = (0..cooldown).flat_map(|s| c.on_step(4 + s, &[])).collect();
+        assert_eq!(
+            grown,
+            vec![ElasticAction::Grow {
+                target: 3,
+                device: 2
+            }]
+        );
+        // A loss below the floor halts instead of shrinking.
+        let _ = c.on_loss(9, 0);
+        let halt = c.on_loss(10, 0);
+        assert!(
+            matches!(halt.as_slice(), [ElasticAction::Halt { .. }]),
+            "{halt:?}"
+        );
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl Pipeline {
         self.time_scale = time_scale.max(0.0);
     }
 
-    /// Remove the installed fault script.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Drop only the *fail-stop* events (crashes, device losses) from the
     /// installed fault script, keeping delays/stragglers/stalls. The
     /// recovery coordinator calls this after a crash has fired, so the
@@ -547,38 +542,6 @@ impl Pipeline {
         for dev in &mut self.stages {
             for s in dev {
                 s.step();
-            }
-        }
-    }
-
-    /// Clip the global gradient norm across all stages (the distributed
-    /// equivalent of `clip_grad_norm_`): each stage contributes its squared
-    /// norm, the combined norm decides one common scale factor. Returns the
-    /// pre-clip global norm.
-    pub fn clip_gradients(&mut self, max_norm: f32) -> f64 {
-        let norm = self
-            .stages
-            .iter()
-            .flatten()
-            .map(|s| s.grad_sqnorm())
-            .sum::<f64>()
-            .sqrt();
-        if norm > max_norm as f64 && norm > 0.0 {
-            let factor = (max_norm as f64 / norm) as f32;
-            for dev in &mut self.stages {
-                for s in dev {
-                    s.scale_grads(factor);
-                }
-            }
-        }
-        norm
-    }
-
-    /// Set the learning rate on every stage (schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        for dev in &mut self.stages {
-            for s in dev {
-                s.set_lr(lr);
             }
         }
     }

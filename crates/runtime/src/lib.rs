@@ -35,7 +35,6 @@ pub mod membership;
 pub mod recovery;
 pub mod reference;
 pub mod stage;
-pub mod trainer;
 pub mod watchdog;
 
 pub use adaptive::{stage_compute_times, StragglerConfig, StragglerMonitor, StragglerObservation};
@@ -47,9 +46,6 @@ pub use data::BatchSet;
 pub use elastic::{ElasticAction, ElasticCoordinator, ElasticEvent};
 pub use engine::{data_parallel_step, IterationStats, Pipeline, PipelineConfig};
 pub use membership::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, Transition};
-pub use recovery::{
-    EvenReplanner, RecoveryAction, RecoveryCoordinator, RecoveryRecord, Replanner, ShrinkPlan,
-};
+pub use recovery::{RecoveryAction, RecoveryCoordinator, RecoveryRecord};
 pub use reference::ReferenceModel;
-pub use trainer::{Trainer, TrainerConfig};
 pub use watchdog::{CrashEvent, FaultReport, RuntimeError, WatchdogConfig, WatchdogEvent};

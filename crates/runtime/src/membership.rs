@@ -1,5 +1,5 @@
-//! Cluster membership: the per-device health state machine behind elastic
-//! grow/shrink.
+//! Cluster membership: the one record of which devices serve pipeline
+//! stages and how fast each of them runs.
 //!
 //! Each device walks `Ready → Suspect → Quarantined → Evicted` as it misses
 //! consecutive heartbeats, and `Quarantined → Readmitted` as it delivers
@@ -13,6 +13,14 @@
 //! (`flap_threshold` recoveries inside `flap_window` ticks) is parked in
 //! `Quarantined` outright, even though no single outage was long enough.
 //!
+//! The serving set is *derived* from the states: a device serves exactly
+//! while it is `Ready` or `Suspect`, and only
+//! [`ClusterMembership::mark_grown`] brings a device back into service, so
+//! the set the elastic coordinator re-plans for and the pipeline's width
+//! cannot drift apart. Each device record also carries the compute-time
+//! multiplier last observed for it, which is what a heterogeneity-aware
+//! re-plan charges the device.
+//!
 //! Everything is counter-based (heartbeat periods, not wall-clock), so the
 //! same machine is exact on the event simulator's virtual time and the
 //! threaded runtime's scaled wall time, and every run of the same event
@@ -23,7 +31,6 @@
 //! lean on.
 
 use autopipe_core::MembershipConfig;
-use autopipe_exec::{splitmix64, unit};
 
 /// Health state of one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +38,7 @@ pub enum DeviceState {
     /// Healthy and serving a pipeline stage.
     Ready,
     /// Missed `suspect_after` consecutive heartbeats; still in the
-    /// pipeline, being probed with backoff.
+    /// pipeline until quarantine confirms the outage.
     Suspect,
     /// Missed `quarantine_after` heartbeats or flapped past the threshold;
     /// out of the pipeline (degraded mode), proving itself via heartbeats.
@@ -41,8 +48,18 @@ pub enum DeviceState {
     Evicted,
     /// Survived the quarantine cooldown; ready for the coordinator to grow
     /// the pipeline back onto it ([`ClusterMembership::mark_grown`] →
-    /// [`DeviceState::Ready`]).
+    /// [`DeviceState::Ready`]). Not serving until then: a readmitted device
+    /// that misses `suspect_after` heartbeats goes back to `Quarantined`.
     Readmitted,
+}
+
+impl DeviceState {
+    /// Whether a device in this state serves a pipeline stage (`Ready`, or
+    /// `Suspect` — a suspect stays in the pipeline until quarantine
+    /// confirms the outage).
+    pub(crate) fn serves(self) -> bool {
+        matches!(self, DeviceState::Ready | DeviceState::Suspect)
+    }
 }
 
 /// One membership observation about one device.
@@ -60,7 +77,7 @@ pub enum MemberEvent {
 }
 
 /// Canonical fold order inside one tick: departures before arrivals before
-/// health ticks, so `apply_all` is permutation-invariant.
+/// health ticks, so a sorted fold is permutation-invariant.
 fn event_rank(e: MemberEvent) -> u8 {
     match e {
         MemberEvent::Leave => 0,
@@ -68,6 +85,12 @@ fn event_rank(e: MemberEvent) -> u8 {
         MemberEvent::Missed => 2,
         MemberEvent::Heartbeat => 3,
     }
+}
+
+/// Sort `events` into the canonical `(tick, device, kind)` fold order that
+/// [`ClusterMembership::apply_all`] uses.
+pub(crate) fn sort_canonical(events: &mut [TimedEvent]) {
+    events.sort_by_key(|e| (e.at, e.device, event_rank(e.event)));
 }
 
 /// A [`MemberEvent`] with its heartbeat tick and device, for batch folding.
@@ -103,19 +126,19 @@ struct DeviceRecord {
     streak: u32,
     /// Ticks of recent `Suspect → Ready` recoveries (flap detection).
     recoveries: Vec<u64>,
-    /// Failed probes since the device left `Ready` (drives the probe
-    /// backoff schedule).
-    probes: u32,
+    /// Compute-time multiplier last observed for the device (1.0 = as
+    /// profiled).
+    multiplier: f64,
 }
 
 impl DeviceRecord {
-    fn new() -> DeviceRecord {
+    fn new(state: DeviceState) -> DeviceRecord {
         DeviceRecord {
-            state: DeviceState::Ready,
+            state,
             missed: 0,
             streak: 0,
             recoveries: Vec::new(),
-            probes: 0,
+            multiplier: 1.0,
         }
     }
 }
@@ -133,7 +156,9 @@ impl ClusterMembership {
     pub fn new(n: usize, cfg: MembershipConfig) -> ClusterMembership {
         ClusterMembership {
             cfg,
-            devices: (0..n).map(|_| DeviceRecord::new()).collect(),
+            devices: (0..n)
+                .map(|_| DeviceRecord::new(DeviceState::Ready))
+                .collect(),
             log: Vec::new(),
         }
     }
@@ -158,13 +183,26 @@ impl ClusterMembership {
         self.devices.iter().map(|d| d.state).collect()
     }
 
-    /// Devices currently fit to serve a stage (`Ready` or `Suspect` — a
-    /// suspect stays in the pipeline until quarantine confirms the outage).
+    /// How many devices serve a stage.
     pub fn serving(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| matches!(d.state, DeviceState::Ready | DeviceState::Suspect))
-            .count()
+        self.devices.iter().filter(|d| d.state.serves()).count()
+    }
+
+    /// The serving devices in stage order (ascending device id).
+    pub(crate) fn serving_devices(&self) -> Vec<usize> {
+        (self.devices.iter().enumerate())
+            .filter(|(_, r)| r.state.serves())
+            .map(|(d, _)| d)
+            .collect()
+    }
+
+    /// The multiplier of each serving device, in stage order — what a
+    /// heterogeneity-aware re-plan folds into the cost database.
+    pub(crate) fn serving_multipliers(&self) -> Vec<f64> {
+        (self.devices.iter())
+            .filter(|d| d.state.serves())
+            .map(|d| d.multiplier)
+            .collect()
     }
 
     /// The full transition history, in observation order.
@@ -172,22 +210,11 @@ impl ClusterMembership {
         &self.log
     }
 
-    /// Probe interval for `device`, in heartbeat periods: seeded-jittered
-    /// exponential backoff (`probe_base · probe_factor^failed`, capped at
-    /// `probe_max`, ±25 % deterministic jitter) so devices that went
-    /// suspect together don't probe in lockstep.
-    pub fn next_probe_delay(&self, device: usize) -> f64 {
-        let rec = &self.devices[device];
-        let exp = (self.cfg.probe_base * self.cfg.probe_factor.powi(rec.probes as i32))
-            .min(self.cfg.probe_max);
-        let j = unit(splitmix64(
-            self.cfg
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(device as u64)
-                .wrapping_add((rec.probes as u64) << 32),
-        ));
-        exp * (0.75 + 0.5 * j)
+    /// Record that `device` now runs `multiplier` times slower than
+    /// profiled. A slowdown moves no state; it changes what the device is
+    /// charged once it serves.
+    pub(crate) fn set_multiplier(&mut self, device: usize, multiplier: f64) {
+        self.record(device).multiplier = multiplier;
     }
 
     /// Fold a batch of timed events in canonical order. Sorting by
@@ -196,7 +223,7 @@ impl ClusterMembership {
     /// the same states.
     pub fn apply_all(&mut self, events: &[TimedEvent]) {
         let mut sorted = events.to_vec();
-        sorted.sort_by_key(|e| (e.at, e.device, event_rank(e.event)));
+        sort_canonical(&mut sorted);
         for e in sorted {
             self.observe(e.at, e.device, e.event);
         }
@@ -209,18 +236,21 @@ impl ClusterMembership {
         }
     }
 
+    /// The record of `device`. A join may introduce a device the roster
+    /// has never seen; unknown devices materialise only through Join, so
+    /// the placeholder is parked as evicted and an out-of-range
+    /// Missed/Heartbeat on a never-joined device cannot fabricate a serving
+    /// member.
+    fn record(&mut self, device: usize) -> &mut DeviceRecord {
+        while device >= self.devices.len() {
+            self.devices.push(DeviceRecord::new(DeviceState::Evicted));
+        }
+        &mut self.devices[device]
+    }
+
     /// Feed one observation through the state machine.
     pub fn observe(&mut self, at: u64, device: usize, event: MemberEvent) {
-        // A join may introduce a device the roster has never seen.
-        while device >= self.devices.len() {
-            let mut rec = DeviceRecord::new();
-            // Unknown devices materialise only through Join below; park the
-            // placeholder as evicted so an out-of-range Missed/Heartbeat on
-            // a never-joined device cannot fabricate a Ready member.
-            rec.state = DeviceState::Evicted;
-            self.devices.push(rec);
-        }
-        let state = self.devices[device].state;
+        let state = self.record(device).state;
         match event {
             MemberEvent::Leave => {
                 let rec = &mut self.devices[device];
@@ -235,7 +265,6 @@ impl ClusterMembership {
                     let rec = &mut self.devices[device];
                     rec.missed = 0;
                     rec.streak = 0;
-                    rec.probes = 0;
                     self.transition(at, device, DeviceState::Quarantined);
                 }
             }
@@ -244,14 +273,16 @@ impl ClusterMembership {
                 rec.streak = 0;
                 rec.missed = rec.missed.saturating_add(1);
                 let missed = rec.missed;
-                if state != DeviceState::Ready && state != DeviceState::Evicted {
-                    rec.probes = rec.probes.saturating_add(1);
-                }
                 match state {
-                    DeviceState::Ready | DeviceState::Readmitted => {
+                    DeviceState::Ready => {
                         if missed >= self.cfg.suspect_after {
-                            self.devices[device].probes = 0;
                             self.transition(at, device, DeviceState::Suspect);
+                        }
+                    }
+                    DeviceState::Readmitted => {
+                        // Not serving yet: the readmission lapses.
+                        if missed >= self.cfg.suspect_after {
+                            self.transition(at, device, DeviceState::Quarantined);
                         }
                     }
                     DeviceState::Suspect => {
@@ -281,7 +312,6 @@ impl ClusterMembership {
                         let rec = &mut self.devices[device];
                         rec.recoveries.retain(|&t| t >= lo);
                         rec.recoveries.push(at);
-                        rec.probes = 0;
                         if rec.recoveries.len() as u32 >= self.cfg.flap_threshold {
                             rec.streak = 0;
                             self.transition(at, device, DeviceState::Quarantined);
@@ -291,7 +321,6 @@ impl ClusterMembership {
                     }
                     DeviceState::Quarantined => {
                         if streak >= self.cfg.quarantine_cooldown {
-                            self.devices[device].probes = 0;
                             self.transition(at, device, DeviceState::Readmitted);
                         }
                     }
@@ -372,6 +401,33 @@ mod tests {
         assert_eq!(m.state(0), DeviceState::Readmitted);
         m.mark_grown(201, 0);
         assert_eq!(m.state(0), DeviceState::Ready);
+    }
+
+    #[test]
+    fn only_a_grow_brings_a_device_back_into_service() {
+        let c = cfg();
+        let mut m = ClusterMembership::new(2, c);
+        m.set_multiplier(1, 2.0);
+        m.observe(0, 1, MemberEvent::Leave);
+        assert_eq!(
+            (m.serving_devices(), m.serving_multipliers()),
+            (vec![0], vec![1.0])
+        );
+        m.observe(1, 1, MemberEvent::Join);
+        for i in 0..c.quarantine_cooldown {
+            m.observe(2 + i as u64, 1, MemberEvent::Heartbeat);
+        }
+        assert_eq!(m.state(1), DeviceState::Readmitted);
+        // A readmission nobody acted on lapses instead of serving.
+        miss(&mut m, 10, 1, c.suspect_after);
+        assert_eq!(m.state(1), DeviceState::Quarantined);
+        assert_eq!(m.serving(), 1);
+        for i in 0..c.quarantine_cooldown {
+            m.observe(20 + i as u64, 1, MemberEvent::Heartbeat);
+        }
+        m.mark_grown(30, 1);
+        assert_eq!(m.serving_devices(), vec![0, 1]);
+        assert_eq!(m.serving_multipliers(), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -496,23 +552,6 @@ mod tests {
         rev.apply_all(&rev_events);
         assert_eq!(fwd.states(), rev.states());
         assert_eq!(fwd.log(), rev.log());
-    }
-
-    #[test]
-    fn probe_backoff_grows_and_is_jittered_deterministically() {
-        let c = cfg();
-        let mut m = ClusterMembership::new(2, c);
-        let d0 = m.next_probe_delay(0);
-        miss(&mut m, 0, 0, c.suspect_after + 2);
-        let d1 = m.next_probe_delay(0);
-        assert!(d1 > d0, "backoff must grow with failed probes: {d0} → {d1}");
-        // Deterministic: a fresh machine fed the same events agrees.
-        let mut m2 = ClusterMembership::new(2, c);
-        miss(&mut m2, 0, 0, c.suspect_after + 2);
-        assert_eq!(m2.next_probe_delay(0), d1);
-        // Jitter decorrelates devices with identical histories.
-        miss(&mut m, 0, 1, c.suspect_after + 2);
-        assert_ne!(m.next_probe_delay(0), m.next_probe_delay(1));
     }
 
     #[test]

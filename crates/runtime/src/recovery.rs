@@ -1,4 +1,5 @@
-//! Fail-stop recovery: detect a dead stage, restore durable state, resume.
+//! Fail-stop recovery: detect a dead stage, restore durable state, name
+//! what is gone.
 //!
 //! The [`RecoveryCoordinator`] sits between a training loop and the
 //! [`Pipeline`]: the loop feeds it completed steps
@@ -12,107 +13,34 @@
 //! attributes the death to the right stage with a structured
 //! [`CrashEvent`].
 //!
-//! Recovery executes one of two policies:
+//! Recovery reloads the newest valid checkpoint generation into the
+//! pipeline's current shape, clears the fired fail-stop events, and reports
+//! the step to replay from. The caller re-runs micro-batches from that step
+//! with exactly-once semantics — every optimiser step is applied exactly
+//! once on the trajectory the parameters actually follow, so the loss curve
+//! is bit-identical to an uninterrupted run. What happens to the shape
+//! depends on the policy:
 //!
-//! * **Restart-in-place** ([`RecoveryPolicy::RestartInPlace`]): reload the
-//!   newest valid checkpoint generation into the same pipeline shape, clear
-//!   the fired fail-stop events, and report the step to replay from. The
-//!   caller re-runs micro-batches from that step with exactly-once
-//!   semantics — every optimiser step is applied exactly once on the
-//!   trajectory the parameters actually follow, so the loss curve is
-//!   bit-identical to an uninterrupted run.
+//! * **Restart-in-place** ([`RecoveryPolicy::RestartInPlace`]): nothing —
+//!   [`RecoveryAction::Resumed`].
 //!
-//! * **Shrink-and-replan** ([`RecoveryPolicy::ShrinkAndReplan`]): the dead
-//!   device is gone (always forced for [`FailStopKind::Lost`]), so a
-//!   [`Replanner`] produces a partition and schedule for the surviving
-//!   device count and the pipeline hot-swaps onto it through
-//!   [`Pipeline::repartition`] after restoring the checkpoint. The
-//!   `Session` facade passes a closure over its one re-planning path (the
-//!   real planner, under the session's policy and constraints);
-//!   [`EvenReplanner`] is the dependency-light stand-in used by this
-//!   crate's own tests.
+//! * **Shrink-and-replan** ([`RecoveryPolicy::ShrinkAndReplan`], always
+//!   forced for [`FailStopKind::Lost`]): the dead device is gone, and
+//!   [`RecoveryAction::Shrunk`] names it. Recovery plans nothing: the caller
+//!   re-plans onto the survivors and swaps through
+//!   [`Pipeline::repartition`] — the `Session` facade at its one re-shape
+//!   site, where with elastic membership on the loss is one more departure.
 
 use std::fmt;
 
 use autopipe_core::{Error, RecoveryConfig, RecoveryPolicy};
 use autopipe_exec::FailStopKind;
-use autopipe_schedule::{one_f_one_b, Schedule};
-use autopipe_sim::Partition;
 
 use crate::checkpoint::{
-    restore_states, BackgroundCheckpointer, CheckpointStore, Manifest, PipelineSnapshot,
-    StageState, WriterStatus,
+    restore_states, BackgroundCheckpointer, CheckpointStore, Manifest, PipelineSnapshot, StageState,
 };
 use crate::engine::Pipeline;
 use crate::watchdog::{CrashEvent, FaultReport};
-
-/// A new plan for the surviving devices.
-#[derive(Debug, Clone)]
-pub struct ShrinkPlan {
-    /// Partition of the same block sequence onto the surviving stages.
-    pub partition: Partition,
-    /// Schedule for the surviving device count (same micro-batch count).
-    pub schedule: Schedule,
-    /// The planner's predicted iteration time for the new plan (analytic
-    /// simulator), when the replanner computes one.
-    pub predicted_iteration: Option<f64>,
-}
-
-/// Produces a plan for `survivors` devices after a shrink. The runtime
-/// cannot depend on the slicer crate (layering), so the real planner sits
-/// behind this trait: the `Session` facade passes a closure.
-pub trait Replanner {
-    /// Plan the same block sequence onto `survivors` devices, keeping
-    /// `n_microbatches` per iteration.
-    fn replan(
-        &mut self,
-        survivors: usize,
-        current: &Partition,
-        n_microbatches: usize,
-    ) -> Result<ShrinkPlan, Error>;
-}
-
-impl<F: FnMut(usize, &Partition, usize) -> Result<ShrinkPlan, Error>> Replanner for F {
-    fn replan(
-        &mut self,
-        survivors: usize,
-        current: &Partition,
-        m: usize,
-    ) -> Result<ShrinkPlan, Error> {
-        self(survivors, current, m)
-    }
-}
-
-/// Dependency-light replanner: splits the block sequence evenly and runs
-/// plain 1F1B. Used by runtime-level tests; the facade passes the real
-/// planner instead.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EvenReplanner;
-
-impl Replanner for EvenReplanner {
-    fn replan(
-        &mut self,
-        survivors: usize,
-        current: &Partition,
-        n_microbatches: usize,
-    ) -> Result<ShrinkPlan, Error> {
-        let n = current.n_blocks();
-        if survivors < 1 || n < survivors {
-            return Err(Error::Config(format!(
-                "cannot shrink {n} blocks onto {survivors} devices"
-            )));
-        }
-        let mut boundaries = Vec::with_capacity(survivors + 1);
-        for s in 0..=survivors {
-            boundaries.push(s * n / survivors);
-        }
-        Ok(ShrinkPlan {
-            partition: Partition::new(boundaries),
-            schedule: one_f_one_b(survivors, n_microbatches),
-            predicted_iteration: None,
-        })
-    }
-}
 
 /// What one recovery did.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,18 +52,18 @@ pub enum RecoveryAction {
         /// Checkpoint generation that was loaded.
         generation: u64,
     },
-    /// The pipeline was restored, then hot-swapped onto fewer devices;
-    /// replay from `from_step`.
+    /// The pipeline was restored in its current shape, but `device` is
+    /// gone: the caller re-splits onto `devices` survivors, then replays
+    /// from `from_step`.
     Shrunk {
         /// Step count of the restored checkpoint (completed steps).
         from_step: u64,
         /// Checkpoint generation that was loaded.
         generation: u64,
+        /// The pipeline device that is gone.
+        device: usize,
         /// Device count after the shrink.
         devices: usize,
-        /// Analytic prediction for the new plan's iteration time, when the
-        /// replanner computed one.
-        predicted_iteration: Option<f64>,
     },
 }
 
@@ -266,16 +194,16 @@ impl RecoveryCoordinator {
     }
 
     /// Execute the recovery policy for a [`RuntimeError::StageDown`] report.
-    /// On success the pipeline is trainable again and the returned
-    /// [`RecoveryAction`] names the step to replay from (exactly-once: the
-    /// caller discards any loss entries past that step and re-runs them).
+    /// On success the pipeline holds the newest durable state and the
+    /// returned [`RecoveryAction`] names the step to replay from
+    /// (exactly-once: the caller discards any loss entries past that step
+    /// and re-runs them) and, for a shrink, the device that is gone.
     ///
     /// [`RuntimeError::StageDown`]: crate::watchdog::RuntimeError::StageDown
     pub fn recover(
         &mut self,
         pipeline: &mut Pipeline,
         report: &FaultReport,
-        replanner: &mut dyn Replanner,
     ) -> Result<RecoveryAction, Error> {
         // A lost device anywhere in the report dictates the policy, even
         // when a collateral crash event sorts ahead of it.
@@ -299,30 +227,27 @@ impl RecoveryCoordinator {
         self.recoveries += 1;
 
         let (manifest, states) = self.load_latest()?;
-        // Restore into the *current* shape first — the checkpoint was taken
-        // on this geometry (shrink re-splits afterwards via repartition).
+        // Restore into the *current* shape — the checkpoint was taken on
+        // this geometry (a shrink is re-split by the caller afterwards).
         restore_states(pipeline, &states).map_err(Error::from)?;
         // The scripted fail-stop has fired; a respawned stage must not
         // re-die at the same op on every replay.
         pipeline.clear_failstop_events();
 
-        let p = pipeline.schedule().n_devices;
         let shrink =
             crash.kind == FailStopKind::Lost || self.cfg.policy == RecoveryPolicy::ShrinkAndReplan;
         let action = if shrink {
-            let survivors = p.checked_sub(1).filter(|s| *s >= 1).ok_or_else(|| {
-                Error::Config("lost the only device; nothing left to shrink onto".into())
-            })?;
-            let m = pipeline.schedule().n_microbatches;
-            let plan = replanner.replan(survivors, pipeline.partition(), m)?;
-            pipeline
-                .repartition(&plan.partition, plan.schedule)
-                .map_err(Error::from)?;
+            let devices = pipeline.schedule().n_devices - 1;
+            if devices < 1 {
+                return Err(Error::Config(
+                    "lost the only device; nothing left to shrink onto".into(),
+                ));
+            }
             RecoveryAction::Shrunk {
                 from_step: manifest.step,
                 generation: manifest.generation,
-                devices: survivors,
-                predicted_iteration: plan.predicted_iteration,
+                device: crash.device,
+                devices,
             }
         } else {
             RecoveryAction::Resumed {
@@ -347,11 +272,6 @@ impl RecoveryCoordinator {
         &self.log
     }
 
-    /// Background-writer counters (`None` in synchronous mode).
-    pub fn writer_status(&self) -> Option<WriterStatus> {
-        self.writer.as_ref().map(|w| w.status())
-    }
-
     /// Flush the background writer (no-op in synchronous mode).
     pub fn drain(&self) {
         if let Some(writer) = &self.writer {
@@ -368,6 +288,8 @@ mod tests {
     use crate::watchdog::RuntimeError;
     use autopipe_exec::{FaultPlan, StageCrash};
     use autopipe_model::{ModelConfig, ModelFamily};
+    use autopipe_schedule::one_f_one_b;
+    use autopipe_sim::Partition;
     use std::path::PathBuf;
 
     fn tiny() -> ModelConfig {
@@ -408,13 +330,13 @@ mod tests {
     }
 
     /// Drive a training loop with crash recovery and exactly-once replay:
-    /// the returned losses contain each step exactly once.
+    /// the returned losses contain each step exactly once. A shrink is
+    /// re-split evenly onto the survivors under plain 1F1B.
     fn train_with_recovery(
         mut pipe: Pipeline,
         coord: &mut RecoveryCoordinator,
         batch: &BatchSet,
         steps: usize,
-        replanner: &mut dyn Replanner,
     ) -> (Vec<f32>, Pipeline) {
         coord.prime(&mut pipe).unwrap();
         let mut losses: Vec<f32> = Vec::new();
@@ -427,7 +349,13 @@ mod tests {
                         .unwrap();
                 }
                 Err(RuntimeError::StageDown { report, .. }) => {
-                    let action = coord.recover(&mut pipe, &report, replanner).unwrap();
+                    let action = coord.recover(&mut pipe, &report).unwrap();
+                    if let RecoveryAction::Shrunk { devices, .. } = action {
+                        let n = pipe.partition().n_blocks();
+                        let m = pipe.schedule().n_microbatches;
+                        pipe.repartition(&Partition::even(n, devices), one_f_one_b(devices, m))
+                            .unwrap();
+                    }
                     // Exactly-once: forget losses past the restored step and
                     // replay them on the restored parameters.
                     losses.truncate(action.from_step() as usize);
@@ -469,8 +397,7 @@ mod tests {
             },
             0.0,
         );
-        let (losses, recovered) =
-            train_with_recovery(crashed, &mut coord, &batch, steps, &mut EvenReplanner);
+        let (losses, recovered) = train_with_recovery(crashed, &mut coord, &batch, steps);
 
         assert_eq!(coord.recoveries(), 1);
         assert!(matches!(
@@ -519,8 +446,7 @@ mod tests {
             },
             0.0,
         );
-        let (losses, recovered) =
-            train_with_recovery(crashed, &mut coord, &batch, steps, &mut EvenReplanner);
+        let (losses, recovered) = train_with_recovery(crashed, &mut coord, &batch, steps);
 
         assert_eq!(coord.recoveries(), 1);
         match &coord.log()[0].action {
@@ -556,10 +482,8 @@ mod tests {
             aborted: true,
             ..FaultReport::default()
         };
-        assert!(coord.recover(&mut p, &report, &mut EvenReplanner).is_ok());
-        let err = coord
-            .recover(&mut p, &report, &mut EvenReplanner)
-            .unwrap_err();
+        assert!(coord.recover(&mut p, &report).is_ok());
+        let err = coord.recover(&mut p, &report).unwrap_err();
         assert!(
             err.to_string().contains("recovery budget exhausted"),
             "{err}"
@@ -589,9 +513,17 @@ mod tests {
             aborted: true,
             ..FaultReport::default()
         };
-        let action = coord.recover(&mut p, &report, &mut EvenReplanner).unwrap();
-        assert!(matches!(action, RecoveryAction::Shrunk { devices: 3, .. }));
-        assert_eq!(p.schedule().n_devices, 3);
+        let action = coord.recover(&mut p, &report).unwrap();
+        assert!(matches!(
+            action,
+            RecoveryAction::Shrunk {
+                device: 3,
+                devices: 3,
+                ..
+            }
+        ));
+        // Recovery names the loss; the re-split is the caller's.
+        assert_eq!(p.schedule().n_devices, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -567,29 +567,6 @@ impl StageModel {
         }
     }
 
-    /// Sum of squared gradient elements (for global-norm clipping).
-    pub fn grad_sqnorm(&self) -> f64 {
-        self.grads
-            .iter()
-            .flat_map(|g| g.data().iter())
-            .map(|&v| (v as f64) * (v as f64))
-            .sum()
-    }
-
-    /// Scale every accumulated gradient in place (clipping).
-    pub fn scale_grads(&mut self, factor: f32) {
-        for g in &mut self.grads {
-            for v in g.data_mut() {
-                *v *= factor;
-            }
-        }
-    }
-
-    /// Change the optimiser's learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.adam.lr = lr;
-    }
-
     /// Apply the accumulated gradients with Adam and reset them.
     pub fn step(&mut self) {
         let mut params: Vec<&mut Tensor> = self

@@ -31,9 +31,12 @@
 //! [`PlannedSession::run`] and [`Session::resume`] share.
 //!
 //! Within a step the loop decides in a fixed order: a fail-stop crash is
-//! recovered first (restore, shrink if a device is gone, replay); a completed
-//! step is checkpointed, then its membership actions are taken in log order,
-//! and only a step without one asks the straggler monitor for a flag. Every
+//! recovered first (restore and replay; a device that is gone is one more
+//! shrink — with [`Session::elastic`] on, a departure folded into the same
+//! membership record scripted leaves and joins go through, so later grows
+//! and re-plans see the cluster that is left); a completed step is
+//! checkpointed, then its membership actions are taken in log order, and
+//! only a step without one asks the straggler monitor for a flag. Every
 //! re-shape — fail-stop shrink, elastic shrink / grow / slowdown re-plan,
 //! straggler — is planned by one private `replan` (the session's own request
 //! at the new width through [`AutoPipe::plan_with`], validated and checked
@@ -55,8 +58,8 @@ use autopipe_model::ModelConfig;
 use autopipe_planner::{PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
     restore_states, BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent,
-    FaultReport, Pipeline, PipelineConfig, RecoveryCoordinator, RecoveryRecord, RuntimeError,
-    ShrinkPlan, StragglerConfig, StragglerMonitor, WatchdogConfig,
+    FaultReport, Pipeline, PipelineConfig, RecoveryAction, RecoveryCoordinator, RecoveryRecord,
+    RuntimeError, StragglerConfig, StragglerMonitor, WatchdogConfig,
 };
 use autopipe_schedule::{validate, ScheduleKind};
 use autopipe_sim::event::{run_schedule, run_schedule_faulty, EventCosts, EventResult};
@@ -518,19 +521,21 @@ pub struct RunReport {
     /// Watchdog/fault telemetry from the last iteration that had any.
     pub fault_report: Option<FaultReport>,
     /// How many times elastic or straggler-aware re-planning hot-swapped
-    /// the partition.
+    /// the partition (a fail-stop shrink without [`Session::elastic`]
+    /// counts as a recovery, not here).
     pub replans: usize,
     /// How many fail-stop recoveries were executed ([`Session::recovery`]).
     pub recoveries: usize,
-    /// What each recovery did: the crash that triggered it and the
-    /// restore/shrink action taken.
+    /// What each recovery did: the crash that triggered it, the generation
+    /// restored, and — for a shrink — the device that is gone.
     pub recovery_log: Vec<RecoveryRecord>,
     /// For [`Session::resume`] runs: the checkpointed step training
     /// continued from. `None` for fresh runs.
     pub resumed_from_step: Option<u64>,
     /// Every elastic decision taken ([`Session::elastic`]): shrinks into
-    /// degraded mode, grows after readmission, heterogeneity re-plans.
-    /// Empty when elasticity is off.
+    /// degraded mode (scripted departures and fail-stop losses alike),
+    /// grows after readmission, heterogeneity re-plans. Empty when
+    /// elasticity is off.
     pub elastic_log: Vec<ElasticEvent>,
     /// The partition the run finished on (differs from the plan's after a
     /// hot swap).
@@ -657,6 +662,13 @@ impl PlannedSession {
     }
 }
 
+/// One re-shape of the pipeline: (trigger, new width, per-device slowdown);
+/// no width = the one in force.
+type Reshape = (&'static str, Option<usize>, Vec<f64>);
+
+/// The trigger of a fail-stop shrink outside elastic membership.
+const FAIL_STOP: &str = "fail-stop shrink";
+
 /// What stays fixed across a run however often the pipeline is re-shaped:
 /// the session's half, and what every re-plan keeps of the starting plan.
 struct Run<'a> {
@@ -765,6 +777,24 @@ impl Run<'_> {
             false => Vec::new(),
         };
 
+        // Turns the membership's decisions into this step's re-shapes.
+        let elastic_reshapes = |el: &ElasticCoordinator, actions: Vec<ElasticAction>| {
+            (actions.into_iter())
+                .map(|action| match action {
+                    ElasticAction::Halt { reason } => Err(RuntimeError::Elastic(reason).into()),
+                    ElasticAction::Shrink { survivors, .. } => {
+                        Ok(("elastic shrink", Some(survivors), known_slowdown(el)))
+                    }
+                    ElasticAction::Grow { target, .. } => {
+                        Ok(("elastic grow", Some(target), known_slowdown(el)))
+                    }
+                    ElasticAction::Replan { multipliers } => {
+                        Ok(("slowdown re-plan", None, multipliers))
+                    }
+                })
+                .collect::<Result<Vec<Reshape>, Error>>()
+        };
+
         let mut losses: Vec<f32> = Vec::new();
         let mut iteration_seconds = Vec::new();
         let mut fault_report = None;
@@ -774,89 +804,85 @@ impl Run<'_> {
         // (simulated times are virtual seconds and cannot be).
         let mut monitor: Option<StragglerMonitor> = None;
         while losses.len() < self.tolerance.iterations {
-            let stats = match pipe.train_iteration(&batch) {
-                Ok(stats) => stats,
+            // This iteration's re-shapes as (trigger, new width, slowdown),
+            // in the order they are swapped in; no width = the one in force.
+            let mut reshapes: Vec<Reshape> = Vec::new();
+            let completed = match pipe.train_iteration(&batch) {
+                Ok(stats) => Some(stats),
                 Err(RuntimeError::StageDown { report, .. }) if coordinator.is_some() => {
                     // Fail-stop: restore the newest durable generation and
                     // replay from its step. Exactly-once — losses past it are
                     // discarded and re-earned on the restored parameters.
                     fault_report = Some(report.clone());
                     let coord = coordinator.as_mut().expect("guarded above");
-                    let mut shrink = |survivors: usize, _: &Partition, _: usize| {
-                        let plan = self.replan("fail-stop shrink", survivors, &[])?;
-                        Ok(ShrinkPlan {
-                            predicted_iteration: Some(plan.est_pipeline_time),
-                            partition: plan.partition,
-                            schedule: plan.schedule,
-                        })
-                    };
-                    let action = coord.recover(&mut pipe, &report, &mut shrink)?;
+                    let action = coord.recover(&mut pipe, &report)?;
+                    let step = base + losses.len() as u64;
                     let from = action.from_step().saturating_sub(base) as usize;
                     losses.truncate(from);
                     iteration_seconds.truncate(from);
                     // The old wall-clock baseline is meaningless on the
                     // restored (possibly re-partitioned) pipeline.
                     monitor = None;
-                    continue;
+                    if let RecoveryAction::Shrunk {
+                        device, devices, ..
+                    } = action
+                    {
+                        // A device is gone. Under elastic membership it
+                        // leaves the serving set like a scripted departure.
+                        reshapes = match elastic.as_mut() {
+                            Some(el) => {
+                                let actions = el.on_loss(step, device);
+                                elastic_reshapes(el, actions)?
+                            }
+                            None => vec![(FAIL_STOP, Some(devices), Vec::new())],
+                        };
+                    }
+                    None
                 }
                 Err(other) => return Err(other.into()),
             };
-            losses.push(stats.loss);
-            iteration_seconds.push(stats.wall.as_secs_f64());
-            let step = base + losses.len() as u64;
-            if let Some(coord) = &mut coordinator {
-                coord.maybe_checkpoint(&mut pipe, step)?;
-            }
-            if let Some(r) = pipe.last_fault_report().filter(|r| !r.events.is_empty()) {
-                fault_report = Some(r.clone());
-            }
-
-            // This step's re-shapes as (trigger, new width, slowdown), in
-            // the order they are swapped in; no width = the one in force.
-            let mut reshapes: Vec<(&str, Option<usize>, Vec<f64>)> = Vec::new();
-            if let Some(el) = elastic.as_mut() {
-                for action in el.on_step(step, &membership_faults.membership_at(step)) {
-                    reshapes.push(match action {
-                        ElasticAction::Halt { reason } => {
-                            return Err(RuntimeError::Elastic(reason).into());
-                        }
-                        ElasticAction::Shrink { survivors, .. } => {
-                            ("elastic shrink", Some(survivors), known_slowdown(el))
-                        }
-                        ElasticAction::Grow { target, .. } => {
-                            ("elastic grow", Some(target), known_slowdown(el))
-                        }
-                        ElasticAction::Replan { multipliers } => {
-                            ("slowdown re-plan", None, multipliers)
-                        }
-                    });
+            if let Some(stats) = completed {
+                losses.push(stats.loss);
+                iteration_seconds.push(stats.wall.as_secs_f64());
+                let step = base + losses.len() as u64;
+                if let Some(coord) = &mut coordinator {
+                    coord.maybe_checkpoint(&mut pipe, step)?;
                 }
-            }
-            if let (true, Some(scfg), Some(tl)) = (
-                reshapes.is_empty(),
-                self.tolerance.straggler,
-                pipe.last_timeline(),
-            ) {
-                let sched = pipe.schedule();
-                match monitor.as_mut() {
-                    None => monitor = Some(StragglerMonitor::from_timeline(tl, sched, scfg)?),
-                    Some(mon) => {
-                        let obs = mon.observe(tl, sched);
-                        if !obs.flagged.is_empty() {
-                            // A device is as slow as its slowest chunk-stage,
-                            // on top of what membership knows. Ratios below 1
-                            // are clamped: a fast stage is not evidence the
-                            // cost model overcharges it.
-                            let known = elastic.as_ref().map(known_slowdown).unwrap_or_default();
-                            let slowdown = (0..sched.n_devices)
-                                .map(|d| {
-                                    (0..sched.n_chunks)
-                                        .map(|c| obs.ratios[sched.stage_of(d, c)])
-                                        .fold(1.0, f64::max)
-                                        * known.get(d).copied().unwrap_or(1.0)
-                                })
-                                .collect();
-                            reshapes.push(("straggler re-plan", None, slowdown));
+                if let Some(r) = pipe.last_fault_report().filter(|r| !r.events.is_empty()) {
+                    fault_report = Some(r.clone());
+                }
+                if let Some(el) = elastic.as_mut() {
+                    let actions = el.on_step(step, &membership_faults.membership_at(step));
+                    reshapes = elastic_reshapes(el, actions)?;
+                }
+                if let (true, Some(scfg), Some(tl)) = (
+                    reshapes.is_empty(),
+                    self.tolerance.straggler,
+                    pipe.last_timeline(),
+                ) {
+                    let sched = pipe.schedule();
+                    match monitor.as_mut() {
+                        None => monitor = Some(StragglerMonitor::from_timeline(tl, sched, scfg)?),
+                        Some(mon) => {
+                            let obs = mon.observe(tl, sched);
+                            if !obs.flagged.is_empty() {
+                                // A device is as slow as its slowest
+                                // chunk-stage, on top of what membership
+                                // knows. Ratios below 1 are clamped: a fast
+                                // stage is not evidence the cost model
+                                // overcharges it.
+                                let known = elastic.as_ref().map(known_slowdown);
+                                let known = known.unwrap_or_default();
+                                let slowdown = (0..sched.n_devices)
+                                    .map(|d| {
+                                        (0..sched.n_chunks)
+                                            .map(|c| obs.ratios[sched.stage_of(d, c)])
+                                            .fold(1.0, f64::max)
+                                            * known.get(d).copied().unwrap_or(1.0)
+                                    })
+                                    .collect();
+                                reshapes.push(("straggler re-plan", None, slowdown));
+                            }
                         }
                     }
                 }
@@ -864,11 +890,12 @@ impl Run<'_> {
             for (trigger, width, slowdown) in reshapes {
                 let width = width.unwrap_or(pipe.schedule().n_devices);
                 let plan = self.replan(trigger, width, &slowdown)?;
-                // State migrates through the same checkpoint-path
-                // repartition recovery uses: bit-identical params and
-                // optimizer state on the new shape.
+                // State migrates through the checkpoint-path repartition:
+                // bit-identical params and optimizer state on the new shape.
                 pipe.repartition(&plan.partition, plan.schedule)?;
-                replans += 1;
+                // A shrink recovery performs on its own is one of its
+                // recoveries, not a re-plan.
+                replans += usize::from(trigger != FAIL_STOP);
                 monitor = None; // re-calibrate against the new plan
             }
         }
@@ -1158,17 +1185,13 @@ mod tests {
         assert!(report.losses.iter().all(|l| l.is_finite()));
         match &report.recovery_log[0].action {
             RecoveryAction::Shrunk {
-                devices,
-                predicted_iteration,
-                ..
-            } => {
-                assert_eq!(*devices, 2);
-                // The facade's replanner runs the real planner, which
-                // always carries an analytic prediction for the new plan.
-                assert!(predicted_iteration.expect("planner predicts") > 0.0);
-            }
+                device, devices, ..
+            } => assert_eq!((*device, *devices), (1, 2)),
             other => panic!("expected a shrink, got {other:?}"),
         }
+        // Without elastic membership the shrink is a recovery only.
+        assert!(report.elastic_log.is_empty());
+        assert_eq!(report.replans, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,11 +5,14 @@
 //! 1. a **property suite** over the membership state machine — no device is
 //!    evicted without a graceful leave or the full missed-heartbeat
 //!    threshold, no device is readmitted before serving the quarantine
-//!    cooldown, and any permutation of a timed event set folds to the same
-//!    terminal membership;
+//!    cooldown, any permutation of a timed event set folds to the same
+//!    terminal membership, and under random membership scripts mixed with
+//!    fail-stop losses the coordinator's log always accounts for exactly
+//!    the devices that serve;
 //! 2. **session-level elasticity** — scripted leaves shrink the pipeline
 //!    into degraded mode, rejoins grow it back through the checkpoint-path
-//!    repartition, slowdowns trigger heterogeneity-aware re-plans, every
+//!    repartition, slowdowns trigger heterogeneity-aware re-plans, a
+//!    fail-stop loss is one more departure every later decision sees, every
 //!    swap keeps the policy and memory budget the run was planned under
 //!    (also on a resumed run), and the whole run stays deterministic under
 //!    replay;
@@ -22,13 +25,15 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use autopipe::{
-    ElasticAction, ElasticConfig, Error, MembershipConfig, RecomputePolicy, RecoveryConfig,
-    SchedulePolicy, Session,
+    ElasticAction, ElasticConfig, ElasticCoordinator, Error, MembershipConfig, RecomputePolicy,
+    RecoveryAction, RecoveryConfig, SchedulePolicy, Session,
 };
-use autopipe_exec::{splitmix64, FaultPlan, MembershipChange, MembershipFault};
+use autopipe_exec::{splitmix64, DeviceLost, FaultPlan, MembershipChange, MembershipFault};
 use autopipe_model::zoo;
 use autopipe_planner::PlanError;
-use autopipe_runtime::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, WatchdogConfig};
+use autopipe_runtime::{
+    ClusterMembership, DeviceState, MemberEvent, RuntimeError, TimedEvent, WatchdogConfig,
+};
 use autopipe_schedule::recompute_mask;
 use autopipe_sim::memcheck::check_memory_budget;
 
@@ -171,6 +176,59 @@ proptest! {
             .filter(|s| matches!(s, DeviceState::Ready | DeviceState::Suspect))
             .count();
         prop_assert_eq!(m.serving(), census);
+    }
+
+    /// A random membership script mixed with random fail-stop losses, fed
+    /// to the coordinator the way the session feeds it: after every step
+    /// the serving count is the starting width minus the shrinks plus the
+    /// grows on the log, every shrink / grow names the width serving right
+    /// after it, and every re-plan charges exactly the serving devices. A
+    /// halt ends the run, as it ends a session.
+    #[test]
+    fn the_elastic_log_accounts_for_every_serving_device(seed in 0usize..1_000_000) {
+        const STEPS: u64 = 24;
+        let seed = seed as u64;
+        let script = FaultPlan::random_membership(seed, DEVICES, STEPS, 0.6, 1);
+        let mut c = ElasticCoordinator::new(
+            DEVICES,
+            ElasticConfig {
+                membership: fast_membership(),
+                ..ElasticConfig::default()
+            },
+        );
+        let mut rng = splitmix64(seed ^ 0x1055);
+        let mut width = DEVICES;
+        'run: for step in 1..STEPS {
+            rng = splitmix64(rng);
+            let mut actions = Vec::new();
+            if rng % 5 == 0 {
+                let position = (rng >> 8) as usize % c.serving().len().max(1);
+                actions.extend(c.on_loss(step, position));
+            }
+            actions.extend(c.on_step(step, &script.membership_at(step)));
+            for action in actions {
+                match action {
+                    ElasticAction::Shrink { survivors, .. } => {
+                        width -= 1;
+                        prop_assert_eq!(survivors, width, "step {}: {:?}", step, c.log());
+                    }
+                    ElasticAction::Grow { target, .. } => {
+                        width += 1;
+                        prop_assert_eq!(target, width, "step {}: {:?}", step, c.log());
+                    }
+                    ElasticAction::Replan { multipliers } => {
+                        prop_assert_eq!(multipliers.len(), width, "step {}", step);
+                    }
+                    ElasticAction::Halt { .. } => break 'run,
+                }
+            }
+            let count = |want: fn(&ElasticAction) -> bool| {
+                c.log().iter().filter(|e| want(&e.action)).count()
+            };
+            let shrinks = count(|a| matches!(a, ElasticAction::Shrink { .. }));
+            let grows = count(|a| matches!(a, ElasticAction::Grow { .. }));
+            prop_assert_eq!(c.serving().len(), DEVICES + grows - shrinks, "step {}", step);
+        }
     }
 }
 
@@ -382,6 +440,135 @@ fn a_resumed_run_honours_a_scripted_leave() {
             device: 1
         }
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A three-stage elastic session (seed 13) whose device 1 is lost in the
+/// first iteration, with `membership` scripted on top.
+fn losing_device_1(
+    name: &str,
+    membership: Vec<MembershipFault>,
+    iterations: usize,
+) -> (Session, std::path::PathBuf) {
+    let faults = FaultPlan {
+        lost: vec![DeviceLost {
+            device: 1,
+            at_op: 3,
+        }],
+        membership,
+        ..FaultPlan::none()
+    };
+    let (session, dir) = elastic_session(name, faults, iterations);
+    (session.stages(3).seed(13), dir)
+}
+
+fn actions(report: &autopipe::RunReport) -> Vec<ElasticAction> {
+    report
+        .elastic_log
+        .iter()
+        .map(|e| e.action.clone())
+        .collect()
+}
+
+/// A device lost to a fail-stop leaves the membership, so when it joins
+/// again it proves itself and the pipeline grows back to full width.
+#[test]
+fn a_lost_device_that_rejoins_grows_the_pipeline_back() {
+    let join = MembershipFault {
+        device: 1,
+        at_step: 2,
+        change: MembershipChange::Join,
+    };
+    let (session, dir) = losing_device_1("loss_rejoin", vec![join], 4);
+    let report = session.plan().unwrap().run().unwrap();
+    assert_eq!(report.losses.len(), 4);
+    assert!(matches!(
+        report.recovery_log[0].action,
+        RecoveryAction::Shrunk { device: 1, .. }
+    ));
+    assert_eq!(
+        actions(&report),
+        vec![
+            ElasticAction::Shrink {
+                survivors: 2,
+                device: 1
+            },
+            ElasticAction::Grow {
+                target: 3,
+                device: 1
+            }
+        ]
+    );
+    assert_eq!(report.final_partition.n_stages(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A leave after a loss shrinks from the width the loss left, and a loss
+/// that would take the run below the elastic floor halts it like a
+/// scripted leave would.
+#[test]
+fn a_leave_after_a_loss_shrinks_what_is_left() {
+    let leave = MembershipFault {
+        device: 2,
+        at_step: 2,
+        change: MembershipChange::Leave,
+    };
+    let (session, dir) = losing_device_1("loss_leave", vec![leave], 3);
+    let report = session.clone().plan().unwrap().run().unwrap();
+    assert_eq!(report.losses.len(), 3);
+    assert_eq!(
+        actions(&report).last(),
+        Some(&ElasticAction::Shrink {
+            survivors: 1,
+            device: 2
+        })
+    );
+    assert_eq!(report.final_partition.n_stages(), 1);
+
+    let floored = session.elastic(ElasticConfig {
+        membership: fast_membership(),
+        min_devices: 3,
+        ..ElasticConfig::default()
+    });
+    let err = floored.plan().unwrap().run().unwrap_err();
+    assert!(
+        matches!(&err, Error::Runtime(e) if matches!(
+            e.downcast_ref::<RuntimeError>(),
+            Some(RuntimeError::Elastic(_))
+        )),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A slowdown after a loss is charged to the devices that still serve: the
+/// re-plan carries one multiplier per survivor and lands on what a
+/// two-device session with those speeds plans.
+#[test]
+fn a_slowdown_after_a_loss_replans_for_the_survivors() {
+    let slow = MembershipFault {
+        device: 2,
+        at_step: 1,
+        change: MembershipChange::Slowdown { factor: 3.0 },
+    };
+    let (session, dir) = losing_device_1("loss_slowdown", vec![slow], 2);
+    let report = session.plan().unwrap().run().unwrap();
+    assert!(
+        actions(&report).contains(&ElasticAction::Replan {
+            multipliers: vec![1.0, 3.0]
+        }),
+        "{:?}",
+        report.elastic_log
+    );
+    let skewed = Session::for_model(zoo::gpt2_tiny())
+        .stages(2)
+        .microbatches(4)
+        .microbatch_size(2)
+        .seed(13)
+        .device_multipliers(vec![1.0, 3.0])
+        .plan()
+        .unwrap();
+    assert_eq!(report.final_partition, skewed.plan().partition);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

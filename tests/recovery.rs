@@ -24,8 +24,8 @@ use autopipe_core::{RecoveryConfig, RecoveryPolicy};
 use autopipe_exec::{FaultPlan, FaultSpec, StageCrash};
 use autopipe_model::{ModelConfig, ModelFamily};
 use autopipe_runtime::{
-    BatchSet, CheckpointError, CheckpointStore, EvenReplanner, FailPoint, Pipeline, PipelineConfig,
-    RecoveryCoordinator, RuntimeError, WatchdogConfig,
+    BatchSet, CheckpointError, CheckpointStore, FailPoint, Pipeline, PipelineConfig,
+    RecoveryAction, RecoveryCoordinator, RuntimeError, WatchdogConfig,
 };
 use autopipe_schedule::{one_f_one_b, recompute_mask, sliced_1f1b, Schedule};
 use autopipe_sim::Partition;
@@ -75,7 +75,8 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// Exactly-once training loop under recovery (the `Session` facade's loop,
-/// restated at the runtime layer).
+/// restated at the runtime layer); a shrink is re-split evenly onto the
+/// survivors under plain 1F1B.
 fn train_with_recovery(
     mut pipe: Pipeline,
     coord: &mut RecoveryCoordinator,
@@ -93,9 +94,12 @@ fn train_with_recovery(
                     .unwrap();
             }
             Err(RuntimeError::StageDown { report, .. }) => {
-                let action = coord
-                    .recover(&mut pipe, &report, &mut EvenReplanner)
-                    .unwrap();
+                let action = coord.recover(&mut pipe, &report).unwrap();
+                if let RecoveryAction::Shrunk { devices, .. } = action {
+                    let n = pipe.partition().n_blocks();
+                    pipe.repartition(&Partition::even(n, devices), one_f_one_b(devices, M))
+                        .unwrap();
+                }
                 losses.truncate(action.from_step() as usize);
             }
             Err(other) => panic!("deadlock or unrecovered error: {other}"),
