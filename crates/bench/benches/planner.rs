@@ -17,24 +17,9 @@ fn bench_planners(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("autopipe", "345M-p4"), |b| {
         b.iter(|| autopipe_plan(&db, 4, 16, &AutoPipeConfig::default()).unwrap())
     });
-    // The reference workload: serial vs 4-thread waves on the same search
-    // space.
-    g.bench_function(BenchmarkId::new("autopipe-serial", "345M-p8"), |b| {
+    // The reference workload.
+    g.bench_function(BenchmarkId::new("autopipe", "345M-p8"), |b| {
         b.iter(|| autopipe_plan(&db, 8, 16, &AutoPipeConfig::default()).unwrap())
-    });
-    g.bench_function(BenchmarkId::new("autopipe-wave4", "345M-p8"), |b| {
-        b.iter(|| {
-            autopipe_plan(
-                &db,
-                8,
-                16,
-                &AutoPipeConfig {
-                    threads: 4,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        })
     });
     g.bench_function(BenchmarkId::new("piper", "345M-g8"), |b| {
         b.iter(|| piper::plan(&db, 8, 16, &hw))

@@ -294,8 +294,6 @@ pub struct SessionConfig {
     // -- planner knobs (lower into `AutoPipeConfig`) ----------------------
     /// Maximum number of schemes the planner simulates.
     pub max_schemes: usize,
-    /// Planner wave-evaluation threads (`0` = one per core).
-    pub planner_threads: usize,
     /// What the plan must satisfy: memory budget, comm overlap, recompute
     /// policy, pruning — lowered into every layer by [`Self::planner`] and
     /// [`Self::family`].
@@ -345,7 +343,6 @@ impl SessionConfig {
             schedule_policy: SchedulePolicy::default(),
             profiler: None,
             max_schemes: AutoPipeConfig::default().max_schemes,
-            planner_threads: AutoPipeConfig::default().threads,
             constraints: Constraints::default(),
             kernel_overhead: event.kernel_overhead,
             jitter_sigma: event.jitter_sigma,
@@ -455,7 +452,6 @@ impl SessionConfig {
     pub fn planner(&self) -> AutoPipeConfig {
         AutoPipeConfig {
             max_schemes: self.max_schemes,
-            threads: self.planner_threads,
             overlap: self.constraints.overlap,
             prune: self.constraints.prune,
             memory_budget: self.constraints.memory_budget,

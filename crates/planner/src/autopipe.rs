@@ -29,12 +29,14 @@
 //! # Wave evaluation
 //!
 //! The loop is organised as a *deterministic wave search*: the whole frontier
-//! is drained into a batch, every candidate in the batch is scored
-//! (`simulate_time`, optionally across threads), and the results are merged back
-//! **in submission order**. Because successor generation, visited-set updates
-//! and best-scheme ranking all happen during the sequential merge, the
-//! explored set and the chosen plan are bit-identical to the serial FIFO
-//! search at any thread count. See DESIGN.md.
+//! is drained into a batch, the batch is scored in groups of [`LANES`]
+//! candidates per lockstep sweep (`simulate_time_lanes`; the last one to
+//! three go through its one-lane instance), and the results are merged back
+//! **in submission order**. Each lane is bit-identical to scoring its
+//! candidate alone, and successor generation, visited-set updates and
+//! best-scheme ranking all happen during the sequential merge, so the
+//! explored set and the chosen plan are those of the serial FIFO search.
+//! See DESIGN.md.
 //!
 //! # Serving-oriented hot path
 //!
@@ -50,16 +52,16 @@
 //!   backtrack (see [`crate::balanced`]). Successors are assembled in one
 //!   reusable boundary buffer and only become an owned [`Partition`] once
 //!   they pass the visited set and the dominance bound.
-//! * All search state (visited set, frontier, wave buffers, per-worker
-//!   simulator scratch) lives in a [`PlannerScratch`] that can be reused
-//!   across requests via [`plan_in`], making a steady-state plan request
-//!   allocation-light.
+//! * All search state (visited set, frontier, wave buffers, simulator
+//!   scratch, per-lane stage costs) lives in a [`PlannerScratch`] that can
+//!   be reused across requests via [`plan_in`], making a steady-state plan
+//!   request allocation-light.
 //! * With [`AutoPipeConfig::prune`] on, candidates whose work balance alone
 //!   already lower-bounds them above the incumbent (`m · max stage work ≥
 //!   best iteration time`) are dropped at frontier-push time. The bound is
 //!   sound for the 1F1B model (a device must run `m` forwards + `m`
 //!   backwards back-to-back at best), and the check happens during the
-//!   sequential merge, so pruning is thread-count independent.
+//!   sequential merge, so pruning does not depend on how a wave is grouped.
 //!
 //! [`plan_seeded`] warm-starts the search with caller-supplied *incumbent*
 //! schemes (e.g. a cached winner whose costs have since drifted): each is
@@ -71,6 +73,7 @@
 //! only moves the master stage forward, so a stale partition whose new
 //! bottleneck is stage 0 could never repair itself).
 
+use std::array::from_fn;
 #[cfg(debug_assertions)]
 use std::collections::HashMap;
 use std::collections::{HashSet, VecDeque};
@@ -79,7 +82,7 @@ use std::time::{Duration, Instant};
 use autopipe_cost::memory::{in_flight_1f1b, stage_memory_frac, ACT_FRAG_MULT};
 use autopipe_cost::CostDb;
 use autopipe_sim::analytic::{
-    simulate_replay_masked, simulate_time_masked, AnalyticResult, OverlapModel, SimScratch,
+    simulate_replay_masked, simulate_time_lanes, AnalyticResult, OverlapModel, SimScratch, LANES,
 };
 use autopipe_sim::partition::{Partition, StageCosts};
 
@@ -109,10 +112,6 @@ pub enum RecomputePolicy {
 pub struct AutoPipeConfig {
     /// Maximum number of schemes to simulate before stopping.
     pub max_schemes: usize,
-    /// Worker threads for wave evaluation: `1` scores candidates inline,
-    /// `0` uses one thread per available core. The plan is bit-identical at
-    /// every setting.
-    pub threads: usize,
     /// Score candidates under the overlapped comm engine instead of the
     /// blocking one: per-edge eager chunked sends pipelined against the
     /// producing compute span, exactly as the event simulator and the
@@ -147,7 +146,6 @@ impl Default for AutoPipeConfig {
     fn default() -> Self {
         AutoPipeConfig {
             max_schemes: 512,
-            threads: 1,
             overlap: None,
             prune: false,
             memory_budget: None,
@@ -197,10 +195,11 @@ pub fn scheme_fingerprint(boundaries: &[usize]) -> u64 {
 }
 
 /// Reusable search state: the visited set, the frontier, the wave and score
-/// buffers, the successor boundary buffer and one simulator scratch per
-/// worker thread. A service handling many plan requests keeps one of these
-/// per worker and calls [`plan_in`], so steady-state requests reuse every
-/// allocation; [`plan`] creates a fresh one per call.
+/// buffers, the successor boundary buffer, the simulator scratch and the
+/// stage costs and recompute mask of each lane. A service handling many
+/// plan requests keeps one of these per worker and calls [`plan_in`], so
+/// steady-state requests reuse every allocation; [`plan`] creates a fresh
+/// one per call.
 #[derive(Default)]
 pub struct PlannerScratch {
     visited: HashSet<u64>,
@@ -211,7 +210,8 @@ pub struct PlannerScratch {
     queue: VecDeque<Partition>,
     wave: Vec<Partition>,
     scores: Vec<Score>,
-    workers: Vec<(SimScratch, StageCosts, Vec<bool>)>,
+    sim: SimScratch,
+    lanes: [(StageCosts, Vec<bool>); LANES],
     /// Boundaries of the successor currently being assembled.
     cand: Vec<usize>,
 }
@@ -223,18 +223,13 @@ impl PlannerScratch {
     }
 
     /// Reset per-request state, keeping allocations.
-    fn reset(&mut self, threads: usize) {
+    fn reset(&mut self) {
         self.visited.clear();
         #[cfg(debug_assertions)]
         self.visited_schemes.clear();
         self.queue.clear();
         self.wave.clear();
         self.scores.clear();
-        if self.workers.len() < threads {
-            self.workers.resize_with(threads, || {
-                (SimScratch::new(), StageCosts::default(), Vec::new())
-            });
-        }
     }
 
     /// Insert a scheme into the visited set; `true` if it was new. In debug
@@ -349,37 +344,45 @@ fn resolve_mask(
     }
 }
 
-/// Score one candidate, reusing the caller's scratch buffers so the
-/// per-candidate cost is allocation-free. Candidates
+/// Score `L ≤ LANES` candidates in one lockstep sweep, reusing the caller's
+/// scratch buffers so the per-candidate cost is allocation-free. Candidates
 /// that fit the budget only with recomputation are scored under their mask
 /// (masked stage costs + forward replays); infeasible candidates are scored
 /// plain — their time still drives successor generation, but the merge loop
 /// never lets them win.
-fn score(
-    part: &Partition,
+fn score<const L: usize>(
+    parts: &[Partition; L],
     db: &CostDb,
     m: usize,
     cfg: &AutoPipeConfig,
-    scratch: &mut SimScratch,
-    sc: &mut StageCosts,
-    mask: &mut Vec<bool>,
-) -> Score {
-    let (feasible, use_mask) = resolve_mask(part, db, m, cfg, mask);
-    let recompute = if use_mask {
-        part.stage_costs_recompute_into(db, mask, sc);
-        Some(mask.as_slice())
-    } else {
-        part.stage_costs_into(db, sc);
-        None
-    };
-    apply_device_multipliers(db, sc);
-    let r = simulate_time_masked(sc, m, scratch, cfg.overlap.as_ref(), recompute);
-    Score {
-        iteration_time: r.iteration_time,
-        master_stage: r.master_stage,
-        b_master: sc.b[r.master_stage],
-        feasible,
+    sim: &mut SimScratch,
+    lanes: &mut [(StageCosts, Vec<bool>); LANES],
+) -> [Score; L] {
+    const { assert!(L <= LANES) };
+    // Per lane: (fits the budget, scored under its recompute mask).
+    let mut fit = [(false, false); L];
+    for ((part, (sc, mask)), fit) in parts.iter().zip(lanes.iter_mut()).zip(&mut fit) {
+        *fit = resolve_mask(part, db, m, cfg, mask);
+        if fit.1 {
+            part.stage_costs_recompute_into(db, mask, sc);
+        } else {
+            part.stage_costs_into(db, sc);
+        }
+        apply_device_multipliers(db, sc);
     }
+    let r = simulate_time_lanes::<L>(
+        from_fn(|l| &lanes[l].0),
+        m,
+        sim,
+        cfg.overlap.as_ref(),
+        from_fn(|l| fit[l].1.then_some(lanes[l].1.as_slice())),
+    );
+    from_fn(|l| Score {
+        iteration_time: r[l].iteration_time,
+        master_stage: r[l].master_stage,
+        b_master: lanes[l].0.b[r[l].master_stage],
+        feasible: fit[l].0,
+    })
 }
 
 /// The heaviest stage's forward+backward work under the scheme with
@@ -444,10 +447,12 @@ pub fn plan_in(
 /// since drifted) as *incumbents* before the first wave. Incumbents enter
 /// the `(time, boundaries)` ranking like any explored scheme, and with
 /// [`AutoPipeConfig::prune`] on their iteration time bounds the frontier
-/// from the start, so the search simulates a subset of what the cold search
-/// would — in identical order — and lands on the same winner whenever the
-/// dominance bound is winner-preserving (it is across the drift property
-/// tests; the bound itself is sound per scheme).
+/// from the start, so the search simulates at most the cold search's
+/// schemes plus the seeds, in the cold search's order, and lands on the
+/// same winner whenever the dominance bound is winner-preserving (it is
+/// across the drift property tests; the bound itself is sound per scheme)
+/// and the cold search does not exhaust `max_schemes` — the seeds' scoring
+/// counts against that budget.
 ///
 /// Every seed must partition exactly `db.len()` blocks into `p` stages.
 /// Each seed costs one extra simulation (`schemes_explored` counts them).
@@ -499,13 +504,7 @@ fn search(
         )));
     }
 
-    let threads = match cfg.threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        t => t,
-    };
-    scratch.reset(threads);
+    scratch.reset();
 
     let mut best: Option<(Partition, f64)> = None;
     let mut explored = 0usize;
@@ -526,8 +525,14 @@ fn search(
                     weights.len()
                 )));
             }
-            let (sim, sc, mask) = &mut scratch.workers[0];
-            let s = score(seed, db, m, cfg, sim, sc, mask);
+            let [s] = score(
+                std::array::from_ref(seed),
+                db,
+                m,
+                cfg,
+                &mut scratch.sim,
+                &mut scratch.lanes,
+            );
             explored += 1;
             let better = s.feasible
                 && match &best {
@@ -557,7 +562,8 @@ fn search(
         queue,
         wave,
         scores,
-        workers,
+        sim,
+        lanes,
         cand,
     } = scratch;
 
@@ -570,35 +576,23 @@ fn search(
         scores.clear();
         scores.resize(wave.len(), Score::default());
 
-        if threads == 1 || wave.len() == 1 {
-            let (scratch, sc, mask) = &mut workers[0];
-            for (part, out) in wave.iter().zip(scores.iter_mut()) {
-                *out = score(part, db, m, cfg, scratch, sc, mask);
-            }
-        } else {
-            // Contiguous chunks: worker k owns wave[k*chunk..], writes its
-            // own slice of `scores`, and never touches shared search state.
-            let chunk = wave.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for ((wchunk, ochunk), (scratch, sc, mask)) in wave
-                    .chunks(chunk)
-                    .zip(scores.chunks_mut(chunk))
-                    .zip(workers.iter_mut())
-                {
-                    s.spawn(move || {
-                        for (part, out) in wchunk.iter().zip(ochunk.iter_mut()) {
-                            *out = score(part, db, m, cfg, scratch, sc, mask);
-                        }
-                    });
-                }
-            });
+        // Full groups of `LANES` share one sweep; the last one to three
+        // candidates take the one-lane sweep. Either way each score is the
+        // bits of scoring that candidate alone.
+        let (groups, rest) = wave.as_chunks::<LANES>();
+        let (group_scores, rest_scores) = scores.as_chunks_mut::<LANES>();
+        for (group, out) in groups.iter().zip(group_scores) {
+            *out = score(group, db, m, cfg, sim, lanes);
+        }
+        for (part, out) in rest.iter().zip(rest_scores) {
+            [*out] = score(std::array::from_ref(part), db, m, cfg, sim, lanes);
         }
 
         // Merge in submission order. Successor generation and the visited
         // set evolve exactly as they would have under the FIFO pop loop, so
-        // the frontier ordering is thread-count independent; the ranking
-        // itself is a total order, so the winner depends only on the
-        // explored set.
+        // the frontier ordering does not depend on how the wave was scored;
+        // the ranking itself is a total order, so the winner depends only
+        // on the explored set.
         for (part, s) in wave.drain(..).zip(scores.drain(..)) {
             explored += 1;
             let i = s.master_stage;
@@ -690,7 +684,7 @@ fn search(
     let analytic = simulate_replay_masked(
         &costs,
         m,
-        &mut workers[0].0,
+        sim,
         cfg.overlap.as_ref(),
         use_mask.then_some(mask.as_slice()),
     );
@@ -891,31 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn wave_search_is_bit_identical_across_thread_counts() {
-        let d = db(Granularity::SubLayer);
-        let serial = plan(&d, 8, 16, &AutoPipeConfig::default()).unwrap();
-        for threads in [2, 3, 4, 0] {
-            let par = plan(
-                &d,
-                8,
-                16,
-                &AutoPipeConfig {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.partition, serial.partition, "threads={threads}");
-            assert_eq!(par.schemes_explored, serial.schemes_explored);
-            assert_eq!(
-                par.analytic.iteration_time.to_bits(),
-                serial.analytic.iteration_time.to_bits(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn overlap_aware_search_scores_under_the_overlapped_model() {
         // With k = 1 an overlapped send is the blocking send minus the
         // device-blocking: same wire schedule, strictly no-later arrivals.
@@ -969,27 +938,6 @@ mod tests {
             overlapped.analytic.iteration_time <= blocking_rescored.iteration_time + 1e-12,
             "overlap-aware search must not lose to the blocking winner under its own model"
         );
-    }
-
-    #[test]
-    fn overlap_aware_search_is_thread_count_independent_too() {
-        let d = db(Granularity::SubLayer);
-        let cfg = AutoPipeConfig {
-            overlap: Some(OverlapModel {
-                latency: 30e-6,
-                chunks: 4,
-            }),
-            ..Default::default()
-        };
-        let serial = plan(&d, 8, 16, &cfg).unwrap();
-        for threads in [2, 4] {
-            let par = plan(&d, 8, 16, &AutoPipeConfig { threads, ..cfg }).unwrap();
-            assert_eq!(par.partition, serial.partition, "threads={threads}");
-            assert_eq!(
-                par.analytic.iteration_time.to_bits(),
-                serial.analytic.iteration_time.to_bits()
-            );
-        }
     }
 
     #[test]
@@ -1184,27 +1132,6 @@ mod tests {
             // If Off found some other feasible partition it must have paid
             // for it in time; Auto never does worse than Off.
             assert!(auto.analytic.iteration_time <= off.analytic.iteration_time + 1e-12);
-        }
-    }
-
-    #[test]
-    fn budget_gated_search_is_thread_count_independent() {
-        let hw = Hardware::rtx3090_cluster();
-        let d = CostDb::build(&zoo::gpt2_345m(), &hw, 16, true, Granularity::SubLayer);
-        let cfg = AutoPipeConfig {
-            memory_budget: Some(hw.mem_budget()),
-            recompute: RecomputePolicy::Auto,
-            ..Default::default()
-        };
-        let serial = plan(&d, 8, 16, &cfg).unwrap();
-        for threads in [2, 4, 0] {
-            let par = plan(&d, 8, 16, &AutoPipeConfig { threads, ..cfg }).unwrap();
-            assert_eq!(par.partition, serial.partition, "threads={threads}");
-            assert_eq!(par.recompute, serial.recompute);
-            assert_eq!(
-                par.analytic.iteration_time.to_bits(),
-                serial.analytic.iteration_time.to_bits()
-            );
         }
     }
 

@@ -19,9 +19,13 @@
 //!    request misses the content cache but its shape is known (the
 //!    straggler path: same model, same cluster, costs scaled by observed
 //!    ratios), the search is seeded with that winner as an incumbent
-//!    ([`plan_seeded`]), which bounds the frontier from the first wave and
-//!    simulates a fraction of the cold search's schemes while returning the
-//!    same plan (pinned by the `warm_replan` property tests).
+//!    ([`plan_seeded`]), whose time bounds the frontier from the first wave.
+//!    It never simulates more than the cold search's schemes plus the seed
+//!    (pinned by `drifted_replan_warm_starts_and_matches_the_cold_search`);
+//!    on the serving benchmark's drifted stream it simulates exactly that
+//!    many. It returns the cold search's plan unless the search exhausts
+//!    its scheme budget, where the seed's simulation can cost the cold
+//!    search's last scheme (`tests/warm_replan.rs` pins such a case).
 //! 3. **Batched concurrent serving.** [`PlanService::plan_batch`] drains a
 //!    slice of requests over a scoped thread pool with one
 //!    [`PlannerScratch`] per worker. Each request is served exactly as in
@@ -37,7 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use autopipe_cost::CostDb;
-use autopipe_sim::analytic::simulate_replay;
+use autopipe_sim::analytic::{simulate_time, SimScratch};
 use autopipe_sim::Partition;
 
 use crate::autopipe::{
@@ -83,9 +87,7 @@ impl Fnv {
     }
 }
 
-/// Fold the search knobs that change the plan. `threads` is deliberately
-/// excluded: the wave search is bit-identical at every thread count, so two
-/// requests differing only in worker count are the same plan.
+/// Fold the search knobs that change the plan.
 fn fold_cfg(h: &mut Fnv, cfg: &AutoPipeConfig) {
     h.word(cfg.max_schemes as u64);
     match &cfg.overlap {
@@ -294,10 +296,9 @@ impl PlanService {
         })
     }
 
-    /// Service with explicit search knobs. `threads` is forced to 1: the
-    /// service parallelizes *across* requests ([`Self::plan_batch`]), and
-    /// plans are bit-identical at any thread count, so intra-search workers
-    /// would only oversubscribe the pool.
+    /// Service with explicit search knobs. The service parallelizes
+    /// *across* requests ([`Self::plan_batch`]); each search runs on the
+    /// thread that serves it.
     pub fn with_config(cfg: AutoPipeConfig) -> PlanService {
         PlanService::with_capacity(cfg, DEFAULT_SHARD_CAPACITY)
     }
@@ -309,7 +310,7 @@ impl PlanService {
     /// an LRU under the lock.
     pub fn with_capacity(cfg: AutoPipeConfig, shard_capacity: usize) -> PlanService {
         PlanService {
-            cfg: AutoPipeConfig { threads: 1, ..cfg },
+            cfg,
             shard_capacity: shard_capacity.max(1),
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             shapes: RwLock::new(HashMap::new()),
@@ -331,8 +332,7 @@ impl PlanService {
     }
 
     /// Plan with explicit search knobs (fingerprinted, so differently
-    /// configured requests never alias). `cfg.threads` is ignored, like
-    /// everywhere in the service.
+    /// configured requests never alias).
     pub fn plan_cfg(
         &self,
         db: &CostDb,
@@ -340,8 +340,7 @@ impl PlanService {
         m: usize,
         cfg: &AutoPipeConfig,
     ) -> Result<Served, PlanError> {
-        let cfg = AutoPipeConfig { threads: 1, ..*cfg };
-        self.serve(db, p, m, &cfg, None)
+        self.serve(db, p, m, cfg, None)
     }
 
     /// Straggler re-plan through the cache: scale `db` by the observed
@@ -358,7 +357,13 @@ impl PlanService {
         m: usize,
     ) -> Result<ReplanServed, PlanError> {
         let observed_db = observed_cost_db(db, partition, ratios)?;
-        let degraded_time = simulate_replay(&partition.stage_costs(&observed_db), m).iteration_time;
+        // Only the time is needed: the scalar sweep, without the op arena.
+        let degraded_time = simulate_time(
+            &partition.stage_costs(&observed_db),
+            m,
+            &mut SimScratch::new(),
+        )
+        .iteration_time;
         let served = self.serve(
             &observed_db,
             partition.n_stages(),
@@ -541,6 +546,7 @@ mod tests {
     use crate::autopipe::plan;
     use autopipe_cost::Hardware;
     use autopipe_model::{zoo, Granularity};
+    use autopipe_sim::analytic::simulate_replay;
 
     fn db() -> CostDb {
         CostDb::build(
@@ -592,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_separate_requests_and_ignore_threads() {
+    fn fingerprints_separate_requests() {
         let d = db();
         let cfg = AutoPipeConfig::default();
         let base = plan_fingerprint(&d, 4, 8, &cfg);
@@ -609,10 +615,7 @@ mod tests {
             shape_fingerprint(&drifted, 4, 8, &cfg)
         );
 
-        // Thread count is not part of the request identity.
-        let threaded = AutoPipeConfig { threads: 4, ..cfg };
-        assert_eq!(base, plan_fingerprint(&d, 4, 8, &threaded));
-        // Other knobs are.
+        // The search knobs are part of the request identity.
         let pruned = AutoPipeConfig { prune: true, ..cfg };
         assert_ne!(base, plan_fingerprint(&d, 4, 8, &pruned));
         // The overlap cost model is part of the request identity: a cached

@@ -14,18 +14,30 @@
 //!   in a dependency order that is decoded once per `(n, m)` and cached
 //!   there — a search scores all its candidates at one `(n, m)` — then
 //!   backtracks the critical path and counts the master stage.
+//! * The sweep runs `L` candidates of one `(n, m)` in lockstep: every end
+//!   time, device-free time and per-stage cost is an `[f64; L]`, and lane
+//!   `l` executes exactly the float operations a one-candidate sweep of
+//!   lane `l`'s costs executes, in the same order (IEEE add and
+//!   `f64::max`, never fused or reassociated), so each lane's result is
+//!   bit-identical to scoring that candidate alone. After the pass each
+//!   lane runs its own anchor scan, backtrack and master-stage count.
+//!   [`simulate_time_lanes`] is the entry point; the planner scores its
+//!   waves [`LANES`] at a time.
 //! * [`simulate_time`] reports only the scalars a search loop ranks by
 //!   ([`FastResult`]); after the first call with a given problem size it
 //!   performs zero heap allocations. [`simulate_replay`] reports the op
 //!   arena, per-op readiness bookkeeping and the explicit critical path
 //!   ([`AnalyticResult`]) from the *same* sweep, so the two agree bit for
-//!   bit by construction (`tests/analytic_golden.rs` pins the bits).
+//!   bit by construction (`tests/analytic_golden.rs` pins the bits). Both
+//!   are the one-lane instance of the sweep.
 //! * [`recurrence`] — the paper's closed-form equations: 1F1B blocks
 //!   renumbered per stage (`max(0, m−n+k+1)` blocks at stage `k`), the
 //!   `t(x,y,z)` recurrences with `Comm` added after the max (the paper's
 //!   formulation), Cooldown renumbered in reverse, Warmup estimated from an
 //!   unchoked fill. The independent oracle the tests compare the replay
 //!   against, and the paper's exact arithmetic.
+
+use std::array::from_fn;
 
 use serde::{Deserialize, Serialize};
 
@@ -163,6 +175,10 @@ pub fn block_count(stage: usize, n: usize, m: usize) -> usize {
     (m + stage + 1).saturating_sub(n)
 }
 
+/// Candidates the planner scores per sweep ([`simulate_time_lanes`]): four
+/// independent dependency chains hide the latency of each op's max-then-add.
+pub const LANES: usize = 4;
+
 /// Scalar output of [`simulate_time`].
 ///
 /// Carries exactly what a search loop ranks candidates by; the winning
@@ -188,18 +204,41 @@ struct ProgOp {
     bwd: bool,
 }
 
+/// One op of the cached 1F1B program in arena order (op `i` of stage `x`
+/// at `x·2m + i`): what the critical-path backtrack reads about it.
+#[derive(Debug, Clone, Copy)]
+struct PathOp {
+    /// `stage·m + mb`: the op's slot in the end-time and arrival arrays.
+    slot: u32,
+    /// Program position of its cross-stage dependency on the neighbouring
+    /// stage (the previous one for a forward, the next for a backward).
+    cross_pos: u32,
+    bwd: bool,
+    /// In the stage's 1F1B phase.
+    steady: bool,
+}
+
 /// Caller-owned, reusable working memory for the 1F1B sweep.
 ///
-/// All per-candidate state lives here as flat arrays sized `2·n·m` floats
-/// plus a few `n`-length vectors, next to the `2·n·m`-entry sweep order of
-/// the last `(n, m)`; buffers keep their capacity, so after the first call
-/// at the largest problem size [`simulate_time`] performs **zero** heap
-/// allocations, re-keying to a smaller `(n, m)` included (asserted by
-/// `tests/fast_sim_alloc.rs`).
+/// All per-candidate state lives here as flat arrays of `2·n·m` entries
+/// plus a few `n`-length vectors, one `f64` per lane each, next to the
+/// `2·n·m`-entry sweep order of the last `(n, m)`; buffers only grow, so
+/// after the first call at the largest problem size and lane count
+/// [`simulate_time`] and [`simulate_time_lanes`] perform **zero** heap
+/// allocations, re-keying to a smaller `(n, m)` or fewer lanes included
+/// (asserted by `tests/fast_sim_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// Every op of the `(n, m)` 1F1B program in the sweep's visiting order.
     program: Vec<ProgOp>,
+    /// The same ops in arena order, for the backtrack.
+    path_ops: Vec<PathOp>,
+    /// Per-stage forward time of every lane.
+    f: Vec<f64>,
+    /// Per-stage backward time of every lane.
+    b: Vec<f64>,
+    /// Per-stage recompute flag of every lane.
+    masked: Vec<bool>,
     /// End time of the forward of micro-batch `mb` at stage `x`, at `x*m+mb`.
     fwd_end: Vec<f64>,
     /// End time of the backward, same layout.
@@ -208,7 +247,7 @@ pub struct SimScratch {
     dev_free: Vec<f64>,
     /// Per-stage count of 1F1B-phase ops on the critical path.
     path_count: Vec<usize>,
-    /// Per-stage total busy time `m · (f_x + b_x)`, filled by each call.
+    /// Per-stage total busy time `m · (f_x + b_x)` of the last lane.
     stage_busy: Vec<f64>,
     /// Overlap mode: arrival of stage x's activation of `mb` at stage x+1.
     act_arr: Vec<f64>,
@@ -231,13 +270,14 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Per-stage busy time of the last simulated candidate.
+    /// Per-stage busy time of the last simulated candidate (the last lane
+    /// of a [`simulate_time_lanes`] call).
     pub fn stage_busy(&self) -> &[f64] {
         &self.stage_busy[..self.n]
     }
 
-    /// Make `program` the sweep order of the `(n, m)` 1F1B schedule, reusing
-    /// its capacity.
+    /// Make `program` the sweep order of the `(n, m)` 1F1B schedule and
+    /// `path_ops` its arena-order table, reusing their capacity.
     ///
     /// For the 1F1B program the dependency of a forward at index `i` of
     /// stage `x` sits at index ≤ `i` of stage `x−1` (equality only while
@@ -257,21 +297,34 @@ impl SimScratch {
         // One block of `n` ops per program index, each stage decoded once:
         // forwards fill the block front to back (ascending stage), backwards
         // back to front (descending stage, since stages are read ascending).
+        // The same decode fills the op's arena-order entry.
+        let len = 2 * n * m;
         self.program.clear();
         self.program.resize(
-            2 * n * m,
+            len,
             ProgOp {
                 slot: 0,
                 stage: 0,
                 bwd: false,
             },
         );
+        self.path_ops.clear();
+        self.path_ops.resize(
+            len,
+            PathOp {
+                slot: 0,
+                cross_pos: 0,
+                bwd: false,
+                steady: false,
+            },
+        );
         for (i, block) in self.program.chunks_exact_mut(n).enumerate() {
             let (mut lo, mut hi) = (0, n);
             for x in 0..n {
                 let w = warmup_count(x, n, m);
-                let (class, mb, _) = decode_op(w, m - w, i);
+                let (class, mb, phase) = decode_op(w, m - w, i);
                 let bwd = class == OpClass::Bwd;
+                let slot = (x * m + mb) as u32;
                 let at = if bwd {
                     hi -= 1;
                     hi
@@ -280,9 +333,23 @@ impl SimScratch {
                     lo - 1
                 };
                 block[at] = ProgOp {
-                    slot: (x * m + mb) as u32,
+                    slot,
                     stage: x as u16,
                     bwd,
+                };
+                let cross_pos = if !bwd && x > 0 {
+                    fwd_pos(warmup_count(x - 1, n, m), mb)
+                } else if bwd && x + 1 < n {
+                    let ws = warmup_count(x + 1, n, m);
+                    bwd_pos(ws, m - ws, mb)
+                } else {
+                    0
+                };
+                self.path_ops[x * 2 * m + i] = PathOp {
+                    slot,
+                    cross_pos: cross_pos as u32,
+                    bwd,
+                    steady: phase == Phase::OneFOneB,
                 };
             }
         }
@@ -328,24 +395,34 @@ fn bwd_pos(w: usize, blocks: usize, mb: usize) -> usize {
     }
 }
 
-/// What a [`sweep`] reports beyond its scalars. The sweep is the only code
-/// that walks the 1F1B program; a sink decides how much of the walk is kept.
-trait Sink {
-    /// An op's readiness and end time, as the sweep computes them.
-    fn op(&mut self, x: usize, mb: usize, bwd: bool, intra_ready: f64, cross_ready: f64, end: f64);
+/// What a [`sweep`] over `L` lanes reports beyond its scalars. The sweep is
+/// the only code that walks the 1F1B program; a sink decides how much of
+/// the walk is kept.
+trait Sink<const L: usize> {
+    /// An op's readiness and end time in every lane, as the sweep computes
+    /// them.
+    fn op(
+        &mut self,
+        x: usize,
+        mb: usize,
+        bwd: bool,
+        intra_ready: [f64; L],
+        cross_ready: [f64; L],
+        end: [f64; L],
+    );
 
     /// The op at program position `i` of stage `x` is on the critical path
     /// (called from the iteration's last op back to its first).
     fn visit(&mut self, x: usize, i: usize);
 }
 
-/// Keeps nothing: [`simulate_time`]'s sink. Both methods inline to nothing,
-/// so this instantiation of the sweep is the bare scalar loop.
+/// Keeps nothing: [`simulate_time_lanes`]' sink. Both methods inline to
+/// nothing, so this instantiation of the sweep is the bare scalar loop.
 struct Scalars;
 
-impl Sink for Scalars {
+impl<const L: usize> Sink<L> for Scalars {
     #[inline(always)]
-    fn op(&mut self, _: usize, _: usize, _: bool, _: f64, _: f64, _: f64) {}
+    fn op(&mut self, _: usize, _: usize, _: bool, _: [f64; L], _: [f64; L], _: [f64; L]) {}
 
     #[inline(always)]
     fn visit(&mut self, _: usize, _: usize) {}
@@ -374,8 +451,16 @@ impl Arena {
     }
 }
 
-impl Sink for Arena {
-    fn op(&mut self, x: usize, mb: usize, bwd: bool, intra_ready: f64, cross_ready: f64, end: f64) {
+impl Sink<1> for Arena {
+    fn op(
+        &mut self,
+        x: usize,
+        mb: usize,
+        bwd: bool,
+        [intra_ready]: [f64; 1],
+        [cross_ready]: [f64; 1],
+        [end]: [f64; 1],
+    ) {
         let idx = self.index(x, bwd, mb);
         let pos = idx - x * 2 * self.m;
         let w = warmup_count(x, self.n, self.m);
@@ -411,8 +496,8 @@ pub fn simulate_time(costs: &StageCosts, m: usize, scratch: &mut SimScratch) -> 
 }
 
 /// [`simulate_time`] with an optional overlap-aware comm model and an
-/// optional per-stage recompute mask (see [`simulate_replay_masked`]) — the
-/// planner's per-candidate call.
+/// optional per-stage recompute mask (see [`simulate_replay_masked`]): the
+/// one-lane instance of [`simulate_time_lanes`].
 pub fn simulate_time_masked(
     costs: &StageCosts,
     m: usize,
@@ -420,6 +505,21 @@ pub fn simulate_time_masked(
     overlap: Option<&OverlapModel>,
     recompute: Option<&[bool]>,
 ) -> FastResult {
+    let [r] = simulate_time_lanes([costs], m, scratch, overlap, [recompute]);
+    r
+}
+
+/// Score `L ≥ 1` candidates of one `(n, m)` in one lockstep sweep — the
+/// planner's call, at `L =` [`LANES`]. Lane `l` is bit for bit
+/// [`simulate_time_masked`] of `costs[l]` under `recompute[l]`; `overlap`
+/// applies to every lane, and every lane must have the same stage count.
+pub fn simulate_time_lanes<const L: usize>(
+    costs: [&StageCosts; L],
+    m: usize,
+    scratch: &mut SimScratch,
+    overlap: Option<&OverlapModel>,
+    recompute: [Option<&[bool]>; L],
+) -> [FastResult; L] {
     sweep(costs, m, scratch, overlap, recompute, &mut Scalars)
 }
 
@@ -474,7 +574,7 @@ pub fn simulate_replay_masked(
         ops: vec![blank; 2 * n * m],
         path: Vec::new(),
     };
-    let scalars = sweep(costs, m, scratch, overlap, recompute, &mut arena);
+    let [scalars] = sweep([costs], m, scratch, overlap, [recompute], &mut arena);
     arena.path.reverse();
     AnalyticResult {
         iteration_time: scalars.iteration_time,
@@ -486,26 +586,42 @@ pub fn simulate_replay_masked(
     }
 }
 
-/// The 1F1B replay: one dependency-ordered pass over the cached program,
-/// the critical-path backtrack, the master-stage count.
+/// View the front of `buf` as `len` entries of `L` lanes each, growing it
+/// first when it is too short. It never shrinks, so a call with fewer lanes
+/// or a smaller problem neither reallocates nor re-zeroes.
+fn lanes<const L: usize, T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [[T; L]] {
+    if buf.len() < len * L {
+        buf.resize(len * L, T::default());
+    }
+    buf[..len * L].as_chunks_mut().0
+}
+
+/// The 1F1B replay of `L` candidates in lockstep: one dependency-ordered
+/// pass over the cached program in which every value is an `[f64; L]` and
+/// lane `l` performs the float operations of a one-lane sweep of
+/// `costs[l]`, in the same order; then, per lane, the critical-path
+/// backtrack and the master-stage count.
 #[inline]
-fn sweep<S: Sink>(
-    costs: &StageCosts,
+fn sweep<const L: usize, S: Sink<L>>(
+    costs: [&StageCosts; L],
     m: usize,
     scratch: &mut SimScratch,
     overlap: Option<&OverlapModel>,
-    recompute: Option<&[bool]>,
+    recompute: [Option<&[bool]>; L],
     sink: &mut S,
-) -> FastResult {
-    let n = costs.n_stages();
+) -> [FastResult; L] {
+    const { assert!(L >= 1, "a sweep needs at least one lane") };
+    let n = costs[0].n_stages();
     assert!(m >= 1, "need at least one micro-batch");
-    if let Some(r) = recompute {
-        assert_eq!(r.len(), n, "recompute mask/stage count mismatch");
+    for (c, r) in costs.iter().zip(recompute) {
+        assert_eq!(c.n_stages(), n, "lanes of one sweep differ in stage count");
+        if let Some(r) = r {
+            assert_eq!(r.len(), n, "recompute mask/stage count mismatch");
+        }
     }
-    let masked = |x: usize| recompute.is_some_and(|r| r[x]);
-    let comm = costs.comm;
+    let comm: [f64; L] = from_fn(|l| costs[l].comm);
     let prog_len = 2 * m;
-    let chunk_cost = overlap.map_or(0.0, |ov| ov.chunk_cost(comm));
+    let chunk_cost: [f64; L] = from_fn(|l| overlap.map_or(0.0, |ov| ov.chunk_cost(comm[l])));
     let k = overlap.map_or(1, OverlapModel::k);
     let overlapped = overlap.is_some();
 
@@ -516,6 +632,10 @@ fn sweep<S: Sink>(
     }
     let SimScratch {
         program,
+        path_ops,
+        f,
+        b,
+        masked,
         fwd_end,
         bwd_end,
         dev_free,
@@ -527,220 +647,224 @@ fn sweep<S: Sink>(
         grad_link,
         ..
     } = scratch;
+    // The lanes' stage costs side by side, one `[f64; L]` per stage.
+    let f = lanes::<L, _>(f, n);
+    let b = lanes::<L, _>(b, n);
+    let masked = lanes::<L, _>(masked, n);
+    for x in 0..n {
+        f[x] = from_fn(|l| costs[l].f[x]);
+        b[x] = from_fn(|l| costs[l].b[x]);
+        masked[x] = from_fn(|l| recompute[l].is_some_and(|r| r[x]));
+    }
     // Every end time and arrival is written by the sweep before anything
     // reads it, so these only need the right length, not zeroing.
-    fwd_end.resize(n * m, 0.0);
-    bwd_end.resize(n * m, 0.0);
-    if overlapped {
-        act_arr.resize(n * m, 0.0);
-        grad_arr.resize(n * m, 0.0);
-    }
-    dev_free.clear();
-    dev_free.resize(n, 0.0);
-    path_count.clear();
-    path_count.resize(n, 0);
+    let fwd_end = lanes::<L, _>(fwd_end, n * m);
+    let bwd_end = lanes::<L, _>(bwd_end, n * m);
+    let arrivals = if overlapped { n * m } else { 0 };
+    let act_arr = lanes::<L, _>(act_arr, arrivals);
+    let grad_arr = lanes::<L, _>(grad_arr, arrivals);
+    let dev_free = lanes::<L, _>(dev_free, n);
+    dev_free.fill([0.0; L]);
+    let act_link = lanes::<L, _>(act_link, n);
+    act_link.fill([0.0; L]);
+    let grad_link = lanes::<L, _>(grad_link, n);
+    grad_link.fill([0.0; L]);
     // A masked stage pays one forward replay per backward on top of its work.
+    let last = L - 1;
     stage_busy.clear();
-    stage_busy.extend(
-        (0..n).map(|x| m as f64 * (costs.work(x) + if masked(x) { costs.f[x] } else { 0.0 })),
-    );
-    act_link.clear();
-    act_link.resize(n, 0.0);
-    grad_link.clear();
-    grad_link.resize(n, 0.0);
+    stage_busy.extend((0..n).map(|x| {
+        m as f64 * (costs[last].work(x) + if masked[x][last] { f[x][last] } else { 0.0 })
+    }));
 
     // Single-pass topological sweep in the cached order: an op starts at the
-    // max of its intra-stage predecessor's end and its cross-stage gate. The
-    // loop indexes plain slices so their pointers and lengths stay in
-    // registers.
-    let (f, b) = (&costs.f[..n], &costs.b[..n]);
-    let (fwd_end, bwd_end) = (&mut fwd_end[..], &mut bwd_end[..]);
-    let (act_arr, grad_arr) = (&mut act_arr[..], &mut grad_arr[..]);
-    let (act_link, grad_link) = (&mut act_link[..], &mut grad_link[..]);
-    let dev_free = &mut dev_free[..];
+    // max of its intra-stage predecessor's end and its cross-stage gate, in
+    // every lane.
     for op in program.iter() {
         let x = usize::from(op.stage);
         let slot = op.slot as usize;
+        let free = dev_free[x];
         if !op.bwd {
             let cross_ready = if x > 0 {
                 if overlapped {
                     act_arr[slot - m]
                 } else {
-                    fwd_end[slot - m] + comm
+                    let e = fwd_end[slot - m];
+                    from_fn(|l| e[l] + comm[l])
                 }
             } else {
-                0.0
+                [0.0; L]
             };
-            let start = dev_free[x].max(cross_ready);
-            let e = start + f[x];
-            sink.op(x, slot - x * m, false, dev_free[x], cross_ready, e);
+            let fx = f[x];
+            let e = from_fn(|l| free[l].max(cross_ready[l]) + fx[l]);
+            sink.op(x, slot - x * m, false, free, cross_ready, e);
             fwd_end[slot] = e;
             dev_free[x] = e;
             if overlapped && x < n - 1 {
                 // Sender-side eager send right after the producing span.
-                act_arr[slot] = eager_send(&mut act_link[x], e, f[x], chunk_cost, k);
+                let link = &mut act_link[x];
+                act_arr[slot] =
+                    from_fn(|l| eager_send(&mut link[l], e[l], fx[l], chunk_cost[l], k));
             }
         } else {
             let cross_ready = if x < n - 1 {
                 if overlapped {
                     grad_arr[slot + m]
                 } else {
-                    bwd_end[slot + m] + comm
+                    let e = bwd_end[slot + m];
+                    from_fn(|l| e[l] + comm[l])
                 }
             } else {
-                0.0
+                [0.0; L]
             };
             // Masked stages replay the forward while the gradient is on the
             // wire; the backward cannot start before that finishes.
-            let intra_ready = if masked(x) {
-                dev_free[x] + f[x]
-            } else {
-                dev_free[x]
-            };
-            let start = intra_ready.max(cross_ready);
-            let e = start + b[x];
+            let (fx, bx, mx) = (f[x], b[x], masked[x]);
+            let intra_ready = from_fn(|l| if mx[l] { free[l] + fx[l] } else { free[l] });
+            let e = from_fn(|l| intra_ready[l].max(cross_ready[l]) + bx[l]);
             sink.op(x, slot - x * m, true, intra_ready, cross_ready, e);
             bwd_end[slot] = e;
             dev_free[x] = e;
             if overlapped && x > 0 {
-                grad_arr[slot] = eager_send(&mut grad_link[x], e, b[x], chunk_cost, k);
+                let link = &mut grad_link[x];
+                grad_arr[slot] =
+                    from_fn(|l| eager_send(&mut link[l], e[l], bx[l], chunk_cost[l], k));
             }
         }
     }
 
-    let end_of = |x: usize, i: usize| -> f64 {
-        let w = warmup_count(x, n, m);
-        let (class, mb, _) = decode_op(w, m - w, i);
-        match class {
-            OpClass::Fwd => fwd_end[x * m + mb],
-            OpClass::Bwd => bwd_end[x * m + mb],
+    let mut out = [FastResult::default(); L];
+    for (l, out) in out.iter_mut().enumerate() {
+        // Iteration end and the backtrack anchor: the *last* op, in arena
+        // order (stage-major, program-minor), with the maximal end.
+        // Durations are non-negative and an op starts no earlier than its
+        // device frees, so end times never decrease along one stage's
+        // program: each stage's maximum, and its last maximal op, is its
+        // final op, whose end is what the sweep left in `dev_free`. Scanning
+        // those `n` values, later stages winning ties, picks that anchor
+        // without touching the other `2·n·m − n` ends.
+        let mut iteration_time = 0.0_f64;
+        let (mut cx, mut ci) = (0usize, prog_len - 1);
+        let mut anchor_end = f64::NEG_INFINITY;
+        for (x, e) in dev_free.iter().enumerate() {
+            let e = e[l];
+            iteration_time = iteration_time.max(e);
+            if e.total_cmp(&anchor_end) != std::cmp::Ordering::Less {
+                anchor_end = e;
+                cx = x;
+            }
         }
-    };
 
-    // Iteration end and the backtrack anchor: the *last* op, in arena order
-    // (stage-major, program-minor), with the maximal end. Durations are
-    // non-negative and an op starts no earlier than its device frees, so end
-    // times never decrease along one stage's program: each stage's maximum,
-    // and its last maximal op, is its final op, whose end is what the sweep
-    // left in `dev_free`. Scanning those `n` values, later stages winning
-    // ties, picks that anchor without touching the other `2·n·m − n` ends.
-    let mut iteration_time = 0.0_f64;
-    let (mut cx, mut ci) = (0usize, prog_len - 1);
-    let mut anchor_end = f64::NEG_INFINITY;
-    for (x, &e) in dev_free.iter().enumerate() {
-        iteration_time = iteration_time.max(e);
-        if e.total_cmp(&anchor_end) != std::cmp::Ordering::Less {
-            anchor_end = e;
-            cx = x;
-        }
-    }
-
-    // Backtrack the unique critical path, counting 1F1B-phase visits per
-    // stage. A predecessor is on the path when its readiness equals the
-    // start (no slack) — `start = max(intra_ready, cross_ready)` makes the
-    // equality exact — and among zero-slack predecessors the one at the
-    // higher stage wins: the paper's tie rule ("the one closest to the last
-    // pipeline stage in the 1F1B phase", Fig. 4).
-    loop {
-        sink.visit(cx, ci);
-        let w = warmup_count(cx, n, m);
-        let blocks = m - w;
-        let (class, mb, phase) = decode_op(w, blocks, ci);
-        if phase == Phase::OneFOneB {
-            path_count[cx] += 1;
-        }
-        // (cross stage, cross readiness) of this op, if it has a cross dep.
-        let cross = match class {
-            OpClass::Fwd if cx > 0 => Some((
-                cx - 1,
-                if overlapped {
-                    act_arr[(cx - 1) * m + mb]
-                } else {
-                    fwd_end[(cx - 1) * m + mb] + comm
-                },
-            )),
-            OpClass::Bwd if cx < n - 1 => Some((
-                cx + 1,
-                if overlapped {
-                    grad_arr[(cx + 1) * m + mb]
-                } else {
-                    bwd_end[(cx + 1) * m + mb] + comm
-                },
-            )),
-            _ => None,
-        };
-        let intra_ready = if ci > 0 {
-            let e = end_of(cx, ci - 1);
-            if class == OpClass::Bwd && masked(cx) {
-                e + costs.f[cx]
+        // Backtrack the unique critical path, counting 1F1B-phase visits
+        // per stage. A predecessor is on the path when its readiness equals
+        // the start (no slack) — `start = max(intra_ready, cross_ready)`
+        // makes the equality exact — and among zero-slack predecessors the
+        // one at the higher stage wins: the paper's tie rule ("the one
+        // closest to the last pipeline stage in the 1F1B phase", Fig. 4).
+        path_count.clear();
+        path_count.resize(n, 0);
+        loop {
+            sink.visit(cx, ci);
+            let row = &path_ops[cx * prog_len..][..prog_len];
+            let op = row[ci];
+            if op.steady {
+                path_count[cx] += 1;
+            }
+            // (cross stage, cross readiness) of this op, if it has a cross
+            // dep. A neighbour's op of the same micro-batch sits `m` slots
+            // away.
+            let slot = op.slot as usize;
+            let cross = if !op.bwd {
+                (cx > 0).then(|| {
+                    let ready = if overlapped {
+                        act_arr[slot - m][l]
+                    } else {
+                        fwd_end[slot - m][l] + comm[l]
+                    };
+                    (cx - 1, ready)
+                })
             } else {
-                e
-            }
-        } else {
-            0.0
-        };
-        let cross_ready = cross.map_or(0.0, |(_, r)| r);
-        let start = intra_ready.max(cross_ready);
+                (cx < n - 1).then(|| {
+                    let ready = if overlapped {
+                        grad_arr[slot + m][l]
+                    } else {
+                        bwd_end[slot + m][l] + comm[l]
+                    };
+                    (cx + 1, ready)
+                })
+            };
+            let intra_ready = if ci > 0 {
+                let prev = row[ci - 1];
+                let ends = if prev.bwd { &*bwd_end } else { &*fwd_end };
+                let e = ends[prev.slot as usize][l];
+                if op.bwd && masked[cx][l] {
+                    e + f[cx][l]
+                } else {
+                    e
+                }
+            } else {
+                0.0
+            };
+            let cross_ready = cross.map_or(0.0, |(_, r)| r);
+            let start = intra_ready.max(cross_ready);
 
-        let mut follow_cross = cross.is_some() && cross_ready == start;
-        let mut follow_intra = false;
-        if ci > 0 && intra_ready == start {
-            match cross {
-                Some((cs, _)) if follow_cross && cs >= cx => {} // cross wins the tie
-                _ => {
-                    follow_cross = false;
-                    follow_intra = true;
+            let mut follow_cross = cross.is_some() && cross_ready == start;
+            let mut follow_intra = false;
+            if ci > 0 && intra_ready == start {
+                match cross {
+                    Some((cs, _)) if follow_cross && cs >= cx => {} // cross wins the tie
+                    _ => {
+                        follow_cross = false;
+                        follow_intra = true;
+                    }
                 }
             }
+            if follow_cross {
+                cx = cross.unwrap().0;
+                ci = op.cross_pos as usize;
+            } else if follow_intra {
+                ci -= 1;
+            } else {
+                break;
+            }
         }
-        if follow_cross {
-            let (cs, _) = cross.unwrap();
-            let ws = warmup_count(cs, n, m);
-            ci = match class {
-                OpClass::Fwd => fwd_pos(ws, mb),
-                OpClass::Bwd => bwd_pos(ws, m - ws, mb),
-            };
-            cx = cs;
-        } else if follow_intra {
-            ci -= 1;
+
+        // The master stage: the stage the critical path traverses
+        // horizontally in the 1F1B phase (§III-B, "the stage that the
+        // critical path passes in 1F1B phase ... it has the heaviest load
+        // and dominates the pipeline"). Highest count wins; ties go to the
+        // stage closest to the end of the pipeline (the paper's uniqueness
+        // rule). Degenerate pipelines (m < n can leave no 1F1B ops on the
+        // path) fall back to the heaviest stage.
+        let mut master = None;
+        let mut best = 0usize;
+        for (x, &c) in path_count.iter().enumerate() {
+            if c >= best && c > 0 {
+                best = c;
+                master = Some(x);
+            }
+        }
+        let costs = costs[l];
+        let master_stage = master.unwrap_or_else(|| {
+            (0..n)
+                .max_by(|&a, &b| costs.work(a).total_cmp(&costs.work(b)))
+                .unwrap()
+        });
+
+        let startup_overhead = if n == 1 {
+            0.0
+        } else if overlapped {
+            act_arr[(n - 2) * m][l]
         } else {
-            break;
-        }
-    }
+            fwd_end[(n - 2) * m][l] + comm[l]
+        };
 
-    // The master stage: the stage the critical path traverses horizontally
-    // in the 1F1B phase (§III-B, "the stage that the critical path passes in
-    // 1F1B phase ... it has the heaviest load and dominates the pipeline").
-    // Highest count wins; ties go to the stage closest to the end of the
-    // pipeline (the paper's uniqueness rule). Degenerate pipelines (m < n
-    // can leave no 1F1B ops on the path) fall back to the heaviest stage.
-    let mut master = None;
-    let mut best = 0usize;
-    for (x, &c) in path_count.iter().take(n).enumerate() {
-        if c >= best && c > 0 {
-            best = c;
-            master = Some(x);
-        }
+        *out = FastResult {
+            iteration_time,
+            startup_overhead,
+            master_stage,
+        };
     }
-    let master_stage = master.unwrap_or_else(|| {
-        (0..n)
-            .max_by(|&a, &b| costs.work(a).total_cmp(&costs.work(b)))
-            .unwrap()
-    });
-
-    let startup_overhead = if n == 1 {
-        0.0
-    } else if overlapped {
-        act_arr[(n - 2) * m]
-    } else {
-        fwd_end[(n - 2) * m] + comm
-    };
-
-    FastResult {
-        iteration_time,
-        startup_overhead,
-        master_stage,
-    }
+    out
 }
 
 /// The paper's closed-form recurrence engine.

@@ -8,10 +8,12 @@
 //!   cost, it computes the start time of every operation of the synchronous
 //!   1F1B schedule, the iteration time, the **critical path** (unique, ties
 //!   broken toward the last stage) and the **master stage**. One sweep over
-//!   the 1F1B program serves both `simulate_time` (scalars only,
-//!   allocation-free over reusable [`SimScratch`] buffers — the planner's
-//!   per-candidate call) and `simulate_replay` (the op arena and critical
-//!   path as well). The paper's closed-form `recurrence` (block-renumbered
+//!   the 1F1B program, run over `L` candidates in lockstep with each lane
+//!   bit-identical to a one-candidate run, serves `simulate_time_lanes`
+//!   (scalars only, allocation-free over reusable [`SimScratch`] buffers —
+//!   the planner scores [`LANES`] candidates per call), `simulate_time`
+//!   (its one-lane instance) and `simulate_replay` (one lane, plus the op
+//!   arena and critical path). The paper's closed-form `recurrence` (block-renumbered
 //!   1F1B equations + reverse-renumbered Cooldown equations + Warmup
 //!   estimated from one micro-batch's total forward time) is the independent
 //!   oracle; it agrees up to the paper's own approximations.
@@ -36,8 +38,9 @@ pub mod partition;
 pub mod schedule_replay;
 
 pub use analytic::{
-    simulate_replay, simulate_replay_masked, simulate_time, simulate_time_masked, AnalyticResult,
-    FastResult, OpClass, OpTime, OverlapModel, Phase, SimScratch,
+    simulate_replay, simulate_replay_masked, simulate_time, simulate_time_lanes,
+    simulate_time_masked, AnalyticResult, FastResult, OpClass, OpTime, OverlapModel, Phase,
+    SimScratch, LANES,
 };
 pub use autopipe_exec::CommConfig;
 pub use event::{
