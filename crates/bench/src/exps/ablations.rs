@@ -23,7 +23,7 @@ use crate::systems::{cost_db, measure, System};
 
 /// Sub-layer vs layer granularity: simulated iteration time of the planner's
 /// best scheme at each granularity. Returns (model, p, layer_s, sublayer_s).
-pub fn granularity_ablation() -> Vec<(String, usize, f64, f64)> {
+pub(crate) fn granularity_ablation() -> Vec<(String, usize, f64, f64)> {
     let hw = Hardware::rtx3090_cluster();
     let mut out = Vec::new();
     for model in zoo::benchmark_models() {
@@ -45,7 +45,7 @@ pub fn granularity_ablation() -> Vec<(String, usize, f64, f64)> {
 }
 
 /// Algorithm 1 seed vs the full heuristic: (model, p, seed_s, heuristic_s).
-pub fn heuristic_ablation() -> Vec<(String, usize, f64, f64)> {
+pub(crate) fn heuristic_ablation() -> Vec<(String, usize, f64, f64)> {
     let hw = Hardware::rtx3090_cluster();
     let mut out = Vec::new();
     for model in zoo::benchmark_models() {
@@ -69,7 +69,7 @@ pub fn heuristic_ablation() -> Vec<(String, usize, f64, f64)> {
 
 /// Slice-count sweep on a balanced pipeline: (k, iteration_s, startup_s)
 /// plus Algorithm 2's chosen k.
-pub fn slice_sweep(p: usize, m: usize) -> (Vec<(usize, f64, f64)>, usize) {
+pub(crate) fn slice_sweep(p: usize, m: usize) -> (Vec<(usize, f64, f64)>, usize) {
     let hw = Hardware::rtx3090_cluster();
     let db = cost_db(&zoo::gpt2_345m(), &hw, 8);
     let part = plan(&db, p, m, &AutoPipeConfig::default())
@@ -90,7 +90,7 @@ pub fn slice_sweep(p: usize, m: usize) -> (Vec<(usize, f64, f64)>, usize) {
 
 /// Bandwidth sensitivity: speedup of AutoPipe over Megatron-LM as the link
 /// bandwidth scales. Returns (scale, speedup).
-pub fn bandwidth_sweep() -> Vec<(f64, f64)> {
+pub(crate) fn bandwidth_sweep() -> Vec<(f64, f64)> {
     let base = Hardware::rtx3090_cluster();
     [0.1, 0.5, 1.0, 2.0, 10.0]
         .iter()

@@ -16,7 +16,7 @@ use crate::report::{save_json, Table};
 use crate::systems::{cost_db, run_measured};
 
 /// Per-scheme (simulated, actual) per-micro-batch times in seconds.
-pub fn series() -> Vec<(f64, f64)> {
+pub(crate) fn series() -> Vec<(f64, f64)> {
     let hw = Hardware::rtx3090_cluster();
     let db = cost_db(&zoo::gpt2_345m(), &hw, 4);
     let m = 8;

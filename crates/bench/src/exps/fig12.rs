@@ -26,7 +26,7 @@ pub struct SearchStat {
 
 /// Measure (dapple, piper, autopipe) search cost for every benchmark model
 /// on `g` GPUs at high memory demand.
-pub fn search_times(g: usize) -> Vec<(String, [SearchStat; 3])> {
+pub(crate) fn search_times(g: usize) -> Vec<(String, [SearchStat; 3])> {
     let hw = Hardware::rtx3090_cluster();
     zoo::benchmark_models()
         .into_iter()

@@ -16,11 +16,12 @@ use autopipe_cost::{CommModel, CostDb, Hardware};
 use autopipe_planner::autopipe::AutoPipeConfig;
 use autopipe_planner::baselines::{dapple, piper, replicated};
 use autopipe_planner::types::{HybridPlan, PlanError};
+use autopipe_planner::PlanService;
 
 /// Run a named planner ("D", "P" or "A") and return its hybrid plan.
 /// AutoPipe's uniform strategy is wrapped into the same [`HybridPlan`]
 /// shape as the baselines so they can all be evaluated identically.
-pub fn run_planner(
+pub(crate) fn run_planner(
     alg: &str,
     db: &CostDb,
     hw: &Hardware,
@@ -33,15 +34,9 @@ pub fn run_planner(
         "D" => dapple::plan(db, g, m_total, hw),
         "P" => piper::plan(db, g, m_total, hw),
         "A" => {
-            let c = autopipe_core::choose_strategy(
-                db,
-                hw,
-                g,
-                gbs,
-                mbs,
-                None,
-                &AutoPipeConfig::default(),
-            )?;
+            let cfg = AutoPipeConfig::default();
+            let service = PlanService::with_config(cfg);
+            let c = autopipe_core::choose_strategy(db, hw, g, gbs, mbs, None, &cfg, &service)?;
             Ok(HybridPlan {
                 planner: "autopipe",
                 stages: c.stages,
@@ -59,7 +54,7 @@ pub fn run_planner(
 /// Evaluate a hybrid plan end to end: check the real memory model, check
 /// the runtime constraint (dp ≤ mbs), then replay the replicated pipeline
 /// and add gradient synchronisation. Errors carry the paper's cell markers.
-pub fn evaluate_plan(
+pub(crate) fn evaluate_plan(
     plan: &HybridPlan,
     db: &CostDb,
     hw: &Hardware,

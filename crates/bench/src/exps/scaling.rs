@@ -14,7 +14,7 @@ use crate::systems::cost_db;
 
 /// Depth-axis rows: (layers, stages, search ms, schemes, max/mean stage
 /// imbalance).
-pub fn depth_scaling() -> Vec<(usize, usize, f64, usize, f64)> {
+pub(crate) fn depth_scaling() -> Vec<(usize, usize, f64, usize, f64)> {
     let hw = Hardware::rtx3090_cluster();
     let mut out = Vec::new();
     for layers in [12usize, 24, 48, 96] {
@@ -36,7 +36,7 @@ pub fn depth_scaling() -> Vec<(usize, usize, f64, usize, f64)> {
 
 /// Width-axis rows: (model, stages, search ms, imbalance) on the GPT-3
 /// class configs.
-pub fn width_scaling() -> Vec<(String, usize, f64, f64)> {
+pub(crate) fn width_scaling() -> Vec<(String, usize, f64, f64)> {
     let hw = Hardware::rtx3090_cluster();
     let mut out = Vec::new();
     for model in [

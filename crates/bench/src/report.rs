@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// Start a table with column headers.
-    pub fn new(header: &[&str]) -> Table {
+    pub(crate) fn new(header: &[&str]) -> Table {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -21,13 +21,13 @@ impl Table {
     }
 
     /// Append a row (must match the header width).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len());
         self.rows.push(cells);
     }
 
     /// Render to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -55,7 +55,7 @@ impl Table {
     }
 
     /// Print to stdout with a title.
-    pub fn print(&self, title: &str) {
+    pub(crate) fn print(&self, title: &str) {
         println!("\n== {title} ==");
         print!("{}", self.render());
     }
@@ -63,7 +63,7 @@ impl Table {
 
 /// Format seconds as milliseconds with one decimal, or pass an error marker
 /// through ("OOM", "X", "-").
-pub fn ms(v: &Result<f64, String>) -> String {
+pub(crate) fn ms(v: &Result<f64, String>) -> String {
     match v {
         Ok(s) => format!("{:.1}", s * 1e3),
         Err(e) => e.split(' ').next().unwrap_or("-").to_string(),

@@ -37,18 +37,7 @@ pub enum System {
     AutoPipe,
 }
 
-impl System {
-    /// Display label matching the paper's legends.
-    pub fn label(&self) -> String {
-        match self {
-            System::Megatron => "Megatron-LM".into(),
-            System::Interleaved(v) => format!("Interleaved(v={v})"),
-            System::SlicerOnly => "Slicer".into(),
-            System::PlannerOnly => "Planner".into(),
-            System::AutoPipe => "AutoPipe".into(),
-        }
-    }
-}
+impl System {}
 
 /// Build the cost database all experiments share.
 pub fn cost_db(model: &ModelConfig, hw: &Hardware, mbs: usize) -> CostDb {
@@ -100,7 +89,12 @@ pub fn measure(
 
 /// Run a (partition, schedule) pair on the event simulator with the
 /// actual-run fidelity profile. Deterministic seed derived from the shape.
-pub fn run_measured(partition: &Partition, schedule: &Schedule, db: &CostDb, hw: &Hardware) -> Obs {
+pub(crate) fn run_measured(
+    partition: &Partition,
+    schedule: &Schedule,
+    db: &CostDb,
+    hw: &Hardware,
+) -> Obs {
     let sc = stage_costs_for(partition, schedule, db);
     let costs = EventCosts::from_stage_costs(&sc, hw.link_latency);
     let seed = 0xC0FFEE
@@ -116,7 +110,11 @@ pub fn run_measured(partition: &Partition, schedule: &Schedule, db: &CostDb, hw:
 }
 
 /// Stage costs covering every chunk-stage of `schedule`.
-pub fn stage_costs_for(partition: &Partition, schedule: &Schedule, db: &CostDb) -> StageCosts {
+pub(crate) fn stage_costs_for(
+    partition: &Partition,
+    schedule: &Schedule,
+    db: &CostDb,
+) -> StageCosts {
     assert_eq!(partition.n_stages(), schedule.n_stages());
     partition.stage_costs(db)
 }

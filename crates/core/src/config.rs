@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use autopipe_cost::profiler::ProfilerConfig;
 use autopipe_cost::Hardware;
 use autopipe_model::{Granularity, ModelConfig};
-use autopipe_planner::{AutoPipeConfig, FamilyConfig, RecomputePolicy};
+use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
 use autopipe_sim::event::EventConfig;
 use autopipe_sim::{CommConfig, OverlapModel};
 
@@ -192,7 +192,7 @@ impl Default for MembershipConfig {
 
 impl MembershipConfig {
     /// Reject degenerate thresholds with a structured [`Error::Config`].
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         let fail = |msg: String| Err(Error::Config(msg));
         if self.suspect_after < 1 {
             return fail("suspect_after must be at least 1 missed heartbeat".into());
@@ -254,7 +254,7 @@ impl Default for ElasticConfig {
 
 impl ElasticConfig {
     /// Reject degenerate knobs with a structured [`Error::Config`].
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         self.membership.validate()?;
         if self.min_devices < 1 {
             return Err(Error::Config(
@@ -459,12 +459,6 @@ impl SessionConfig {
         }
     }
 
-    /// Lower into the cross-family search's knobs, via the same constraint
-    /// set as [`Self::planner`] (see [`FamilyConfig::for_planner`]).
-    pub fn family(&self) -> FamilyConfig {
-        FamilyConfig::for_planner(self.planner(), self.hardware.link_latency)
-    }
-
     /// Lower into the event simulator's knobs.
     pub fn event(&self) -> EventConfig {
         EventConfig {
@@ -499,6 +493,7 @@ impl SessionConfig {
 mod tests {
     use super::*;
     use autopipe_model::zoo;
+    use autopipe_planner::FamilyConfig;
 
     fn cfg() -> SessionConfig {
         SessionConfig::new(zoo::gpt2_tiny(), 2, 4, 16)
@@ -563,14 +558,16 @@ mod tests {
         assert_eq!(p.recompute, RecomputePolicy::Auto);
         assert!(p.prune);
         assert_eq!(p.overlap.unwrap().chunks, 4);
-        let f = c.family();
+        let family =
+            |c: &SessionConfig| FamilyConfig::for_planner(c.planner(), c.hardware.link_latency);
+        let f = family(&c);
         assert_eq!(f.autopipe.memory_budget, p.memory_budget);
         assert_eq!(f.autopipe.recompute, p.recompute);
         assert!(f.comm.overlap);
         assert_eq!(f.comm.chunks, 4);
         assert_eq!(f.latency, c.hardware.link_latency);
         // Blocking constraints lower to the blocking comm engine.
-        assert!(!cfg().family().comm.overlap);
+        assert!(!family(&cfg()).comm.overlap);
         assert_eq!(cfg().constraints.comm(), CommConfig::default());
     }
 

@@ -8,6 +8,13 @@
 //! stages", combined "in the way Megatron-LM uses"), runs the Planner for
 //! the chosen depth, feeds the partition to the Slicer, and returns an
 //! executable [`Plan`] with the sliced 1F1B schedule.
+//!
+//! There is one planning pass, [`AutoPipe::plan_with`]: every partition
+//! search goes through an `autopipe_planner::PlanService` (one per
+//! candidate depth, so repeat passes are cache hits), and [`Plan::slice`],
+//! the one slicing step, keeps the recompute mask the search chose.
+//! [`AutoPipe::plan`] runs it on a fresh service in the request's search
+//! configuration.
 
 pub mod config;
 pub mod error;
@@ -21,4 +28,4 @@ pub use config::{
 };
 pub use error::Error;
 pub use plan::{AutoPipe, Plan, PlanRequest};
-pub use strategy::{choose_strategy, choose_strategy_with, StrategyChoice};
+pub use strategy::{choose_strategy, StrategyChoice};

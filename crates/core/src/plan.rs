@@ -4,17 +4,17 @@ use serde::{Deserialize, Serialize};
 
 use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
 use autopipe_model::{Granularity, ModelConfig};
-use autopipe_planner::autopipe::{plan as planner_plan, AutoPipeConfig, PartitionPlanner};
+use autopipe_planner::autopipe::AutoPipeConfig;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
-use autopipe_schedule::Schedule;
+use autopipe_schedule::{apply_recompute, recompute_mask, Schedule};
 use autopipe_sim::analytic::AnalyticResult;
 use autopipe_sim::Partition;
-use autopipe_slicer::{plan_slicing, plan_slicing_masked, solve_sliced_count};
+use autopipe_slicer::{plan_slicing, solve_sliced_count};
 
 use crate::config::SchedulePolicy;
-use crate::strategy::choose_strategy_with;
+use crate::strategy::choose_strategy;
 
 /// Description of a training job to plan.
 #[derive(Debug, Clone)]
@@ -104,6 +104,33 @@ impl Plan {
     pub fn est_iteration_time(&self) -> f64 {
         self.est_pipeline_time + self.grad_sync
     }
+
+    /// Apply the AutoPipe Slicer (Algorithm 2) to this plan's 1F1B
+    /// schedule. The sliced count is solved on the stage costs the
+    /// partition was searched under: masked on the stages the schedule
+    /// recomputes, whose backward carries the forward replay (a
+    /// recomputing stage drains its Warmup later). The sliced schedule keeps
+    /// the same recompute mask. A no-op below two stages. This is the one
+    /// slicing step: [`AutoPipe::plan_with`] and the session's `slice()`
+    /// both call it.
+    pub fn slice(&mut self, db: &CostDb) {
+        if self.stages < 2 {
+            return;
+        }
+        let mask = recompute_mask(&self.schedule);
+        let recomputes = mask.iter().any(|&r| r);
+        let costs = if recomputes {
+            self.partition.stage_costs_recompute(db, &mask)
+        } else {
+            self.partition.stage_costs(db)
+        };
+        let mut schedule = plan_slicing(&costs, self.microbatches).schedule;
+        if recomputes {
+            apply_recompute(&mut schedule, &mask);
+        }
+        self.n_sliced = schedule.n_sliced;
+        self.schedule = schedule;
+    }
 }
 
 /// The AutoPipe front-end.
@@ -113,38 +140,29 @@ pub struct AutoPipe;
 impl AutoPipe {
     /// Plan a training job: build the cost database (optionally through the
     /// synthetic profiler), choose the DP×PP strategy, partition with the
-    /// Planner, and reschedule the Warmup phase with the Slicer.
+    /// Planner, and reschedule the Warmup phase with the Slicer — through a
+    /// fresh [`PlanService`] in the request's search configuration.
     pub fn plan(req: &PlanRequest) -> Result<Plan, PlanError> {
-        Self::plan_with_planner(req, &Self::cost_db(req), &|db, p, m, c| {
-            planner_plan(db, p, m, c)
-        })
+        Self::plan_with(
+            req,
+            &Self::cost_db(req),
+            &PlanService::with_config(req.planner),
+        )
     }
 
-    /// [`Self::plan`] served through a [`PlanService`]: every backing
-    /// partition search (one per candidate depth) goes through the service's
+    /// [`Self::plan`] served through `service`: every backing partition
+    /// search (one per candidate depth) goes through the service's
     /// content-addressed cache, so re-planning a known job answers from
     /// cache instead of searching. The request's own `planner` config is
-    /// the cache key's config component, so the result is bit-identical to
-    /// [`Self::plan`]. `db` is [`Self::cost_db`] of `req`, built once by the
-    /// caller, who usually needs it afterwards too.
+    /// the cache key's config component, so the result is bit-identical
+    /// whichever service answers. `db` is [`Self::cost_db`] of `req`, built
+    /// once by the caller, who usually needs it afterwards too.
     pub fn plan_with(
         req: &PlanRequest,
         db: &CostDb,
         service: &PlanService,
     ) -> Result<Plan, PlanError> {
-        Self::plan_with_planner(req, db, &|db, p, m, c| {
-            service.plan_cfg(db, p, m, c).map(|s| (*s.outcome).clone())
-        })
-    }
-
-    /// [`Self::plan`] on a prebuilt cost database ([`Self::cost_db`] of
-    /// `req`) with an arbitrary partition-planner hook.
-    pub fn plan_with_planner(
-        req: &PlanRequest,
-        db: &CostDb,
-        planner: PartitionPlanner<'_>,
-    ) -> Result<Plan, PlanError> {
-        let choice = choose_strategy_with(
+        let choice = choose_strategy(
             db,
             &req.hardware,
             req.n_devices,
@@ -152,24 +170,22 @@ impl AutoPipe {
             req.mbs,
             req.fixed_stages,
             &req.planner,
-            planner,
+            service,
         )?;
-        // When the partition search bought memory feasibility with a
-        // recompute mask, every downstream consumer (Algorithm 2's sliced
-        // count, the slicing plan) must see the masked stage costs — a
-        // recomputing stage's backward carries the forward replay.
         let mask = &choice.outcome.recompute;
         let recomputes = mask.iter().any(|&r| r);
-        let costs = if recomputes {
-            choice.outcome.partition.stage_costs_recompute(db, mask)
-        } else {
-            choice.outcome.partition.stage_costs(db)
-        };
         let (schedule, partition, est_pipeline_time) =
             if req.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
                 // Cross-family search: seed the sliced-count axis with the
-                // Slicer's Algorithm 2 pick so the classic AutoPipe schedule
-                // is always among the candidates.
+                // Slicer's Algorithm 2 pick — on the masked stage costs when
+                // the partition search bought memory feasibility with a
+                // recompute mask — so the classic AutoPipe schedule is
+                // always among the candidates.
+                let costs = if recomputes {
+                    choice.outcome.partition.stage_costs_recompute(db, mask)
+                } else {
+                    choice.outcome.partition.stage_costs(db)
+                };
                 let mut fam_cfg = FamilyConfig::for_planner(req.planner, req.hardware.link_latency);
                 let algo2 = solve_sliced_count(&costs);
                 if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
@@ -187,17 +203,6 @@ impl AutoPipe {
                     choice.outcome.partition.clone(),
                 )?;
                 (fam.schedule, fam.partition, fam.iteration_time)
-            } else if req.enable_slicer && choice.stages >= 2 {
-                let sp = if recomputes {
-                    plan_slicing_masked(&costs, choice.microbatches, mask)
-                } else {
-                    plan_slicing(&costs, choice.microbatches)
-                };
-                (
-                    sp.schedule,
-                    choice.outcome.partition.clone(),
-                    choice.outcome.analytic.iteration_time,
-                )
             } else {
                 (
                     autopipe_schedule::one_f_one_b(choice.stages, choice.microbatches),
@@ -207,17 +212,13 @@ impl AutoPipe {
             };
         // The partition search may have bought memory feasibility with a
         // recompute mask; the executable schedule must carry it. The family
-        // search and the masked slicer already lower their own winners, so
-        // only the plain-1F1B fallback still needs the mask applied here.
+        // search already lowers its own winner; the 1F1B schedule gets the
+        // mask here, and slicing keeps it.
         let mut schedule = schedule;
-        if recomputes
-            && !autopipe_schedule::recompute_mask(&schedule)
-                .iter()
-                .any(|&r| r)
-        {
-            autopipe_schedule::apply_recompute(&mut schedule, mask);
+        if recomputes && !recompute_mask(&schedule).iter().any(|&r| r) {
+            apply_recompute(&mut schedule, mask);
         }
-        Ok(Plan {
+        let mut plan = Plan {
             stages: choice.stages,
             dp: choice.dp,
             microbatches: choice.microbatches,
@@ -230,7 +231,11 @@ impl AutoPipe {
             analytic: choice.outcome.analytic.clone(),
             schemes_explored: choice.outcome.schemes_explored,
             search_seconds: choice.outcome.search_time.as_secs_f64(),
-        })
+        };
+        if req.enable_slicer && req.schedule_policy != SchedulePolicy::Auto {
+            plan.slice(db);
+        }
+        Ok(plan)
     }
 
     /// The cost database a request plans against. Heterogeneity multipliers

@@ -8,10 +8,12 @@
 //! This is how Tables III–IV's AutoPipe rows pick complete data parallelism
 //! at low memory demand and 2- or 4-stage pipelines at high memory demand.
 
+use std::sync::Arc;
+
 use autopipe_cost::{CommModel, CostDb, Hardware};
-use autopipe_planner::autopipe::{plan as planner_plan, AutoPipeConfig, AutoPipeOutcome};
+use autopipe_planner::autopipe::{AutoPipeConfig, AutoPipeOutcome};
 use autopipe_planner::types::PlanError;
-use autopipe_planner::PartitionPlanner;
+use autopipe_planner::PlanService;
 use autopipe_schedule::{apply_recompute, one_f_one_b};
 use autopipe_sim::memcheck::check_memory_budget;
 
@@ -24,8 +26,8 @@ pub struct StrategyChoice {
     pub dp: usize,
     /// Micro-batches per pipeline replica per iteration.
     pub microbatches: usize,
-    /// Planner outcome for this depth.
-    pub outcome: AutoPipeOutcome,
+    /// Planner outcome for this depth, shared with the service's cache.
+    pub outcome: Arc<AutoPipeOutcome>,
     /// Gradient all-reduce time appended per iteration.
     pub grad_sync: f64,
     /// Total schemes simulated across every candidate depth.
@@ -41,7 +43,10 @@ impl StrategyChoice {
 
 /// Choose the best uniform strategy for `g` devices running a global batch
 /// of `gbs` samples with micro-batch size `mbs`. `fixed_stages` pins the
-/// depth (used by the per-depth experiments of Figs 9–10).
+/// depth (used by the per-depth experiments of Figs 9–10). Every depth is
+/// planned under `cfg` through `service`, so a repeat sweep answers from its
+/// plan cache at lookup latency.
+#[allow(clippy::too_many_arguments)]
 pub fn choose_strategy(
     db: &CostDb,
     hw: &Hardware,
@@ -50,25 +55,7 @@ pub fn choose_strategy(
     mbs: usize,
     fixed_stages: Option<usize>,
     cfg: &AutoPipeConfig,
-) -> Result<StrategyChoice, PlanError> {
-    choose_strategy_with(db, hw, g, gbs, mbs, fixed_stages, cfg, &|db, p, m, c| {
-        planner_plan(db, p, m, c)
-    })
-}
-
-/// [`choose_strategy`] with a caller-supplied partition planner. The depth
-/// sweep re-plans the same cost database at every feasible depth, so a
-/// caching planner (`PlanService`) answers repeat sweeps at lookup latency.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_strategy_with(
-    db: &CostDb,
-    hw: &Hardware,
-    g: usize,
-    gbs: usize,
-    mbs: usize,
-    fixed_stages: Option<usize>,
-    cfg: &AutoPipeConfig,
-    planner: PartitionPlanner<'_>,
+    service: &PlanService,
 ) -> Result<StrategyChoice, PlanError> {
     if g < 1 || mbs < 1 || gbs < mbs {
         return Err(PlanError::Infeasible(format!(
@@ -101,8 +88,8 @@ pub fn choose_strategy_with(
             ));
             continue;
         }
-        let outcome = match planner(db, s, m, cfg) {
-            Ok(o) => o,
+        let outcome = match service.plan_cfg(db, s, m, cfg) {
+            Ok(served) => served.outcome,
             Err(e) => {
                 last_err = e;
                 continue;
@@ -159,6 +146,19 @@ mod tests {
     use super::*;
     use autopipe_model::{zoo, Granularity};
 
+    fn choose(
+        db: &CostDb,
+        hw: &Hardware,
+        g: usize,
+        gbs: usize,
+        mbs: usize,
+        fixed_stages: Option<usize>,
+    ) -> Result<StrategyChoice, PlanError> {
+        let cfg = AutoPipeConfig::default();
+        let service = PlanService::with_config(cfg);
+        choose_strategy(db, hw, g, gbs, mbs, fixed_stages, &cfg, &service)
+    }
+
     fn db(model: &autopipe_model::ModelConfig, mbs: usize) -> CostDb {
         CostDb::build(
             model,
@@ -175,7 +175,7 @@ mod tests {
         let hw = Hardware::rtx3090_cluster();
         let d = db(&zoo::gpt2_345m(), 4);
         for g in [4, 16] {
-            let c = choose_strategy(&d, &hw, g, 128, 4, None, &AutoPipeConfig::default()).unwrap();
+            let c = choose(&d, &hw, g, 128, 4, None).unwrap();
             assert_eq!(c.stages, 1, "g={g}");
             assert_eq!(c.dp, g);
         }
@@ -186,27 +186,9 @@ mod tests {
         // Table IV: AutoPipe uses a 2-stage pipeline for GPT-2 345M at
         // mbs 32 and a 4-stage pipeline for GPT-2 1.3B at mbs 16.
         let hw = Hardware::rtx3090_cluster();
-        let c345 = choose_strategy(
-            &db(&zoo::gpt2_345m(), 32),
-            &hw,
-            4,
-            512,
-            32,
-            None,
-            &AutoPipeConfig::default(),
-        )
-        .unwrap();
+        let c345 = choose(&db(&zoo::gpt2_345m(), 32), &hw, 4, 512, 32, None).unwrap();
         assert_eq!(c345.stages, 2, "345M dp {}", c345.dp);
-        let c13 = choose_strategy(
-            &db(&zoo::gpt2_1_3b(), 16),
-            &hw,
-            4,
-            512,
-            16,
-            None,
-            &AutoPipeConfig::default(),
-        )
-        .unwrap();
+        let c13 = choose(&db(&zoo::gpt2_1_3b(), 16), &hw, 4, 512, 16, None).unwrap();
         assert_eq!(c13.stages, 4, "1.3B dp {}", c13.dp);
     }
 
@@ -214,7 +196,7 @@ mod tests {
     fn fixed_depth_is_respected() {
         let hw = Hardware::rtx3090_cluster();
         let d = db(&zoo::gpt2_345m(), 4);
-        let c = choose_strategy(&d, &hw, 4, 128, 4, Some(4), &AutoPipeConfig::default()).unwrap();
+        let c = choose(&d, &hw, 4, 128, 4, Some(4)).unwrap();
         assert_eq!(c.stages, 4);
         assert_eq!(c.dp, 1);
         assert_eq!(c.microbatches, 32);
@@ -225,7 +207,7 @@ mod tests {
         // 1.3B at mbs 32 on a single device: every depth-1 plan OOMs.
         let hw = Hardware::rtx3090_cluster();
         let d = db(&zoo::gpt2_1_3b(), 32);
-        let r = choose_strategy(&d, &hw, 1, 64, 32, None, &AutoPipeConfig::default());
+        let r = choose(&d, &hw, 1, 64, 32, None);
         assert!(r.is_err());
     }
 
@@ -238,27 +220,9 @@ mod tests {
         let big = Hardware::a100_cluster();
         let mk =
             |hw: &Hardware| CostDb::build(&zoo::gpt2_345m(), hw, 32, true, Granularity::SubLayer);
-        let c_small = choose_strategy(
-            &mk(&small),
-            &small,
-            4,
-            512,
-            32,
-            None,
-            &AutoPipeConfig::default(),
-        )
-        .unwrap();
+        let c_small = choose(&mk(&small), &small, 4, 512, 32, None).unwrap();
         assert!(c_small.stages >= 2);
-        let c_big = choose_strategy(
-            &mk(&big),
-            &big,
-            4,
-            512,
-            32,
-            None,
-            &AutoPipeConfig::default(),
-        )
-        .unwrap();
+        let c_big = choose(&mk(&big), &big, 4, 512, 32, None).unwrap();
         assert_eq!(c_big.stages, 1, "80 GB cards should allow complete DP");
     }
 
@@ -266,9 +230,9 @@ mod tests {
     fn grad_sync_only_with_replication() {
         let hw = Hardware::rtx3090_cluster();
         let d = db(&zoo::gpt2_345m(), 4);
-        let c = choose_strategy(&d, &hw, 4, 128, 4, Some(4), &AutoPipeConfig::default()).unwrap();
+        let c = choose(&d, &hw, 4, 128, 4, Some(4)).unwrap();
         assert_eq!(c.grad_sync, 0.0);
-        let c2 = choose_strategy(&d, &hw, 4, 128, 4, Some(2), &AutoPipeConfig::default()).unwrap();
+        let c2 = choose(&d, &hw, 4, 128, 4, Some(2)).unwrap();
         assert!(c2.grad_sync > 0.0);
     }
 }

@@ -23,7 +23,7 @@ pub const TABLE2_LAYERS: [[f64; 4]; 7] = [
 
 /// Lower a Table II row to a [`Partition`] over a sub-layer-granularity
 /// GPT-2 345M cost database.
-pub fn table2_partition(db: &CostDb, scheme: usize) -> Partition {
+pub(crate) fn table2_partition(db: &CostDb, scheme: usize) -> Partition {
     assert!(scheme < TABLE2_LAYERS.len(), "Table II has 7 schemes");
     let layers = &TABLE2_LAYERS[scheme];
     // Block layout: [embedding][attn,ffn]×24[final-ln][lm-head].

@@ -23,13 +23,8 @@ impl CommModel {
         }
     }
 
-    /// Point-to-point transfer time for `bytes`.
-    pub fn p2p(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bandwidth
-    }
-
     /// Ring all-reduce over `group` devices for `bytes`.
-    pub fn allreduce(&self, bytes: u64, group: usize) -> f64 {
+    pub(crate) fn allreduce(&self, bytes: u64, group: usize) -> f64 {
         if group <= 1 {
             return 0.0;
         }
@@ -49,38 +44,20 @@ impl CommModel {
 mod tests {
     use super::*;
 
-    fn cm() -> CommModel {
-        CommModel {
-            latency: 30e-6,
-            bandwidth: 12.5e9,
-        }
+    #[test]
+    fn allreduce_single_device_is_free() {
+        let c = CommModel::from_hardware(&Hardware::rtx3090_cluster());
+        assert_eq!(c.allreduce(1 << 30, 1), 0.0);
+        assert!(c.allreduce(1 << 30, 4) > 0.0);
     }
 
     #[test]
-    fn p2p_monotone_in_bytes() {
-        let c = cm();
-        assert!(c.p2p(2_000_000) > c.p2p(1_000_000));
-    }
-
-    #[test]
-    fn halving_a_message_does_not_halve_its_cost() {
-        // The slicer relies on `Comm/2` in Algorithm 2 as the *volume* term;
-        // with a latency floor two half-messages cost slightly more than one
-        // full message — which is exactly why the last sliced micro-batch
-        // aggregates its two halves into one send (§III-C).
-        let c = cm();
-        let full = c.p2p(8 << 20);
-        let half = c.p2p(4 << 20);
-        assert!(2.0 * half > full);
-        assert!(2.0 * half < full + 2.0 * c.latency + 1e-12);
-    }
-
-    #[test]
-    fn matches_hardware_transfer_time() {
-        let hw = Hardware::rtx3090_cluster();
-        let c = CommModel::from_hardware(&hw);
-        for bytes in [0u64, 1 << 10, 8 << 20] {
-            assert!((c.p2p(bytes) - hw.transfer_time(bytes)).abs() < 1e-15);
-        }
+    fn allreduce_volume_term_saturates_with_group_size() {
+        // The 2(g-1)/g factor approaches 2 from below: bigger groups should
+        // not drastically increase the bandwidth term.
+        let c = CommModel::from_hardware(&Hardware::rtx3090_cluster());
+        let t4 = c.allreduce(1 << 30, 4);
+        let t16 = c.allreduce(1 << 30, 16);
+        assert!(t16 < t4 * 1.5);
     }
 }

@@ -111,8 +111,9 @@ impl CostDb {
         db
     }
 
-    /// Attach per-device throughput multipliers (see
-    /// [`crate::DeviceProfile`]). An all-1.0 profile is normalised back to
+    /// Attach per-device throughput multipliers: device `d`'s compute runs
+    /// `multipliers[d]`× the modelled time (1.0 = baseline, 2.0 = half
+    /// speed). An all-1.0 profile is normalised back to
     /// empty so a uniform heterogeneous request fingerprints identically to
     /// (and shares cached plans with) the plain homogeneous request.
     pub fn with_device_multipliers(mut self, multipliers: &[f64]) -> CostDb {

@@ -11,7 +11,7 @@ use autopipe_model::{Block, BlockKind, ModelConfig};
 /// Forward FLOPs of the attention sub-layer block for micro-batch size `mbs`:
 /// QKV projection (`3·2Bsh²`), attention scores and context (`2·2Bs²h`),
 /// output projection (`2Bsh²`), plus small layer-norm/residual terms.
-pub fn attention_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
+pub(crate) fn attention_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
     let b = mbs as f64;
     let s = cfg.seq_len as f64;
     let h = cfg.hidden_size as f64;
@@ -20,7 +20,7 @@ pub fn attention_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
 
 /// Forward FLOPs of the FFN sub-layer block: `h → m·h → h` projections plus
 /// GELU and layer-norm/residual terms.
-pub fn ffn_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
+pub(crate) fn ffn_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
     let b = mbs as f64;
     let s = cfg.seq_len as f64;
     let h = cfg.hidden_size as f64;
@@ -30,7 +30,7 @@ pub fn ffn_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
 
 /// Forward FLOPs of the embedding block: table lookup + positional add.
 /// Parameter-heavy but compute-trivial — the paper's motivating imbalance.
-pub fn embedding_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
+pub(crate) fn embedding_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
     let b = mbs as f64;
     let s = cfg.seq_len as f64;
     let h = cfg.hidden_size as f64;
@@ -39,7 +39,7 @@ pub fn embedding_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
 
 /// Forward FLOPs of the LM head: logits projection (`2BshV`) plus fused
 /// softmax/cross-entropy (`≈5BsV`). Compute-heavy — the rear imbalance.
-pub fn lm_head_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
+pub(crate) fn lm_head_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
     let b = mbs as f64;
     let s = cfg.seq_len as f64;
     let h = cfg.hidden_size as f64;
@@ -48,20 +48,20 @@ pub fn lm_head_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
 }
 
 /// Forward FLOPs of a final layer-norm.
-pub fn final_ln_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
+pub(crate) fn final_ln_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
     let b = mbs as f64;
     8.0 * b * cfg.seq_len as f64 * cfg.hidden_size as f64
 }
 
 /// Forward FLOPs of the BERT pooler + NSP classifier (first-token dense).
-pub fn pooler_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
+pub(crate) fn pooler_fwd_flops(cfg: &ModelConfig, mbs: usize) -> f64 {
     let b = mbs as f64;
     let h = cfg.hidden_size as f64;
     2.0 * b * h * h
 }
 
 /// Forward FLOPs of any block kind.
-pub fn block_fwd_flops(cfg: &ModelConfig, block: &Block, mbs: usize) -> f64 {
+pub(crate) fn block_fwd_flops(cfg: &ModelConfig, block: &Block, mbs: usize) -> f64 {
     match block.kind {
         BlockKind::Embedding => embedding_fwd_flops(cfg, mbs),
         BlockKind::Attention => attention_fwd_flops(cfg, mbs),
@@ -77,7 +77,7 @@ pub fn block_fwd_flops(cfg: &ModelConfig, block: &Block, mbs: usize) -> f64 {
 /// forward; when activation checkpointing is on, the backward pass of a
 /// checkpointed block first re-runs its forward, giving 3× (§II-C: "FP will
 /// be executed for the second time before BP").
-pub fn bwd_multiplier(kind: BlockKind, checkpointing: bool) -> f64 {
+pub(crate) fn bwd_multiplier(kind: BlockKind, checkpointing: bool) -> f64 {
     let recompute = checkpointing && kind.is_layer_body();
     if recompute {
         3.0

@@ -78,7 +78,7 @@ impl Hardware {
     }
 
     /// Time to compute `flops` floating-point operations on one device.
-    pub fn compute_time(&self, flops: f64) -> f64 {
+    pub(crate) fn compute_time(&self, flops: f64) -> f64 {
         flops / self.effective_flops
     }
 
@@ -86,109 +86,8 @@ impl Hardware {
     /// observes (§II-B) that uni- and bidirectional transfers cost the same
     /// because stage-boundary tensors never saturate the link, so the event
     /// simulator gives every device an independent full-duplex link.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.link_latency + bytes as f64 / self.link_bandwidth
-    }
-
-    /// Ring all-reduce time for `bytes` of gradients over `group` devices.
-    /// Standard 2·(g−1)/g volume factor plus per-step latency.
-    pub fn allreduce_time(&self, bytes: u64, group: usize) -> f64 {
-        if group <= 1 {
-            return 0.0;
-        }
-        let g = group as f64;
-        2.0 * (g - 1.0) / g * bytes as f64 / self.link_bandwidth
-            + 2.0 * (g - 1.0) * self.link_latency
-    }
-}
-
-/// Per-device throughput multipliers for a heterogeneous (or degraded)
-/// cluster: entry `d` says device `d`'s compute runs `multipliers[d]`× the
-/// [`Hardware`] profile's modelled time (1.0 = baseline, 2.0 = half speed).
-///
-/// The flat [`Hardware`] profile describes one device class; elasticity
-/// breaks that symmetry — a readmitted flaky device may be throttled, a
-/// replacement may be a different card. The profile is consumed by
-/// [`crate::CostDb::with_device_multipliers`], which the planner reads at
-/// scoring time so the balance objective charges each *stage* the cost of
-/// the *device* that will run it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeviceProfile {
-    /// Compute-time multiplier per device, all finite and ≥ a small positive
-    /// floor. Empty = homogeneous.
-    pub multipliers: Vec<f64>,
-}
-
-impl DeviceProfile {
-    /// A homogeneous profile over `n` devices (all multipliers 1.0).
-    pub fn uniform(n: usize) -> DeviceProfile {
-        DeviceProfile {
-            multipliers: vec![1.0; n],
-        }
-    }
-
-    /// A skewed profile: `n` devices at baseline except `slow`, which runs
-    /// `factor`× slower.
-    pub fn skewed(n: usize, slow: usize, factor: f64) -> DeviceProfile {
-        let mut multipliers = vec![1.0; n];
-        if let Some(m) = multipliers.get_mut(slow) {
-            *m = factor;
-        }
-        DeviceProfile { multipliers }
-    }
-
-    /// Number of devices described.
-    pub fn len(&self) -> usize {
-        self.multipliers.len()
-    }
-
-    /// True when no devices are described.
-    pub fn is_empty(&self) -> bool {
-        self.multipliers.is_empty()
-    }
-
-    /// True when every multiplier is exactly 1.0 (planning may skip the
-    /// heterogeneity-aware path and share cache entries with the
-    /// homogeneous request — the fingerprints agree by construction).
-    pub fn is_uniform(&self) -> bool {
-        self.multipliers.iter().all(|&m| m == 1.0)
-    }
-
-    /// Max/min multiplier ratio — how skewed the cluster is.
-    pub fn spread(&self) -> f64 {
-        let max = self.multipliers.iter().cloned().fold(f64::MIN, f64::max);
-        let min = self.multipliers.iter().cloned().fold(f64::MAX, f64::min);
-        if self.multipliers.is_empty() || min <= 0.0 {
-            1.0
-        } else {
-            max / min
-        }
-    }
-
-    /// Multiplier for `device` (1.0 when out of range).
-    pub fn multiplier(&self, device: usize) -> f64 {
-        self.multipliers.get(device).copied().unwrap_or(1.0)
-    }
-
-    /// The profile with `device` removed — the surviving cluster after a
-    /// leave/eviction (later devices shift down, matching how a shrunk
-    /// pipeline renumbers its stages).
-    pub fn without(&self, device: usize) -> DeviceProfile {
-        let mut multipliers = self.multipliers.clone();
-        if device < multipliers.len() {
-            multipliers.remove(device);
-        }
-        DeviceProfile { multipliers }
-    }
-
-    /// Reject non-finite or non-positive multipliers.
-    pub fn validate(&self) -> Result<(), String> {
-        for (d, &m) in self.multipliers.iter().enumerate() {
-            if !(m.is_finite() && m > 0.0) {
-                return Err(format!("device {d} multiplier {m} must be finite and > 0"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -201,23 +100,6 @@ mod tests {
         let hw = Hardware::rtx3090_cluster();
         assert!(hw.transfer_time(0) >= hw.link_latency);
         assert!(hw.transfer_time(1 << 20) > hw.transfer_time(0));
-    }
-
-    #[test]
-    fn allreduce_single_device_is_free() {
-        let hw = Hardware::rtx3090_cluster();
-        assert_eq!(hw.allreduce_time(1 << 30, 1), 0.0);
-        assert!(hw.allreduce_time(1 << 30, 4) > 0.0);
-    }
-
-    #[test]
-    fn allreduce_volume_term_saturates_with_group_size() {
-        // The 2(g-1)/g factor approaches 2 from below: bigger groups should
-        // not drastically increase the bandwidth term.
-        let hw = Hardware::rtx3090_cluster();
-        let t4 = hw.allreduce_time(1 << 30, 4);
-        let t16 = hw.allreduce_time(1 << 30, 16);
-        assert!(t16 < t4 * 1.5);
     }
 
     #[test]

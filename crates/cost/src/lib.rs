@@ -22,7 +22,7 @@ pub mod profiler;
 
 pub use comm::CommModel;
 pub use costdb::{BlockCost, CostDb};
-pub use hardware::{DeviceProfile, Hardware};
+pub use hardware::Hardware;
 pub use memory::{stage_memory, MemoryBreakdown};
 
 #[cfg(test)]

@@ -289,11 +289,6 @@ impl FaultPlan {
             && self.membership.is_empty()
     }
 
-    /// True when the script contains fail-stop events (crashes or losses).
-    pub fn has_failstop(&self) -> bool {
-        !self.crashes.is_empty() || !self.lost.is_empty()
-    }
-
     /// The fail-stop event (if any) scripted for `device` at `op_index`.
     /// `Lost` wins over `Crash` if both are scripted at the same op, because
     /// a lost device constrains recovery more.
@@ -313,30 +308,6 @@ impl FaultPlan {
             return Some(FailStopKind::Crash);
         }
         None
-    }
-
-    /// Earliest op index at which `device` suffers a fail-stop event, with
-    /// its kind. Useful to executors that need to know a device's effective
-    /// program length up front.
-    pub fn first_failstop(&self, device: usize) -> Option<(usize, FailStopKind)> {
-        let crash = self
-            .crashes
-            .iter()
-            .filter(|c| c.device == device)
-            .map(|c| c.at_op)
-            .min();
-        let lost = self
-            .lost
-            .iter()
-            .filter(|l| l.device == device)
-            .map(|l| l.at_op)
-            .min();
-        match (crash, lost) {
-            (Some(c), Some(l)) if l <= c => Some((l, FailStopKind::Lost)),
-            (Some(c), _) => Some((c, FailStopKind::Crash)),
-            (None, Some(l)) => Some((l, FailStopKind::Lost)),
-            (None, None) => None,
-        }
     }
 
     /// Draw a random script from `spec`. Deterministic in `seed`: faults
@@ -417,11 +388,6 @@ impl FaultPlan {
         plan
     }
 
-    /// True when the script contains membership events.
-    pub fn has_membership(&self) -> bool {
-        !self.membership.is_empty()
-    }
-
     /// Membership events scripted for the boundary before step `step`, in
     /// deterministic (device, change-tag) order — the order an elastic
     /// coordinator must apply them in so both executors agree.
@@ -434,19 +400,6 @@ impl FaultPlan {
             .collect();
         out.sort_by_key(|m| (m.device, membership_tag(&m.change)));
         out
-    }
-
-    /// Steps ≥ `from` with at least one membership event, ascending.
-    pub fn membership_steps(&self, from: u64) -> Vec<u64> {
-        let mut steps: Vec<u64> = self
-            .membership
-            .iter()
-            .map(|m| m.at_step)
-            .filter(|&s| s >= from)
-            .collect();
-        steps.sort_unstable();
-        steps.dedup();
-        steps
     }
 
     /// Draw a seeded elastic-chaos script: over `n_steps` training steps on
@@ -578,19 +531,6 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Upper bound on the delay any single message or op can suffer — the
-    /// slack a watchdog must budget for when a script is known.
-    pub fn worst_case_delay(&self) -> f64 {
-        let link: f64 = self
-            .links
-            .iter()
-            .map(|l| l.extra + l.jitter + l.spike)
-            .fold(0.0, f64::max);
-        let drop: f64 = self.drops.iter().map(|d| d.redelivery).fold(0.0, f64::max);
-        let stall: f64 = self.stalls.iter().map(|s| s.pause).fold(0.0, f64::max);
-        link + drop + stall
-    }
-
     /// Adapter for [`crate::VirtualTransport::with_fault`]: a boxed hook
     /// replaying this script's link faults in the event simulator.
     pub fn link_fault_hook(&self) -> LinkFault {
@@ -638,7 +578,6 @@ mod tests {
         assert_eq!(plan.link_delay(0, 1, &key(0)), 0.0);
         assert_eq!(plan.compute_factor(0), 1.0);
         assert_eq!(plan.stall_pause(0, 0), 0.0);
-        assert_eq!(plan.worst_case_delay(), 0.0);
     }
 
     #[test]
@@ -660,7 +599,12 @@ mod tests {
     fn delays_are_nonnegative_and_bounded_by_worst_case() {
         for seed in 0..20 {
             let plan = FaultPlan::random(seed, &FaultSpec::new(4, 40, 0.5));
-            let bound = plan.worst_case_delay();
+            // The worst a single message can suffer: the worst link fault
+            // plus the worst redelivery plus the worst stall.
+            let worst = |it: &mut dyn Iterator<Item = f64>| it.fold(0.0, f64::max);
+            let bound = worst(&mut plan.links.iter().map(|l| l.extra + l.jitter + l.spike))
+                + worst(&mut plan.drops.iter().map(|d| d.redelivery))
+                + worst(&mut plan.stalls.iter().map(|s| s.pause));
             for mb in 0..16 {
                 for (from, to) in [(0, 1), (1, 2), (2, 3), (3, 2), (2, 1), (1, 0)] {
                     let d = plan.link_delay(from, to, &key(mb));
@@ -684,7 +628,7 @@ mod tests {
         for seed in 0..50 {
             let plan = FaultPlan::random_failstop(seed, &spec, 0.5);
             assert_eq!(plan, FaultPlan::random_failstop(seed, &spec, 0.5));
-            assert!(!plan.is_empty() && plan.has_failstop());
+            assert!(!plan.is_empty());
             assert_eq!(plan.crashes.len() + plan.lost.len(), 1);
             let (device, at_op) = plan
                 .crashes
@@ -716,8 +660,6 @@ mod tests {
             at_op: 5,
         });
         assert_eq!(plan.crash_at(2, 5), Some(FailStopKind::Lost));
-        assert_eq!(plan.first_failstop(2), Some((5, FailStopKind::Lost)));
-        assert_eq!(plan.first_failstop(0), None);
     }
 
     #[test]
@@ -742,7 +684,7 @@ mod tests {
             }
             // A leave-heavy draw never empties the pipeline below the floor.
             let mut present = 4i64;
-            for step in plan.membership_steps(0) {
+            for step in 0..16 {
                 for ev in plan.membership_at(step) {
                     match ev.change {
                         MembershipChange::Leave => present -= 1,
@@ -769,7 +711,7 @@ mod tests {
                 change,
             });
         }
-        assert!(plan.has_membership() && !plan.is_empty());
+        assert!(!plan.is_empty());
         let at = plan.membership_at(3);
         assert_eq!(at.len(), 3);
         // Sorted by (device, change tag): device 1 leave, device 2 leave,
@@ -785,14 +727,12 @@ mod tests {
         );
         assert_eq!(at[2].change, MembershipChange::Join);
         assert_eq!(plan.membership_at(2), Vec::new());
-        assert_eq!(plan.membership_steps(0), vec![3]);
-        assert_eq!(plan.membership_steps(4), Vec::<u64>::new());
     }
 
     #[test]
     fn membership_scripts_serialise_round_trip() {
         let plan = FaultPlan::random_membership(13, 4, 12, 0.9, 2);
-        assert!(plan.has_membership(), "seed 13 must draw events");
+        assert!(!plan.membership.is_empty(), "seed 13 must draw events");
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);

@@ -38,8 +38,8 @@ pub use fault::{
 };
 pub use msg::{op_key, MsgKey};
 pub use recorder::{NoTrace, Recorder, TraceSink, WallClock};
-pub use timeline::{DeviceBreakdown, OpTimes, PhaseTimes, Timeline, TraceEvent, TraceMismatch};
+pub use timeline::{DeviceBreakdown, OpTimes, Timeline, TraceEvent, TraceMismatch};
 pub use transport::{
     channel_mesh, schedule_edges, AlphaBeta, ChannelEndpoint, ChannelSender, ChunkPayload,
-    CommConfig, LinkCost, LinkCostTable, LinkFault, LinkStorage, Transport, VirtualTransport,
+    CommConfig, LinkCost, LinkFault, LinkStorage, Transport, VirtualTransport,
 };

@@ -35,36 +35,6 @@ impl TraceEvent {
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
-
-    /// Is this a receive op?
-    pub fn is_recv(&self) -> bool {
-        matches!(
-            self.op.kind,
-            OpKind::RecvAct { .. } | OpKind::RecvGrad { .. }
-        )
-    }
-
-    /// Time the device sat blocked waiting for the message (receives only).
-    pub fn blocked(&self) -> f64 {
-        if self.is_recv() {
-            self.end - self.start
-        } else {
-            0.0
-        }
-    }
-
-    /// Time the message sat in the mailbox waiting for the device to reach
-    /// its receive op (receives only) — the complement of [`blocked`]:
-    /// exactly one of the two is nonzero for any receive.
-    ///
-    /// [`blocked`]: TraceEvent::blocked
-    pub fn queue_wait(&self) -> f64 {
-        if self.is_recv() {
-            (self.start - self.ready).max(0.0)
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The timing third of a [`TraceEvent`] — what a recording executor actually
@@ -95,30 +65,6 @@ pub struct DeviceBreakdown {
     pub wait: f64,
     /// Residual idle time (`iteration − fwd − bwd − wait`).
     pub idle: f64,
-}
-
-impl DeviceBreakdown {
-    /// Busy fraction of the iteration.
-    pub fn utilisation(&self, iteration: f64) -> f64 {
-        if iteration <= 0.0 {
-            return 0.0;
-        }
-        (self.fwd + self.bwd) / iteration
-    }
-}
-
-/// One device's time in each pipeline phase (Fig. 5): Warmup ends at its
-/// first backward, Cooldown begins after its last forward, the 1F1B steady
-/// phase is the remainder. For degenerate schedules (one micro-batch) the
-/// phases can overlap; `steady` is clamped to zero.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhaseTimes {
-    /// Time before the device's first backward.
-    pub warmup: f64,
-    /// Time between the first backward and the last forward's end.
-    pub steady: f64,
-    /// Time after the device's last forward.
-    pub cooldown: f64,
 }
 
 /// Per-device op timelines — the one telemetry format shared by the event
@@ -167,7 +113,7 @@ impl Timeline {
     /// Build from separated lanes: the device-major flattened op sequences
     /// (with per-device end offsets) and each device's times. Lane counts
     /// and per-device lengths must match.
-    pub fn from_parts(ops: Vec<Op>, ends: Vec<usize>, times: Vec<Vec<OpTimes>>) -> Timeline {
+    pub(crate) fn from_parts(ops: Vec<Op>, ends: Vec<usize>, times: Vec<Vec<OpTimes>>) -> Timeline {
         assert_eq!(ends.len(), times.len(), "device lane counts differ");
         assert_eq!(ends.last().copied().unwrap_or(0), ops.len());
         let mut prev = 0;
@@ -231,7 +177,7 @@ impl Timeline {
     }
 
     /// Mean device utilisation (compute-busy / iteration).
-    pub fn utilisation(&self) -> f64 {
+    pub(crate) fn utilisation(&self) -> f64 {
         let iteration = self.iteration_time();
         let busy = self.device_busy();
         if iteration <= 0.0 || busy.is_empty() {
@@ -290,34 +236,6 @@ impl Timeline {
                     bwd,
                     wait,
                     idle,
-                }
-            })
-            .collect()
-    }
-
-    /// Per-device Warmup / 1F1B / Cooldown phase durations.
-    pub fn phases(&self) -> Vec<PhaseTimes> {
-        (0..self.n_devices())
-            .map(|d| {
-                let (ops, times) = (self.ops_of(d), &self.times[d]);
-                let span = times.last().map(|t| t.end).unwrap_or(0.0);
-                let warmup = ops
-                    .iter()
-                    .zip(times)
-                    .find(|(op, _)| matches!(op.kind, OpKind::Bwd { .. } | OpKind::BwdInput { .. }))
-                    .map(|(_, t)| t.start)
-                    .unwrap_or(span);
-                let cooldown = ops
-                    .iter()
-                    .zip(times)
-                    .rev()
-                    .find(|(op, _)| matches!(op.kind, OpKind::Fwd { .. }))
-                    .map(|(_, t)| span - t.end)
-                    .unwrap_or(0.0);
-                PhaseTimes {
-                    warmup,
-                    steady: (span - warmup - cooldown).max(0.0),
-                    cooldown,
                 }
             })
             .collect()
@@ -573,44 +491,6 @@ mod tests {
                 "device {}",
                 d.device
             );
-        }
-    }
-
-    #[test]
-    fn blocked_and_queue_wait_are_complementary() {
-        let t = tiny();
-        // Device 0 reaches its grad recv at t=1 but the message lands at 5:
-        // the device is blocked, nothing queued.
-        let e = t.device(0).nth(1).unwrap();
-        assert!((e.blocked() - 4.0).abs() < 1e-12);
-        assert_eq!(e.queue_wait(), 0.0);
-        // A message arriving before the device asks for it queues instead.
-        let late = ev(
-            0,
-            OpKind::RecvGrad {
-                mb: 1,
-                chunk: 0,
-                from: 1,
-            },
-            6.0,
-            4.0,
-            6.0,
-        );
-        assert_eq!(late.blocked(), 0.0);
-        assert!((late.queue_wait() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phases_split_warmup_steady_cooldown() {
-        let t = tiny();
-        let ph = t.phases();
-        // Device 1: warmup until B0 starts at 2.5; last F ends at 2.5, so
-        // cooldown is the trailing 4.5−2.5 = 2.0; steady clamps to 0.
-        assert!((ph[1].warmup - 2.5).abs() < 1e-12);
-        assert!((ph[1].cooldown - 2.0).abs() < 1e-12);
-        assert_eq!(ph[1].steady, 0.0);
-        for p in &ph {
-            assert!(p.warmup >= 0.0 && p.steady >= 0.0 && p.cooldown >= 0.0);
         }
     }
 

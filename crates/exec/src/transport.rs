@@ -15,7 +15,7 @@
 //! the transfer pipelines against the tail of the producer instead of
 //! waiting for its end. [`Transport::send_overlapped`] is the virtual-time
 //! form (the chunk-ready times are derived from the producing op's span);
-//! [`ChannelEndpoint::send_chunks`] / [`ChannelSender`] are the wall-clock
+//! [`ChannelSender::send_chunks`] is the wall-clock
 //! form used by the runtime's dedicated comm threads. Receivers reassemble
 //! chunks transparently: per-edge channels are FIFO, so the chunks of one
 //! message arrive contiguously and in order.
@@ -117,64 +117,6 @@ impl LinkCost for AlphaBeta {
 
     fn transfer_chunk(&self, _from: usize, _to: usize, part: Part, k: usize) -> f64 {
         self.latency + part.frac() * (self.volume / k.max(1) as f64)
-    }
-}
-
-/// Per-edge α+β link costs for non-uniform interconnects (a slow inter-node
-/// hop inside a fast intra-node mesh, a degraded NIC, …). Groundwork for
-/// heterogeneous-cluster planning: anything scoring against [`LinkCost`]
-/// picks up the per-edge costs unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkCostTable {
-    n: usize,
-    latency: Vec<f64>,
-    volume: Vec<f64>,
-}
-
-impl LinkCostTable {
-    /// Every directed edge of an `n`-device mesh at the same α+β cost.
-    pub fn uniform(n: usize, latency: f64, volume: f64) -> LinkCostTable {
-        LinkCostTable {
-            n,
-            latency: vec![latency; n * n],
-            volume: vec![volume; n * n],
-        }
-    }
-
-    /// Number of devices in the mesh.
-    pub fn n_devices(&self) -> usize {
-        self.n
-    }
-
-    /// Override one directed edge's α+β.
-    pub fn set(&mut self, from: usize, to: usize, latency: f64, volume: f64) {
-        let e = from * self.n + to;
-        self.latency[e] = latency;
-        self.volume[e] = volume;
-    }
-
-    /// Override both directions between `a` and `b`.
-    pub fn set_bidi(&mut self, a: usize, b: usize, latency: f64, volume: f64) {
-        self.set(a, b, latency, volume);
-        self.set(b, a, latency, volume);
-    }
-
-    /// The `(latency, volume)` pair of a directed edge.
-    pub fn edge(&self, from: usize, to: usize) -> (f64, f64) {
-        let e = from * self.n + to;
-        (self.latency[e], self.volume[e])
-    }
-}
-
-impl LinkCost for LinkCostTable {
-    fn transfer(&self, from: usize, to: usize, part: Part) -> f64 {
-        let e = from * self.n + to;
-        self.latency[e] + part.frac() * self.volume[e]
-    }
-
-    fn transfer_chunk(&self, from: usize, to: usize, part: Part, k: usize) -> f64 {
-        let e = from * self.n + to;
-        self.latency[e] + part.frac() * (self.volume[e] / k.max(1) as f64)
     }
 }
 
@@ -551,11 +493,6 @@ pub struct ChannelSender<T> {
 }
 
 impl<T: ChunkPayload> ChannelSender<T> {
-    /// Asynchronous whole-message send to `to`.
-    pub fn send_to(&self, to: usize, key: MsgKey, payload: T) {
-        send_packets(&self.tx, self.device, to, key, payload, 1);
-    }
-
     /// Asynchronous chunked send: split into at most `chunks` wire chunks,
     /// delivered in order and reassembled at the receiver.
     pub fn send_chunks(&self, to: usize, key: MsgKey, payload: T, chunks: usize) {
@@ -564,11 +501,6 @@ impl<T: ChunkPayload> ChannelSender<T> {
 }
 
 impl<T> ChannelEndpoint<T> {
-    /// The device this endpoint belongs to.
-    pub fn device(&self) -> usize {
-        self.device
-    }
-
     /// A send-only handle sharing this endpoint's outbound links.
     pub fn sender(&self) -> ChannelSender<T> {
         ChannelSender {
@@ -591,11 +523,6 @@ impl<T: ChunkPayload> ChannelEndpoint<T> {
     /// peer hung up — both are schedule bugs, not runtime conditions.
     pub fn send_to(&self, to: usize, key: MsgKey, payload: T) {
         send_packets(&self.tx, self.device, to, key, payload, 1);
-    }
-
-    /// Asynchronous chunked send (see [`ChannelSender::send_chunks`]).
-    pub fn send_chunks(&self, to: usize, key: MsgKey, payload: T, chunks: usize) {
-        send_packets(&self.tx, self.device, to, key, payload, chunks);
     }
 
     /// Blocking receive of the message matching `key`: drains inbound links
@@ -807,18 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn link_cost_table_is_per_edge() {
-        let mut table = LinkCostTable::uniform(3, 0.1, 1.0);
-        table.set(1, 2, 0.5, 4.0);
-        assert!((table.transfer(0, 1, Part::Full) - 1.1).abs() < 1e-12);
-        assert!((table.transfer(1, 2, Part::Full) - 4.5).abs() < 1e-12);
-        // Reverse direction untouched by the directed set.
-        assert!((table.transfer(2, 1, Part::Full) - 1.1).abs() < 1e-12);
-        assert!((table.transfer_chunk(1, 2, Part::Full, 4) - 1.5).abs() < 1e-12);
-        assert_eq!(table.edge(1, 2), (0.5, 4.0));
-    }
-
-    #[test]
     fn schedule_edges_cover_both_directions() {
         let edges = schedule_edges(&one_f_one_b(3, 2));
         let want: BTreeSet<_> = [(0, 1), (1, 2), (2, 1), (1, 0)].into_iter().collect();
@@ -870,7 +785,7 @@ mod tests {
         // A cloned sender (the comm thread's handle) keeps the link open.
         assert!(receiver.try_recv(1, key(1)).is_none());
         assert!(!receiver.hung_up(0));
-        detached.send_to(1, key(1), 8);
+        detached.send_chunks(1, key(1), 8, 1);
         drop(detached);
         // Closed now, but what was in flight is delivered before the
         // hang-up is reported.
@@ -899,7 +814,7 @@ mod tests {
         let mut receiver = eps.pop().unwrap();
         let sender = eps.pop().unwrap();
         let payload: Vec<u64> = (0..100).collect();
-        sender.send_chunks(1, key(0), payload.clone(), 4);
+        sender.sender().send_chunks(1, key(0), payload.clone(), 4);
         // A second whole message on the same edge must not interleave.
         sender.send_to(1, key(1), vec![7, 7]);
         let got = loop {

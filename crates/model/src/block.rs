@@ -144,12 +144,6 @@ pub fn build_blocks(cfg: &ModelConfig, granularity: Granularity) -> Vec<Block> {
     blocks
 }
 
-/// Sum of [`Block::layer_weight`] over a slice of blocks — the "number of
-/// layers" a stage holds, in Table II's reporting convention.
-pub fn layer_weight_of(blocks: &[Block]) -> f64 {
-    blocks.iter().map(|b| b.layer_weight()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +200,8 @@ mod tests {
         let cfg = zoo::gpt2_345m();
         for g in [Granularity::Layer, Granularity::SubLayer] {
             let blocks = build_blocks(&cfg, g);
-            assert_eq!(layer_weight_of(&blocks), cfg.num_layers as f64);
+            let layers: f64 = blocks.iter().map(|b| b.layer_weight()).sum();
+            assert_eq!(layers, cfg.num_layers as f64);
         }
     }
 

@@ -45,7 +45,7 @@ impl ModelConfig {
     /// Parameters of one transformer layer: QKV (`3h²+3h`), attention output
     /// projection (`h²+h`), two layer-norms (`4h`), FFN up (`h·4h + 4h`) and
     /// down (`4h·h + h`) projections.
-    pub fn layer_params(&self) -> u64 {
+    pub(crate) fn layer_params(&self) -> u64 {
         let h = self.hidden_size as u64;
         let m = self.ffn_mult as u64;
         let attn = 4 * h * h + 4 * h + 2 * h;
@@ -55,14 +55,14 @@ impl ModelConfig {
 
     /// Parameters of the attention sub-layer block (includes its leading
     /// layer-norm).
-    pub fn attn_params(&self) -> u64 {
+    pub(crate) fn attn_params(&self) -> u64 {
         let h = self.hidden_size as u64;
         4 * h * h + 4 * h + 2 * h
     }
 
     /// Parameters of the FFN sub-layer block (includes its leading
     /// layer-norm).
-    pub fn ffn_params(&self) -> u64 {
+    pub(crate) fn ffn_params(&self) -> u64 {
         let h = self.hidden_size as u64;
         let m = self.ffn_mult as u64;
         2 * m * h * h + (m + 1) * h + 2 * h
@@ -70,7 +70,7 @@ impl ModelConfig {
 
     /// Parameters of the embedding block: token embedding plus learned
     /// positional embedding.
-    pub fn embedding_params(&self) -> u64 {
+    pub(crate) fn embedding_params(&self) -> u64 {
         let h = self.hidden_size as u64;
         (self.vocab_size as u64) * h + (self.seq_len as u64) * h
     }
@@ -79,7 +79,7 @@ impl ModelConfig {
     /// the token embedding, so it contributes only the final layer-norm; the
     /// BERT MLM head adds a dense `h²` transform plus layer-norm (its vocab
     /// projection is also tied).
-    pub fn head_params(&self) -> u64 {
+    pub(crate) fn head_params(&self) -> u64 {
         let h = self.hidden_size as u64;
         match self.family {
             ModelFamily::Gpt2 => 2 * h,

@@ -53,9 +53,9 @@
 //!   reusable boundary buffer and only become an owned [`Partition`] once
 //!   they pass the visited set and the dominance bound.
 //! * All search state (visited set, frontier, wave buffers, simulator
-//!   scratch, per-lane stage costs) lives in a [`PlannerScratch`] that can
-//!   be reused across requests via [`plan_in`], making a steady-state plan
-//!   request allocation-light.
+//!   scratch, per-lane stage costs) lives in a [`PlannerScratch`] that the
+//!   service reuses across requests, making a steady-state plan request
+//!   allocation-light.
 //! * With [`AutoPipeConfig::prune`] on, candidates whose work balance alone
 //!   already lower-bounds them above the incumbent (`m · max stage work ≥
 //!   best iteration time`) are dropped at frontier-push time. The bound is
@@ -173,18 +173,11 @@ pub struct AutoPipeOutcome {
     pub search_time: Duration,
 }
 
-/// Partition-planner hook for the layers above the search (strategy
-/// selection, the `AutoPipe` front-end): anything with [`plan`]'s signature.
-/// A [`crate::service::PlanService`] caller routes this through the plan
-/// cache; the default is the cold planner.
-pub type PartitionPlanner<'a> = &'a (dyn Fn(&CostDb, usize, usize, &AutoPipeConfig) -> Result<AutoPipeOutcome, PlanError>
-         + Sync);
-
 /// 64-bit FNV-1a fingerprint of a boundary vector. Stable across runs and
 /// platforms; used as the visited-set key so membership tests neither hash
 /// nor allocate a `Vec<usize>` per candidate.
 #[inline]
-pub fn scheme_fingerprint(boundaries: &[usize]) -> u64 {
+pub(crate) fn scheme_fingerprint(boundaries: &[usize]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -197,9 +190,8 @@ pub fn scheme_fingerprint(boundaries: &[usize]) -> u64 {
 /// Reusable search state: the visited set, the frontier, the wave and score
 /// buffers, the successor boundary buffer, the simulator scratch and the
 /// stage costs and recompute mask of each lane. A service handling many
-/// plan requests keeps one of these per worker and calls [`plan_in`], so
-/// steady-state requests reuse every allocation; [`plan`] creates a fresh
-/// one per call.
+/// plan requests keeps one of these per worker, so steady-state requests
+/// reuse every allocation; [`plan`] creates a fresh one per call.
 #[derive(Default)]
 pub struct PlannerScratch {
     visited: HashSet<u64>,
@@ -433,7 +425,7 @@ pub fn plan(
 
 /// [`plan`] with caller-owned scratch, for request-serving loops that want
 /// to reuse the search buffers across many plans.
-pub fn plan_in(
+pub(crate) fn plan_in(
     db: &CostDb,
     p: usize,
     m: usize,

@@ -104,16 +104,17 @@ pub fn balanced_partition(weights: &[f64], p: usize) -> Partition {
     BalancedTable::build(weights, p).partition(weights.len(), p)
 }
 
-/// The max stage weight of a partition — the quantity Algorithm 1 minimises.
-pub fn max_stage_weight(part: &Partition, weights: &[f64]) -> f64 {
-    (0..part.n_stages())
-        .map(|s| part.range(s).map(|b| weights[b]).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The max stage weight of a partition — the quantity Algorithm 1
+    /// minimises.
+    fn max_stage_weight(part: &Partition, weights: &[f64]) -> f64 {
+        (0..part.n_stages())
+            .map(|s| part.range(s).map(|b| weights[b]).sum::<f64>())
+            .fold(0.0, f64::max)
+    }
 
     /// Exhaustive optimum for small instances.
     fn brute_force(weights: &[f64], p: usize) -> f64 {

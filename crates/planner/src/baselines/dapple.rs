@@ -204,7 +204,7 @@ mod tests {
         for g in [2, 4, 8] {
             let p = plan(&d, g, 32, &hw).unwrap();
             assert!(p.stages >= 2, "g={g}: stages {}", p.stages);
-            assert_eq!(p.n_devices(), g);
+            assert_eq!(p.dp.iter().sum::<usize>(), g);
         }
     }
 }

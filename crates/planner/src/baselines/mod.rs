@@ -13,7 +13,7 @@ use autopipe_sim::Partition;
 /// immediately before each transformer layer except the first. The embedding
 /// stays glued to the first stage and the head blocks to the last — the
 /// convention all three baselines share and the source of their imbalance.
-pub fn layer_boundary_positions(db: &CostDb) -> Vec<usize> {
+pub(crate) fn layer_boundary_positions(db: &CostDb) -> Vec<usize> {
     let mut positions = vec![0usize];
     let mut acc = 0.0_f64;
     for (i, b) in db.blocks.iter().enumerate() {
@@ -31,7 +31,7 @@ pub fn layer_boundary_positions(db: &CostDb) -> Vec<usize> {
 
 /// Enumerate all compositions of `total` into `parts` positive integers,
 /// calling `f` on each.
-pub fn for_each_composition(total: usize, parts: usize, f: &mut impl FnMut(&[usize])) {
+pub(crate) fn for_each_composition(total: usize, parts: usize, f: &mut impl FnMut(&[usize])) {
     fn rec(remaining: usize, parts: usize, cur: &mut Vec<usize>, f: &mut impl FnMut(&[usize])) {
         if parts == 1 {
             cur.push(remaining);
@@ -57,7 +57,7 @@ pub fn for_each_composition(total: usize, parts: usize, f: &mut impl FnMut(&[usi
 /// `allowed` (sorted, starting with 0 and ending with `weights.len()`).
 /// Returns the partition and its max stage cost, or `None` if `allowed`
 /// cannot host that many stages.
-pub fn weighted_minmax_partition(
+pub(crate) fn weighted_minmax_partition(
     weights: &[f64],
     mult: &[f64],
     allowed: &[usize],

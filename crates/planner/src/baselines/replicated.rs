@@ -34,7 +34,7 @@ impl ReplicatedResult {
 /// `costs` carries per-stage (unreplicated) forward/backward times and the
 /// boundary comm cost. `stage_param_bytes` (per stage) and `comm_model`
 /// price the post-iteration gradient all-reduce.
-pub fn simulate(
+pub(crate) fn simulate(
     costs: &StageCosts,
     g: &[usize],
     m: usize,

@@ -38,9 +38,7 @@ pub mod replan;
 pub mod service;
 pub mod types;
 
-pub use autopipe::{
-    plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, PartitionPlanner, RecomputePolicy,
-};
+pub use autopipe::{plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy};
 pub use balanced::balanced_partition;
 pub use family::{plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome};
 pub use replan::observed_cost_db;

@@ -13,25 +13,23 @@
 //!    of the same request produces, at hash-map-lookup latency. The cache
 //!    is sharded so concurrent readers on different requests never contend
 //!    on one lock.
-//! 2. **Warm-started incremental re-planning.** A second index maps the
-//!    request's *shape* fingerprint — everything except the drifting
-//!    `fwd`/`bwd` cost bits — to the most recent winning partition. When a
-//!    request misses the content cache but its shape is known (the
-//!    straggler path: same model, same cluster, costs scaled by observed
-//!    ratios), the search is seeded with that winner as an incumbent
-//!    ([`plan_seeded`]), whose time bounds the frontier from the first wave.
-//!    It never simulates more than the cold search's schemes plus the seed
-//!    (pinned by `drifted_replan_warm_starts_and_matches_the_cold_search`);
-//!    on the serving benchmark's drifted stream it simulates exactly that
-//!    many. It returns the cold search's plan unless the search exhausts
-//!    its scheme budget, where the seed's simulation can cost the cold
-//!    search's last scheme (`tests/warm_replan.rs` pins such a case).
+//! 2. **Cold search on a miss; `replan` warm-starts.** A `plan` /
+//!    `plan_batch` request that misses the cache runs the cold search, so
+//!    its answer is bit-identical to `autopipe_plan` on the same request.
+//!    Only [`PlanService::replan`] seeds its search: with the partition that
+//!    was running, as an incumbent ([`plan_seeded`]) whose time bounds the
+//!    frontier from the first wave. It never simulates more than the cold
+//!    search's schemes plus the seed (pinned by
+//!    `drifted_replan_warm_starts_and_matches_the_cold_search`), and returns
+//!    the cold search's plan unless the search exhausts its scheme budget,
+//!    where the seed's simulation can cost the cold search's last scheme
+//!    (`tests/warm_replan.rs` pins such a case).
 //! 3. **Batched concurrent serving.** [`PlanService::plan_batch`] drains a
 //!    slice of requests over a scoped thread pool with one
 //!    [`PlannerScratch`] per worker. Each request is served exactly as in
 //!    the serial path, so outputs are bit-identical at any worker count;
-//!    only the `Cold`/`Hit`/`Warm` attribution can differ when identical
-//!    requests race.
+//!    only the `Cold`/`Hit` attribution can differ when identical requests
+//!    race.
 //!
 //! The service is `Sync`: share one instance behind an `Arc` across every
 //! session and planning thread.
@@ -117,14 +115,15 @@ fn fold_cfg(h: &mut Fnv, cfg: &AutoPipeConfig) {
     });
 }
 
-/// Fold the parts of the cost database that do *not* drift at runtime: the
-/// model identity, block kinds and static byte/parameter footprints, the
-/// cluster-derived communication model, and the profiling configuration.
-/// The straggler path only ever rescales `fwd`/`bwd` (see
-/// [`observed_cost_db`]), so two databases agreeing on this fold differ at
-/// most in measured compute times — exactly when a cached winner is a valid
-/// warm seed.
-fn fold_shape(h: &mut Fnv, db: &CostDb, p: usize, m: usize, cfg: &AutoPipeConfig) {
+/// Content fingerprint of a plan request: everything the search's result
+/// depends on — the model identity, every block's kind, footprints and
+/// `fwd`/`bwd` cost bits, the cluster-derived communication model, the
+/// profiling configuration, `p`, `m` and the search knobs. Equal
+/// fingerprints ⇒ the searches are the same computation ⇒ cached outcomes
+/// are bit-exact stand-ins. (Prefix sums are derived from `blocks` and not
+/// folded.)
+pub(crate) fn plan_fingerprint(db: &CostDb, p: usize, m: usize, cfg: &AutoPipeConfig) -> u64 {
+    let mut h = Fnv::new();
     h.bytes(db.model.as_bytes());
     h.word(db.blocks.len() as u64);
     for b in &db.blocks {
@@ -148,28 +147,11 @@ fn fold_shape(h: &mut Fnv, db: &CostDb, p: usize, m: usize, cfg: &AutoPipeConfig
     }
     h.word(p as u64);
     h.word(m as u64);
-    fold_cfg(h, cfg);
-}
-
-/// Content fingerprint of a plan request: everything the search's result
-/// depends on, including every `fwd`/`bwd` cost bit. Equal fingerprints ⇒
-/// the searches are the same computation ⇒ cached outcomes are bit-exact
-/// stand-ins. (Prefix sums are derived from `blocks` and not folded.)
-pub fn plan_fingerprint(db: &CostDb, p: usize, m: usize, cfg: &AutoPipeConfig) -> u64 {
-    let mut h = Fnv::new();
-    fold_shape(&mut h, db, p, m, cfg);
+    fold_cfg(&mut h, cfg);
     for b in &db.blocks {
         h.word(b.fwd.to_bits());
         h.word(b.bwd.to_bits());
     }
-    h.finish()
-}
-
-/// Shape fingerprint: [`plan_fingerprint`] minus the drifting cost bits.
-/// Keys the warm-start index — see [`fold_shape`] for what it covers.
-pub fn shape_fingerprint(db: &CostDb, p: usize, m: usize, cfg: &AutoPipeConfig) -> u64 {
-    let mut h = Fnv::new();
-    fold_shape(&mut h, db, p, m, cfg);
     h.finish()
 }
 
@@ -180,8 +162,8 @@ pub enum Source {
     Cold,
     /// Content-cache hit — no search at all.
     Hit,
-    /// Cache miss served by a search warm-started from a cached winner of
-    /// the same shape.
+    /// [`PlanService::replan`] miss served by a search warm-started from
+    /// the partition that was running.
     Warm,
 }
 
@@ -211,25 +193,12 @@ pub struct ReplanServed {
     pub observed_db: CostDb,
 }
 
-impl ReplanServed {
-    /// Fraction of the straggler-induced slowdown the new plan recovers:
-    /// `(degraded − replanned) / (degraded − healthy)`. 0 = no help,
-    /// 1 = back to the healthy iteration time.
-    pub fn recovery(&self, healthy_time: f64) -> f64 {
-        let lost = self.degraded_time - healthy_time;
-        if lost <= 0.0 {
-            return 0.0;
-        }
-        (self.degraded_time - self.served.outcome.analytic.iteration_time) / lost
-    }
-}
-
 /// Point-in-time serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Requests answered from the content cache.
     pub hits: usize,
-    /// Cache misses served by a warm-started search.
+    /// `replan` misses served by a warm-started search.
     pub warm: usize,
     /// Cache misses served by a full cold search.
     pub cold: usize,
@@ -260,8 +229,6 @@ pub struct PlanService {
     cfg: AutoPipeConfig,
     shard_capacity: usize,
     shards: Vec<RwLock<HashMap<u64, Arc<AutoPipeOutcome>>>>,
-    /// shape fingerprint → most recent winning partition for that shape.
-    shapes: RwLock<HashMap<u64, Partition>>,
     /// Reusable search state, one entry checked out per in-flight search.
     scratch: Mutex<Vec<PlannerScratch>>,
     hits: AtomicUsize,
@@ -287,8 +254,8 @@ impl std::fmt::Debug for PlanService {
 
 impl PlanService {
     /// Service with the serving configuration: the default search knobs
-    /// plus dominance pruning, which warm starts rely on to cut the
-    /// frontier (and which the property tests pin as winner-preserving).
+    /// plus dominance pruning, which `replan`'s warm start relies on to cut
+    /// the frontier (and which the property tests pin as winner-preserving).
     pub fn new() -> PlanService {
         PlanService::with_config(AutoPipeConfig {
             prune: true,
@@ -313,7 +280,6 @@ impl PlanService {
             cfg,
             shard_capacity: shard_capacity.max(1),
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            shapes: RwLock::new(HashMap::new()),
             scratch: Mutex::new(Vec::new()),
             hits: AtomicUsize::new(0),
             warm: AtomicUsize::new(0),
@@ -347,8 +313,8 @@ impl PlanService {
     /// per-stage `ratios` under `partition`, then serve the adjusted
     /// request. Unit ratios reproduce `db` bit-for-bit, so a no-drift
     /// re-plan of a known request is a pure cache hit; drifted costs miss
-    /// the content cache and warm-start from `partition` (the plan that was
-    /// actually running — preferred over the shape index).
+    /// the content cache and warm-start from `partition`, the plan that was
+    /// running (with pruning on; without it the miss searches cold).
     pub fn replan(
         &self,
         db: &CostDb,
@@ -448,29 +414,20 @@ impl PlanService {
         self.len() == 0
     }
 
-    /// Drop every cached plan and warm-start seed (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().unwrap().clear();
-        }
-        self.shapes.write().unwrap().clear();
-    }
-
     fn shard(&self, fp: u64) -> &RwLock<HashMap<u64, Arc<AutoPipeOutcome>>> {
         &self.shards[(fp % SHARDS as u64) as usize]
     }
 
-    /// The one serving path: content-cache lookup, then a warm or cold
-    /// search on miss. `preferred_seed` (the re-plan path's running
-    /// partition) outranks the shape index; either is used only if it
-    /// matches the request's block/stage counts.
+    /// The one serving path: content-cache lookup, then a search on miss —
+    /// cold, or seeded with `running` (the re-plan path's running
+    /// partition) when it matches the request's block/stage counts.
     fn serve(
         &self,
         db: &CostDb,
         p: usize,
         m: usize,
         cfg: &AutoPipeConfig,
-        preferred_seed: Option<&Partition>,
+        running: Option<&Partition>,
     ) -> Result<Served, PlanError> {
         let fp = plan_fingerprint(db, p, m, cfg);
         if let Some(hit) = self.shard(fp).read().unwrap().get(&fp) {
@@ -482,31 +439,15 @@ impl PlanService {
             });
         }
 
-        let shape = shape_fingerprint(db, p, m, cfg);
-        let seed_fits = |s: &Partition| s.n_stages() == p && s.n_blocks() == db.len();
-        // Warm starts only pay off when the dominance bound is on: the
+        // A warm start only pays off when the dominance bound is on: the
         // incumbent's time then prunes the frontier from wave one. Without
         // pruning a seed cannot cut anything — and could outrank the cold
         // search's winner, breaking hit/cold bit-parity — so unpruned
         // requests always search cold on a miss.
-        let seed: Option<Partition> = if cfg.prune {
-            preferred_seed
-                .filter(|s| seed_fits(s))
-                .cloned()
-                .or_else(|| {
-                    self.shapes
-                        .read()
-                        .unwrap()
-                        .get(&shape)
-                        .filter(|s| seed_fits(s))
-                        .cloned()
-                })
-        } else {
-            None
-        };
+        let seed = running.filter(|s| cfg.prune && s.n_stages() == p && s.n_blocks() == db.len());
 
         let mut scratch = self.scratch.lock().unwrap().pop().unwrap_or_default();
-        let result = match &seed {
+        let result = match seed {
             Some(s) => plan_seeded(db, p, m, cfg, std::slice::from_ref(s), &mut scratch),
             None => plan_in(db, p, m, cfg, &mut scratch),
         };
@@ -520,10 +461,6 @@ impl PlanService {
             }
             shard.insert(fp, Arc::clone(&outcome));
         }
-        self.shapes
-            .write()
-            .unwrap()
-            .insert(shape, outcome.partition.clone());
 
         let source = if seed.is_some() {
             self.warm.fetch_add(1, Ordering::Relaxed);
@@ -605,15 +542,11 @@ mod tests {
         assert_ne!(base, plan_fingerprint(&d, 8, 8, &cfg));
         assert_ne!(base, plan_fingerprint(&d, 4, 16, &cfg));
 
-        // One cost bit flips the content fingerprint but not the shape.
+        // One cost bit flips the content fingerprint.
         let mut drifted = d.clone();
         drifted.blocks[3].fwd *= 1.0 + 1e-12;
         drifted.recompute_prefixes();
         assert_ne!(base, plan_fingerprint(&drifted, 4, 8, &cfg));
-        assert_eq!(
-            shape_fingerprint(&d, 4, 8, &cfg),
-            shape_fingerprint(&drifted, 4, 8, &cfg)
-        );
 
         // The search knobs are part of the request identity.
         let pruned = AutoPipeConfig { prune: true, ..cfg };
@@ -739,7 +672,9 @@ mod tests {
             r.served.outcome.analytic.iteration_time < r.degraded_time,
             "replan must help"
         );
-        let rec = r.recovery(healthy);
+        // Fraction of the lost time the new plan wins back.
+        let rec = (r.degraded_time - r.served.outcome.analytic.iteration_time)
+            / (r.degraded_time - healthy);
         assert!(rec >= 0.3, "recovery {rec} below the 30% bar");
         // The new plan gives the degraded stage fewer blocks.
         let old_sizes = base.outcome.partition.sizes();
@@ -763,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn same_shape_requests_warm_start_off_the_shape_index() {
+    fn a_drifted_plan_miss_searches_cold() {
         let d = db();
         let svc = PlanService::new();
         svc.plan(&d, 8, 16).unwrap();
@@ -774,9 +709,10 @@ mod tests {
         }
         drifted.recompute_prefixes();
         let served = svc.plan(&drifted, 8, 16).unwrap();
-        assert_eq!(served.source, Source::Warm);
+        assert_eq!(served.source, Source::Cold);
         let cold = plan(&drifted, 8, 16, svc.config()).unwrap();
         assert_eq!(bits(&served.outcome), bits(&cold));
+        assert_eq!(served.outcome.schemes_explored, cold.schemes_explored);
     }
 
     #[test]
@@ -832,8 +768,6 @@ mod tests {
         let again = svc.plan(&d, 2, 4).unwrap();
         let cold = plan(&d, 2, 4, svc.config()).unwrap();
         assert_eq!(bits(&again.outcome), bits(&cold));
-        svc.clear();
-        assert!(svc.is_empty());
     }
 
     #[test]

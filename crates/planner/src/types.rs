@@ -27,17 +27,6 @@ pub struct HybridPlan {
 }
 
 impl HybridPlan {
-    /// Total devices used.
-    pub fn n_devices(&self) -> usize {
-        self.dp.iter().sum()
-    }
-
-    /// Uniform data-parallel width, if the plan is uniform.
-    pub fn uniform_dp(&self) -> Option<usize> {
-        let d = self.dp[0];
-        self.dp.iter().all(|&x| x == d).then_some(d)
-    }
-
     /// The runtime check that fails DAPPLE's 16-GPU plan in Table III: a
     /// stage's data-parallel width may not exceed the micro-batch size
     /// (each replica must receive at least one sample of every micro-batch).
@@ -95,19 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_dp_detection() {
-        assert_eq!(plan(vec![2, 2, 2]).uniform_dp(), Some(2));
-        assert_eq!(plan(vec![1, 3]).uniform_dp(), None);
-    }
-
-    #[test]
     fn runtime_check_flags_oversized_dp() {
         assert!(plan(vec![1, 15]).runtime_check(4).is_err());
         assert!(plan(vec![1, 3]).runtime_check(4).is_ok());
-    }
-
-    #[test]
-    fn device_count_sums() {
-        assert_eq!(plan(vec![1, 15]).n_devices(), 16);
     }
 }

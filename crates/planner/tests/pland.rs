@@ -1,7 +1,7 @@
 //! Serving-determinism contract for the planner service (`pland`).
 //!
 //! The cache and the batch pool must be *invisible* in the outputs: a cache
-//! hit, a warm-started miss, and every request of a concurrent batch must
+//! hit, a miss (drifted or not), and every request of a concurrent batch must
 //! return the same winning partition and bit-identical iteration time as a
 //! serial cold plan of the same request under the same configuration.
 

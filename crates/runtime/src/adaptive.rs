@@ -58,7 +58,10 @@ pub struct StragglerMonitor {
 impl StragglerMonitor {
     /// Build from expected per-stage compute times (one entry per
     /// chunk-stage, in stage order).
-    pub fn new(expected: Vec<f64>, cfg: StragglerConfig) -> Result<StragglerMonitor, RuntimeError> {
+    pub(crate) fn new(
+        expected: Vec<f64>,
+        cfg: StragglerConfig,
+    ) -> Result<StragglerMonitor, RuntimeError> {
         if expected.is_empty() {
             return Err(RuntimeError::InvalidConfig(
                 "straggler monitor needs at least one stage".into(),
@@ -119,7 +122,7 @@ impl StragglerMonitor {
 /// Sum each chunk-stage's compute (Fwd + Bwd) durations over a timeline —
 /// the observation that drives straggler detection and the measurement that
 /// re-profiles the cost model for re-planning.
-pub fn stage_compute_times(tl: &Timeline, sched: &Schedule) -> Vec<f64> {
+pub(crate) fn stage_compute_times(tl: &Timeline, sched: &Schedule) -> Vec<f64> {
     let mut times = vec![0.0; sched.n_stages()];
     for d in 0..tl.n_devices().min(sched.n_devices) {
         for e in tl.device(d) {

@@ -132,7 +132,7 @@ fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
 }
 
 /// CRC-32 (IEEE) of `bytes` — the payload checksum of every checkpoint file.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
@@ -464,7 +464,7 @@ pub fn restore_states(
 
 impl StageModel {
     /// Export parameters + optimiser state.
-    pub fn export_state(&mut self) -> StageState {
+    pub(crate) fn export_state(&mut self) -> StageState {
         StageState {
             params: self.param_snapshot(),
             adam: self.adam_snapshot(),
@@ -475,7 +475,7 @@ impl StageModel {
     /// all transient per-iteration state — importing means rolling back to
     /// a step boundary, so partial gradients and stale stashes from a
     /// crash-aborted iteration must not survive.
-    pub fn import_state(&mut self, params: &[Tensor], adam: Adam) {
+    pub(crate) fn import_state(&mut self, params: &[Tensor], adam: Adam) {
         self.restore_params(params);
         self.restore_adam(adam);
         self.reset_transient();
@@ -613,11 +613,6 @@ impl PipelineSnapshot {
                 .collect(),
         }
     }
-
-    /// Restore the stage states into a pipeline of matching shape.
-    pub fn restore(&self, pipeline: &mut Pipeline) -> Result<(), CheckpointError> {
-        restore_states(pipeline, &self.stages)
-    }
 }
 
 /// Test hook: make the next [`CheckpointStore::save`] fail like a crash.
@@ -660,11 +655,6 @@ impl CheckpointStore {
         Ok(store)
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Arm a one-shot injected failure for the next [`save`](Self::save).
     pub fn fail_next(&mut self, fp: FailPoint) {
         self.fail_next = Some(fp);
@@ -683,7 +673,7 @@ impl CheckpointStore {
     }
 
     /// Committed generation indices, ascending.
-    pub fn generations(&self) -> Vec<u64> {
+    pub(crate) fn generations(&self) -> Vec<u64> {
         let mut gens: Vec<u64> = match fs::read_dir(&self.dir) {
             Ok(rd) => rd
                 .filter_map(|e| e.ok())
@@ -810,7 +800,7 @@ impl CheckpointStore {
     }
 
     /// Load and validate one specific generation.
-    pub fn load_generation(
+    pub(crate) fn load_generation(
         &self,
         generation: u64,
     ) -> Result<(Manifest, Vec<StageState>), CheckpointError> {
@@ -916,7 +906,7 @@ pub struct BackgroundCheckpointer {
 
 impl BackgroundCheckpointer {
     /// Spawn the writer thread over `store`.
-    pub fn spawn(store: CheckpointStore) -> BackgroundCheckpointer {
+    pub(crate) fn spawn(store: CheckpointStore) -> BackgroundCheckpointer {
         // Capacity 1: one snapshot may queue while one is being written —
         // two in flight at most, bounding the double buffer's memory.
         let (tx, rx) = sync_channel::<PipelineSnapshot>(1);
@@ -951,7 +941,7 @@ impl BackgroundCheckpointer {
 
     /// Offer a snapshot to the writer. Returns `true` when accepted;
     /// `false` when the writer was busy and the snapshot was skipped.
-    pub fn offer(&self, snap: PipelineSnapshot) -> bool {
+    pub(crate) fn offer(&self, snap: PipelineSnapshot) -> bool {
         let Some(tx) = &self.tx else { return false };
         self.pending.fetch_add(1, Ordering::Acquire);
         match tx.try_send(snap) {
@@ -969,27 +959,15 @@ impl BackgroundCheckpointer {
     /// Block until every accepted snapshot has been committed (or failed).
     /// Called before a recovery load, so the freshest accepted state is on
     /// disk.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         while self.pending.load(Ordering::Acquire) > 0 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 
     /// Current writer counters.
-    pub fn status(&self) -> WriterStatus {
+    pub(crate) fn status(&self) -> WriterStatus {
         self.status.lock().map(|s| s.clone()).unwrap_or_default()
-    }
-
-    /// Stop the writer (draining accepted snapshots) and hand the store
-    /// back.
-    pub fn close(mut self) -> CheckpointStore {
-        self.drain();
-        drop(self.tx.take());
-        self.handle
-            .take()
-            .expect("writer joined once")
-            .join()
-            .expect("checkpoint writer panicked")
     }
 }
 
@@ -1273,7 +1251,7 @@ mod tests {
         })
         .unwrap();
         let before = b.param_checksum();
-        let err = snap.restore(&mut b).unwrap_err();
+        let err = restore_states(&mut b, &snap.stages).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
         assert_eq!(
             before.to_bits(),
@@ -1411,7 +1389,9 @@ mod tests {
         assert_eq!(status.skipped, 4 - accepted);
         assert!(accepted >= 1, "at least one snapshot must land");
         assert!(status.last_error.is_none(), "{status:?}");
-        let store = writer.close();
+        // Dropping the writer joins it; the store then reopens.
+        drop(writer);
+        let store = CheckpointStore::open(&dir, 5).unwrap();
         let (manifest, _) = store.load_latest().unwrap();
         assert_eq!(manifest.generation as usize + 1, accepted);
         let _ = fs::remove_dir_all(&dir);

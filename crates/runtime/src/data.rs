@@ -52,12 +52,12 @@ impl BatchSet {
     }
 
     /// Number of micro-batches.
-    pub fn n_microbatches(&self) -> usize {
+    pub(crate) fn n_microbatches(&self) -> usize {
         self.ids.len()
     }
 
     /// Row range of `part` of a micro-batch (halves split the batch dim).
-    pub fn rows_of_part(&self, part: autopipe_schedule::Part) -> std::ops::Range<usize> {
+    pub(crate) fn rows_of_part(&self, part: autopipe_schedule::Part) -> std::ops::Range<usize> {
         use autopipe_schedule::Part;
         let half = self.mbs / 2;
         match part {

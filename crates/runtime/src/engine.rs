@@ -192,7 +192,7 @@ impl Pipeline {
     /// installed fault script, keeping delays/stragglers/stalls. The
     /// recovery coordinator calls this after a crash has fired, so the
     /// respawned pipeline does not re-die at the same op forever.
-    pub fn clear_failstop_events(&mut self) {
+    pub(crate) fn clear_failstop_events(&mut self) {
         if let Some(fp) = &mut self.faults {
             fp.crashes.clear();
             fp.lost.clear();
@@ -557,45 +557,9 @@ impl Pipeline {
 
     /// Flat mutable view of every stage, in (device, chunk) order
     /// (data-parallel all-reduce).
-    pub fn stages_mut(&mut self) -> Vec<&mut StageModel> {
+    pub(crate) fn stages_mut(&mut self) -> Vec<&mut StageModel> {
         self.stages.iter_mut().flatten().collect()
     }
-}
-
-/// Average the accumulated gradients across data-parallel replicas and step
-/// every replica — the NCCL all-reduce + optimiser step of hybrid training.
-/// All replicas must share the same partition.
-pub fn data_parallel_step(replicas: &mut [Pipeline]) -> Result<(), RuntimeError> {
-    let r = replicas.len();
-    if r == 0 {
-        return Err(RuntimeError::InvalidConfig(
-            "data-parallel step needs at least one replica".into(),
-        ));
-    }
-    let n_stages: usize = replicas[0].stages.iter().map(|d| d.len()).sum();
-    for s in 0..n_stages {
-        let mut avg: Vec<Tensor> = {
-            let stages0 = replicas[0].stages_mut();
-            stages0[s].grads().to_vec()
-        };
-        for rep in replicas[1..].iter_mut() {
-            let stages = rep.stages_mut();
-            for (a, g) in avg.iter_mut().zip(stages[s].grads()) {
-                a.axpy(1.0, g);
-            }
-        }
-        for a in &mut avg {
-            *a = a.scale(1.0 / r as f32);
-        }
-        for rep in replicas.iter_mut() {
-            let mut stages = rep.stages_mut();
-            stages[s].set_grads(avg.clone());
-        }
-    }
-    for rep in replicas.iter_mut() {
-        rep.step_all();
-    }
-    Ok(())
 }
 
 /// What travels over a runtime channel: the tensor plus, under fault
@@ -1262,47 +1226,6 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_hybrid_matches_reference() {
-        let model = tiny();
-        let m_total = 8;
-        let replicas = 2;
-        let m_rep = m_total / replicas;
-        let full = BatchSet::synthetic(10, m_total, 2, model.seq_len, model.vocab_size);
-        // Split micro-batches across the two replicas.
-        let split = |lo: usize, hi: usize| BatchSet {
-            ids: full.ids[lo..hi].to_vec(),
-            targets: full.targets[lo..hi].to_vec(),
-            mbs: full.mbs,
-            seq: full.seq,
-        };
-        let mut reps = vec![
-            Pipeline::try_new(&cfg(one_f_one_b(2, m_rep), partition2(), false)).unwrap(),
-            Pipeline::try_new(&cfg(one_f_one_b(2, m_rep), partition2(), false)).unwrap(),
-        ];
-        let l0 = reps[0].forward_backward(&split(0, m_rep)).unwrap().loss;
-        let l1 = reps[1]
-            .forward_backward(&split(m_rep, m_total))
-            .unwrap()
-            .loss;
-        data_parallel_step(&mut reps).unwrap();
-        let mut reference = ReferenceModel::new(&model, 99, 1e-3, false);
-        let rl = reference.train_iteration(&full);
-        close(((l0 + l1) / 2.0) as f64, rl as f64, 1e-4, "hybrid loss");
-        close(
-            reps[0].param_checksum(),
-            reference.param_checksum(),
-            1e-5,
-            "replica 0 params",
-        );
-        close(
-            reps[1].param_checksum(),
-            reps[0].param_checksum(),
-            1e-9,
-            "replicas agree",
-        );
-    }
-
-    #[test]
     fn training_reduces_loss_through_the_pipeline() {
         let model = tiny();
         let m = 4;
@@ -1447,7 +1370,7 @@ mod tests {
         let report = pipe.last_fault_report().expect("report after iteration");
         assert!(!report.aborted);
         assert!(
-            report.delays() > 0,
+            report.events.iter().any(|e| e.resolved),
             "watchdog should log resolved waits opposite the stall: {report}"
         );
     }

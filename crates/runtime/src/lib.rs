@@ -37,14 +37,14 @@ pub mod reference;
 pub mod stage;
 pub mod watchdog;
 
-pub use adaptive::{stage_compute_times, StragglerConfig, StragglerMonitor, StragglerObservation};
+pub use adaptive::{StragglerConfig, StragglerMonitor, StragglerObservation};
 pub use checkpoint::{
     restore_states, BackgroundCheckpointer, CheckpointError, CheckpointStore, FailPoint, Manifest,
     PipelineSnapshot, StagePayload, StageState, WriterStatus,
 };
 pub use data::BatchSet;
 pub use elastic::{ElasticAction, ElasticCoordinator, ElasticEvent};
-pub use engine::{data_parallel_step, IterationStats, Pipeline, PipelineConfig};
+pub use engine::{IterationStats, Pipeline, PipelineConfig};
 pub use membership::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, Transition};
 pub use recovery::{RecoveryAction, RecoveryCoordinator, RecoveryRecord};
 pub use reference::ReferenceModel;

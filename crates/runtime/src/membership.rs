@@ -164,13 +164,8 @@ impl ClusterMembership {
     }
 
     /// Number of devices tracked (grows when a new device joins).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.devices.len()
-    }
-
-    /// True when no devices are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
     }
 
     /// Current state of `device`.
@@ -230,7 +225,7 @@ impl ClusterMembership {
     }
 
     /// The coordinator grew the pipeline back onto a `Readmitted` device.
-    pub fn mark_grown(&mut self, at: u64, device: usize) {
+    pub(crate) fn mark_grown(&mut self, at: u64, device: usize) {
         if self.devices[device].state == DeviceState::Readmitted {
             self.transition(at, device, DeviceState::Ready);
         }
@@ -249,7 +244,7 @@ impl ClusterMembership {
     }
 
     /// Feed one observation through the state machine.
-    pub fn observe(&mut self, at: u64, device: usize, event: MemberEvent) {
+    pub(crate) fn observe(&mut self, at: u64, device: usize, event: MemberEvent) {
         let state = self.record(device).state;
         match event {
             MemberEvent::Leave => {

@@ -34,7 +34,7 @@ impl ReferenceModel {
     }
 
     /// Forward/backward accumulation without the optimiser step.
-    pub fn forward_backward(&mut self, batch: &BatchSet) -> f32 {
+    pub(crate) fn forward_backward(&mut self, batch: &BatchSet) -> f32 {
         let m = batch.n_microbatches();
         let scale = 1.0 / m as f32;
         let mut loss_sum = 0.0_f32;
@@ -51,11 +51,6 @@ impl ReferenceModel {
             self.stage.backward_microbatch(mb, None, scale);
         }
         loss_sum / m as f32
-    }
-
-    /// Apply the optimiser step.
-    pub fn step(&mut self) {
-        self.stage.step();
     }
 
     /// Parameter checksum for equality tests.

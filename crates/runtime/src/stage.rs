@@ -62,7 +62,7 @@ impl Module {
 /// Build the full module list for a model at sub-layer granularity with a
 /// deterministic parameter initialisation shared by the pipeline engine and
 /// the single-device reference.
-pub fn build_modules(cfg: &ModelConfig, seed: u64) -> Vec<Module> {
+pub(crate) fn build_modules(cfg: &ModelConfig, seed: u64) -> Vec<Module> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let causal = matches!(cfg.family, autopipe_model::ModelFamily::Gpt2);
     let blocks = build_blocks(cfg, Granularity::SubLayer);
@@ -115,7 +115,7 @@ pub enum StageOutput {
 /// Split an aggregated `[rows, h]` activation back into its two halves —
 /// the receiving side of the last sliced micro-batch's `Part::Both` message
 /// (§III-C).
-pub fn split_halves(t: &Tensor) -> (Tensor, Tensor) {
+pub(crate) fn split_halves(t: &Tensor) -> (Tensor, Tensor) {
     let h = *t.shape().last().unwrap();
     let rows = t.len() / h;
     let half = rows / 2;
@@ -127,7 +127,7 @@ pub fn split_halves(t: &Tensor) -> (Tensor, Tensor) {
 
 /// Concatenate two half activations row-wise into one aggregated message —
 /// the sending side of `Part::Both`.
-pub fn concat_halves(t1: &Tensor, t2: &Tensor) -> Tensor {
+pub(crate) fn concat_halves(t1: &Tensor, t2: &Tensor) -> Tensor {
     let h = *t1.shape().last().unwrap();
     let rows = t1.len() / h + t2.len() / h;
     let mut data = Vec::with_capacity(rows * h);
@@ -192,7 +192,7 @@ pub struct StageModel {
 
 impl StageModel {
     /// Build a stage from the model's full module list and a partition.
-    pub fn new(
+    pub(crate) fn new(
         all_modules: &[Module],
         partition: &Partition,
         stage: usize,
@@ -257,12 +257,12 @@ impl StageModel {
 
     /// Provide the targets for a (micro-batch, part) — only meaningful on
     /// the stage holding the LM head.
-    pub fn set_targets(&mut self, mb: usize, part: Part, targets: Vec<usize>) {
+    pub(crate) fn set_targets(&mut self, mb: usize, part: Part, targets: Vec<usize>) {
         self.targets.insert((mb, PartKey::of(part)), targets);
     }
 
     /// Forward `part` of micro-batch `mb`.
-    pub fn forward(&mut self, mb: usize, part: Part, input: StageInput) -> StageOutput {
+    pub(crate) fn forward(&mut self, mb: usize, part: Part, input: StageInput) -> StageOutput {
         let key = (mb, PartKey::of(part));
         self.inputs.insert(key, input.clone());
         let (out, caches) = self.run_forward(key, input);
@@ -279,7 +279,7 @@ impl StageModel {
     /// parts whose caches are still live are left untouched. Returns how
     /// many parts were rebuilt (0 when nothing was dropped, which makes the
     /// op a timed no-op on unmasked stages).
-    pub fn recompute_microbatch(&mut self, mb: usize) -> usize {
+    pub(crate) fn recompute_microbatch(&mut self, mb: usize) -> usize {
         let mut keys: Vec<(usize, PartKey)> = self
             .inputs
             .keys()
@@ -302,7 +302,7 @@ impl StageModel {
 
     /// Whether any forward state (stashed input) for micro-batch `mb` is
     /// live on this stage.
-    pub fn has_forward_state(&self, mb: usize) -> bool {
+    pub(crate) fn has_forward_state(&self, mb: usize) -> bool {
         self.inputs.keys().any(|(m, _)| *m == mb)
     }
 
@@ -372,37 +372,6 @@ impl StageModel {
             None => StageOutput::Hidden(hidden.expect("stage produced no output")),
         };
         (out, caches)
-    }
-
-    /// Backward `part` of micro-batch `mb`. `d_out` is the gradient w.r.t.
-    /// this stage's hidden output (`None` on the loss stage). `grad_scale`
-    /// is the gradient-accumulation weight (typically `1/m`). Returns the
-    /// gradient w.r.t. this stage's hidden input (`None` on the embedding
-    /// stage).
-    pub fn backward(
-        &mut self,
-        mb: usize,
-        part: Part,
-        d_out: Option<&Tensor>,
-        grad_scale: f32,
-    ) -> Option<Tensor> {
-        self.backward_part(mb, part, d_out, Some(grad_scale))
-    }
-
-    /// Grad-input half of a split backward (`BwdInput`): computes the input
-    /// gradient exactly like [`backward`](StageModel::backward) but *stashes*
-    /// the per-module weight gradients instead of accumulating them.
-    /// [`apply_weight_grads`](StageModel::apply_weight_grads) later performs
-    /// the identical `axpy` sequence, so split and fused backward accumulate
-    /// bit-identically whenever grad-weights retire in the same micro-batch
-    /// order fused backwards would have run in.
-    pub fn backward_input(
-        &mut self,
-        mb: usize,
-        part: Part,
-        d_out: Option<&Tensor>,
-    ) -> Option<Tensor> {
-        self.backward_part(mb, part, d_out, None)
     }
 
     /// Shared reverse-module walk. `apply = Some(scale)` accumulates weight
@@ -481,7 +450,7 @@ impl StageModel {
     /// weight gradients stashed by `mb`'s grad-input(s) with the exact
     /// `axpy` sequence the fused backward would have used. Returns `false`
     /// if nothing was stashed for `mb`.
-    pub fn apply_weight_grads(&mut self, mb: usize, grad_scale: f32) -> bool {
+    pub(crate) fn apply_weight_grads(&mut self, mb: usize, grad_scale: f32) -> bool {
         let Some(stash) = self.pending_wgrads.remove(&mb) else {
             return false;
         };
@@ -501,7 +470,7 @@ impl StageModel {
     /// two half backwards whose input gradients are concatenated back into
     /// the full `[rows, h]` layout — the single `SendGrad` the schedule
     /// emits. `d_out` covers the full micro-batch's rows.
-    pub fn backward_microbatch(
+    pub(crate) fn backward_microbatch(
         &mut self,
         mb: usize,
         d_out: Option<&Tensor>,
@@ -513,7 +482,7 @@ impl StageModel {
     /// [`backward_microbatch`](StageModel::backward_microbatch)'s grad-input
     /// counterpart: same slicing dispatch, weight gradients stashed instead
     /// of accumulated.
-    pub fn backward_input_microbatch(
+    pub(crate) fn backward_input_microbatch(
         &mut self,
         mb: usize,
         d_out: Option<&Tensor>,
@@ -568,7 +537,7 @@ impl StageModel {
     }
 
     /// Apply the accumulated gradients with Adam and reset them.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         let mut params: Vec<&mut Tensor> = self
             .modules
             .iter_mut()
@@ -583,23 +552,12 @@ impl StageModel {
         }
     }
 
-    /// Snapshot of the accumulated gradients (data-parallel all-reduce).
-    pub fn grads(&self) -> &[Tensor] {
-        &self.grads
-    }
-
-    /// Overwrite the accumulated gradients (after all-reduce averaging).
-    pub fn set_grads(&mut self, grads: Vec<Tensor>) {
-        assert_eq!(grads.len(), self.grads.len());
-        self.grads = grads;
-    }
-
     /// Discard all per-iteration transient state: accumulated gradients,
     /// recompute caches, stashed inputs and targets. A crash-aborted
     /// iteration leaves partial gradients and stale stashes behind (the
     /// [`step`](StageModel::step) that normally zeroes gradients never ran),
     /// so a checkpoint import resets this before replaying.
-    pub fn reset_transient(&mut self) {
+    pub(crate) fn reset_transient(&mut self) {
         for g in &mut self.grads {
             for v in g.data_mut() {
                 *v = 0.0;
@@ -613,7 +571,7 @@ impl StageModel {
 
     /// Shape signature of every parameter, in module order (checkpoint
     /// compatibility checks).
-    pub fn param_shapes(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn param_shapes(&self) -> Vec<Vec<usize>> {
         self.modules
             .iter()
             .flat_map(|m| m.params())
@@ -622,7 +580,7 @@ impl StageModel {
     }
 
     /// Snapshot of all parameter tensors, in module order.
-    pub fn param_snapshot(&self) -> Vec<Tensor> {
+    pub(crate) fn param_snapshot(&self) -> Vec<Tensor> {
         self.modules
             .iter()
             .flat_map(|m| m.params())
@@ -631,7 +589,7 @@ impl StageModel {
     }
 
     /// Overwrite all parameters from a snapshot (shapes must match).
-    pub fn restore_params(&mut self, params: &[Tensor]) {
+    pub(crate) fn restore_params(&mut self, params: &[Tensor]) {
         let mut mine: Vec<&mut Tensor> = self
             .modules
             .iter_mut()
@@ -645,17 +603,17 @@ impl StageModel {
     }
 
     /// Snapshot of the optimiser state.
-    pub fn adam_snapshot(&self) -> Adam {
+    pub(crate) fn adam_snapshot(&self) -> Adam {
         self.adam.clone()
     }
 
     /// Restore the optimiser state.
-    pub fn restore_adam(&mut self, adam: Adam) {
+    pub(crate) fn restore_adam(&mut self, adam: Adam) {
         self.adam = adam;
     }
 
     /// Checksum over all parameters (equality tests).
-    pub fn param_checksum(&self) -> f64 {
+    pub(crate) fn param_checksum(&self) -> f64 {
         self.modules
             .iter()
             .flat_map(|m| m.params())
@@ -663,18 +621,13 @@ impl StageModel {
             .sum()
     }
 
-    /// Number of modules in the stage.
-    pub fn n_modules(&self) -> usize {
-        self.modules.len()
-    }
-
     /// Whether this stage ends in the LM head.
-    pub fn has_head(&self) -> bool {
+    pub(crate) fn has_head(&self) -> bool {
         self.modules.iter().any(|m| matches!(m, Module::Head(_)))
     }
 
     /// Whether this stage starts with the embedding.
-    pub fn has_embedding(&self) -> bool {
+    pub(crate) fn has_embedding(&self) -> bool {
         self.modules
             .iter()
             .any(|m| matches!(m, Module::Embedding(_)))
@@ -747,7 +700,7 @@ mod tests {
             _ => panic!("single-stage model must produce a loss"),
         };
         assert!(loss > 0.0);
-        let dx = stage.backward(0, Part::Full, None, 1.0);
+        let dx = stage.backward_part(0, Part::Full, None, Some(1.0));
         assert!(dx.is_none(), "embedding stage returns no input grad");
         stage.step();
     }
@@ -765,8 +718,8 @@ mod tests {
             let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
             stage.set_targets(0, Part::Full, targets);
             stage.forward(0, Part::Full, StageInput::Tokens(ids));
-            stage.backward(0, Part::Full, None, 1.0);
-            stage.grads().iter().map(|g| g.sum()).sum()
+            stage.backward_part(0, Part::Full, None, Some(1.0));
+            stage.grads.iter().map(|g| g.sum()).sum()
         };
         let cached = run(false);
         let ckpt = run(true);
@@ -791,8 +744,8 @@ mod tests {
         let mut full = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
         full.set_targets(0, Part::Full, targets.clone());
         full.forward(0, Part::Full, StageInput::Tokens(ids.clone()));
-        full.backward(0, Part::Full, None, 1.0);
-        let gf: f64 = full.grads().iter().map(|g| g.sum()).sum();
+        full.backward_part(0, Part::Full, None, Some(1.0));
+        let gf: f64 = full.grads.iter().map(|g| g.sum()).sum();
 
         // Two halves (split along the batch dimension).
         let mut halves = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
@@ -801,9 +754,9 @@ mod tests {
         halves.set_targets(0, Part::Half2, targets[split..].to_vec());
         halves.forward(0, Part::Half1, StageInput::Tokens(ids[..split].to_vec()));
         halves.forward(0, Part::Half2, StageInput::Tokens(ids[split..].to_vec()));
-        halves.backward(0, Part::Half1, None, 1.0);
-        halves.backward(0, Part::Half2, None, 1.0);
-        let gh: f64 = halves.grads().iter().map(|g| g.sum()).sum();
+        halves.backward_part(0, Part::Half1, None, Some(1.0));
+        halves.backward_part(0, Part::Half2, None, Some(1.0));
+        let gh: f64 = halves.grads.iter().map(|g| g.sum()).sum();
 
         assert!(
             (gf - gh).abs() < 1e-5 * (1.0 + gf.abs()),

@@ -129,13 +129,8 @@ pub struct FaultReport {
 
 impl FaultReport {
     /// Firings that never resolved — the actual stalls.
-    pub fn stalls(&self) -> usize {
+    pub(crate) fn stalls(&self) -> usize {
         self.events.iter().filter(|e| !e.resolved).count()
-    }
-
-    /// Firings that resolved after a delay (stragglers, slow links).
-    pub fn delays(&self) -> usize {
-        self.events.iter().filter(|e| e.resolved).count()
     }
 
     /// The first dead stage, if any (the recovery coordinator's trigger).

@@ -30,7 +30,7 @@ pub mod recompute;
 pub mod validate;
 
 pub use generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
-pub use op::{Lane, Op, OpKind, Part};
+pub use op::{Op, OpKind, Part};
 pub use recompute::{apply_recompute, recompute_mask};
 pub use validate::{validate, ValidationError};
 

@@ -87,20 +87,6 @@ pub enum OpKind {
     },
 }
 
-/// Which per-device lane an op occupies when the comm engine runs in
-/// overlap mode. Compute ops hold the device; Send/Recv ops are issued from
-/// the compute lane but their wire time runs on the device's comm lane
-/// (eager chunked sends pipelined against the producing compute span,
-/// prefetched recvs gating the next compute op). In blocking mode both
-/// lanes collapse onto the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Lane {
-    /// Occupies the device for the op's duration.
-    Compute,
-    /// Runs on the wire; the device only issues/collects it.
-    Comm,
-}
-
 /// An op plus nothing else (a struct so the IR can grow metadata without
 /// touching every consumer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,38 +113,6 @@ impl Op {
                 | OpKind::BwdWeight { .. }
                 | OpKind::Recompute { .. }
         )
-    }
-
-    /// Is this a communication op?
-    #[inline]
-    pub fn is_comm(&self) -> bool {
-        !self.is_compute()
-    }
-
-    /// The lane this op occupies under the overlapped comm engine.
-    #[inline]
-    pub fn lane(&self) -> Lane {
-        if self.is_compute() {
-            Lane::Compute
-        } else {
-            Lane::Comm
-        }
-    }
-
-    /// Micro-batch this op concerns.
-    #[inline]
-    pub fn mb(&self) -> usize {
-        match self.kind {
-            OpKind::Fwd { mb, .. }
-            | OpKind::Bwd { mb, .. }
-            | OpKind::BwdInput { mb, .. }
-            | OpKind::BwdWeight { mb, .. }
-            | OpKind::Recompute { mb, .. }
-            | OpKind::SendAct { mb, .. }
-            | OpKind::RecvAct { mb, .. }
-            | OpKind::SendGrad { mb, .. }
-            | OpKind::RecvGrad { mb, .. } => mb,
-        }
     }
 
     /// Model chunk this op concerns.
@@ -200,9 +154,7 @@ mod tests {
             part: Part::Full,
             to: 2,
         });
-        assert_eq!(op.mb(), 3);
         assert_eq!(op.chunk(), 1);
-        assert!(op.is_comm());
         assert!(!op.is_compute());
         let f = Op::new(OpKind::Fwd {
             mb: 0,
@@ -213,29 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn lanes_partition_compute_and_comm() {
-        let fwd = Op::new(OpKind::Fwd {
-            mb: 0,
-            chunk: 0,
-            part: Part::Full,
-        });
-        let recv = Op::new(OpKind::RecvGrad {
-            mb: 0,
-            chunk: 0,
-            from: 1,
-        });
-        assert_eq!(fwd.lane(), Lane::Compute);
-        assert_eq!(recv.lane(), Lane::Comm);
-    }
-
-    #[test]
     fn split_backward_ops_are_compute() {
         let bi = Op::new(OpKind::BwdInput { mb: 2, chunk: 1 });
         let bw = Op::new(OpKind::BwdWeight { mb: 2, chunk: 1 });
-        assert!(bi.is_compute() && !bi.is_comm());
-        assert!(bw.is_compute() && !bw.is_comm());
-        assert_eq!(bi.mb(), 2);
-        assert_eq!(bw.mb(), 2);
+        assert!(bi.is_compute());
+        assert!(bw.is_compute());
         assert_eq!(bi.chunk(), 1);
         assert_eq!(bw.chunk(), 1);
     }

@@ -71,7 +71,7 @@ pub struct Lane {
 
 impl Lane {
     /// Empty lane for `device`.
-    pub fn new(device: usize) -> Self {
+    pub(crate) fn new(device: usize) -> Self {
         Lane {
             device,
             slots: Vec::new(),
@@ -79,14 +79,14 @@ impl Lane {
     }
 
     /// Append a slot under `phase`.
-    pub fn push(&mut self, phase: Phase, slot: Slot) {
+    pub(crate) fn push(&mut self, phase: Phase, slot: Slot) {
         self.slots.push((phase, slot));
     }
 }
 
 /// Lower a lane to an executable op program for a `p`-device, `v`-chunk
 /// pipeline (stage of chunk `c` on device `d` is `c·p + d`).
-pub fn lower(lane: &Lane, p: usize, v: usize) -> Vec<Op> {
+pub(crate) fn lower(lane: &Lane, p: usize, v: usize) -> Vec<Op> {
     let d = lane.device;
     let n_stages = p * v;
     let prev = |_c: usize| if d > 0 { d - 1 } else { p - 1 };

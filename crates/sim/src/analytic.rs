@@ -171,7 +171,7 @@ fn warmup_count(stage: usize, n: usize, m: usize) -> usize {
 }
 
 /// 1F1B block count at `stage` — the paper's `max(0, m − n + k + 1)`.
-pub fn block_count(stage: usize, n: usize, m: usize) -> usize {
+pub(crate) fn block_count(stage: usize, n: usize, m: usize) -> usize {
     (m + stage + 1).saturating_sub(n)
 }
 

@@ -52,14 +52,14 @@ impl EventCosts {
     }
 
     /// Transfer time of a message carrying `part` of a micro-batch.
-    pub fn transfer(&self, part: Part) -> f64 {
+    pub(crate) fn transfer(&self, part: Part) -> f64 {
         self.latency + part.frac() * self.volume
     }
 
     /// Transfer time of one of `k` chunks of that message: full latency per
     /// chunk, `1/k` of the volume. `k = 1` equals [`EventCosts::transfer`]
     /// bit-for-bit.
-    pub fn transfer_chunk(&self, part: Part, k: usize) -> f64 {
+    pub(crate) fn transfer_chunk(&self, part: Part, k: usize) -> f64 {
         self.latency + part.frac() * (self.volume / k.max(1) as f64)
     }
 }
@@ -156,17 +156,6 @@ pub struct EventResult {
     /// Per-device op timeline — the unified format shared with the threaded
     /// runtime (`autopipe-runtime`).
     pub timeline: Timeline,
-}
-
-impl EventResult {
-    /// Mean device utilisation (busy / iteration).
-    pub fn utilisation(&self) -> f64 {
-        if self.iteration_time == 0.0 {
-            return 0.0;
-        }
-        let mean: f64 = self.device_busy.iter().sum::<f64>() / self.device_busy.len() as f64;
-        mean / self.iteration_time
-    }
 }
 
 /// The scalar outputs of a simulation, without the per-op timeline (what
@@ -750,7 +739,7 @@ mod tests {
         let c = costs(vec![1.0; 4], vec![2.0; 4], 0.0, 0.01);
         let r4 = run_schedule(&one_f_one_b(4, 4), &c, &EventConfig::default()).unwrap();
         let r32 = run_schedule(&one_f_one_b(4, 32), &c, &EventConfig::default()).unwrap();
-        assert!(r32.utilisation() > r4.utilisation());
+        assert!(r32.timeline.bubble_ratio() < r4.timeline.bubble_ratio());
     }
 
     #[test]
@@ -1023,7 +1012,8 @@ mod tests {
         // The Timeline-derived bubble must match the sweep's own busy
         // accounting — one telemetry source, two views.
         let r = balanced(4, 8);
-        assert!((r.timeline.bubble_ratio() - (1.0 - r.utilisation())).abs() < 1e-9);
+        let busy = r.device_busy.iter().sum::<f64>() / r.device_busy.len() as f64;
+        assert!((r.timeline.bubble_ratio() - (1.0 - busy / r.iteration_time)).abs() < 1e-9);
     }
 
     #[test]

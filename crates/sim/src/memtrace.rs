@@ -13,8 +13,6 @@ use serde::{Deserialize, Serialize};
 use autopipe_schedule::{recompute_mask, OpKind, Schedule};
 
 use crate::event::EventResult;
-use crate::partition::Partition;
-use autopipe_cost::CostDb;
 
 /// Memory quanta of one stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,37 +37,6 @@ pub struct DevicePeak {
     pub peak: u64,
     /// Bytes at the end of the iteration (must equal the persistent state).
     pub residual: u64,
-}
-
-/// Compute per-stage memory quanta from a partition and cost database,
-/// using the same constants as the static model.
-pub fn stage_quanta(partition: &Partition, db: &CostDb) -> Vec<StageQuanta> {
-    use autopipe_cost::memory::PARAM_STATE_BYTES;
-    (0..partition.n_stages())
-        .map(|s| {
-            let blocks = &db.blocks[partition.range(s)];
-            let params: u64 = blocks.iter().map(|b| b.params).sum();
-            let ckpt: u64 = blocks.iter().map(|b| b.ckpt_act_bytes).sum();
-            let max_body = blocks
-                .iter()
-                .filter(|c| c.kind.is_layer_body())
-                .map(|c| c.full_act_bytes)
-                .max()
-                .unwrap_or(0);
-            let max_nonbody = blocks
-                .iter()
-                .filter(|c| !c.kind.is_layer_body())
-                .map(|c| c.full_act_bytes)
-                .max()
-                .unwrap_or(0);
-            StageQuanta {
-                param_state: params * PARAM_STATE_BYTES,
-                ckpt_per_mb: ckpt,
-                ckpt_input: blocks.first().map(|b| b.ckpt_act_bytes).unwrap_or(0),
-                working: 2 * max_body + max_nonbody,
-            }
-        })
-        .collect()
 }
 
 /// Replay allocations over a completed event simulation. Events are the
@@ -167,9 +134,41 @@ mod tests {
     use super::*;
     use crate::event::{run_schedule, EventConfig, EventCosts};
     use crate::memcheck::device_memory;
-    use autopipe_cost::Hardware;
+    use crate::partition::Partition;
+    use autopipe_cost::{CostDb, Hardware};
     use autopipe_model::{zoo, Granularity};
     use autopipe_schedule::{apply_recompute, gpipe, one_f_one_b, sliced_1f1b, zero_bubble};
+
+    /// Compute per-stage memory quanta from a partition and cost database,
+    /// using the same constants as the static model.
+    fn stage_quanta(partition: &Partition, db: &CostDb) -> Vec<StageQuanta> {
+        use autopipe_cost::memory::PARAM_STATE_BYTES;
+        (0..partition.n_stages())
+            .map(|s| {
+                let blocks = &db.blocks[partition.range(s)];
+                let params: u64 = blocks.iter().map(|b| b.params).sum();
+                let ckpt: u64 = blocks.iter().map(|b| b.ckpt_act_bytes).sum();
+                let max_body = blocks
+                    .iter()
+                    .filter(|c| c.kind.is_layer_body())
+                    .map(|c| c.full_act_bytes)
+                    .max()
+                    .unwrap_or(0);
+                let max_nonbody = blocks
+                    .iter()
+                    .filter(|c| !c.kind.is_layer_body())
+                    .map(|c| c.full_act_bytes)
+                    .max()
+                    .unwrap_or(0);
+                StageQuanta {
+                    param_state: params * PARAM_STATE_BYTES,
+                    ckpt_per_mb: ckpt,
+                    ckpt_input: blocks.first().map(|b| b.ckpt_act_bytes).unwrap_or(0),
+                    working: 2 * max_body + max_nonbody,
+                }
+            })
+            .collect()
+    }
 
     fn setup(p: usize, mbs: usize) -> (CostDb, Partition) {
         let hw = Hardware::rtx3090_cluster();

@@ -12,7 +12,7 @@ pub fn balance_stddev(costs: &StageCosts, m: usize) -> f64 {
 }
 
 /// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
+pub(crate) fn stddev(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -23,7 +23,7 @@ pub fn stddev(xs: &[f64]) -> f64 {
 
 /// Per-stage per-micro-batch loads `f_x + b_x` — the works the balance
 /// metrics summarise.
-pub fn stage_works(costs: &StageCosts) -> Vec<f64> {
+pub(crate) fn stage_works(costs: &StageCosts) -> Vec<f64> {
     (0..costs.n_stages()).map(|x| costs.work(x)).collect()
 }
 
@@ -39,22 +39,6 @@ pub fn max_mean_imbalance(costs: &StageCosts) -> f64 {
     } else {
         max / mean
     }
-}
-
-/// Pipeline bubble ratio: idle fraction of total device time given an
-/// iteration time and per-stage busy times.
-pub fn bubble_ratio(iteration_time: f64, stage_busy: &[f64]) -> f64 {
-    if iteration_time <= 0.0 || stage_busy.is_empty() {
-        return 0.0;
-    }
-    let total = iteration_time * stage_busy.len() as f64;
-    let busy: f64 = stage_busy.iter().sum();
-    ((total - busy) / total).max(0.0)
-}
-
-/// Speedup of `b` relative to `a` when both are durations (a/b).
-pub fn speedup(baseline: f64, improved: f64) -> f64 {
-    baseline / improved
 }
 
 #[cfg(test)]
@@ -73,19 +57,6 @@ mod tests {
         let skew = StageCosts::new(vec![0.5, 1.0, 1.0, 1.5], vec![1.0, 2.0, 2.0, 3.0], 0.0);
         assert!(balance_stddev(&even, 8) < balance_stddev(&skew, 8));
         assert_eq!(balance_stddev(&even, 8), 0.0);
-    }
-
-    #[test]
-    fn bubble_ratio_bounds() {
-        let r = bubble_ratio(10.0, &[10.0, 5.0]);
-        assert!((0.0..=1.0).contains(&r));
-        assert!((r - 0.25).abs() < 1e-12);
-        assert_eq!(bubble_ratio(0.0, &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn speedup_is_ratio() {
-        assert_eq!(speedup(2.0, 1.0), 2.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Partition {
     }
 
     /// Build from per-stage block counts.
-    pub fn from_sizes(sizes: &[usize]) -> Partition {
+    pub(crate) fn from_sizes(sizes: &[usize]) -> Partition {
         let mut boundaries = Vec::with_capacity(sizes.len() + 1);
         let mut acc = 0;
         boundaries.push(0);
@@ -71,16 +71,6 @@ impl Partition {
     /// Raw boundaries (read-only).
     pub fn boundaries(&self) -> &[usize] {
         &self.boundaries
-    }
-
-    /// Which stage owns block `b`.
-    pub fn stage_of_block(&self, b: usize) -> usize {
-        debug_assert!(b < self.n_blocks());
-        match self.boundaries.binary_search(&b) {
-            Ok(i) if i == self.n_stages() => i - 1,
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
     }
 
     /// Extract per-stage forward/backward times and the boundary comm cost.
@@ -225,16 +215,6 @@ mod tests {
         assert_eq!(p.sizes().iter().sum::<usize>(), 51);
         // remainder goes to leading stages
         assert_eq!(p.sizes(), vec![13, 13, 13, 12]);
-    }
-
-    #[test]
-    fn stage_of_block_is_consistent_with_ranges() {
-        let p = Partition::from_sizes(&[3, 5, 2]);
-        for s in 0..p.n_stages() {
-            for b in p.range(s) {
-                assert_eq!(p.stage_of_block(b), s, "block {b}");
-            }
-        }
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //! answers the same question by brute force against the discrete-event
 //! simulator and is used to cross-validate the port. [`plan_slicing`] wires
 //! the answer into an executable [`autopipe_schedule::Schedule`].
+//!
+//! A partition searched under a recompute mask is sliced on its masked
+//! costs — a recomputing stage's backward carries the forward replay — and
+//! the mask is lowered onto the sliced schedule by
+//! `autopipe_core::Plan::slice`, the one slicing step that both
+//! `AutoPipe::plan_with` and `Session`'s `slice()` call.
 
 use serde::{Deserialize, Serialize};
 
-use autopipe_schedule::{apply_recompute, sliced_1f1b, Schedule};
+use autopipe_schedule::{sliced_1f1b, Schedule};
 use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::partition::StageCosts;
 use autopipe_sim::{replay_schedule, ReplayScratch};
@@ -158,49 +164,6 @@ pub fn plan_slicing(costs: &StageCosts, m: usize) -> SlicedPlan {
     }
 }
 
-/// [`plan_slicing`] for a partition planned under a per-stage recompute
-/// mask. `costs` must be the *masked* stage costs
-/// ([`autopipe_sim::Partition::stage_costs_recompute`]), so Algorithm 2
-/// sees the forward replay inside `b_i` on masked stages — a recomputing
-/// stage drains its Warmup later, which can change how many micro-batches
-/// are worth slicing. The returned schedule carries the mask's `Recompute`
-/// ops and is executable as returned.
-pub fn plan_slicing_masked(costs: &StageCosts, m: usize, mask: &[bool]) -> SlicedPlan {
-    let mut plan = plan_slicing(costs, m);
-    if mask.iter().any(|&r| r) {
-        apply_recompute(&mut plan.schedule, mask);
-    }
-    plan
-}
-
-/// Re-validate a sliced count against Algorithm 2's bound for a (possibly
-/// re-planned) partition scheme. Used after shrink-and-replan recovery: the
-/// schedule hot-swapped onto the surviving `p − 1` devices must carry the
-/// `n_sliced` Algorithm 2 computes *for the new scheme*, clamped to the new
-/// Warmup depth and the micro-batch count — a stale count from the old
-/// depth would reschedule forwards the new pipeline cannot overlap.
-pub fn validate_sliced_count(costs: &StageCosts, m: usize, n_sliced: usize) -> Result<(), String> {
-    let p = costs.n_stages();
-    let depth_bound = p.saturating_sub(1);
-    if n_sliced > depth_bound {
-        return Err(format!(
-            "n_sliced {n_sliced} exceeds the Warmup depth bound {depth_bound} for {p} stages"
-        ));
-    }
-    if n_sliced > m {
-        return Err(format!(
-            "n_sliced {n_sliced} exceeds the {m} micro-batches per iteration"
-        ));
-    }
-    let expected = solve_sliced_count(costs).min(m).min(depth_bound);
-    if n_sliced != expected {
-        return Err(format!(
-            "n_sliced {n_sliced} disagrees with Algorithm 2's answer {expected} for this scheme"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,25 +203,6 @@ mod tests {
                 "p={p}: algorithm2 {analytic} vs empirical {empirical}"
             );
         }
-    }
-
-    #[test]
-    fn masked_plan_carries_the_mask_and_solves_on_masked_costs() {
-        let p = 4;
-        let m = 8;
-        // Masked costs: every stage's backward carries a full forward
-        // replay (b = f + b_plain), as stage_costs_recompute would report
-        // for an all-true mask over body-only stages.
-        let plain = balanced(p, 1.0, 2.0, 0.02);
-        let masked_costs = balanced(p, 1.0, 3.0, 0.02);
-        let mask = vec![true; p];
-        let plan = plan_slicing_masked(&masked_costs, m, &mask);
-        assert_eq!(autopipe_schedule::recompute_mask(&plan.schedule), mask);
-        autopipe_schedule::validate(&plan.schedule).unwrap();
-        assert_eq!(plan.n_sliced, solve_sliced_count(&masked_costs).min(p - 1));
-        // An all-false mask degenerates to plan_slicing exactly.
-        let unmasked = plan_slicing_masked(&plain, m, &vec![false; p]);
-        assert_eq!(unmasked, plan_slicing(&plain, m));
     }
 
     #[test]
@@ -431,67 +375,6 @@ mod tests {
         assert_eq!(
             solve_sliced_count_empirical(&balanced(4, 0.0, 0.0, 0.0), 8, 0.0),
             0
-        );
-    }
-
-    #[test]
-    fn shrink_replan_revalidates_on_gpt2_345m() {
-        // The recovery path's contract: after shrinking GPT-2 345M from p
-        // to p − 1 stages, re-running the slicer on the *new* planned
-        // scheme yields a count that passes validation, while the stale
-        // count computed for the old depth is rejected whenever it differs.
-        use autopipe_cost::Hardware;
-        use autopipe_model::{zoo, Granularity};
-        use autopipe_planner::{autopipe_plan, AutoPipeConfig};
-        let db = autopipe_cost::CostDb::build(
-            &zoo::gpt2_345m(),
-            &Hardware::rtx3090_cluster(),
-            4,
-            true,
-            Granularity::SubLayer,
-        );
-        let m = 16;
-        let cfg = AutoPipeConfig::default();
-        let plan_at = |p: usize| {
-            let outcome = autopipe_plan(&db, p, m, &cfg).unwrap();
-            outcome.partition.stage_costs(&db)
-        };
-        for p in [4usize, 8] {
-            let old = plan_at(p);
-            let old_count = plan_slicing(&old, m).n_sliced;
-            validate_sliced_count(&old, m, old_count).unwrap();
-
-            // Shrink: re-plan for p − 1 survivors, re-run the slicer.
-            let new = plan_at(p - 1);
-            let new_count = plan_slicing(&new, m).n_sliced;
-            validate_sliced_count(&new, m, new_count)
-                .expect("recomputed count must satisfy Algorithm 2's bound");
-            assert!(
-                new_count <= p - 2,
-                "p-1={} stages admit at most {} sliced micro-batches, got {new_count}",
-                p - 1,
-                p - 2
-            );
-            // A count past the new Warmup depth can never validate.
-            assert!(validate_sliced_count(&new, m, p - 1).is_err());
-            if old_count != new_count {
-                assert!(
-                    validate_sliced_count(&new, m, old_count).is_err(),
-                    "stale count {old_count} must be rejected on the new scheme"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn validate_rejects_out_of_bound_counts() {
-        let c = balanced(4, 1.0, 2.0, 0.02);
-        let good = plan_slicing(&c, 8).n_sliced;
-        validate_sliced_count(&c, 8, good).unwrap();
-        assert!(validate_sliced_count(&c, 8, 4).is_err(), "depth bound");
-        assert!(
-            validate_sliced_count(&c, 1, 2).is_err(),
-            "micro-batch bound"
         );
     }
 

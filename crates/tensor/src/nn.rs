@@ -465,7 +465,7 @@ mod tests {
             let (_, dlogits) = head.forward_loss(&x, &targets);
             let (_, grads) = head.backward(&x, &dlogits);
             let mut ps = head.params_mut();
-            crate::optim::Sgd { lr: 0.5 }.step(&mut ps, &[&grads[0]]);
+            ps[0].axpy(-0.5, &grads[0]);
         }
         let (loss1, _) = head.forward_loss(&x, &targets);
         assert!(loss1 < loss0 * 0.5, "loss {loss0} -> {loss1}");

@@ -9,7 +9,7 @@ use crate::tensor::Tensor;
 // ---------------------------------------------------------------- linear
 
 /// `y = x·W + b`, with `x: [r, in]`, `W: [in, out]`, `b: [out]`.
-pub fn linear_fwd(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+pub(crate) fn linear_fwd(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let mut y = x.matmul(w);
     let out = w.shape()[1];
     for row in y.data_mut().chunks_mut(out) {
@@ -21,7 +21,7 @@ pub fn linear_fwd(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Backward of [`linear_fwd`]: returns `(dx, dw, db)`.
-pub fn linear_bwd(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
+pub(crate) fn linear_bwd(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
     let dx = dy.matmul_t(w); // dy [r,out] · Wᵀ [out,in]
     let dw = x.t_matmul(dy); // xᵀ [in,r] · dy [r,out]
     let out = w.shape()[1];
@@ -39,7 +39,7 @@ pub fn linear_bwd(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tenso
 /// GELU (tanh approximation), elementwise: returns `(y, t)` where `t` is
 /// the `tanh` inside it, which [`gelu_bwd`] reuses instead of calling `tanh`
 /// a second time per element.
-pub fn gelu_fwd(x: &Tensor) -> (Tensor, Tensor) {
+pub(crate) fn gelu_fwd(x: &Tensor) -> (Tensor, Tensor) {
     let t: Vec<f32> = x
         .data()
         .iter()
@@ -52,7 +52,7 @@ pub fn gelu_fwd(x: &Tensor) -> (Tensor, Tensor) {
 /// The GELU output from its input and [`gelu_fwd`]'s `t` — the forward's
 /// own expression, so a cache can keep `t` and rebuild the output bit for
 /// bit instead of storing both.
-pub fn gelu_from_tanh(x: &Tensor, t: &Tensor) -> Tensor {
+pub(crate) fn gelu_from_tanh(x: &Tensor, t: &Tensor) -> Tensor {
     let y = x
         .data()
         .iter()
@@ -63,7 +63,7 @@ pub fn gelu_from_tanh(x: &Tensor, t: &Tensor) -> Tensor {
 }
 
 /// Backward of [`gelu_fwd`], given the forward's input `x` and its `t`.
-pub fn gelu_bwd(x: &Tensor, t: &Tensor, dy: &Tensor) -> Tensor {
+pub(crate) fn gelu_bwd(x: &Tensor, t: &Tensor, dy: &Tensor) -> Tensor {
     let dx = x
         .data()
         .iter()
@@ -91,7 +91,7 @@ pub struct LnCache {
 }
 
 /// Row-wise layer-norm with scale `gamma` and shift `beta`.
-pub fn layernorm_fwd(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LnCache) {
+pub(crate) fn layernorm_fwd(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LnCache) {
     let d = *x.shape().last().unwrap();
     let rows = x.len() / d;
     let mut y = Tensor::zeros(x.shape());
@@ -113,7 +113,11 @@ pub fn layernorm_fwd(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LnCa
 }
 
 /// Backward of [`layernorm_fwd`]: returns `(dx, dgamma, dbeta)`.
-pub fn layernorm_bwd(cache: &LnCache, gamma: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
+pub(crate) fn layernorm_bwd(
+    cache: &LnCache,
+    gamma: &Tensor,
+    dy: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
     let d = *dy.shape().last().unwrap();
     let rows = dy.len() / d;
     let mut dx = Tensor::zeros(dy.shape());
@@ -144,7 +148,7 @@ pub fn layernorm_bwd(cache: &LnCache, gamma: &Tensor, dy: &Tensor) -> (Tensor, T
 // ---------------------------------------------------------------- softmax
 
 /// Row-wise softmax.
-pub fn softmax_fwd(x: &Tensor) -> Tensor {
+pub(crate) fn softmax_fwd(x: &Tensor) -> Tensor {
     let d = *x.shape().last().unwrap();
     let mut y = x.clone();
     for row in y.data_mut().chunks_mut(d) {
@@ -162,7 +166,7 @@ pub fn softmax_fwd(x: &Tensor) -> Tensor {
 }
 
 /// Backward of [`softmax_fwd`] given its output `y`.
-pub fn softmax_bwd(y: &Tensor, dy: &Tensor) -> Tensor {
+pub(crate) fn softmax_bwd(y: &Tensor, dy: &Tensor) -> Tensor {
     let d = *y.shape().last().unwrap();
     let mut dx = Tensor::zeros(y.shape());
     for ((dxr, yr), dyr) in dx
@@ -183,7 +187,7 @@ pub fn softmax_bwd(y: &Tensor, dy: &Tensor) -> Tensor {
 
 /// Token + positional embedding: `ids: [b·s]`, tables `wte: [V, h]`,
 /// `wpe: [s, h]` → `[b·s, h]`.
-pub fn embedding_fwd(ids: &[usize], seq: usize, wte: &Tensor, wpe: &Tensor) -> Tensor {
+pub(crate) fn embedding_fwd(ids: &[usize], seq: usize, wte: &Tensor, wpe: &Tensor) -> Tensor {
     let h = wte.shape()[1];
     let mut y = Tensor::zeros(&[ids.len(), h]);
     for (r, &id) in ids.iter().enumerate() {
@@ -199,7 +203,12 @@ pub fn embedding_fwd(ids: &[usize], seq: usize, wte: &Tensor, wpe: &Tensor) -> T
 }
 
 /// Backward of [`embedding_fwd`]: returns `(dwte, dwpe)`.
-pub fn embedding_bwd(ids: &[usize], seq: usize, vocab: usize, dy: &Tensor) -> (Tensor, Tensor) {
+pub(crate) fn embedding_bwd(
+    ids: &[usize],
+    seq: usize,
+    vocab: usize,
+    dy: &Tensor,
+) -> (Tensor, Tensor) {
     let h = *dy.shape().last().unwrap();
     let mut dwte = Tensor::zeros(&[vocab, h]);
     let mut dwpe = Tensor::zeros(&[seq, h]);
@@ -219,7 +228,7 @@ pub fn embedding_bwd(ids: &[usize], seq: usize, vocab: usize, dy: &Tensor) -> (T
 /// Fused softmax + cross-entropy over logits `[n, V]` with integer targets.
 /// Returns `(mean loss, dlogits)` — the gradient already includes the `1/n`
 /// mean factor.
-pub fn cross_entropy_logits(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+pub(crate) fn cross_entropy_logits(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let v = *logits.shape().last().unwrap();
     let n = logits.len() / v;
     assert_eq!(n, targets.len());
@@ -251,7 +260,7 @@ pub struct AttnCache {
 /// Multi-head scaled-dot-product attention over packed `q,k,v: [b·s, h]`
 /// with `nh` heads; `causal` masks future positions. Returns the merged
 /// context `[b·s, h]`.
-pub fn attention_fwd(
+pub(crate) fn attention_fwd(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
@@ -291,7 +300,7 @@ pub fn attention_fwd(
 }
 
 /// Backward of [`attention_fwd`]: returns `(dq, dk, dv)` packed `[b·s, h]`.
-pub fn attention_bwd(
+pub(crate) fn attention_bwd(
     cache: &AttnCache,
     dctx: &Tensor,
     batch: usize,

@@ -76,17 +76,8 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reinterpret with a new shape of the same element count.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        assert_eq!(shape.iter().product::<usize>(), self.len());
-        Tensor {
-            shape: shape.to_vec(),
-            data: self.data.clone(),
-        }
-    }
-
     /// Elementwise sum; shapes must match.
-    pub fn add(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape, other.shape);
         let data = self
             .data
@@ -119,11 +110,6 @@ impl Tensor {
     /// Sum of all elements (f64 accumulator).
     pub fn sum(&self) -> f64 {
         self.data.iter().map(|&x| x as f64).sum()
-    }
-
-    /// Max absolute element.
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
     }
 
     /// Matrix multiply: `self [m,k] × other [k,n] → [m,n]`.

@@ -12,6 +12,7 @@ use autopipe_model::{zoo, Granularity};
 use autopipe_planner::autopipe::AutoPipeConfig;
 use autopipe_planner::baselines::{dapple, piper, replicated};
 use autopipe_planner::types::HybridPlan;
+use autopipe_planner::PlanService;
 use autopipe_sim::metrics::balance_stddev;
 
 fn main() {
@@ -28,8 +29,9 @@ fn main() {
     );
 
     let autopipe = {
-        let c = choose_strategy(&db, &hw, g, gbs, mbs, None, &AutoPipeConfig::default())
-            .expect("autopipe");
+        let cfg = AutoPipeConfig::default();
+        let service = PlanService::with_config(cfg);
+        let c = choose_strategy(&db, &hw, g, gbs, mbs, None, &cfg, &service).expect("autopipe");
         HybridPlan {
             planner: "autopipe",
             stages: c.stages,

@@ -98,28 +98,13 @@ impl Session {
     pub fn for_model(model: ModelConfig) -> Session {
         let mut cfg = SessionConfig::new(model, 1, 4, 4);
         // The serving default: dominance pruning on. It is winner-preserving
-        // and warm-started re-plans rely on it; sessions built from an
-        // explicit config keep whatever its constraints say.
+        // and cuts every search the session's plans and re-plans run;
+        // `.prune(false)` or `.constraints(..)` turns it off.
         cfg.constraints.prune = true;
         Session {
             cfg,
             microbatches: None,
             devices_pinned: false,
-            tolerance: Tolerance {
-                iterations: 2,
-                time_scale: 1.0,
-                ..Tolerance::default()
-            },
-            service: None,
-        }
-    }
-
-    /// Use an existing [`SessionConfig`] verbatim.
-    pub fn from_config(cfg: SessionConfig) -> Session {
-        Session {
-            cfg,
-            microbatches: None,
-            devices_pinned: true,
             tolerance: Tolerance {
                 iterations: 2,
                 time_scale: 1.0,
@@ -314,11 +299,6 @@ impl Session {
     pub fn plan_service(mut self, service: Arc<PlanService>) -> Session {
         self.service = Some(service);
         self
-    }
-
-    /// Read access to the assembled configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 
     /// The planner service this session will plan through: the injected one,
@@ -583,34 +563,22 @@ impl PlannedSession {
         &self.db
     }
 
-    /// The planner service this session plans and re-plans through. Clone
-    /// the `Arc` into [`Session::plan_service`] to share the plan cache
-    /// with other sessions.
-    pub fn plan_service(&self) -> &Arc<PlanService> {
-        &self.service
-    }
-
     /// The session configuration.
     pub fn config(&self) -> &SessionConfig {
         &self.cfg
     }
 
     /// Apply the AutoPipe Slicer (Algorithm 2): replace the plain 1F1B
-    /// schedule with the sliced-Warmup variant. A no-op for single-stage
-    /// plans, when slicing is disabled in the config, or under
-    /// [`SchedulePolicy::Auto`] (the family search already scored the
-    /// sliced candidates — re-slicing would overwrite its pick).
+    /// schedule with the sliced-Warmup variant through [`Plan::slice`], the
+    /// step [`AutoPipe::plan_with`] slices with, so the recompute mask the
+    /// partition search chose is kept. A no-op for single-stage plans, when
+    /// slicing is disabled in the config, or under [`SchedulePolicy::Auto`]
+    /// (the family search already scored the sliced candidates — re-slicing
+    /// would overwrite its pick).
     pub fn slice(mut self) -> Result<PlannedSession, Error> {
-        if self.plan.stages < 2
-            || !self.cfg.enable_slicer
-            || self.cfg.schedule_policy == SchedulePolicy::Auto
-        {
-            return Ok(self);
+        if self.cfg.enable_slicer && self.cfg.schedule_policy != SchedulePolicy::Auto {
+            self.plan.slice(&self.db);
         }
-        let costs = self.plan.partition.stage_costs(&self.db);
-        let sp = autopipe_slicer::plan_slicing(&costs, self.plan.microbatches);
-        self.plan.schedule = sp.schedule;
-        self.plan.n_sliced = sp.n_sliced;
         Ok(self)
     }
 
@@ -1350,7 +1318,17 @@ mod tests {
             }
             let mut planned = session.plan().unwrap();
             if sliced {
+                // Slicing keeps the starting plan's mask and its budget.
+                let mask = recompute_mask(&planned.plan().schedule);
                 planned = planned.slice().unwrap();
+                let start = planned.plan();
+                prop_assert_eq!(recompute_mask(&start.schedule), mask);
+                if let Some(b) = BUDGETS[budget] {
+                    prop_assert!(
+                        check_memory_budget(&start.partition, planned.cost_db(), &start.schedule, b)
+                            .is_ok()
+                    );
+                }
             }
             // Device 4 does not exist: no slowdown.
             let mut slowdown = vec![1.0; width];
@@ -1386,7 +1364,7 @@ mod tests {
                 // Outside the family search the schedule carries exactly the
                 // mask the partition search bought feasibility with.
                 let cfg = planned.config().planner();
-                let searched = planned.plan_service().plan_cfg(&db, width, 4, &cfg).unwrap();
+                let searched = planned.service.plan_cfg(&db, width, 4, &cfg).unwrap();
                 let mask = &searched.outcome.recompute;
                 if mask.iter().any(|&r| r) {
                     prop_assert_eq!(&recompute_mask(&plan.schedule), mask);
