@@ -6,7 +6,7 @@
 //! autopipe-plan --model gpt2-1.3b --gpus 8 --mbs 16 --gbs 512 --json
 //! ```
 
-use autopipe_core::{AutoPipe, PlanRequest};
+use autopipe_core::{AutoPipe, SchedulePolicy, SessionConfig};
 use autopipe_cost::Hardware;
 use autopipe_model::{zoo, ModelConfig};
 
@@ -17,7 +17,7 @@ struct Args {
     mbs: usize,
     gbs: usize,
     stages: Option<usize>,
-    slicer: bool,
+    policy: SchedulePolicy,
     json: bool,
 }
 
@@ -49,7 +49,7 @@ fn parse_args() -> Args {
         mbs: 4,
         gbs: 128,
         stages: None,
-        slicer: true,
+        policy: SchedulePolicy::Slicer,
         json: false,
     };
     let mut it = std::env::args().skip(1);
@@ -79,7 +79,7 @@ fn parse_args() -> Args {
             "--mbs" => args.mbs = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--gbs" => args.gbs = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--stages" => args.stages = Some(value(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--no-slicer" => args.slicer = false,
+            "--no-slicer" => args.policy = SchedulePolicy::Plain,
             "--json" => args.json = true,
             "--help" | "-h" => usage(),
             other => {
@@ -93,13 +93,13 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let request = PlanRequest {
+    let cfg = SessionConfig {
         hardware: args.hardware.clone(),
         fixed_stages: args.stages,
-        enable_slicer: args.slicer,
-        ..PlanRequest::new(args.model.clone(), args.gpus, args.mbs, args.gbs)
+        schedule_policy: args.policy,
+        ..SessionConfig::new(args.model.clone(), args.gpus, args.mbs, args.gbs)
     };
-    match AutoPipe::plan(&request) {
+    match AutoPipe::plan(&cfg) {
         Ok(plan) => {
             if args.json {
                 println!("{}", serde_json::to_string_pretty(&plan).unwrap());

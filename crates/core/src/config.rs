@@ -3,24 +3,26 @@
 //! Before this module each layer had its own knob struct — the planner's
 //! [`AutoPipeConfig`], the event simulator's [`EventConfig`], the runtime's
 //! `PipelineConfig` — and callers had to keep them mutually consistent by
-//! hand. [`SessionConfig`] is the single source of truth: it validates once
-//! ([`SessionConfig::validate`]) and *lowers* into each crate's struct
-//! ([`SessionConfig::planner`], [`SessionConfig::event`],
-//! [`SessionConfig::plan_request`]; `autopipe-runtime` adds the
-//! `PipelineConfig` lowering, since it sits above this crate). The per-crate
-//! structs remain the lowering targets, so nothing below the facade changes.
+//! hand. [`SessionConfig`] is the single source of truth: it describes the
+//! whole session — the job [`crate::AutoPipe::plan`] plans, and the faults,
+//! watchdog, straggler monitor and iteration count a run uses — validates
+//! every setting in one place ([`SessionConfig::validate`]) and *lowers*
+//! into each crate's struct ([`SessionConfig::planner`],
+//! [`SessionConfig::event`]; `autopipe-runtime` adds the `PipelineConfig`
+//! lowering, since it sits above this crate). The per-crate structs remain
+//! the lowering targets, so nothing below the facade changes.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use autopipe_cost::profiler::ProfilerConfig;
 use autopipe_cost::Hardware;
 use autopipe_model::{Granularity, ModelConfig};
 use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
 use autopipe_sim::event::EventConfig;
-use autopipe_sim::{CommConfig, OverlapModel};
+use autopipe_sim::{CommConfig, FaultPlan, OverlapModel};
 
 use crate::error::Error;
-use crate::plan::PlanRequest;
 
 /// Planner-wide constraints, stated once and lowered everywhere.
 ///
@@ -63,9 +65,11 @@ impl Constraints {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// The classic AutoPipe pipeline: plain 1F1B, upgraded to sliced 1F1B
-    /// by the Slicer when `enable_slicer` is on.
+    /// by the Slicer.
     #[default]
     Slicer,
+    /// Plain 1F1B on the planned partition, the Slicer off.
+    Plain,
     /// Cross-family search ([`autopipe_planner::family`]): score 1F1B,
     /// sliced 1F1B, GPipe, zero-bubble and interleaved candidates — each
     /// gated on validation and the static memory check — and run whichever
@@ -265,6 +269,97 @@ impl ElasticConfig {
     }
 }
 
+/// Stall-watchdog knobs, lowered into the runtime's `Watchdog`: bounded
+/// channel waits instead of indefinite blocking.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WatchdogConfig {
+    /// Minimum wait budget per channel wait — the deadline floor.
+    pub base_timeout: Duration,
+    /// Multiplier on the expected (scaled) op gap when an expected timeline
+    /// is installed.
+    pub slack: f64,
+    /// Budget multiplier applied on every retry. The effective per-retry
+    /// multiplier is additionally jittered ±25 % (seeded by `jitter_seed`,
+    /// keyed on device/op/attempt) so stages that started waiting together
+    /// don't re-fire their deadlines in lockstep; the jittered multiplier
+    /// never drops below 1, so budgets stay monotone.
+    pub backoff: f64,
+    /// Expired deadlines tolerated on one wait before the run is aborted.
+    pub max_retries: u32,
+    /// Seed for the deterministic retry jitter: the same seed replays the
+    /// exact same deadline sequence on every wait.
+    pub jitter_seed: u64,
+}
+
+impl Default for WatchdogConfig {
+    fn default() -> Self {
+        // Generous for laptop-scale pipelines: healthy iterations complete
+        // in milliseconds, so a 500 ms first deadline never fires on a
+        // healthy run, while a true deadlock aborts within
+        // 0.5·(1+2+4+8+16+32) ≈ 32 s instead of hanging forever.
+        WatchdogConfig {
+            base_timeout: Duration::from_millis(500),
+            slack: 4.0,
+            backoff: 2.0,
+            max_retries: 5,
+            jitter_seed: 0,
+        }
+    }
+}
+
+impl WatchdogConfig {
+    /// Reject degenerate knobs with a structured [`Error::Config`].
+    fn validate(&self) -> Result<(), Error> {
+        if self.base_timeout.is_zero() {
+            return Err(Error::Config("watchdog base_timeout of 0".into()));
+        }
+        if !(self.slack.is_finite() && self.slack > 0.0) {
+            return Err(Error::Config(format!("bad watchdog slack {}", self.slack)));
+        }
+        if !(self.backoff.is_finite() && self.backoff >= 1.0) {
+            return Err(Error::Config(format!(
+                "watchdog backoff {} must be finite and ≥ 1",
+                self.backoff
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// When the runtime's straggler monitor calls a stage a straggler.
+#[derive(Debug, Clone, Copy)]
+pub struct StragglerConfig {
+    /// Observed/expected compute-time ratio above which a stage counts as
+    /// slow in a single iteration.
+    pub threshold: f64,
+    /// How many *consecutive* slow iterations flag the stage (debounces
+    /// one-off jitter — the paper's fault model separates transient spikes
+    /// from persistent degradation).
+    pub window: usize,
+}
+
+impl Default for StragglerConfig {
+    fn default() -> Self {
+        StragglerConfig {
+            threshold: 1.5,
+            window: 3,
+        }
+    }
+}
+
+impl StragglerConfig {
+    /// Reject degenerate knobs with a structured [`Error::Config`].
+    pub fn validate(&self) -> Result<(), Error> {
+        if self.window == 0 || !(self.threshold.is_finite() && self.threshold > 1.0) {
+            return Err(Error::Config(format!(
+                "straggler window must be ≥ 1 and threshold > 1, got window {} threshold {}",
+                self.window, self.threshold
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// Everything a profile → plan → slice → simulate → run session needs, in
 /// one validated place.
 #[derive(Debug, Clone)]
@@ -283,9 +378,7 @@ pub struct SessionConfig {
     pub granularity: Granularity,
     /// Pin the pipeline depth instead of searching the DP×PP space.
     pub fixed_stages: Option<usize>,
-    /// Run the AutoPipe Slicer on the planned partition.
-    pub enable_slicer: bool,
-    /// How the schedule family is chosen (fixed Slicer pipeline vs
+    /// How the schedule family is chosen (Slicer pipeline, plain 1F1B, or
     /// cross-family search).
     pub schedule_policy: SchedulePolicy,
     /// Simulate offline profiling noise on the cost database. `None` plans
@@ -325,10 +418,21 @@ pub struct SessionConfig {
     /// it; folded into plan fingerprints so cached homogeneous plans never
     /// alias.
     pub device_multipliers: Vec<f64>,
+    /// Deterministic fault script injected into simulation and execution,
+    /// with the wall seconds the threaded runtime spends per virtual fault
+    /// second. `None` = fault-free.
+    pub faults: Option<(FaultPlan, f64)>,
+    /// Stall watchdog for training runs. `None` = the runtime's default.
+    pub watchdog: Option<WatchdogConfig>,
+    /// Straggler-aware re-planning. `None` = off.
+    pub straggler: Option<StragglerConfig>,
+    /// Training iterations a run executes.
+    pub iterations: usize,
 }
 
 impl SessionConfig {
-    /// A session with AutoPipe's defaults, mirroring [`PlanRequest::new`].
+    /// A session with AutoPipe's defaults: the Slicer pipeline on an
+    /// RTX-3090 cluster, analytic costs, two training iterations.
     pub fn new(model: ModelConfig, n_devices: usize, mbs: usize, gbs: usize) -> Self {
         let event = EventConfig::default();
         SessionConfig {
@@ -339,7 +443,6 @@ impl SessionConfig {
             gbs,
             granularity: Granularity::SubLayer,
             fixed_stages: None,
-            enable_slicer: true,
             schedule_policy: SchedulePolicy::default(),
             profiler: None,
             max_schemes: AutoPipeConfig::default().max_schemes,
@@ -353,11 +456,17 @@ impl SessionConfig {
             recovery: None,
             elastic: None,
             device_multipliers: Vec::new(),
+            faults: None,
+            watchdog: None,
+            straggler: None,
+            iterations: 2,
         }
     }
 
     /// Reject impossible geometry and non-finite knobs with a structured
-    /// [`Error::Config`] instead of letting a deeper layer panic.
+    /// [`Error::Config`] instead of letting a deeper layer panic — the one
+    /// check of every setting, made before planning, before resuming and
+    /// before every run.
     pub fn validate(&self) -> Result<(), Error> {
         let fail = |msg: String| Err(Error::Config(msg));
         if self.n_devices < 1 {
@@ -444,6 +553,20 @@ impl SessionConfig {
                 }
             }
         }
+        if let Some((_, time_scale)) = &self.faults {
+            if !(time_scale.is_finite() && *time_scale >= 0.0) {
+                return fail(format!("bad fault time scale {time_scale}"));
+            }
+        }
+        if let Some(w) = &self.watchdog {
+            w.validate()?;
+        }
+        if let Some(s) = &self.straggler {
+            s.validate()?;
+        }
+        if self.iterations < 1 {
+            return fail("0 training iterations requested".into());
+        }
         Ok(())
     }
 
@@ -469,24 +592,6 @@ impl SessionConfig {
             ..EventConfig::default()
         }
     }
-
-    /// Lower into a [`PlanRequest`] for [`crate::AutoPipe::plan`].
-    pub fn plan_request(&self) -> PlanRequest {
-        PlanRequest {
-            model: self.model.clone(),
-            hardware: self.hardware.clone(),
-            n_devices: self.n_devices,
-            mbs: self.mbs,
-            gbs: self.gbs,
-            granularity: self.granularity,
-            fixed_stages: self.fixed_stages,
-            enable_slicer: self.enable_slicer,
-            schedule_policy: self.schedule_policy,
-            profiler: self.profiler,
-            planner: self.planner(),
-            multipliers: self.device_multipliers.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -507,10 +612,6 @@ mod tests {
         assert_eq!(p.max_schemes, AutoPipeConfig::default().max_schemes);
         let e = c.event();
         assert_eq!(e.seed, c.seed);
-        let req = c.plan_request();
-        assert_eq!(req.n_devices, 2);
-        assert_eq!(req.mbs, 4);
-        assert_eq!(req.gbs, 16);
     }
 
     #[test]
@@ -532,6 +633,28 @@ mod tests {
             },
             SessionConfig {
                 half_efficiency: 0.0,
+                ..cfg()
+            },
+            SessionConfig {
+                iterations: 0,
+                ..cfg()
+            },
+            SessionConfig {
+                faults: Some((FaultPlan::default(), f64::NAN)),
+                ..cfg()
+            },
+            SessionConfig {
+                watchdog: Some(WatchdogConfig {
+                    backoff: 0.5,
+                    ..WatchdogConfig::default()
+                }),
+                ..cfg()
+            },
+            SessionConfig {
+                straggler: Some(StragglerConfig {
+                    window: 0,
+                    ..StragglerConfig::default()
+                }),
                 ..cfg()
             },
         ] {

@@ -2,19 +2,19 @@
 //!
 //! `model configs → AutoPipe Planner → AutoPipe Slicer → distributed plan`.
 //!
-//! [`PlanRequest`] describes the training job (model, cluster, batch
-//! geometry); [`AutoPipe::plan`] selects the data×pipeline strategy
-//! (§IV-D: "its data-parallel size is the number of GPUs over the pipeline
-//! stages", combined "in the way Megatron-LM uses"), runs the Planner for
-//! the chosen depth, feeds the partition to the Slicer, and returns an
-//! executable [`Plan`] with the sliced 1F1B schedule.
+//! [`SessionConfig`] describes the training job (model, cluster, batch
+//! geometry) and the run around it; [`AutoPipe::plan`] selects the
+//! data×pipeline strategy (§IV-D: "its data-parallel size is the number of
+//! GPUs over the pipeline stages", combined "in the way Megatron-LM uses"),
+//! runs the Planner for the chosen depth, feeds the partition to the
+//! Slicer, and returns an executable [`Plan`] with the sliced 1F1B schedule.
 //!
 //! There is one planning pass, [`AutoPipe::plan_with`]: every partition
 //! search goes through an `autopipe_planner::PlanService` (one per
-//! candidate depth, so repeat passes are cache hits), and [`Plan::slice`],
-//! the one slicing step, keeps the recompute mask the search chose.
-//! [`AutoPipe::plan`] runs it on a fresh service in the request's search
-//! configuration.
+//! candidate depth, so repeat passes are cache hits). [`Plan::slice`], the
+//! one slicing step, keeps the recompute mask the search chose.
+//! [`AutoPipe::plan`] runs both on a fresh service in the config's search
+//! settings.
 
 pub mod config;
 pub mod error;
@@ -24,8 +24,8 @@ pub mod table2;
 
 pub use config::{
     Constraints, ElasticConfig, MembershipConfig, RecoveryConfig, RecoveryPolicy, SchedulePolicy,
-    SessionConfig,
+    SessionConfig, StragglerConfig, WatchdogConfig,
 };
 pub use error::Error;
-pub use plan::{AutoPipe, Plan, PlanRequest};
+pub use plan::{AutoPipe, Plan};
 pub use strategy::{choose_strategy, StrategyChoice};

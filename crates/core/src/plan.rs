@@ -2,9 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
-use autopipe_model::{Granularity, ModelConfig};
-use autopipe_planner::autopipe::AutoPipeConfig;
+use autopipe_cost::CostDb;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
@@ -13,61 +11,8 @@ use autopipe_sim::analytic::AnalyticResult;
 use autopipe_sim::Partition;
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
 
-use crate::config::SchedulePolicy;
+use crate::config::{SchedulePolicy, SessionConfig};
 use crate::strategy::choose_strategy;
-
-/// Description of a training job to plan.
-#[derive(Debug, Clone)]
-pub struct PlanRequest {
-    /// The model to train.
-    pub model: ModelConfig,
-    /// The cluster.
-    pub hardware: Hardware,
-    /// Total number of devices.
-    pub n_devices: usize,
-    /// Micro-batch size (samples).
-    pub mbs: usize,
-    /// Global batch size (samples per iteration).
-    pub gbs: usize,
-    /// Planning granularity; AutoPipe's default is sub-layer.
-    pub granularity: Granularity,
-    /// Pin the pipeline depth instead of searching the DP×PP space.
-    pub fixed_stages: Option<usize>,
-    /// Run the AutoPipe Slicer on the planned partition.
-    pub enable_slicer: bool,
-    /// Simulate offline profiling noise on the cost database. `None` plans
-    /// on analytic ground truth.
-    pub profiler: Option<ProfilerConfig>,
-    /// Planner search budget.
-    pub planner: AutoPipeConfig,
-    /// How the schedule itself is chosen: the classic Slicer pipeline, or a
-    /// cross-family search over every generator the schedule IR knows.
-    pub schedule_policy: SchedulePolicy,
-    /// Per-device compute-time multipliers for a heterogeneous cluster
-    /// (empty = homogeneous). Applied to the cost database so planning and
-    /// fingerprinting are device-aware.
-    pub multipliers: Vec<f64>,
-}
-
-impl PlanRequest {
-    /// A request with AutoPipe's defaults.
-    pub fn new(model: ModelConfig, n_devices: usize, mbs: usize, gbs: usize) -> Self {
-        PlanRequest {
-            model,
-            hardware: Hardware::rtx3090_cluster(),
-            n_devices,
-            mbs,
-            gbs,
-            granularity: Granularity::SubLayer,
-            fixed_stages: None,
-            enable_slicer: true,
-            profiler: None,
-            planner: AutoPipeConfig::default(),
-            schedule_policy: SchedulePolicy::default(),
-            multipliers: Vec::new(),
-        }
-    }
-}
 
 /// A complete executable plan.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -111,8 +56,8 @@ impl Plan {
     /// recomputes, whose backward carries the forward replay (a
     /// recomputing stage drains its Warmup later). The sliced schedule keeps
     /// the same recompute mask. A no-op below two stages. This is the one
-    /// slicing step: [`AutoPipe::plan_with`] and the session's `slice()`
-    /// both call it.
+    /// slicing step: [`AutoPipe::plan`], the session's `slice()` and its
+    /// re-plans all call it.
     pub fn slice(&mut self, db: &CostDb) {
         if self.stages < 2 {
             return;
@@ -140,42 +85,48 @@ pub struct AutoPipe;
 impl AutoPipe {
     /// Plan a training job: build the cost database (optionally through the
     /// synthetic profiler), choose the DP×PP strategy, partition with the
-    /// Planner, and reschedule the Warmup phase with the Slicer — through a
-    /// fresh [`PlanService`] in the request's search configuration.
-    pub fn plan(req: &PlanRequest) -> Result<Plan, PlanError> {
-        Self::plan_with(
-            req,
-            &Self::cost_db(req),
-            &PlanService::with_config(req.planner),
-        )
+    /// Planner — through a fresh [`PlanService`] in the config's search
+    /// settings — and, under [`SchedulePolicy::Slicer`], reschedule the
+    /// Warmup phase with the Slicer.
+    pub fn plan(cfg: &SessionConfig) -> Result<Plan, PlanError> {
+        let db = Self::cost_db(cfg);
+        let mut plan = Self::plan_with(cfg, &db, &PlanService::with_config(cfg.planner()))?;
+        if cfg.schedule_policy == SchedulePolicy::Slicer {
+            plan.slice(&db);
+        }
+        Ok(plan)
     }
 
-    /// [`Self::plan`] served through `service`: every backing partition
-    /// search (one per candidate depth) goes through the service's
-    /// content-addressed cache, so re-planning a known job answers from
-    /// cache instead of searching. The request's own `planner` config is
-    /// the cache key's config component, so the result is bit-identical
-    /// whichever service answers. `db` is [`Self::cost_db`] of `req`, built
-    /// once by the caller, who usually needs it afterwards too.
+    /// The planning pass of [`Self::plan`], unsliced, served through
+    /// `service`: every backing partition search (one per candidate depth)
+    /// goes through the service's content-addressed cache, so re-planning a
+    /// known job answers from cache instead of searching. The config's own
+    /// search settings are the cache key's config component, so the result
+    /// is bit-identical whichever service answers. `db` is
+    /// [`Self::cost_db`] of `cfg`, built once by the caller, who usually
+    /// needs it afterwards too. Under [`SchedulePolicy::Auto`] the schedule
+    /// is the cross-family winner; otherwise it is plain 1F1B, for
+    /// [`Plan::slice`] to slice.
     pub fn plan_with(
-        req: &PlanRequest,
+        cfg: &SessionConfig,
         db: &CostDb,
         service: &PlanService,
     ) -> Result<Plan, PlanError> {
+        let planner = cfg.planner();
         let choice = choose_strategy(
             db,
-            &req.hardware,
-            req.n_devices,
-            req.gbs,
-            req.mbs,
-            req.fixed_stages,
-            &req.planner,
+            &cfg.hardware,
+            cfg.n_devices,
+            cfg.gbs,
+            cfg.mbs,
+            cfg.fixed_stages,
+            &planner,
             service,
         )?;
         let mask = &choice.outcome.recompute;
         let recomputes = mask.iter().any(|&r| r);
         let (schedule, partition, est_pipeline_time) =
-            if req.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
+            if cfg.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
                 // Cross-family search: seed the sliced-count axis with the
                 // Slicer's Algorithm 2 pick — on the masked stage costs when
                 // the partition search bought memory feasibility with a
@@ -186,7 +137,7 @@ impl AutoPipe {
                 } else {
                     choice.outcome.partition.stage_costs(db)
                 };
-                let mut fam_cfg = FamilyConfig::for_planner(req.planner, req.hardware.link_latency);
+                let mut fam_cfg = FamilyConfig::for_planner(planner, cfg.hardware.link_latency);
                 let algo2 = solve_sliced_count(&costs);
                 if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
                     fam_cfg.sliced_counts.insert(0, algo2);
@@ -196,7 +147,7 @@ impl AutoPipe {
                 // families.
                 let fam = plan_families_with(
                     db,
-                    &req.hardware,
+                    &cfg.hardware,
                     choice.stages,
                     choice.microbatches,
                     &fam_cfg,
@@ -218,7 +169,7 @@ impl AutoPipe {
         if recomputes && !recompute_mask(&schedule).iter().any(|&r| r) {
             apply_recompute(&mut schedule, mask);
         }
-        let mut plan = Plan {
+        Ok(Plan {
             stages: choice.stages,
             dp: choice.dp,
             microbatches: choice.microbatches,
@@ -231,26 +182,22 @@ impl AutoPipe {
             analytic: choice.outcome.analytic.clone(),
             schemes_explored: choice.outcome.schemes_explored,
             search_seconds: choice.outcome.search_time.as_secs_f64(),
-        };
-        if req.enable_slicer && req.schedule_policy != SchedulePolicy::Auto {
-            plan.slice(db);
-        }
-        Ok(plan)
+        })
     }
 
-    /// The cost database a request plans against. Heterogeneity multipliers
+    /// The cost database a session plans against. Heterogeneity multipliers
     /// are attached *after* profiling so the profiler's per-block noise and
     /// the per-device skew compose instead of overwriting each other.
-    pub fn cost_db(req: &PlanRequest) -> CostDb {
-        let db = CostDb::build(&req.model, &req.hardware, req.mbs, true, req.granularity);
-        let db = match &req.profiler {
+    pub fn cost_db(cfg: &SessionConfig) -> CostDb {
+        let db = CostDb::build(&cfg.model, &cfg.hardware, cfg.mbs, true, cfg.granularity);
+        let db = match &cfg.profiler {
             Some(p) => autopipe_cost::profiler::profile(&db, p),
             None => db,
         };
-        if req.multipliers.is_empty() {
+        if cfg.device_multipliers.is_empty() {
             db
         } else {
-            db.with_device_multipliers(&req.multipliers)
+            db.with_device_multipliers(&cfg.device_multipliers)
         }
     }
 }
@@ -258,16 +205,23 @@ impl AutoPipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autopipe_cost::profiler::ProfilerConfig;
     use autopipe_model::zoo;
     use autopipe_schedule::validate;
 
+    /// GPT-2 345M pinned to four stages on four devices, micro-batch 4,
+    /// global batch 128.
+    fn gpt2_345m_p4() -> SessionConfig {
+        SessionConfig {
+            fixed_stages: Some(4),
+            ..SessionConfig::new(zoo::gpt2_345m(), 4, 4, 128)
+        }
+    }
+
     #[test]
     fn end_to_end_plan_is_executable() {
-        let req = PlanRequest {
-            fixed_stages: Some(4),
-            ..PlanRequest::new(zoo::gpt2_345m(), 4, 4, 128)
-        };
-        let plan = AutoPipe::plan(&req).unwrap();
+        let cfg = gpt2_345m_p4();
+        let plan = AutoPipe::plan(&cfg).unwrap();
         assert_eq!(plan.stages, 4);
         assert_eq!(plan.microbatches, 32);
         assert!(plan.n_sliced >= 1);
@@ -278,12 +232,11 @@ mod tests {
 
     #[test]
     fn slicer_can_be_disabled() {
-        let req = PlanRequest {
-            fixed_stages: Some(4),
-            enable_slicer: false,
-            ..PlanRequest::new(zoo::gpt2_345m(), 4, 4, 128)
+        let cfg = SessionConfig {
+            schedule_policy: SchedulePolicy::Plain,
+            ..gpt2_345m_p4()
         };
-        let plan = AutoPipe::plan(&req).unwrap();
+        let plan = AutoPipe::plan(&cfg).unwrap();
         assert_eq!(plan.n_sliced, 0);
         validate(&plan.schedule).unwrap();
     }
@@ -292,13 +245,12 @@ mod tests {
     fn profiled_planning_still_yields_balanced_schemes() {
         // Planning on noisy measurements must not blow up the balance: the
         // max stage should stay within 30% of the mean.
-        let req = PlanRequest {
-            fixed_stages: Some(4),
+        let cfg = SessionConfig {
             profiler: Some(ProfilerConfig::default()),
-            ..PlanRequest::new(zoo::gpt2_345m(), 4, 4, 128)
+            ..gpt2_345m_p4()
         };
-        let plan = AutoPipe::plan(&req).unwrap();
-        let db = AutoPipe::cost_db(&req);
+        let plan = AutoPipe::plan(&cfg).unwrap();
+        let db = AutoPipe::cost_db(&cfg);
         let sc = plan.partition.stage_costs(&db);
         let mean: f64 = (0..4).map(|x| sc.work(x)).sum::<f64>() / 4.0;
         let max = (0..4).map(|x| sc.work(x)).fold(0.0, f64::max);
@@ -307,12 +259,11 @@ mod tests {
 
     #[test]
     fn auto_policy_plans_across_families() {
-        let req = PlanRequest {
-            fixed_stages: Some(4),
+        let cfg = SessionConfig {
             schedule_policy: SchedulePolicy::Auto,
-            ..PlanRequest::new(zoo::gpt2_345m(), 4, 4, 128)
+            ..gpt2_345m_p4()
         };
-        let plan = AutoPipe::plan(&req).unwrap();
+        let plan = AutoPipe::plan(&cfg).unwrap();
         validate(&plan.schedule).expect("family winner must validate");
         assert_eq!(plan.partition.n_stages(), plan.schedule.n_stages());
         assert_eq!(plan.n_sliced, plan.schedule.n_sliced);
@@ -323,24 +274,23 @@ mod tests {
 
     #[test]
     fn auto_policy_is_deterministic() {
-        let req = PlanRequest {
-            fixed_stages: Some(4),
+        let cfg = SessionConfig {
             schedule_policy: SchedulePolicy::Auto,
-            ..PlanRequest::new(zoo::gpt2_345m(), 4, 4, 128)
+            ..gpt2_345m_p4()
         };
-        let a = AutoPipe::plan(&req).unwrap();
-        let b = AutoPipe::plan(&req).unwrap();
+        let a = AutoPipe::plan(&cfg).unwrap();
+        let b = AutoPipe::plan(&cfg).unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.est_pipeline_time.to_bits(), b.est_pipeline_time.to_bits());
     }
 
     #[test]
     fn plan_serialises() {
-        let req = PlanRequest {
+        let cfg = SessionConfig {
             fixed_stages: Some(2),
-            ..PlanRequest::new(zoo::bert_large(), 2, 16, 128)
+            ..SessionConfig::new(zoo::bert_large(), 2, 16, 128)
         };
-        let plan = AutoPipe::plan(&req).unwrap();
+        let plan = AutoPipe::plan(&cfg).unwrap();
         let json = serde_json::to_string(&plan).unwrap();
         assert!(json.contains("\"stages\":2"));
     }

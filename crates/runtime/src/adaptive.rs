@@ -9,31 +9,11 @@
 //! [`Pipeline::repartition`](crate::Pipeline::repartition) (hot-swap the
 //! stages with exact parameter migration).
 
+use autopipe_core::StragglerConfig;
 use autopipe_exec::Timeline;
 use autopipe_schedule::Schedule;
 
 use crate::watchdog::RuntimeError;
-
-/// When to call a stage a straggler.
-#[derive(Debug, Clone, Copy)]
-pub struct StragglerConfig {
-    /// Observed/expected compute-time ratio above which a stage counts as
-    /// slow in a single iteration.
-    pub threshold: f64,
-    /// How many *consecutive* slow iterations flag the stage (debounces
-    /// one-off jitter — the paper's fault model separates transient spikes
-    /// from persistent degradation).
-    pub window: usize,
-}
-
-impl Default for StragglerConfig {
-    fn default() -> Self {
-        StragglerConfig {
-            threshold: 1.5,
-            window: 3,
-        }
-    }
-}
 
 /// One iteration's verdict.
 #[derive(Debug, Clone)]
@@ -72,12 +52,8 @@ impl StragglerMonitor {
                 "expected stage times must be finite and positive, got {expected:?}"
             )));
         }
-        if cfg.window == 0 || !(cfg.threshold.is_finite() && cfg.threshold > 1.0) {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "straggler window must be ≥ 1 and threshold > 1, got window {} threshold {}",
-                cfg.window, cfg.threshold
-            )));
-        }
+        cfg.validate()
+            .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
         let streaks = vec![0; expected.len()];
         Ok(StragglerMonitor {
             cfg,

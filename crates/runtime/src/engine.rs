@@ -37,9 +37,9 @@ use crate::stage::{
     build_modules, concat_halves, split_halves, Module, StageInput, StageModel, StageOutput,
 };
 use crate::watchdog::{
-    deadlines_from_timeline, CrashEvent, FaultReport, RuntimeError, Watchdog, WatchdogConfig,
-    WatchdogEvent,
+    deadlines_from_timeline, CrashEvent, FaultReport, RuntimeError, Watchdog, WatchdogEvent,
 };
+use crate::WatchdogConfig;
 
 use std::collections::HashMap;
 

@@ -37,7 +37,8 @@ pub mod reference;
 pub mod stage;
 pub mod watchdog;
 
-pub use adaptive::{StragglerConfig, StragglerMonitor, StragglerObservation};
+pub use adaptive::{StragglerMonitor, StragglerObservation};
+pub use autopipe_core::{StragglerConfig, WatchdogConfig};
 pub use checkpoint::{
     restore_states, BackgroundCheckpointer, CheckpointError, CheckpointStore, FailPoint, Manifest,
     PipelineSnapshot, StagePayload, StageState, WriterStatus,
@@ -48,4 +49,4 @@ pub use engine::{IterationStats, Pipeline, PipelineConfig};
 pub use membership::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, Transition};
 pub use recovery::{RecoveryAction, RecoveryCoordinator, RecoveryRecord};
 pub use reference::ReferenceModel;
-pub use watchdog::{CrashEvent, FaultReport, RuntimeError, WatchdogConfig, WatchdogEvent};
+pub use watchdog::{CrashEvent, FaultReport, RuntimeError, WatchdogEvent};

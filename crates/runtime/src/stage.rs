@@ -200,24 +200,8 @@ impl StageModel {
         lr: f32,
         checkpointing: bool,
     ) -> StageModel {
-        let modules: Vec<Module> = all_modules[partition.range(stage)].to_vec();
-        let grads: Vec<Tensor> = modules
-            .iter()
-            .flat_map(|m| m.params().into_iter().map(|p| Tensor::zeros(p.shape())))
-            .collect();
-        let param_refs: Vec<&Tensor> = modules.iter().flat_map(|m| m.params()).collect();
-        let adam = Adam::new(lr, &param_refs);
-        StageModel {
-            modules,
-            grads,
-            adam,
-            caches: HashMap::new(),
-            inputs: HashMap::new(),
-            targets: HashMap::new(),
-            pending_wgrads: HashMap::new(),
-            seq,
-            checkpointing,
-        }
+        let modules = all_modules[partition.range(stage)].to_vec();
+        StageModel::from_parts(modules, seq, lr, checkpointing)
     }
 
     /// Rebuild a stage around an already-built module run — the receiving
@@ -504,34 +488,15 @@ impl StageModel {
                 && self.inputs.contains_key(&(mb, PartKey::Half2)),
             "micro-batch {mb} was never forwarded on this stage"
         );
-        let split_parts = |t: &Tensor| -> (Tensor, Tensor) {
-            let h = *t.shape().last().unwrap();
-            let rows = t.len() / h;
-            let half = rows / 2;
-            (
-                Tensor::from_vec(&[half, h], t.data()[..half * h].to_vec()),
-                Tensor::from_vec(&[rows - half, h], t.data()[half * h..].to_vec()),
-            )
-        };
-        let (d1, d2) = match d_out {
-            Some(t) => {
-                let (a, b) = split_parts(t);
-                (Some(a), Some(b))
-            }
+        let (d1, d2) = match d_out.map(split_halves) {
+            Some((a, b)) => (Some(a), Some(b)),
             None => (None, None),
         };
         // Reverse order of the forwards, like a real autograd tape.
         let dx2 = self.backward_part(mb, Part::Half2, d2.as_ref(), apply);
         let dx1 = self.backward_part(mb, Part::Half1, d1.as_ref(), apply);
         match (dx1, dx2) {
-            (Some(a), Some(b)) => {
-                let h = *a.shape().last().unwrap();
-                let rows = a.len() / h + b.len() / h;
-                let mut data = Vec::with_capacity(rows * h);
-                data.extend_from_slice(a.data());
-                data.extend_from_slice(b.data());
-                Some(Tensor::from_vec(&[rows, h], data))
-            }
+            (Some(a), Some(b)) => Some(concat_halves(&a, &b)),
             _ => None,
         }
     }

@@ -38,45 +38,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use autopipe_core::WatchdogConfig;
 use autopipe_exec::{ChannelEndpoint, FailStopKind, MsgKey, Timeline, Transport};
 use autopipe_schedule::{Op, OpKind};
-
-/// Watchdog knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Minimum wait budget per channel wait — the deadline floor.
-    pub base_timeout: Duration,
-    /// Multiplier on the expected (scaled) op gap when an expected timeline
-    /// is installed.
-    pub slack: f64,
-    /// Budget multiplier applied on every retry. The effective per-retry
-    /// multiplier is additionally jittered ±25 % (seeded by `jitter_seed`,
-    /// keyed on device/op/attempt) so stages that started waiting together
-    /// don't re-fire their deadlines in lockstep; the jittered multiplier
-    /// never drops below 1, so budgets stay monotone.
-    pub backoff: f64,
-    /// Expired deadlines tolerated on one wait before the run is aborted.
-    pub max_retries: u32,
-    /// Seed for the deterministic retry jitter: the same seed replays the
-    /// exact same deadline sequence on every wait.
-    pub jitter_seed: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        // Generous for laptop-scale pipelines: healthy iterations complete
-        // in milliseconds, so a 500 ms first deadline never fires on a
-        // healthy run, while a true deadlock aborts within
-        // 0.5·(1+2+4+8+16+32) ≈ 32 s instead of hanging forever.
-        WatchdogConfig {
-            base_timeout: Duration::from_millis(500),
-            slack: 4.0,
-            backoff: 2.0,
-            max_retries: 5,
-            jitter_seed: 0,
-        }
-    }
-}
 
 /// One watchdog firing: a channel wait that outlived its deadline.
 #[derive(Debug, Clone, PartialEq)]

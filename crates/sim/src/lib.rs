@@ -42,7 +42,7 @@ pub use analytic::{
     simulate_time_masked, AnalyticResult, FastResult, OpClass, OpTime, OverlapModel, Phase,
     SimScratch, LANES,
 };
-pub use autopipe_exec::CommConfig;
+pub use autopipe_exec::{CommConfig, FaultPlan};
 pub use event::{
     run_schedule, run_schedule_failstop, run_schedule_faulty, EventConfig, EventCosts, EventResult,
     EventSummary, FailStopResult, SimCrash, SimError,

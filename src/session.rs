@@ -5,7 +5,11 @@
 //! caller had to thread partitions, schedules and three config structs
 //! between them by hand. `Session` is a builder that walks the pipeline in
 //! the paper's order — profile → plan → slice → simulate → run — with one
-//! validated [`SessionConfig`] and one [`Error`] type:
+//! [`SessionConfig`] and one [`Error`] type. The config holds every setting
+//! of the session, the run's fault script, watchdog, straggler monitor and
+//! iteration count included, and [`SessionConfig::validate`] checks all of
+//! them before [`Session::plan`], [`Session::resume`] and
+//! [`PlannedSession::run`] do any work:
 //!
 //! ```no_run
 //! use autopipe::Session;
@@ -38,7 +42,7 @@
 //! checkpointed, then its membership actions are taken in log order, and
 //! only a step without one asks the straggler monitor for a flag. Every
 //! re-shape — fail-stop shrink, elastic shrink / grow / slowdown re-plan,
-//! straggler — is planned by one private `replan` (the session's own request
+//! straggler — is planned by one private `replan` (the session's own config
 //! at the new width through [`AutoPipe::plan_with`], validated and checked
 //! against the memory budget before anything moves) and swapped in at the
 //! loop's single [`Pipeline::repartition`] site, so a run finishes on a plan
@@ -49,8 +53,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use autopipe_core::{
-    AutoPipe, Constraints, ElasticConfig, Error, Plan, RecoveryConfig, SchedulePolicy,
-    SessionConfig,
+    AutoPipe, ElasticConfig, Error, Plan, RecoveryConfig, SchedulePolicy, SessionConfig,
+    StragglerConfig, WatchdogConfig,
 };
 use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
 use autopipe_exec::FaultPlan;
@@ -59,7 +63,7 @@ use autopipe_planner::{PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
     restore_states, BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent,
     FaultReport, Pipeline, PipelineConfig, RecoveryAction, RecoveryCoordinator, RecoveryRecord,
-    RuntimeError, StragglerConfig, StragglerMonitor, WatchdogConfig,
+    RuntimeError, StragglerMonitor,
 };
 use autopipe_schedule::{validate, ScheduleKind};
 use autopipe_sim::event::{run_schedule, run_schedule_faulty, EventCosts, EventResult};
@@ -75,21 +79,9 @@ pub struct Session {
     /// (resolved into `cfg.gbs` at plan time).
     microbatches: Option<usize>,
     devices_pinned: bool,
-    tolerance: Tolerance,
     /// Shared planner service; a per-session one is created at [`Session::plan`]
     /// time when none was injected via [`Session::plan_service`].
     service: Option<Arc<PlanService>>,
-}
-
-/// Fault-tolerance knobs shared between the builder and the planned session.
-#[derive(Debug, Clone, Default)]
-struct Tolerance {
-    faults: Option<FaultPlan>,
-    /// Wall seconds per virtual fault second.
-    time_scale: f64,
-    watchdog: Option<WatchdogConfig>,
-    straggler: Option<StragglerConfig>,
-    iterations: usize,
 }
 
 impl Session {
@@ -99,17 +91,12 @@ impl Session {
         let mut cfg = SessionConfig::new(model, 1, 4, 4);
         // The serving default: dominance pruning on. It is winner-preserving
         // and cuts every search the session's plans and re-plans run;
-        // `.prune(false)` or `.constraints(..)` turns it off.
+        // `.prune(false)` turns it off.
         cfg.constraints.prune = true;
         Session {
             cfg,
             microbatches: None,
             devices_pinned: false,
-            tolerance: Tolerance {
-                iterations: 2,
-                time_scale: 1.0,
-                ..Tolerance::default()
-            },
             service: None,
         }
     }
@@ -166,16 +153,10 @@ impl Session {
     /// the fixed 1F1B/sliced pipeline with the planner's cross-family search
     /// (1F1B, sliced, GPipe, zero-bubble, interleaved), and
     /// [`PlannedSession::slice`] becomes a no-op — the search already scored
-    /// the sliced candidates.
+    /// the sliced candidates. [`SchedulePolicy::Plain`] keeps plain 1F1B,
+    /// with `slice()` a no-op too.
     pub fn schedule_policy(mut self, policy: SchedulePolicy) -> Session {
         self.cfg.schedule_policy = policy;
-        self
-    }
-
-    /// Replace the whole constraint set in one call (see [`Constraints`]).
-    /// The granular builder methods below are thin shims over this.
-    pub fn constraints(mut self, c: Constraints) -> Session {
-        self.cfg.constraints = c;
         self
     }
 
@@ -224,24 +205,17 @@ impl Session {
         self
     }
 
-    /// Toggle activation checkpointing.
-    pub fn checkpointing(mut self, on: bool) -> Session {
-        self.cfg.checkpointing = on;
-        self
-    }
-
     /// Inject a deterministic fault script into simulation and execution.
     /// `time_scale` maps the script's virtual fault seconds onto wall-clock
     /// seconds in the threaded runtime (keep it small for tests).
     pub fn faults(mut self, plan: FaultPlan, time_scale: f64) -> Session {
-        self.tolerance.faults = Some(plan);
-        self.tolerance.time_scale = time_scale;
+        self.cfg.faults = Some((plan, time_scale));
         self
     }
 
     /// Arm the stall watchdog for [`PlannedSession::run`].
     pub fn watchdog(mut self, cfg: WatchdogConfig) -> Session {
-        self.tolerance.watchdog = Some(cfg);
+        self.cfg.watchdog = Some(cfg);
         self
     }
 
@@ -249,7 +223,7 @@ impl Session {
     /// monitor's window, the session re-plans with the observed ratios as
     /// device multipliers and hot-swaps the partition between iterations.
     pub fn adaptive(mut self, cfg: StragglerConfig) -> Session {
-        self.tolerance.straggler = Some(cfg);
+        self.cfg.straggler = Some(cfg);
         self
     }
 
@@ -288,7 +262,7 @@ impl Session {
 
     /// Training iterations [`PlannedSession::run`] executes (default 2).
     pub fn iterations(mut self, n: usize) -> Session {
-        self.tolerance.iterations = n;
+        self.cfg.iterations = n;
         self
     }
 
@@ -303,8 +277,7 @@ impl Session {
 
     /// The planner service this session will plan through: the injected one,
     /// or a freshly created private service in the session's lowered search
-    /// configuration (pruning now comes from [`Constraints`], set by
-    /// [`Session::for_model`], instead of being forced here).
+    /// configuration.
     fn resolve_service(&self) -> Arc<PlanService> {
         match &self.service {
             Some(s) => Arc::clone(s),
@@ -328,28 +301,16 @@ impl Session {
             };
             self.cfg.gbs = m * self.cfg.mbs * dp.max(1);
         }
-        if self.tolerance.iterations < 1 {
-            return Err(Error::Config("0 training iterations requested".into()));
-        }
-        if !(self.tolerance.time_scale.is_finite() && self.tolerance.time_scale >= 0.0) {
-            return Err(Error::Config(format!(
-                "bad fault time scale {}",
-                self.tolerance.time_scale
-            )));
-        }
         self.cfg.validate()?;
         // Planning is always unsliced here; `slice()` is the explicit next
         // stage of the chain.
-        let mut req = self.cfg.plan_request();
-        req.enable_slicer = false;
         let service = self.resolve_service();
-        let db = AutoPipe::cost_db(&req);
-        let plan = AutoPipe::plan_with(&req, &db, &service)?;
+        let db = AutoPipe::cost_db(&self.cfg);
+        let plan = AutoPipe::plan_with(&self.cfg, &db, &service)?;
         Ok(PlannedSession {
             cfg: self.cfg,
             db,
             plan,
-            tolerance: self.tolerance,
             service,
         })
     }
@@ -450,7 +411,7 @@ impl Session {
             rc.dir = dir;
         }
         self.cfg.validate()?;
-        let db = AutoPipe::cost_db(&self.cfg.plan_request());
+        let db = AutoPipe::cost_db(&self.cfg);
 
         let mut pipe = Pipeline::try_new(&PipelineConfig::from_session(
             &self.cfg, partition, schedule,
@@ -460,7 +421,6 @@ impl Session {
             cfg: &self.cfg,
             db: &db,
             service: &self.resolve_service(),
-            tolerance: &self.tolerance,
             microbatches: m,
             sliced: manifest.kind == ScheduleKind::Sliced1F1B,
         }
@@ -475,7 +435,6 @@ pub struct PlannedSession {
     cfg: SessionConfig,
     db: CostDb,
     plan: Plan,
-    tolerance: Tolerance,
     service: Arc<PlanService>,
 }
 
@@ -533,14 +492,13 @@ impl PlannedSession {
     /// Swap in a fault script after planning — a cloned [`PlannedSession`]
     /// can be re-armed per script without re-running the planner.
     pub fn faults(mut self, plan: FaultPlan, time_scale: f64) -> PlannedSession {
-        self.tolerance.faults = Some(plan);
-        self.tolerance.time_scale = time_scale;
+        self.cfg.faults = Some((plan, time_scale));
         self
     }
 
     /// Arm (or re-arm) the stall watchdog after planning.
     pub fn watchdog(mut self, cfg: WatchdogConfig) -> PlannedSession {
-        self.tolerance.watchdog = Some(cfg);
+        self.cfg.watchdog = Some(cfg);
         self
     }
 
@@ -554,7 +512,7 @@ impl PlannedSession {
 
     /// Training iterations [`PlannedSession::run`] executes.
     pub fn iterations(mut self, n: usize) -> PlannedSession {
-        self.tolerance.iterations = n.max(1);
+        self.cfg.iterations = n;
         self
     }
 
@@ -571,12 +529,12 @@ impl PlannedSession {
     /// Apply the AutoPipe Slicer (Algorithm 2): replace the plain 1F1B
     /// schedule with the sliced-Warmup variant through [`Plan::slice`], the
     /// step [`AutoPipe::plan_with`] slices with, so the recompute mask the
-    /// partition search chose is kept. A no-op for single-stage plans, when
-    /// slicing is disabled in the config, or under [`SchedulePolicy::Auto`]
-    /// (the family search already scored the sliced candidates — re-slicing
-    /// would overwrite its pick).
+    /// partition search chose is kept. A no-op for single-stage plans and
+    /// outside [`SchedulePolicy::Slicer`]: plain 1F1B stays plain, and
+    /// under [`SchedulePolicy::Auto`] the family search already scored the
+    /// sliced candidates — re-slicing would overwrite its pick.
     pub fn slice(mut self) -> Result<PlannedSession, Error> {
-        if self.cfg.enable_slicer && self.cfg.schedule_policy != SchedulePolicy::Auto {
+        if self.cfg.schedule_policy == SchedulePolicy::Slicer {
             self.plan.slice(&self.db);
         }
         Ok(self)
@@ -592,8 +550,8 @@ impl PlannedSession {
         );
         let event_cfg = self.cfg.event();
         let clean = run_schedule(&self.plan.schedule, &costs, &event_cfg)?;
-        let faulty = match &self.tolerance.faults {
-            Some(fp) => Some(run_schedule_faulty(
+        let faulty = match &self.cfg.faults {
+            Some((fp, _)) => Some(run_schedule_faulty(
                 &self.plan.schedule,
                 &costs,
                 &event_cfg,
@@ -608,8 +566,10 @@ impl PlannedSession {
     /// the pipeline, arm the configured faults/watchdog, train the session's
     /// iterations, and hot-swap the partition whenever recovery, elastic
     /// membership or — when [`Session::adaptive`] is on — the straggler
-    /// monitor calls for a re-plan.
+    /// monitor calls for a re-plan. The settings changed since
+    /// [`Session::plan`] are checked first.
     pub fn run(self) -> Result<RunReport, Error> {
+        self.cfg.validate()?;
         let pipe = Pipeline::try_new(&PipelineConfig::from_session(
             &self.cfg,
             self.plan.partition.clone(),
@@ -623,7 +583,6 @@ impl PlannedSession {
             cfg: &self.cfg,
             db: &self.db,
             service: &self.service,
-            tolerance: &self.tolerance,
             microbatches: self.plan.microbatches,
             sliced: self.plan.schedule.kind == ScheduleKind::Sliced1F1B,
         }
@@ -643,7 +602,6 @@ struct Run<'a> {
     cfg: &'a SessionConfig,
     db: &'a CostDb,
     service: &'a PlanService,
-    tolerance: &'a Tolerance,
     /// Micro-batches per iteration.
     microbatches: usize,
     /// The starting plan was sliced by Algorithm 2 (the plan `run()` was
@@ -654,17 +612,25 @@ struct Run<'a> {
 
 impl Run<'_> {
     /// Plan onto `width` devices, device `d` running `slowdown[d]` times
-    /// slower than profiled (empty = as profiled): the session's own plan
-    /// request at the new width through the entry point [`Session::plan`]
-    /// uses, so policy, recompute mask and planner knobs carry over. The
-    /// result is validated and checked against the session's memory budget
-    /// here, before any stage is re-split; errors name `trigger`.
+    /// slower than profiled (empty = as profiled): the session's own config
+    /// at the new width through the entry point [`Session::plan`] uses, so
+    /// recompute mask and planner knobs carry over, and the policy variant
+    /// the starting plan ran: Auto stays Auto, and otherwise a sliced start
+    /// is sliced again and a plain one stays plain. The result is validated
+    /// and checked against the session's memory budget here, before any
+    /// stage is re-split; errors name `trigger`.
     fn replan(&self, trigger: &str, width: usize, slowdown: &[f64]) -> Result<Plan, Error> {
-        let mut req = self.cfg.plan_request();
-        req.n_devices = width;
-        req.fixed_stages = Some(width);
-        req.gbs = self.microbatches * self.cfg.mbs;
-        req.enable_slicer = self.sliced;
+        let cfg = SessionConfig {
+            n_devices: width,
+            fixed_stages: Some(width),
+            gbs: self.microbatches * self.cfg.mbs,
+            schedule_policy: match (self.cfg.schedule_policy, self.sliced) {
+                (SchedulePolicy::Auto, _) => SchedulePolicy::Auto,
+                (_, true) => SchedulePolicy::Slicer,
+                (_, false) => SchedulePolicy::Plain,
+            },
+            ..self.cfg.clone()
+        };
         let slowed;
         let db = if slowdown.iter().any(|&x| x != 1.0) {
             slowed = self.db.clone().with_device_multipliers(slowdown);
@@ -682,7 +648,10 @@ impl Run<'_> {
                 PlanError::Oom(msg) => PlanError::Oom(tag(msg)),
             })
         };
-        let plan = AutoPipe::plan_with(&req, db, self.service).map_err(named)?;
+        let mut plan = AutoPipe::plan_with(&cfg, db, self.service).map_err(named)?;
+        if cfg.schedule_policy == SchedulePolicy::Slicer {
+            plan.slice(db);
+        }
         validate(&plan.schedule)
             .map_err(|e| named(PlanError::Infeasible(format!("invalid schedule: {e}"))))?;
         if let Some(budget) = budget {
@@ -692,15 +661,15 @@ impl Run<'_> {
         Ok(plan)
     }
 
-    /// The training loop (see the module docs): `tolerance.iterations`
-    /// steps past `resumed_from`; a fresh run starts at step 0 and primes a
-    /// baseline checkpoint generation.
+    /// The training loop (see the module docs): `cfg.iterations` steps past
+    /// `resumed_from`; a fresh run starts at step 0 and primes a baseline
+    /// checkpoint generation.
     fn drive(&self, mut pipe: Pipeline, resumed_from: Option<u64>) -> Result<RunReport, Error> {
         let base = resumed_from.unwrap_or(0);
-        if let Some(fp) = self.tolerance.faults.clone() {
-            pipe.set_faults(fp, self.tolerance.time_scale);
+        if let Some((fp, time_scale)) = self.cfg.faults.clone() {
+            pipe.set_faults(fp, time_scale);
         }
-        if let Some(wd) = self.tolerance.watchdog {
+        if let Some(wd) = self.cfg.watchdog {
             // Thread the session seed into the retry jitter unless the
             // caller picked an explicit one — deterministic, and distinct
             // sessions de-synchronize naturally.
@@ -735,7 +704,9 @@ impl Run<'_> {
         // join/leave/flap/slowdown events drive the coordinator.
         let mut elastic =
             (self.cfg.elastic.clone()).map(|ec| ElasticCoordinator::new(self.cfg.n_devices, ec));
-        let membership_faults = self.tolerance.faults.clone().unwrap_or_default();
+        let membership_faults = (self.cfg.faults.as_ref())
+            .map(|(fp, _)| fp.clone())
+            .unwrap_or_default();
         // What membership knows about each serving device's speed; every
         // re-plan is charged it, so a shrink away from a slowed device plans
         // on what the survivors can actually sustain.
@@ -771,7 +742,7 @@ impl Run<'_> {
         // wall-clock expectation its later iterations are judged against
         // (simulated times are virtual seconds and cannot be).
         let mut monitor: Option<StragglerMonitor> = None;
-        while losses.len() < self.tolerance.iterations {
+        while losses.len() < self.cfg.iterations {
             // This iteration's re-shapes as (trigger, new width, slowdown),
             // in the order they are swapped in; no width = the one in force.
             let mut reshapes: Vec<Reshape> = Vec::new();
@@ -825,7 +796,7 @@ impl Run<'_> {
                 }
                 if let (true, Some(scfg), Some(tl)) = (
                     reshapes.is_empty(),
-                    self.tolerance.straggler,
+                    self.cfg.straggler,
                     pipe.last_timeline(),
                 ) {
                     let sched = pipe.schedule();
@@ -1270,6 +1241,66 @@ mod tests {
                 .unwrap_err(),
             Error::Plan(_)
         ));
+    }
+
+    /// A two-stage `gpt2_tiny` session and a checkpoint directory holding
+    /// one trained step of it.
+    fn one_step_checkpoint(name: &str) -> (Session, PathBuf) {
+        let dir = temp_dir(name);
+        let base = Session::for_model(zoo::gpt2_tiny())
+            .stages(2)
+            .microbatches(4)
+            .microbatch_size(2);
+        let recovery = RecoveryConfig {
+            background: false,
+            ..RecoveryConfig::new(&dir)
+        };
+        let first = base.clone().iterations(1).recovery(recovery);
+        first.plan().unwrap().run().unwrap();
+        (base, dir)
+    }
+
+    #[test]
+    fn resuming_zero_iterations_is_a_config_error() {
+        let (base, dir) = one_step_checkpoint("session_resume_zero");
+        let err = base.iterations(0).resume(&dir).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resuming_under_a_nan_fault_time_scale_is_a_config_error() {
+        let (base, dir) = one_step_checkpoint("session_resume_nan");
+        let err = (base.faults(FaultPlan::none(), f64::NAN))
+            .resume(&dir)
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn running_a_planned_session_for_zero_iterations_is_a_config_error() {
+        let planned = Session::for_model(zoo::gpt2_tiny())
+            .stages(2)
+            .microbatches(4)
+            .plan()
+            .unwrap();
+        let err = planned.iterations(0).run().unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn a_zero_straggler_window_is_a_config_error_at_plan_time() {
+        let err = Session::for_model(zoo::gpt2_tiny())
+            .stages(2)
+            .microbatches(4)
+            .adaptive(StragglerConfig {
+                window: 0,
+                ..StragglerConfig::default()
+            })
+            .plan()
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
     }
 
     /// A four-stage `gpt2_tiny` session (m = 4, mbs = 2) — the shape the

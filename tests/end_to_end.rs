@@ -4,6 +4,8 @@
 use std::sync::Arc;
 
 use autopipe::{Error, PlanService, Session};
+use autopipe_cost::profiler::ProfilerConfig;
+use autopipe_cost::Hardware;
 use autopipe_model::zoo;
 use autopipe_runtime::{BatchSet, ReferenceModel};
 use autopipe_schedule::validate;
@@ -158,4 +160,65 @@ fn impossible_jobs_error_cleanly() {
     // And the source chain reaches the planner's own error.
     let src = std::error::Error::source(&err).expect("plan errors carry a source");
     assert!(!src.to_string().is_empty());
+}
+
+/// GPT-2 345M pinned to eight stages with 64 micro-batches of 4: a job whose
+/// plan shows the cluster, the cost source and the search's pruning.
+fn eight_stages() -> Session {
+    Session::for_model(zoo::gpt2_345m())
+        .stages(8)
+        .microbatches(64)
+}
+
+/// `.hardware` reaches the cost model: the same job plans a faster iteration
+/// on the A100 cluster than on the default RTX-3090 one.
+#[test]
+fn the_hardware_setting_reaches_the_plan() {
+    let rtx = eight_stages().plan().unwrap();
+    let a100 = eight_stages()
+        .hardware(Hardware::a100_cluster())
+        .plan()
+        .unwrap();
+    let (rtx, a100) = (rtx.plan(), a100.plan());
+    assert!(
+        a100.est_iteration_time() < rtx.est_iteration_time(),
+        "A100 {} vs RTX-3090 {}",
+        a100.est_iteration_time(),
+        rtx.est_iteration_time()
+    );
+}
+
+/// `.profiled` plans on the synthetic profiler's measurements, whose bias
+/// and per-op overhead make every block dearer than analytic ground truth.
+#[test]
+fn the_profiled_setting_plans_on_measured_costs() {
+    let truth = eight_stages().plan().unwrap();
+    let measured = eight_stages()
+        .profiled(ProfilerConfig::default())
+        .plan()
+        .unwrap();
+    let (truth, measured) = (truth.plan(), measured.plan());
+    assert!(
+        measured.est_pipeline_time > truth.est_pipeline_time,
+        "profiled {} vs analytic {}",
+        measured.est_pipeline_time,
+        truth.est_pipeline_time
+    );
+}
+
+/// `.prune` toggles the wave search's dominance pruning (on by default):
+/// the winner is the same either way, but without pruning the search
+/// simulates more schemes.
+#[test]
+fn the_prune_setting_reaches_the_search() {
+    let pruned = eight_stages().plan().unwrap();
+    let full = eight_stages().prune(false).plan().unwrap();
+    let (pruned, full) = (pruned.plan(), full.plan());
+    assert_eq!(pruned.partition, full.partition);
+    assert!(
+        full.schemes_explored > pruned.schemes_explored,
+        "unpruned {} vs pruned {}",
+        full.schemes_explored,
+        pruned.schemes_explored
+    );
 }
