@@ -7,6 +7,11 @@
 //! GPT-2/BERT block needs (linear, layer-norm, GELU, softmax, multi-head
 //! attention, embedding lookup, fused softmax-cross-entropy). Every
 //! backward is validated against finite differences in the test suite.
+//!
+//! The GEMM body is compiled three times on `x86_64` — for AVX-512F, for
+//! AVX2 and portable — and every product runs on the widest instance the
+//! host reports at run time. Vector lanes only ever run across output
+//! columns, so all three instances give the same bits.
 
 pub mod nn;
 pub mod ops;

@@ -281,7 +281,8 @@ pub(crate) fn attention_fwd(
             let qh = slice_head(q, b, head, seq, h, dh);
             let kh = slice_head(k, b, head, seq, h, dh);
             let vh = slice_head(v, b, head, seq, h, dh);
-            let mut scores = qh.matmul_t(&kh).scale(scale);
+            let mut scores = qh.matmul_t(&kh);
+            scores.data_mut().iter_mut().for_each(|x| *x *= scale);
             if causal {
                 for i in 0..seq {
                     for j in (i + 1)..seq {
@@ -321,7 +322,8 @@ pub(crate) fn attention_bwd(
             let dctx_h = slice_head(dctx, b, head, seq, h, dh);
             let dvh = a.t_matmul(&dctx_h); // Aᵀ·dctx
             let da = dctx_h.matmul_t(vh); // dctx·Vᵀ
-            let dscores = softmax_bwd(a, &da).scale(scale);
+            let mut dscores = softmax_bwd(a, &da);
+            dscores.data_mut().iter_mut().for_each(|x| *x *= scale);
             let dqh = dscores.matmul(kh);
             let dkh = dscores.t_matmul(qh);
             write_head(&mut dq, &dqh, b, head, seq, h, dh);

@@ -1,6 +1,7 @@
 //! Dense row-major f32 tensors.
 
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -115,39 +116,43 @@ impl Tensor {
     /// Matrix multiply: `self [m,k] × other [k,n] → [m,n]`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (m, k, n) = product_dims("matmul", self, 1, other, 0);
-        Tensor {
-            shape: vec![m, n],
-            data: gemm(&self.data, (k, 1), &other.data, m, k, n),
-        }
+        self.product(other, (k, 1), false, (m, k, n))
     }
 
     /// `selfᵀ × other`: `[k,m]ᵀ·[k,n] → [m,n]` without materialising the
     /// transpose (weight-gradient shape).
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
         let (m, k, n) = product_dims("t_matmul", self, 0, other, 0);
-        Tensor {
-            shape: vec![m, n],
-            data: gemm(&self.data, (1, m), &other.data, m, k, n),
-        }
+        self.product(other, (1, m), false, (m, k, n))
     }
 
     /// `self × otherᵀ`: `[m,k]·[n,k]ᵀ → [m,n]` (input-gradient shape).
-    /// `other` is transposed into a per-thread scratch first — O(k·n) next
-    /// to the product's O(m·k·n) — so the kernel reads it row-major.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         let (m, k, n) = product_dims("matmul_t", self, 1, other, 1);
-        let data = TRANSPOSED.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            if scratch.len() < k * n {
-                scratch.resize(k * n, 0.0);
-            }
-            let other_t = &mut scratch[..k * n];
-            transpose(&other.data, other_t, n, k);
-            gemm(&self.data, (k, 1), other_t, m, k, n)
-        });
+        self.product(other, (k, 1), true, (m, k, n))
+    }
+
+    /// `self · other` on the widest GEMM instance the host runs; the layout
+    /// arguments are [`Product`]'s.
+    fn product(
+        &self,
+        other: &Tensor,
+        a_strides: (usize, usize),
+        b_transposed: bool,
+        (m, k, n): (usize, usize, usize),
+    ) -> Tensor {
+        let product = Product {
+            a: &self.data,
+            a_strides,
+            b: &other.data,
+            b_transposed,
+            m,
+            k,
+            n,
+        };
         Tensor {
             shape: vec![m, n],
-            data,
+            data: Kernel::widest().gemm(product),
         }
     }
 }
@@ -168,15 +173,142 @@ fn product_dims(
     (lhs.shape[1 - lhs_k], k, rhs.shape[1 - rhs_k])
 }
 
+/// One product `A [m,k] · B [k,n] → [m,n]` for [`gemm`]. `A[i][kk]` is
+/// `a[i * row_stride + kk * k_stride]` with `a_strides = (row_stride,
+/// k_stride)`: `(k, 1)` for a row-major `A`, `(1, m)` for one stored
+/// transposed. `b` is `B` row-major, or with `b_transposed` it is `Bᵀ
+/// [n,k]` row-major (`matmul_t`'s right-hand side).
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    a: &'a [f32],
+    a_strides: (usize, usize),
+    b: &'a [f32],
+    b_transposed: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+/// The instruction sets [`gemm`] is compiled for, widest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl Isa {
+    const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Portable];
+
+    /// This instruction set's instance of [`gemm`], if the host runs it.
+    fn kernel(self) -> Option<Kernel> {
+        let run: unsafe fn(Product<'_>) -> Vec<f32> = match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if is_x86_feature_detected!("avx512f") => gemm_avx512,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 if is_x86_feature_detected!("avx2") => gemm_avx2,
+            Isa::Portable => gemm,
+            _ => return None,
+        };
+        Some(Kernel { isa: self, run })
+    }
+}
+
+/// An instance of [`gemm`] the host runs; only [`Isa::kernel`] builds one.
+#[derive(Clone, Copy)]
+struct Kernel {
+    #[cfg_attr(not(test), allow(dead_code))] // read by the tests
+    isa: Isa,
+    run: unsafe fn(Product<'_>) -> Vec<f32>,
+}
+
+impl Kernel {
+    /// The widest instance the host runs, chosen on first use.
+    fn widest() -> Kernel {
+        static WIDEST: OnceLock<Kernel> = OnceLock::new();
+        *WIDEST.get_or_init(|| {
+            Isa::ALL
+                .into_iter()
+                .find_map(Isa::kernel)
+                .expect("the portable instance runs anywhere")
+        })
+    }
+
+    #[allow(unsafe_code)]
+    fn gemm(self, product: Product<'_>) -> Vec<f32> {
+        // SAFETY: `Isa::kernel` hands out an instance compiled with target
+        // features only after `is_x86_feature_detected!` reports them.
+        unsafe { (self.run)(product) }
+    }
+}
+
+/// [`gemm`] compiled for AVX-512F; equal to it bit for bit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(product: Product<'_>) -> Vec<f32> {
+    gemm(product)
+}
+
+/// [`gemm`] compiled for AVX2; equal to it bit for bit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(product: Product<'_>) -> Vec<f32> {
+    gemm(product)
+}
+
 thread_local! {
     /// `matmul_t`'s transposed right-hand side: grows to the largest `[k,n]`
     /// this thread has seen and is reused, so a product allocates only its
     /// output.
-    static TRANSPOSED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static TRANSPOSED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Rows of the accumulator tile [`gemm`] keeps in registers.
+const MR: usize = 4;
+/// Columns of that tile.
+const NR: usize = 32;
+
+/// The one GEMM body, and the portable instance of it. Every function it
+/// calls is `#[inline(always)]` and no closure runs its loops, so each
+/// `#[target_feature]` wrapper compiles the whole product, `matmul_t`'s
+/// transpose included, for its own instruction set.
+///
+/// Every output element is the one chain `acc = 0.0; acc += a·b` over
+/// ascending `kk`, multiply and add rounded separately (never `mul_add`),
+/// whatever the layout, tile position or instruction set: float addition is
+/// not associative, so this order is what makes all three products
+/// bit-reproducible, and the kernel is fast by running `MR × NR` such chains
+/// side by side (vector lanes across `j`), never by splitting one. `k` is not
+/// blocked for the same reason.
+///
+/// There is no `a == 0.0` shortcut: for finite operands a skipped `+ ±0.0` is
+/// unobservable (an accumulator that starts at `+0.0` never becomes `-0.0`,
+/// and `x + ±0.0 == x` for every other `x`). The only infinities in this
+/// crate, the causal mask's, pass through `softmax_fwd` before any product.
+///
+/// Single-threaded on purpose: a pipeline stage is one device and already
+/// runs on its own thread.
+#[inline(always)]
+fn gemm(p: Product<'_>) -> Vec<f32> {
+    if !p.b_transposed {
+        return tiles(p, p.b);
+    }
+    // Transposed first — O(k·n) next to the product's O(m·k·n) — so the
+    // tiles read `b` row-major.
+    let (k, n) = (p.k, p.n);
+    let mut scratch = TRANSPOSED.take();
+    if scratch.len() < k * n {
+        scratch.resize(k * n, 0.0);
+    }
+    transpose(p.b, &mut scratch[..k * n], n, k);
+    let out = tiles(p, &scratch[..k * n]);
+    TRANSPOSED.set(scratch);
+    out
 }
 
 /// `dst [cols,rows] = src [rows,cols]ᵀ`, in square blocks so both sides stay
 /// within a few cache lines per block.
+#[inline(always)]
 fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     const BLOCK: usize = 16;
     for r0 in (0..rows).step_by(BLOCK) {
@@ -192,32 +324,17 @@ fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     }
 }
 
-/// Rows of the accumulator tile [`gemm`] keeps in registers.
-const MR: usize = 4;
-/// Columns of that tile.
-const NR: usize = 16;
-
-/// `A [m,k] · b [k,n]` as a row-major `[m,n]`: `b` is row-major, `A[i][kk]`
-/// is `a[i * row_stride + kk * k_stride]` with `a_strides = (row_stride,
-/// k_stride)` — `(k, 1)` for a row-major `A`, `(1, m)` for one stored
-/// transposed.
-///
-/// Every output element is the one chain `acc = 0.0; acc += a·b` over
-/// ascending `kk`, multiply and add rounded separately (never `mul_add`),
-/// whatever the layout or tile position: float addition is not associative,
-/// so this order is what makes all three products bit-reproducible, and the
-/// kernel is fast by running `MR × NR` such chains side by side (vector lanes
-/// across `j`), never by splitting one. `k` is not blocked for the same
-/// reason.
-///
-/// There is no `a == 0.0` shortcut: for finite operands a skipped `+ ±0.0` is
-/// unobservable (an accumulator that starts at `+0.0` never becomes `-0.0`,
-/// and `x + ±0.0 == x` for every other `x`). The only infinities in this
-/// crate, the causal mask's, pass through `softmax_fwd` before any product.
-///
-/// Single-threaded on purpose: a pipeline stage is one device and already
-/// runs on its own thread.
-fn gemm(a: &[f32], a_strides: (usize, usize), b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+/// [`gemm`] with `b` row-major `[k,n]` (`p.b` itself, or its transpose).
+#[inline(always)]
+fn tiles(p: Product<'_>, b: &[f32]) -> Vec<f32> {
+    let Product {
+        a,
+        a_strides,
+        m,
+        k,
+        n,
+        ..
+    } = p;
     let mut out = vec![0.0_f32; m * n];
     if k == 0 {
         return out; // empty sums; `a` and `b` have no element to slice at
@@ -231,9 +348,12 @@ fn gemm(a: &[f32], a_strides: (usize, usize), b: &[f32], m: usize, k: usize, n: 
             let mr = MR.min(m - i0);
             let a_tile = &a[i0 * a_strides.0..];
             let out_tile = &mut out[i0 * n + j0..];
+            // Constant bounds: the accumulators live in vector registers.
+            // Half-width tiles are every `[s, 16]` attention head product.
             if mr == MR && nr == NR {
-                // Constant bounds: the accumulators live in vector registers.
                 tile(a_tile, a_strides, b_panel, out_tile, MR, NR, k, n);
+            } else if mr == MR && nr == NR / 2 {
+                tile(a_tile, a_strides, b_panel, out_tile, MR, NR / 2, k, n);
             } else {
                 tile(a_tile, a_strides, b_panel, out_tile, mr, nr, k, n);
             }
@@ -261,8 +381,6 @@ fn tile(
     for kk in 0..k {
         let b_row = &b[kk * n..][..nr];
         let a_col = &a[kk * a_k_stride..];
-        // `while`, not `for`: tier-1 tests run unoptimised, where every
-        // `Range::next` is a call and this loop nest is most of their time.
         let mut r = 0;
         while r < mr {
             let av = a_col[r * a_row_stride];
@@ -409,56 +527,84 @@ mod tests {
         Tensor::from_vec(shape, data)
     }
 
-    /// All three products against their oracles, bit for bit.
+    /// `got` against `want` by `to_bits()`, then the portable instance and
+    /// every other instance the host runs on `product` against both.
+    fn check_instances(
+        what: &str,
+        got: &Tensor,
+        want: &[f32],
+        product: Product<'_>,
+    ) -> Result<(), String> {
+        prop_assert_eq!(got.shape(), &[product.m, product.n]);
+        prop_assert_eq!(bits(got.data()), bits(want), "{} (dispatched)", what);
+        let portable = bits(&gemm(product));
+        prop_assert_eq!(&portable, &bits(want), "{} (portable)", what);
+        for kernel in Isa::ALL.into_iter().filter_map(Isa::kernel) {
+            let got = bits(&kernel.gemm(product));
+            prop_assert_eq!(&got, &portable, "{} ({:?})", what, kernel.isa);
+        }
+        Ok(())
+    }
+
+    /// All three products, dispatched and on every instance the host runs,
+    /// against their oracles, bit for bit.
     fn check_products(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let wide = seed.is_multiple_of(2);
         let what = |op: &str| format!("{op} differs from its oracle at ({m},{k},{n}) seed {seed}");
+        let product = |a, a_strides, b, b_transposed| Product {
+            a,
+            a_strides,
+            b,
+            b_transposed,
+            m,
+            k,
+            n,
+        };
 
         let a = operand(&[m, k], wide, &mut rng);
         let b = operand(&[k, n], wide, &mut rng);
         let got = a.matmul(&b);
-        prop_assert_eq!(got.shape(), &[m, n]);
         prop_assert!(got.data().iter().all(|v| v.is_finite()));
-        prop_assert_eq!(
-            bits(got.data()),
-            bits(&oracle_matmul(&a, &b)),
-            "{}",
-            what("matmul")
-        );
+        check_instances(
+            &what("matmul"),
+            &got,
+            &oracle_matmul(&a, &b),
+            product(a.data(), (k, 1), b.data(), false),
+        )?;
 
         let at = operand(&[k, m], wide, &mut rng);
-        let got = at.t_matmul(&b);
-        prop_assert_eq!(got.shape(), &[m, n]);
-        prop_assert_eq!(
-            bits(got.data()),
-            bits(&oracle_t_matmul(&at, &b)),
-            "{}",
-            what("t_matmul")
-        );
+        check_instances(
+            &what("t_matmul"),
+            &at.t_matmul(&b),
+            &oracle_t_matmul(&at, &b),
+            product(at.data(), (1, m), b.data(), false),
+        )?;
 
         let bt = operand(&[n, k], wide, &mut rng);
-        let got = a.matmul_t(&bt);
-        prop_assert_eq!(got.shape(), &[m, n]);
-        prop_assert_eq!(
-            bits(got.data()),
-            bits(&oracle_matmul_t(&a, &bt)),
-            "{}",
-            what("matmul_t")
-        );
-        Ok(())
+        check_instances(
+            &what("matmul_t"),
+            &a.matmul_t(&bt),
+            &oracle_matmul_t(&a, &bt),
+            product(a.data(), (k, 1), bt.data(), true),
+        )
     }
 
     #[test]
     fn products_match_the_old_kernels_bit_for_bit_on_fixed_shapes() {
-        // The benchmark's linear layers, an attention head, and shapes below,
-        // equal to and one past the tile in each of m and n; k = 0.
+        // The benchmark's linear layers; its attention heads (`dh = 16`, so
+        // the context and the `dq`/`dk`/`dv` products are one tile half as
+        // wide as `NR`); shapes below, equal to and one past the tile in each
+        // of m and n; k = 0.
         let shapes = [
             (128, 128, 512),
             (128, 512, 128),
             (32, 16, 32),
+            (32, 32, 16),
+            (16, 16, 16),
             (1, 1, 1),
             (5, 0, 3),
+            (MR + 1, 0, NR + 1),
             (MR - 1, 7, NR - 1),
             (MR, 7, NR),
             (MR + 1, 7, NR + 1),
@@ -470,6 +616,21 @@ mod tests {
                 check_products(m, k, n, seed).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn products_run_on_the_widest_instance_the_host_runs() {
+        #[cfg(target_arch = "x86_64")]
+        let widest = if is_x86_feature_detected!("avx512f") {
+            Isa::Avx512
+        } else if is_x86_feature_detected!("avx2") {
+            Isa::Avx2
+        } else {
+            Isa::Portable
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let widest = Isa::Portable;
+        assert_eq!(Kernel::widest().isa, widest);
     }
 
     proptest! {

@@ -43,6 +43,8 @@ fn allocations_in(f: impl FnOnce()) -> usize {
 /// counted.
 struct CountingAlloc;
 
+// A global allocator is an `unsafe impl`; this one only forwards to `System`.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record();
