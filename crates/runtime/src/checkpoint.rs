@@ -6,9 +6,10 @@
 //!
 //! ```text
 //! gen-000007/
-//!   manifest.json   pretty-printed JSON: format version, step, tag, partition
-//!                   boundaries, schedule geometry + recompute mask, and per
-//!                   stage payload its file name, byte length and CRC-32
+//!   manifest.json   pretty-printed JSON: format version, step, tag, model
+//!                   shape, partition boundaries, schedule geometry +
+//!                   recompute mask, and per stage payload its file name,
+//!                   byte length and CRC-32
 //!   stage-0.bin     one binary payload per stage, (device, chunk) order
 //!   stage-1.bin
 //! ```
@@ -16,7 +17,7 @@
 //! A stage payload is little-endian throughout:
 //!
 //! ```text
-//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 2)
+//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 3)
 //! [16] Adam lr, beta1, beta2, eps (f32 × 4)    [8] Adam step (u64)
 //! [4]  tensor count n (u32)
 //! n ×  { [4] rank r (u32), r × [8] dimension (u64) }    the shape table
@@ -41,10 +42,11 @@
 //!
 //! There is one on-disk format and no reader for an older one: generations
 //! are per-run scratch, none is committed to the repository, and a second
-//! reader would be a second path. A generation written before the format was
-//! versioned (JSON payloads, a manifest without `format`) is rejected as
-//! corrupt with a detail naming its version, and skipped like any other
-//! invalid generation.
+//! reader would be a second path. A generation of an older format — version
+//! 1, before the format was versioned (JSON payloads, a manifest without
+//! `format`), or version 2, whose manifest did not name the model — is
+//! rejected as corrupt with a detail naming its version, and skipped like
+//! any other invalid generation.
 //!
 //! [`BackgroundCheckpointer`] moves the encoding and disk work off the
 //! training thread: the trainer exports stage states (cheap tensor clones —
@@ -68,6 +70,7 @@ use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
+use autopipe_model::ModelConfig;
 use autopipe_schedule::{
     apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, sliced_1f1b, zero_bubble,
     Schedule, ScheduleKind,
@@ -223,8 +226,9 @@ pub struct StageState {
 }
 
 /// Version of the on-disk format (manifest `format` field and payload
-/// header). Version 1 was the unversioned JSON-payload layout.
-const FORMAT: u32 = 2;
+/// header). Version 1 was the unversioned JSON-payload layout; version 2
+/// had no [`ModelShape`] in the manifest.
+const FORMAT: u32 = 3;
 const MAGIC: [u8; 8] = *b"AUTOPCKP";
 
 /// A `Write` that accumulates the CRC-32 and length of what passes through.
@@ -497,6 +501,38 @@ pub struct StagePayload {
     pub bytes: u64,
 }
 
+/// The shape of the model a checkpoint holds, recorded in its manifest so
+/// that a resume can reject a different model before it builds a pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ModelShape {
+    /// Transformer layers.
+    pub blocks: usize,
+    /// Hidden dimension.
+    pub hidden: usize,
+    /// Attention heads.
+    pub heads: usize,
+    /// FFN expansion factor.
+    pub ffn_mult: usize,
+    /// Vocabulary size.
+    pub vocab: usize,
+    /// Training sequence length.
+    pub seq_len: usize,
+}
+
+impl ModelShape {
+    /// The shape of `model`.
+    pub fn of(model: &ModelConfig) -> ModelShape {
+        ModelShape {
+            blocks: model.num_layers,
+            hidden: model.hidden_size,
+            heads: model.num_heads,
+            ffn_mult: model.ffn_mult,
+            vocab: model.vocab_size,
+            seq_len: model.seq_len,
+        }
+    }
+}
+
 /// A generation's manifest: everything needed to validate the payloads and
 /// resume training — including the partition and the schedule (geometry and
 /// recompute mask), so [`Session::resume`](https://docs.rs) can rebuild the
@@ -511,6 +547,8 @@ pub struct Manifest {
     pub step: u64,
     /// Free-form tag.
     pub tag: String,
+    /// Shape of the model the snapshot holds.
+    pub model: ModelShape,
     /// Partition boundaries of the pipeline that wrote the snapshot.
     pub boundaries: Vec<usize>,
     /// Schedule family of the pipeline that wrote the snapshot.
@@ -568,6 +606,8 @@ pub struct PipelineSnapshot {
     pub step: u64,
     /// Free-form tag.
     pub tag: String,
+    /// Shape of the pipeline's model.
+    pub model: ModelShape,
     /// Partition boundaries.
     pub boundaries: Vec<usize>,
     /// Schedule family.
@@ -600,6 +640,7 @@ impl PipelineSnapshot {
         PipelineSnapshot {
             step,
             tag: tag.to_string(),
+            model: pipeline.model(),
             boundaries,
             kind,
             n_sliced,
@@ -736,6 +777,7 @@ impl CheckpointStore {
             generation,
             step: snap.step,
             tag: snap.tag.clone(),
+            model: snap.model,
             boundaries: snap.boundaries.clone(),
             kind: snap.kind,
             n_sliced: snap.n_sliced,
@@ -1146,41 +1188,48 @@ mod tests {
 
     #[test]
     fn an_old_format_generation_is_skipped_naming_its_version() {
-        let dir = temp_dir("ckpt_v1");
-        let mut store = CheckpointStore::open(&dir, 4).unwrap();
-        let v1 = dir.join("gen-000000");
-        fs::create_dir_all(&v1).unwrap();
-        // What the unversioned JSON-payload layout left on disk.
-        fs::write(
-            v1.join("manifest.json"),
-            r#"{"generation": 0, "step": 4, "tag": "step", "boundaries": [0, 3, 7],
+        // What the unversioned JSON-payload layout (version 1) and the
+        // manifest without a model shape (version 2) left on disk.
+        let v1 = r#"{"generation": 0, "step": 4, "tag": "step", "boundaries": [0, 3, 7],
                 "kind": "OneFOneB", "n_sliced": 0, "n_chunks": 1, "n_microbatches": 4,
                 "stages": [{"file": "stage-0.json", "crc32": 0, "bytes": 2},
-                           {"file": "stage-1.json", "crc32": 0, "bytes": 2}]}"#,
-        )
-        .unwrap();
-        fs::write(v1.join("stage-0.json"), "{}").unwrap();
-        fs::write(v1.join("stage-1.json"), "{}").unwrap();
+                           {"file": "stage-1.json", "crc32": 0, "bytes": 2}]}"#;
+        let v2 = r#"{"format": 2, "generation": 0, "step": 4, "tag": "step",
+                "boundaries": [0, 3, 7], "kind": "OneFOneB", "n_sliced": 0, "n_chunks": 1,
+                "n_microbatches": 4, "recompute": [false, false],
+                "stages": [{"file": "stage-0.bin", "crc32": 0, "bytes": 2},
+                           {"file": "stage-1.bin", "crc32": 0, "bytes": 2}]}"#;
+        for (version, manifest, ext) in [(1, v1, "json"), (2, v2, "bin")] {
+            let dir = temp_dir(&format!("ckpt_v{version}"));
+            let mut store = CheckpointStore::open(&dir, 4).unwrap();
+            let old = dir.join("gen-000000");
+            fs::create_dir_all(&old).unwrap();
+            fs::write(old.join("manifest.json"), manifest).unwrap();
+            for i in 0..2 {
+                fs::write(old.join(format!("stage-{i}.{ext}")), "{}").unwrap();
+            }
 
-        let names_v1 = |e: &CheckpointError| e.to_string().contains("format version 1");
-        let err = store.load_generation(0).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Corrupt { .. }) && names_v1(&err),
-            "{err}"
-        );
-        let err = store.load_latest().unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::NoValidGeneration { .. }) && names_v1(&err),
-            "{err}"
-        );
+            let names_it =
+                |e: &CheckpointError| e.to_string().contains(&format!("format version {version}"));
+            let err = store.load_generation(0).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupt { .. }) && names_it(&err),
+                "{err}"
+            );
+            let err = store.load_latest().unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::NoValidGeneration { .. }) && names_it(&err),
+                "{err}"
+            );
 
-        // A current generation on either side of it is what loads.
-        let mut p = pipe(21);
-        assert_eq!(store.save(&p.snapshot(5, "new")).unwrap(), 1);
-        assert_eq!(store.load_latest().unwrap().0.generation, 1);
-        fs::rename(&v1, dir.join("gen-000002")).unwrap();
-        assert_eq!(store.load_latest().unwrap().0.generation, 1);
-        let _ = fs::remove_dir_all(&dir);
+            // A current generation on either side of it is what loads.
+            let mut p = pipe(21);
+            assert_eq!(store.save(&p.snapshot(5, "new")).unwrap(), 1);
+            assert_eq!(store.load_latest().unwrap().0.generation, 1);
+            fs::rename(&old, dir.join("gen-000002")).unwrap();
+            assert_eq!(store.load_latest().unwrap().0.generation, 1);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1277,6 +1326,7 @@ mod tests {
         let (manifest, states) = store.load_latest().unwrap();
         assert_eq!(manifest.generation, 2);
         assert_eq!(manifest.step, 3);
+        assert_eq!(manifest.model, ModelShape::of(&tiny()));
         assert_eq!(manifest.boundaries, vec![0, 3, 7]);
         assert_eq!(states.len(), 2);
 

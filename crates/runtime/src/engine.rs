@@ -31,7 +31,7 @@ use autopipe_sim::Partition;
 use autopipe_tensor::{optim::Adam, Tensor};
 use crossbeam::channel::{bounded, SyncSender};
 
-use crate::checkpoint::PipelineSnapshot;
+use crate::checkpoint::{ModelShape, PipelineSnapshot};
 use crate::data::BatchSet;
 use crate::stage::{
     build_modules, concat_halves, split_halves, Module, StageInput, StageModel, StageOutput,
@@ -103,7 +103,7 @@ pub struct Pipeline {
     stages: Vec<Vec<StageModel>>,
     schedule: Schedule,
     partition: Partition,
-    seq: usize,
+    model: ModelShape,
     checkpointing: bool,
     comm: CommConfig,
     faults: Option<FaultPlan>,
@@ -167,7 +167,7 @@ impl Pipeline {
             stages,
             schedule: cfg.schedule.clone(),
             partition: cfg.partition.clone(),
-            seq: cfg.model.seq_len,
+            model: ModelShape::of(&cfg.model),
             checkpointing: cfg.checkpointing,
             comm: cfg.comm,
             faults: None,
@@ -197,6 +197,11 @@ impl Pipeline {
             fp.crashes.clear();
             fp.lost.clear();
         }
+    }
+
+    /// Shape of the model this pipeline trains.
+    pub fn model(&self) -> ModelShape {
+        self.model
     }
 
     /// Export a durable snapshot of the full training state plus the plan
@@ -255,7 +260,7 @@ impl Pipeline {
             ));
         }
         let p = self.schedule.n_devices;
-        let seq = self.seq;
+        let seq = self.model.seq_len;
         let grad_scale = 1.0 / m as f32;
 
         // One channel per directed device pair used by the schedule.
@@ -509,7 +514,8 @@ impl Pipeline {
             let stage_params: Vec<Tensor> = par_iter.by_ref().take(nparams).collect();
             let stage_m: Vec<Tensor> = m_iter.by_ref().take(nparams).collect();
             let stage_v: Vec<Tensor> = v_iter.by_ref().take(nparams).collect();
-            let mut stage = StageModel::from_parts(mods, self.seq, lr, self.checkpointing);
+            let mut stage =
+                StageModel::from_parts(mods, self.model.seq_len, lr, self.checkpointing);
             stage.import_state(
                 &stage_params,
                 Adam::from_moments(lr, step_count, stage_m, stage_v),

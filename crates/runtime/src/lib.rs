@@ -41,7 +41,7 @@ pub use adaptive::{StragglerMonitor, StragglerObservation};
 pub use autopipe_core::{StragglerConfig, WatchdogConfig};
 pub use checkpoint::{
     restore_states, BackgroundCheckpointer, CheckpointError, CheckpointStore, FailPoint, Manifest,
-    PipelineSnapshot, StagePayload, StageState, WriterStatus,
+    ModelShape, PipelineSnapshot, StagePayload, StageState, WriterStatus,
 };
 pub use data::BatchSet;
 pub use elastic::{ElasticAction, ElasticCoordinator, ElasticEvent};

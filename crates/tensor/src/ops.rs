@@ -4,6 +4,8 @@
 //! Each forward returns whatever cache its backward needs; each backward
 //! takes the upstream gradient and returns input/parameter gradients.
 
+use crate::kernel::Kernel;
+use crate::tanh::tanh;
 use crate::tensor::Tensor;
 
 // ---------------------------------------------------------------- linear
@@ -38,15 +40,33 @@ pub(crate) fn linear_bwd(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor
 
 /// GELU (tanh approximation), elementwise: returns `(y, t)` where `t` is
 /// the `tanh` inside it, which [`gelu_bwd`] reuses instead of calling `tanh`
-/// a second time per element.
+/// a second time per element. One pass on the widest kernel instance the
+/// host runs.
 pub(crate) fn gelu_fwd(x: &Tensor) -> (Tensor, Tensor) {
-    let t: Vec<f32> = x
-        .data()
-        .iter()
-        .map(|&v| (GELU_C * (v + 0.044715 * v * v * v)).tanh())
-        .collect();
-    let t = Tensor::from_vec(x.shape(), t);
-    (gelu_from_tanh(x, &t), t)
+    let mut t = Tensor::zeros(x.shape());
+    let mut y = Tensor::zeros(x.shape());
+    Kernel::widest().gelu(x.data(), t.data_mut(), y.data_mut());
+    (y, t)
+}
+
+/// [`gelu_fwd`]'s loop: `t = tanh(GELU_C·(v + 0.044715·v³))` and `y = 0.5·v·(1
+/// + t)` per element, `tanh` being fdlibm's `tanhf` to the bit
+/// ([`crate::tanh`]). `#[inline(always)]` so that each instance in
+/// [`crate::kernel`] compiles it for its own instruction set.
+#[inline(always)]
+pub(crate) fn gelu(x: &[f32], t: &mut [f32], y: &mut [f32]) {
+    for ((&v, t), y) in x.iter().zip(t.iter_mut()).zip(y.iter_mut()) {
+        *t = tanh(GELU_C * (v + 0.044715 * v * v * v));
+        *y = gelu_out(v, *t);
+    }
+}
+
+/// The GELU output from its input `v` and the `tanh` inside it: the one
+/// expression both [`gelu`] and [`gelu_from_tanh`] use, so they agree to the
+/// bit.
+#[inline(always)]
+fn gelu_out(v: f32, t: f32) -> f32 {
+    0.5 * v * (1.0 + t)
 }
 
 /// The GELU output from its input and [`gelu_fwd`]'s `t` — the forward's
@@ -57,7 +77,7 @@ pub(crate) fn gelu_from_tanh(x: &Tensor, t: &Tensor) -> Tensor {
         .data()
         .iter()
         .zip(t.data())
-        .map(|(&v, &t)| 0.5 * v * (1.0 + t))
+        .map(|(&v, &t)| gelu_out(v, t))
         .collect();
     Tensor::from_vec(x.shape(), y)
 }
@@ -424,6 +444,54 @@ mod tests {
         let dx = gelu_bwd(&x, &gelu_fwd(&x).1, &probe);
         let fd = finite_diff(&x, &probe, &|x| gelu_fwd(x).0);
         assert_close(&dx, &fd, 2e-2, "gelu dx");
+    }
+
+    #[test]
+    fn gelu_fwd_equals_the_libm_expression_bit_for_bit() {
+        // The expression `gelu_fwd` had before its `tanh` was ported, on
+        // activations from a seeded normal spread over four scales, plus
+        // ±0, subnormals, values around every branch of `tanh`, ±inf and
+        // NaN.
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut data = Vec::new();
+        for std in [1e-3, 1.0, 4.0, 30.0] {
+            data.extend_from_slice(Tensor::randn(&[4096], std, &mut rng).data());
+        }
+        data.extend([
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            1e-20,
+            -0.35,
+            0.6,
+            1.2,
+            -1.3,
+            14.0,
+            -25.0,
+            1e20,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]);
+        let x = Tensor::from_vec(&[data.len()], data);
+        let (y, t) = gelu_fwd(&x);
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let old_t: Vec<f32> = x
+            .data()
+            .iter()
+            .map(|&v| (GELU_C * (v + 0.044715 * v * v * v)).tanh())
+            .collect();
+        let old_y: Vec<f32> = x
+            .data()
+            .iter()
+            .zip(&old_t)
+            .map(|(&v, &t)| 0.5 * v * (1.0 + t))
+            .collect();
+        assert_eq!(bits(t.data()), bits(&old_t));
+        assert_eq!(bits(y.data()), bits(&old_y));
+        assert_eq!(bits(gelu_from_tanh(&x, &t).data()), bits(y.data()));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Dense row-major f32 tensors.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::kernel::Kernel;
 
 /// A dense row-major f32 tensor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,8 +133,8 @@ impl Tensor {
         self.product(other, (k, 1), true, (m, k, n))
     }
 
-    /// `self · other` on the widest GEMM instance the host runs; the layout
-    /// arguments are [`Product`]'s.
+    /// `self · other` on the widest kernel instance the host runs; the
+    /// layout arguments are [`Product`]'s.
     fn product(
         &self,
         other: &Tensor,
@@ -179,81 +180,14 @@ fn product_dims(
 /// transposed. `b` is `B` row-major, or with `b_transposed` it is `Bᵀ
 /// [n,k]` row-major (`matmul_t`'s right-hand side).
 #[derive(Clone, Copy)]
-struct Product<'a> {
+pub(crate) struct Product<'a> {
     a: &'a [f32],
     a_strides: (usize, usize),
     b: &'a [f32],
     b_transposed: bool,
-    m: usize,
+    pub(crate) m: usize,
     k: usize,
-    n: usize,
-}
-
-/// The instruction sets [`gemm`] is compiled for, widest first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    Avx512,
-    Avx2,
-    Portable,
-}
-
-impl Isa {
-    const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Portable];
-
-    /// This instruction set's instance of [`gemm`], if the host runs it.
-    fn kernel(self) -> Option<Kernel> {
-        let run: unsafe fn(Product<'_>) -> Vec<f32> = match self {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 if is_x86_feature_detected!("avx512f") => gemm_avx512,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 if is_x86_feature_detected!("avx2") => gemm_avx2,
-            Isa::Portable => gemm,
-            _ => return None,
-        };
-        Some(Kernel { isa: self, run })
-    }
-}
-
-/// An instance of [`gemm`] the host runs; only [`Isa::kernel`] builds one.
-#[derive(Clone, Copy)]
-struct Kernel {
-    #[cfg_attr(not(test), allow(dead_code))] // read by the tests
-    isa: Isa,
-    run: unsafe fn(Product<'_>) -> Vec<f32>,
-}
-
-impl Kernel {
-    /// The widest instance the host runs, chosen on first use.
-    fn widest() -> Kernel {
-        static WIDEST: OnceLock<Kernel> = OnceLock::new();
-        *WIDEST.get_or_init(|| {
-            Isa::ALL
-                .into_iter()
-                .find_map(Isa::kernel)
-                .expect("the portable instance runs anywhere")
-        })
-    }
-
-    #[allow(unsafe_code)]
-    fn gemm(self, product: Product<'_>) -> Vec<f32> {
-        // SAFETY: `Isa::kernel` hands out an instance compiled with target
-        // features only after `is_x86_feature_detected!` reports them.
-        unsafe { (self.run)(product) }
-    }
-}
-
-/// [`gemm`] compiled for AVX-512F; equal to it bit for bit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn gemm_avx512(product: Product<'_>) -> Vec<f32> {
-    gemm(product)
-}
-
-/// [`gemm`] compiled for AVX2; equal to it bit for bit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn gemm_avx2(product: Product<'_>) -> Vec<f32> {
-    gemm(product)
+    pub(crate) n: usize,
 }
 
 thread_local! {
@@ -268,10 +202,10 @@ const MR: usize = 4;
 /// Columns of that tile.
 const NR: usize = 32;
 
-/// The one GEMM body, and the portable instance of it. Every function it
+/// The one GEMM body: `out = A·B` into a zeroed `out`. Every function it
 /// calls is `#[inline(always)]` and no closure runs its loops, so each
-/// `#[target_feature]` wrapper compiles the whole product, `matmul_t`'s
-/// transpose included, for its own instruction set.
+/// instance of [`crate::kernel`]'s dispatch compiles the whole product,
+/// `matmul_t`'s transpose included, for its own instruction set.
 ///
 /// Every output element is the one chain `acc = 0.0; acc += a·b` over
 /// ascending `kk`, multiply and add rounded separately (never `mul_add`),
@@ -289,9 +223,9 @@ const NR: usize = 32;
 /// Single-threaded on purpose: a pipeline stage is one device and already
 /// runs on its own thread.
 #[inline(always)]
-fn gemm(p: Product<'_>) -> Vec<f32> {
+pub(crate) fn gemm(p: Product<'_>, out: &mut [f32]) {
     if !p.b_transposed {
-        return tiles(p, p.b);
+        return tiles(p, p.b, out);
     }
     // Transposed first — O(k·n) next to the product's O(m·k·n) — so the
     // tiles read `b` row-major.
@@ -301,9 +235,8 @@ fn gemm(p: Product<'_>) -> Vec<f32> {
         scratch.resize(k * n, 0.0);
     }
     transpose(p.b, &mut scratch[..k * n], n, k);
-    let out = tiles(p, &scratch[..k * n]);
+    tiles(p, &scratch[..k * n], out);
     TRANSPOSED.set(scratch);
-    out
 }
 
 /// `dst [cols,rows] = src [rows,cols]ᵀ`, in square blocks so both sides stay
@@ -326,7 +259,7 @@ fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 
 /// [`gemm`] with `b` row-major `[k,n]` (`p.b` itself, or its transpose).
 #[inline(always)]
-fn tiles(p: Product<'_>, b: &[f32]) -> Vec<f32> {
+fn tiles(p: Product<'_>, b: &[f32], out: &mut [f32]) {
     let Product {
         a,
         a_strides,
@@ -335,9 +268,8 @@ fn tiles(p: Product<'_>, b: &[f32]) -> Vec<f32> {
         n,
         ..
     } = p;
-    let mut out = vec![0.0_f32; m * n];
     if k == 0 {
-        return out; // empty sums; `a` and `b` have no element to slice at
+        return; // empty sums; `a` and `b` have no element to slice at
     }
     // Column panels outermost: a `[k, NR]` panel of `b` stays in L1 while
     // every row tile of A streams past it.
@@ -359,7 +291,6 @@ fn tiles(p: Product<'_>, b: &[f32]) -> Vec<f32> {
             }
         }
     }
-    out
 }
 
 /// One `mr × nr` tile of [`gemm`] (`mr ≤ MR`, `nr ≤ NR`); `a`, `b` and `out`
@@ -401,6 +332,7 @@ fn tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Isa;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -537,7 +469,9 @@ mod tests {
     ) -> Result<(), String> {
         prop_assert_eq!(got.shape(), &[product.m, product.n]);
         prop_assert_eq!(bits(got.data()), bits(want), "{} (dispatched)", what);
-        let portable = bits(&gemm(product));
+        let mut portable = vec![0.0; product.m * product.n];
+        gemm(product, &mut portable);
+        let portable = bits(&portable);
         prop_assert_eq!(&portable, &bits(want), "{} (portable)", what);
         for kernel in Isa::ALL.into_iter().filter_map(Isa::kernel) {
             let got = bits(&kernel.gemm(product));
@@ -616,21 +550,6 @@ mod tests {
                 check_products(m, k, n, seed).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn products_run_on_the_widest_instance_the_host_runs() {
-        #[cfg(target_arch = "x86_64")]
-        let widest = if is_x86_feature_detected!("avx512f") {
-            Isa::Avx512
-        } else if is_x86_feature_detected!("avx2") {
-            Isa::Avx2
-        } else {
-            Isa::Portable
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let widest = Isa::Portable;
-        assert_eq!(Kernel::widest().isa, widest);
     }
 
     proptest! {

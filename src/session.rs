@@ -61,9 +61,9 @@ use autopipe_exec::FaultPlan;
 use autopipe_model::ModelConfig;
 use autopipe_planner::{PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
-    restore_states, BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent,
-    FaultReport, Pipeline, PipelineConfig, RecoveryAction, RecoveryCoordinator, RecoveryRecord,
-    RuntimeError, StragglerMonitor,
+    restore_states, BatchSet, CheckpointError, CheckpointStore, ElasticAction, ElasticCoordinator,
+    ElasticEvent, FaultReport, ModelShape, Pipeline, PipelineConfig, RecoveryAction,
+    RecoveryCoordinator, RecoveryRecord, RuntimeError, StragglerMonitor,
 };
 use autopipe_schedule::{validate, ScheduleKind};
 use autopipe_sim::event::{run_schedule, run_schedule_faulty, EventCosts, EventResult};
@@ -338,6 +338,19 @@ impl Session {
         let store = CheckpointStore::open(&dir, retain).map_err(Error::from)?;
         let (manifest, states) = store.load_latest().map_err(Error::from)?;
         drop(store);
+        // A different model is rejected from the manifest alone, before a
+        // pipeline of this session's model is built.
+        let model = ModelShape::of(&self.cfg.model);
+        if manifest.model != model {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpoint in {} holds a model of shape {:?}, this session's model \
+                 ({}) is {model:?}",
+                dir.display(),
+                manifest.model,
+                self.cfg.model.name
+            ))
+            .into());
+        }
 
         let n_stages = manifest.boundaries.len().saturating_sub(1);
         if n_stages < 1 {
@@ -1189,18 +1202,24 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let err = Session::for_model(zoo::gpt2_345m())
-            .microbatch_size(2)
-            .iterations(1)
-            .resume(&dir)
-            .unwrap_err();
-        // Depending on how wrong the model is, the mismatch surfaces at
-        // pipeline construction (partition covers a different block count)
-        // or at restore (per-stage shape validation) — both typed.
-        assert!(
-            matches!(err, Error::Checkpoint(_) | Error::Runtime(_)),
-            "model mismatch must surface as a typed error, got {err}"
-        );
+        // The manifest names its model, so a different one — deeper and
+        // wider, or only wider — is rejected before a pipeline is built.
+        let wider = ModelConfig {
+            hidden_size: 2 * zoo::gpt2_tiny().hidden_size,
+            ..zoo::gpt2_tiny()
+        };
+        for model in [zoo::gpt2_345m(), wider] {
+            let err = Session::for_model(model)
+                .microbatch_size(2)
+                .iterations(1)
+                .resume(&dir)
+                .unwrap_err();
+            assert!(
+                matches!(&err, Error::Checkpoint(e)
+                    if matches!(e.downcast_ref(), Some(CheckpointError::Mismatch(_)))),
+                "model mismatch must surface as a typed error, got {err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
