@@ -22,8 +22,7 @@ use autopipe_planner::{autopipe_plan, AutoPipeConfig};
 use autopipe_schedule::generators;
 use autopipe_sim::analytic::OverlapModel;
 use autopipe_sim::event::{EventConfig, EventCosts};
-use autopipe_sim::schedule_replay::{replay_schedule, ReplayScratch};
-use autopipe_sim::CommConfig;
+use autopipe_sim::{replay_schedule, CommConfig, ReplayScratch};
 use serde_json::json;
 
 /// Bubble fraction of one simulated iteration: the share of device-seconds

@@ -18,8 +18,7 @@ use autopipe_planner::{autopipe_plan, balanced_partition};
 use autopipe_schedule::{generators, Schedule};
 use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::memcheck::check_memory;
-use autopipe_sim::schedule_replay::{replay_schedule, ReplayScratch};
-use autopipe_sim::Partition;
+use autopipe_sim::{replay_schedule, Partition, ReplayScratch};
 use serde_json::{json, Value};
 
 /// Bubble fraction of one simulated iteration: the share of device-seconds

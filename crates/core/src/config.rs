@@ -30,10 +30,10 @@ use crate::error::Error;
 /// planner's `AutoPipeConfig { overlap, prune }`, the family search's
 /// `FamilyConfig { comm }`, and the executors' `CommConfig` — and nothing
 /// expressed a memory budget at all. `Constraints` is the single statement
-/// of *what the plan must satisfy*; [`SessionConfig::planner`] and
-/// [`SessionConfig::family`] are the only lowerings into the per-crate
-/// structs, so overlap/prune/budget/recompute cannot drift apart between
-/// layers.
+/// of *what the plan must satisfy*; [`SessionConfig::planner`] (from which
+/// the family search's `FamilyConfig::for_planner` derives) and
+/// [`Constraints::comm`] are the only lowerings into the per-crate structs,
+/// so overlap/prune/budget/recompute cannot drift apart between layers.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Constraints {
     /// Hard per-device memory budget in bytes. `None` uses the hardware's
@@ -389,7 +389,7 @@ pub struct SessionConfig {
     pub max_schemes: usize,
     /// What the plan must satisfy: memory budget, comm overlap, recompute
     /// policy, pruning — lowered into every layer by [`Self::planner`] and
-    /// [`Self::family`].
+    /// [`Constraints::comm`].
     pub constraints: Constraints,
     // -- simulator knobs (lower into `EventConfig`) -----------------------
     /// Fixed overhead added to every simulated compute op.

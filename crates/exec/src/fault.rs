@@ -8,7 +8,8 @@
 //! wall-clock thread order, yet both observe *exactly* the same faults — so
 //! one script can be replayed on `sim::event` (virtual time) and on
 //! `runtime::engine` (wall time, scaled by a `time_scale`) and compared op
-//! for op.
+//! for op. Both apply it through the one interpreter: the
+//! [`Cursor`](crate::Cursor) asks the script what it does to each op, once.
 //!
 //! Four fault families, mirroring what degrades real training clusters:
 //!
@@ -42,7 +43,6 @@ use serde::{Deserialize, Serialize};
 use autopipe_schedule::Part;
 
 use crate::msg::MsgKey;
-use crate::transport::LinkFault;
 
 /// A degraded directed link: every message `from → to` pays extra delay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,9 +159,9 @@ pub struct MembershipFault {
     pub change: MembershipChange,
 }
 
-/// What kind of fail-stop event hit a device, as reported by
-/// [`FaultPlan::crash_at`]. Drives the recovery policy choice: a `Crash` may
-/// be restarted in place, a `Lost` device forces shrink-and-replan.
+/// What kind of fail-stop event hit a device. Drives the recovery policy
+/// choice: a `Crash` may be restarted in place, a `Lost` device forces
+/// shrink-and-replan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FailStopKind {
     /// The stage thread died but the device survives ([`StageCrash`]).
@@ -292,7 +292,7 @@ impl FaultPlan {
     /// The fail-stop event (if any) scripted for `device` at `op_index`.
     /// `Lost` wins over `Crash` if both are scripted at the same op, because
     /// a lost device constrains recovery more.
-    pub fn crash_at(&self, device: usize, op_index: usize) -> Option<FailStopKind> {
+    pub(crate) fn crash_at(&self, device: usize, op_index: usize) -> Option<FailStopKind> {
         if self
             .lost
             .iter()
@@ -491,7 +491,7 @@ impl FaultPlan {
 
     /// Total extra delay injected on one message — flat degradation, jitter,
     /// spikes and drop-redelivery combined. Pure in (seed, from, to, key).
-    pub fn link_delay(&self, from: usize, to: usize, key: &MsgKey) -> f64 {
+    pub(crate) fn link_delay(&self, from: usize, to: usize, key: &MsgKey) -> f64 {
         let mut d = 0.0;
         for l in &self.links {
             if (l.from, l.to) != (from, to) {
@@ -514,7 +514,7 @@ impl FaultPlan {
     }
 
     /// Compute multiplier for a stage (≥ 1; stacked if scripted twice).
-    pub fn compute_factor(&self, stage: usize) -> f64 {
+    pub(crate) fn compute_factor(&self, stage: usize) -> f64 {
         self.stragglers
             .iter()
             .filter(|s| s.stage == stage)
@@ -523,19 +523,12 @@ impl FaultPlan {
     }
 
     /// Freeze duration before op `op_index` on `device` (0 if none).
-    pub fn stall_pause(&self, device: usize, op_index: usize) -> f64 {
+    pub(crate) fn stall_pause(&self, device: usize, op_index: usize) -> f64 {
         self.stalls
             .iter()
             .filter(|s| s.device == device && s.op_index == op_index)
             .map(|s| s.pause)
             .sum()
-    }
-
-    /// Adapter for [`crate::VirtualTransport::with_fault`]: a boxed hook
-    /// replaying this script's link faults in the event simulator.
-    pub fn link_fault_hook(&self) -> LinkFault {
-        let plan = self.clone();
-        Box::new(move |from, to, key, _now| plan.link_delay(from, to, key))
     }
 }
 

@@ -7,12 +7,18 @@
 //! bookkeeping, stash-based receives, ad-hoc timing structs. This crate hoists
 //! that machinery into one place:
 //!
-//! * [`MsgKey`] / [`op_key`] — the message identity that pairs every send with
-//!   its receive, including the chunk-disambiguation needed by interleaved
+//! * [`Cursor`] / [`Device`] — the one op interpreter. A cursor walks one
+//!   device's program, decodes each op, applies the [`FaultPlan`] to it once
+//!   (fail-stop, stall, straggler factor, link delay) and hands it to a
+//!   device that supplies only the clock, compute, send and receive: a cost
+//!   lookup in virtual time for the simulator, tensor math in wall time for
+//!   the runtime.
+//! * [`MsgKey`] — the message identity that pairs every send with its
+//!   receive, including the chunk-disambiguation needed by interleaved
 //!   schedules.
-//! * [`Transport`] — how messages move between devices. Two implementations:
+//! * The transports the two devices move messages with:
 //!   [`VirtualTransport`] (simulated time: α+β link costs, per-directed-edge
-//!   FIFO ordering, optional jitter/latency fault injection) and
+//!   FIFO ordering, the script's link delay per message) and
 //!   [`ChannelEndpoint`] (wall-clock time: one crossbeam channel per directed
 //!   edge plus a stash, for the thread-per-device runtime).
 //! * [`Timeline`] / [`TraceEvent`] — the one trace format both executors emit,
@@ -24,22 +30,24 @@
 //!
 //! Layering: this crate sits between `autopipe-schedule` (it consumes the op
 //! IR) and the executors (which consume this crate); it knows nothing about
-//! tensors, models or costs beyond the [`LinkCost`] abstraction.
+//! tensors, models or costs beyond the α+β link model ([`AlphaBeta`]).
 
+pub mod cursor;
 pub mod fault;
 pub mod msg;
 pub mod recorder;
 pub mod timeline;
 pub mod transport;
 
+pub use cursor::{Cursor, Device, Entry, Faults, Step};
 pub use fault::{
     splitmix64, unit, DeviceLost, FailStopKind, FaultPlan, FaultSpec, LinkDegrade,
     MembershipChange, MembershipFault, MessageDrop, StageCrash, StageStall, Straggler,
 };
-pub use msg::{op_key, MsgKey};
+pub use msg::MsgKey;
 pub use recorder::{NoTrace, Recorder, TraceSink, WallClock};
 pub use timeline::{DeviceBreakdown, OpTimes, Timeline, TraceEvent, TraceMismatch};
 pub use transport::{
     channel_mesh, schedule_edges, AlphaBeta, ChannelEndpoint, ChannelSender, ChunkPayload,
-    CommConfig, LinkCost, LinkFault, LinkStorage, Transport, VirtualTransport,
+    CommConfig, VirtualTransport,
 };

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use autopipe_schedule::{Op, OpKind, Part, Schedule};
+use autopipe_schedule::Part;
 
 /// Identity of one in-flight pipeline message.
 ///
@@ -46,46 +46,9 @@ impl MsgKey {
     }
 }
 
-/// The message key a communication op deposits (sends) or consumes
-/// (receives), given the op's executing `device` in `sched`. Returns the key
-/// plus, for sends, the destination device; `None` for compute ops.
-///
-/// This centralises the `stage ± 1` addressing rule both executors used to
-/// duplicate: an activation send feeds the stage above the sender's chunk, a
-/// gradient send feeds the stage below.
-pub fn op_key(sched: &Schedule, device: usize, op: &Op) -> Option<(MsgKey, Option<usize>)> {
-    match op.kind {
-        OpKind::SendAct {
-            mb,
-            chunk,
-            part,
-            to,
-        } => Some((
-            MsgKey::act(mb, part, sched.stage_of(device, chunk) + 1),
-            Some(to),
-        )),
-        OpKind::RecvAct {
-            mb, chunk, part, ..
-        } => Some((MsgKey::act(mb, part, sched.stage_of(device, chunk)), None)),
-        OpKind::SendGrad { mb, chunk, to } => Some((
-            MsgKey::grad(mb, sched.stage_of(device, chunk) - 1),
-            Some(to),
-        )),
-        OpKind::RecvGrad { mb, chunk, .. } => {
-            Some((MsgKey::grad(mb, sched.stage_of(device, chunk)), None))
-        }
-        OpKind::Fwd { .. }
-        | OpKind::Bwd { .. }
-        | OpKind::BwdInput { .. }
-        | OpKind::BwdWeight { .. }
-        | OpKind::Recompute { .. } => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autopipe_schedule::generators::{interleaved, one_f_one_b};
 
     #[test]
     fn constructors_fill_the_fields() {
@@ -95,37 +58,5 @@ mod tests {
         let g = MsgKey::grad(1, 0);
         assert!(g.is_grad);
         assert_eq!(g.part, Part::Full);
-    }
-
-    #[test]
-    fn every_send_key_has_a_matching_recv_key() {
-        // In a valid schedule, pairing each send's key against the receiving
-        // device's recv keys must balance out — the property every transport
-        // relies on.
-        for sched in [one_f_one_b(4, 6), interleaved(4, 2, 8).unwrap()] {
-            let mut balance: std::collections::HashMap<MsgKey, i64> = Default::default();
-            for (d, ops) in sched.devices.iter().enumerate() {
-                for op in ops {
-                    if let Some((key, dst)) = op_key(&sched, d, op) {
-                        *balance.entry(key).or_insert(0) += if dst.is_some() { 1 } else { -1 };
-                    }
-                }
-            }
-            assert!(
-                balance.values().all(|&n| n == 0),
-                "unbalanced keys in {:?}",
-                sched.kind
-            );
-        }
-    }
-
-    #[test]
-    fn compute_ops_have_no_key() {
-        let sched = one_f_one_b(2, 2);
-        let fwd = sched.devices[0]
-            .iter()
-            .find(|o| o.is_compute())
-            .expect("compute op");
-        assert!(op_key(&sched, 0, fwd).is_none());
     }
 }

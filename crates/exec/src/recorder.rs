@@ -6,20 +6,16 @@ use std::time::Instant;
 
 use autopipe_schedule::Op;
 
-use crate::timeline::{OpTimes, Timeline, TraceEvent};
+use crate::timeline::{OpTimes, Timeline};
 
 /// Where an executor puts the events it emits. Executors are written
 /// generically over this, so the same sweep runs traced or untraced.
 pub trait TraceSink {
-    /// Emit one executed op.
-    fn record(&mut self, ev: TraceEvent);
-
     /// Emit a run of consecutive ops executed by one device, as their
     /// [`OpTimes`]. The op identities are implicit: a device emits times in
     /// program order, so these extend the device's lane. Batching lets the
     /// executor keep its times in a hot local buffer and lets the sink take
-    /// them as one block copy — the cheapest recording path (see the
-    /// `trace_overhead` bench).
+    /// them as one block copy (see the `trace_overhead` bench).
     fn record_run(&mut self, device: usize, times: &[OpTimes]);
 
     /// Whether events are retained. Hot paths may skip work (but not
@@ -35,9 +31,6 @@ pub struct NoTrace;
 
 impl TraceSink for NoTrace {
     #[inline(always)]
-    fn record(&mut self, _ev: TraceEvent) {}
-
-    #[inline(always)]
     fn record_run(&mut self, _device: usize, _times: &[OpTimes]) {}
 
     fn enabled(&self) -> bool {
@@ -51,13 +44,13 @@ impl TraceSink for NoTrace {
 /// A sequential executor emits each device's events in program order, so the
 /// op identity of the k-th event on device `d` is already known: it's
 /// `programs[d][k]`. The recorder exploits that — [`for_programs`] copies
-/// the op lanes up front (one block copy per device) and [`record`] stores
-/// only the 24-byte [`OpTimes`] third of each event, which is what lets
-/// executors leave tracing on by default (see the `trace_overhead` bench).
-/// Debug builds assert each recorded event matches the program.
+/// the op lanes up front (one block copy per device) and [`record_run`]
+/// stores only the 24-byte [`OpTimes`] third of each event, which is what
+/// lets executors leave tracing on by default (see the `trace_overhead`
+/// bench).
 ///
 /// [`for_programs`]: Recorder::for_programs
-/// [`record`]: TraceSink::record
+/// [`record_run`]: TraceSink::record_run
 #[derive(Debug, Clone)]
 pub struct Recorder {
     ops: Vec<Op>,
@@ -121,28 +114,6 @@ impl Recorder {
 
 impl TraceSink for Recorder {
     #[inline(always)]
-    fn record(&mut self, ev: TraceEvent) {
-        debug_assert_eq!(
-            {
-                let lo = if ev.device == 0 {
-                    0
-                } else {
-                    self.ends[ev.device - 1]
-                };
-                self.ops.get(lo + self.times[ev.device].len())
-            },
-            Some(&ev.op),
-            "device {} event out of program order",
-            ev.device
-        );
-        self.times[ev.device].push(OpTimes {
-            start: ev.start,
-            ready: ev.ready,
-            end: ev.end,
-        });
-    }
-
-    #[inline(always)]
     fn record_run(&mut self, device: usize, times: &[OpTimes]) {
         debug_assert!(
             self.times[device].len() + times.len() <= self.n_program_ops(device),
@@ -174,6 +145,7 @@ impl WallClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::TraceEvent;
     use autopipe_schedule::{Op, OpKind, Part};
 
     fn op(mb: usize) -> Op {
@@ -184,10 +156,8 @@ mod tests {
         })
     }
 
-    fn ev(device: usize, mb: usize, start: f64) -> TraceEvent {
-        TraceEvent {
-            device,
-            op: op(mb),
+    fn at(start: f64) -> OpTimes {
+        OpTimes {
             start,
             ready: start,
             end: start + 1.0,
@@ -198,9 +168,9 @@ mod tests {
     fn recorder_groups_by_device() {
         let programs = vec![vec![op(0)], vec![op(0), op(1)]];
         let mut r = Recorder::for_programs(&programs);
-        r.record(ev(1, 0, 0.0));
-        r.record(ev(0, 0, 0.5));
-        r.record(ev(1, 1, 2.0));
+        r.record_run(1, &[at(0.0)]);
+        r.record_run(0, &[at(0.5)]);
+        r.record_run(1, &[at(2.0)]);
         assert!(r.enabled());
         let t = r.finish();
         assert_eq!(t.n_ops(0), 1);
@@ -213,7 +183,7 @@ mod tests {
     #[test]
     fn no_trace_discards() {
         let mut sink = NoTrace;
-        sink.record(ev(0, 0, 0.0));
+        sink.record_run(0, &[at(0.0)]);
         assert!(!sink.enabled());
     }
 

@@ -10,7 +10,10 @@ use autopipe_schedule::{Op, OpKind, Part};
 /// Times are seconds on the executor's clock — simulated time for the event
 /// simulator, wall-clock seconds from iteration start for the threaded
 /// runtime. For receive ops `ready` is the moment the message became
-/// available (its arrival); for every other op `ready == start`.
+/// available (its arrival). For every other op `ready` is when the device
+/// reached the op: it equals `start` unless a scripted stall, or in overlap
+/// mode an input gate, held the op back (the shared interpreter,
+/// [`Cursor`](crate::Cursor), records it for both executors).
 ///
 /// The event carries no redundant fields: the pipeline *stage* behind the op
 /// is `op.chunk() · n_devices + device`, and the micro-batch/part live inside
@@ -22,9 +25,10 @@ pub struct TraceEvent {
     pub device: usize,
     /// The op executed.
     pub op: Op,
-    /// When the device reached the op.
+    /// When the op began (for receives: when the device reached it).
     pub start: f64,
-    /// For receives: message arrival time. Otherwise equals `start`.
+    /// For receives: message arrival time. Otherwise when the device
+    /// reached the op, `start` unless a stall or an input gate held it.
     pub ready: f64,
     /// When the op completed.
     pub end: f64,
@@ -44,9 +48,10 @@ impl TraceEvent {
 /// `trace_overhead` bench for why that matters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpTimes {
-    /// When the device reached the op.
+    /// When the op began (for receives: when the device reached it).
     pub start: f64,
-    /// For receives: message arrival time. Otherwise equals `start`.
+    /// For receives: message arrival time. Otherwise when the device
+    /// reached the op, `start` unless a stall or an input gate held it.
     pub ready: f64,
     /// When the op completed.
     pub end: f64,

@@ -1,11 +1,11 @@
-//! Pluggable transports: how keyed messages move between devices.
+//! How keyed messages move between devices.
 //!
 //! [`VirtualTransport`] runs in simulated time — an α+β cost per message,
-//! FIFO ordering per directed edge, and an optional fault hook for
-//! jitter/latency injection. [`ChannelEndpoint`] runs in wall-clock time —
-//! one unbounded channel per directed edge with a stash for out-of-order
-//! arrivals. Both speak [`MsgKey`], so an executor written against
-//! [`Transport`] runs on either.
+//! FIFO ordering per directed edge, and the extra delay a fault script puts
+//! on a message, which the [`Cursor`](crate::Cursor) hands to the send.
+//! [`ChannelEndpoint`] runs in wall-clock time — one unbounded channel per
+//! directed edge with a stash for out-of-order arrivals. Both speak
+//! [`MsgKey`]; each executor's [`Device`](crate::Device) drives one of them.
 //!
 //! # Communication–computation overlap
 //!
@@ -13,9 +13,9 @@
 //! micro-batch message is split into `k` chunks, and chunk `j` may enter the
 //! link as soon as the fraction `j/k` of the producing compute op has run —
 //! the transfer pipelines against the tail of the producer instead of
-//! waiting for its end. [`Transport::send_overlapped`] is the virtual-time
-//! form (the chunk-ready times are derived from the producing op's span);
-//! [`ChannelSender::send_chunks`] is the wall-clock
+//! waiting for its end. [`VirtualTransport::send_overlapped`] is the
+//! virtual-time form (the chunk-ready times are derived from the producing
+//! op's span); [`ChannelSender::send_chunks`] is the wall-clock
 //! form used by the runtime's dedicated comm threads. Receivers reassemble
 //! chunks transparently: per-edge channels are FIFO, so the chunks of one
 //! message arrive contiguously and in order.
@@ -70,39 +70,9 @@ impl CommConfig {
     }
 }
 
-/// Cost of moving a message across a link: the α+β model (per-message
-/// latency plus volume-proportional transfer).
-pub trait LinkCost {
-    /// Transfer time for a message carrying `part` of a micro-batch over the
-    /// directed edge `from → to`.
-    fn transfer(&self, from: usize, to: usize, part: Part) -> f64;
-
-    /// Transfer time for **one of `k` chunks** of that message. Every chunk
-    /// pays the full per-message latency (each is its own packet on the
-    /// wire) and `1/k` of the volume. Implementations that know their α/β
-    /// split override this; the default divides the whole message cost,
-    /// which is exact for latency-free links and conservative otherwise.
-    ///
-    /// `transfer_chunk(from, to, part, 1)` must equal
-    /// `transfer(from, to, part)` bit-for-bit — dividing by `1.0` is exact,
-    /// so both the default and the α+β overrides satisfy this.
-    fn transfer_chunk(&self, from: usize, to: usize, part: Part, k: usize) -> f64 {
-        self.transfer(from, to, part) / k.max(1) as f64
-    }
-}
-
-impl<T: LinkCost + ?Sized> LinkCost for &T {
-    fn transfer(&self, from: usize, to: usize, part: Part) -> f64 {
-        (**self).transfer(from, to, part)
-    }
-
-    fn transfer_chunk(&self, from: usize, to: usize, part: Part, k: usize) -> f64 {
-        (**self).transfer_chunk(from, to, part, k)
-    }
-}
-
-/// Uniform α+β link: every directed edge pays `latency + frac·volume`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The α+β link model: every directed edge pays a per-message latency plus
+/// a volume-proportional transfer.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct AlphaBeta {
     /// Per-message latency (α).
     pub latency: f64,
@@ -110,71 +80,22 @@ pub struct AlphaBeta {
     pub volume: f64,
 }
 
-impl LinkCost for AlphaBeta {
-    fn transfer(&self, _from: usize, _to: usize, part: Part) -> f64 {
+impl AlphaBeta {
+    /// Transfer time of a message carrying `part` of a micro-batch.
+    #[inline]
+    pub fn transfer(&self, part: Part) -> f64 {
         self.latency + part.frac() * self.volume
     }
 
-    fn transfer_chunk(&self, _from: usize, _to: usize, part: Part, k: usize) -> f64 {
+    /// Transfer time of **one of `k` chunks** of that message: every chunk
+    /// pays the full latency (each is its own packet on the wire) and `1/k`
+    /// of the volume. `k = 1` equals [`transfer`](Self::transfer)
+    /// bit-for-bit — dividing by `1.0` is exact.
+    #[inline]
+    pub fn transfer_chunk(&self, part: Part, k: usize) -> f64 {
         self.latency + part.frac() * (self.volume / k.max(1) as f64)
     }
 }
-
-/// A transport moves keyed messages between devices. Implementations differ
-/// in what "time" means: virtual transports compute arrival times from a
-/// cost model, wall-clock transports deliver for real and report `now`.
-pub trait Transport {
-    /// What a message carries: `()` for timing-only simulation, tensors for
-    /// the training runtime.
-    type Payload;
-
-    /// Hand a message to the link at local time `now`. Delivery is
-    /// asynchronous (the sender does not block) and FIFO per directed edge.
-    /// Returns the arrival time at the destination as far as this transport
-    /// can know it — wall-clock transports return `now`.
-    fn send(
-        &mut self,
-        from: usize,
-        to: usize,
-        key: MsgKey,
-        payload: Self::Payload,
-        now: f64,
-    ) -> f64;
-
-    /// Overlapped chunked send. `span_end`/`span_dur` describe the compute
-    /// op that produced the message; chunk `j` of `chunks` (1-based) is
-    /// ready to depart at `span_end − span_dur·(chunks−j)/chunks + stall`,
-    /// i.e. the transfer pipelines against the tail of the producing op.
-    /// The message is delivered whole at the **last** chunk's arrival.
-    ///
-    /// The default ignores the span and behaves like a blocking
-    /// [`Transport::send`] at `span_end + stall` — correct for wall-clock
-    /// transports, whose eager path is driven by a comm thread instead.
-    #[allow(clippy::too_many_arguments)]
-    fn send_overlapped(
-        &mut self,
-        from: usize,
-        to: usize,
-        key: MsgKey,
-        payload: Self::Payload,
-        span_end: f64,
-        span_dur: f64,
-        stall: f64,
-        chunks: usize,
-    ) -> f64 {
-        let _ = (span_dur, chunks);
-        self.send(from, to, key, payload, span_end + stall)
-    }
-
-    /// Non-blocking receive at device `at`: the earliest-sent matching
-    /// message and its arrival time, if one has been sent. Wall-clock
-    /// transports report arrival `0.0` (already arrived).
-    fn try_recv(&mut self, at: usize, key: MsgKey) -> Option<(Self::Payload, f64)>;
-}
-
-/// Fault-injection hook on a virtual link: extra delay (jitter, congestion
-/// spikes, degraded NICs) added to one message's transfer time.
-pub type LinkFault = Box<dyn FnMut(usize, usize, &MsgKey, f64) -> f64>;
 
 /// Virtual-time transport for discrete-event execution.
 ///
@@ -187,122 +108,81 @@ pub type LinkFault = Box<dyn FnMut(usize, usize, &MsgKey, f64) -> f64>;
 /// link state is a `p²` array indexed `from·p + to`, and each destination's
 /// mailbox is one arrival-ordered queue scanned for the first key match —
 /// push order is send order, so per-key FIFO semantics are preserved
-/// exactly.
-pub struct VirtualTransport<C: LinkCost> {
-    costs: C,
-    n_devices: usize,
-    storage: LinkStorage,
-    fault: Option<LinkFault>,
-}
-
-/// The allocations behind a [`VirtualTransport`] — `p²` link busy-until
-/// times and one mailbox per destination — so a caller that builds a
-/// transport per candidate ([`VirtualTransport::with_storage`]) pays for
-/// their growth once per problem shape rather than once per candidate.
+/// exactly. [`reset`](Self::reset) keeps the allocations, so a search loop
+/// that reuses one transport pays for their growth once per problem shape
+/// rather than once per candidate.
 #[derive(Debug, Default)]
-pub struct LinkStorage {
+pub struct VirtualTransport {
+    link: AlphaBeta,
+    n_devices: usize,
     link_free: Vec<f64>,
     mailbox: Vec<VecDeque<(MsgKey, f64)>>,
 }
 
-impl<C: LinkCost> VirtualTransport<C> {
-    /// A fault-free transport over `n_devices` devices with the given costs.
-    pub fn new(n_devices: usize, costs: C) -> Self {
-        Self::with_storage(n_devices, costs, LinkStorage::default())
+impl VirtualTransport {
+    /// A transport over `n_devices` devices whose edges are all `link`.
+    pub fn new(n_devices: usize, link: AlphaBeta) -> Self {
+        let mut t = VirtualTransport::default();
+        t.reset(n_devices, link);
+        t
     }
 
-    /// [`new`](Self::new) over recycled `storage`, which is reset: idle
-    /// links, empty mailboxes. [`into_storage`](Self::into_storage) hands
-    /// it back.
-    pub fn with_storage(n_devices: usize, costs: C, mut storage: LinkStorage) -> Self {
-        storage.link_free.clear();
-        storage.link_free.resize(n_devices * n_devices, 0.0);
+    /// Idle links and empty mailboxes for `n_devices` devices over `link`.
+    pub fn reset(&mut self, n_devices: usize, link: AlphaBeta) {
+        self.link = link;
+        self.n_devices = n_devices;
+        self.link_free.clear();
+        self.link_free.resize(n_devices * n_devices, 0.0);
         // Surplus mailboxes from a wider pipeline stay (empty) for the next.
-        if storage.mailbox.len() < n_devices {
-            storage.mailbox.resize_with(n_devices, VecDeque::new);
+        if self.mailbox.len() < n_devices {
+            self.mailbox.resize_with(n_devices, VecDeque::new);
         }
-        for queue in &mut storage.mailbox {
+        for queue in &mut self.mailbox {
             queue.clear();
         }
-        VirtualTransport {
-            costs,
-            n_devices,
-            storage,
-            fault: None,
-        }
     }
 
-    /// Give the storage back for the next transport.
-    pub fn into_storage(self) -> LinkStorage {
-        self.storage
-    }
-
-    /// Install a fault hook: its return value (clamped to ≥ 0) is added to
-    /// every message's transfer time.
-    pub fn with_fault(
-        mut self,
-        fault: impl FnMut(usize, usize, &MsgKey, f64) -> f64 + 'static,
-    ) -> Self {
-        self.fault = Some(Box::new(fault));
-        self
-    }
-
-    /// [`with_fault`](Self::with_fault) for an already-boxed hook, e.g.
-    /// [`crate::FaultPlan::link_fault_hook`].
-    pub fn with_boxed_fault(mut self, fault: LinkFault) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// The fault hook's extra delay for this message (0 when no hook).
-    /// Called exactly once per *message* — chunked sends fold the whole
-    /// delay into the final chunk so a scripted fault plan observes the
-    /// same `(edge, key, time)` stream whether or not overlap is on.
-    fn fault_extra(&mut self, from: usize, to: usize, key: &MsgKey, now: f64) -> f64 {
-        match &mut self.fault {
-            Some(fault) => fault(from, to, key, now).max(0.0),
-            None => 0.0,
-        }
-    }
-}
-
-impl<C: LinkCost> Transport for VirtualTransport<C> {
-    type Payload = ();
-
+    /// Hand a message to the link at time `now`, `delay` (≥ 0) slower than
+    /// the link alone. Delivery is asynchronous (the sender does not block)
+    /// and FIFO per directed edge. Returns the arrival time.
     #[inline]
-    fn send(&mut self, from: usize, to: usize, key: MsgKey, _payload: (), now: f64) -> f64 {
-        let mut transfer = self.costs.transfer(from, to, key.part);
-        transfer += self.fault_extra(from, to, &key, now);
-        let free = &mut self.storage.link_free[from * self.n_devices + to];
+    pub fn send(&mut self, from: usize, to: usize, key: MsgKey, now: f64, delay: f64) -> f64 {
+        let mut transfer = self.link.transfer(key.part);
+        transfer += delay;
+        let free = &mut self.link_free[from * self.n_devices + to];
         let depart = free.max(now);
         let arrival = depart + transfer;
         *free = arrival;
-        self.storage.mailbox[to].push_back((key, arrival));
+        self.mailbox[to].push_back((key, arrival));
         arrival
     }
 
+    /// Overlapped chunked send. `span_end`/`span_dur` describe the compute
+    /// op that produced the message; chunk `j` of `chunks` (1-based) is
+    /// ready to depart at `span_end − span_dur·(chunks−j)/chunks + stall`,
+    /// i.e. the transfer pipelines against the tail of the producing op.
+    /// The message is delivered whole at the **last** chunk's arrival, and
+    /// the message's `delay` is charged to that chunk, once.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn send_overlapped(
+    pub fn send_overlapped(
         &mut self,
         from: usize,
         to: usize,
         key: MsgKey,
-        _payload: (),
         span_end: f64,
         span_dur: f64,
         stall: f64,
         chunks: usize,
+        delay: f64,
     ) -> f64 {
         let k = chunks.max(1);
-        // One fault draw per message, at the same virtual time the blocking
-        // path would use, charged to the last chunk.
-        let fault_extra = self.fault_extra(from, to, &key, span_end + stall);
-        let free = &mut self.storage.link_free[from * self.n_devices + to];
+        let free = &mut self.link_free[from * self.n_devices + to];
         let mut arrival = 0.0;
         for j in 1..=k {
-            let mut cost = self.costs.transfer_chunk(from, to, key.part, k);
+            let mut cost = self.link.transfer_chunk(key.part, k);
             if j == k {
-                cost += fault_extra;
+                cost += delay;
             }
             // Chunk j is produced once j/k of the compute span has run; the
             // last chunk's ready time is exactly the blocking send time
@@ -312,16 +192,18 @@ impl<C: LinkCost> Transport for VirtualTransport<C> {
             arrival = depart + cost;
             *free = arrival;
         }
-        self.storage.mailbox[to].push_back((key, arrival));
+        self.mailbox[to].push_back((key, arrival));
         arrival
     }
 
+    /// Non-blocking receive at device `at`: the arrival time of the
+    /// earliest-sent message with `key`, if one has been sent.
     #[inline]
-    fn try_recv(&mut self, at: usize, key: MsgKey) -> Option<((), f64)> {
-        let queue = &mut self.storage.mailbox[at];
+    pub fn try_recv(&mut self, at: usize, key: MsgKey) -> Option<f64> {
+        let queue = &mut self.mailbox[at];
         let idx = queue.iter().position(|(k, _)| *k == key)?;
         let (_, arrival) = queue.remove(idx).expect("index from position");
-        Some(((), arrival))
+        Some(arrival)
     }
 }
 
@@ -348,14 +230,6 @@ pub trait ChunkPayload: Sized {
     fn split_chunks(self, k: usize) -> Vec<Self>;
     /// Reassemble chunks produced by [`ChunkPayload::split_chunks`].
     fn join_chunks(chunks: Vec<Self>) -> Self;
-}
-
-/// Unsplittable unit payload (timing-only execution).
-impl ChunkPayload for () {
-    fn split_chunks(self, _k: usize) -> Vec<Self> {
-        vec![()]
-    }
-    fn join_chunks(_chunks: Vec<Self>) -> Self {}
 }
 
 /// Unsplittable scalar payload (tests).
@@ -525,6 +399,13 @@ impl<T: ChunkPayload> ChannelEndpoint<T> {
         send_packets(&self.tx, self.device, to, key, payload, 1);
     }
 
+    /// Non-blocking receive: the earliest-sent message with `key`, if it
+    /// has arrived.
+    pub fn try_recv(&mut self, key: MsgKey) -> Option<T> {
+        self.drain_inbound();
+        self.stash.get_mut(&key).and_then(VecDeque::pop_front)
+    }
+
     /// Blocking receive of the message matching `key`: drains inbound links
     /// into the stash until it shows up.
     pub fn recv(&mut self, key: MsgKey) -> T {
@@ -583,23 +464,6 @@ impl<T: ChunkPayload> ChannelEndpoint<T> {
     }
 }
 
-impl<T: ChunkPayload> Transport for ChannelEndpoint<T> {
-    type Payload = T;
-
-    fn send(&mut self, _from: usize, to: usize, key: MsgKey, payload: T, now: f64) -> f64 {
-        self.send_to(to, key, payload);
-        now
-    }
-
-    fn try_recv(&mut self, _at: usize, key: MsgKey) -> Option<(T, f64)> {
-        self.drain_inbound();
-        self.stash
-            .get_mut(&key)
-            .and_then(VecDeque::pop_front)
-            .map(|payload| (payload, 0.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,13 +484,13 @@ mod tests {
         );
         // Two messages enqueued closer together than the transfer time: the
         // second queues behind the first.
-        let a0 = t.send(0, 1, key(0), (), 0.0);
-        let a1 = t.send(0, 1, key(1), (), 0.2);
+        let a0 = t.send(0, 1, key(0), 0.0, 0.0);
+        let a1 = t.send(0, 1, key(1), 0.2, 0.0);
         assert!((a0 - 1.1).abs() < 1e-12);
         assert!((a1 - 2.2).abs() < 1e-12, "second message must queue: {a1}");
         // FIFO pop order per key.
-        assert_eq!(t.try_recv(1, key(0)).unwrap().1, a0);
-        assert_eq!(t.try_recv(1, key(1)).unwrap().1, a1);
+        assert_eq!(t.try_recv(1, key(0)), Some(a0));
+        assert_eq!(t.try_recv(1, key(1)), Some(a1));
         assert!(t.try_recv(1, key(0)).is_none());
     }
 
@@ -636,8 +500,8 @@ mod tests {
             latency: 0.5,
             volume: 2.0,
         };
-        assert!((costs.transfer(0, 1, Part::Half1) - 1.5).abs() < 1e-12);
-        assert!((costs.transfer(0, 1, Part::Both) - 2.5).abs() < 1e-12);
+        assert!((costs.transfer(Part::Half1) - 1.5).abs() < 1e-12);
+        assert!((costs.transfer(Part::Both) - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -647,11 +511,11 @@ mod tests {
             volume: 2.0,
         };
         // k chunks: each pays full α and 1/k of the volume.
-        assert!((costs.transfer_chunk(0, 1, Part::Full, 4) - 1.0).abs() < 1e-12);
+        assert!((costs.transfer_chunk(Part::Full, 4) - 1.0).abs() < 1e-12);
         // k = 1 is the whole message, bit-for-bit.
         assert_eq!(
-            costs.transfer_chunk(0, 1, Part::Full, 1).to_bits(),
-            costs.transfer(0, 1, Part::Full).to_bits()
+            costs.transfer_chunk(Part::Full, 1).to_bits(),
+            costs.transfer(Part::Full).to_bits()
         );
     }
 
@@ -663,15 +527,15 @@ mod tests {
             volume: 1.0,
         };
         let mut blocking = VirtualTransport::new(2, ab);
-        let b = blocking.send(0, 1, key(0), (), 1.0);
+        let b = blocking.send(0, 1, key(0), 1.0, 0.0);
         assert!((b - 2.0).abs() < 1e-12);
         // 4 chunks: chunk j ready at j/4, costs 0.25 → last arrives at 1.25.
         let mut overlapped = VirtualTransport::new(2, ab);
-        let o = overlapped.send_overlapped(0, 1, key(0), (), 1.0, 1.0, 0.0, 4);
+        let o = overlapped.send_overlapped(0, 1, key(0), 1.0, 1.0, 0.0, 4, 0.0);
         assert!((o - 1.25).abs() < 1e-12, "overlapped arrival {o}");
         // k = 1 reduces to the blocking send bit-for-bit.
         let mut one = VirtualTransport::new(2, ab);
-        let o1 = one.send_overlapped(0, 1, key(0), (), 1.0, 1.0, 0.0, 1);
+        let o1 = one.send_overlapped(0, 1, key(0), 1.0, 1.0, 0.0, 1, 0.0);
         assert_eq!(o1.to_bits(), b.to_bits());
     }
 
@@ -684,52 +548,35 @@ mod tests {
             volume: 1.0,
         };
         let mut t = VirtualTransport::new(2, ab);
-        let arrival = t.send_overlapped(0, 1, key(0), (), 1.0, 1.0, 0.0, 4);
+        let arrival = t.send_overlapped(0, 1, key(0), 1.0, 1.0, 0.0, 4, 0.0);
         // Chunk 1 departs at 0.25, arrives 0.8; chunk 2 ready 0.5, departs
         // 0.8 (link busy), arrives 1.35; chunk 3 at 1.9; chunk 4 at 2.45.
         assert!((arrival - 2.45).abs() < 1e-12, "arrival {arrival}");
     }
 
     #[test]
-    fn fault_hook_injects_latency() {
-        let clean = VirtualTransport::new(
-            2,
-            AlphaBeta {
-                latency: 0.0,
-                volume: 1.0,
-            },
-        )
-        .send(0, 1, key(0), (), 0.0);
-        let mut faulty = VirtualTransport::new(
-            2,
-            AlphaBeta {
-                latency: 0.0,
-                volume: 1.0,
-            },
-        )
-        .with_fault(|from, to, _key, _now| if (from, to) == (0, 1) { 3.0 } else { 0.0 });
-        let delayed = faulty.send(0, 1, key(0), (), 0.0);
+    fn link_delay_injects_latency() {
+        let ab = AlphaBeta {
+            latency: 0.0,
+            volume: 1.0,
+        };
+        let clean = VirtualTransport::new(2, ab).send(0, 1, key(0), 0.0, 0.0);
+        let delayed = VirtualTransport::new(2, ab).send(0, 1, key(0), 0.0, 3.0);
         assert!((delayed - clean - 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn overlapped_fault_draws_once_per_message() {
-        // The hook must see one call per message (not per chunk), and the
-        // whole delay lands on the final arrival.
-        let mut calls = 0usize;
+    fn overlapped_link_delay_is_charged_once_to_the_last_chunk() {
+        // The message's delay is paid once, not per chunk, and the whole of
+        // it lands on the final arrival: 1.25 clean, + 2.0.
         let mut t = VirtualTransport::new(
             2,
             AlphaBeta {
                 latency: 0.0,
                 volume: 1.0,
             },
-        )
-        .with_fault(move |_f, _t, _k, _n| {
-            calls += 1;
-            assert_eq!(calls, 1, "fault hook called once per message");
-            2.0
-        });
-        let arrival = t.send_overlapped(0, 1, key(0), (), 1.0, 1.0, 0.0, 4);
+        );
+        let arrival = t.send_overlapped(0, 1, key(0), 1.0, 1.0, 0.0, 4, 2.0);
         assert!((arrival - 3.25).abs() < 1e-12, "arrival {arrival}");
     }
 
@@ -763,11 +610,11 @@ mod tests {
         let mut eps = channel_mesh::<u32>(2, [(0, 1)]);
         let mut receiver = eps.pop().unwrap();
         let sender = eps.pop().unwrap();
-        assert!(receiver.try_recv(1, key(0)).is_none());
+        assert!(receiver.try_recv(key(0)).is_none());
         sender.send_to(1, key(0), 7);
         // The channel delivers promptly for a same-thread send/recv pair.
         let got = loop {
-            if let Some((v, _)) = receiver.try_recv(1, key(0)) {
+            if let Some(v) = receiver.try_recv(key(0)) {
                 break v;
             }
         };
@@ -783,15 +630,15 @@ mod tests {
         endpoint.send_to(1, key(0), 7);
         drop(endpoint);
         // A cloned sender (the comm thread's handle) keeps the link open.
-        assert!(receiver.try_recv(1, key(1)).is_none());
+        assert!(receiver.try_recv(key(1)).is_none());
         assert!(!receiver.hung_up(0));
         detached.send_chunks(1, key(1), 8, 1);
         drop(detached);
         // Closed now, but what was in flight is delivered before the
         // hang-up is reported.
-        assert_eq!(receiver.try_recv(1, key(1)).unwrap().0, 8);
-        assert_eq!(receiver.try_recv(1, key(0)).unwrap().0, 7);
-        assert!(receiver.try_recv(1, key(2)).is_none());
+        assert_eq!(receiver.try_recv(key(1)), Some(8));
+        assert_eq!(receiver.try_recv(key(0)), Some(7));
+        assert!(receiver.try_recv(key(2)).is_none());
         assert!(receiver.hung_up(0));
         assert!(!receiver.hung_up(1), "no such link is not a hang-up");
     }
@@ -818,7 +665,7 @@ mod tests {
         // A second whole message on the same edge must not interleave.
         sender.send_to(1, key(1), vec![7, 7]);
         let got = loop {
-            if let Some((v, _)) = receiver.try_recv(1, key(0)) {
+            if let Some(v) = receiver.try_recv(key(0)) {
                 break v;
             }
         };

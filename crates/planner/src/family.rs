@@ -6,7 +6,7 @@
 //! the IR can generate — plain 1F1B, sliced 1F1B at several slice counts,
 //! GPipe, zero-bubble, and Megatron-style interleaving at several chunk
 //! depths — pairs each with an appropriate balanced partition, gates each
-//! candidate on [`autopipe_schedule::validate`] and the static memory check
+//! candidate on [`autopipe_schedule::validate()`] and the static memory check
 //! ([`autopipe_sim::memcheck`]), and scores the survivors with the event
 //! simulator's sweep, untraced ([`autopipe_sim::replay_schedule`]).
 //!
@@ -19,9 +19,7 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_schedule::{apply_recompute, generators, validate, Schedule, ScheduleKind};
 use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::memcheck::{check_memory_budget, device_memory};
-use autopipe_sim::schedule_replay::{replay_schedule, ReplayScratch};
-use autopipe_sim::CommConfig;
-use autopipe_sim::Partition;
+use autopipe_sim::{replay_schedule, CommConfig, Partition, ReplayScratch};
 
 use crate::autopipe::{
     apply_device_multipliers, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy,

@@ -935,7 +935,7 @@ pub struct WriterStatus {
 
 /// Snapshots at a step cadence without blocking the 1F1B steady state: the
 /// training thread exports stage states (the cheap double-buffered copy)
-/// and [`offer`](Self::offer)s them over a bounded channel; a dedicated
+/// and offers them over a bounded channel; a dedicated
 /// writer thread encodes and commits them. A busy writer causes the
 /// snapshot to be *skipped* (counted, never blocked on).
 #[derive(Debug)]

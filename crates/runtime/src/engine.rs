@@ -12,21 +12,28 @@
 //! be compared op for op against a simulated one (see
 //! [`Pipeline::last_timeline`]).
 //!
+//! Each stage thread is a [`Cursor`] over its device's program driving a
+//! `Worker`, the runtime's [`Device`]: the cursor decodes every op and
+//! applies the fault script once; the worker runs the op's
+//! [`StageModel`] tensor math, sleeps the injected delays and receives
+//! under the stall [`watchdog`](crate::watchdog), all in wall time.
+//!
 //! Fault tolerance: a seeded [`FaultPlan`] replays here in wall time (the
-//! same script the event simulator replays in virtual time), every channel
-//! wait runs under the stall [`watchdog`](crate::watchdog) instead of
-//! blocking indefinitely, and [`Pipeline::repartition`] hot-swaps the
-//! partition between iterations, migrating parameters and Adam moments
-//! stage-to-stage through the checkpoint path.
+//! same script, through the same interpreter, that the event simulator
+//! replays in virtual time), no channel wait blocks indefinitely, and
+//! [`Pipeline::repartition`] hot-swaps the partition between iterations,
+//! migrating parameters and Adam moments stage-to-stage through the
+//! checkpoint path.
 
 use std::time::{Duration, Instant};
 
 use autopipe_exec::{
-    channel_mesh, op_key, schedule_edges, ChannelEndpoint, ChunkPayload, CommConfig, FailStopKind,
-    FaultPlan, MsgKey, Timeline, TraceEvent, WallClock,
+    channel_mesh, schedule_edges, ChannelEndpoint, ChunkPayload, CommConfig, Cursor, Device, Entry,
+    FailStopKind, FaultPlan, Faults, MsgKey, OpTimes, Recorder, Step, Timeline, TraceSink,
+    WallClock,
 };
 use autopipe_model::ModelConfig;
-use autopipe_schedule::{Op, OpKind, Part, Schedule};
+use autopipe_schedule::{OpKind, Part, Schedule};
 use autopipe_sim::Partition;
 use autopipe_tensor::{optim::Adam, Tensor};
 use crossbeam::channel::{bounded, SyncSender};
@@ -268,7 +275,10 @@ impl Pipeline {
 
         let schedule = &self.schedule;
         let watchdog = Watchdog::new(self.watchdog_cfg, self.deadlines.clone());
-        let faults = self.faults.as_ref().filter(|f| !f.is_empty());
+        let faults = match self.faults.as_ref().filter(|f| !f.is_empty()) {
+            Some(plan) => Faults::All(plan),
+            None => Faults::Clean,
+        };
         let time_scale = self.time_scale;
         let comm = self.comm;
         let clock = WallClock::start();
@@ -296,22 +306,23 @@ impl Pipeline {
                 } else {
                     None
                 };
-                handles.push(scope.spawn(move || {
-                    run_device(DeviceCtx {
-                        device: d,
-                        schedule,
-                        chunks,
-                        batch,
-                        seq,
-                        grad_scale,
-                        ep,
-                        outbound,
-                        clock,
-                        watchdog,
-                        faults,
-                        time_scale,
-                    })
-                }));
+                let worker = Worker {
+                    device: d,
+                    chunks,
+                    batch,
+                    seq,
+                    grad_scale,
+                    ep,
+                    outbound,
+                    clock,
+                    wd: watchdog,
+                    time_scale,
+                    inbox: HashMap::new(),
+                    outbox: HashMap::new(),
+                    loss: 0.0,
+                    wd_events: Vec::new(),
+                };
+                handles.push(scope.spawn(move || run_device(schedule, faults, worker)));
             }
             // Reap every stage thread. A panicking stage must not panic the
             // coordinator: the payload becomes a structured `broken` outcome
@@ -329,7 +340,7 @@ impl Pipeline {
                             .unwrap_or_else(|| "stage thread panicked".into());
                         DeviceOutcome {
                             loss: 0.0,
-                            events: Vec::new(),
+                            times: Vec::new(),
                             wd_events: Vec::new(),
                             completed: 0,
                             aborted: true,
@@ -351,7 +362,7 @@ impl Pipeline {
 
         let mut report = FaultReport::default();
         let mut losses = Vec::with_capacity(p);
-        let mut events = Vec::with_capacity(p);
+        let mut recorder = Recorder::for_programs(&self.schedule.devices);
         // Scripted fail-stops are root causes; panics on other devices are
         // usually collateral (a send into the dead stage's dropped channel).
         // Order the report so `first_crash` names the root cause.
@@ -377,7 +388,7 @@ impl Pipeline {
                 });
             }
             losses.push(o.loss);
-            events.push(o.events);
+            recorder.record_run(d, &o.times);
         }
         report.crashed.extend(collateral);
         if !report.crashed.is_empty() {
@@ -394,7 +405,7 @@ impl Pipeline {
             return Err(RuntimeError::Stalled(report));
         }
         self.last_report = Some(report);
-        let timeline = Timeline::from_events(events);
+        let timeline = recorder.finish();
         let wall = Duration::from_secs_f64(timeline.iteration_time());
         self.last_timeline = Some(timeline);
         Ok(IterationStats {
@@ -632,7 +643,7 @@ struct Outbound {
 
 struct DeviceOutcome {
     loss: f32,
-    events: Vec<TraceEvent>,
+    times: Vec<OpTimes>,
     wd_events: Vec<WatchdogEvent>,
     completed: usize,
     aborted: bool,
@@ -642,9 +653,21 @@ struct DeviceOutcome {
     broken: Option<String>,
 }
 
-struct DeviceCtx<'a> {
+/// Why a [`Worker`] stopped mid-op.
+enum Halt {
+    /// The pipeline was poisoned, or this device's wait was abandoned.
+    Aborted,
+    /// A broken pipeline invariant: this stage dies and poisons the rest,
+    /// so peers abort promptly instead of waiting out their budgets.
+    Broken(String),
+}
+
+/// One stage thread's [`Device`]: the device's chunk stages and its end of
+/// the channel mesh, in wall time. Messages are stashed by [`MsgKey`] both
+/// ways: `inbox` holds what arrived for this device's stages, `outbox` what
+/// its stages produced for the next send (keyed by the consuming stage).
+struct Worker<'a> {
     device: usize,
-    schedule: &'a Schedule,
     chunks: &'a mut [StageModel],
     batch: &'a BatchSet,
     seq: usize,
@@ -653,318 +676,225 @@ struct DeviceCtx<'a> {
     /// Overlap mode: hand sends to the device's comm thread instead.
     outbound: Option<SyncSender<Outbound>>,
     clock: WallClock,
-    watchdog: &'a Watchdog,
-    faults: Option<&'a FaultPlan>,
+    wd: &'a Watchdog,
+    /// Wall seconds per virtual fault second.
     time_scale: f64,
+    inbox: HashMap<MsgKey, Tensor>,
+    outbox: HashMap<MsgKey, Tensor>,
+    loss: f32,
+    wd_events: Vec<WatchdogEvent>,
 }
 
-fn run_device(ctx: DeviceCtx<'_>) -> DeviceOutcome {
-    let DeviceCtx {
-        device: d,
-        schedule: sched,
-        chunks,
-        batch,
-        seq,
-        grad_scale,
-        mut ep,
-        outbound,
-        clock,
-        watchdog: wd,
-        faults,
-        time_scale,
-    } = ctx;
-    let ops: &[Op] = &sched.devices[d];
-    let mut pending_acts: HashMap<(usize, usize, Part), Tensor> = HashMap::new();
-    let mut pending_grads: HashMap<(usize, usize), Tensor> = HashMap::new();
-    let mut fwd_out: HashMap<(usize, usize, Part), Tensor> = HashMap::new();
-    let mut bwd_out: HashMap<(usize, usize), Tensor> = HashMap::new();
-    let mut loss_sum = 0.0_f32;
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(ops.len());
-    let mut wd_events: Vec<WatchdogEvent> = Vec::new();
-    let mut aborted = false;
-    let mut completed = 0usize;
-    let mut crashed: Option<(usize, FailStopKind)> = None;
-    let mut broken: Option<String> = None;
-    // A broken invariant kills this stage; poison so peers abort promptly
-    // instead of waiting out their full watchdog budgets. (The loop label
-    // is passed in because macro label hygiene hides the outer `'program`.)
-    macro_rules! die {
-        ($l:lifetime, $($arg:tt)*) => {{
-            broken = Some(format!($($arg)*));
-            wd.poison();
-            aborted = true;
-            break $l
-        }};
-    }
-
-    // Scale a virtual fault delay into a wall sleep.
-    let scaled = |virtual_secs: f64| Duration::from_secs_f64(virtual_secs * time_scale);
-    // Wrap a tensor with its injected link delay, if any.
-    let pack = |tensor: Tensor, delay: f64| TimedMsg {
-        tensor,
-        due: (delay > 0.0).then(|| Instant::now() + scaled(delay)),
-    };
-
-    'program: for (j, op) in ops.iter().enumerate() {
-        if wd.poisoned() {
+/// Run one device's program to its end, its death or the pipeline's abort.
+fn run_device(sched: &Schedule, faults: Faults<'_>, mut worker: Worker<'_>) -> DeviceOutcome {
+    let mut cursor = Cursor::new(sched, worker.device, 0, faults);
+    let mut times = Vec::with_capacity(sched.devices[worker.device].len());
+    let (mut aborted, mut crashed, mut broken) = (false, None, None);
+    loop {
+        if worker.wd.poisoned() {
             aborted = true;
             break;
         }
-        // Scripted fail-stop: the stage thread dies *silently* at this op —
-        // no poison, no farewell message, exactly like a killed process.
-        // Returning drops `ep`, so peers discover the death as a hang-up on
-        // their next receive (or a closed channel on their next send); the
-        // coordinator learns the cause when it reaps this outcome.
-        if let Some(kind) = faults.and_then(|f| f.crash_at(d, j)) {
-            crashed = Some((j, kind));
-            aborted = true;
-            break 'program;
-        }
-        // Injected device freeze before this op (§fault model: finite stage
-        // stalls — the watchdog downstream reports them, the run completes).
-        if let Some(fp) = faults {
-            let pause = fp.stall_pause(d, j);
-            if pause > 0.0 && !wd.sleep(scaled(pause)) {
+        match cursor.step(&mut worker) {
+            Ok(Step::Ran(t)) => times.push(t),
+            Ok(Step::Done) => break,
+            // Scripted fail-stop: the stage thread dies *silently* — no
+            // poison, no farewell message, exactly like a killed process.
+            // Returning drops the endpoint, so peers discover the death as a
+            // hang-up on their next receive; the coordinator learns the
+            // cause when it reaps this outcome.
+            Ok(Step::Failed(kind)) => {
+                crashed = Some((cursor.pc(), kind));
+                aborted = true;
+                break;
+            }
+            Ok(Step::Blocked(key)) => unreachable!("a worker waits for {key:?}"),
+            Err(Halt::Aborted) => {
+                aborted = true;
+                break;
+            }
+            Err(Halt::Broken(detail)) => {
+                worker.wd.poison();
+                broken = Some(detail);
                 aborted = true;
                 break;
             }
         }
-        let start = clock.now();
-        let mut ready = start;
-        match op.kind {
-            OpKind::RecvAct {
-                mb, chunk, part, ..
-            } => {
-                let Some((key, _)) = op_key(sched, d, op) else {
-                    die!('program, "device {d}: recv-act op {j} has no message key");
-                };
-                let msg = match wd.recv(&mut ep, d, j, op, key, &mut wd_events) {
-                    Ok(msg) => msg,
-                    Err(_) => {
-                        aborted = true;
-                        break 'program;
-                    }
-                };
-                if let Some(due) = msg.due {
-                    let now = Instant::now();
-                    if due > now && !wd.sleep(due - now) {
-                        aborted = true;
-                        break 'program;
-                    }
-                }
-                ready = clock.now();
-                let tensor = msg.tensor;
-                if part == Part::Both {
-                    // Aggregated last-sliced-micro-batch message: unpack the
-                    // two halves (§III-C).
-                    let (h1, h2) = split_halves(&tensor);
-                    pending_acts.insert((mb, chunk, Part::Half1), h1);
-                    pending_acts.insert((mb, chunk, Part::Half2), h2);
-                } else {
-                    pending_acts.insert((mb, chunk, part), tensor);
-                }
-            }
-            OpKind::Fwd { mb, chunk, part } => {
-                let compute_started = Instant::now();
-                let stage = &mut chunks[chunk];
-                let input = if stage.has_embedding() {
-                    let rows = batch.rows_of_part(part);
-                    StageInput::Tokens(batch.ids[mb][rows.start * seq..rows.end * seq].to_vec())
-                } else {
-                    match pending_acts.remove(&(mb, chunk, part)) {
-                        Some(t) => StageInput::Hidden(t),
-                        None => {
-                            die!('program, "device {d} chunk {chunk}: missing act {mb} {part:?}")
-                        }
-                    }
-                };
-                if stage.has_head() {
-                    let rows = batch.rows_of_part(part);
-                    stage.set_targets(
-                        mb,
-                        part,
-                        batch.targets[mb][rows.start * seq..rows.end * seq].to_vec(),
-                    );
-                }
-                match stage.forward(mb, part, input) {
-                    StageOutput::Hidden(t) => {
-                        fwd_out.insert((mb, chunk, part), t);
-                    }
-                    StageOutput::Loss(l) => loss_sum += l,
-                }
-                if !straggle(faults, wd, sched.stage_of(d, chunk), compute_started) {
-                    aborted = true;
-                    break 'program;
-                }
-            }
-            OpKind::Recompute { mb, chunk } => {
-                let compute_started = Instant::now();
-                let stage = &mut chunks[chunk];
-                if !stage.has_forward_state(mb) {
-                    die!('program, "device {d} chunk {chunk}: recompute {mb} before its forward");
-                }
-                stage.recompute_microbatch(mb);
-                if !straggle(faults, wd, sched.stage_of(d, chunk), compute_started) {
-                    aborted = true;
-                    break 'program;
-                }
-            }
-            OpKind::SendAct {
-                mb,
-                chunk,
-                part,
-                to,
-            } => {
-                let tensor = if part == Part::Both {
-                    let halves = (
-                        fwd_out.remove(&(mb, chunk, Part::Half1)),
-                        fwd_out.remove(&(mb, chunk, Part::Half2)),
-                    );
-                    match halves {
-                        (Some(t1), Some(t2)) => concat_halves(&t1, &t2),
-                        _ => die!('program, "device {d} chunk {chunk}: missing half out {mb}"),
-                    }
-                } else {
-                    match fwd_out.remove(&(mb, chunk, part)) {
-                        Some(t) => t,
-                        None => {
-                            die!('program, "device {d} chunk {chunk}: missing fwd out {mb} {part:?}")
-                        }
-                    }
-                };
-                let Some((key, _)) = op_key(sched, d, op) else {
-                    die!('program, "device {d}: send-act op {j} has no message key");
-                };
-                let delay = faults.map_or(0.0, |f| f.link_delay(d, to, &key));
-                let msg = pack(tensor, delay);
-                match &outbound {
-                    Some(tx) => {
-                        if tx.send(Outbound { to, key, msg }).is_err() {
-                            die!('program, "device {d}: comm thread hung up");
-                        }
-                    }
-                    None => ep.send_to(to, key, msg),
-                }
-            }
-            OpKind::RecvGrad { mb, chunk, .. } => {
-                let Some((key, _)) = op_key(sched, d, op) else {
-                    die!('program, "device {d}: recv-grad op {j} has no message key");
-                };
-                let msg = match wd.recv(&mut ep, d, j, op, key, &mut wd_events) {
-                    Ok(msg) => msg,
-                    Err(_) => {
-                        aborted = true;
-                        break 'program;
-                    }
-                };
-                if let Some(due) = msg.due {
-                    let now = Instant::now();
-                    if due > now && !wd.sleep(due - now) {
-                        aborted = true;
-                        break 'program;
-                    }
-                }
-                ready = clock.now();
-                pending_grads.insert((mb, chunk), msg.tensor);
-            }
-            OpKind::Bwd { mb, chunk } => {
-                let compute_started = Instant::now();
-                let stage = &mut chunks[chunk];
-                let d_out = pending_grads.remove(&(mb, chunk));
-                if !stage.has_head() && d_out.is_none() {
-                    die!('program, "device {d} chunk {chunk}: missing grad for mb {mb}");
-                }
-                if let Some(dx) = stage.backward_microbatch(mb, d_out.as_ref(), grad_scale) {
-                    bwd_out.insert((mb, chunk), dx);
-                }
-                if !straggle(faults, wd, sched.stage_of(d, chunk), compute_started) {
-                    aborted = true;
-                    break 'program;
-                }
-            }
-            OpKind::BwdInput { mb, chunk } => {
-                let compute_started = Instant::now();
-                let stage = &mut chunks[chunk];
-                let d_out = pending_grads.remove(&(mb, chunk));
-                if !stage.has_head() && d_out.is_none() {
-                    die!('program, "device {d} chunk {chunk}: missing grad for mb {mb}");
-                }
-                if let Some(dx) = stage.backward_input_microbatch(mb, d_out.as_ref()) {
-                    bwd_out.insert((mb, chunk), dx);
-                }
-                if !straggle(faults, wd, sched.stage_of(d, chunk), compute_started) {
-                    aborted = true;
-                    break 'program;
-                }
-            }
-            OpKind::BwdWeight { mb, chunk } => {
-                let compute_started = Instant::now();
-                let stage = &mut chunks[chunk];
-                if !stage.apply_weight_grads(mb, grad_scale) {
-                    die!('program, "device {d} chunk {chunk}: no stashed weight grads for mb {mb}");
-                }
-                if !straggle(faults, wd, sched.stage_of(d, chunk), compute_started) {
-                    aborted = true;
-                    break 'program;
-                }
-            }
-            OpKind::SendGrad { mb, chunk, to } => {
-                let tensor = match bwd_out.remove(&(mb, chunk)) {
-                    Some(t) => t,
-                    None => die!('program, "device {d} chunk {chunk}: missing bwd out {mb}"),
-                };
-                let Some((key, _)) = op_key(sched, d, op) else {
-                    die!('program, "device {d}: send-grad op {j} has no message key");
-                };
-                let delay = faults.map_or(0.0, |f| f.link_delay(d, to, &key));
-                let msg = pack(tensor, delay);
-                match &outbound {
-                    Some(tx) => {
-                        if tx.send(Outbound { to, key, msg }).is_err() {
-                            die!('program, "device {d}: comm thread hung up");
-                        }
-                    }
-                    None => ep.send_to(to, key, msg),
-                }
-            }
-        }
-        events.push(TraceEvent {
-            device: d,
-            op: *op,
-            start,
-            ready,
-            end: clock.now(),
-        });
-        completed = j + 1;
     }
     DeviceOutcome {
-        loss: loss_sum,
-        events,
-        wd_events,
-        completed,
+        loss: worker.loss,
+        times,
+        wd_events: worker.wd_events,
+        completed: cursor.pc(),
         aborted,
         crashed,
         broken,
     }
 }
 
-/// Apply an injected straggler to a just-finished compute op: the stage's
-/// real elapsed time stretches by `factor`, so the slowdown self-scales to
-/// whatever the compute actually costs. Returns false if the pipeline was
-/// poisoned during the stretch.
-fn straggle(
-    faults: Option<&FaultPlan>,
-    wd: &Watchdog,
-    stage: usize,
-    compute_started: Instant,
-) -> bool {
-    let Some(fp) = faults else { return true };
-    let factor = fp.compute_factor(stage);
-    if factor <= 1.0 {
-        return true;
+impl Worker<'_> {
+    /// Sleep `virtual_secs` of injected delay, scaled into wall time. Errs
+    /// if the pipeline is poisoned meanwhile.
+    fn sleep(&self, virtual_secs: f64) -> Result<(), Halt> {
+        self.pause(Duration::from_secs_f64(virtual_secs * self.time_scale))
     }
-    let extra = compute_started.elapsed().mul_f64(factor - 1.0);
-    wd.sleep(extra)
+
+    fn pause(&self, dur: Duration) -> Result<(), Halt> {
+        if self.wd.sleep(dur) {
+            Ok(())
+        } else {
+            Err(Halt::Aborted)
+        }
+    }
+
+    /// Sit out the op's scripted stall; the op starts when it ends.
+    fn hold(&self, e: &Entry) -> Result<f64, Halt> {
+        if e.stall > 0.0 {
+            self.sleep(e.stall)?;
+            return Ok(self.clock.now());
+        }
+        Ok(e.at)
+    }
+
+    fn broken(&self, e: &Entry, what: impl std::fmt::Display) -> Halt {
+        Halt::Broken(format!(
+            "device {} chunk {}: {what}",
+            self.device,
+            e.op.chunk()
+        ))
+    }
+}
+
+impl Device for Worker<'_> {
+    type Abort = Halt;
+
+    fn now(&self) -> f64 {
+        self.clock.now()
+    }
+
+    fn compute(&mut self, e: &Entry, factor: f64) -> Result<(f64, f64), Halt> {
+        let start = self.hold(e)?;
+        let began = Instant::now();
+        let stage = &mut self.chunks[e.op.chunk()];
+        match e.op.kind {
+            OpKind::Fwd { mb, part, .. } => {
+                let input = if stage.has_embedding() {
+                    let rows = self.batch.rows_of_part(part);
+                    let ids = &self.batch.ids[mb][rows.start * self.seq..rows.end * self.seq];
+                    StageInput::Tokens(ids.to_vec())
+                } else {
+                    match self.inbox.remove(&MsgKey::act(mb, part, e.stage)) {
+                        Some(t) => StageInput::Hidden(t),
+                        None => return Err(self.broken(e, format!("missing act {mb} {part:?}"))),
+                    }
+                };
+                if stage.has_head() {
+                    let rows = self.batch.rows_of_part(part);
+                    let targets =
+                        &self.batch.targets[mb][rows.start * self.seq..rows.end * self.seq];
+                    stage.set_targets(mb, part, targets.to_vec());
+                }
+                match stage.forward(mb, part, input) {
+                    StageOutput::Hidden(t) => {
+                        self.outbox.insert(MsgKey::act(mb, part, e.stage + 1), t);
+                    }
+                    StageOutput::Loss(l) => self.loss += l,
+                }
+            }
+            OpKind::Recompute { mb, .. } => {
+                if !stage.has_forward_state(mb) {
+                    return Err(self.broken(e, format!("recompute {mb} before its forward")));
+                }
+                stage.recompute_microbatch(mb);
+            }
+            OpKind::Bwd { mb, .. } | OpKind::BwdInput { mb, .. } => {
+                let d_out = self.inbox.remove(&MsgKey::grad(mb, e.stage));
+                if !stage.has_head() && d_out.is_none() {
+                    return Err(self.broken(e, format!("missing grad for mb {mb}")));
+                }
+                let dx = if matches!(e.op.kind, OpKind::Bwd { .. }) {
+                    stage.backward_microbatch(mb, d_out.as_ref(), self.grad_scale)
+                } else {
+                    stage.backward_input_microbatch(mb, d_out.as_ref())
+                };
+                if let Some(dx) = dx {
+                    self.outbox.insert(MsgKey::grad(mb, e.stage - 1), dx);
+                }
+            }
+            OpKind::BwdWeight { mb, .. } => {
+                if !stage.apply_weight_grads(mb, self.grad_scale) {
+                    return Err(self.broken(e, format!("no stashed weight grads for mb {mb}")));
+                }
+            }
+            _ => unreachable!("the cursor hands compute ops only to compute"),
+        }
+        // A scripted straggler stretches the op's real elapsed time, so the
+        // slowdown self-scales to whatever the compute actually costs.
+        if factor > 1.0 {
+            self.pause(began.elapsed().mul_f64(factor - 1.0))?;
+        }
+        Ok((start, self.clock.now()))
+    }
+
+    fn send(&mut self, e: &Entry, to: usize, key: MsgKey, delay: f64) -> Result<(f64, f64), Halt> {
+        let start = self.hold(e)?;
+        let tensor = if key.part == Part::Both {
+            // The aggregated last-sliced-micro-batch message (§III-C): both
+            // halves the stage produced, in one message.
+            let half = |part| MsgKey { part, ..key };
+            match (
+                self.outbox.remove(&half(Part::Half1)),
+                self.outbox.remove(&half(Part::Half2)),
+            ) {
+                (Some(t1), Some(t2)) => concat_halves(&t1, &t2),
+                _ => return Err(self.broken(e, format!("missing half out {}", key.mb))),
+            }
+        } else {
+            match self.outbox.remove(&key) {
+                Some(t) => t,
+                None => return Err(self.broken(e, format!("nothing to send for {key:?}"))),
+            }
+        };
+        // An injected link delay holds the message at the receiver until
+        // `due`, like a genuinely slow wire.
+        let due = (delay > 0.0)
+            .then(|| Instant::now() + Duration::from_secs_f64(delay * self.time_scale));
+        let msg = TimedMsg { tensor, due };
+        match &self.outbound {
+            Some(tx) => {
+                if tx.send(Outbound { to, key, msg }).is_err() {
+                    return Err(self.broken(e, "comm thread hung up"));
+                }
+            }
+            None => self.ep.send_to(to, key, msg),
+        }
+        Ok((start, self.clock.now()))
+    }
+
+    fn recv(&mut self, e: &Entry, from: usize, key: MsgKey) -> Result<Option<(f64, f64)>, Halt> {
+        self.hold(e)?;
+        let msg = self
+            .wd
+            .recv(&mut self.ep, self.device, e, from, key, &mut self.wd_events)
+            .map_err(|_| Halt::Aborted)?;
+        if let Some(due) = msg.due {
+            let now = Instant::now();
+            if due > now {
+                self.pause(due - now)?;
+            }
+        }
+        let ready = self.clock.now();
+        if key.part == Part::Both {
+            // Unpack the aggregated message's two halves (§III-C).
+            let (h1, h2) = split_halves(&msg.tensor);
+            let half = |part| MsgKey { part, ..key };
+            self.inbox.insert(half(Part::Half1), h1);
+            self.inbox.insert(half(Part::Half2), h2);
+        } else {
+            self.inbox.insert(key, msg.tensor);
+        }
+        Ok(Some((ready, self.clock.now())))
+    }
 }
 
 #[cfg(test)]
@@ -973,7 +903,7 @@ mod tests {
     use crate::reference::ReferenceModel;
     use autopipe_exec::FaultSpec;
     use autopipe_model::ModelFamily;
-    use autopipe_schedule::{apply_recompute, gpipe, interleaved, one_f_one_b, sliced_1f1b};
+    use autopipe_schedule::{apply_recompute, gpipe, interleaved, one_f_one_b, sliced_1f1b, Op};
 
     fn tiny() -> ModelConfig {
         ModelConfig {

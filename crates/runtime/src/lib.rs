@@ -19,6 +19,9 @@
 //! is evaluated in the discrete-event simulator only).
 
 //!
+//! Each stage thread runs the shared op interpreter ([`autopipe_exec::Cursor`])
+//! over its device's program, the same one the event simulator runs.
+//!
 //! Fault tolerance (see `DESIGN.md`): injected [`autopipe_exec::FaultPlan`]
 //! scripts replay in wall time, every channel wait runs under a stall
 //! [`watchdog`], persistent stragglers are detected by

@@ -15,7 +15,7 @@
 //!
 //! The serving set is *derived* from the states: a device serves exactly
 //! while it is `Ready` or `Suspect`, and only
-//! [`ClusterMembership::mark_grown`] brings a device back into service, so
+//! `ClusterMembership::mark_grown` brings a device back into service, so
 //! the set the elastic coordinator re-plans for and the pipeline's width
 //! cannot drift apart. Each device record also carries the compute-time
 //! multiplier last observed for it, which is what a heterogeneity-aware
@@ -47,7 +47,7 @@ pub enum DeviceState {
     /// pipeline until an explicit join.
     Evicted,
     /// Survived the quarantine cooldown; ready for the coordinator to grow
-    /// the pipeline back onto it ([`ClusterMembership::mark_grown`] →
+    /// the pipeline back onto it (`ClusterMembership::mark_grown` →
     /// [`DeviceState::Ready`]). Not serving until then: a readmitted device
     /// that misses `suspect_after` heartbeats goes back to `Quarantined`.
     Readmitted,

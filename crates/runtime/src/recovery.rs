@@ -4,8 +4,8 @@
 //! The [`RecoveryCoordinator`] sits between a training loop and the
 //! [`Pipeline`]: the loop feeds it completed steps
 //! ([`RecoveryCoordinator::maybe_checkpoint`]) and hands it the
-//! [`RuntimeError::StageDown`] report when an iteration dies
-//! ([`RecoveryCoordinator::recover`]). Detection itself is split across two
+//! [`RuntimeError::StageDown`](crate::RuntimeError::StageDown) report when
+//! an iteration dies ([`RecoveryCoordinator::recover`]). Detection itself is split across two
 //! mechanisms that already exist in the engine: a dead stage's dropped
 //! endpoint closes its links, so a neighbour's next receive sees the
 //! *hang-up* and abandons the wait at once (the watchdog's deadlines are for

@@ -39,8 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use autopipe_core::WatchdogConfig;
-use autopipe_exec::{ChannelEndpoint, FailStopKind, MsgKey, Timeline, Transport};
-use autopipe_schedule::{Op, OpKind};
+use autopipe_exec::{ChannelEndpoint, Entry, FailStopKind, MsgKey, Timeline};
+use autopipe_schedule::Op;
 
 /// One watchdog firing: a channel wait that outlived its deadline.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,28 +201,25 @@ impl Watchdog {
         derived.max(self.cfg.base_timeout)
     }
 
-    /// Deadline-looped receive. `Ok` delivers the payload; `Err(true)` means
+    /// Deadline-looped receive of `key` from device `from`, for the op
+    /// `entry` on `device`. `Ok` delivers the payload; `Err(true)` means
     /// this wait was abandoned (and the pipeline poisoned); `Err(false)`
     /// means another thread poisoned the pipeline while we waited.
     ///
-    /// A wait on a peer that has hung up (`op`'s own `from` device dropped
-    /// its endpoint and the link is drained) is abandoned at once: the
-    /// message cannot arrive, so there is nothing for the ladder to wait
-    /// out. The unresolved event it records says where this device was
-    /// blocked.
+    /// A wait on a peer that has hung up (`from` dropped its endpoint and
+    /// the link is drained) is abandoned at once: the message cannot
+    /// arrive, so there is nothing for the ladder to wait out. The
+    /// unresolved event it records says where this device was blocked.
     pub(crate) fn recv<T: autopipe_exec::ChunkPayload>(
         &self,
         ep: &mut ChannelEndpoint<T>,
         device: usize,
-        op_index: usize,
-        op: &Op,
+        entry: &Entry,
+        from: usize,
         key: MsgKey,
         events: &mut Vec<WatchdogEvent>,
     ) -> Result<T, bool> {
-        let from = match op.kind {
-            OpKind::RecvAct { from, .. } | OpKind::RecvGrad { from, .. } => Some(from),
-            _ => None,
-        };
+        let op_index = entry.index;
         let started = Instant::now();
         let mut budget = self.budget(device, op_index);
         let mut deadline = started + budget;
@@ -230,13 +227,13 @@ impl Watchdog {
         let event = |timeouts, resolved| WatchdogEvent {
             device,
             op_index,
-            op: *op,
+            op: entry.op,
             waited: started.elapsed().as_secs_f64(),
             timeouts,
             resolved,
         };
         loop {
-            if let Some((payload, _)) = ep.try_recv(device, key) {
+            if let Some(payload) = ep.try_recv(key) {
                 if timeouts > 0 {
                     events.push(event(timeouts, true));
                 }
@@ -246,7 +243,7 @@ impl Watchdog {
             // of the flag hangs up too, and the channel's own synchronisation
             // makes the flag it saw visible here — so its departure is
             // never reported as a second stall.
-            let hung_up = from.is_some_and(|f| ep.hung_up(f));
+            let hung_up = ep.hung_up(from);
             if self.poisoned() {
                 return Err(false);
             }
@@ -364,6 +361,17 @@ mod tests {
         })
     }
 
+    /// Device 1 entering its `index`-th op, a receive of `mb` from device 0.
+    fn entry(index: usize, mb: usize) -> Entry {
+        Entry {
+            index,
+            op: recv_op(mb),
+            stage: 1,
+            at: 0.0,
+            stall: 0.0,
+        }
+    }
+
     fn fast_cfg() -> WatchdogConfig {
         WatchdogConfig {
             base_timeout: Duration::from_millis(5),
@@ -417,7 +425,7 @@ mod tests {
         tx.send_to(1, key(0), 7);
         let wd = Watchdog::new(fast_cfg(), None);
         let mut events = Vec::new();
-        let got = wd.recv(&mut rx, 1, 0, &recv_op(0), key(0), &mut events);
+        let got = wd.recv(&mut rx, 1, &entry(0, 0), 0, key(0), &mut events);
         assert_eq!(got.unwrap(), 7);
         assert!(events.is_empty());
     }
@@ -433,7 +441,7 @@ mod tests {
         });
         let wd = Watchdog::new(fast_cfg(), None);
         let mut events = Vec::new();
-        let got = wd.recv(&mut rx, 1, 3, &recv_op(0), key(0), &mut events);
+        let got = wd.recv(&mut rx, 1, &entry(3, 0), 0, key(0), &mut events);
         sender.join().unwrap();
         assert_eq!(got.unwrap(), 9);
         assert_eq!(events.len(), 1);
@@ -450,7 +458,7 @@ mod tests {
         let wd = Watchdog::new(fast_cfg(), None);
         let mut events = Vec::new();
         let started = Instant::now();
-        let got = wd.recv(&mut rx, 1, 0, &recv_op(0), key(0), &mut events);
+        let got = wd.recv(&mut rx, 1, &entry(0, 0), 0, key(0), &mut events);
         assert!(matches!(got, Err(true)));
         assert!(wd.poisoned());
         assert_eq!(events.len(), 1);
@@ -473,12 +481,12 @@ mod tests {
         let wd = Watchdog::new(patient, None);
         let mut events = Vec::new();
         // What the peer sent before it went is still delivered…
-        let got = wd.recv(&mut rx, 1, 0, &recv_op(0), key(0), &mut events);
+        let got = wd.recv(&mut rx, 1, &entry(0, 0), 0, key(0), &mut events);
         assert_eq!(got.unwrap(), 7);
         assert!(events.is_empty() && !wd.poisoned());
         // …what it never sent is not waited for.
         let started = Instant::now();
-        let got = wd.recv(&mut rx, 1, 4, &recv_op(1), key(1), &mut events);
+        let got = wd.recv(&mut rx, 1, &entry(4, 1), 0, key(1), &mut events);
         assert!(matches!(got, Err(true)));
         assert!(started.elapsed() < Duration::from_secs(1));
         assert!(wd.poisoned());

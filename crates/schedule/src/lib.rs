@@ -21,7 +21,7 @@
 //!   of the cooldown critical path.
 //!
 //! Generators are written as phase/lane programs over [`program::Slot`]s;
-//! [`program::lower`] attaches the communication each slot implies.
+//! `program::lower` attaches the communication each slot implies.
 
 pub mod generators;
 pub mod op;

@@ -3,7 +3,7 @@
 //! Every schedule family is expressed the same way: per device, a *lane* of
 //! compute [`Slot`]s grouped into [`Phase`]s (Warmup → Steady → Cooldown →
 //! Drain). Slots name only the compute intent — which micro-batch, chunk and
-//! part runs forward, and whether backward is fused or split. [`lower`]
+//! part runs forward, and whether backward is fused or split. `lower`
 //! turns a lane into the executable [`Op`] program by attaching the
 //! communication each slot implies: a forward on pipeline stage `s` receives
 //! its activation when `s > 0` and ships its output when `s < n_stages − 1`,
@@ -20,7 +20,7 @@
 //! overlapped comm engine depends on: every send op is emitted directly
 //! after the compute op that produced its payload (recv–compute–send per
 //! slot), so an eager chunked send always knows which compute span to
-//! pipeline against ([`crate::Lane`]; enforced by
+//! pipeline against ([`Lane`]; enforced by
 //! [`crate::validate::validate`]).
 
 use serde::{Deserialize, Serialize};

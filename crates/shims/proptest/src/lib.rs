@@ -177,7 +177,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

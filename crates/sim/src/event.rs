@@ -7,24 +7,26 @@
 //! fixed launch overhead and multiplicative jitter, which is how the
 //! "actual run" of Fig. 11 is synthesised.
 //!
-//! Message movement and trace emission live in the shared executor spine
-//! ([`autopipe_exec`]): the one sweep here is generic over any
-//! [`Transport`] carrying `()` payloads (so latency/jitter faults can be
-//! injected via [`VirtualTransport::with_fault`]) and any
-//! [`TraceSink`] (so search loops can score schedules without materialising
-//! events — [`crate::replay_schedule`] is this sweep with [`NoTrace`]).
-//!
-//! [`VirtualTransport::with_fault`]: autopipe_exec::VirtualTransport::with_fault
+//! The simulator is one of the two devices the shared op interpreter
+//! ([`autopipe_exec::Cursor`]) drives: the sweep round-robins one cursor per
+//! device, and the device here prices each op the cursor hands it — a cost
+//! lookup plus jitter for compute, the α+β [`VirtualTransport`] for
+//! messages — in virtual time. The sweep is generic over the
+//! [`TraceSink`], so search loops score schedules without materialising
+//! events: [`replay_schedule`] is this sweep with no recorder, no fault
+//! script and caller-owned scratch.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use std::convert::Infallible;
+
 use autopipe_exec::{
-    op_key, CommConfig, FailStopKind, FaultPlan, LinkCost, OpTimes, Recorder, Timeline, TraceSink,
-    Transport, VirtualTransport,
+    AlphaBeta, CommConfig, Cursor, Device, Entry, FailStopKind, FaultPlan, Faults, MsgKey, NoTrace,
+    OpTimes, Recorder, Step, Timeline, TraceSink, VirtualTransport,
 };
-use autopipe_schedule::{OpKind, Part, Schedule};
+use autopipe_schedule::{OpKind, Schedule};
 
 /// Compute and communication costs for an event-simulated pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,28 +51,6 @@ impl EventCosts {
             latency: latency.min(sc.comm),
             volume: (sc.comm - latency).max(0.0),
         }
-    }
-
-    /// Transfer time of a message carrying `part` of a micro-batch.
-    pub(crate) fn transfer(&self, part: Part) -> f64 {
-        self.latency + part.frac() * self.volume
-    }
-
-    /// Transfer time of one of `k` chunks of that message: full latency per
-    /// chunk, `1/k` of the volume. `k = 1` equals [`EventCosts::transfer`]
-    /// bit-for-bit.
-    pub(crate) fn transfer_chunk(&self, part: Part, k: usize) -> f64 {
-        self.latency + part.frac() * (self.volume / k.max(1) as f64)
-    }
-}
-
-impl LinkCost for EventCosts {
-    fn transfer(&self, _from: usize, _to: usize, part: Part) -> f64 {
-        EventCosts::transfer(self, part)
-    }
-
-    fn transfer_chunk(&self, _from: usize, _to: usize, part: Part, k: usize) -> f64 {
-        EventCosts::transfer_chunk(self, part, k)
     }
 }
 
@@ -159,7 +139,7 @@ pub struct EventResult {
 }
 
 /// The scalar outputs of a simulation, without the per-op timeline (what
-/// [`crate::replay_schedule`] returns).
+/// [`replay_schedule`] returns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventSummary {
     /// Iteration time: max end over all devices.
@@ -210,42 +190,38 @@ pub fn run_schedule(
     costs: &EventCosts,
     cfg: &EventConfig,
 ) -> Result<EventResult, SimError> {
-    run_traced(sched, costs, cfg, None)
+    run_traced(sched, costs, cfg, Faults::Clean)
 }
 
-/// Replay a seeded [`FaultPlan`] — link degradation/drops through the
-/// transport fault hook, stragglers and stalls in the sweep itself. The
-/// *same* script replays on the threaded runtime (`autopipe-runtime`), so a
+/// Replay a seeded [`FaultPlan`]'s delay families — link degradation and
+/// drops, stragglers, stalls. The *same* script replays on the threaded
+/// runtime (`autopipe-runtime`) through the same interpreter, so a
 /// simulated faulty iteration can be compared op for op with a real one.
 ///
-/// Only the *delay* fault families replay here; fail-stop events in the
-/// plan are ignored (they change what executes, not when — replay them with
-/// [`run_schedule_failstop`]).
+/// Fail-stop events in the plan are ignored (they change what executes,
+/// not when — replay them with [`run_schedule_failstop`]).
 pub fn run_schedule_faulty(
     sched: &Schedule,
     costs: &EventCosts,
     cfg: &EventConfig,
     plan: &FaultPlan,
 ) -> Result<EventResult, SimError> {
-    run_traced(sched, costs, cfg, Some(plan))
+    run_traced(sched, costs, cfg, Faults::Delays(plan))
 }
 
 fn run_traced(
     sched: &Schedule,
     costs: &EventCosts,
     cfg: &EventConfig,
-    faults: Option<&FaultPlan>,
+    faults: Faults<'_>,
 ) -> Result<EventResult, SimError> {
-    let mut transport = faulted_transport(sched, costs, faults);
     let mut recorder = Recorder::for_programs(&sched.devices);
     let summary = sweep(
         sched,
         costs,
         cfg,
         faults,
-        false,
-        &mut SweepState::default(),
-        &mut transport,
+        &mut ReplayScratch::default(),
         &mut recorder,
     )?;
     Ok(EventResult {
@@ -254,19 +230,6 @@ fn run_traced(
         device_busy: summary.device_busy,
         timeline: recorder.finish(),
     })
-}
-
-/// A fresh transport over `costs`, with `faults`' link script hooked in.
-fn faulted_transport<'c>(
-    sched: &Schedule,
-    costs: &'c EventCosts,
-    faults: Option<&FaultPlan>,
-) -> VirtualTransport<&'c EventCosts> {
-    let transport = VirtualTransport::new(sched.n_devices, costs);
-    match faults {
-        Some(plan) => transport.with_boxed_fault(plan.link_fault_hook()),
-        None => transport,
-    }
 }
 
 /// Replay a fail-stop script deterministically: scripted [`StageCrash`] /
@@ -284,17 +247,14 @@ pub fn run_schedule_failstop(
     cfg: &EventConfig,
     plan: &FaultPlan,
 ) -> Result<FailStopResult, SimError> {
-    let mut transport = faulted_transport(sched, costs, Some(plan));
     let mut recorder = Recorder::for_programs(&sched.devices);
-    let mut state = SweepState::default();
+    let mut state = ReplayScratch::default();
     let summary = sweep(
         sched,
         costs,
         cfg,
-        Some(plan),
-        true,
+        Faults::All(plan),
         &mut state,
-        &mut transport,
         &mut recorder,
     )?;
     let crashed: Vec<SimCrash> = state.dead.into_iter().flatten().collect();
@@ -313,65 +273,215 @@ pub fn run_schedule_failstop(
     })
 }
 
-/// Per-device state of one [`sweep`], owned by the caller so a search loop
-/// keeps its capacity across candidates ([`crate::ReplayScratch`]). After a
-/// sweep it holds how far every device got and who died.
-#[derive(Debug, Default)]
-pub(crate) struct SweepState {
-    /// Program counters: ops each device has executed.
-    pc: Vec<usize>,
-    dev_free: Vec<f64>,
-    device_busy: Vec<f64>,
-    /// Comm lane (overlap mode): the (end, duration) of each device's most
+/// Run `sched` against `costs`, returning the same scalars — bit for bit —
+/// as [`run_schedule`] with the same config, and no timeline: the sweep
+/// with no recorder and no fault script, over the caller's scratch, so
+/// planner search loops can score thousands of candidates without growing
+/// links, a recorder or per-device state each time.
+pub fn replay_schedule(
+    sched: &Schedule,
+    costs: &EventCosts,
+    cfg: &EventConfig,
+    scratch: &mut ReplayScratch,
+) -> Result<EventSummary, SimError> {
+    sweep(sched, costs, cfg, Faults::Clean, scratch, &mut NoTrace)
+}
+
+/// One simulated device's clock and comm lane.
+#[derive(Debug, Default, Clone, Copy)]
+struct Lane {
+    /// When the device is free for its next op.
+    free: f64,
+    /// Compute-busy time so far.
+    busy: f64,
+    /// Comm lane (overlap mode): the (end, duration) of the device's most
     /// recent compute op — the span an eager send pipelines against.
-    last_span: Vec<(f64, f64)>,
+    span: (f64, f64),
     /// Comm lane (overlap mode): gates the device's *next* compute op on the
     /// arrivals its recvs have posted; recvs themselves do not block it.
-    pending: Vec<f64>,
+    pending: f64,
+}
+
+/// Caller-owned working memory of the sweep: per-device state and the
+/// virtual links. All buffers are retained between calls, so a search loop
+/// ([`replay_schedule`]) pays for growth once per problem shape rather than
+/// once per candidate. After a sweep it holds how far every device got and
+/// who died.
+#[derive(Debug, Default)]
+pub struct ReplayScratch {
+    /// Program counters: ops each device has executed.
+    pc: Vec<usize>,
+    lanes: Vec<Lane>,
+    links: VirtualTransport,
     /// Times for the current device's run of ops, flushed to the sink as one
     /// block when the device yields. The buffer stays hot across the sweep,
     /// which is what keeps tracing cheap (see the `trace_overhead` bench).
     burst: Vec<OpTimes>,
-    /// Fail-stop mode: a scripted death freezes the device's program counter
-    /// for the rest of the sweep; this records the event once.
+    /// A scripted death freezes the device's program counter for the rest
+    /// of the sweep; this records the event once.
     dead: Vec<Option<SimCrash>>,
 }
 
-impl SweepState {
-    fn reset(&mut self, p: usize) {
+impl ReplayScratch {
+    /// Empty scratch; buffers are sized lazily by the first replay.
+    pub fn new() -> ReplayScratch {
+        ReplayScratch::default()
+    }
+
+    fn reset(&mut self, p: usize, link: AlphaBeta) {
         self.pc.clear();
         self.pc.resize(p, 0);
-        self.dev_free.clear();
-        self.dev_free.resize(p, 0.0);
-        self.device_busy.clear();
-        self.device_busy.resize(p, 0.0);
-        self.last_span.clear();
-        self.last_span.resize(p, (0.0, 0.0));
-        self.pending.clear();
-        self.pending.resize(p, 0.0);
+        self.lanes.clear();
+        self.lanes.resize(p, Lane::default());
+        self.links.reset(p, link);
         self.dead.clear();
         self.dead.resize(p, None);
     }
 }
 
-/// The sweep: advance every device through its program as far as it can,
-/// repeatedly, until all programs finish (or nothing can advance: deadlock).
-/// Generic over the transport (how messages move) and the sink (whether a
-/// timeline is kept) — the only loop that times a [`Schedule`].
+/// The simulator's [`Device`]: prices the ops the cursor hands one device
+/// in virtual time, against the costs, the jitter stream and the virtual
+/// links every device shares.
+struct Simulated<'a> {
+    device: usize,
+    lane: &'a mut Lane,
+    /// The last device: its first activation's arrival is the startup
+    /// overhead.
+    last: bool,
+    startup: &'a mut Option<f64>,
+    links: &'a mut VirtualTransport,
+    rng: &'a mut Option<ChaCha8Rng>,
+    costs: &'a EventCosts,
+    cfg: &'a EventConfig,
+}
+
+impl Device for Simulated<'_> {
+    type Abort = Infallible;
+
+    #[inline(always)]
+    fn now(&self) -> f64 {
+        self.lane.free
+    }
+
+    #[inline(always)]
+    fn compute(&mut self, e: &Entry, factor: f64) -> Result<(f64, f64), Infallible> {
+        let (costs, cfg, stage) = (self.costs, self.cfg, e.stage);
+        let base = match e.op.kind {
+            OpKind::Fwd { part, .. } => {
+                let eff = if part.is_half() {
+                    cfg.half_efficiency
+                } else {
+                    1.0
+                };
+                costs.f[stage] * part.frac() * eff
+            }
+            OpKind::Bwd { .. } => costs.b[stage],
+            // Split backward: grad-input and grad-weight each take half the
+            // fused backward's time (the two GEMMs of a linear layer's
+            // backward are the same shape), chosen so the pair sums
+            // bit-exactly to the fused cost.
+            OpKind::BwdInput { .. } => costs.b[stage] * 0.5,
+            OpKind::BwdWeight { .. } => costs.b[stage] - costs.b[stage] * 0.5,
+            // Forward replay before a backward on a recomputing stage: costs
+            // one full stage forward. Placed before the backward's RecvGrad
+            // by the lowering, so in overlap mode it runs while the gradient
+            // is still on the wire (no pending arrival gates it — the recv
+            // has not posted yet). The cursor hands over no other kind.
+            _ => costs.f[stage],
+        };
+        let dur = duration(base, cfg, self.rng) * factor;
+        let lane = &mut *self.lane;
+        let start = if cfg.comm.overlap {
+            let s = (e.at + e.stall).max(lane.pending);
+            lane.pending = 0.0;
+            lane.span = (s + dur, dur);
+            s
+        } else {
+            e.at + e.stall
+        };
+        lane.busy += dur;
+        lane.free = start + dur;
+        Ok((start, start + dur))
+    }
+
+    #[inline(always)]
+    fn send(
+        &mut self,
+        e: &Entry,
+        to: usize,
+        key: MsgKey,
+        delay: f64,
+    ) -> Result<(f64, f64), Infallible> {
+        // Sends are asynchronous: zero device time.
+        let t = e.at + e.stall;
+        if self.cfg.comm.overlap {
+            // Eager chunked send: chunks depart while the producing compute
+            // span is still running.
+            let (span_end, span_dur) = self.lane.span;
+            let chunks = self.cfg.comm.effective_chunks();
+            self.links.send_overlapped(
+                self.device,
+                to,
+                key,
+                span_end,
+                span_dur,
+                e.stall,
+                chunks,
+                delay,
+            );
+        } else {
+            self.links.send(self.device, to, key, t, delay);
+        }
+        self.lane.free = t;
+        Ok((t, t))
+    }
+
+    #[inline(always)]
+    fn recv(
+        &mut self,
+        e: &Entry,
+        _from: usize,
+        key: MsgKey,
+    ) -> Result<Option<(f64, f64)>, Infallible> {
+        let Some(arrival) = self.links.try_recv(self.device, key) else {
+            return Ok(None);
+        };
+        // Startup overhead: when the last *device* first receives
+        // activations (§II-B). With the interleaved schedule the last device
+        // hosts an early chunk, which is exactly why interleaving shortens
+        // startup.
+        if !key.is_grad && self.last && self.startup.is_none() {
+            *self.startup = Some(arrival);
+        }
+        let lane = &mut *self.lane;
+        let end = if self.cfg.comm.overlap {
+            // Prefetch semantics: the recv posts the arrival as an input
+            // gate for the next compute op instead of blocking here.
+            lane.pending = lane.pending.max(arrival);
+            e.at + e.stall
+        } else {
+            (e.at + e.stall).max(arrival)
+        };
+        lane.free = end;
+        Ok(Some((arrival, end)))
+    }
+}
+
+/// The sweep: resume every device's cursor and run it as far as it can,
+/// repeatedly, in device order, until all programs finish (or nothing can
+/// advance: deadlock). Generic over the sink (whether a timeline is kept)
+/// — the only loop that times a [`Schedule`].
 ///
 /// Inlined into each caller so the loop is specialised to that caller's
-/// constant `faults` / `failstop`: [`crate::replay_schedule`]'s copy carries
-/// no fault probes (≈ 1 ns per op at p = 8, m = 16 when they stay).
-#[allow(clippy::too_many_arguments)]
+/// constant `faults`: [`replay_schedule`]'s copy carries no fault probes
+/// (≈ 1 ns per op at p = 8, m = 16 when they stay).
 #[inline(always)]
-pub(crate) fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
+fn sweep<S: TraceSink>(
     sched: &Schedule,
     costs: &EventCosts,
     cfg: &EventConfig,
-    faults: Option<&FaultPlan>,
-    failstop: bool,
-    state: &mut SweepState,
-    transport: &mut T,
+    faults: Faults<'_>,
+    state: &mut ReplayScratch,
     sink: &mut S,
 ) -> Result<EventSummary, SimError> {
     let n_stages = sched.n_stages();
@@ -383,26 +493,24 @@ pub(crate) fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
         )));
     }
     let p = sched.n_devices;
-    state.reset(p);
-    let SweepState {
+    state.reset(
+        p,
+        AlphaBeta {
+            latency: costs.latency,
+            volume: costs.volume,
+        },
+    );
+    let ReplayScratch {
         pc,
-        dev_free,
-        device_busy,
-        last_span,
-        pending,
+        lanes,
+        links,
         burst,
         dead,
     } = state;
-    // Plain slices, so their pointers and lengths stay in registers across
-    // the transport and sink calls.
-    let (pc, dev_free, device_busy) = (&mut pc[..], &mut dev_free[..], &mut device_busy[..]);
-    let (last_span, pending, dead) = (&mut last_span[..], &mut pending[..], &mut dead[..]);
     // Jitter is drawn on use; the sweep order is deterministic and each op
     // executes exactly once, so a seed fully determines a run.
     let mut rng = (cfg.jitter_sigma > 0.0).then(|| ChaCha8Rng::seed_from_u64(cfg.seed));
     let mut startup: Option<f64> = None;
-    let overlap = cfg.comm.overlap;
-    let chunks = cfg.comm.effective_chunks();
     let tracing = sink.enabled();
 
     loop {
@@ -413,129 +521,48 @@ pub(crate) fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
                 continue;
             }
             burst.clear();
-            'run: while pc[d] < sched.devices[d].len() {
-                if failstop {
-                    if let Some(kind) = faults.and_then(|f| f.crash_at(d, pc[d])) {
+            let mut cursor = Cursor::new(sched, d, pc[d], faults);
+            let mut dev = Simulated {
+                device: d,
+                lane: &mut lanes[d],
+                last: d == p - 1,
+                startup: &mut startup,
+                links,
+                rng: &mut rng,
+                costs,
+                cfg,
+            };
+            loop {
+                match cursor.step(&mut dev) {
+                    Ok(Step::Ran(times)) => {
+                        if tracing {
+                            burst.push(times);
+                        }
+                        progressed = true;
+                    }
+                    Ok(Step::Blocked(_)) => {
+                        all_done = false;
+                        break;
+                    }
+                    Ok(Step::Done) => break,
+                    Ok(Step::Failed(kind)) => {
                         dead[d] = Some(SimCrash {
                             device: d,
-                            at_op: pc[d],
+                            at_op: cursor.pc(),
                             kind,
-                            time: dev_free[d],
+                            time: dev.now(),
                         });
                         // Dying counts as progress: the rest of the pipeline
                         // still gets to drain before the halt is declared.
                         progressed = true;
                         break;
                     }
+                    Err(never) => match never {},
                 }
-                let op = sched.devices[d][pc[d]];
-                let mut ready = dev_free[d];
-                // An injected stall freezes the device before this op; it
-                // only takes effect once the op actually executes (a recv
-                // waiting on an absent message re-checks without stalling
-                // twice).
-                let stall = faults.map_or(0.0, |f| f.stall_pause(d, pc[d]));
-                let (start, end) = 'timed: {
-                    // A compute op's stage and base duration; comm ops are
-                    // timed in their arms and leave the block early.
-                    let stage = sched.stage_of(d, op.chunk());
-                    let base = match op.kind {
-                        OpKind::Fwd { part, .. } => {
-                            let eff = if part.is_half() {
-                                cfg.half_efficiency
-                            } else {
-                                1.0
-                            };
-                            costs.f[stage] * part.frac() * eff
-                        }
-                        OpKind::Bwd { .. } => costs.b[stage],
-                        // Split backward: grad-input and grad-weight each
-                        // take half the fused backward's time (the two GEMMs
-                        // of a linear layer's backward are the same shape),
-                        // chosen so the pair sums bit-exactly to the fused
-                        // cost.
-                        OpKind::BwdInput { .. } => costs.b[stage] * 0.5,
-                        OpKind::BwdWeight { .. } => costs.b[stage] - costs.b[stage] * 0.5,
-                        // Forward replay before a backward on a recomputing
-                        // stage: costs one full stage forward. Placed before
-                        // the backward's RecvGrad by the lowering, so in
-                        // overlap mode it runs while the gradient is still
-                        // on the wire (no pending arrival gates it — the
-                        // recv has not posted yet).
-                        OpKind::Recompute { .. } => costs.f[stage],
-                        OpKind::SendAct { to, .. } | OpKind::SendGrad { to, .. } => {
-                            let (key, _) = op_key(sched, d, &op).expect("send op has a key");
-                            // Sends are asynchronous: zero device time.
-                            let t = dev_free[d] + stall;
-                            if overlap {
-                                // Eager chunked send: chunks depart while the
-                                // producing compute span is still running.
-                                let (span_end, span_dur) = last_span[d];
-                                transport.send_overlapped(
-                                    d,
-                                    to,
-                                    key,
-                                    (),
-                                    span_end,
-                                    span_dur,
-                                    stall,
-                                    chunks,
-                                );
-                            } else {
-                                transport.send(d, to, key, (), t);
-                            }
-                            break 'timed (t, t);
-                        }
-                        OpKind::RecvAct { .. } | OpKind::RecvGrad { .. } => {
-                            let (key, _) = op_key(sched, d, &op).expect("recv op has a key");
-                            let Some(((), arrival)) = transport.try_recv(d, key) else {
-                                break 'run;
-                            };
-                            ready = arrival;
-                            // Startup overhead: when the last *device* first
-                            // receives activations (§II-B). With the
-                            // interleaved schedule the last device hosts an
-                            // early chunk, which is exactly why interleaving
-                            // shortens startup.
-                            if !key.is_grad && d == p - 1 && startup.is_none() {
-                                startup = Some(arrival);
-                            }
-                            let s = dev_free[d];
-                            if overlap {
-                                // Prefetch semantics: the recv posts the
-                                // arrival as an input gate for the next
-                                // compute op instead of blocking here.
-                                pending[d] = pending[d].max(arrival);
-                                break 'timed (s, s + stall);
-                            }
-                            break 'timed (s, (s + stall).max(arrival));
-                        }
-                    };
-                    let mut dur = duration(base, cfg, &mut rng);
-                    dur *= faults.map_or(1.0, |f| f.compute_factor(stage));
-                    let s = if overlap {
-                        let s = (dev_free[d] + stall).max(pending[d]);
-                        pending[d] = 0.0;
-                        last_span[d] = (s + dur, dur);
-                        s
-                    } else {
-                        dev_free[d] + stall
-                    };
-                    device_busy[d] += dur;
-                    (s, s + dur)
-                };
-                dev_free[d] = end;
-                if tracing {
-                    burst.push(OpTimes { start, ready, end });
-                }
-                pc[d] += 1;
-                progressed = true;
             }
+            pc[d] = cursor.pc();
             if !burst.is_empty() {
                 sink.record_run(d, burst);
-            }
-            if pc[d] < sched.devices[d].len() && dead[d].is_none() {
-                all_done = false;
             }
         }
         if all_done {
@@ -553,10 +580,9 @@ pub(crate) fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
         }
     }
 
-    let iteration_time = dev_free
+    let iteration_time = lanes
         .iter()
-        .chain(pending.iter())
-        .copied()
+        .flat_map(|l| [l.free, l.pending])
         .fold(0.0, f64::max);
     Ok(EventSummary {
         iteration_time,
@@ -565,7 +591,7 @@ pub(crate) fn sweep<T: Transport<Payload = ()>, S: TraceSink>(
         } else {
             startup.unwrap_or(0.0)
         },
-        device_busy: device_busy.to_vec(),
+        device_busy: lanes.iter().map(|l| l.busy).collect(),
     })
 }
 
@@ -587,7 +613,9 @@ mod tests {
     use super::*;
     use crate::analytic::simulate_replay;
     use crate::partition::StageCosts;
-    use autopipe_schedule::generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b};
+    use autopipe_schedule::generators::{
+        gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble,
+    };
 
     fn costs(f: Vec<f64>, b: Vec<f64>, latency: f64, volume: f64) -> EventCosts {
         EventCosts {
@@ -745,8 +773,14 @@ mod tests {
     #[test]
     fn rejects_mismatched_costs() {
         let c = costs(vec![1.0; 3], vec![2.0; 3], 0.0, 0.0);
+        let sched = one_f_one_b(4, 4);
+        let cfg = EventConfig::default();
         assert!(matches!(
-            run_schedule(&one_f_one_b(4, 4), &c, &EventConfig::default()),
+            run_schedule(&sched, &c, &cfg),
+            Err(SimError::BadSchedule(_))
+        ));
+        assert!(matches!(
+            replay_schedule(&sched, &c, &cfg, &mut ReplayScratch::new()),
             Err(SimError::BadSchedule(_))
         ));
     }
@@ -761,11 +795,11 @@ mod tests {
         );
         let sched = sliced_1f1b(4, 8, 2);
         let traced = run_schedule(&sched, &c, &EventConfig::default()).unwrap();
-        let bare = crate::replay_schedule(
+        let bare = replay_schedule(
             &sched,
             &c,
             &EventConfig::default(),
-            &mut crate::ReplayScratch::new(),
+            &mut ReplayScratch::new(),
         )
         .unwrap();
         assert_eq!(traced.iteration_time, bare.iteration_time);
@@ -783,25 +817,21 @@ mod tests {
 
     #[test]
     fn fault_injection_delays_the_iteration() {
-        use autopipe_exec::VirtualTransport;
+        use autopipe_exec::LinkDegrade;
         let c = costs(vec![1.0; 4], vec![2.0; 4], 0.0, 0.01);
         let sched = one_f_one_b(4, 8);
         let clean = run_schedule(&sched, &c, &EventConfig::default()).unwrap();
         // Degrade the 1→2 link by a flat 0.5 per message.
-        let mut slow_link = VirtualTransport::new(sched.n_devices, &c)
-            .with_fault(|from, to, _key, _now| if (from, to) == (1, 2) { 0.5 } else { 0.0 });
-        let mut recorder = Recorder::for_programs(&sched.devices);
-        let degraded = sweep(
-            &sched,
-            &c,
-            &EventConfig::default(),
-            None,
-            false,
-            &mut SweepState::default(),
-            &mut slow_link,
-            &mut recorder,
-        )
-        .unwrap();
+        let mut plan = autopipe_exec::FaultPlan::with_seed(0);
+        plan.links.push(LinkDegrade {
+            from: 1,
+            to: 2,
+            extra: 0.5,
+            jitter: 0.0,
+            spike_prob: 0.0,
+            spike: 0.0,
+        });
+        let degraded = run_schedule_faulty(&sched, &c, &EventConfig::default(), &plan).unwrap();
         assert!(
             degraded.iteration_time > clean.iteration_time + 0.4,
             "degraded {} vs clean {}",
@@ -809,7 +839,7 @@ mod tests {
             clean.iteration_time
         );
         // Op orderings are untouched by link faults.
-        clean.timeline.same_op_order(&recorder.finish()).unwrap();
+        clean.timeline.same_op_order(&degraded.timeline).unwrap();
     }
 
     #[test]
@@ -958,6 +988,168 @@ mod tests {
             clean.iteration_time
         );
         clean.timeline.same_op_order(&stalled.timeline).unwrap();
+    }
+
+    /// `p` stages of forward `f` and backward `b`.
+    fn uniform(p: usize, f: f64, b: f64, latency: f64, volume: f64) -> EventCosts {
+        costs(vec![f; p], vec![b; p], latency, volume)
+    }
+
+    #[test]
+    fn replay_is_bit_identical_to_event_sim_for_every_family() {
+        let (p, m) = (4, 8);
+        let scheds = vec![
+            one_f_one_b(p, m),
+            sliced_1f1b(p, m, 2),
+            gpipe(p, m),
+            zero_bubble(p, m),
+        ];
+        let c = uniform(p, 1.1, 2.3, 0.003, 0.07);
+        let cfg = EventConfig {
+            kernel_overhead: 0.01,
+            ..Default::default()
+        };
+        let mut scratch = ReplayScratch::new();
+        for sched in &scheds {
+            let slow = run_schedule(sched, &c, &cfg).unwrap();
+            let fast = replay_schedule(sched, &c, &cfg, &mut scratch).unwrap();
+            assert_eq!(
+                fast.iteration_time.to_bits(),
+                slow.iteration_time.to_bits(),
+                "{:?}",
+                sched.kind
+            );
+            assert_eq!(
+                fast.startup_overhead.to_bits(),
+                slow.startup_overhead.to_bits()
+            );
+            assert_eq!(fast.device_busy, slow.device_busy);
+        }
+        // Interleaved needs per-chunk-stage costs.
+        let int = interleaved(p, 2, m).unwrap();
+        let ci = uniform(p * 2, 0.55, 1.15, 0.003, 0.04);
+        let slow = run_schedule(&int, &ci, &cfg).unwrap();
+        let fast = replay_schedule(&int, &ci, &cfg, &mut scratch).unwrap();
+        assert_eq!(fast.iteration_time.to_bits(), slow.iteration_time.to_bits());
+        assert_eq!(fast.device_busy, slow.device_busy);
+    }
+
+    #[test]
+    fn zero_bubble_beats_plain_1f1b_when_comm_is_light() {
+        // The family's raison d'être: sending the gradient after only the
+        // grad-input half lets upstream stages start sooner, shrinking the
+        // cooldown bubble. On a communication-light pipeline the win must
+        // show up in simulated iteration time.
+        let (p, m) = (4, 8);
+        let c = uniform(p, 1.0, 2.0, 0.0005, 0.01);
+        let mut scratch = ReplayScratch::new();
+        let plain = replay_schedule(
+            &one_f_one_b(p, m),
+            &c,
+            &EventConfig::default(),
+            &mut scratch,
+        )
+        .unwrap();
+        let zb = replay_schedule(
+            &zero_bubble(p, m),
+            &c,
+            &EventConfig::default(),
+            &mut scratch,
+        )
+        .unwrap();
+        assert!(
+            zb.iteration_time < plain.iteration_time,
+            "zero-bubble {} vs 1f1b {}",
+            zb.iteration_time,
+            plain.iteration_time
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_across_shapes_does_not_contaminate() {
+        let cfg = EventConfig::default();
+        let mut scratch = ReplayScratch::new();
+        for (p, m) in [(4usize, 8usize), (2, 4), (6, 12), (1, 3), (4, 8)] {
+            let c = uniform(p, 1.0, 2.0, 0.001, 0.02);
+            let sched = one_f_one_b(p, m);
+            let slow = run_schedule(&sched, &c, &cfg).unwrap();
+            let fast = replay_schedule(&sched, &c, &cfg, &mut scratch).unwrap();
+            assert_eq!(
+                fast.iteration_time.to_bits(),
+                slow.iteration_time.to_bits(),
+                "p={p} m={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn overlapped_replay_is_bit_identical_to_event_sim_for_every_family() {
+        use autopipe_exec::CommConfig;
+        let (p, m) = (4, 8);
+        let scheds = vec![
+            one_f_one_b(p, m),
+            sliced_1f1b(p, m, 2),
+            gpipe(p, m),
+            zero_bubble(p, m),
+        ];
+        // Comm-heavy: volume on par with compute, so the chunk pipelining
+        // actually reorders link traffic relative to blocking mode.
+        let c = uniform(p, 1.0, 2.0, 0.05, 1.5);
+        let mut scratch = ReplayScratch::new();
+        for k in [1usize, 2, 4, 8] {
+            let cfg = EventConfig {
+                comm: CommConfig::overlapped(k),
+                ..Default::default()
+            };
+            for sched in &scheds {
+                let slow = run_schedule(sched, &c, &cfg).unwrap();
+                let fast = replay_schedule(sched, &c, &cfg, &mut scratch).unwrap();
+                assert_eq!(
+                    fast.iteration_time.to_bits(),
+                    slow.iteration_time.to_bits(),
+                    "{:?} k={k}",
+                    sched.kind
+                );
+                assert_eq!(
+                    fast.startup_overhead.to_bits(),
+                    slow.startup_overhead.to_bits(),
+                    "{:?} k={k}",
+                    sched.kind
+                );
+                assert_eq!(fast.device_busy, slow.device_busy);
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_beats_blocking_on_a_comm_heavy_pipeline() {
+        use autopipe_exec::CommConfig;
+        // Volume ≥ per-op compute: the blocking baseline serializes a full
+        // transfer into every hand-off, overlap hides most of it behind the
+        // producing span, by at least 10 %.
+        let (p, m) = (4, 8);
+        let c = uniform(p, 1.0, 1.0, 0.01, 2.0);
+        let mut scratch = ReplayScratch::new();
+        let sched = one_f_one_b(p, m);
+        let blocking = replay_schedule(&sched, &c, &EventConfig::default(), &mut scratch).unwrap();
+        let overlapped = replay_schedule(
+            &sched,
+            &c,
+            &EventConfig {
+                comm: CommConfig::overlapped(4),
+                ..Default::default()
+            },
+            &mut scratch,
+        )
+        .unwrap();
+        let gain = 1.0 - overlapped.iteration_time / blocking.iteration_time;
+        assert!(
+            gain >= 0.10,
+            "overlap gain {:.3} (blocking {}, overlapped {})",
+            gain,
+            blocking.iteration_time,
+            overlapped.iteration_time
+        );
     }
 
     // Timeline analysis of simulated iterations: the metrics live on the

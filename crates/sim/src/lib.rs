@@ -24,10 +24,11 @@
 //!   FIFO links (α+β cost), optional per-op jitter and launch overhead, and
 //!   static memory feasibility checks. This is the stand-in for the paper's
 //!   16-GPU testbed: all "measured" numbers in the experiment harness come
-//!   from here. One sweep serves `run_schedule` (traced),
-//!   `run_schedule_faulty` / `run_schedule_failstop` (scripted faults) and
-//!   [`replay_schedule`] (no recorder, reusable scratch — what search loops
-//!   score schedule families with).
+//!   from here. It is one of the two devices the shared op interpreter
+//!   ([`autopipe_exec::Cursor`]) drives. One sweep serves `run_schedule`
+//!   (traced), `run_schedule_faulty` / `run_schedule_failstop` (scripted
+//!   faults) and [`replay_schedule`] (no recorder, reusable scratch — what
+//!   search loops score schedule families with).
 
 pub mod analytic;
 pub mod event;
@@ -35,7 +36,6 @@ pub mod memcheck;
 pub mod memtrace;
 pub mod metrics;
 pub mod partition;
-pub mod schedule_replay;
 
 pub use analytic::{
     simulate_replay, simulate_replay_masked, simulate_time, simulate_time_lanes,
@@ -44,8 +44,7 @@ pub use analytic::{
 };
 pub use autopipe_exec::{CommConfig, FaultPlan};
 pub use event::{
-    run_schedule, run_schedule_failstop, run_schedule_faulty, EventConfig, EventCosts, EventResult,
-    EventSummary, FailStopResult, SimCrash, SimError,
+    replay_schedule, run_schedule, run_schedule_failstop, run_schedule_faulty, EventConfig,
+    EventCosts, EventResult, EventSummary, FailStopResult, ReplayScratch, SimCrash, SimError,
 };
 pub use partition::{Partition, StageCosts};
-pub use schedule_replay::{replay_schedule, ReplayScratch};

@@ -180,7 +180,7 @@ impl Session {
     /// Plan *and run* under the overlapped comm engine: the planner scores
     /// candidates with eager chunked sends (α = `latency`, `chunks` wire
     /// chunks per hand-off) and the runtime executes with the matching
-    /// [`CommConfig`].
+    /// [`CommConfig`](autopipe_exec::CommConfig).
     pub fn overlap_comm(mut self, latency: f64, chunks: usize) -> Session {
         self.cfg.constraints.overlap = Some(OverlapModel { latency, chunks });
         self

@@ -6,7 +6,7 @@
 //!    [`VirtualTransport`] keep every directed edge FIFO — arrivals are
 //!    non-decreasing in send order — and respect causality (no message
 //!    arrives before the compute span that produced it ends), with or
-//!    without link-fault jitter. One chunk degenerates to the blocking send
+//!    without a scripted link delay on the message. One chunk degenerates to the blocking send
 //!    bit for bit.
 //! 2. **Numerics**: the threaded runtime under the overlapped engine trains
 //!    bit-identically to the blocking engine — chunking and comm threads
@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use autopipe_exec::{AlphaBeta, CommConfig, MsgKey, Transport, VirtualTransport};
+use autopipe_exec::{AlphaBeta, CommConfig, MsgKey, VirtualTransport};
 use autopipe_model::{ModelConfig, ModelFamily};
 use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig};
 use autopipe_schedule::{one_f_one_b, Part};
@@ -29,7 +29,7 @@ use autopipe_sim::{replay_schedule, Partition, ReplayScratch, StageCosts};
 
 /// A stream of back-to-back messages on one directed edge: for each, the
 /// producing compute span's duration and the gap before it starts, plus a
-/// non-negative fault jitter.
+/// non-negative stall.
 fn edge_stream() -> impl Strategy<Value = (Vec<(f64, f64, f64)>, usize, f64, f64)> {
     (
         proptest::collection::vec((1e-3f64..2.0, 0.0f64..0.5, 0.0f64..0.3), 1..24),
@@ -42,26 +42,23 @@ fn edge_stream() -> impl Strategy<Value = (Vec<(f64, f64, f64)>, usize, f64, f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// FIFO + causality on a chunked edge, with fault jitter: arrivals are
+    /// FIFO + causality on a chunked edge, with link delays: arrivals are
     /// strictly ordered by send order, never precede the producing span's
     /// end, and the mailbox hands messages back in that same order.
     #[test]
     fn chunked_sends_stay_fifo_and_causal(
         (msgs, k, latency, volume) in edge_stream()
     ) {
-        // Jitter hits every 3rd message; deterministic so the replay below
-        // (k = 1 vs k) sees the same fault stream.
-        let jitter = |_f: usize, _t: usize, key: &MsgKey, _now: f64| {
-            if key.mb % 3 == 0 { 0.21 } else { 0.0 }
-        };
         let costs = AlphaBeta { latency, volume };
-        let mut vt = VirtualTransport::new(2, costs).with_fault(jitter);
+        let mut vt = VirtualTransport::new(2, costs);
         let mut span_end = 0.0;
         let mut arrivals = Vec::new();
         for (i, &(dur, gap, stall)) in msgs.iter().enumerate() {
             span_end += gap + dur;
             let key = MsgKey::act(i, Part::Full, 1);
-            let a = vt.send_overlapped(0, 1, key, (), span_end, dur, stall, k);
+            // A scripted link delay on every 3rd message.
+            let delay = if i % 3 == 0 { 0.21 } else { 0.0 };
+            let a = vt.send_overlapped(0, 1, key, span_end, dur, stall, k, delay);
             // Causality: the final chunk departs no earlier than the span's
             // end plus the stall, and transfer time is positive.
             prop_assert!(a > span_end + stall, "arrival {a} vs span end {span_end}");
@@ -74,7 +71,7 @@ proptest! {
         // The mailbox drains in send order with the same arrival stamps.
         for (i, &want) in arrivals.iter().enumerate() {
             let key = MsgKey::act(i, Part::Full, 1);
-            let (_, got) = vt.try_recv(1, key).expect("message delivered");
+            let got = vt.try_recv(1, key).expect("message delivered");
             prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }
@@ -93,8 +90,8 @@ proptest! {
         for (i, &(dur, gap, stall)) in msgs.iter().enumerate() {
             span_end += gap + dur;
             let key = MsgKey::act(i, Part::Full, 1);
-            let a = blocking.send(0, 1, key, (), span_end + stall);
-            let b = overlapped.send_overlapped(0, 1, key, (), span_end, dur, stall, 1);
+            let a = blocking.send(0, 1, key, span_end + stall, 0.0);
+            let b = overlapped.send_overlapped(0, 1, key, span_end, dur, stall, 1, 0.0);
             prop_assert_eq!(a.to_bits(), b.to_bits(), "message {}", i);
         }
     }
@@ -114,7 +111,7 @@ proptest! {
             for (i, &(dur, gap, stall)) in msgs.iter().enumerate() {
                 span_end += gap + dur;
                 let key = MsgKey::act(i, Part::Full, 1);
-                out.push(vt.send_overlapped(0, 1, key, (), span_end, dur, stall, k));
+                out.push(vt.send_overlapped(0, 1, key, span_end, dur, stall, k, 0.0));
             }
             out
         };

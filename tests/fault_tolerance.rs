@@ -3,12 +3,18 @@
 //! the runtime's losses and parameter checksum stay bit-identical to a
 //! fault-free run, and injected stalls surface as structured watchdog
 //! reports instead of hangs; on the event simulator the same kind of scripts
-//! at paper scale never deadlock, reorder or speed up the pipeline.
+//! at paper scale never deadlock, reorder or speed up the pipeline. One
+//! script replayed on both executors runs the same ops in the same order
+//! and, when it kills a device, kills the same device at the same op.
 
 use autopipe::{PlannedSession, Session};
-use autopipe_exec::{FaultPlan, FaultSpec, StageStall};
+use autopipe_exec::{CommConfig, FaultPlan, FaultSpec, StageStall};
 use autopipe_model::{zoo, ModelConfig, ModelFamily};
-use autopipe_runtime::WatchdogConfig;
+use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig, RuntimeError, WatchdogConfig};
+use autopipe_schedule::{sliced_1f1b, OpKind};
+use autopipe_sim::{
+    run_schedule, run_schedule_failstop, run_schedule_faulty, EventConfig, EventCosts, Partition,
+};
 use std::time::Duration;
 
 const P: usize = 2;
@@ -157,5 +163,156 @@ fn watchdog_reports_injected_stalls_through_the_facade() {
     assert_eq!(
         clean.param_checksum.to_bits(),
         faulty.param_checksum.to_bits()
+    );
+}
+
+/// A four-stage sliced pipeline on [`micro_gpt`], driven directly.
+fn micro_pipeline() -> Pipeline {
+    Pipeline::try_new(&PipelineConfig {
+        model: micro_gpt(),
+        partition: Partition::new(vec![0, 2, 4, 6, 7]),
+        schedule: sliced_1f1b(4, M, 2),
+        lr: 1e-3,
+        seed: 5,
+        checkpointing: false,
+        comm: CommConfig::default(),
+    })
+    .unwrap()
+}
+
+/// Uniform costs for [`micro_pipeline`]'s schedule on the event simulator.
+fn micro_costs() -> EventCosts {
+    EventCosts {
+        f: vec![1.0; 4],
+        b: vec![2.0; 4],
+        latency: 0.01,
+        volume: 0.05,
+    }
+}
+
+/// One fault script, two executors. Delay scripts finish on both with the
+/// same per-device op order; a fail-stop script either never fires on
+/// either, or kills the same device at the same op with the same kind on
+/// both, and the runtime never gets further than the simulator, which
+/// drains the survivors as far as they can go.
+#[test]
+fn one_fault_script_replays_alike_on_both_executors() {
+    let mut pipe = micro_pipeline();
+    let sched = pipe.schedule().clone();
+    let costs = micro_costs();
+    let cfg = EventConfig::default();
+    let model = micro_gpt();
+    let batch = BatchSet::synthetic(3, M, 2, model.seq_len, model.vocab_size);
+    let program_len = sched.devices.iter().map(Vec::len).max().unwrap();
+    let spec = FaultSpec::new(4, program_len, 1.0);
+
+    for seed in 0..10u64 {
+        let plan = FaultPlan::random(seed, &spec);
+        let sim = run_schedule_faulty(&sched, &costs, &cfg, &plan).unwrap();
+        pipe.set_faults(plan, 2e-5);
+        pipe.forward_backward(&batch)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let ran = pipe
+            .last_timeline()
+            .expect("a timeline after a finished iteration");
+        if let Err(e) = sim.timeline.same_op_order(ran) {
+            panic!("seed {seed}: the executors ran different ops: {e}");
+        }
+    }
+
+    let mut fired = 0;
+    for seed in 0..10u64 {
+        let plan = FaultPlan::random_failstop(seed, &spec, 0.5);
+        let sim = run_schedule_failstop(&sched, &costs, &cfg, &plan).unwrap();
+        let mut pipe = micro_pipeline();
+        pipe.set_faults(plan, 0.0);
+        let outcome = pipe.forward_backward(&batch);
+        if sim.completed {
+            assert!(outcome.is_ok(), "seed {seed}: only the runtime died");
+            continue;
+        }
+        fired += 1;
+        let Err(RuntimeError::StageDown { report, .. }) = outcome else {
+            panic!("seed {seed}: the simulator saw a death, the runtime did not");
+        };
+        let (root, want) = (&report.crashed[0], &sim.crashed[0]);
+        assert_eq!(
+            (root.device, root.at_op, root.kind),
+            (want.device, want.at_op, want.kind),
+            "seed {seed}: the executors disagree on the death"
+        );
+        for (d, (&ran, &simulated)) in report.counters.iter().zip(&sim.counters).enumerate() {
+            assert!(
+                ran <= simulated,
+                "seed {seed}: device {d} ran {ran} ops, the simulator only {simulated}"
+            );
+        }
+    }
+    assert!(fired > 0, "no fail-stop script fired");
+}
+
+/// `ready` means one thing on both executors: when the device reached the
+/// op, or for a receive when its message arrived. On a clean blocking run
+/// every other op starts where it was reached; a scripted stall of `s`
+/// opens a gap of `s` between the two, in virtual time on the simulator and
+/// (at least) `s × time_scale` in wall time on the runtime.
+#[test]
+fn ready_is_where_the_device_reached_the_op_on_both_executors() {
+    let mut pipe = micro_pipeline();
+    let sched = pipe.schedule().clone();
+    let (costs, cfg) = (micro_costs(), EventConfig::default());
+    let model = micro_gpt();
+    let batch = BatchSet::synthetic(4, M, 2, model.seq_len, model.vocab_size);
+    let is_recv = |kind: OpKind| matches!(kind, OpKind::RecvAct { .. } | OpKind::RecvGrad { .. });
+
+    let sim = run_schedule(&sched, &costs, &cfg).unwrap().timeline;
+    pipe.forward_backward(&batch).unwrap();
+    let ran = pipe.last_timeline().unwrap().clone();
+    for (who, timeline) in [("simulator", &sim), ("runtime", &ran)] {
+        for d in 0..sched.n_devices {
+            for (j, e) in timeline.device(d).enumerate() {
+                if !is_recv(e.op.kind) {
+                    assert_eq!(e.ready, e.start, "{who}: device {d} op {j}");
+                }
+            }
+        }
+    }
+
+    // Stall device 1's first compute op by 3 virtual seconds = 3 ms.
+    let (device, pause, time_scale) = (1, 3.0, 1e-3);
+    let op_index = sched.devices[device]
+        .iter()
+        .position(|op| op.is_compute())
+        .unwrap();
+    let plan = FaultPlan {
+        stalls: vec![StageStall {
+            device,
+            op_index,
+            pause,
+        }],
+        ..FaultPlan::none()
+    };
+    let sim = run_schedule_faulty(&sched, &costs, &cfg, &plan).unwrap();
+    let e = sim.timeline.device(device).nth(op_index).unwrap();
+    assert!(
+        (e.start - e.ready - pause).abs() < 1e-9,
+        "simulator: {} − {} ≠ {pause}",
+        e.start,
+        e.ready
+    );
+    pipe.set_faults(plan, time_scale);
+    pipe.forward_backward(&batch).unwrap();
+    let e = pipe
+        .last_timeline()
+        .unwrap()
+        .device(device)
+        .nth(op_index)
+        .unwrap();
+    assert!(
+        e.start - e.ready >= pause * time_scale,
+        "runtime: {} − {} < {}",
+        e.start,
+        e.ready,
+        pause * time_scale
     );
 }
