@@ -15,7 +15,7 @@
 //! Each stage thread is a [`Cursor`] over its device's program driving a
 //! `Worker`, the runtime's [`Device`]: the cursor decodes every op and
 //! applies the fault script once; the worker runs the op's
-//! [`StageModel`] tensor math, sleeps the injected delays and receives
+//! `StageModel` tensor math, sleeps the injected delays and receives
 //! under the stall [`watchdog`](crate::watchdog), all in wall time.
 //!
 //! Fault tolerance: a seeded [`FaultPlan`] replays here in wall time (the
@@ -119,7 +119,18 @@ pub struct Pipeline {
     watchdog_cfg: WatchdogConfig,
     deadlines: Option<Vec<Vec<Duration>>>,
     last_timeline: Option<Timeline>,
+    last_peak_in_flight: Option<Vec<f64>>,
     last_report: Option<FaultReport>,
+}
+
+/// Which stages run their forwards checkpointed: every stage under global
+/// activation checkpointing, else the stages the schedule recomputes
+/// (caches are dropped at `Fwd` and rebuilt by the `Recompute` op).
+fn checkpointed_stages(checkpointing: bool, sched: &Schedule) -> Vec<bool> {
+    autopipe_schedule::recompute_mask(sched)
+        .into_iter()
+        .map(|recompute| checkpointing || recompute)
+        .collect()
 }
 
 impl Pipeline {
@@ -149,10 +160,7 @@ impl Pipeline {
                 all.len()
             )));
         }
-        // Stages the schedule recomputes run their forwards checkpointed —
-        // caches are dropped at `Fwd` and rebuilt by the `Recompute` op —
-        // independent of the global checkpointing flag.
-        let rec_mask = autopipe_schedule::recompute_mask(&cfg.schedule);
+        let ckpt = checkpointed_stages(cfg.checkpointing, &cfg.schedule);
         let stages = (0..p)
             .map(|d| {
                 (0..v)
@@ -164,7 +172,7 @@ impl Pipeline {
                             stage,
                             cfg.model.seq_len,
                             cfg.lr,
-                            cfg.checkpointing || rec_mask.get(stage).copied().unwrap_or(false),
+                            ckpt[stage],
                         )
                     })
                     .collect()
@@ -182,6 +190,7 @@ impl Pipeline {
             watchdog_cfg: WatchdogConfig::default(),
             deadlines: None,
             last_timeline: None,
+            last_peak_in_flight: None,
             last_report: None,
         })
     }
@@ -320,6 +329,7 @@ impl Pipeline {
                     inbox: HashMap::new(),
                     outbox: HashMap::new(),
                     loss: 0.0,
+                    peak_in_flight: 0.0,
                     wd_events: Vec::new(),
                 };
                 handles.push(scope.spawn(move || run_device(schedule, faults, worker)));
@@ -340,6 +350,7 @@ impl Pipeline {
                             .unwrap_or_else(|| "stage thread panicked".into());
                         DeviceOutcome {
                             loss: 0.0,
+                            peak_in_flight: 0.0,
                             times: Vec::new(),
                             wd_events: Vec::new(),
                             completed: 0,
@@ -362,6 +373,7 @@ impl Pipeline {
 
         let mut report = FaultReport::default();
         let mut losses = Vec::with_capacity(p);
+        let mut peaks = Vec::with_capacity(p);
         let mut recorder = Recorder::for_programs(&self.schedule.devices);
         // Scripted fail-stops are root causes; panics on other devices are
         // usually collateral (a send into the dead stage's dropped channel).
@@ -388,19 +400,38 @@ impl Pipeline {
                 });
             }
             losses.push(o.loss);
+            peaks.push(o.peak_in_flight);
             recorder.record_run(d, &o.times);
         }
         report.crashed.extend(collateral);
+        if !report.aborted && report.crashed.is_empty() {
+            // A valid program closes every stash record it opens.
+            let leaked = |chunks: &Vec<StageModel>| chunks.iter().any(|s| s.in_flight() != 0.0);
+            if let Some(device) = self.stages.iter().position(leaked) {
+                report.crashed.push(CrashEvent {
+                    device,
+                    at_op: report.counters[device],
+                    kind: FailStopKind::Crash,
+                    detail: Some("stash records live at the end of the iteration".into()),
+                });
+            }
+        }
+        if report.aborted || !report.crashed.is_empty() {
+            self.last_timeline = None;
+            self.last_peak_in_flight = None;
+            // The records of micro-batches the abort cut short.
+            for s in self.stages.iter_mut().flatten() {
+                s.clear_stash();
+            }
+        }
         if !report.crashed.is_empty() {
             // A dead stage outranks the stalls its death caused downstream.
             report.aborted = true;
             let stage = report.crashed[0].device;
-            self.last_timeline = None;
             self.last_report = Some(report.clone());
             return Err(RuntimeError::StageDown { stage, report });
         }
         if report.aborted {
-            self.last_timeline = None;
             self.last_report = Some(report.clone());
             return Err(RuntimeError::Stalled(report));
         }
@@ -408,6 +439,7 @@ impl Pipeline {
         let timeline = recorder.finish();
         let wall = Duration::from_secs_f64(timeline.iteration_time());
         self.last_timeline = Some(timeline);
+        self.last_peak_in_flight = Some(peaks);
         Ok(IterationStats {
             loss: losses.iter().sum::<f32>() / m as f32,
             wall,
@@ -420,6 +452,17 @@ impl Pipeline {
     /// the event simulator's timeline for the same schedule.
     pub fn last_timeline(&self) -> Option<&Timeline> {
         self.last_timeline.as_ref()
+    }
+
+    /// Per device, the peak over the most recent successful
+    /// [`forward_backward`](Pipeline::forward_backward) of the micro-batches'
+    /// worth of stash records its chunk stages held at once — a forward's
+    /// part opens a record of `part.frac()`, the fused backward or the
+    /// grad-weight of a split backward closes it. In
+    /// [`peak_in_flight`](autopipe_sim::memcheck::peak_in_flight)'s units,
+    /// and equal to it. Cleared like [`last_timeline`](Pipeline::last_timeline).
+    pub fn last_peak_in_flight(&self) -> Option<&[f64]> {
+        self.last_peak_in_flight.as_deref()
     }
 
     /// The watchdog's report for the most recent iteration: every firing
@@ -514,6 +557,7 @@ impl Pipeline {
         // 3. Re-split along the new boundaries and import the migrated
         // state into fresh stages.
         let mut built: Vec<Option<StageModel>> = (0..partition.n_stages()).map(|_| None).collect();
+        let ckpt = checkpointed_stages(self.checkpointing, &self.schedule);
         let mut mod_iter = modules.into_iter();
         let mut par_iter = params.into_iter();
         let mut m_iter = mom1.into_iter();
@@ -525,8 +569,7 @@ impl Pipeline {
             let stage_params: Vec<Tensor> = par_iter.by_ref().take(nparams).collect();
             let stage_m: Vec<Tensor> = m_iter.by_ref().take(nparams).collect();
             let stage_v: Vec<Tensor> = v_iter.by_ref().take(nparams).collect();
-            let mut stage =
-                StageModel::from_parts(mods, self.model.seq_len, lr, self.checkpointing);
+            let mut stage = StageModel::from_parts(mods, self.model.seq_len, lr, ckpt[s]);
             stage.import_state(
                 &stage_params,
                 Adam::from_moments(lr, step_count, stage_m, stage_v),
@@ -550,6 +593,7 @@ impl Pipeline {
         // Expected deadlines and telemetry were derived for the old plan.
         self.deadlines = None;
         self.last_timeline = None;
+        self.last_peak_in_flight = None;
         self.last_report = None;
         Ok(())
     }
@@ -643,6 +687,8 @@ struct Outbound {
 
 struct DeviceOutcome {
     loss: f32,
+    /// Peak of the device's summed stash in flight.
+    peak_in_flight: f64,
     times: Vec<OpTimes>,
     wd_events: Vec<WatchdogEvent>,
     completed: usize,
@@ -682,6 +728,8 @@ struct Worker<'a> {
     inbox: HashMap<MsgKey, Tensor>,
     outbox: HashMap<MsgKey, Tensor>,
     loss: f32,
+    /// Peak of [`StageModel::in_flight`] summed over `chunks`.
+    peak_in_flight: f64,
     wd_events: Vec<WatchdogEvent>,
 }
 
@@ -723,6 +771,7 @@ fn run_device(sched: &Schedule, faults: Faults<'_>, mut worker: Worker<'_>) -> D
     }
     DeviceOutcome {
         loss: worker.loss,
+        peak_in_flight: worker.peak_in_flight,
         times,
         wd_events: worker.wd_events,
         completed: cursor.pc(),
@@ -788,24 +837,23 @@ impl Device for Worker<'_> {
                         None => return Err(self.broken(e, format!("missing act {mb} {part:?}"))),
                     }
                 };
-                if stage.has_head() {
+                let targets = stage.has_head().then(|| {
                     let rows = self.batch.rows_of_part(part);
-                    let targets =
-                        &self.batch.targets[mb][rows.start * self.seq..rows.end * self.seq];
-                    stage.set_targets(mb, part, targets.to_vec());
-                }
-                match stage.forward(mb, part, input) {
+                    self.batch.targets[mb][rows.start * self.seq..rows.end * self.seq].to_vec()
+                });
+                match stage.forward(mb, part, input, targets) {
                     StageOutput::Hidden(t) => {
                         self.outbox.insert(MsgKey::act(mb, part, e.stage + 1), t);
                     }
                     StageOutput::Loss(l) => self.loss += l,
                 }
+                let live = self.chunks.iter().map(StageModel::in_flight).sum();
+                self.peak_in_flight = self.peak_in_flight.max(live);
             }
             OpKind::Recompute { mb, .. } => {
-                if !stage.has_forward_state(mb) {
+                if !stage.recompute_microbatch(mb) {
                     return Err(self.broken(e, format!("recompute {mb} before its forward")));
                 }
-                stage.recompute_microbatch(mb);
             }
             OpKind::Bwd { mb, .. } | OpKind::BwdInput { mb, .. } => {
                 let d_out = self.inbox.remove(&MsgKey::grad(mb, e.stage));
@@ -1187,7 +1235,10 @@ mod tests {
         let batch = BatchSet::synthetic(12, m, 2, model.seq_len, model.vocab_size);
         let mut pipe = Pipeline::try_new(&cfg(sched.clone(), partition2(), false)).unwrap();
         assert!(pipe.last_timeline().is_none());
+        assert!(pipe.last_peak_in_flight().is_none());
         let stats = pipe.forward_backward(&batch).unwrap();
+        // 1F1B's `p − stage` in flight; slicing adds none.
+        assert_eq!(pipe.last_peak_in_flight(), Some(&[2.0, 1.0][..]));
         let tl = pipe.last_timeline().expect("timeline after an iteration");
         // Every scheduled op appears, in program order, with sane times.
         assert_eq!(tl.n_devices(), 2);
@@ -1349,6 +1400,24 @@ mod tests {
             other => panic!("expected a stall report, got {other}"),
         }
         assert!(pipe.last_timeline().is_none(), "no timeline for an abort");
+        assert!(pipe.last_peak_in_flight().is_none(), "no peak for an abort");
+    }
+
+    #[test]
+    fn a_program_that_leaves_a_record_open_fails_the_iteration() {
+        let model = tiny();
+        let mut sched = one_f_one_b(1, 2);
+        sched.devices[0].retain(|op| !matches!(op.kind, OpKind::Bwd { mb: 1, .. }));
+        let batch = BatchSet::synthetic(4, 2, 2, model.seq_len, model.vocab_size);
+        let mut pipe = Pipeline::try_new(&cfg(sched, Partition::new(vec![0, 7]), false)).unwrap();
+        match pipe.forward_backward(&batch) {
+            Err(RuntimeError::StageDown { report, .. }) => {
+                let detail = report.crashed[0].detail.as_deref().unwrap_or("");
+                assert!(detail.contains("stash records live"), "{detail}");
+            }
+            other => panic!("expected a leak to fail the iteration, got {other:?}"),
+        }
+        assert!(pipe.last_peak_in_flight().is_none());
     }
 
     #[test]
@@ -1505,6 +1574,32 @@ mod tests {
             pipe.param_checksum().to_bits(),
             "hot swap must not perturb parameters"
         );
+    }
+
+    #[test]
+    fn repartition_keeps_the_recompute_mask() {
+        // A hot swap onto a masked plan must checkpoint the masked stages
+        // exactly as a fresh pipeline of that plan does; otherwise their
+        // `Recompute` ops are no-ops over full caches.
+        let mut masked = one_f_one_b(2, 4);
+        apply_recompute(&mut masked, &[true, false]);
+        let flags = |pipe: &Pipeline| -> Vec<bool> {
+            pipe.stages
+                .iter()
+                .flatten()
+                .map(|s| s.checkpointing())
+                .collect()
+        };
+        let fresh = Pipeline::try_new(&cfg(masked.clone(), partition2(), false)).unwrap();
+        assert_eq!(flags(&fresh), [true, false]);
+        let mut swapped = Pipeline::try_new(&cfg(
+            one_f_one_b(2, 4),
+            Partition::new(vec![0, 4, 7]),
+            false,
+        ))
+        .unwrap();
+        swapped.repartition(&partition2(), masked).unwrap();
+        assert_eq!(flags(&swapped), flags(&fresh));
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod engine;
 pub mod membership;
 pub mod recovery;
 pub mod reference;
-pub mod stage;
+mod stage;
 pub mod watchdog;
 
 pub use adaptive::{StragglerMonitor, StragglerObservation};

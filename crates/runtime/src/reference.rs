@@ -39,12 +39,12 @@ impl ReferenceModel {
         let scale = 1.0 / m as f32;
         let mut loss_sum = 0.0_f32;
         for mb in 0..m {
-            self.stage
-                .set_targets(mb, Part::Full, batch.targets[mb].clone());
-            match self
-                .stage
-                .forward(mb, Part::Full, StageInput::Tokens(batch.ids[mb].clone()))
-            {
+            match self.stage.forward(
+                mb,
+                Part::Full,
+                StageInput::Tokens(batch.ids[mb].clone()),
+                Some(batch.targets[mb].clone()),
+            ) {
                 StageOutput::Loss(l) => loss_sum += l,
                 StageOutput::Hidden(_) => panic!("reference model must end in a loss"),
             }

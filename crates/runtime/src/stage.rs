@@ -146,48 +146,39 @@ enum ModCache {
     Identity,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum PartKey {
-    Full,
-    Half1,
-    Half2,
-}
-
-impl PartKey {
-    fn of(part: Part) -> PartKey {
-        match part {
-            Part::Full | Part::Both => PartKey::Full,
-            Part::Half1 => PartKey::Half1,
-            Part::Half2 => PartKey::Half2,
-        }
-    }
-
-    fn weight(self) -> f32 {
-        match self {
-            PartKey::Full => 1.0,
-            PartKey::Half1 | PartKey::Half2 => 0.5,
-        }
-    }
+/// What a stage holds for one (micro-batch, part) between the forward that
+/// creates it and the op that releases it: the fused `Bwd`, or the
+/// `BwdWeight` of a split backward — the op
+/// `autopipe_sim::memcheck::peak_in_flight` releases it at.
+enum Stash {
+    /// Forwarded: the stage input, the head stage's targets, and the
+    /// activation caches unless a checkpointed forward dropped them.
+    Forwarded {
+        input: StageInput,
+        targets: Option<Vec<usize>>,
+        caches: Option<Vec<ModCache>>,
+    },
+    /// A grad-input backward ran: the weight gradients it computed, as
+    /// `(grad offset, per-module grads)` in computation order, awaiting the
+    /// `BwdWeight` that accumulates them.
+    WeightGrads(Vec<(usize, Vec<Tensor>)>),
 }
 
 /// A pipeline stage: its modules, gradient accumulators, per-micro-batch
-/// caches, and Adam state.
+/// stash, and Adam state.
 pub struct StageModel {
     modules: Vec<Module>,
     grads: Vec<Tensor>,
     adam: Adam,
-    caches: HashMap<(usize, PartKey), Vec<ModCache>>,
-    inputs: HashMap<(usize, PartKey), StageInput>,
-    targets: HashMap<(usize, PartKey), Vec<usize>>,
-    /// Weight gradients computed by a grad-input backward but not yet
-    /// accumulated: per micro-batch, `(grad offset, per-module grads)` in
-    /// computation order. Drained by
-    /// [`apply_weight_grads`](StageModel::apply_weight_grads).
-    pending_wgrads: HashMap<usize, Vec<(usize, Vec<Tensor>)>>,
+    /// One record per live (micro-batch, part); compute parts are `Full`,
+    /// `Half1` or `Half2`, never `Both`.
+    stash: HashMap<(usize, Part), Stash>,
+    /// Sum of the live records' [`Part::frac`], kept on insert and remove.
+    in_flight: f64,
     seq: usize,
     /// Re-run forwards at backward time from the stashed stage input
     /// instead of keeping caches (§II-C activation checkpointing).
-    pub checkpointing: bool,
+    checkpointing: bool,
 }
 
 impl StageModel {
@@ -224,10 +215,8 @@ impl StageModel {
             modules,
             grads,
             adam,
-            caches: HashMap::new(),
-            inputs: HashMap::new(),
-            targets: HashMap::new(),
-            pending_wgrads: HashMap::new(),
+            stash: HashMap::new(),
+            in_flight: 0.0,
             seq,
             checkpointing,
         }
@@ -239,20 +228,27 @@ impl StageModel {
         self.modules
     }
 
-    /// Provide the targets for a (micro-batch, part) — only meaningful on
-    /// the stage holding the LM head.
-    pub(crate) fn set_targets(&mut self, mb: usize, part: Part, targets: Vec<usize>) {
-        self.targets.insert((mb, PartKey::of(part)), targets);
-    }
-
-    /// Forward `part` of micro-batch `mb`.
-    pub(crate) fn forward(&mut self, mb: usize, part: Part, input: StageInput) -> StageOutput {
-        let key = (mb, PartKey::of(part));
-        self.inputs.insert(key, input.clone());
-        let (out, caches) = self.run_forward(key, input);
-        if !self.checkpointing {
-            self.caches.insert(key, caches);
-        }
+    /// Forward `part` of micro-batch `mb`, opening its stash record.
+    /// `targets` are the part's labels, on the stage holding the LM head.
+    pub(crate) fn forward(
+        &mut self,
+        mb: usize,
+        part: Part,
+        input: StageInput,
+        targets: Option<Vec<usize>>,
+    ) -> StageOutput {
+        let (out, caches) = self.run_forward(&input, targets.as_deref(), part);
+        let record = Stash::Forwarded {
+            input,
+            targets,
+            caches: (!self.checkpointing).then_some(caches),
+        };
+        let stale = self.stash.insert((mb, part), record);
+        assert!(
+            stale.is_none(),
+            "{part:?} of micro-batch {mb} forwarded twice"
+        );
+        self.in_flight += part.frac();
         out
     }
 
@@ -260,55 +256,60 @@ impl StageModel {
     /// rebuilding the activation caches a checkpointed forward dropped — the
     /// schedule IR's `Recompute` op. `run_forward` is pure, so the rebuilt
     /// caches are bit-identical to the ones the forward would have kept;
-    /// parts whose caches are still live are left untouched. Returns how
-    /// many parts were rebuilt (0 when nothing was dropped, which makes the
-    /// op a timed no-op on unmasked stages).
-    pub(crate) fn recompute_microbatch(&mut self, mb: usize) -> usize {
-        let mut keys: Vec<(usize, PartKey)> = self
-            .inputs
-            .keys()
-            .filter(|(m, _)| *m == mb)
-            .copied()
-            .collect();
-        keys.sort();
-        let mut rebuilt = 0;
-        for key in keys {
-            if self.caches.contains_key(&key) {
+    /// parts whose caches are still live are left untouched (which makes the
+    /// op a timed no-op on unmasked stages). Returns `false` when no forward
+    /// state of `mb` is live on this stage.
+    pub(crate) fn recompute_microbatch(&mut self, mb: usize) -> bool {
+        let mut forwarded = false;
+        for part in [Part::Full, Part::Half1, Part::Half2] {
+            let Some(Stash::Forwarded {
+                input,
+                targets,
+                caches,
+            }) = self.stash.get(&(mb, part))
+            else {
+                continue;
+            };
+            forwarded = true;
+            if caches.is_some() {
                 continue;
             }
-            let input = self.inputs[&key].clone();
-            let (_, caches) = self.run_forward(key, input);
-            self.caches.insert(key, caches);
-            rebuilt += 1;
+            let rebuilt = self.run_forward(input, targets.as_deref(), part).1;
+            if let Some(Stash::Forwarded { caches, .. }) = self.stash.get_mut(&(mb, part)) {
+                *caches = Some(rebuilt);
+            }
         }
-        rebuilt
+        forwarded
     }
 
-    /// Whether any forward state (stashed input) for micro-batch `mb` is
-    /// live on this stage.
-    pub(crate) fn has_forward_state(&self, mb: usize) -> bool {
-        self.inputs.keys().any(|(m, _)| *m == mb)
+    /// Micro-batches' worth of stash records live on this stage: the sum of
+    /// their parts' [`Part::frac`].
+    pub(crate) fn in_flight(&self) -> f64 {
+        self.in_flight
+    }
+
+    /// Drop every stash record — what an aborted iteration leaves behind.
+    pub(crate) fn clear_stash(&mut self) {
+        self.stash.clear();
+        self.in_flight = 0.0;
     }
 
     fn run_forward(
         &self,
-        key: (usize, PartKey),
-        input: StageInput,
+        input: &StageInput,
+        targets: Option<&[usize]>,
+        part: Part,
     ) -> (StageOutput, Vec<ModCache>) {
         let mut caches = Vec::with_capacity(self.modules.len());
-        let mut hidden: Option<Tensor> = match input {
-            StageInput::Hidden(t) => Some(t),
-            StageInput::Tokens(_) => None,
-        };
-        let ids = match &self.inputs[&key] {
-            StageInput::Tokens(ids) => Some(ids.clone()),
-            _ => None,
+        let (mut hidden, ids) = match input {
+            StageInput::Hidden(t) => (Some(t.clone()), None),
+            StageInput::Tokens(ids) => (None, Some(ids)),
         };
         let mut loss: Option<f32> = None;
         for m in &self.modules {
             match m {
                 Module::Embedding(e) => {
-                    let ids = ids.as_ref().expect("embedding stage needs token input");
+                    let ids = ids.expect("embedding stage needs token input");
                     hidden = Some(e.forward(ids));
                     caches.push(ModCache::Embedding(ids.clone()));
                 }
@@ -334,14 +335,11 @@ impl StageModel {
                 }
                 Module::Head(h) => {
                     let x = hidden.take().expect("head needs hidden input");
-                    let targets = self
-                        .targets
-                        .get(&key)
-                        .expect("head stage needs targets before forward");
+                    let targets = targets.expect("head stage needs targets");
                     let (l, dlogits) = h.forward_loss(&x, targets);
                     // Halves weigh half so the micro-batch loss/gradient is
                     // the full-batch mean.
-                    let w = key.1.weight();
+                    let w = part.frac() as f32;
                     loss = Some(l * w);
                     caches.push(ModCache::Head {
                         x,
@@ -359,8 +357,8 @@ impl StageModel {
     }
 
     /// Shared reverse-module walk. `apply = Some(scale)` accumulates weight
-    /// gradients immediately (fused backward); `None` stashes them for a
-    /// deferred grad-weight op.
+    /// gradients immediately (fused backward) and closes the part's record;
+    /// `None` leaves them in the record for a deferred grad-weight op.
     fn backward_part(
         &mut self,
         mb: usize,
@@ -368,17 +366,16 @@ impl StageModel {
         d_out: Option<&Tensor>,
         apply: Option<f32>,
     ) -> Option<Tensor> {
-        let key = (mb, PartKey::of(part));
-        // Activation checkpointing: re-run the forward to rebuild caches.
-        let caches = match self.caches.remove(&key) {
-            Some(c) => c,
-            None => {
-                let input = self.inputs[&key].clone();
-                self.run_forward(key, input).1
-            }
+        let Some(Stash::Forwarded {
+            input,
+            targets,
+            caches,
+        }) = self.stash.remove(&(mb, part))
+        else {
+            panic!("{part:?} of micro-batch {mb} has no forward state on this stage");
         };
-        self.inputs.remove(&key);
-        self.targets.remove(&key);
+        // Activation checkpointing: re-run the forward to rebuild caches.
+        let caches = caches.unwrap_or_else(|| self.run_forward(&input, targets.as_deref(), part).1);
 
         let mut dy: Option<Tensor> = d_out.cloned();
         let mut grad_cursor = self.grads.len();
@@ -424,29 +421,41 @@ impl StageModel {
             }
             dy = dx;
         }
-        if apply.is_none() {
-            self.pending_wgrads.entry(mb).or_default().extend(stash);
+        match apply {
+            Some(_) => self.in_flight -= part.frac(),
+            None => {
+                self.stash.insert((mb, part), Stash::WeightGrads(stash));
+            }
         }
         dy
     }
 
     /// Grad-weight half of a split backward (`BwdWeight`): accumulate the
-    /// weight gradients stashed by `mb`'s grad-input(s) with the exact
-    /// `axpy` sequence the fused backward would have used. Returns `false`
-    /// if nothing was stashed for `mb`.
+    /// weight gradients `mb`'s grad-input(s) left in its records, with the
+    /// exact `axpy` sequence the fused backward would have used, and close
+    /// the records. Returns `false` if no record of `mb` holds any.
     pub(crate) fn apply_weight_grads(&mut self, mb: usize, grad_scale: f32) -> bool {
-        let Some(stash) = self.pending_wgrads.remove(&mb) else {
-            return false;
-        };
-        for (offset, grads) in &stash {
-            for (slot, g) in self.grads[*offset..*offset + grads.len()]
-                .iter_mut()
-                .zip(grads)
-            {
-                slot.axpy(grad_scale, g);
+        let mut applied = false;
+        // The order the grad-inputs ran in: halves backward in reverse.
+        for part in [Part::Full, Part::Half2, Part::Half1] {
+            let Some(Stash::WeightGrads(_)) = self.stash.get(&(mb, part)) else {
+                continue;
+            };
+            let Some(Stash::WeightGrads(stash)) = self.stash.remove(&(mb, part)) else {
+                unreachable!("the record was just matched");
+            };
+            for (offset, grads) in &stash {
+                for (slot, g) in self.grads[*offset..*offset + grads.len()]
+                    .iter_mut()
+                    .zip(grads)
+                {
+                    slot.axpy(grad_scale, g);
+                }
             }
+            self.in_flight -= part.frac();
+            applied = true;
         }
-        true
+        applied
     }
 
     /// Backward a whole micro-batch, dispatching on how it was forwarded:
@@ -480,12 +489,12 @@ impl StageModel {
         d_out: Option<&Tensor>,
         apply: Option<f32>,
     ) -> Option<Tensor> {
-        if self.inputs.contains_key(&(mb, PartKey::Full)) {
+        if self.stash.contains_key(&(mb, Part::Full)) {
             return self.backward_part(mb, Part::Full, d_out, apply);
         }
         assert!(
-            self.inputs.contains_key(&(mb, PartKey::Half1))
-                && self.inputs.contains_key(&(mb, PartKey::Half2)),
+            self.stash.contains_key(&(mb, Part::Half1))
+                && self.stash.contains_key(&(mb, Part::Half2)),
             "micro-batch {mb} was never forwarded on this stage"
         );
         let (d1, d2) = match d_out.map(split_halves) {
@@ -517,21 +526,17 @@ impl StageModel {
         }
     }
 
-    /// Discard all per-iteration transient state: accumulated gradients,
-    /// recompute caches, stashed inputs and targets. A crash-aborted
-    /// iteration leaves partial gradients and stale stashes behind (the
-    /// [`step`](StageModel::step) that normally zeroes gradients never ran),
-    /// so a checkpoint import resets this before replaying.
+    /// Discard all per-iteration transient state: accumulated gradients
+    /// and the stash. A crash-aborted iteration leaves partial gradients
+    /// behind (the [`step`](StageModel::step) that normally zeroes them
+    /// never ran), so a checkpoint import resets this before replaying.
     pub(crate) fn reset_transient(&mut self) {
         for g in &mut self.grads {
             for v in g.data_mut() {
                 *v = 0.0;
             }
         }
-        self.caches.clear();
-        self.inputs.clear();
-        self.targets.clear();
-        self.pending_wgrads.clear();
+        self.clear_stash();
     }
 
     /// Shape signature of every parameter, in module order (checkpoint
@@ -604,6 +609,12 @@ mod tests {
     use super::*;
     use autopipe_model::ModelFamily;
 
+    impl StageModel {
+        pub(crate) fn checkpointing(&self) -> bool {
+            self.checkpointing
+        }
+    }
+
     fn tiny() -> ModelConfig {
         ModelConfig {
             name: "tiny".into(),
@@ -658,8 +669,7 @@ mod tests {
         assert!(stage.has_embedding() && stage.has_head());
         let ids: Vec<usize> = (0..2 * cfg.seq_len).map(|i| i % cfg.vocab_size).collect();
         let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
-        stage.set_targets(0, Part::Full, targets);
-        let out = stage.forward(0, Part::Full, StageInput::Tokens(ids));
+        let out = stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets));
         let loss = match out {
             StageOutput::Loss(l) => l,
             _ => panic!("single-stage model must produce a loss"),
@@ -681,8 +691,7 @@ mod tests {
                 .map(|i| (i * 3) % cfg.vocab_size)
                 .collect();
             let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
-            stage.set_targets(0, Part::Full, targets);
-            stage.forward(0, Part::Full, StageInput::Tokens(ids));
+            stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets));
             stage.backward_part(0, Part::Full, None, Some(1.0));
             stage.grads.iter().map(|g| g.sum()).sum()
         };
@@ -707,18 +716,30 @@ mod tests {
 
         // Full micro-batch.
         let mut full = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
-        full.set_targets(0, Part::Full, targets.clone());
-        full.forward(0, Part::Full, StageInput::Tokens(ids.clone()));
+        full.forward(
+            0,
+            Part::Full,
+            StageInput::Tokens(ids.clone()),
+            Some(targets.clone()),
+        );
         full.backward_part(0, Part::Full, None, Some(1.0));
         let gf: f64 = full.grads.iter().map(|g| g.sum()).sum();
 
         // Two halves (split along the batch dimension).
         let mut halves = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
         let split = mbs / 2 * cfg.seq_len;
-        halves.set_targets(0, Part::Half1, targets[..split].to_vec());
-        halves.set_targets(0, Part::Half2, targets[split..].to_vec());
-        halves.forward(0, Part::Half1, StageInput::Tokens(ids[..split].to_vec()));
-        halves.forward(0, Part::Half2, StageInput::Tokens(ids[split..].to_vec()));
+        halves.forward(
+            0,
+            Part::Half1,
+            StageInput::Tokens(ids[..split].to_vec()),
+            Some(targets[..split].to_vec()),
+        );
+        halves.forward(
+            0,
+            Part::Half2,
+            StageInput::Tokens(ids[split..].to_vec()),
+            Some(targets[split..].to_vec()),
+        );
         halves.backward_part(0, Part::Half1, None, Some(1.0));
         halves.backward_part(0, Part::Half2, None, Some(1.0));
         let gh: f64 = halves.grads.iter().map(|g| g.sum()).sum();

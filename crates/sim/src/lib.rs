@@ -33,7 +33,6 @@
 pub mod analytic;
 pub mod event;
 pub mod memcheck;
-pub mod memtrace;
 pub mod metrics;
 pub mod partition;
 

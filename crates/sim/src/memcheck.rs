@@ -111,7 +111,7 @@ pub fn peak_in_flight(sched: &Schedule, device: usize) -> f64 {
 /// is feeding. The in-flight count itself comes from the generic
 /// peak-liveness replay, fractional for sliced schedules (a live half
 /// micro-batch is charged as a half, not rounded up — non-uniform slice
-/// patterns are exact, verified against `memtrace` in the proptest sweep).
+/// patterns are exact, and equal to the threaded runtime's measured peak).
 pub fn device_memory(partition: &Partition, db: &CostDb, sched: &Schedule) -> Vec<MemoryBreakdown> {
     let p = sched.n_devices;
     let v = sched.n_chunks;
@@ -262,6 +262,12 @@ mod tests {
             assert!(gd.checkpoints >= od.checkpoints);
         }
         assert!(g[3].checkpoints > o[3].checkpoints);
+        // A full recompute mask trades device 0's stash, the deepest, for
+        // its stage-input activations.
+        let mut rec = one_f_one_b(4, 8);
+        apply_recompute(&mut rec, &[true; 4]);
+        let r = device_memory(&part, &d, &rec);
+        assert!(r[0].checkpoints < o[0].checkpoints);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Memory-aware planning properties (ISSUE 9): recompute-lowered schedules
-//! simulate bit-identically across the event / schedule-replay / analytic
-//! tiers for every family, the static `memcheck` in-flight model agrees
-//! with the `memtrace` dynamic replay on non-uniformly sliced schedules,
-//! and budgeted planning stays deterministic while unlocking configs the
-//! no-recompute planner rejects.
+//! Memory-aware planning properties: recompute-lowered schedules simulate
+//! bit-identically in the event simulator, its replay and the analytic
+//! sweep for every family; the threaded runtime's measured peak of stashed
+//! micro-batches equals `memcheck`'s in-flight count on every family, mask
+//! and slice pattern; and budgeted planning stays deterministic while
+//! unlocking configs the no-recompute planner rejects.
 
 use proptest::prelude::*;
 
 use autopipe_cost::{CostDb, Hardware};
-use autopipe_model::{zoo, Granularity};
+use autopipe_exec::CommConfig;
+use autopipe_model::{zoo, Granularity, ModelConfig, ModelFamily};
 use autopipe_planner::family::{plan_families, FamilyConfig};
 use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
+use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig};
 use autopipe_schedule::{
     apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, sliced_1f1b, validate,
     zero_bubble, Schedule,
@@ -18,8 +20,7 @@ use autopipe_schedule::{
 use autopipe_sim::analytic::{simulate_replay_masked, simulate_time_masked, SimScratch};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::memcheck::{check_memory_budget, peak_in_flight};
-use autopipe_sim::memtrace::{dynamic_peaks, StageQuanta};
-use autopipe_sim::{replay_schedule, ReplayScratch, StageCosts};
+use autopipe_sim::{replay_schedule, Partition, ReplayScratch, StageCosts};
 
 /// A random schedule from any family with a random per-stage recompute
 /// mask applied, plus stage costs sized to its stage count.
@@ -123,42 +124,93 @@ proptest! {
             "event {} vs analytic {}", event.iteration_time, analytic.iteration_time
         );
     }
+}
 
-    /// `memcheck`'s program-order in-flight replay agrees exactly with the
-    /// `memtrace` time-ordered allocation replay on sliced schedules with
-    /// non-uniform slice patterns (k of m micro-batches halved): quanta
-    /// that isolate the checkpoint term make the dynamic peak a pure
-    /// multiple of the fractional in-flight count.
-    #[test]
-    fn sliced_in_flight_matches_memtrace(
-        p in 2usize..=6,
-        m_extra in 0usize..=10,
-        k_pick in 0usize..=5,
-        fs in proptest::collection::vec(1e-3f64..2.0, 6),
-        bs in proptest::collection::vec(1e-3f64..4.0, 6),
-    ) {
-        let m = (p - 1).max(1) + m_extra;
-        let k = k_pick.min(m).min(p - 1);
-        let sched = sliced_1f1b(p, m, k);
-        let costs = StageCosts::new(fs[..p].to_vec(), bs[..p].to_vec(), 1e-4);
-        let ec = EventCosts::from_stage_costs(&costs, 1e-5);
-        let result = run_schedule(&sched, &ec, &EventConfig::default()).unwrap();
-        // Unit checkpoint of 2 bytes per micro-batch: a live half stashes
-        // exactly 1 byte, so the byte peak is twice the fractional count.
-        let quanta: Vec<StageQuanta> = (0..p)
-            .map(|_| StageQuanta { param_state: 0, ckpt_per_mb: 2, ckpt_input: 0, working: 0 })
-            .collect();
-        let peaks = dynamic_peaks(&sched, &result, &quanta);
-        for d in 0..p {
-            let expected = (2.0 * peak_in_flight(&sched, d)).round() as u64;
-            prop_assert_eq!(
-                peaks[d].peak, expected,
-                "device {} (p={} m={} k={}): dynamic {} vs static {}",
-                d, p, m, k, peaks[d].peak, expected
-            );
-            prop_assert_eq!(peaks[d].residual, 0);
+/// The grid of [`runtime_peak_in_flight_equals_memcheck`]: every family at
+/// p ∈ {2, 4} and m ∈ {1, 2, 4, 8} — 1F1B, GPipe, zero-bubble, sliced 1F1B
+/// with every k ≤ min(m, p) (m ≥ 2), and interleaved v = 2 where p divides
+/// m — under no, every and every other stage's recompute.
+fn memory_grid() -> Vec<Schedule> {
+    let mut grid = Vec::new();
+    for p in [2, 4] {
+        for m in [1, 2, 4, 8] {
+            let mut families = vec![one_f_one_b(p, m), gpipe(p, m), zero_bubble(p, m)];
+            if m >= 2 {
+                families.extend((0..=m.min(p)).map(|k| sliced_1f1b(p, m, k)));
+            }
+            if m % p == 0 {
+                families.push(interleaved(p, 2, m).expect("p divides m"));
+            }
+            for sched in families {
+                let n = sched.n_stages();
+                for mask in [
+                    vec![false; n],
+                    vec![true; n],
+                    (0..n).map(|s| s % 2 == 0).collect(),
+                ] {
+                    let mut masked = sched.clone();
+                    apply_recompute(&mut masked, &mask);
+                    grid.push(masked);
+                }
+            }
         }
     }
+    grid
+}
+
+/// The runtime is the reference for `memcheck`: on every grid point, with
+/// activation checkpointing off and on, each device's measured peak of
+/// stashed micro-batches (a record per forwarded part, closed by the fused
+/// backward or the grad-weight) equals `peak_in_flight` exactly — halves
+/// are dyadic, so the sums are exact — and a successful iteration closes
+/// every record it opened (a record live at the end fails it).
+#[test]
+fn runtime_peak_in_flight_equals_memcheck() {
+    // Four layers lower to 11 blocks: enough for p = 4, v = 2.
+    let model = ModelConfig {
+        name: "memory grid".into(),
+        family: ModelFamily::Gpt2,
+        num_layers: 4,
+        hidden_size: 16,
+        num_heads: 2,
+        seq_len: 8,
+        vocab_size: 40,
+        ffn_mult: 2,
+    };
+    let blocks = autopipe_model::build_blocks(&model, Granularity::SubLayer).len();
+    let mut points = 0;
+    for sched in memory_grid() {
+        let m = sched.n_microbatches;
+        let batch = BatchSet::synthetic(7, m, 2, model.seq_len, model.vocab_size);
+        for checkpointing in [false, true] {
+            let mut pipe = Pipeline::try_new(&PipelineConfig {
+                model: model.clone(),
+                partition: Partition::even(blocks, sched.n_stages()),
+                schedule: sched.clone(),
+                lr: 1e-3,
+                seed: 3,
+                checkpointing,
+                comm: CommConfig::default(),
+            })
+            .expect("valid pipeline config");
+            pipe.forward_backward(&batch)
+                .unwrap_or_else(|e| panic!("{:?} ckpt={checkpointing}: {e:?}", sched.kind));
+            let peaks = pipe.last_peak_in_flight().expect("peak after an iteration");
+            for (d, &peak) in peaks.iter().enumerate() {
+                assert_eq!(
+                    peak,
+                    peak_in_flight(&sched, d),
+                    "{:?} p={} m={m} k={} mask={:?} ckpt={checkpointing} device {d}",
+                    sched.kind,
+                    sched.n_devices,
+                    sched.n_sliced,
+                    recompute_mask(&sched),
+                );
+                points += 1;
+            }
+        }
+    }
+    assert_eq!(points, 936, "device × config points");
 }
 
 #[test]
