@@ -64,7 +64,6 @@ fn tiny_pipeline(schedule: Schedule, partition: Partition) -> Pipeline {
         lr: 1e-3,
         seed: 99,
         checkpointing: false,
-        comm: autopipe_exec::CommConfig::default(),
     })
     .expect("tiny pipeline is valid")
 }

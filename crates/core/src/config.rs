@@ -39,8 +39,10 @@ pub struct Constraints {
     /// Hard per-device memory budget in bytes. `None` uses the hardware's
     /// budget for feasibility checks but does not gate the search.
     pub memory_budget: Option<u64>,
-    /// Score (and run) under the overlapped comm engine with this cost
-    /// model; `None` keeps blocking sends everywhere.
+    /// Score and simulate under the overlapped comm engine with this cost
+    /// model; `None` prices blocking sends. A modelled-wire setting: the
+    /// threaded runtime runs the resulting plan through its one
+    /// never-blocking send either way.
     pub overlap: Option<OverlapModel>,
     /// How the planner may spend activation recomputation to meet the
     /// budget (per-stage masks, jointly searched with the partition).
@@ -50,9 +52,9 @@ pub struct Constraints {
 }
 
 impl Constraints {
-    /// The comm engine the constraints imply for executors and the family
-    /// search: overlapped eager sends with the overlap model's chunk count,
-    /// or the blocking default.
+    /// The comm engine the constraints imply for the event simulator
+    /// ([`SessionConfig::event`]) and the family search: overlapped eager
+    /// sends with the overlap model's chunk count, or the blocking default.
     pub fn comm(&self) -> CommConfig {
         match self.overlap {
             Some(o) => CommConfig::overlapped(o.chunks),
@@ -582,14 +584,15 @@ impl SessionConfig {
         }
     }
 
-    /// Lower into the event simulator's knobs.
+    /// Lower into the event simulator's knobs, comm engine included, so a
+    /// session's simulation prices the wire the planner scored it on.
     pub fn event(&self) -> EventConfig {
         EventConfig {
             kernel_overhead: self.kernel_overhead,
             jitter_sigma: self.jitter_sigma,
             seed: self.seed,
             half_efficiency: self.half_efficiency,
-            ..EventConfig::default()
+            comm: self.constraints.comm(),
         }
     }
 }
@@ -689,6 +692,7 @@ mod tests {
         assert!(f.comm.overlap);
         assert_eq!(f.comm.chunks, 4);
         assert_eq!(f.latency, c.hardware.link_latency);
+        assert_eq!(c.event().comm, c.constraints.comm());
         // Blocking constraints lower to the blocking comm engine.
         assert!(!family(&cfg()).comm.overlap);
         assert_eq!(cfg().constraints.comm(), CommConfig::default());

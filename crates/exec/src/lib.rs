@@ -18,9 +18,11 @@
 //!   schedules.
 //! * The transports the two devices move messages with:
 //!   [`VirtualTransport`] (simulated time: α+β link costs, per-directed-edge
-//!   FIFO ordering, the script's link delay per message) and
-//!   [`ChannelEndpoint`] (wall-clock time: one crossbeam channel per directed
-//!   edge plus a stash, for the thread-per-device runtime).
+//!   FIFO ordering, the script's link delay per message, and the chunked
+//!   overlapped send of [`CommConfig`]) and [`ChannelEndpoint`] (wall-clock
+//!   time: one unbounded channel per directed edge plus a stash, for the
+//!   thread-per-device runtime; a send never blocks, so the runtime has one
+//!   send path and no comm thread).
 //! * [`Timeline`] / [`TraceEvent`] — the one trace format both executors emit,
 //!   with derived metrics (iteration time, bubble ratio, per-device
 //!   utilisation and breakdowns, Warmup/1F1B/Cooldown phase times, startup
@@ -48,6 +50,5 @@ pub use msg::MsgKey;
 pub use recorder::{NoTrace, Recorder, TraceSink, WallClock};
 pub use timeline::{DeviceBreakdown, OpTimes, Timeline, TraceEvent, TraceMismatch};
 pub use transport::{
-    channel_mesh, schedule_edges, AlphaBeta, ChannelEndpoint, ChannelSender, ChunkPayload,
-    CommConfig, VirtualTransport,
+    channel_mesh, schedule_edges, AlphaBeta, ChannelEndpoint, CommConfig, VirtualTransport,
 };

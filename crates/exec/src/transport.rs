@@ -9,16 +9,16 @@
 //!
 //! # Communication–computation overlap
 //!
-//! Both transports support *chunked, eager* hand-offs ([`CommConfig`]): a
-//! micro-batch message is split into `k` chunks, and chunk `j` may enter the
-//! link as soon as the fraction `j/k` of the producing compute op has run —
-//! the transfer pipelines against the tail of the producer instead of
-//! waiting for its end. [`VirtualTransport::send_overlapped`] is the
-//! virtual-time form (the chunk-ready times are derived from the producing
-//! op's span); [`ChannelSender::send_chunks`] is the wall-clock
-//! form used by the runtime's dedicated comm threads. Receivers reassemble
-//! chunks transparently: per-edge channels are FIFO, so the chunks of one
-//! message arrive contiguously and in order.
+//! Overlap is a property of the modelled wire, so it lives in virtual time
+//! only. Under [`CommConfig::overlapped`] a micro-batch message is split
+//! into `k` chunks, and chunk `j` may enter the link as soon as the fraction
+//! `j/k` of the producing compute op has run — the transfer pipelines
+//! against the tail of the producer instead of waiting for its end.
+//! [`VirtualTransport::send_overlapped`] prices that from the producing
+//! op's span; the event simulator, the planner and the family search score
+//! plans with it. [`ChannelEndpoint::send_to`] has nothing to overlap: it
+//! queues the whole message on an unbounded in-process channel and returns,
+//! so the runtime runs every plan, overlapped or not, through that one send.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -29,13 +29,14 @@ use autopipe_schedule::{OpKind, Part, Schedule};
 
 use crate::msg::MsgKey;
 
-/// How an executor moves messages: blocking hand-offs (the pre-overlap
-/// behaviour) or chunked eager sends that pipeline against the producing
-/// compute op.
+/// How the modelled wire moves messages: blocking hand-offs (the
+/// pre-overlap behaviour) or chunked eager sends that pipeline against the
+/// producing compute op. Read by the virtual-time executors; the runtime's
+/// in-process sends never block, so it has no setting here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommConfig {
     /// Run the comm lane overlapped with compute. Off reproduces the
-    /// blocking executors bit-for-bit.
+    /// blocking simulators bit-for-bit.
     pub overlap: bool,
     /// Chunks per message when overlapped (`1` = eager but unchunked).
     /// Ignored when `overlap` is off.
@@ -221,58 +222,8 @@ pub fn schedule_edges(sched: &Schedule) -> BTreeSet<(usize, usize)> {
     edges
 }
 
-/// A payload the wall-clock transport can split into wire chunks and
-/// reassemble bit-identically: `join_chunks(split_chunks(x, k)) == x` for
-/// every `k ≥ 1`. Implementations may return fewer than `k` chunks when the
-/// payload is too small to split.
-pub trait ChunkPayload: Sized {
-    /// Split into at most `k` chunks, in transmission order.
-    fn split_chunks(self, k: usize) -> Vec<Self>;
-    /// Reassemble chunks produced by [`ChunkPayload::split_chunks`].
-    fn join_chunks(chunks: Vec<Self>) -> Self;
-}
-
-/// Unsplittable scalar payload (tests).
-impl ChunkPayload for u32 {
-    fn split_chunks(self, _k: usize) -> Vec<Self> {
-        vec![self]
-    }
-    fn join_chunks(chunks: Vec<Self>) -> Self {
-        chunks[0]
-    }
-}
-
-/// Contiguous-run splitting: chunk boundaries at `len·j/k`, so joining is a
-/// plain concatenation and ordering (hence bit-identity) is trivial.
-impl<T> ChunkPayload for Vec<T> {
-    fn split_chunks(mut self, k: usize) -> Vec<Self> {
-        let k = k.max(1).min(self.len().max(1));
-        let len = self.len();
-        let mut out = Vec::with_capacity(k);
-        // Split back-to-front so each split_off is a tail move.
-        let mut bounds: Vec<usize> = (1..k).map(|j| len * j / k).collect();
-        while let Some(b) = bounds.pop() {
-            out.push(self.split_off(b));
-        }
-        out.push(self);
-        out.reverse();
-        out
-    }
-
-    fn join_chunks(chunks: Vec<Self>) -> Self {
-        let mut it = chunks.into_iter();
-        let mut first = it.next().unwrap_or_default();
-        for c in it {
-            first.extend(c);
-        }
-        first
-    }
-}
-
 struct Packet<T> {
     key: MsgKey,
-    /// `(index, of)` chunk sequence; whole messages are `(0, 1)`.
-    seq: (u32, u32),
     payload: T,
 }
 
@@ -293,8 +244,6 @@ pub struct ChannelEndpoint<T> {
     tx: HashMap<usize, Sender<Packet<T>>>,
     rx: Vec<Inbound<T>>,
     stash: HashMap<MsgKey, VecDeque<T>>,
-    /// Partially reassembled chunked messages.
-    assembly: HashMap<MsgKey, Vec<T>>,
 }
 
 /// Build one connected endpoint per device over the given directed edges
@@ -309,7 +258,6 @@ pub fn channel_mesh<T>(
             tx: HashMap::new(),
             rx: Vec::new(),
             stash: HashMap::new(),
-            assembly: HashMap::new(),
         })
         .collect();
     for (from, to) in edges {
@@ -324,79 +272,25 @@ pub fn channel_mesh<T>(
     endpoints
 }
 
-/// Send a (possibly chunked) message over a tx map — shared by
-/// [`ChannelEndpoint`] and [`ChannelSender`].
-fn send_packets<T: ChunkPayload>(
-    tx: &HashMap<usize, Sender<Packet<T>>>,
-    device: usize,
-    to: usize,
-    key: MsgKey,
-    payload: T,
-    chunks: usize,
-) {
-    let link = tx
-        .get(&to)
-        .unwrap_or_else(|| panic!("device {device}: no link to device {to}"));
-    if chunks <= 1 {
-        link.send(Packet {
-            key,
-            seq: (0, 1),
-            payload,
-        })
-        .expect("pipeline channel closed");
-        return;
-    }
-    let parts = payload.split_chunks(chunks);
-    let of = parts.len() as u32;
-    for (i, part) in parts.into_iter().enumerate() {
-        link.send(Packet {
-            key,
-            seq: (i as u32, of),
-            payload: part,
-        })
-        .expect("pipeline channel closed");
-    }
-}
-
-/// Send-only handle onto a device's outbound links, cloneable off a
-/// [`ChannelEndpoint`] so a dedicated comm thread can push messages while
-/// the stage thread keeps the receiving half.
-pub struct ChannelSender<T> {
-    device: usize,
-    tx: HashMap<usize, Sender<Packet<T>>>,
-}
-
-impl<T: ChunkPayload> ChannelSender<T> {
-    /// Asynchronous chunked send: split into at most `chunks` wire chunks,
-    /// delivered in order and reassembled at the receiver.
-    pub fn send_chunks(&self, to: usize, key: MsgKey, payload: T, chunks: usize) {
-        send_packets(&self.tx, self.device, to, key, payload, chunks);
-    }
-}
-
 impl<T> ChannelEndpoint<T> {
-    /// A send-only handle sharing this endpoint's outbound links.
-    pub fn sender(&self) -> ChannelSender<T> {
-        ChannelSender {
-            device: self.device,
-            tx: self.tx.clone(),
-        }
-    }
-
     /// Whether the link from device `from` is closed and drained: the peer
-    /// dropped its endpoint (and every [`ChannelSender`] cloned off it) and
-    /// all it had sent has been moved into the stash, so a key that is not
-    /// stashed by now will never arrive. As of the last receive.
+    /// dropped its endpoint and all it had sent has been moved into the
+    /// stash, so a key that is not stashed by now will never arrive. As of
+    /// the last receive.
     pub fn hung_up(&self, from: usize) -> bool {
         self.rx.iter().any(|l| l.from == from && l.hung_up)
     }
-}
 
-impl<T: ChunkPayload> ChannelEndpoint<T> {
-    /// Asynchronous send to `to`. Panics if the mesh has no such edge or the
-    /// peer hung up — both are schedule bugs, not runtime conditions.
+    /// Send to `to`. Never blocks: the link is an unbounded in-process
+    /// channel, so the message is queued and the caller moves on. Panics if
+    /// the mesh has no such edge or the peer hung up — both are schedule
+    /// bugs, not runtime conditions.
     pub fn send_to(&self, to: usize, key: MsgKey, payload: T) {
-        send_packets(&self.tx, self.device, to, key, payload, 1);
+        self.tx
+            .get(&to)
+            .unwrap_or_else(|| panic!("device {}: no link to device {to}", self.device))
+            .send(Packet { key, payload })
+            .expect("pipeline channel closed");
     }
 
     /// Non-blocking receive: the earliest-sent message with `key`, if it
@@ -419,8 +313,8 @@ impl<T: ChunkPayload> ChannelEndpoint<T> {
         }
     }
 
-    /// Move every currently-available inbound packet into the stash,
-    /// reassembling chunked messages; true if anything arrived.
+    /// Move every currently-available inbound packet into the stash; true
+    /// if anything arrived.
     fn drain_inbound(&mut self) -> bool {
         let mut any = false;
         for inbound in &mut self.rx {
@@ -436,28 +330,10 @@ impl<T: ChunkPayload> ChannelEndpoint<T> {
                     }
                 };
                 any = true;
-                let (idx, of) = pkt.seq;
-                if of <= 1 {
-                    self.stash
-                        .entry(pkt.key)
-                        .or_default()
-                        .push_back(pkt.payload);
-                    continue;
-                }
-                let parts = self.assembly.entry(pkt.key).or_default();
-                debug_assert_eq!(
-                    parts.len(),
-                    idx as usize,
-                    "chunks of one message arrive in order on a FIFO edge"
-                );
-                parts.push(pkt.payload);
-                if parts.len() == of as usize {
-                    let parts = self.assembly.remove(&pkt.key).expect("just inserted");
-                    self.stash
-                        .entry(pkt.key)
-                        .or_default()
-                        .push_back(T::join_chunks(parts));
-                }
+                self.stash
+                    .entry(pkt.key)
+                    .or_default()
+                    .push_back(pkt.payload);
             }
         }
         any
@@ -625,15 +501,13 @@ mod tests {
     fn a_link_hangs_up_only_once_closed_and_drained() {
         let mut eps = channel_mesh::<u32>(2, [(0, 1)]);
         let mut receiver = eps.pop().unwrap();
-        let endpoint = eps.pop().unwrap();
-        let detached = endpoint.sender();
-        endpoint.send_to(1, key(0), 7);
-        drop(endpoint);
-        // A cloned sender (the comm thread's handle) keeps the link open.
+        let sender = eps.pop().unwrap();
+        sender.send_to(1, key(0), 7);
+        // An open link with nothing queued for `key(1)` is not a hang-up.
         assert!(receiver.try_recv(key(1)).is_none());
         assert!(!receiver.hung_up(0));
-        detached.send_chunks(1, key(1), 8, 1);
-        drop(detached);
+        sender.send_to(1, key(1), 8);
+        drop(sender);
         // Closed now, but what was in flight is delivered before the
         // hang-up is reported.
         assert_eq!(receiver.try_recv(key(1)), Some(8));
@@ -641,48 +515,5 @@ mod tests {
         assert!(receiver.try_recv(key(2)).is_none());
         assert!(receiver.hung_up(0));
         assert!(!receiver.hung_up(1), "no such link is not a hang-up");
-    }
-
-    #[test]
-    fn vec_chunks_round_trip_bit_identically() {
-        for len in [0usize, 1, 3, 8, 17] {
-            for k in [1usize, 2, 4, 8, 32] {
-                let v: Vec<u64> = (0..len as u64).collect();
-                let parts = v.clone().split_chunks(k);
-                assert!(parts.len() <= k.max(1));
-                assert_eq!(Vec::join_chunks(parts), v, "len {len} k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_channel_sends_reassemble() {
-        let mut eps = channel_mesh::<Vec<u64>>(2, [(0, 1)]);
-        let mut receiver = eps.pop().unwrap();
-        let sender = eps.pop().unwrap();
-        let payload: Vec<u64> = (0..100).collect();
-        sender.sender().send_chunks(1, key(0), payload.clone(), 4);
-        // A second whole message on the same edge must not interleave.
-        sender.send_to(1, key(1), vec![7, 7]);
-        let got = loop {
-            if let Some(v) = receiver.try_recv(key(0)) {
-                break v;
-            }
-        };
-        assert_eq!(got, payload);
-        assert_eq!(receiver.recv(key(1)), vec![7, 7]);
-    }
-
-    #[test]
-    fn detached_sender_handle_sends_chunks() {
-        let mut eps = channel_mesh::<Vec<u64>>(2, [(0, 1)]);
-        let mut receiver = eps.pop().unwrap();
-        let endpoint = eps.pop().unwrap();
-        let sender = endpoint.sender();
-        let handle = std::thread::spawn(move || {
-            sender.send_chunks(1, key(0), vec![1, 2, 3, 4, 5], 3);
-        });
-        handle.join().unwrap();
-        assert_eq!(receiver.recv(key(0)), vec![1, 2, 3, 4, 5]);
     }
 }

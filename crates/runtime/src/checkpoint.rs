@@ -1052,7 +1052,6 @@ mod tests {
             lr: 1e-3,
             seed,
             checkpointing: false,
-            comm: autopipe_exec::CommConfig::default(),
         })
         .unwrap()
     }
@@ -1262,7 +1261,6 @@ mod tests {
                 lr: 1e-3,
                 seed: 1,
                 checkpointing: false,
-                comm: autopipe_exec::CommConfig::default(),
             })
             .unwrap();
             store.save(&p.snapshot(0, "sched")).unwrap();
@@ -1296,7 +1294,6 @@ mod tests {
             lr: 1e-3,
             seed: 1,
             checkpointing: false,
-            comm: autopipe_exec::CommConfig::default(),
         })
         .unwrap();
         let before = b.param_checksum();

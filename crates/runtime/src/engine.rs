@@ -28,15 +28,13 @@
 use std::time::{Duration, Instant};
 
 use autopipe_exec::{
-    channel_mesh, schedule_edges, ChannelEndpoint, ChunkPayload, CommConfig, Cursor, Device, Entry,
-    FailStopKind, FaultPlan, Faults, MsgKey, OpTimes, Recorder, Step, Timeline, TraceSink,
-    WallClock,
+    channel_mesh, schedule_edges, ChannelEndpoint, Cursor, Device, Entry, FailStopKind, FaultPlan,
+    Faults, MsgKey, OpTimes, Recorder, Step, Timeline, TraceSink, WallClock,
 };
 use autopipe_model::ModelConfig;
 use autopipe_schedule::{OpKind, Part, Schedule};
 use autopipe_sim::Partition;
 use autopipe_tensor::{optim::Adam, Tensor};
-use crossbeam::channel::{bounded, SyncSender};
 
 use crate::checkpoint::{ModelShape, PipelineSnapshot};
 use crate::data::BatchSet;
@@ -66,9 +64,6 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Activation checkpointing (§II-C).
     pub checkpointing: bool,
-    /// Comm engine: blocking sends from the stage thread (default) or a
-    /// dedicated per-device comm thread with double-buffered chunked sends.
-    pub comm: CommConfig,
 }
 
 impl PipelineConfig {
@@ -88,7 +83,6 @@ impl PipelineConfig {
             lr: cfg.lr,
             seed: cfg.seed,
             checkpointing: cfg.checkpointing,
-            comm: cfg.constraints.comm(),
         }
     }
 }
@@ -112,7 +106,6 @@ pub struct Pipeline {
     partition: Partition,
     model: ModelShape,
     checkpointing: bool,
-    comm: CommConfig,
     faults: Option<FaultPlan>,
     /// Wall seconds per virtual fault second.
     time_scale: f64,
@@ -184,7 +177,6 @@ impl Pipeline {
             partition: cfg.partition.clone(),
             model: ModelShape::of(&cfg.model),
             checkpointing: cfg.checkpointing,
-            comm: cfg.comm,
             faults: None,
             time_scale: 1.0,
             watchdog_cfg: WatchdogConfig::default(),
@@ -254,8 +246,14 @@ impl Pipeline {
         Ok(stats)
     }
 
-    /// Pipelined forward/backward without the optimiser step (gradients
-    /// stay accumulated — used by data-parallel replicas).
+    /// Pipelined forward/backward without the optimiser step: gradients
+    /// stay accumulated until [`step_all`](Pipeline::step_all).
+    /// [`train_iteration`](Pipeline::train_iteration) is this plus the step;
+    /// call it alone to time the pipelined section apart from the optimiser.
+    ///
+    /// Spawns one scoped thread per device, and nothing else: a send pushes
+    /// onto an unbounded in-process channel and never blocks the stage
+    /// thread, so there is no comm thread to hide it behind.
     ///
     /// Errors: [`RuntimeError::InvalidConfig`] when the batch disagrees with
     /// the schedule, [`RuntimeError::Stalled`] when the watchdog abandons a
@@ -289,32 +287,13 @@ impl Pipeline {
             None => Faults::Clean,
         };
         let time_scale = self.time_scale;
-        let comm = self.comm;
         let clock = WallClock::start();
         let outcomes: Vec<DeviceOutcome> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
-            let mut comm_handles = Vec::new();
             let mut endpoints = endpoints.into_iter();
             let watchdog = &watchdog;
             for (d, chunks) in self.stages.iter_mut().enumerate() {
                 let ep = endpoints.next().unwrap();
-                // Overlap mode: a dedicated comm thread owns the device's
-                // outbound links; the stage thread hands messages over a
-                // depth-2 channel (double buffering) and never blocks on the
-                // wire, while the comm thread splits each into chunks.
-                let outbound = if comm.overlap {
-                    let sender = ep.sender();
-                    let k = comm.effective_chunks();
-                    let (tx, rx) = bounded::<Outbound>(2);
-                    comm_handles.push(scope.spawn(move || {
-                        for ob in rx {
-                            sender.send_chunks(ob.to, ob.key, ob.msg, k);
-                        }
-                    }));
-                    Some(tx)
-                } else {
-                    None
-                };
                 let worker = Worker {
                     device: d,
                     chunks,
@@ -322,7 +301,6 @@ impl Pipeline {
                     seq,
                     grad_scale,
                     ep,
-                    outbound,
                     clock,
                     wd: watchdog,
                     time_scale,
@@ -338,7 +316,7 @@ impl Pipeline {
             // coordinator: the payload becomes a structured `broken` outcome
             // and surfaces through the FaultReport path like any other
             // stage death.
-            let outcomes: Vec<DeviceOutcome> = handles
+            handles
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(o) => o,
@@ -360,15 +338,7 @@ impl Pipeline {
                         }
                     }
                 })
-                .collect();
-            // Comm threads exit once their stage thread drops its outbound
-            // sender. A panic there (send into a dead peer's dropped
-            // channel) is collateral of a stage death already recorded in
-            // the outcomes, so it is reaped and dropped.
-            for h in comm_handles {
-                let _ = h.join();
-            }
-            outcomes
+                .collect()
         });
 
         let mut report = FaultReport::default();
@@ -617,7 +587,7 @@ impl Pipeline {
     }
 
     /// Flat mutable view of every stage, in (device, chunk) order
-    /// (data-parallel all-reduce).
+    /// (checkpoint capture and restore).
     pub(crate) fn stages_mut(&mut self) -> Vec<&mut StageModel> {
         self.stages.iter_mut().flatten().collect()
     }
@@ -631,58 +601,6 @@ impl Pipeline {
 struct TimedMsg {
     tensor: Tensor,
     due: Option<Instant>,
-}
-
-/// Row-contiguous wire chunking for the runtime's messages: chunk `j` of
-/// `k` carries rows `[rows·j/k, rows·(j+1)/k)`, so reassembly is a plain
-/// row-wise concatenation and `join(split(x, k))` reproduces the payload
-/// bit for bit (the same `[rows, h]` normal form
-/// [`concat_halves`]/[`split_halves`] use). The injected-fault deadline is
-/// replicated onto every chunk; the reassembled message keeps the first's.
-impl ChunkPayload for TimedMsg {
-    fn split_chunks(self, k: usize) -> Vec<Self> {
-        let h = *self.tensor.shape().last().unwrap();
-        let rows = self.tensor.len() / h;
-        let k = k.max(1).min(rows.max(1));
-        if k <= 1 {
-            return vec![self];
-        }
-        let due = self.due;
-        let data = self.tensor.data();
-        (0..k)
-            .map(|j| {
-                let (r0, r1) = (rows * j / k, rows * (j + 1) / k);
-                TimedMsg {
-                    tensor: Tensor::from_vec(&[r1 - r0, h], data[r0 * h..r1 * h].to_vec()),
-                    due,
-                }
-            })
-            .collect()
-    }
-
-    fn join_chunks(chunks: Vec<Self>) -> Self {
-        let mut it = chunks.into_iter();
-        let first = it.next().expect("at least one chunk");
-        let h = *first.tensor.shape().last().unwrap();
-        let due = first.due;
-        let mut rows = first.tensor.len() / h;
-        let mut data = first.tensor.data().to_vec();
-        for c in it {
-            rows += c.tensor.len() / h;
-            data.extend_from_slice(c.tensor.data());
-        }
-        TimedMsg {
-            tensor: Tensor::from_vec(&[rows, h], data),
-            due,
-        }
-    }
-}
-
-/// A send handed from a stage thread to its comm thread (overlap mode).
-struct Outbound {
-    to: usize,
-    key: MsgKey,
-    msg: TimedMsg,
 }
 
 struct DeviceOutcome {
@@ -719,8 +637,6 @@ struct Worker<'a> {
     seq: usize,
     grad_scale: f32,
     ep: ChannelEndpoint<TimedMsg>,
-    /// Overlap mode: hand sends to the device's comm thread instead.
-    outbound: Option<SyncSender<Outbound>>,
     clock: WallClock,
     wd: &'a Watchdog,
     /// Wall seconds per virtual fault second.
@@ -907,15 +823,7 @@ impl Device for Worker<'_> {
         // `due`, like a genuinely slow wire.
         let due = (delay > 0.0)
             .then(|| Instant::now() + Duration::from_secs_f64(delay * self.time_scale));
-        let msg = TimedMsg { tensor, due };
-        match &self.outbound {
-            Some(tx) => {
-                if tx.send(Outbound { to, key, msg }).is_err() {
-                    return Err(self.broken(e, "comm thread hung up"));
-                }
-            }
-            None => self.ep.send_to(to, key, msg),
-        }
+        self.ep.send_to(to, key, TimedMsg { tensor, due });
         Ok((start, self.clock.now()))
     }
 
@@ -988,7 +896,6 @@ mod tests {
             lr: 1e-3,
             seed: 99,
             checkpointing: ckpt,
-            comm: CommConfig::default(),
         }
     }
 
@@ -1087,7 +994,6 @@ mod tests {
             lr: 1e-3,
             seed: 77,
             checkpointing: false,
-            comm: CommConfig::default(),
         };
         let mut pipe = Pipeline::try_new(&pipe_cfg).unwrap();
         let mut reference = ReferenceModel::new(&model, 77, 1e-3, false);
@@ -1177,7 +1083,6 @@ mod tests {
             lr: 1e-3,
             seed: 77,
             checkpointing: false,
-            comm: CommConfig::default(),
         };
         let batch = BatchSet::synthetic(12, m, 2, model.seq_len, model.vocab_size);
         let mut plain = Pipeline::try_new(&mk(base.clone())).unwrap();
@@ -1600,76 +1505,6 @@ mod tests {
         .unwrap();
         swapped.repartition(&partition2(), masked).unwrap();
         assert_eq!(flags(&swapped), flags(&fresh));
-    }
-
-    #[test]
-    fn overlapped_comm_engine_is_bit_identical_to_blocking() {
-        // The comm engine only changes *when* bytes move, never which bytes:
-        // chunked sends reassemble to the exact tensor, and the per-edge comm
-        // thread preserves program order. Losses and parameters must match
-        // the blocking engine bit for bit, for every schedule family and
-        // every chunking factor.
-        let model = tiny();
-        let m = 4;
-        let part = Partition::new(vec![0, 2, 4, 6, 7]);
-        let batch = BatchSet::synthetic(17, m, 2, model.seq_len, model.vocab_size);
-        for sched in [one_f_one_b(4, m), gpipe(4, m), sliced_1f1b(4, m, 2)] {
-            let mut blocking = Pipeline::try_new(&cfg(sched.clone(), part.clone(), false)).unwrap();
-            let mut base_losses = Vec::new();
-            for _ in 0..2 {
-                base_losses.push(blocking.train_iteration(&batch).unwrap().loss);
-            }
-            for k in [1, 2, 4] {
-                let mut c = cfg(sched.clone(), part.clone(), false);
-                c.comm = CommConfig::overlapped(k);
-                let mut pipe = Pipeline::try_new(&c).unwrap();
-                for (it, &want) in base_losses.iter().enumerate() {
-                    let got = pipe.train_iteration(&batch).unwrap().loss;
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "loss iter {it} (k={k}) must match blocking bitwise"
-                    );
-                }
-                assert_eq!(
-                    pipe.param_checksum().to_bits(),
-                    blocking.param_checksum().to_bits(),
-                    "params after overlapped run (k={k}) must match blocking bitwise"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_interleaved_pipeline_matches_reference() {
-        // Interleaved wrap-around links exercise the comm threads' ring
-        // topology; the overlap engine must stay exact there too.
-        let model = tiny4();
-        let m = 4;
-        let part = Partition::new(vec![0, 3, 5, 8, 11]);
-        let batch = BatchSet::synthetic(23, m, 2, model.seq_len, model.vocab_size);
-        let mut c = PipelineConfig {
-            model: tiny4(),
-            partition: part,
-            schedule: interleaved(2, 2, m).unwrap(),
-            lr: 1e-3,
-            seed: 99,
-            checkpointing: false,
-            comm: CommConfig::overlapped(4),
-        };
-        let mut pipe = Pipeline::try_new(&c).unwrap();
-        let mut reference = ReferenceModel::new(&model, 99, 1e-3, false);
-        let pl = pipe.train_iteration(&batch).unwrap().loss;
-        let rl = reference.train_iteration(&batch);
-        close(pl as f64, rl as f64, 1e-4, "loss");
-        c.comm = CommConfig::default();
-        let mut blocking = Pipeline::try_new(&c).unwrap();
-        let bl = blocking.train_iteration(&batch).unwrap().loss;
-        assert_eq!(pl.to_bits(), bl.to_bits(), "overlap vs blocking loss");
-        assert_eq!(
-            pipe.param_checksum().to_bits(),
-            blocking.param_checksum().to_bits()
-        );
     }
 
     #[test]

@@ -318,7 +318,6 @@ mod tests {
             lr: 1e-3,
             seed: 77,
             checkpointing: false,
-            comm: autopipe_exec::CommConfig::default(),
         })
         .unwrap()
     }

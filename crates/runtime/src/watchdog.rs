@@ -210,7 +210,7 @@ impl Watchdog {
     /// the link is drained) is abandoned at once: the message cannot
     /// arrive, so there is nothing for the ladder to wait out. The
     /// unresolved event it records says where this device was blocked.
-    pub(crate) fn recv<T: autopipe_exec::ChunkPayload>(
+    pub(crate) fn recv<T>(
         &self,
         ep: &mut ChannelEndpoint<T>,
         device: usize,

@@ -3,34 +3,17 @@
 //! this workspace uses, backed by `std::sync::mpsc`.
 
 pub mod channel {
-    pub use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, SyncSender, TryRecvError};
+    pub use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, TryRecvError};
 
     /// An unbounded MPSC channel (crossbeam's `unbounded()` signature).
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         std::sync::mpsc::channel()
-    }
-
-    /// A bounded MPSC channel (crossbeam's `bounded()` signature). Backed by
-    /// `mpsc::sync_channel`, so unlike real crossbeam the sending half is the
-    /// distinct `SyncSender` type; `send` blocks while the buffer is full.
-    pub fn bounded<T>(cap: usize) -> (SyncSender<T>, Receiver<T>) {
-        std::sync::mpsc::sync_channel(cap)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::channel::{unbounded, TryRecvError};
-
-    #[test]
-    fn bounded_blocks_at_capacity() {
-        let (tx, rx) = super::channel::bounded::<u32>(1);
-        tx.send(1).unwrap();
-        assert!(tx.try_send(2).is_err());
-        assert_eq!(rx.recv().unwrap(), 1);
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-    }
 
     #[test]
     fn send_try_recv_roundtrip() {

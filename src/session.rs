@@ -177,10 +177,13 @@ impl Session {
         self
     }
 
-    /// Plan *and run* under the overlapped comm engine: the planner scores
-    /// candidates with eager chunked sends (α = `latency`, `chunks` wire
-    /// chunks per hand-off) and the runtime executes with the matching
-    /// [`CommConfig`](autopipe_exec::CommConfig).
+    /// Plan and simulate under the overlapped comm engine: the planner and
+    /// the family search score candidates with eager chunked sends
+    /// (α = `latency`, `chunks` wire chunks per hand-off), and
+    /// [`PlannedSession::simulate`] prices the plan with the matching
+    /// [`CommConfig`](autopipe_exec::CommConfig). [`PlannedSession::run`]
+    /// trains it like any other plan: the runtime's in-process sends never
+    /// block, so it has no comm engine to switch.
     pub fn overlap_comm(mut self, latency: f64, chunks: usize) -> Session {
         self.cfg.constraints.overlap = Some(OverlapModel { latency, chunks });
         self

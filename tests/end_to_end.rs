@@ -6,9 +6,11 @@ use std::sync::Arc;
 use autopipe::{Error, PlanService, Session};
 use autopipe_cost::profiler::ProfilerConfig;
 use autopipe_cost::Hardware;
+use autopipe_exec::CommConfig;
 use autopipe_model::zoo;
 use autopipe_runtime::{BatchSet, ReferenceModel};
 use autopipe_schedule::validate;
+use autopipe_sim::{run_schedule, EventConfig, EventCosts};
 
 /// The full AutoPipe front-end output is executable on the event simulator,
 /// and the event simulation lands near the planner's own estimate.
@@ -221,4 +223,55 @@ fn the_prune_setting_reaches_the_search() {
         full.schemes_explored,
         pruned.schemes_explored
     );
+}
+
+/// `.overlap_comm` reaches every layer that models the wire: on a link slow
+/// enough that a hand-off costs more than a forward, the session's own
+/// simulation prices the overlapped engine the planner scored — bit-equal
+/// to the event simulator run under `CommConfig::overlapped(4)` and unlike
+/// the blocking one — and the runtime trains the plan through its one send.
+#[test]
+fn the_overlap_setting_reaches_the_simulation_and_the_run() {
+    let model = zoo::gpt2_tiny();
+    let hardware = Hardware {
+        link_bandwidth: 1e8,
+        ..Hardware::rtx3090_cluster()
+    };
+    let planned = Session::for_model(model)
+        .overlap_comm(hardware.link_latency, 4)
+        .hardware(hardware)
+        .stages(2)
+        .microbatches(4)
+        .seed(4)
+        .plan()
+        .unwrap()
+        .slice()
+        .unwrap();
+    let cfg = planned.config();
+    let costs = EventCosts::from_stage_costs(
+        &planned.plan().partition.stage_costs(planned.cost_db()),
+        cfg.hardware.link_latency,
+    );
+    assert!(
+        costs.volume >= costs.f.iter().cloned().fold(0.0, f64::max),
+        "the link must be comm-heavy: {costs:?}"
+    );
+    let schedule = &planned.plan().schedule;
+    let overlapped = EventConfig {
+        comm: CommConfig::overlapped(4),
+        ..cfg.event()
+    };
+    let want = run_schedule(schedule, &costs, &overlapped).unwrap();
+    let blocking = EventConfig {
+        comm: CommConfig::default(),
+        ..cfg.event()
+    };
+    let blocked = run_schedule(schedule, &costs, &blocking).unwrap();
+    let got = planned.simulate().unwrap().clean.iteration_time;
+    assert_eq!(got.to_bits(), want.iteration_time.to_bits());
+    assert_ne!(got.to_bits(), blocked.iteration_time.to_bits());
+
+    let report = planned.run().unwrap();
+    assert_eq!(report.losses.len(), 2);
+    assert!(report.losses.iter().all(|l| l.is_finite()), "{report:?}");
 }

@@ -38,12 +38,7 @@ fn tiny() -> ModelConfig {
 
 /// Run `sched` through the threaded runtime on the tiny model and return
 /// its timeline.
-fn runtime_timeline(
-    sched: &Schedule,
-    partition: Vec<usize>,
-    mbs: usize,
-    comm: CommConfig,
-) -> Timeline {
+fn runtime_timeline(sched: &Schedule, partition: Vec<usize>, mbs: usize) -> Timeline {
     let model = tiny();
     let m = sched.n_microbatches;
     let batch = BatchSet::synthetic(21, m, mbs, model.seq_len, model.vocab_size);
@@ -54,7 +49,6 @@ fn runtime_timeline(
         lr: 1e-3,
         seed: 42,
         checkpointing: false,
-        comm,
     })
     .expect("valid pipeline config");
     pipe.forward_backward(&batch).expect("iteration completes");
@@ -63,9 +57,9 @@ fn runtime_timeline(
         .clone()
 }
 
-/// Run `sched` through the event simulator (uniform costs) and return its
-/// timeline.
-fn simulated_timeline(sched: &Schedule) -> Timeline {
+/// Run `sched` through the event simulator (uniform costs) under the comm
+/// engine `comm` and return its timeline.
+fn simulated_timeline(sched: &Schedule, comm: CommConfig) -> Timeline {
     let n = sched.n_stages();
     let costs = EventCosts {
         f: vec![1.0; n],
@@ -73,25 +67,26 @@ fn simulated_timeline(sched: &Schedule) -> Timeline {
         latency: 0.001,
         volume: 0.05,
     };
-    run_schedule(sched, &costs, &EventConfig::default())
-        .unwrap()
-        .timeline
+    let cfg = EventConfig {
+        comm,
+        ..EventConfig::default()
+    };
+    run_schedule(sched, &costs, &cfg).unwrap().timeline
 }
 
 fn assert_consistent(sched: &Schedule, partition: Vec<usize>, mbs: usize) {
-    // Both comm engines must run the schedule's exact program order: the
-    // overlapped engine moves wire time off the stage threads, never ops.
+    let real = runtime_timeline(sched, partition, mbs);
+    // Check 1: wall-clock execution and virtual-time simulation ran the
+    // exact same per-device op sequences — under both simulated comm
+    // engines, since overlap moves wire time, never ops.
     for comm in [CommConfig::default(), CommConfig::overlapped(4)] {
-        let real = runtime_timeline(sched, partition.clone(), mbs, comm);
-        let sim = simulated_timeline(sched);
-        // Check 1: wall-clock execution and virtual-time simulation ran the
-        // exact same per-device op sequences.
+        let sim = simulated_timeline(sched, comm);
         real.same_op_order(&sim)
             .unwrap_or_else(|divergence| panic!("runtime vs simulator ({comm:?}): {divergence}"));
-        // Check 2: and that sequence is the schedule's program order.
-        for (d, ops) in sched.devices.iter().enumerate() {
-            assert_eq!(real.op_order(d), *ops, "device {d} diverged from program");
-        }
+    }
+    // Check 2: and that sequence is the schedule's program order.
+    for (d, ops) in sched.devices.iter().enumerate() {
+        assert_eq!(real.op_order(d), *ops, "device {d} diverged from program");
     }
 }
 
@@ -145,7 +140,6 @@ fn split_backward_trains_bit_identically_to_fused() {
             lr: 1e-3,
             seed: 42,
             checkpointing: false,
-            comm: CommConfig::default(),
         })
         .expect("valid pipeline config");
         let mut losses = Vec::new();

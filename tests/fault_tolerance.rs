@@ -8,7 +8,7 @@
 //! and, when it kills a device, kills the same device at the same op.
 
 use autopipe::{PlannedSession, Session};
-use autopipe_exec::{CommConfig, FaultPlan, FaultSpec, StageStall};
+use autopipe_exec::{FaultPlan, FaultSpec, StageStall};
 use autopipe_model::{zoo, ModelConfig, ModelFamily};
 use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig, RuntimeError, WatchdogConfig};
 use autopipe_schedule::{sliced_1f1b, OpKind};
@@ -175,7 +175,6 @@ fn micro_pipeline() -> Pipeline {
         lr: 1e-3,
         seed: 5,
         checkpointing: false,
-        comm: CommConfig::default(),
     })
     .unwrap()
 }

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 
 use autopipe_cost::{CostDb, Hardware};
-use autopipe_exec::CommConfig;
 use autopipe_model::{zoo, Granularity, ModelConfig, ModelFamily};
 use autopipe_planner::family::{plan_families, FamilyConfig};
 use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
@@ -190,7 +189,6 @@ fn runtime_peak_in_flight_equals_memcheck() {
                 lr: 1e-3,
                 seed: 3,
                 checkpointing,
-                comm: CommConfig::default(),
             })
             .expect("valid pipeline config");
             pipe.forward_backward(&batch)

@@ -63,7 +63,6 @@ fn pipe_on(schedule: Schedule, seed: u64) -> Pipeline {
         lr: 1e-3,
         seed,
         checkpointing: false,
-        comm: autopipe_exec::CommConfig::default(),
     })
     .unwrap()
 }
