@@ -11,13 +11,20 @@
 //! [`SessionConfig::event`]; `autopipe-runtime` adds the `PipelineConfig`
 //! lowering, since it sits above this crate). The per-crate structs remain
 //! the lowering targets, so nothing below the facade changes.
+//!
+//! A setting no session varies is a constant, not a field: a session plans
+//! at sub-layer granularity under the planner's default scheme budget,
+//! simulates with the event simulator's default kernel overhead, jitter and
+//! half-micro-batch efficiency, and under elastic membership always grows
+//! back and always charges slow devices. Nor is a value the code can work
+//! out: the failure kind of a crash picks restart-in-place or a shrink.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use autopipe_cost::profiler::ProfilerConfig;
 use autopipe_cost::Hardware;
-use autopipe_model::{Granularity, ModelConfig};
+use autopipe_model::ModelConfig;
 use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
 use autopipe_sim::event::EventConfig;
 use autopipe_sim::{CommConfig, FaultPlan, OverlapModel};
@@ -79,25 +86,6 @@ pub enum SchedulePolicy {
     Auto,
 }
 
-/// What the runtime does when a stage suffers a *restartable* fail-stop
-/// crash. (A lost device always forces [`RecoveryPolicy::ShrinkAndReplan`] —
-/// there is nothing left to restart on.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Respawn the dead stage from the last durable checkpoint and replay
-    /// micro-batches from the checkpointed step, with exactly-once step
-    /// semantics: the post-recovery loss trajectory is bit-identical to an
-    /// uninterrupted run.
-    RestartInPlace,
-    /// Give up the crashed device: recovery restores the newest checkpoint
-    /// and names the device, and the `Session` re-plans the surviving p−1
-    /// devices through its one re-planning path (the run's own policy,
-    /// recompute mask and memory budget; sliced again if the run started
-    /// sliced) and hot-swaps via the repartition migration path. Under
-    /// elastic membership the loss is a departure like a scripted leave.
-    ShrinkAndReplan,
-}
-
 /// Durable checkpointing and fail-stop recovery knobs, lowered into the
 /// runtime's `RecoveryCoordinator` by the `Session` facade.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,8 +96,6 @@ pub struct RecoveryConfig {
     pub cadence: usize,
     /// How many valid generations to keep on disk (older ones are pruned).
     pub retain: usize,
-    /// Policy applied to restartable stage crashes.
-    pub policy: RecoveryPolicy,
     /// Give up (surface the runtime error) after this many recoveries in
     /// one run.
     pub max_recoveries: usize,
@@ -120,14 +106,12 @@ pub struct RecoveryConfig {
 
 impl RecoveryConfig {
     /// Checkpoint into `dir` with snappy defaults: snapshot every step,
-    /// keep 3 generations, restart crashed stages in place, tolerate up to
-    /// 4 recoveries per run.
+    /// keep 3 generations, tolerate up to 4 recoveries per run.
     pub fn new(dir: impl Into<PathBuf>) -> RecoveryConfig {
         RecoveryConfig {
             dir: dir.into(),
             cadence: 1,
             retain: 3,
-            policy: RecoveryPolicy::RestartInPlace,
             max_recoveries: 4,
             background: true,
         }
@@ -236,24 +220,16 @@ impl MembershipConfig {
 pub struct ElasticConfig {
     /// Health-check state machine thresholds.
     pub membership: MembershipConfig,
-    /// Accept joins/readmissions and grow the pipeline back toward the
-    /// session's device count. Off = degraded mode only.
-    pub grow: bool,
     /// Keep training while at least this many devices survive; below the
     /// floor the run surfaces a runtime error instead of degrading further.
     pub min_devices: usize,
-    /// Fold per-device slowdown multipliers into re-planning (the
-    /// heterogeneity-aware balance objective). Off = plan homogeneous.
-    pub heterogeneity_aware: bool,
 }
 
 impl Default for ElasticConfig {
     fn default() -> Self {
         ElasticConfig {
             membership: MembershipConfig::default(),
-            grow: true,
             min_devices: 1,
-            heterogeneity_aware: true,
         }
     }
 }
@@ -376,8 +352,6 @@ pub struct SessionConfig {
     pub mbs: usize,
     /// Global batch size (samples per iteration).
     pub gbs: usize,
-    /// Planning granularity; AutoPipe's default is sub-layer.
-    pub granularity: Granularity,
     /// Pin the pipeline depth instead of searching the DP×PP space.
     pub fixed_stages: Option<usize>,
     /// How the schedule family is chosen (Slicer pipeline, plain 1F1B, or
@@ -386,20 +360,10 @@ pub struct SessionConfig {
     /// Simulate offline profiling noise on the cost database. `None` plans
     /// on analytic ground truth.
     pub profiler: Option<ProfilerConfig>,
-    // -- planner knobs (lower into `AutoPipeConfig`) ----------------------
-    /// Maximum number of schemes the planner simulates.
-    pub max_schemes: usize,
     /// What the plan must satisfy: memory budget, comm overlap, recompute
     /// policy, pruning — lowered into every layer by [`Self::planner`] and
     /// [`Constraints::comm`].
     pub constraints: Constraints,
-    // -- simulator knobs (lower into `EventConfig`) -----------------------
-    /// Fixed overhead added to every simulated compute op.
-    pub kernel_overhead: f64,
-    /// Multiplicative jitter σ on simulated compute durations.
-    pub jitter_sigma: f64,
-    /// Efficiency penalty on half-micro-batch compute ops (1.0 = ideal).
-    pub half_efficiency: f64,
     // -- runtime knobs (lower into `PipelineConfig`) ----------------------
     /// Adam learning rate.
     pub lr: f32,
@@ -436,22 +400,16 @@ impl SessionConfig {
     /// A session with AutoPipe's defaults: the Slicer pipeline on an
     /// RTX-3090 cluster, analytic costs, two training iterations.
     pub fn new(model: ModelConfig, n_devices: usize, mbs: usize, gbs: usize) -> Self {
-        let event = EventConfig::default();
         SessionConfig {
             model,
             hardware: Hardware::rtx3090_cluster(),
             n_devices,
             mbs,
             gbs,
-            granularity: Granularity::SubLayer,
             fixed_stages: None,
             schedule_policy: SchedulePolicy::default(),
             profiler: None,
-            max_schemes: AutoPipeConfig::default().max_schemes,
             constraints: Constraints::default(),
-            kernel_overhead: event.kernel_overhead,
-            jitter_sigma: event.jitter_sigma,
-            half_efficiency: event.half_efficiency,
             lr: 1e-3,
             seed: 0,
             checkpointing: true,
@@ -494,9 +452,6 @@ impl SessionConfig {
                 ));
             }
         }
-        if self.max_schemes < 1 {
-            return fail("planner needs a scheme budget of at least 1".into());
-        }
         if self.constraints.memory_budget == Some(0) {
             return fail("memory budget of 0 bytes".into());
         }
@@ -507,15 +462,6 @@ impl SessionConfig {
             if o.chunks < 1 {
                 return fail("overlapped comm needs at least 1 chunk".into());
             }
-        }
-        if !(self.kernel_overhead.is_finite() && self.kernel_overhead >= 0.0) {
-            return fail(format!("bad kernel overhead {}", self.kernel_overhead));
-        }
-        if !(self.jitter_sigma.is_finite() && self.jitter_sigma >= 0.0) {
-            return fail(format!("bad jitter sigma {}", self.jitter_sigma));
-        }
-        if !(self.half_efficiency.is_finite() && self.half_efficiency > 0.0) {
-            return fail(format!("bad half efficiency {}", self.half_efficiency));
         }
         if !(self.lr.is_finite() && self.lr > 0.0) {
             return fail(format!("bad learning rate {}", self.lr));
@@ -576,11 +522,11 @@ impl SessionConfig {
     /// [`Constraints`] meet `AutoPipeConfig`.
     pub fn planner(&self) -> AutoPipeConfig {
         AutoPipeConfig {
-            max_schemes: self.max_schemes,
             overlap: self.constraints.overlap,
             prune: self.constraints.prune,
             memory_budget: self.constraints.memory_budget,
             recompute: self.constraints.recompute,
+            ..AutoPipeConfig::default()
         }
     }
 
@@ -588,11 +534,9 @@ impl SessionConfig {
     /// session's simulation prices the wire the planner scored it on.
     pub fn event(&self) -> EventConfig {
         EventConfig {
-            kernel_overhead: self.kernel_overhead,
-            jitter_sigma: self.jitter_sigma,
             seed: self.seed,
-            half_efficiency: self.half_efficiency,
             comm: self.constraints.comm(),
+            ..EventConfig::default()
         }
     }
 }
@@ -615,6 +559,10 @@ mod tests {
         assert_eq!(p.max_schemes, AutoPipeConfig::default().max_schemes);
         let e = c.event();
         assert_eq!(e.seed, c.seed);
+        let d = EventConfig::default();
+        assert_eq!(e.kernel_overhead, d.kernel_overhead);
+        assert_eq!(e.jitter_sigma, d.jitter_sigma);
+        assert_eq!(e.half_efficiency, d.half_efficiency);
     }
 
     #[test]
@@ -632,10 +580,6 @@ mod tests {
             },
             SessionConfig {
                 lr: f32::NAN,
-                ..cfg()
-            },
-            SessionConfig {
-                half_efficiency: 0.0,
                 ..cfg()
             },
             SessionConfig {

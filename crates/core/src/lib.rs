@@ -23,8 +23,8 @@ pub mod strategy;
 pub mod table2;
 
 pub use config::{
-    Constraints, ElasticConfig, MembershipConfig, RecoveryConfig, RecoveryPolicy, SchedulePolicy,
-    SessionConfig, StragglerConfig, WatchdogConfig,
+    Constraints, ElasticConfig, MembershipConfig, RecoveryConfig, SchedulePolicy, SessionConfig,
+    StragglerConfig, WatchdogConfig,
 };
 pub use error::Error;
 pub use plan::{AutoPipe, Plan};

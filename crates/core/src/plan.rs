@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use autopipe_cost::CostDb;
+use autopipe_model::Granularity;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
@@ -189,7 +190,13 @@ impl AutoPipe {
     /// are attached *after* profiling so the profiler's per-block noise and
     /// the per-device skew compose instead of overwriting each other.
     pub fn cost_db(cfg: &SessionConfig) -> CostDb {
-        let db = CostDb::build(&cfg.model, &cfg.hardware, cfg.mbs, true, cfg.granularity);
+        let db = CostDb::build(
+            &cfg.model,
+            &cfg.hardware,
+            cfg.mbs,
+            true,
+            Granularity::SubLayer,
+        );
         let db = match &cfg.profiler {
             Some(p) => autopipe_cost::profiler::profile(&db, p),
             None => db,

@@ -535,8 +535,8 @@ impl ModelShape {
 
 /// A generation's manifest: everything needed to validate the payloads and
 /// resume training — including the partition and the schedule (geometry and
-/// recompute mask), so [`Session::resume`](https://docs.rs) can rebuild the
-/// exact pipeline.
+/// recompute mask), so the `autopipe` facade's `Session::resume` can
+/// rebuild the exact pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
     /// On-disk format version of this generation.

@@ -166,7 +166,7 @@ impl ElasticCoordinator {
             self.membership.observe(e.at, e.device, e.event);
             self.translate(step, &mut actions);
         }
-        if slowdown && self.cfg.heterogeneity_aware {
+        if slowdown {
             // Only re-plan when the serving set is actually skewed — an
             // all-baseline update is a no-op.
             let multipliers = self.serving_multipliers();
@@ -220,7 +220,7 @@ impl ElasticCoordinator {
                         device: t.device,
                     }
                 });
-            } else if t.to == DeviceState::Readmitted && self.cfg.grow {
+            } else if t.to == DeviceState::Readmitted {
                 self.membership.mark_grown(step, t.device);
                 actions.push(ElasticAction::Grow {
                     target: self.membership.serving(),
@@ -423,21 +423,6 @@ mod tests {
             matches!(a.as_slice(), [ElasticAction::Halt { .. }]),
             "{a:?}"
         );
-    }
-
-    #[test]
-    fn grow_disabled_stays_degraded() {
-        let mut ec = cfg();
-        ec.grow = false;
-        let mc = ec.membership;
-        let mut c = ElasticCoordinator::new(3, ec);
-        let _ = c.on_step(1, &[fault(2, 1, MembershipChange::Leave)]);
-        let _ = c.on_step(2, &[fault(2, 2, MembershipChange::Join)]);
-        for s in 0..mc.quarantine_cooldown as u64 + 2 {
-            let a = c.on_step(3 + s, &[]);
-            assert!(a.is_empty(), "grow=false must never grow: {a:?}");
-        }
-        assert_eq!(c.serving(), &[0, 1]);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! 3. data×pipeline hybrid training with gradient all-reduce matches the
 //!    same single-device reference.
 //!
-//! Scope: sub-layer-granularity GPT-family stages (the interleaved schedule
-//! is evaluated in the discrete-event simulator only).
+//! Scope: sub-layer-granularity GPT-family stages, under every schedule
+//! family the planner emits, interleaved included.
 
 //!
 //! Each stage thread runs the shared op interpreter ([`autopipe_exec::Cursor`])

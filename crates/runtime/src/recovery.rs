@@ -19,21 +19,21 @@
 //! with exactly-once semantics — every optimiser step is applied exactly
 //! once on the trajectory the parameters actually follow, so the loss curve
 //! is bit-identical to an uninterrupted run. What happens to the shape
-//! depends on the policy:
+//! depends on the failure kind the crash event carries:
 //!
-//! * **Restart-in-place** ([`RecoveryPolicy::RestartInPlace`]): nothing —
+//! * **Restart-in-place**, for a restartable [`FailStopKind::Crash`]: the
+//!   device is still there, so nothing changes —
 //!   [`RecoveryAction::Resumed`].
 //!
-//! * **Shrink-and-replan** ([`RecoveryPolicy::ShrinkAndReplan`], always
-//!   forced for [`FailStopKind::Lost`]): the dead device is gone, and
-//!   [`RecoveryAction::Shrunk`] names it. Recovery plans nothing: the caller
-//!   re-plans onto the survivors and swaps through
+//! * **Shrink-and-replan**, for [`FailStopKind::Lost`]: the dead device is
+//!   gone, and [`RecoveryAction::Shrunk`] names it. Recovery plans nothing:
+//!   the caller re-plans onto the survivors and swaps through
 //!   [`Pipeline::repartition`] — the `Session` facade at its one re-shape
 //!   site, where with elastic membership on the loss is one more departure.
 
 use std::fmt;
 
-use autopipe_core::{Error, RecoveryConfig, RecoveryPolicy};
+use autopipe_core::{Error, RecoveryConfig};
 use autopipe_exec::FailStopKind;
 
 use crate::checkpoint::{
@@ -193,11 +193,12 @@ impl RecoveryCoordinator {
         reader.load_latest().map_err(Error::from)
     }
 
-    /// Execute the recovery policy for a [`RuntimeError::StageDown`] report.
-    /// On success the pipeline holds the newest durable state and the
-    /// returned [`RecoveryAction`] names the step to replay from
-    /// (exactly-once: the caller discards any loss entries past that step
-    /// and re-runs them) and, for a shrink, the device that is gone.
+    /// Recover from a [`RuntimeError::StageDown`] report. On success the
+    /// pipeline holds the newest durable state and the returned
+    /// [`RecoveryAction`] names the step to replay from (exactly-once: the
+    /// caller discards any loss entries past that step and re-runs them)
+    /// and, when the report holds a [`FailStopKind::Lost`], the device that
+    /// is gone.
     ///
     /// [`RuntimeError::StageDown`]: crate::watchdog::RuntimeError::StageDown
     pub fn recover(
@@ -205,7 +206,7 @@ impl RecoveryCoordinator {
         pipeline: &mut Pipeline,
         report: &FaultReport,
     ) -> Result<RecoveryAction, Error> {
-        // A lost device anywhere in the report dictates the policy, even
+        // A lost device anywhere in the report dictates the shrink, even
         // when a collateral crash event sorts ahead of it.
         let crash = report
             .crashed
@@ -234,9 +235,7 @@ impl RecoveryCoordinator {
         // re-die at the same op on every replay.
         pipeline.clear_failstop_events();
 
-        let shrink =
-            crash.kind == FailStopKind::Lost || self.cfg.policy == RecoveryPolicy::ShrinkAndReplan;
-        let action = if shrink {
+        let action = if crash.kind == FailStopKind::Lost {
             let devices = pipeline.schedule().n_devices - 1;
             if devices < 1 {
                 return Err(Error::Config(
@@ -286,7 +285,7 @@ mod tests {
     use crate::data::BatchSet;
     use crate::engine::{Pipeline, PipelineConfig};
     use crate::watchdog::RuntimeError;
-    use autopipe_exec::{FaultPlan, StageCrash};
+    use autopipe_exec::{DeviceLost, FaultPlan, StageCrash};
     use autopipe_model::{ModelConfig, ModelFamily};
     use autopipe_schedule::one_f_one_b;
     use autopipe_sim::Partition;
@@ -430,14 +429,13 @@ mod tests {
         let dir = temp_dir("recover_shrink");
         let mut coord = RecoveryCoordinator::new(RecoveryConfig {
             background: false,
-            policy: RecoveryPolicy::ShrinkAndReplan,
             ..RecoveryConfig::new(&dir)
         })
         .unwrap();
         let mut crashed = pipe(4, m);
         crashed.set_faults(
             FaultPlan {
-                crashes: vec![StageCrash {
+                lost: vec![DeviceLost {
                     device: 2,
                     at_op: 4,
                 }],
@@ -495,7 +493,6 @@ mod tests {
         let dir = temp_dir("recover_lost");
         let mut coord = RecoveryCoordinator::new(RecoveryConfig {
             background: false,
-            policy: RecoveryPolicy::RestartInPlace,
             ..RecoveryConfig::new(&dir)
         })
         .unwrap();

@@ -27,12 +27,15 @@
 //! [`RuntimeError::StageDown`] when a stage died) carrying a structured
 //! [`FaultReport`] — a silent deadlock becomes data.
 //!
-//! Per-op deadlines derive from the simulator's expected end-times: the
-//! expected *gap* between an op and its predecessor (scaled into wall time)
-//! plus a slack multiplier, floored by `base_timeout`. With no expected
-//! timeline the flat `base_timeout` applies.
+//! With no expected timeline installed the flat `base_timeout` applies to
+//! every wait, and that is what every session runs: no session installs
+//! one. The only way in is [`Pipeline::set_expected_timeline`], which
+//! derives per-op deadlines from a simulated timeline: the expected *gap*
+//! between an op and its predecessor (scaled into wall time) times the
+//! slack multiplier, floored by `base_timeout`.
 //!
 //! [`ChannelEndpoint::recv`]: autopipe_exec::ChannelEndpoint::recv
+//! [`Pipeline::set_expected_timeline`]: crate::engine::Pipeline::set_expected_timeline
 //! [`ChannelEndpoint::hung_up`]: autopipe_exec::ChannelEndpoint::hung_up
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -9,8 +9,8 @@
 pub mod session;
 
 pub use autopipe_core::{
-    Constraints, ElasticConfig, Error, MembershipConfig, RecoveryConfig, RecoveryPolicy,
-    SchedulePolicy, SessionConfig,
+    Constraints, ElasticConfig, Error, MembershipConfig, RecoveryConfig, SchedulePolicy,
+    SessionConfig,
 };
 pub use autopipe_planner::{PlanService, RecomputePolicy, ServiceStats};
 pub use autopipe_runtime::{

@@ -234,8 +234,9 @@ impl Session {
     /// [`PlannedSession::run`] snapshots the pipeline to `cfg.dir` at the
     /// configured step cadence, and when a stage dies mid-iteration the
     /// session restores the newest valid generation and replays from its
-    /// step with exactly-once semantics (restart-in-place), or re-plans
-    /// onto the surviving devices (shrink-and-replan / a lost device).
+    /// step with exactly-once semantics. A crashed device restarts in
+    /// place; a lost one is gone, so the session re-plans onto the
+    /// surviving devices.
     pub fn recovery(mut self, cfg: RecoveryConfig) -> Session {
         self.cfg.recovery = Some(cfg);
         self
@@ -243,9 +244,8 @@ impl Session {
 
     /// Enable elastic membership: per-device health checks drive
     /// quarantine/eviction (shrink to degraded mode), readmission and joins
-    /// (grow back, migrating state through the repartition path), and —
-    /// when `heterogeneity_aware` is on — device-aware re-planning under
-    /// observed slowdowns. Membership events come from the session's
+    /// (grow back, migrating state through the repartition path), and
+    /// device-aware re-planning under observed slowdowns. Membership events come from the session's
     /// [`FaultPlan`] script ([`Session::faults`]); requires
     /// [`Session::recovery`].
     pub fn elastic(mut self, cfg: ElasticConfig) -> Session {
@@ -723,25 +723,19 @@ impl Run<'_> {
         let membership_faults = (self.cfg.faults.as_ref())
             .map(|(fp, _)| fp.clone())
             .unwrap_or_default();
-        // What membership knows about each serving device's speed; every
-        // re-plan is charged it, so a shrink away from a slowed device plans
-        // on what the survivors can actually sustain.
-        let hetero = (self.cfg.elastic.as_ref()).is_some_and(|e| e.heterogeneity_aware);
-        let known_slowdown = |el: &ElasticCoordinator| match hetero {
-            true => el.serving_multipliers(),
-            false => Vec::new(),
-        };
-
-        // Turns the membership's decisions into this step's re-shapes.
+        // Turns the membership's decisions into this step's re-shapes. Every
+        // re-plan is charged what membership knows about each serving
+        // device's speed, so a shrink away from a slowed device plans on
+        // what the survivors can actually sustain.
         let elastic_reshapes = |el: &ElasticCoordinator, actions: Vec<ElasticAction>| {
             (actions.into_iter())
                 .map(|action| match action {
                     ElasticAction::Halt { reason } => Err(RuntimeError::Elastic(reason).into()),
                     ElasticAction::Shrink { survivors, .. } => {
-                        Ok(("elastic shrink", Some(survivors), known_slowdown(el)))
+                        Ok(("elastic shrink", Some(survivors), el.serving_multipliers()))
                     }
                     ElasticAction::Grow { target, .. } => {
-                        Ok(("elastic grow", Some(target), known_slowdown(el)))
+                        Ok(("elastic grow", Some(target), el.serving_multipliers()))
                     }
                     ElasticAction::Replan { multipliers } => {
                         Ok(("slowdown re-plan", None, multipliers))
@@ -826,7 +820,9 @@ impl Run<'_> {
                                 // knows. Ratios below 1 are clamped: a fast
                                 // stage is not evidence the cost model
                                 // overcharges it.
-                                let known = elastic.as_ref().map(known_slowdown);
+                                let known = elastic
+                                    .as_ref()
+                                    .map(ElasticCoordinator::serving_multipliers);
                                 let known = known.unwrap_or_default();
                                 let slowdown = (0..sched.n_devices)
                                     .map(|d| {

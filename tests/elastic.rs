@@ -12,7 +12,8 @@
 //! 2. **session-level elasticity** — scripted leaves shrink the pipeline
 //!    into degraded mode, rejoins grow it back through the checkpoint-path
 //!    repartition, slowdowns trigger heterogeneity-aware re-plans, a
-//!    fail-stop loss is one more departure every later decision sees, every
+//!    fail-stop loss is one more departure every later decision sees, a
+//!    restartable crash restarts in place without leaving, every
 //!    swap keeps the policy and memory budget the run was planned under
 //!    (also on a resumed run), and the whole run stays deterministic under
 //!    replay;
@@ -28,7 +29,9 @@ use autopipe::{
     ElasticAction, ElasticConfig, ElasticCoordinator, Error, MembershipConfig, RecomputePolicy,
     RecoveryAction, RecoveryConfig, SchedulePolicy, Session,
 };
-use autopipe_exec::{splitmix64, DeviceLost, FaultPlan, MembershipChange, MembershipFault};
+use autopipe_exec::{
+    splitmix64, DeviceLost, FaultPlan, MembershipChange, MembershipFault, StageCrash,
+};
 use autopipe_model::zoo;
 use autopipe_planner::PlanError;
 use autopipe_runtime::{
@@ -462,6 +465,37 @@ fn losing_device_1(
     (session.stages(3).seed(13), dir)
 }
 
+/// A restartable crash under elastic membership restarts in place: the
+/// device is still there, so nothing leaves the serving set, the run ends on
+/// the partition it was planned on, and the replay earns a clean run's
+/// losses.
+#[test]
+fn a_crashed_device_under_elastic_membership_restarts_in_place() {
+    let crash = FaultPlan {
+        crashes: vec![StageCrash {
+            device: 1,
+            at_op: 3,
+        }],
+        ..FaultPlan::none()
+    };
+    let (session, dir) = elastic_session("crash", crash, 3);
+    let planned = session.stages(3).seed(13).plan().unwrap();
+    let start = planned.plan().partition.clone();
+    let report = planned.run().unwrap();
+    let (clean, clean_dir) = elastic_session("crash_clean", FaultPlan::none(), 3);
+    let clean = clean.stages(3).seed(13).plan().unwrap().run().unwrap();
+    assert_eq!(report.recoveries, 1);
+    assert!(
+        !(report.elastic_log.iter()).any(|e| matches!(e.action, ElasticAction::Shrink { .. })),
+        "a crashed device must not shrink the pipeline: {:?}",
+        report.elastic_log
+    );
+    assert_eq!(report.final_partition, start);
+    assert_eq!(report.losses, clean.losses);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&clean_dir);
+}
+
 fn actions(report: &autopipe::RunReport) -> Vec<ElasticAction> {
     report
         .elastic_log
@@ -528,7 +562,6 @@ fn a_leave_after_a_loss_shrinks_what_is_left() {
     let floored = session.elastic(ElasticConfig {
         membership: fast_membership(),
         min_devices: 3,
-        ..ElasticConfig::default()
     });
     let err = floored.plan().unwrap().run().unwrap_err();
     assert!(

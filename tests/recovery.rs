@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use autopipe_core::{RecoveryConfig, RecoveryPolicy};
+use autopipe_core::RecoveryConfig;
 use autopipe_exec::{FaultPlan, FaultSpec, StageCrash};
 use autopipe_model::{ModelConfig, ModelFamily};
 use autopipe_runtime::{
@@ -161,7 +161,6 @@ fn seeded_losses_shrink_and_converge() {
         let dir = temp_dir(&format!("campaign_shrink_{seed}"));
         let mut coord = RecoveryCoordinator::new(RecoveryConfig {
             background: false,
-            policy: RecoveryPolicy::ShrinkAndReplan,
             ..RecoveryConfig::new(&dir)
         })
         .unwrap();
