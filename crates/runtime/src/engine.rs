@@ -18,6 +18,15 @@
 //! `StageModel` tensor math, sleeps the injected delays and receives
 //! under the stall [`watchdog`](crate::watchdog), all in wall time.
 //!
+//! Activation checkpointing (§II-C) drops a stage's caches at each forward
+//! and re-runs the forward before the backward, except where that buys
+//! nothing: a forward whose record the device's very next compute op
+//! consumes (its `Recompute`, `Bwd` or `BwdInput`) keeps its caches. The
+//! [`kept_forwards`](autopipe_schedule::kept_forwards) table of the running
+//! schedule says which; it covers every forward on 1F1B's last stage and
+//! the last forward on every GPipe stage, changes no result, and never
+//! lets a checkpointed stage hold more than one micro-batch's caches.
+//!
 //! Fault tolerance: a seeded [`FaultPlan`] replays here in wall time (the
 //! same script, through the same interpreter, that the event simulator
 //! replays in virtual time), no channel wait blocks indefinitely, and
@@ -103,6 +112,10 @@ pub struct Pipeline {
     /// `stages[device][chunk]`.
     stages: Vec<Vec<StageModel>>,
     schedule: Schedule,
+    /// [`kept_forwards`](autopipe_schedule::kept_forwards) of `schedule`:
+    /// per device, per op, whether a checkpointed stage's forward keeps its
+    /// caches.
+    keep: Vec<Vec<bool>>,
     partition: Partition,
     model: ModelShape,
     checkpointing: bool,
@@ -113,6 +126,7 @@ pub struct Pipeline {
     deadlines: Option<Vec<Vec<Duration>>>,
     last_timeline: Option<Timeline>,
     last_peak_in_flight: Option<Vec<f64>>,
+    last_peak_caches: Option<Vec<Vec<f64>>>,
     last_report: Option<FaultReport>,
 }
 
@@ -174,6 +188,7 @@ impl Pipeline {
         Ok(Pipeline {
             stages,
             schedule: cfg.schedule.clone(),
+            keep: autopipe_schedule::kept_forwards(&cfg.schedule),
             partition: cfg.partition.clone(),
             model: ModelShape::of(&cfg.model),
             checkpointing: cfg.checkpointing,
@@ -183,6 +198,7 @@ impl Pipeline {
             deadlines: None,
             last_timeline: None,
             last_peak_in_flight: None,
+            last_peak_caches: None,
             last_report: None,
         })
     }
@@ -281,6 +297,7 @@ impl Pipeline {
         let endpoints = channel_mesh::<TimedMsg>(p, schedule_edges(&self.schedule));
 
         let schedule = &self.schedule;
+        let keep = &self.keep;
         let watchdog = Watchdog::new(self.watchdog_cfg, self.deadlines.clone());
         let faults = match self.faults.as_ref().filter(|f| !f.is_empty()) {
             Some(plan) => Faults::All(plan),
@@ -297,6 +314,7 @@ impl Pipeline {
                 let worker = Worker {
                     device: d,
                     chunks,
+                    keep: &keep[d],
                     batch,
                     seq,
                     grad_scale,
@@ -341,6 +359,16 @@ impl Pipeline {
                 .collect()
         });
 
+        let peak_caches: Vec<Vec<f64>> = self
+            .stages
+            .iter_mut()
+            .map(|chunks| {
+                chunks
+                    .iter_mut()
+                    .map(StageModel::take_peak_caches)
+                    .collect()
+            })
+            .collect();
         let mut report = FaultReport::default();
         let mut losses = Vec::with_capacity(p);
         let mut peaks = Vec::with_capacity(p);
@@ -389,6 +417,7 @@ impl Pipeline {
         if report.aborted || !report.crashed.is_empty() {
             self.last_timeline = None;
             self.last_peak_in_flight = None;
+            self.last_peak_caches = None;
             // The records of micro-batches the abort cut short.
             for s in self.stages.iter_mut().flatten() {
                 s.clear_stash();
@@ -410,6 +439,7 @@ impl Pipeline {
         let wall = Duration::from_secs_f64(timeline.iteration_time());
         self.last_timeline = Some(timeline);
         self.last_peak_in_flight = Some(peaks);
+        self.last_peak_caches = Some(peak_caches);
         Ok(IterationStats {
             loss: losses.iter().sum::<f32>() / m as f32,
             wall,
@@ -433,6 +463,19 @@ impl Pipeline {
     /// and equal to it. Cleared like [`last_timeline`](Pipeline::last_timeline).
     pub fn last_peak_in_flight(&self) -> Option<&[f64]> {
         self.last_peak_in_flight.as_deref()
+    }
+
+    /// Per device, per chunk, the most activation caches the chunk's stage
+    /// held at once during the most recent successful
+    /// [`forward_backward`](Pipeline::forward_backward), in micro-batches'
+    /// worth like [`last_peak_in_flight`](Pipeline::last_peak_in_flight).
+    /// A part's cache set counts from the forward (or recompute) that
+    /// builds it until its backward or grad-input ends, or until a
+    /// checkpointed forward drops it. A checkpointed stage holds at most
+    /// one micro-batch's worth. Cleared like
+    /// [`last_timeline`](Pipeline::last_timeline).
+    pub fn last_peak_caches(&self) -> Option<&[Vec<f64>]> {
+        self.last_peak_caches.as_deref()
     }
 
     /// The watchdog's report for the most recent iteration: every firing
@@ -488,6 +531,7 @@ impl Pipeline {
 
         // 1. Collect the old stages in stage order (devices may interleave).
         let old_sched = std::mem::replace(&mut self.schedule, schedule);
+        self.keep = autopipe_schedule::kept_forwards(&self.schedule);
         let n_old = old_sched.n_stages();
         let mut by_stage: Vec<Option<StageModel>> = (0..n_old).map(|_| None).collect();
         for (d, chunks) in std::mem::take(&mut self.stages).into_iter().enumerate() {
@@ -564,6 +608,7 @@ impl Pipeline {
         self.deadlines = None;
         self.last_timeline = None;
         self.last_peak_in_flight = None;
+        self.last_peak_caches = None;
         self.last_report = None;
         Ok(())
     }
@@ -633,6 +678,8 @@ enum Halt {
 struct Worker<'a> {
     device: usize,
     chunks: &'a mut [StageModel],
+    /// The device's row of [`Pipeline`]'s keep table, by op index.
+    keep: &'a [bool],
     batch: &'a BatchSet,
     seq: usize,
     grad_scale: f32,
@@ -757,7 +804,7 @@ impl Device for Worker<'_> {
                     let rows = self.batch.rows_of_part(part);
                     self.batch.targets[mb][rows.start * self.seq..rows.end * self.seq].to_vec()
                 });
-                match stage.forward(mb, part, input, targets) {
+                match stage.forward(mb, part, input, targets, self.keep[e.index]) {
                     StageOutput::Hidden(t) => {
                         self.outbox.insert(MsgKey::act(mb, part, e.stage + 1), t);
                     }
@@ -1032,6 +1079,37 @@ mod tests {
             1e-6,
             "params",
         );
+    }
+
+    #[test]
+    fn a_checkpointed_stage_skips_the_recompute_its_next_op_would_run() {
+        // 1F1B's last stage backwards each micro-batch right after its
+        // forward, so it keeps every forward's caches: m forward passes per
+        // iteration. The first stage holds two micro-batches in flight and
+        // recomputes each one: 2m. Without the keep table both read 2m.
+        let model = tiny();
+        let m = 8;
+        let batch = BatchSet::synthetic(5, m, 2, model.seq_len, model.vocab_size);
+        let per_iteration = |pipe: &mut Pipeline| -> Vec<u64> {
+            let count = |pipe: &Pipeline| pipe.stages.iter().map(|c| c[0].forwards_run()).collect();
+            let before: Vec<u64> = count(pipe);
+            pipe.train_iteration(&batch).unwrap();
+            let after: Vec<u64> = count(pipe);
+            after.iter().zip(&before).map(|(a, b)| a - b).collect()
+        };
+        let mut masked = one_f_one_b(2, m);
+        apply_recompute(&mut masked, &[true, true]);
+        for (sched, ckpt) in [(one_f_one_b(2, m), true), (masked, false)] {
+            let mut pipe = Pipeline::try_new(&cfg(sched, partition2(), ckpt)).unwrap();
+            assert_eq!(per_iteration(&mut pipe), [2 * m as u64, m as u64]);
+            // The swapped-in plan brings its own table: GPipe keeps only
+            // the last forward on each stage.
+            pipe.repartition(&partition2(), gpipe(2, m)).unwrap();
+            let want = if ckpt { 2 * m as u64 - 1 } else { m as u64 };
+            assert_eq!(per_iteration(&mut pipe), [want, want]);
+        }
+        let mut plain = Pipeline::try_new(&cfg(one_f_one_b(2, m), partition2(), false)).unwrap();
+        assert_eq!(per_iteration(&mut plain), [m as u64, m as u64]);
     }
 
     #[test]

@@ -18,6 +18,10 @@ pub struct ReferenceModel {
 
 impl ReferenceModel {
     /// Build with the same seed as a [`crate::Pipeline`] for equality.
+    /// `checkpointing` mirrors [`crate::PipelineConfig::checkpointing`] but
+    /// never makes this trainer recompute: one device runs each backward
+    /// right after its forward, so every forward keeps its caches by the
+    /// pipeline's own rule ([`autopipe_schedule::kept_forwards`]).
     pub fn new(cfg: &ModelConfig, seed: u64, lr: f32, checkpointing: bool) -> ReferenceModel {
         let all = build_modules(cfg, seed);
         let part = Partition::new(vec![0, all.len()]);
@@ -33,7 +37,8 @@ impl ReferenceModel {
         loss
     }
 
-    /// Forward/backward accumulation without the optimiser step.
+    /// Forward/backward accumulation without the optimiser step; each
+    /// forward keeps its caches for the backward that follows it.
     pub(crate) fn forward_backward(&mut self, batch: &BatchSet) -> f32 {
         let m = batch.n_microbatches();
         let scale = 1.0 / m as f32;
@@ -44,6 +49,7 @@ impl ReferenceModel {
                 Part::Full,
                 StageInput::Tokens(batch.ids[mb].clone()),
                 Some(batch.targets[mb].clone()),
+                true,
             ) {
                 StageOutput::Loss(l) => loss_sum += l,
                 StageOutput::Hidden(_) => panic!("reference model must end in a loss"),

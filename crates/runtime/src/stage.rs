@@ -175,9 +175,20 @@ pub struct StageModel {
     stash: HashMap<(usize, Part), Stash>,
     /// Sum of the live records' [`Part::frac`], kept on insert and remove.
     in_flight: f64,
+    /// Micro-batches' worth of activation caches alive now (each part's
+    /// set weighs its [`Part::frac`]): kept in a record, or being consumed
+    /// by a backward.
+    caches_live: f64,
+    /// Peak of `caches_live`, counting each set from the forward that
+    /// builds it, since [`take_peak_caches`](StageModel::take_peak_caches).
+    peak_caches: f64,
+    /// Forward passes run: forwards, recomputes and backward rebuilds.
+    #[cfg(test)]
+    forwards_run: u64,
     seq: usize,
     /// Re-run forwards at backward time from the stashed stage input
-    /// instead of keeping caches (§II-C activation checkpointing).
+    /// instead of keeping caches (§II-C activation checkpointing), except
+    /// for the forwards the schedule's next compute op consumes.
     checkpointing: bool,
 }
 
@@ -217,6 +228,10 @@ impl StageModel {
             adam,
             stash: HashMap::new(),
             in_flight: 0.0,
+            caches_live: 0.0,
+            peak_caches: 0.0,
+            #[cfg(test)]
+            forwards_run: 0,
             seq,
             checkpointing,
         }
@@ -230,18 +245,27 @@ impl StageModel {
 
     /// Forward `part` of micro-batch `mb`, opening its stash record.
     /// `targets` are the part's labels, on the stage holding the LM head.
+    ///
+    /// The record keeps the activation caches unless the stage is
+    /// checkpointed and `keep` is false. `keep` is the schedule's
+    /// [`kept_forwards`](autopipe_schedule::kept_forwards) entry for this
+    /// op: the device's next compute op consumes this record, so dropping
+    /// the caches would only make that op rebuild the same set first.
     pub(crate) fn forward(
         &mut self,
         mb: usize,
         part: Part,
         input: StageInput,
         targets: Option<Vec<usize>>,
+        keep: bool,
     ) -> StageOutput {
         let (out, caches) = self.run_forward(&input, targets.as_deref(), part);
+        let keep = keep || !self.checkpointing;
+        self.built_caches(part, keep);
         let record = Stash::Forwarded {
             input,
             targets,
-            caches: (!self.checkpointing).then_some(caches),
+            caches: keep.then_some(caches),
         };
         let stale = self.stash.insert((mb, part), record);
         assert!(
@@ -256,8 +280,9 @@ impl StageModel {
     /// rebuilding the activation caches a checkpointed forward dropped — the
     /// schedule IR's `Recompute` op. `run_forward` is pure, so the rebuilt
     /// caches are bit-identical to the ones the forward would have kept;
-    /// parts whose caches are still live are left untouched (which makes the
-    /// op a timed no-op on unmasked stages). Returns `false` when no forward
+    /// parts whose caches are still live are left untouched. That makes the
+    /// op a timed no-op on unmasked stages, and on a kept forward: one the
+    /// schedule runs right before this op. Returns `false` when no forward
     /// state of `mb` is live on this stage.
     pub(crate) fn recompute_microbatch(&mut self, mb: usize) -> bool {
         let mut forwarded = false;
@@ -275,6 +300,7 @@ impl StageModel {
                 continue;
             }
             let rebuilt = self.run_forward(input, targets.as_deref(), part).1;
+            self.built_caches(part, true);
             if let Some(Stash::Forwarded { caches, .. }) = self.stash.get_mut(&(mb, part)) {
                 *caches = Some(rebuilt);
             }
@@ -292,6 +318,28 @@ impl StageModel {
     pub(crate) fn clear_stash(&mut self) {
         self.stash.clear();
         self.in_flight = 0.0;
+        self.caches_live = 0.0;
+        self.peak_caches = 0.0;
+    }
+
+    /// Account for `part`'s cache set `run_forward` just built: it is live
+    /// now, and stays live iff `stored` until the backward that consumes it.
+    fn built_caches(&mut self, part: Part, stored: bool) {
+        self.peak_caches = self.peak_caches.max(self.caches_live + part.frac());
+        if stored {
+            self.caches_live += part.frac();
+        }
+        #[cfg(test)]
+        {
+            self.forwards_run += 1;
+        }
+    }
+
+    /// The most micro-batches' worth of activation caches this stage held
+    /// at once since the last call, counting each part's set from the
+    /// forward that built it; restarts the count from what is live now.
+    pub(crate) fn take_peak_caches(&mut self) -> f64 {
+        std::mem::replace(&mut self.peak_caches, self.caches_live)
     }
 
     fn run_forward(
@@ -375,7 +423,14 @@ impl StageModel {
             panic!("{part:?} of micro-batch {mb} has no forward state on this stage");
         };
         // Activation checkpointing: re-run the forward to rebuild caches.
-        let caches = caches.unwrap_or_else(|| self.run_forward(&input, targets.as_deref(), part).1);
+        let caches = match caches {
+            Some(caches) => caches,
+            None => {
+                let caches = self.run_forward(&input, targets.as_deref(), part).1;
+                self.built_caches(part, true);
+                caches
+            }
+        };
 
         let mut dy: Option<Tensor> = d_out.cloned();
         let mut grad_cursor = self.grads.len();
@@ -421,6 +476,7 @@ impl StageModel {
             }
             dy = dx;
         }
+        self.caches_live -= part.frac();
         match apply {
             Some(_) => self.in_flight -= part.frac(),
             None => {
@@ -613,6 +669,10 @@ mod tests {
         pub(crate) fn checkpointing(&self) -> bool {
             self.checkpointing
         }
+
+        pub(crate) fn forwards_run(&self) -> u64 {
+            self.forwards_run
+        }
     }
 
     fn tiny() -> ModelConfig {
@@ -669,7 +729,7 @@ mod tests {
         assert!(stage.has_embedding() && stage.has_head());
         let ids: Vec<usize> = (0..2 * cfg.seq_len).map(|i| i % cfg.vocab_size).collect();
         let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
-        let out = stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets));
+        let out = stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets), false);
         let loss = match out {
             StageOutput::Loss(l) => l,
             _ => panic!("single-stage model must produce a loss"),
@@ -691,7 +751,7 @@ mod tests {
                 .map(|i| (i * 3) % cfg.vocab_size)
                 .collect();
             let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
-            stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets));
+            stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets), false);
             stage.backward_part(0, Part::Full, None, Some(1.0));
             stage.grads.iter().map(|g| g.sum()).sum()
         };
@@ -721,6 +781,7 @@ mod tests {
             Part::Full,
             StageInput::Tokens(ids.clone()),
             Some(targets.clone()),
+            false,
         );
         full.backward_part(0, Part::Full, None, Some(1.0));
         let gf: f64 = full.grads.iter().map(|g| g.sum()).sum();
@@ -733,12 +794,14 @@ mod tests {
             Part::Half1,
             StageInput::Tokens(ids[..split].to_vec()),
             Some(targets[..split].to_vec()),
+            false,
         );
         halves.forward(
             0,
             Part::Half2,
             StageInput::Tokens(ids[split..].to_vec()),
             Some(targets[split..].to_vec()),
+            false,
         );
         halves.backward_part(0, Part::Half1, None, Some(1.0));
         halves.backward_part(0, Part::Half2, None, Some(1.0));

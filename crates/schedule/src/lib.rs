@@ -31,7 +31,7 @@ pub mod validate;
 
 pub use generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
 pub use op::{Op, OpKind, Part};
-pub use recompute::{apply_recompute, recompute_mask};
+pub use recompute::{apply_recompute, kept_forwards, recompute_mask};
 pub use validate::{validate, ValidationError};
 
 use serde::{Deserialize, Serialize};

@@ -14,6 +14,10 @@
 //! comm-adjacency invariant the overlapped engine relies on is preserved by
 //! construction: no `Recompute` is ever placed between a compute op and the
 //! send it feeds.
+//!
+//! [`kept_forwards`] names the forwards whose caches a checkpointed stage
+//! keeps anyway: those whose record the device's very next compute op
+//! consumes, so dropping and rebuilding the caches would buy no memory.
 
 use crate::op::{Op, OpKind};
 use crate::Schedule;
@@ -101,10 +105,49 @@ pub fn recompute_mask(sched: &Schedule) -> Vec<bool> {
     mask
 }
 
+/// Per device program, per op: `true` at each `Fwd { mb, chunk, .. }`
+/// whose next compute op on the device is the `Recompute`, `Bwd` or
+/// `BwdInput` of the same `(mb, chunk)` — the op that consumes the record
+/// the forward opens. A checkpointed stage keeps those forwards' activation
+/// caches instead of dropping them: the consumer would rebuild the same
+/// cache set before any other compute op runs, so keeping it changes no
+/// result and no peak, and saves one stage forward.
+///
+/// A sliced micro-batch's `Half1` is never kept (its `Half2` forward comes
+/// next); a `Half2` is kept when its backward follows, which consumes it
+/// first.
+pub fn kept_forwards(sched: &Schedule) -> Vec<Vec<bool>> {
+    sched
+        .devices
+        .iter()
+        .map(|ops| {
+            let mut keep = vec![false; ops.len()];
+            // The (mb, chunk) the next compute op consumes, if it consumes
+            // a forward's record.
+            let mut next: Option<(usize, usize)> = None;
+            for (i, op) in ops.iter().enumerate().rev() {
+                match op.kind {
+                    OpKind::Fwd { mb, chunk, .. } => {
+                        keep[i] = next == Some((mb, chunk));
+                        next = None;
+                    }
+                    OpKind::Recompute { mb, chunk }
+                    | OpKind::Bwd { mb, chunk }
+                    | OpKind::BwdInput { mb, chunk } => next = Some((mb, chunk)),
+                    OpKind::BwdWeight { .. } => next = None,
+                    _ => {}
+                }
+            }
+            keep
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
+    use crate::op::Part;
     use crate::validate::validate;
 
     fn families() -> Vec<Schedule> {
@@ -194,6 +237,123 @@ mod tests {
         apply_recompute(&mut sched, &[false; 4]);
         assert_eq!(sched, base);
         assert_eq!(recompute_mask(&base), vec![false; 4]);
+    }
+
+    /// Every forward the keep table marks, as `(device, mb, part, chunk)`,
+    /// after applying `mask` to a copy of `base`.
+    fn kept(base: &Schedule, mask: &[bool]) -> Vec<(usize, usize, Part, usize)> {
+        let mut sched = base.clone();
+        apply_recompute(&mut sched, mask);
+        let table = kept_forwards(&sched);
+        let mut out = Vec::new();
+        for (d, ops) in sched.devices.iter().enumerate() {
+            assert_eq!(table[d].len(), ops.len());
+            for (i, op) in ops.iter().enumerate() {
+                let OpKind::Fwd { mb, part, chunk } = op.kind else {
+                    assert!(!table[d][i], "device {d} op {i}: only forwards are kept");
+                    continue;
+                };
+                if table[d][i] {
+                    // The next compute op consumes this very record.
+                    let next = ops[i + 1..].iter().find(|o| o.is_compute()).unwrap();
+                    assert!(
+                        matches!(
+                            next.kind,
+                            OpKind::Recompute { mb: n, chunk: c }
+                            | OpKind::Bwd { mb: n, chunk: c }
+                            | OpKind::BwdInput { mb: n, chunk: c }
+                                if (n, c) == (mb, chunk)
+                        ),
+                        "{:?} device {d}: kept Fwd({mb}, {part:?}, {chunk}) before {next:?}",
+                        sched.kind
+                    );
+                    out.push((d, mb, part, chunk));
+                }
+            }
+        }
+        out
+    }
+
+    /// The three masks of the memory grid: none, every stage, every other.
+    fn masks(n: usize) -> [Vec<bool>; 3] {
+        [
+            vec![false; n],
+            vec![true; n],
+            (0..n).map(|s| s.is_multiple_of(2)).collect(),
+        ]
+    }
+
+    /// Every forward of `device`, in program order.
+    fn forwards_of(sched: &Schedule, device: usize) -> Vec<(usize, usize, Part, usize)> {
+        sched.devices[device]
+            .iter()
+            .filter_map(|o| match o.kind {
+                OpKind::Fwd { mb, part, chunk } => Some((device, mb, part, chunk)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keep_table_per_family_and_mask() {
+        for p in [2, 4] {
+            for m in [2, 4, 8] {
+                let last = p - 1;
+                for base in [one_f_one_b(p, m), zero_bubble(p, m)] {
+                    // One micro-batch in flight on the last stage: every
+                    // forward there is backwarded next; none elsewhere is.
+                    for mask in masks(p) {
+                        assert_eq!(
+                            kept(&base, &mask),
+                            forwards_of(&base, last),
+                            "{:?}",
+                            base.kind
+                        );
+                    }
+                }
+                let base = gpipe(p, m);
+                let want: Vec<_> = (0..p).map(|d| (d, m - 1, Part::Full, 0)).collect();
+                for mask in masks(p) {
+                    assert_eq!(kept(&base, &mask), want, "GPipe p={p} m={m}");
+                }
+                for k in 1..=m.min(p) {
+                    let base = sliced_1f1b(p, m, k);
+                    // Half2 and Full forwards on the last stage; never a Half1.
+                    let want: Vec<_> = forwards_of(&base, last)
+                        .into_iter()
+                        .filter(|f| f.2 != Part::Half1)
+                        .collect();
+                    assert!(want.iter().any(|f| f.2 == Part::Half2), "k={k}");
+                    for mask in masks(p) {
+                        assert_eq!(kept(&base, &mask), want, "sliced p={p} m={m} k={k}");
+                    }
+                }
+                if m % p == 0 {
+                    let base = interleaved(p, 2, m).unwrap();
+                    // Only the last pipeline stage (chunk 1 of the last
+                    // device) runs a chunk-forward right before its backward.
+                    let want: Vec<_> = forwards_of(&base, last)
+                        .into_iter()
+                        .filter(|f| f.3 == 1)
+                        .collect();
+                    assert_eq!(want.len(), m);
+                    for mask in masks(2 * p) {
+                        assert_eq!(kept(&base, &mask), want, "interleaved p={p} m={m}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_microbatch_is_kept_on_every_stage() {
+        // m = 1: each stage's one forward is followed by its backward.
+        for base in [one_f_one_b(4, 1), gpipe(4, 1), zero_bubble(4, 1)] {
+            let want: Vec<_> = (0..4).map(|d| (d, 0, Part::Full, 0)).collect();
+            for mask in masks(4) {
+                assert_eq!(kept(&base, &mask), want, "{:?}", base.kind);
+            }
+        }
     }
 
     #[test]

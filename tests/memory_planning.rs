@@ -162,7 +162,10 @@ fn memory_grid() -> Vec<Schedule> {
 /// stashed micro-batches (a record per forwarded part, closed by the fused
 /// backward or the grad-weight) equals `peak_in_flight` exactly — halves
 /// are dyadic, so the sums are exact — and a successful iteration closes
-/// every record it opened (a record live at the end fails it).
+/// every record it opened (a record live at the end fails it). A
+/// checkpointed stage (global checkpointing or its mask bit) never holds
+/// more than one micro-batch's worth of activation caches at once, although
+/// it keeps the caches of every forward its next compute op consumes.
 #[test]
 fn runtime_peak_in_flight_equals_memcheck() {
     // Four layers lower to 11 blocks: enough for p = 4, v = 2.
@@ -194,7 +197,23 @@ fn runtime_peak_in_flight_equals_memcheck() {
             pipe.forward_backward(&batch)
                 .unwrap_or_else(|e| panic!("{:?} ckpt={checkpointing}: {e:?}", sched.kind));
             let peaks = pipe.last_peak_in_flight().expect("peak after an iteration");
+            let mask = recompute_mask(&sched);
+            let caches = pipe
+                .last_peak_caches()
+                .expect("cache peak after an iteration");
             for (d, &peak) in peaks.iter().enumerate() {
+                for (c, &cached) in caches[d].iter().enumerate() {
+                    if checkpointing || mask[sched.stage_of(d, c)] {
+                        assert!(
+                            cached <= 1.0,
+                            "{:?} p={} m={m} k={} mask={mask:?} ckpt={checkpointing} \
+                             device {d} chunk {c}: {cached} micro-batches of caches",
+                            sched.kind,
+                            sched.n_devices,
+                            sched.n_sliced,
+                        );
+                    }
+                }
                 assert_eq!(
                     peak,
                     peak_in_flight(&sched, d),
