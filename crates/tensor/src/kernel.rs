@@ -3,10 +3,10 @@
 //!
 //! Both bodies are `#[inline(always)]` and reached through one function,
 //! [`run`], which is compiled three times on `x86_64` — for AVX-512F, for
-//! AVX2 and portable. The first call picks the widest instance the host
-//! reports, once per process, for both loops together. Neither body lets a
-//! vector lane change what it rounds, so every instance gives the same
-//! bits.
+//! AVX2 and portable — each with its own GEMM tile ([`Isa::mr`]). The first
+//! call picks the widest instance the host reports, once per process, for
+//! both loops together. Neither body lets a vector lane change what it
+//! rounds, so every instance gives the same bits.
 
 use std::sync::OnceLock;
 
@@ -24,6 +24,18 @@ pub(crate) enum Isa {
 impl Isa {
     pub(crate) const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Portable];
 
+    /// Rows of this instance's `MR × NR` GEMM tile (DESIGN §5h). AVX-512's
+    /// 8 × 32 holds its accumulators in 16 of its 32 zmm registers. 8 × 32
+    /// would need 32 ymm on AVX2 and 64 xmm on SSE2, which have 16; there
+    /// 3 × 32 and 2 × 32 measured fastest.
+    pub(crate) const fn mr(self) -> usize {
+        match self {
+            Isa::Avx512 => 8,
+            Isa::Avx2 => 3,
+            Isa::Portable => 2,
+        }
+    }
+
     /// This instruction set's instance of [`run`], if the host runs it.
     pub(crate) fn kernel(self) -> Option<Kernel> {
         let run: unsafe fn(Op<'_>) = match self {
@@ -31,7 +43,7 @@ impl Isa {
             Isa::Avx512 if is_x86_feature_detected!("avx512f") => run_avx512,
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 if is_x86_feature_detected!("avx2") => run_avx2,
-            Isa::Portable => run,
+            Isa::Portable => run_portable,
             _ => return None,
         };
         Some(Kernel { isa: self, run })
@@ -101,14 +113,13 @@ impl Kernel {
     }
 }
 
-/// The one entry to the crate's kernels, and their portable instance. Every
+/// The one entry to the crate's kernels, with an `MR`-row GEMM tile. Every
 /// body it reaches is `#[inline(always)]` and no closure runs their loops,
-/// so each `#[target_feature]` wrapper compiles all of them for its own
-/// instruction set.
+/// so each wrapper below compiles all of them for its own instruction set.
 #[inline(always)]
-fn run(op: Op<'_>) {
+fn run<const MR: usize>(op: Op<'_>) {
     match op {
-        Op::Gemm(product, out) => gemm(product, out),
+        Op::Gemm(product, out) => gemm::<MR>(product, out),
         Op::Gelu { x, t, y } => gelu(x, t, y),
         #[cfg(test)]
         Op::Tanh(x, out) => {
@@ -119,18 +130,23 @@ fn run(op: Op<'_>) {
     }
 }
 
-/// [`run`] compiled for AVX-512F; equal to it bit for bit.
+/// [`run`] compiled for AVX-512F; equal to the others bit for bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn run_avx512(op: Op<'_>) {
-    run(op)
+    run::<{ Isa::Avx512.mr() }>(op)
 }
 
-/// [`run`] compiled for AVX2; equal to it bit for bit.
+/// [`run`] compiled for AVX2; equal to the others bit for bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_avx2(op: Op<'_>) {
-    run(op)
+    run::<{ Isa::Avx2.mr() }>(op)
+}
+
+/// [`run`] compiled for the target's baseline (SSE2 on `x86_64`).
+fn run_portable(op: Op<'_>) {
+    run::<{ Isa::Portable.mr() }>(op)
 }
 
 #[cfg(test)]
@@ -148,10 +164,10 @@ mod tests {
         } else if is_x86_feature_detected!("avx2") {
             (Isa::Avx2, run_avx2)
         } else {
-            (Isa::Portable, run)
+            (Isa::Portable, run_portable)
         };
         #[cfg(not(target_arch = "x86_64"))]
-        let (widest, instance): (Isa, unsafe fn(Op<'_>)) = (Isa::Portable, run);
+        let (widest, instance): (Isa, unsafe fn(Op<'_>)) = (Isa::Portable, run_portable);
         let kernel = Kernel::widest();
         assert_eq!(kernel.isa, widest);
         assert!(
