@@ -7,7 +7,7 @@ use autopipe_cost::Hardware;
 use autopipe_model::zoo;
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
-use autopipe_schedule::one_f_one_b;
+use autopipe_schedule::{one_f_one_b, sliced_1f1b};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_slicer::plan_slicing;
 
@@ -24,7 +24,7 @@ pub fn run() {
     let auto_part = plan(&db, p, m, &AutoPipeConfig::default())
         .unwrap()
         .partition;
-    let auto_sched = plan_slicing(&auto_part.stage_costs(&db), m).schedule;
+    let auto_sched = sliced_1f1b(p, m, plan_slicing(&auto_part.stage_costs(&db), m).n_sliced);
 
     let mut t = Table::new(&["system", "iteration (ms)", "bubble frac", "trace file"]);
     for (name, part, sched) in [

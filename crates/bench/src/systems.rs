@@ -7,7 +7,7 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::{Granularity, ModelConfig};
 use autopipe_planner::autopipe::{plan as autopipe_plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
-use autopipe_schedule::{interleaved, one_f_one_b, Schedule};
+use autopipe_schedule::{interleaved, one_f_one_b, sliced_1f1b, Schedule};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::memcheck::check_memory;
 use autopipe_sim::{Partition, StageCosts};
@@ -67,8 +67,7 @@ pub fn measure(
         System::SlicerOnly => {
             let part = megatron::uniform_partition(db, p).map_err(|e| format!("X ({e})"))?;
             let sc = part.stage_costs(db);
-            let sp = plan_slicing(&sc, m);
-            (part, sp.schedule)
+            (part, sliced_1f1b(p, m, plan_slicing(&sc, m).n_sliced))
         }
         System::PlannerOnly => {
             let out =
@@ -79,8 +78,10 @@ pub fn measure(
             let out =
                 autopipe_plan(db, p, m, &AutoPipeConfig::default()).map_err(|e| e.to_string())?;
             let sc = out.partition.stage_costs(db);
-            let sp = plan_slicing(&sc, m);
-            (out.partition, sp.schedule)
+            (
+                out.partition,
+                sliced_1f1b(p, m, plan_slicing(&sc, m).n_sliced),
+            )
         }
     };
     check_memory(&partition, db, &schedule, hw).map_err(|_| "OOM".to_string())?;

@@ -112,7 +112,10 @@ fn main() {
                 );
                 println!("micro-batches   : {}", plan.microbatches);
                 println!("layers per stage: {:?}", plan.layer_counts);
-                println!("sliced warmup   : {} micro-batch(es)", plan.n_sliced);
+                println!(
+                    "sliced warmup   : {} micro-batch(es)",
+                    plan.schedule.n_sliced
+                );
                 println!(
                     "est. iteration  : {:.1} ms",
                     plan.est_iteration_time() * 1e3

@@ -7,7 +7,7 @@ use autopipe_model::Granularity;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
-use autopipe_schedule::{apply_recompute, recompute_mask, Schedule};
+use autopipe_schedule::{apply_recompute, recompute_mask, slice, Schedule};
 use autopipe_sim::analytic::AnalyticResult;
 use autopipe_sim::Partition;
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
@@ -24,12 +24,11 @@ pub struct Plan {
     pub dp: usize,
     /// Micro-batches per pipeline replica per iteration.
     pub microbatches: usize,
-    /// Number of sliced micro-batches (0 when the Slicer is off or the
-    /// pipeline has a single stage).
-    pub n_sliced: usize,
     /// The block partition.
     pub partition: Partition,
-    /// The executable schedule (sliced 1F1B, or plain 1F1B when unsliced).
+    /// The executable schedule. Its `n_sliced` counts the sliced
+    /// micro-batches (0 when the Slicer is off or the pipeline has a single
+    /// stage).
     pub schedule: Schedule,
     /// Per-stage transformer-layer counts (Table II convention).
     pub layer_counts: Vec<f64>,
@@ -51,31 +50,24 @@ impl Plan {
         self.est_pipeline_time + self.grad_sync
     }
 
-    /// Apply the AutoPipe Slicer (Algorithm 2) to this plan's 1F1B
-    /// schedule. The sliced count is solved on the stage costs the
-    /// partition was searched under: masked on the stages the schedule
-    /// recomputes, whose backward carries the forward replay (a
-    /// recomputing stage drains its Warmup later). The sliced schedule keeps
-    /// the same recompute mask. A no-op below two stages. This is the one
-    /// slicing step: [`AutoPipe::plan`], the session's `slice()` and its
-    /// re-plans all call it.
+    /// Apply the AutoPipe Slicer (Algorithm 2) to this plan's schedule, in
+    /// place. The sliced count is solved on the stage costs the partition
+    /// was searched under: masked on the stages the schedule recomputes,
+    /// whose backward carries the forward replay (a recomputing stage drains
+    /// its Warmup later). Slicing commutes with the recompute mask, so the
+    /// mask stays as it is. A no-op below two stages or on a schedule that
+    /// is already sliced. This is the one slicing step: [`AutoPipe::plan`],
+    /// the session's `slice()` and its re-plans all call it.
     pub fn slice(&mut self, db: &CostDb) {
         if self.stages < 2 {
             return;
         }
         let mask = recompute_mask(&self.schedule);
-        let recomputes = mask.iter().any(|&r| r);
-        let costs = if recomputes {
-            self.partition.stage_costs_recompute(db, &mask)
-        } else {
-            self.partition.stage_costs(db)
-        };
-        let mut schedule = plan_slicing(&costs, self.microbatches).schedule;
-        if recomputes {
-            apply_recompute(&mut schedule, &mask);
-        }
-        self.n_sliced = schedule.n_sliced;
-        self.schedule = schedule;
+        let costs = self.partition.stage_costs_recompute(db, &mask);
+        slice(
+            &mut self.schedule,
+            plan_slicing(&costs, self.microbatches).n_sliced,
+        );
     }
 }
 
@@ -125,7 +117,6 @@ impl AutoPipe {
             service,
         )?;
         let mask = &choice.outcome.recompute;
-        let recomputes = mask.iter().any(|&r| r);
         let (schedule, partition, est_pipeline_time) =
             if cfg.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
                 // Cross-family search: seed the sliced-count axis with the
@@ -133,11 +124,7 @@ impl AutoPipe {
                 // the partition search bought memory feasibility with a
                 // recompute mask — so the classic AutoPipe schedule is
                 // always among the candidates.
-                let costs = if recomputes {
-                    choice.outcome.partition.stage_costs_recompute(db, mask)
-                } else {
-                    choice.outcome.partition.stage_costs(db)
-                };
+                let costs = choice.outcome.partition.stage_costs_recompute(db, mask);
                 let mut fam_cfg = FamilyConfig::for_planner(planner, cfg.hardware.link_latency);
                 let algo2 = solve_sliced_count(&costs);
                 if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
@@ -167,14 +154,13 @@ impl AutoPipe {
         // search already lowers its own winner; the 1F1B schedule gets the
         // mask here, and slicing keeps it.
         let mut schedule = schedule;
-        if recomputes && !recompute_mask(&schedule).iter().any(|&r| r) {
+        if mask.iter().any(|&r| r) && !recompute_mask(&schedule).iter().any(|&r| r) {
             apply_recompute(&mut schedule, mask);
         }
         Ok(Plan {
             stages: choice.stages,
             dp: choice.dp,
             microbatches: choice.microbatches,
-            n_sliced: schedule.n_sliced,
             layer_counts: partition.layer_counts(db),
             partition,
             schedule,
@@ -231,7 +217,7 @@ mod tests {
         let plan = AutoPipe::plan(&cfg).unwrap();
         assert_eq!(plan.stages, 4);
         assert_eq!(plan.microbatches, 32);
-        assert!(plan.n_sliced >= 1);
+        assert!(plan.schedule.n_sliced >= 1);
         validate(&plan.schedule).expect("planned schedule must validate");
         let total_layers: f64 = plan.layer_counts.iter().sum();
         assert_eq!(total_layers, 24.0);
@@ -244,7 +230,7 @@ mod tests {
             ..gpt2_345m_p4()
         };
         let plan = AutoPipe::plan(&cfg).unwrap();
-        assert_eq!(plan.n_sliced, 0);
+        assert_eq!(plan.schedule.n_sliced, 0);
         validate(&plan.schedule).unwrap();
     }
 
@@ -273,7 +259,6 @@ mod tests {
         let plan = AutoPipe::plan(&cfg).unwrap();
         validate(&plan.schedule).expect("family winner must validate");
         assert_eq!(plan.partition.n_stages(), plan.schedule.n_stages());
-        assert_eq!(plan.n_sliced, plan.schedule.n_sliced);
         assert!(plan.est_pipeline_time > 0.0);
         let total_layers: f64 = plan.layer_counts.iter().sum();
         assert_eq!(total_layers, 24.0);

@@ -3,12 +3,13 @@
 //! The AutoPipe planner ([`crate::autopipe`]) optimises the *partition* for
 //! a fixed 1F1B schedule. This module searches the orthogonal axis: given a
 //! cost database and a device count, it enumerates every schedule family
-//! the IR can generate — plain 1F1B, sliced 1F1B at several slice counts,
+//! the IR can generate — plain 1F1B, 1F1B sliced at several slice counts,
 //! GPipe, zero-bubble, and Megatron-style interleaving at several chunk
 //! depths — pairs each with an appropriate balanced partition, gates each
 //! candidate on [`autopipe_schedule::validate()`] and the static memory check
 //! ([`autopipe_sim::memcheck`]), and scores the survivors with the event
-//! simulator's sweep, untraced ([`autopipe_sim::replay_schedule`]).
+//! simulator's sweep, untraced ([`autopipe_sim::replay_schedule`]), on the
+//! stage costs [`schedule_stage_costs`] prices.
 //!
 //! The enumeration is **sequential and in a fixed order**, candidates are
 //! ranked by strict `<` on simulated iteration time (ties keep the earlier
@@ -16,10 +17,12 @@
 //! — so the family pick is fully deterministic.
 
 use autopipe_cost::{CostDb, Hardware};
-use autopipe_schedule::{apply_recompute, generators, validate, Schedule, ScheduleKind};
+use autopipe_schedule::{
+    apply_recompute, generators, recompute_mask, slice, validate, Schedule, ScheduleKind,
+};
 use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::memcheck::{check_memory_budget, device_memory};
-use autopipe_sim::{replay_schedule, CommConfig, Partition, ReplayScratch};
+use autopipe_sim::{replay_schedule, CommConfig, Partition, ReplayScratch, StageCosts};
 
 use crate::autopipe::{
     apply_device_multipliers, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy,
@@ -30,8 +33,7 @@ use crate::types::PlanError;
 /// Knobs for the cross-family search.
 #[derive(Debug, Clone)]
 pub struct FamilyConfig {
-    /// Slice counts to try for the Sliced1F1B family (counts outside
-    /// `2..=m` are skipped). Callers with a Slicer in hand can prepend
+    /// Slice counts to try on 1F1B (counts outside `2..=m` are skipped). Callers with a Slicer in hand can prepend
     /// Algorithm 2's pick; the search still scores every entry.
     pub sliced_counts: Vec<usize>,
     /// Chunks-per-device depths to try for the interleaved family.
@@ -85,7 +87,7 @@ impl FamilyConfig {
 pub struct FamilyCandidate {
     /// Schedule family.
     pub kind: ScheduleKind,
-    /// Slice count (Sliced1F1B only, else 0).
+    /// Slice count (0 = unsliced).
     pub n_sliced: usize,
     /// Chunks per device (1 except interleaved).
     pub n_chunks: usize,
@@ -172,14 +174,16 @@ pub fn plan_families_with(
         if s < 2 || s > m {
             skip(
                 &mut candidates,
-                ScheduleKind::Sliced1F1B,
+                ScheduleKind::OneFOneB,
                 s,
                 1,
                 format!("slice count {s} outside 2..={m}"),
             );
             continue;
         }
-        entries.push((generators::sliced_1f1b(p, m, s), base.clone()));
+        let mut sliced = entries[0].0.clone();
+        slice(&mut sliced, s);
+        entries.push((sliced, base.clone()));
     }
     entries.push((generators::gpipe(p, m), base.clone()));
     entries.push((generators::zero_bubble(p, m), base.clone()));
@@ -295,26 +299,16 @@ pub fn plan_families_with(
             candidates.push(cand);
             continue;
         };
-        let mut sc = if mask.iter().any(|&r| r) {
-            partition.stage_costs_recompute(db, &mask)
-        } else {
-            partition.stage_costs(db)
-        };
-        // Stage s of a v-chunk interleaved partition runs on device s % p;
-        // `device_multiplier` wraps by profile length, which the coordinator
-        // sizes to the device count.
-        apply_device_multipliers(db, &mut sc);
-        let costs = EventCosts::from_stage_costs(&sc, cfg.latency);
+        let scored_sched = masked_sched.as_ref().unwrap_or(sched);
+        let costs = EventCosts::from_stage_costs(
+            &schedule_stage_costs(partition, db, scored_sched),
+            cfg.latency,
+        );
         let ev = EventConfig {
             comm: cfg.comm,
             ..EventConfig::default()
         };
-        let scored = replay_schedule(
-            masked_sched.as_ref().unwrap_or(sched),
-            &costs,
-            &ev,
-            &mut scratch,
-        );
+        let scored = replay_schedule(scored_sched, &costs, &ev, &mut scratch);
         match scored {
             Ok(summary) => {
                 cand.iteration_time = Some(summary.iteration_time);
@@ -352,11 +346,23 @@ pub fn plan_families_with(
     })
 }
 
+/// The per-stage costs a (partition, schedule) pair runs at: the masked
+/// rates ([`Partition::stage_costs_recompute`]) on the stages `sched`
+/// recomputes, and each stage's times scaled by its device's multiplier.
+/// Stage `s` of a `v`-chunk interleaved partition runs on device `s % p`;
+/// `device_multiplier` wraps by profile length, which the coordinator sizes
+/// to the device count. The family search scores candidates on these, and a
+/// session's simulation replays its plan on them.
+pub fn schedule_stage_costs(partition: &Partition, db: &CostDb, sched: &Schedule) -> StageCosts {
+    let mut sc = partition.stage_costs_recompute(db, &recompute_mask(sched));
+    apply_device_multipliers(db, &mut sc);
+    sc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use autopipe_model::{zoo, Granularity};
-    use autopipe_schedule::recompute_mask;
     use autopipe_sim::memcheck::check_memory;
 
     fn db(mbs: usize) -> CostDb {
@@ -375,9 +381,12 @@ mod tests {
         let hw = Hardware::rtx3090_cluster();
         let out = plan_families(&d, &hw, 4, 8, &FamilyConfig::default()).unwrap();
         let kinds: Vec<ScheduleKind> = out.candidates.iter().map(|c| c.kind).collect();
+        assert!(out
+            .candidates
+            .iter()
+            .any(|c| c.kind == ScheduleKind::OneFOneB && c.n_sliced > 0));
         for want in [
             ScheduleKind::OneFOneB,
-            ScheduleKind::Sliced1F1B,
             ScheduleKind::GPipe,
             ScheduleKind::ZeroBubble,
             ScheduleKind::Interleaved,
@@ -404,7 +413,7 @@ mod tests {
         let plain = out
             .candidates
             .iter()
-            .find(|c| c.kind == ScheduleKind::OneFOneB)
+            .find(|c| c.kind == ScheduleKind::OneFOneB && c.n_sliced == 0)
             .and_then(|c| c.iteration_time)
             .expect("plain 1F1B must be scored");
         assert!(out.iteration_time <= plain);
@@ -528,11 +537,8 @@ mod tests {
             ..Default::default()
         };
         let out = plan_families(&d, &hw, 4, 8, &cfg).unwrap();
-        let skips: Vec<&FamilyCandidate> = out
-            .candidates
-            .iter()
-            .filter(|c| c.kind == ScheduleKind::Sliced1F1B)
-            .collect();
+        let skips: Vec<&FamilyCandidate> =
+            out.candidates.iter().filter(|c| c.n_sliced > 0).collect();
         assert_eq!(skips.len(), 2);
         assert!(skips.iter().all(|c| c.skipped.is_some()));
     }

@@ -26,9 +26,9 @@
 //!   slowdowns back into the cost database, for [`PlanService::replan`] to
 //!   re-run the AutoPipe planner on.
 //! * [`family`] — **cross-family schedule search**: enumerate every schedule
-//!   family (1F1B, sliced, GPipe, zero-bubble, interleaved) over matching
-//!   balanced partitions, gate on validation + memory, and pick the fastest
-//!   by the event simulator's untraced sweep (`replay_schedule`).
+//!   family (1F1B plain and sliced, GPipe, zero-bubble, interleaved) over
+//!   matching balanced partitions, gate on validation + memory, and pick the
+//!   fastest by the event simulator's untraced sweep (`replay_schedule`).
 
 pub mod autopipe;
 pub mod balanced;
@@ -40,7 +40,10 @@ pub mod types;
 
 pub use autopipe::{plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy};
 pub use balanced::balanced_partition;
-pub use family::{plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome};
+pub use family::{
+    plan_families, plan_families_with, schedule_stage_costs, FamilyCandidate, FamilyConfig,
+    FamilyOutcome,
+};
 pub use replan::observed_cost_db;
 pub use service::{PlanService, Served, ServiceStats, Source};
 pub use types::{HybridPlan, PlanError};

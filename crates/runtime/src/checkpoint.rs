@@ -17,7 +17,7 @@
 //! A stage payload is little-endian throughout:
 //!
 //! ```text
-//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 3)
+//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 4)
 //! [16] Adam lr, beta1, beta2, eps (f32 × 4)    [8] Adam step (u64)
 //! [4]  tensor count n (u32)
 //! n ×  { [4] rank r (u32), r × [8] dimension (u64) }    the shape table
@@ -44,7 +44,8 @@
 //! are per-run scratch, none is committed to the repository, and a second
 //! reader would be a second path. A generation of an older format — version
 //! 1, before the format was versioned (JSON payloads, a manifest without
-//! `format`), or version 2, whose manifest did not name the model — is
+//! `format`), version 2, whose manifest did not name the model, or version
+//! 3, whose manifest could name sliced 1F1B as a family of its own — is
 //! rejected as corrupt with a detail naming its version, and skipped like
 //! any other invalid generation.
 //!
@@ -72,8 +73,8 @@ use serde::{Deserialize, Serialize};
 
 use autopipe_model::ModelConfig;
 use autopipe_schedule::{
-    apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, sliced_1f1b, zero_bubble,
-    Schedule, ScheduleKind,
+    apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, slice, zero_bubble, Schedule,
+    ScheduleKind,
 };
 use autopipe_tensor::{optim::Adam, Tensor};
 
@@ -227,8 +228,9 @@ pub struct StageState {
 
 /// Version of the on-disk format (manifest `format` field and payload
 /// header). Version 1 was the unversioned JSON-payload layout; version 2
-/// had no [`ModelShape`] in the manifest.
-const FORMAT: u32 = 3;
+/// had no [`ModelShape`] in the manifest; version 3 could record sliced
+/// 1F1B as a family of its own rather than as 1F1B plus its `n_sliced`.
+const FORMAT: u32 = 4;
 const MAGIC: [u8; 8] = *b"AUTOPCKP";
 
 /// A `Write` that accumulates the CRC-32 and length of what passes through.
@@ -553,7 +555,7 @@ pub struct Manifest {
     pub boundaries: Vec<usize>,
     /// Schedule family of the pipeline that wrote the snapshot.
     pub kind: ScheduleKind,
-    /// Sliced micro-batch count of the schedule (`n_sliced`).
+    /// Micro-batches the schedule's forwards were sliced for (`n_sliced`).
     pub n_sliced: usize,
     /// Chunks per device (1 except the interleaved family).
     pub n_chunks: usize,
@@ -567,8 +569,9 @@ pub struct Manifest {
 
 impl Manifest {
     /// The schedule of the pipeline that wrote the snapshot: its family's
-    /// generator at the recorded geometry, with the recorded recompute mask
-    /// applied. Equal to the `Pipeline::schedule()` that was captured.
+    /// generator at the recorded geometry, sliced for the recorded
+    /// `n_sliced` and with the recorded recompute mask applied. Equal to the
+    /// `Pipeline::schedule()` that was captured.
     pub fn schedule(&self) -> Result<Schedule, CheckpointError> {
         let bad = |why: String| CheckpointError::Mismatch(format!("manifest schedule: {why}"));
         let n_stages = self.boundaries.len().saturating_sub(1);
@@ -587,11 +590,11 @@ impl Manifest {
         let (p, m) = (n_stages / v, self.n_microbatches);
         let mut schedule = match self.kind {
             ScheduleKind::OneFOneB => one_f_one_b(p, m),
-            ScheduleKind::Sliced1F1B => sliced_1f1b(p, m, self.n_sliced),
             ScheduleKind::GPipe => gpipe(p, m),
             ScheduleKind::ZeroBubble => zero_bubble(p, m),
             ScheduleKind::Interleaved => interleaved(p, v, m).map_err(|e| bad(e.to_string()))?,
         };
+        slice(&mut schedule, self.n_sliced);
         apply_recompute(&mut schedule, &self.recompute);
         Ok(schedule)
     }
@@ -1028,6 +1031,7 @@ mod tests {
     use crate::data::BatchSet;
     use crate::engine::PipelineConfig;
     use autopipe_model::{ModelConfig, ModelFamily};
+    use autopipe_schedule::sliced_1f1b;
     use autopipe_sim::Partition;
     use proptest::prelude::*;
 
@@ -1198,7 +1202,15 @@ mod tests {
                 "n_microbatches": 4, "recompute": [false, false],
                 "stages": [{"file": "stage-0.bin", "crc32": 0, "bytes": 2},
                            {"file": "stage-1.bin", "crc32": 0, "bytes": 2}]}"#;
-        for (version, manifest, ext) in [(1, v1, "json"), (2, v2, "bin")] {
+        // Version 3 could name sliced 1F1B as a family of its own.
+        let v3 = r#"{"format": 3, "generation": 0, "step": 4, "tag": "step",
+                "model": {"blocks": 2, "hidden": 16, "heads": 2, "ffn_mult": 4, "vocab": 32,
+                          "seq_len": 8},
+                "boundaries": [0, 3, 7], "kind": "Sliced1F1B", "n_sliced": 1, "n_chunks": 1,
+                "n_microbatches": 4, "recompute": [false, false],
+                "stages": [{"file": "stage-0.bin", "crc32": 0, "bytes": 2},
+                           {"file": "stage-1.bin", "crc32": 0, "bytes": 2}]}"#;
+        for (version, manifest, ext) in [(1, v1, "json"), (2, v2, "bin"), (3, v3, "bin")] {
             let dir = temp_dir(&format!("ckpt_v{version}"));
             let mut store = CheckpointStore::open(&dir, 4).unwrap();
             let old = dir.join("gen-000000");
@@ -1242,6 +1254,9 @@ mod tests {
         apply_recompute(&mut masked, &[true, false]);
         let mut masked_chunks = interleaved(2, 2, 4).unwrap();
         apply_recompute(&mut masked_chunks, &[false, true, true, false]);
+        let mut sliced_zb = zero_bubble(2, 4);
+        slice(&mut sliced_zb, 2);
+        apply_recompute(&mut sliced_zb, &[false, true]);
         let dir = temp_dir("ckpt_sched");
         let mut store = CheckpointStore::open(&dir, 1).unwrap();
         for schedule in [
@@ -1252,6 +1267,7 @@ mod tests {
             interleaved(2, 2, 4).unwrap(),
             masked,
             masked_chunks,
+            sliced_zb,
         ] {
             let even = |n: usize| (0..=n).map(|s| s * 9 / n).collect();
             let mut p = Pipeline::try_new(&PipelineConfig {

@@ -906,7 +906,9 @@ mod tests {
     use crate::reference::ReferenceModel;
     use autopipe_exec::FaultSpec;
     use autopipe_model::ModelFamily;
-    use autopipe_schedule::{apply_recompute, gpipe, interleaved, one_f_one_b, sliced_1f1b, Op};
+    use autopipe_schedule::{
+        apply_recompute, gpipe, interleaved, one_f_one_b, slice, sliced_1f1b, zero_bubble, Op,
+    };
 
     fn tiny() -> ModelConfig {
         ModelConfig {
@@ -996,29 +998,28 @@ mod tests {
     #[test]
     fn sliced_pipeline_matches_reference() {
         // The Slicer's correctness claim: slicing reschedules Warmup
-        // forwards without changing the math.
+        // forwards without changing the math, whichever family it slices.
         let model = tiny();
         let m = 6;
         let part = Partition::new(vec![0, 2, 4, 6, 7]);
         let batch = BatchSet::synthetic(7, m, 4, model.seq_len, model.vocab_size);
-        for n_sliced in [1, 2, 3] {
-            let mut pipe =
-                Pipeline::try_new(&cfg(sliced_1f1b(4, m, n_sliced), part.clone(), false)).unwrap();
-            let mut reference = ReferenceModel::new(&model, 99, 1e-3, false);
-            let pl = pipe.train_iteration(&batch).unwrap().loss;
-            let rl = reference.train_iteration(&batch);
-            close(
-                pl as f64,
-                rl as f64,
-                1e-4,
-                &format!("loss sliced={n_sliced}"),
-            );
-            close(
-                pipe.param_checksum(),
-                reference.param_checksum(),
-                1e-5,
-                &format!("params sliced={n_sliced}"),
-            );
+        for base in [one_f_one_b(4, m), zero_bubble(4, m), gpipe(4, m)] {
+            for n_sliced in [1, 2, 3] {
+                let mut sched = base.clone();
+                slice(&mut sched, n_sliced);
+                let mut pipe = Pipeline::try_new(&cfg(sched, part.clone(), false)).unwrap();
+                let mut reference = ReferenceModel::new(&model, 99, 1e-3, false);
+                let pl = pipe.train_iteration(&batch).unwrap().loss;
+                let rl = reference.train_iteration(&batch);
+                let what = format!("{:?} sliced={n_sliced}", base.kind);
+                close(pl as f64, rl as f64, 1e-4, &format!("loss {what}"));
+                close(
+                    pipe.param_checksum(),
+                    reference.param_checksum(),
+                    1e-5,
+                    &format!("params {what}"),
+                );
+            }
         }
     }
 

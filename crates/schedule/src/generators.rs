@@ -3,9 +3,8 @@
 //! *which compute runs when*; all communication placement lives in the
 //! lowering, so every family shares one correctness story.
 
-use crate::op::Part;
 use crate::program::{lower, Lane, Phase, Slot};
-use crate::{Schedule, ScheduleKind};
+use crate::{slice, Schedule, ScheduleKind};
 
 /// Error building a schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,89 +34,48 @@ impl std::fmt::Display for GenerateError {
 
 impl std::error::Error for GenerateError {}
 
-/// Lower one lane per device into a [`Schedule`].
-fn assemble(
-    kind: ScheduleKind,
-    p: usize,
-    v: usize,
-    m: usize,
-    n_sliced: usize,
-    lanes: Vec<Lane>,
-) -> Schedule {
+/// Lower one lane per device into an unsliced [`Schedule`].
+fn assemble(kind: ScheduleKind, p: usize, v: usize, m: usize, lanes: Vec<Lane>) -> Schedule {
     let devices = lanes.iter().map(|lane| lower(lane, p, v)).collect();
     Schedule {
         kind,
         n_devices: p,
         n_chunks: v,
         n_microbatches: m,
-        n_sliced,
+        n_sliced: 0,
         devices,
     }
 }
 
-/// Push micro-batch `i`'s forward slot(s) on stage `x`, honouring slicing.
-///
-/// Sliced micro-batches (i < sliced) run as two half forwards with the first
-/// half's activation shipped immediately, so downstream stages start
-/// `f/2 + Comm/2` earlier. The *last* sliced micro-batch instead aggregates
-/// both halves into one message: its first-half send would hit a busy
-/// downstream stage and block (§III-C), so the send is cancelled and merged
-/// with the second half's.
-fn push_fwd_slots(lane: &mut Lane, phase: Phase, i: usize, sliced: usize) {
-    let aggregated = sliced >= 2 && i == sliced - 1;
-    if i < sliced && !aggregated {
-        for part in [Part::Half1, Part::Half2] {
-            lane.push(
-                phase,
-                Slot::Fwd {
-                    mb: i,
-                    chunk: 0,
-                    part,
-                },
-            );
-        }
-    } else if aggregated {
-        lane.push(phase, Slot::FwdAggregated { mb: i, chunk: 0 });
-    } else {
-        lane.push(
-            phase,
-            Slot::Fwd {
-                mb: i,
-                chunk: 0,
-                part: Part::Full,
-            },
-        );
-    }
-}
-
-/// Build one device's 1F1B lane. `sliced` leading micro-batches have their
-/// forwards split in half (0 = plain 1F1B).
-fn one_f_one_b_lane(p: usize, m: usize, x: usize, sliced: usize) -> Lane {
-    let w = m.min(p - 1 - x);
-    let mut lane = Lane::new(x);
-    // Warmup forwards.
-    for i in 0..w {
-        push_fwd_slots(&mut lane, Phase::Warmup, i, sliced);
-    }
-    // 1F1B phase: forward of (w + j), backward of j.
-    let steady = m - w;
-    for j in 0..steady {
-        push_fwd_slots(&mut lane, Phase::Steady, w + j, sliced);
-        lane.push(Phase::Steady, Slot::Bwd { mb: j, chunk: 0 });
-    }
-    // Cooldown backwards.
-    for j in steady..m {
-        lane.push(Phase::Cooldown, Slot::Bwd { mb: j, chunk: 0 });
-    }
-    lane
+/// Micro-batch `i`'s forward on a single-chunk lane.
+fn fwd(i: usize) -> Slot {
+    Slot::Fwd { mb: i, chunk: 0 }
 }
 
 /// The synchronous 1F1B schedule (Fig. 5): each stage runs
 /// `min(m, p−1−stage)` Warmup forwards, alternates forward/backward in the
 /// 1F1B phase, and drains remaining backwards in Cooldown.
 pub fn one_f_one_b(p: usize, m: usize) -> Schedule {
-    let lanes = (0..p).map(|x| one_f_one_b_lane(p, m, x, 0)).collect();
-    assemble(ScheduleKind::OneFOneB, p, 1, m, 0, lanes)
+    let lanes = (0..p)
+        .map(|x| {
+            let w = m.min(p - 1 - x);
+            let mut lane = Lane::new(x);
+            for i in 0..w {
+                lane.push(Phase::Warmup, fwd(i));
+            }
+            // 1F1B phase: forward of (w + j), backward of j.
+            let steady = m - w;
+            for j in 0..steady {
+                lane.push(Phase::Steady, fwd(w + j));
+                lane.push(Phase::Steady, Slot::Bwd { mb: j, chunk: 0 });
+            }
+            for j in steady..m {
+                lane.push(Phase::Cooldown, Slot::Bwd { mb: j, chunk: 0 });
+            }
+            lane
+        })
+        .collect();
+    assemble(ScheduleKind::OneFOneB, p, 1, m, lanes)
 }
 
 /// GPipe: run every forward, then every backward in reverse micro-batch
@@ -127,7 +85,7 @@ pub fn gpipe(p: usize, m: usize) -> Schedule {
         .map(|x| {
             let mut lane = Lane::new(x);
             for i in 0..m {
-                push_fwd_slots(&mut lane, Phase::Warmup, i, 0);
+                lane.push(Phase::Warmup, fwd(i));
             }
             for j in (0..m).rev() {
                 lane.push(Phase::Cooldown, Slot::Bwd { mb: j, chunk: 0 });
@@ -135,16 +93,15 @@ pub fn gpipe(p: usize, m: usize) -> Schedule {
             lane
         })
         .collect();
-    assemble(ScheduleKind::GPipe, p, 1, m, 0, lanes)
+    assemble(ScheduleKind::GPipe, p, 1, m, lanes)
 }
 
-/// AutoPipe sliced 1F1B: identical to [`one_f_one_b`] except that the
-/// forwards of the first `sliced` micro-batches are split in half, with the
-/// last sliced micro-batch's halves aggregated into a single message.
+/// AutoPipe sliced 1F1B (Fig. 8): [`one_f_one_b`] with the forwards of the
+/// first `sliced` micro-batches split in half by [`slice`].
 pub fn sliced_1f1b(p: usize, m: usize, sliced: usize) -> Schedule {
-    let sliced = sliced.min(m);
-    let lanes = (0..p).map(|x| one_f_one_b_lane(p, m, x, sliced)).collect();
-    assemble(ScheduleKind::Sliced1F1B, p, 1, m, sliced, lanes)
+    let mut s = one_f_one_b(p, m);
+    slice(&mut s, sliced);
+    s
 }
 
 /// Zero-bubble 1F1B (the ZB-H1 arrangement of 2BP's split backward): the
@@ -161,11 +118,11 @@ pub fn zero_bubble(p: usize, m: usize) -> Schedule {
             let w = m.min(p - 1 - x);
             let mut lane = Lane::new(x);
             for i in 0..w {
-                push_fwd_slots(&mut lane, Phase::Warmup, i, 0);
+                lane.push(Phase::Warmup, fwd(i));
             }
             let steady = m - w;
             for j in 0..steady {
-                push_fwd_slots(&mut lane, Phase::Steady, w + j, 0);
+                lane.push(Phase::Steady, fwd(w + j));
                 lane.push(Phase::Steady, Slot::BwdInput { mb: j, chunk: 0 });
                 lane.push(Phase::Steady, Slot::BwdWeight { mb: j, chunk: 0 });
             }
@@ -178,7 +135,7 @@ pub fn zero_bubble(p: usize, m: usize) -> Schedule {
             lane
         })
         .collect();
-    assemble(ScheduleKind::ZeroBubble, p, 1, m, 0, lanes)
+    assemble(ScheduleKind::ZeroBubble, p, 1, m, lanes)
 }
 
 /// Megatron-LM's interleaved 1F1B schedule with `v` model chunks per device.
@@ -208,7 +165,6 @@ pub fn interleaved(p: usize, v: usize, m: usize) -> Result<Schedule, GenerateErr
     let fwd_slot = |k: usize| Slot::Fwd {
         mb: (k / (p * v)) * p + k % p,
         chunk: (k / p) % v,
-        part: Part::Full,
     };
     let bwd_slot = |j: usize| Slot::Bwd {
         mb: (j / (p * v)) * p + j % p,
@@ -233,13 +189,13 @@ pub fn interleaved(p: usize, v: usize, m: usize) -> Result<Schedule, GenerateErr
             lane
         })
         .collect();
-    Ok(assemble(ScheduleKind::Interleaved, p, v, m, 0, lanes))
+    Ok(assemble(ScheduleKind::Interleaved, p, v, m, lanes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::OpKind;
+    use crate::op::{OpKind, Part};
 
     fn count_kind(s: &Schedule, pred: impl Fn(&OpKind) -> bool) -> usize {
         s.devices.iter().flatten().filter(|o| pred(&o.kind)).count()

@@ -4,7 +4,8 @@
 //! computations plus explicit activation/gradient sends and receives. The
 //! discrete-event simulator executes schedules against a cost database; the
 //! threaded runtime executes them against real tensors. Keeping the IR
-//! explicit lets one code path cover every schedule the paper discusses:
+//! explicit lets one code path cover every schedule the paper discusses.
+//! Four generators build the families:
 //!
 //! * [`generators::gpipe`] — all forwards then all backwards (GPipe);
 //! * [`generators::one_f_one_b`] — the synchronous 1F1B schedule with
@@ -12,31 +13,37 @@
 //!   AutoPipe;
 //! * [`generators::interleaved`] — Megatron-LM's interleaved schedule with
 //!   `v` model chunks per device (the baseline in Fig. 14);
-//! * [`generators::sliced_1f1b`] — 1F1B with the first `sliced` micro-batches
-//!   split in half during Warmup, the AutoPipe Slicer's output (Fig. 8),
-//!   including the aggregated-communication rule for the last sliced
-//!   micro-batch (§III-C);
 //! * [`generators::zero_bubble`] — 1F1B with every backward split into
 //!   grad-input and grad-weight ops (2BP-style), grad-weights deferred out
 //!   of the cooldown critical path.
 //!
 //! Generators are written as phase/lane programs over [`program::Slot`]s;
-//! `program::lower` attaches the communication each slot implies.
+//! `program::lower` attaches the communication each slot implies. Two
+//! transforms then rewrite any lowered schedule:
+//!
+//! * [`slice`] — the AutoPipe Slicer's output (Fig. 8): the forwards of the
+//!   first `k` micro-batches split in half, the last sliced one's halves
+//!   shipped in one message (§III-C). [`generators::sliced_1f1b`] is 1F1B
+//!   sliced;
+//! * [`apply_recompute`] — stage-level activation recomputation.
 
 pub mod generators;
 pub mod op;
 pub mod program;
 pub mod recompute;
+pub mod slicing;
 pub mod validate;
 
 pub use generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
 pub use op::{Op, OpKind, Part};
 pub use recompute::{apply_recompute, kept_forwards, recompute_mask};
+pub use slicing::slice;
 pub use validate::{validate, ValidationError};
 
 use serde::{Deserialize, Serialize};
 
-/// Which generator produced a schedule (for reports and dispatch).
+/// Which generator produced a schedule (for reports and dispatch). Slicing
+/// keeps the kind and records itself in [`Schedule::n_sliced`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ScheduleKind {
     /// GPipe: fill then drain.
@@ -45,8 +52,6 @@ pub enum ScheduleKind {
     OneFOneB,
     /// Megatron-LM interleaved 1F1B with `v` chunks per device.
     Interleaved,
-    /// 1F1B with AutoPipe micro-batch slicing in the Warmup phase.
-    Sliced1F1B,
     /// 1F1B with split backwards: grad-weights deferred out of the cooldown
     /// critical path (the ZB-H1 memory profile).
     ZeroBubble,
@@ -63,7 +68,7 @@ pub struct Schedule {
     pub n_chunks: usize,
     /// Micro-batches per iteration.
     pub n_microbatches: usize,
-    /// How many leading micro-batches are sliced in half (Sliced1F1B only).
+    /// How many leading micro-batches [`slice`] split in half (0 = unsliced).
     pub n_sliced: usize,
     /// Per-device op programs, executed strictly in order on each device.
     pub devices: Vec<Vec<Op>>,

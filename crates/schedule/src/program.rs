@@ -2,8 +2,8 @@
 //!
 //! Every schedule family is expressed the same way: per device, a *lane* of
 //! compute [`Slot`]s grouped into [`Phase`]s (Warmup → Steady → Cooldown →
-//! Drain). Slots name only the compute intent — which micro-batch, chunk and
-//! part runs forward, and whether backward is fused or split. `lower`
+//! Drain). Slots name only the compute intent — which micro-batch and chunk
+//! runs forward, and whether backward is fused or split. `lower`
 //! turns a lane into the executable [`Op`] program by attaching the
 //! communication each slot implies: a forward on pipeline stage `s` receives
 //! its activation when `s > 0` and ships its output when `s < n_stages − 1`,
@@ -46,12 +46,9 @@ pub enum Phase {
 /// written by generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Slot {
-    /// Forward `part` of micro-batch `mb` through chunk `chunk`.
-    Fwd { mb: usize, chunk: usize, part: Part },
-    /// Both half-forwards of a sliced micro-batch with their messages
-    /// aggregated into one `Part::Both` transfer (§III-C's rule for the
-    /// last sliced micro-batch).
-    FwdAggregated { mb: usize, chunk: usize },
+    /// Forward of micro-batch `mb` through chunk `chunk`, whole. Slicing
+    /// splits it afterwards ([`crate::slice`]).
+    Fwd { mb: usize, chunk: usize },
     /// Fused backward (grad-input + grad-weight in one op).
     Bwd { mb: usize, chunk: usize },
     /// Grad-input half of a split backward; ships the gradient upstream.
@@ -94,7 +91,8 @@ pub(crate) fn lower(lane: &Lane, p: usize, v: usize) -> Vec<Op> {
     let mut ops = Vec::new();
     for &(_, slot) in &lane.slots {
         match slot {
-            Slot::Fwd { mb, chunk, part } => {
+            Slot::Fwd { mb, chunk } => {
+                let part = Part::Full;
                 let stage = chunk * p + d;
                 if stage > 0 {
                     ops.push(Op::new(OpKind::RecvAct {
@@ -110,35 +108,6 @@ pub(crate) fn lower(lane: &Lane, p: usize, v: usize) -> Vec<Op> {
                         mb,
                         chunk,
                         part,
-                        to: next(chunk),
-                    }));
-                }
-            }
-            Slot::FwdAggregated { mb, chunk } => {
-                let stage = chunk * p + d;
-                if stage > 0 {
-                    ops.push(Op::new(OpKind::RecvAct {
-                        mb,
-                        chunk,
-                        part: Part::Both,
-                        from: prev(chunk),
-                    }));
-                }
-                ops.push(Op::new(OpKind::Fwd {
-                    mb,
-                    chunk,
-                    part: Part::Half1,
-                }));
-                ops.push(Op::new(OpKind::Fwd {
-                    mb,
-                    chunk,
-                    part: Part::Half2,
-                }));
-                if stage < n_stages - 1 {
-                    ops.push(Op::new(OpKind::SendAct {
-                        mb,
-                        chunk,
-                        part: Part::Both,
                         to: next(chunk),
                     }));
                 }
@@ -181,14 +150,7 @@ mod tests {
         // Middle device of a 3-deep pipeline: recv, compute, send on both
         // directions.
         let mut lane = Lane::new(1);
-        lane.push(
-            Phase::Warmup,
-            Slot::Fwd {
-                mb: 0,
-                chunk: 0,
-                part: Part::Full,
-            },
-        );
+        lane.push(Phase::Warmup, Slot::Fwd { mb: 0, chunk: 0 });
         lane.push(Phase::Cooldown, Slot::Bwd { mb: 0, chunk: 0 });
         let ops = lower(&lane, 3, 1);
         let kinds: Vec<_> = ops.iter().map(|o| o.kind).collect();
@@ -258,14 +220,7 @@ mod tests {
         // Last device's chunk-0 forward wraps its send to device 0 (which
         // hosts chunk 1's first stage).
         let mut lane = Lane::new(1);
-        lane.push(
-            Phase::Warmup,
-            Slot::Fwd {
-                mb: 0,
-                chunk: 0,
-                part: Part::Full,
-            },
-        );
+        lane.push(Phase::Warmup, Slot::Fwd { mb: 0, chunk: 0 });
         let ops = lower(&lane, 2, 2);
         assert_eq!(
             ops.last().unwrap().kind,

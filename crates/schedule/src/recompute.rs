@@ -9,8 +9,8 @@
 //! replay needs.
 //!
 //! Keeping recomputation a post-lowering transform (rather than a per-
-//! generator concern) means every family — 1F1B, sliced, GPipe,
-//! zero-bubble, interleaved — inherits it from one code path, and the
+//! generator concern) means every family — 1F1B, GPipe, zero-bubble,
+//! interleaved, each sliced or not — inherits it from one code path, and the
 //! comm-adjacency invariant the overlapped engine relies on is preserved by
 //! construction: no `Recompute` is ever placed between a compute op and the
 //! send it feeds.

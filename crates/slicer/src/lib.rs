@@ -7,18 +7,19 @@
 //! micro-batches stalling behind the halves. [`solve_sliced_count`] is a
 //! literal port of the paper's Algorithm 2; [`solve_sliced_count_empirical`]
 //! answers the same question by brute force against the discrete-event
-//! simulator and is used to cross-validate the port. [`plan_slicing`] wires
-//! the answer into an executable [`autopipe_schedule::Schedule`].
+//! simulator and is used to cross-validate the port. [`plan_slicing`] clamps
+//! the answer to what a schedule can execute; the schedule transform
+//! [`autopipe_schedule::slice`] applies it.
 //!
 //! A partition searched under a recompute mask is sliced on its masked
-//! costs — a recomputing stage's backward carries the forward replay — and
-//! the mask is lowered onto the sliced schedule by
+//! costs — a recomputing stage's backward carries the forward replay.
 //! `autopipe_core::Plan::slice`, the one slicing step that both
-//! `AutoPipe::plan_with` and `Session`'s `slice()` call.
+//! `AutoPipe::plan_with` and `Session`'s `slice()` call, solves the count
+//! this way and slices the masked schedule in place.
 
 use serde::{Deserialize, Serialize};
 
-use autopipe_schedule::{sliced_1f1b, Schedule};
+use autopipe_schedule::sliced_1f1b;
 use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::partition::StageCosts;
 use autopipe_sim::{replay_schedule, ReplayScratch};
@@ -26,10 +27,8 @@ use autopipe_sim::{replay_schedule, ReplayScratch};
 /// Outcome of slicing a partition scheme.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlicedPlan {
-    /// Number of leading micro-batches sliced in half.
+    /// Number of leading micro-batches to slice in half.
     pub n_sliced: usize,
-    /// The executable schedule.
-    pub schedule: Schedule,
     /// Estimated startup overhead without slicing (fill time).
     pub startup_before: f64,
     /// Estimated startup overhead with slicing.
@@ -144,21 +143,18 @@ pub fn solve_sliced_count_empirical(costs: &StageCosts, m: usize, latency: f64) 
     times.iter().position(|&t| t <= best + 1e-9).unwrap_or(0)
 }
 
-/// Build the executable sliced schedule for a partition scheme: solve
-/// Algorithm 2, clamp to the Warmup depth and micro-batch count, generate
-/// the schedule, and report startup estimates.
+/// Slice a partition scheme: solve Algorithm 2, clamp to the Warmup depth
+/// and micro-batch count, and report startup estimates.
 pub fn plan_slicing(costs: &StageCosts, m: usize) -> SlicedPlan {
     let p = costs.n_stages();
     // Clamp Algorithm 2's answer to what is executable: never more sliced
     // micro-batches than exist, never past the Warmup depth.
     let n_sliced = solve_sliced_count(costs).min(m).min(p.saturating_sub(1));
-    let schedule = sliced_1f1b(p, m, n_sliced);
     let fill: f64 = costs.f[..p.saturating_sub(1)].iter().sum::<f64>()
         + (p.saturating_sub(1)) as f64 * costs.comm;
     let startup_after = if n_sliced == 0 { fill } else { fill / 2.0 };
     SlicedPlan {
         n_sliced,
-        schedule,
         startup_before: fill,
         startup_after,
     }
@@ -219,7 +215,12 @@ mod tests {
             &EventConfig::default(),
         )
         .unwrap();
-        let sliced = run_schedule(&plan.schedule, &ev, &EventConfig::default()).unwrap();
+        let sliced = run_schedule(
+            &sliced_1f1b(p, m, plan.n_sliced),
+            &ev,
+            &EventConfig::default(),
+        )
+        .unwrap();
         let ratio = sliced.startup_overhead / plain.startup_overhead;
         assert!(
             (0.4..0.62).contains(&ratio),
@@ -242,7 +243,12 @@ mod tests {
                 &EventConfig::default(),
             )
             .unwrap();
-            let sliced = run_schedule(&plan.schedule, &ev, &EventConfig::default()).unwrap();
+            let sliced = run_schedule(
+                &sliced_1f1b(p, m, plan.n_sliced),
+                &ev,
+                &EventConfig::default(),
+            )
+            .unwrap();
             assert!(
                 sliced.iteration_time <= plain.iteration_time + 1e-9,
                 "p={p}: sliced {} vs plain {}",
@@ -354,7 +360,12 @@ mod tests {
         let plan = plan_slicing(&c, 1);
         assert!(plan.n_sliced <= 1);
         let ev = EventCosts::from_stage_costs(&c, 0.001);
-        let r = run_schedule(&plan.schedule, &ev, &EventConfig::default()).unwrap();
+        let r = run_schedule(
+            &sliced_1f1b(6, 1, plan.n_sliced),
+            &ev,
+            &EventConfig::default(),
+        )
+        .unwrap();
         assert!(r.iteration_time > 0.0);
         // The empirical solver also accepts m = 1 (and m = 0 degenerates).
         assert!(solve_sliced_count_empirical(&c, 1, 0.001) <= 1);

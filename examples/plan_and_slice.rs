@@ -11,7 +11,7 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::{zoo, Granularity};
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
-use autopipe_schedule::one_f_one_b;
+use autopipe_schedule::{one_f_one_b, sliced_1f1b};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::simulate_replay;
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
@@ -64,7 +64,7 @@ fn main() {
     let ev = EventCosts::from_stage_costs(&sc, hw.link_latency);
     let cfg = EventConfig::actual_run(hw.kernel_overhead, 7);
     let plain = run_schedule(&one_f_one_b(p, m), &ev, &cfg).unwrap();
-    let sliced = run_schedule(&sp.schedule, &ev, &cfg).unwrap();
+    let sliced = run_schedule(&sliced_1f1b(p, m, sp.n_sliced), &ev, &cfg).unwrap();
     println!(
         "measured startup : {:.1} ms -> {:.1} ms ({:.0}% reduction)",
         plain.startup_overhead * 1e3,

@@ -30,7 +30,7 @@ fn main() -> Result<(), autopipe::Error> {
         plan.microbatches
     );
     println!("layers per stage : {:?}", plan.layer_counts);
-    println!("sliced warmup mbs: {}", plan.n_sliced);
+    println!("sliced warmup mbs: {}", plan.schedule.n_sliced);
     println!(
         "est. iteration   : {:.1} ms (pipeline {:.1} ms + grad sync {:.1} ms)",
         plan.est_iteration_time() * 1e3,

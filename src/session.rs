@@ -59,7 +59,7 @@ use autopipe_core::{
 use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
 use autopipe_exec::FaultPlan;
 use autopipe_model::ModelConfig;
-use autopipe_planner::{PlanError, PlanService, RecomputePolicy};
+use autopipe_planner::{schedule_stage_costs, PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
     restore_states, BatchSet, CheckpointError, CheckpointStore, ElasticAction, ElasticCoordinator,
     ElasticEvent, FaultReport, ModelShape, Pipeline, PipelineConfig, RecoveryAction,
@@ -151,7 +151,7 @@ impl Session {
 
     /// How the schedule family is chosen. [`SchedulePolicy::Auto`] replaces
     /// the fixed 1F1B/sliced pipeline with the planner's cross-family search
-    /// (1F1B, sliced, GPipe, zero-bubble, interleaved), and
+    /// (1F1B plain and sliced, GPipe, zero-bubble, interleaved), and
     /// [`PlannedSession::slice`] becomes a no-op — the search already scored
     /// the sliced candidates. [`SchedulePolicy::Plain`] keeps plain 1F1B,
     /// with `slice()` a no-op too.
@@ -438,7 +438,7 @@ impl Session {
             db: &db,
             service: &self.resolve_service(),
             microbatches: m,
-            sliced: manifest.kind == ScheduleKind::Sliced1F1B,
+            sliced: manifest.n_sliced > 0,
         }
         .drive(pipe, Some(manifest.step))
     }
@@ -542,10 +542,10 @@ impl PlannedSession {
         &self.cfg
     }
 
-    /// Apply the AutoPipe Slicer (Algorithm 2): replace the plain 1F1B
-    /// schedule with the sliced-Warmup variant through [`Plan::slice`], the
-    /// step [`AutoPipe::plan_with`] slices with, so the recompute mask the
-    /// partition search chose is kept. A no-op for single-stage plans and
+    /// Apply the AutoPipe Slicer (Algorithm 2): slice the plain 1F1B
+    /// schedule's Warmup through [`Plan::slice`], the step
+    /// [`AutoPipe::plan`] slices with, so the recompute mask the partition
+    /// search chose is kept. A no-op for single-stage plans and
     /// outside [`SchedulePolicy::Slicer`]: plain 1F1B stays plain, and
     /// under [`SchedulePolicy::Auto`] the family search already scored the
     /// sliced candidates — re-slicing would overwrite its pick.
@@ -558,10 +558,13 @@ impl PlannedSession {
 
     /// Run the planned schedule through the discrete-event simulator —
     /// fault-free, and additionally under the session's fault script when
-    /// one is configured.
+    /// one is configured. The stage costs are the ones the family search
+    /// scores with ([`schedule_stage_costs`]: masked where the schedule
+    /// recomputes, times each device's multiplier), so a cross-family plan
+    /// simulates to its own estimate.
     pub fn simulate(&self) -> Result<SimReport, Error> {
         let costs = EventCosts::from_stage_costs(
-            &self.plan.partition.stage_costs(&self.db),
+            &schedule_stage_costs(&self.plan.partition, &self.db, &self.plan.schedule),
             self.cfg.hardware.link_latency,
         );
         let event_cfg = self.cfg.event();
@@ -600,7 +603,7 @@ impl PlannedSession {
             db: &self.db,
             service: &self.service,
             microbatches: self.plan.microbatches,
-            sliced: self.plan.schedule.kind == ScheduleKind::Sliced1F1B,
+            sliced: self.plan.schedule.n_sliced > 0,
         }
     }
 }
@@ -620,9 +623,9 @@ struct Run<'a> {
     service: &'a PlanService,
     /// Micro-batches per iteration.
     microbatches: usize,
-    /// The starting plan was sliced by Algorithm 2 (the plan `run()` was
-    /// called on, or the manifest's kind on `resume`) — not the schedule in
-    /// force, or a grow after a width-1 spell would never re-slice.
+    /// The starting schedule was sliced (the plan `run()` was called on, or
+    /// the manifest's `n_sliced` on `resume`) — not the schedule in force,
+    /// or a grow after a width-1 spell would never re-slice.
     sliced: bool,
 }
 
@@ -630,21 +633,17 @@ impl Run<'_> {
     /// Plan onto `width` devices, device `d` running `slowdown[d]` times
     /// slower than profiled (empty = as profiled): the session's own config
     /// at the new width through the entry point [`Session::plan`] uses, so
-    /// recompute mask and planner knobs carry over, and the policy variant
-    /// the starting plan ran: Auto stays Auto, and otherwise a sliced start
-    /// is sliced again and a plain one stays plain. The result is validated
-    /// and checked against the session's memory budget here, before any
-    /// stage is re-split; errors name `trigger`.
+    /// the policy, recompute mask and planner knobs carry over. Outside
+    /// [`SchedulePolicy::Auto`], whose family search scores the sliced
+    /// candidates itself, a sliced start is sliced again and a plain one
+    /// stays plain. The result is validated and checked against the
+    /// session's memory budget here, before any stage is re-split; errors
+    /// name `trigger`.
     fn replan(&self, trigger: &str, width: usize, slowdown: &[f64]) -> Result<Plan, Error> {
         let cfg = SessionConfig {
             n_devices: width,
             fixed_stages: Some(width),
             gbs: self.microbatches * self.cfg.mbs,
-            schedule_policy: match (self.cfg.schedule_policy, self.sliced) {
-                (SchedulePolicy::Auto, _) => SchedulePolicy::Auto,
-                (_, true) => SchedulePolicy::Slicer,
-                (_, false) => SchedulePolicy::Plain,
-            },
             ..self.cfg.clone()
         };
         let slowed;
@@ -665,7 +664,7 @@ impl Run<'_> {
             })
         };
         let mut plan = AutoPipe::plan_with(&cfg, db, self.service).map_err(named)?;
-        if cfg.schedule_policy == SchedulePolicy::Slicer {
+        if self.sliced && cfg.schedule_policy != SchedulePolicy::Auto {
             plan.slice(db);
         }
         validate(&plan.schedule)
@@ -1022,7 +1021,7 @@ mod tests {
             .unwrap()
             .slice()
             .unwrap();
-        assert_eq!(planned.plan().n_sliced, 0);
+        assert_eq!(planned.plan().schedule.n_sliced, 0);
     }
 
     #[test]
@@ -1053,6 +1052,38 @@ mod tests {
         );
         // Same schedule, same per-device op order: faults shift time only.
         clean.clean.timeline.same_op_order(&f.timeline).unwrap();
+    }
+
+    #[test]
+    fn simulate_prices_the_program_the_planner_scored() {
+        // A budget that buys feasibility with a recompute mask: the family
+        // search picks a masked winner, and `simulate()` must replay it on
+        // the costs it was scored on — the masked rates, not the
+        // checkpointed backward plus a replay, and each device's multiplier.
+        let session = Session::for_model(zoo::gpt2_1_3b())
+            .stages(2)
+            .microbatches(16)
+            .microbatch_size(4)
+            .schedule_policy(SchedulePolicy::Auto)
+            .recompute_policy(RecomputePolicy::Auto)
+            .memory_budget(16_300_000_000);
+        for multipliers in [vec![1.0, 1.0], vec![1.0, 2.0]] {
+            let planned = session
+                .clone()
+                .device_multipliers(multipliers.clone())
+                .plan()
+                .unwrap();
+            let plan = planned.plan();
+            assert!(
+                recompute_mask(&plan.schedule).contains(&true),
+                "{multipliers:?}"
+            );
+            assert_eq!(
+                planned.simulate().unwrap().clean.iteration_time.to_bits(),
+                plan.est_pipeline_time.to_bits(),
+                "{multipliers:?}"
+            );
+        }
     }
 
     #[test]
@@ -1404,12 +1435,8 @@ mod tests {
                 );
             }
             if !auto || width == 1 {
-                let kind = if sliced && width >= 2 {
-                    ScheduleKind::Sliced1F1B
-                } else {
-                    ScheduleKind::OneFOneB
-                };
-                prop_assert_eq!(plan.schedule.kind, kind);
+                prop_assert_eq!(plan.schedule.kind, ScheduleKind::OneFOneB);
+                prop_assert_eq!(plan.schedule.n_sliced > 0, sliced && width >= 2);
                 // Outside the family search the schedule carries exactly the
                 // mask the partition search bought feasibility with.
                 let cfg = planned.config().planner();

@@ -19,11 +19,21 @@ use std::fmt::Write;
 
 use autopipe_exec::{splitmix64, FaultPlan, FaultSpec, Timeline};
 use autopipe_schedule::generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
+use autopipe_schedule::{Schedule, ScheduleKind};
 use autopipe_sim::analytic::{simulate_replay_masked, OverlapModel, SimScratch};
 use autopipe_sim::event::{run_schedule_failstop, run_schedule_faulty, EventConfig, EventCosts};
 use autopipe_sim::{CommConfig, StageCosts};
 
 type Point = (StageCosts, usize, Option<OverlapModel>, Option<Vec<bool>>);
+
+/// The family label as the table was captured, when sliced 1F1B was a
+/// family of its own rather than 1F1B with `n_sliced > 0`.
+fn family_label(sched: &Schedule) -> String {
+    match sched.kind {
+        ScheduleKind::OneFOneB if sched.n_sliced > 0 => "Sliced1F1B".into(),
+        kind => format!("{kind:?}"),
+    }
+}
 
 /// Stage costs that differ per stage and are not round in binary.
 fn ragged(n: usize, comm: f64) -> StageCosts {
@@ -183,7 +193,7 @@ fn table() -> String {
             let spec = FaultSpec::new(p, sched.devices[0].len(), 0.5);
             let faulty = run_schedule_faulty(sched, &ec, &cfg, &FaultPlan::random(seed, &spec))
                 .expect("delay faults never stall a valid schedule");
-            writeln!(out, "faulty seed={seed} {:?}", sched.kind).unwrap();
+            writeln!(out, "faulty seed={seed} {}", family_label(sched)).unwrap();
             timeline_rows(&mut out, &faulty.timeline);
             let halted = run_schedule_failstop(
                 sched,
@@ -199,8 +209,8 @@ fn table() -> String {
                 .collect();
             writeln!(
                 out,
-                "failstop seed={seed} {:?} counters={:?} halted_at={} crashed={}",
-                sched.kind,
+                "failstop seed={seed} {} counters={:?} halted_at={} crashed={}",
+                family_label(sched),
                 halted.counters,
                 bits(&[halted.halted_at]),
                 crashes.join(",")

@@ -103,7 +103,10 @@ fn fifty_random_fault_scripts_only_move_simulated_time() {
         .unwrap()
         .slice()
         .unwrap();
-    assert!(base.plan().n_sliced >= 1, "the campaign runs sliced");
+    assert!(
+        base.plan().schedule.n_sliced >= 1,
+        "the campaign runs sliced"
+    );
     let sched = &base.plan().schedule;
     let program_len = sched.devices.iter().map(Vec::len).max().unwrap();
     // Fault magnitudes in units of the mean stage forward time, so the

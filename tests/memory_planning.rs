@@ -13,7 +13,7 @@ use autopipe_planner::family::{plan_families, FamilyConfig};
 use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
 use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig};
 use autopipe_schedule::{
-    apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, sliced_1f1b, validate,
+    apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, slice, sliced_1f1b, validate,
     zero_bubble, Schedule,
 };
 use autopipe_sim::analytic::{simulate_replay_masked, simulate_time_masked, SimScratch};
@@ -127,18 +127,25 @@ proptest! {
 
 /// The grid of [`runtime_peak_in_flight_equals_memcheck`]: every family at
 /// p ∈ {2, 4} and m ∈ {1, 2, 4, 8} — 1F1B, GPipe, zero-bubble, sliced 1F1B
-/// with every k ≤ min(m, p) (m ≥ 2), and interleaved v = 2 where p divides
-/// m — under no, every and every other stage's recompute.
+/// with every k ≤ min(m, p) (m ≥ 2), interleaved v = 2 where p divides m,
+/// and GPipe, zero-bubble and interleaved sliced at k ∈ {1, 2} (k ≤ m) —
+/// under no, every and every other stage's recompute.
 fn memory_grid() -> Vec<Schedule> {
     let mut grid = Vec::new();
     for p in [2, 4] {
         for m in [1, 2, 4, 8] {
+            let chunked = (m % p == 0).then(|| interleaved(p, 2, m).expect("p divides m"));
             let mut families = vec![one_f_one_b(p, m), gpipe(p, m), zero_bubble(p, m)];
             if m >= 2 {
                 families.extend((0..=m.min(p)).map(|k| sliced_1f1b(p, m, k)));
             }
-            if m % p == 0 {
-                families.push(interleaved(p, 2, m).expect("p divides m"));
+            families.extend(chunked.clone());
+            for base in [gpipe(p, m), zero_bubble(p, m)].into_iter().chain(chunked) {
+                for k in 1..=m.min(2) {
+                    let mut sliced = base.clone();
+                    slice(&mut sliced, k);
+                    families.push(sliced);
+                }
             }
             for sched in families {
                 let n = sched.n_stages();
@@ -227,7 +234,7 @@ fn runtime_peak_in_flight_equals_memcheck() {
             }
         }
     }
-    assert_eq!(points, 936, "device × config points");
+    assert_eq!(points, 1608, "device × config points");
 }
 
 #[test]
