@@ -1,6 +1,6 @@
 //! Elastic-membership campaign: seeded chaos scripts (join/leave/flap/
-//! slowdown) against the threaded runtime with the elastic coordinator
-//! armed, emitted as the machine-readable record
+//! slowdown) against the threaded runtime, every step folded through the
+//! run controller, emitted as the machine-readable record
 //! `results/BENCH_elastic.json`.
 //!
 //! Four sub-campaigns share the file:
@@ -10,12 +10,12 @@
 //!    must complete (or halt deterministically when the script empties the
 //!    cluster) with zero deadlocks, and a full replay of the same seed must
 //!    reproduce the loss trajectory, the final parameter checksum and the
-//!    coordinator's decision log **bit-for-bit**. Every pipeline width the
+//!    controller's decision log **bit-for-bit**. Every pipeline width the
 //!    campaign visits is additionally run through *both executors* (event
 //!    simulator and threaded runtime) and the per-device op orderings must
 //!    be identical.
 //! 2. **Grow** — a scripted leave shrinks p → p−1 (degraded mode), the
-//!    device rejoins, proves itself through quarantine, and the coordinator
+//!    device rejoins, proves itself through quarantine, and the controller
 //!    grows back to p through the checkpoint-path repartition. The whole
 //!    elastic trajectory must be bit-identical to the uninterrupted p-stage
 //!    run, and a *fresh* pipeline resumed from the pre-grow checkpoint
@@ -39,7 +39,7 @@ use autopipe_exec::{FaultPlan, MembershipChange, MembershipFault, Timeline};
 use autopipe_model::zoo;
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_runtime::{
-    BatchSet, CheckpointStore, ElasticAction, ElasticCoordinator, ElasticEvent, Pipeline,
+    Action, BatchSet, CheckpointStore, Controller, ElasticAction, ElasticEvent, Outcome, Pipeline,
     PipelineConfig,
 };
 use autopipe_schedule::{one_f_one_b, Schedule};
@@ -80,24 +80,37 @@ fn fast_membership() -> MembershipConfig {
     }
 }
 
-/// Plan `width` stages on `db`, with non-uniform `multipliers` folded into
-/// the cost model — the session facade's elastic re-plan path, restated on
-/// bench's own dependencies.
+/// Plan `width` stages on `db` charged the serving devices' `multipliers`
+/// — the session facade's re-plan, restated on bench's own dependencies.
 fn elastic_plan(
     db: &CostDb,
     cfg: &AutoPipeConfig,
     width: usize,
     multipliers: &[f64],
 ) -> (Partition, Schedule) {
-    let hetero;
-    let db = if multipliers.iter().any(|&x| x != 1.0) {
-        hetero = db.clone().with_device_multipliers(multipliers);
-        &hetero
-    } else {
-        db
-    };
-    let out = plan(db, width, M, cfg).expect("elastic width plans");
+    let db = db.clone().with_device_multipliers(multipliers);
+    let out = plan(&db, width, M, cfg).expect("elastic width plans");
     (out.partition, one_f_one_b(width, M))
+}
+
+/// The campaign pipeline's controller under elastic `membership`.
+fn elastic_controller(membership: MembershipConfig) -> Controller {
+    let elastic = ElasticConfig {
+        membership,
+        ..ElasticConfig::default()
+    };
+    Controller::new(&[1.0; P], None, Some(&elastic), None)
+}
+
+/// Fold completed step `step` and its scripted membership events.
+fn fold_step(ctl: &mut Controller, script: &FaultPlan, step: u64) -> Vec<Action> {
+    let membership = &script.membership_at(step);
+    let step = Outcome::Completed {
+        step,
+        membership,
+        observed: None,
+    };
+    ctl.fold(step).expect("a membership step folds")
 }
 
 /// Outcome of one elastic run: either a completed trajectory or a
@@ -109,9 +122,9 @@ struct ElasticRun {
     halted: Option<String>,
 }
 
-/// The session facade's elastic loop restated at the runtime layer: train,
-/// feed the step's scripted membership events to the coordinator, execute
-/// its grow/shrink/replan decisions through `Pipeline::repartition`.
+/// The session facade's loop at the runtime layer: train, fold the step and
+/// its scripted membership events through the controller, execute its
+/// re-shapes through `Pipeline::repartition`.
 fn run_elastic(
     db: &CostDb,
     cfg: &AutoPipeConfig,
@@ -123,39 +136,32 @@ fn run_elastic(
     let mut pipe = tiny_pipeline(one_f_one_b(P, M), out.partition);
     let model = zoo::gpt2_tiny();
     let batch = BatchSet::synthetic(99, M, 2, model.seq_len, model.vocab_size);
-    let mut el = ElasticCoordinator::new(
-        P,
-        ElasticConfig {
-            membership,
-            ..ElasticConfig::default()
-        },
-    );
+    let mut ctl = elastic_controller(membership);
     let mut losses = Vec::new();
     let mut halted = None;
     'train: while losses.len() < steps {
         let stats = pipe.train_iteration(&batch).expect("no deadlock");
         losses.push(stats.loss);
-        let step = losses.len() as u64;
-        for action in el.on_step(step, &script.membership_at(step)) {
-            let (width, mult) = match &action {
-                ElasticAction::Halt { reason } => {
-                    halted = Some(reason.clone());
+        for action in fold_step(&mut ctl, script, losses.len() as u64) {
+            match action {
+                Action::Reshape {
+                    width, multipliers, ..
+                } => {
+                    let (part, sched) = elastic_plan(db, cfg, width, &multipliers);
+                    pipe.repartition(&part, sched).expect("migration succeeds");
+                }
+                Action::Halt { reason } => {
+                    halted = Some(reason);
                     break 'train;
                 }
-                ElasticAction::Shrink { survivors, .. } => (*survivors, el.serving_multipliers()),
-                ElasticAction::Grow { target, .. } => (*target, el.serving_multipliers()),
-                ElasticAction::Replan { multipliers } => {
-                    (pipe.partition().n_stages(), multipliers.clone())
-                }
-            };
-            let (part, sched) = elastic_plan(db, cfg, width, &mult);
-            pipe.repartition(&part, sched).expect("migration succeeds");
+                other => panic!("no recovery is armed, got {other:?}"),
+            }
         }
     }
     ElasticRun {
         losses,
         checksum: pipe.param_checksum(),
-        log: el.log().to_vec(),
+        log: ctl.elastic_log().to_vec(),
         halted,
     }
 }
@@ -289,13 +295,7 @@ fn grow_demo(db: &CostDb, cfg: &AutoPipeConfig) -> serde_json::Value {
     let dir = temp_dir("grow");
     let mut store = CheckpointStore::open(&dir, 8).expect("store opens");
     let mut pipe = tiny_pipeline(one_f_one_b(P, M), out.partition.clone());
-    let mut el = ElasticCoordinator::new(
-        P,
-        ElasticConfig {
-            membership: fast_membership(),
-            ..ElasticConfig::default()
-        },
-    );
+    let mut ctl = elastic_controller(fast_membership());
     let mut losses = Vec::new();
     let mut wall = Vec::new();
     let mut shrink_step = None;
@@ -307,28 +307,27 @@ fn grow_demo(db: &CostDb, cfg: &AutoPipeConfig) -> serde_json::Value {
         losses.push(stats.loss);
         wall.push(stats.wall.as_secs_f64());
         let step = losses.len() as u64;
-        for action in el.on_step(step, &script.membership_at(step)) {
-            match &action {
-                ElasticAction::Shrink { survivors, .. } => {
-                    let (part, sched) = elastic_plan(db, cfg, *survivors, &[]);
-                    pipe.repartition(&part, sched).expect("shrink migrates");
-                    shrink_step = Some(step);
-                }
-                ElasticAction::Grow { target, .. } => {
-                    // The durable generation the grow resumes from: the
-                    // degraded pipeline's state at the grow boundary.
-                    store
-                        .save(&pipe.snapshot(step, "pre-grow"))
-                        .expect("pre-grow generation commits");
-                    pre_grow = Some((pipe.partition().clone(), pipe.schedule().clone()));
-                    let (part, sched) = elastic_plan(db, cfg, *target, &[]);
-                    pipe.repartition(&part, sched.clone())
-                        .expect("grow migrates");
-                    grown = Some((part, sched));
-                    grow_step = Some(step);
-                }
-                other => panic!("unexpected action {other:?}"),
+        for action in fold_step(&mut ctl, &script, step) {
+            let Action::Reshape {
+                width, multipliers, ..
+            } = action
+            else {
+                panic!("unexpected action {action:?}");
+            };
+            let (part, sched) = elastic_plan(db, cfg, width, &multipliers);
+            if width < pipe.schedule().n_devices {
+                shrink_step = Some(step);
+            } else {
+                // The durable generation the grow resumes from: the
+                // degraded pipeline's state at the grow boundary.
+                store
+                    .save(&pipe.snapshot(step, "pre-grow"))
+                    .expect("pre-grow generation commits");
+                pre_grow = Some((pipe.partition().clone(), pipe.schedule().clone()));
+                grown = Some((part.clone(), sched.clone()));
+                grow_step = Some(step);
             }
+            pipe.repartition(&part, sched).expect("re-shape migrates");
         }
     }
     let shrink_step = shrink_step.expect("leave fired") as usize;

@@ -87,7 +87,7 @@ pub enum SchedulePolicy {
 }
 
 /// Durable checkpointing and fail-stop recovery knobs, lowered into the
-/// runtime's `RecoveryCoordinator` by the `Session` facade.
+/// runtime's run `Controller` and `RecoveryStore` by the `Session` facade.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Directory holding the checkpoint generations.
@@ -213,9 +213,9 @@ impl MembershipConfig {
 }
 
 /// Elastic membership: grow/shrink the pipeline as devices churn instead of
-/// merely surviving one loss. Lowered into the runtime's
-/// `ElasticCoordinator` by the `Session` facade (requires `recovery` — the
-/// grow path migrates state through the checkpoint repartition).
+/// merely surviving one loss. Lowered into the runtime's run `Controller`
+/// by the `Session` facade (requires `recovery` — the grow path migrates
+/// state through the checkpoint repartition).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElasticConfig {
     /// Health-check state machine thresholds.

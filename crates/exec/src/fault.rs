@@ -30,7 +30,7 @@
 //!   iteration. The threaded runtime realizes them as controlled
 //!   stage-thread death; the event simulator replays them as a device whose
 //!   program counter freezes. Recovery (restart-in-place or
-//!   shrink-and-replan) is the runtime's `RecoveryCoordinator`'s job — the
+//!   shrink-and-replan) is the runtime's run `Controller`'s job — the
 //!   script only says *where* the failure happens. The two kinds differ in
 //!   what recovery may assume: a [`StageCrash`] device can be respawned in
 //!   place, a [`DeviceLost`] device is gone and forces a shrink.

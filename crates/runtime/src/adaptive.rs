@@ -1,103 +1,14 @@
-//! Straggler detection for re-planning: compare each stage's *observed*
-//! compute time (from the runtime's recorded [`Timeline`]) against its
-//! *expected* time, and flag stages that stay slow for several consecutive
-//! iterations.
+//! What straggler detection measures: each chunk-stage's compute time in a
+//! recorded [`Timeline`].
 //!
-//! This is the detection half of straggler-aware re-planning; the response
-//! half is the `Session` facade's re-planning path (the observed ratios go
-//! in as device multipliers, like a membership slowdown) plus
-//! [`Pipeline::repartition`](crate::Pipeline::repartition) (hot-swap the
-//! stages with exact parameter migration).
+//! The run [`Controller`](crate::Controller) calibrates these times on the
+//! first step of every shape, compares later steps against them, and
+//! re-plans once a stage stays slow for its window (see its module docs).
 
-use autopipe_core::StragglerConfig;
 use autopipe_exec::Timeline;
 use autopipe_schedule::Schedule;
 
-use crate::watchdog::RuntimeError;
-
-/// One iteration's verdict.
-#[derive(Debug, Clone)]
-pub struct StragglerObservation {
-    /// Per-stage observed/expected compute-time ratios this iteration.
-    pub ratios: Vec<f64>,
-    /// Stages whose ratio has exceeded the threshold for `window`
-    /// consecutive iterations — the re-plan trigger.
-    pub flagged: Vec<usize>,
-}
-
-/// Tracks per-stage slowdown streaks across iterations.
-#[derive(Debug, Clone)]
-pub struct StragglerMonitor {
-    cfg: StragglerConfig,
-    /// Expected per-stage compute seconds (profiled or simulated).
-    expected: Vec<f64>,
-    /// Consecutive over-threshold iterations per stage.
-    streaks: Vec<usize>,
-}
-
-impl StragglerMonitor {
-    /// Build from expected per-stage compute times (one entry per
-    /// chunk-stage, in stage order).
-    pub(crate) fn new(
-        expected: Vec<f64>,
-        cfg: StragglerConfig,
-    ) -> Result<StragglerMonitor, RuntimeError> {
-        if expected.is_empty() {
-            return Err(RuntimeError::InvalidConfig(
-                "straggler monitor needs at least one stage".into(),
-            ));
-        }
-        if expected.iter().any(|&t| !(t.is_finite() && t > 0.0)) {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "expected stage times must be finite and positive, got {expected:?}"
-            )));
-        }
-        cfg.validate()
-            .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-        let streaks = vec![0; expected.len()];
-        Ok(StragglerMonitor {
-            cfg,
-            expected,
-            streaks,
-        })
-    }
-
-    /// Build from an expected timeline (e.g. the event simulator's run of
-    /// the same schedule): expected per-stage times are its compute sums.
-    pub fn from_timeline(
-        expected: &Timeline,
-        sched: &Schedule,
-        cfg: StragglerConfig,
-    ) -> Result<StragglerMonitor, RuntimeError> {
-        StragglerMonitor::new(stage_compute_times(expected, sched), cfg)
-    }
-
-    /// Feed one iteration's observed timeline. Returns per-stage ratios and
-    /// any stages whose slow streak just reached the window.
-    pub fn observe(&mut self, observed: &Timeline, sched: &Schedule) -> StragglerObservation {
-        let times = stage_compute_times(observed, sched);
-        let n = self.expected.len().min(times.len());
-        let mut ratios = Vec::with_capacity(n);
-        let mut flagged = Vec::new();
-        for s in 0..n {
-            let ratio = times[s] / self.expected[s];
-            if ratio > self.cfg.threshold {
-                self.streaks[s] += 1;
-            } else {
-                self.streaks[s] = 0;
-            }
-            if self.streaks[s] >= self.cfg.window {
-                flagged.push(s);
-            }
-            ratios.push(ratio);
-        }
-        StragglerObservation { ratios, flagged }
-    }
-}
-
-/// Sum each chunk-stage's compute (Fwd + Bwd) durations over a timeline —
-/// the observation that drives straggler detection and the measurement that
-/// re-profiles the cost model for re-planning.
+/// Sum each chunk-stage's compute (Fwd + Bwd) durations over a timeline.
 pub(crate) fn stage_compute_times(tl: &Timeline, sched: &Schedule) -> Vec<f64> {
     let mut times = vec![0.0; sched.n_stages()];
     for d in 0..tl.n_devices().min(sched.n_devices) {
@@ -112,9 +23,11 @@ pub(crate) fn stage_compute_times(tl: &Timeline, sched: &Schedule) -> Vec<f64> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use autopipe_exec::{OpTimes, Recorder, TraceSink};
-    use autopipe_schedule::one_f_one_b;
+    use crate::controller::{Action, Controller, Outcome};
+    use crate::watchdog::{CrashEvent, FaultReport};
+    use autopipe_core::{RecoveryConfig, StragglerConfig};
+    use autopipe_exec::{FailStopKind, OpTimes, Recorder, Timeline, TraceSink};
+    use autopipe_schedule::{one_f_one_b, Schedule};
 
     /// A timeline where every compute op on every device takes `per_op[d]`.
     fn synthetic_timeline(sched: &Schedule, per_op: &[f64]) -> Timeline {
@@ -139,17 +52,31 @@ mod tests {
         rec.finish()
     }
 
+    /// A straggler-aware controller on two devices charged `multipliers`.
+    fn controller(multipliers: &[f64], cfg: StragglerConfig) -> Controller {
+        Controller::new(multipliers, None, None, Some(cfg))
+    }
+
+    /// Fold step `step` of `sched` observed as `tl`.
+    fn step(c: &mut Controller, step: u64, tl: &Timeline, sched: &Schedule) -> Vec<Action> {
+        let observed = Some((tl, sched));
+        c.fold(Outcome::Completed {
+            step,
+            membership: &[],
+            observed,
+        })
+        .unwrap()
+    }
+
     #[test]
     fn uniform_run_flags_nothing() {
         let sched = one_f_one_b(2, 4);
         let expected = synthetic_timeline(&sched, &[1.0, 1.0]);
-        let mut mon =
-            StragglerMonitor::from_timeline(&expected, &sched, StragglerConfig::default()).unwrap();
-        for _ in 0..5 {
-            let obs = mon.observe(&expected, &sched);
-            assert!(obs.flagged.is_empty());
-            assert!(obs.ratios.iter().all(|r| (r - 1.0).abs() < 1e-9));
+        let mut c = controller(&[1.0, 1.0], StragglerConfig::default());
+        for s in 1..=20 {
+            assert!(step(&mut c, s, &expected, &sched).is_empty(), "step {s}");
         }
+        assert_eq!(c.replans(), 0);
     }
 
     #[test]
@@ -161,12 +88,30 @@ mod tests {
             threshold: 1.5,
             window: 3,
         };
-        let mut mon = StragglerMonitor::from_timeline(&expected, &sched, cfg).unwrap();
-        assert!(mon.observe(&slow, &sched).flagged.is_empty());
-        assert!(mon.observe(&slow, &sched).flagged.is_empty());
-        let obs = mon.observe(&slow, &sched);
-        assert_eq!(obs.flagged, vec![1], "stage 1 flags on the 3rd slow iter");
-        assert!(obs.ratios[1] > 1.9);
+        // Device 1 is configured 1.5× slow; the run is calibrated on step 1.
+        let mut c = controller(&[1.0, 1.5], cfg);
+        assert!(step(&mut c, 1, &expected, &sched).is_empty());
+        assert!(step(&mut c, 2, &slow, &sched).is_empty());
+        assert!(step(&mut c, 3, &slow, &sched).is_empty());
+        // Flags on exactly the window-th slow step, at the same width, with
+        // the measured ratio on top of what the record knew.
+        let actions = step(&mut c, 4, &slow, &sched);
+        let [Action::Reshape {
+            trigger,
+            width,
+            multipliers,
+        }] = actions.as_slice()
+        else {
+            panic!("expected one re-shape, got {actions:?}");
+        };
+        assert_eq!((*trigger, *width), ("straggler re-plan", 2));
+        assert_eq!(multipliers[0], 1.0);
+        // Device 1's compute ratio: its ops ran 2× against the baseline, so
+        // 2 × 1.5.
+        let ratio = multipliers[1] / 1.5;
+        assert!((ratio - 2.0).abs() < 1e-9, "{multipliers:?}");
+        assert_eq!(c.serving_multipliers(), *multipliers);
+        assert_eq!(c.replans(), 1);
     }
 
     #[test]
@@ -178,33 +123,86 @@ mod tests {
             threshold: 1.5,
             window: 2,
         };
-        let mut mon = StragglerMonitor::from_timeline(&expected, &sched, cfg).unwrap();
+        let mut c = controller(&[1.0, 1.0], cfg);
+        assert!(step(&mut c, 1, &expected, &sched).is_empty());
         // slow, fast, slow, fast ... never two in a row.
-        for _ in 0..4 {
-            assert!(mon.observe(&slow, &sched).flagged.is_empty());
-            assert!(mon.observe(&expected, &sched).flagged.is_empty());
+        for s in 0..4 {
+            assert!(step(&mut c, 2 + 2 * s, &slow, &sched).is_empty());
+            assert!(step(&mut c, 3 + 2 * s, &expected, &sched).is_empty());
         }
     }
 
     #[test]
     fn invalid_monitor_configs_are_rejected() {
-        assert!(StragglerMonitor::new(vec![], StragglerConfig::default()).is_err());
-        assert!(StragglerMonitor::new(vec![0.0], StragglerConfig::default()).is_err());
-        assert!(StragglerMonitor::new(
-            vec![1.0],
+        // A stage that measured no compute cannot be a baseline.
+        let sched = one_f_one_b(2, 4);
+        let idle = synthetic_timeline(&sched, &[1.0, 0.0]);
+        let mut c = controller(&[1.0, 1.0], StragglerConfig::default());
+        let observed = Some((&idle, &sched));
+        let err = c
+            .fold(Outcome::Completed {
+                step: 1,
+                membership: &[],
+                observed,
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("straggler baseline"), "{err}");
+        for bad in [
             StragglerConfig {
                 threshold: 0.5,
-                window: 3
-            }
-        )
-        .is_err());
-        assert!(StragglerMonitor::new(
-            vec![1.0],
+                window: 3,
+            },
             StragglerConfig {
                 threshold: 2.0,
-                window: 0
-            }
-        )
-        .is_err());
+                window: 0,
+            },
+        ] {
+            assert!(bad.validate().is_err());
+        }
+    }
+
+    /// After a re-shape or a restore the next step is the new baseline, not
+    /// an observation: a run that stays 2× slow after the straggler re-plan
+    /// (the new plan is calibrated on it) never re-plans again.
+    #[test]
+    fn the_baseline_recalibrates_after_a_reshape_or_a_restore() {
+        let sched = one_f_one_b(2, 4);
+        let fast = synthetic_timeline(&sched, &[1.0, 1.0]);
+        let slow = synthetic_timeline(&sched, &[1.0, 2.0]);
+        let cfg = StragglerConfig {
+            threshold: 1.5,
+            window: 1,
+        };
+        let recovery = RecoveryConfig {
+            cadence: 100,
+            ..RecoveryConfig::new("unused")
+        };
+        let mut c = Controller::new(&[1.0, 1.0], Some(&recovery), None, Some(cfg));
+        assert!(step(&mut c, 1, &fast, &sched).is_empty());
+        assert_eq!(step(&mut c, 2, &slow, &sched).len(), 1);
+        for s in 3..6 {
+            assert!(step(&mut c, s, &slow, &sched).is_empty(), "step {s}");
+        }
+        // A restore: the slow steps before it say nothing about the
+        // restored pipeline, so a fast step after it calibrates afresh.
+        let crash = FaultReport {
+            crashed: vec![CrashEvent {
+                device: 1,
+                at_op: 0,
+                kind: FailStopKind::Crash,
+                detail: None,
+            }],
+            aborted: true,
+            ..FaultReport::default()
+        };
+        let restore = Outcome::FailStop {
+            step: 5,
+            report: &crash,
+        };
+        assert_eq!(c.fold(restore).unwrap(), vec![Action::Restore]);
+        c.restored(4, 1);
+        assert!(step(&mut c, 5, &fast, &sched).is_empty());
+        assert_eq!(step(&mut c, 6, &slow, &sched).len(), 1);
+        assert_eq!(c.replans(), 2);
     }
 }

@@ -1,42 +1,25 @@
-//! The elastic coordinator: membership transitions → pipeline actions.
+//! The elastic log: what the run controller decided under membership
+//! churn.
 //!
-//! [`ElasticCoordinator`] sits between the chaos/ops layer (scripted or real
-//! [`autopipe_exec::MembershipFault`] events, and the fail-stop losses
-//! recovery names) and the session run loop. It owns the
-//! [`ClusterMembership`] — the one record of which devices serve and how
-//! slow each is — and keeps only its config, a cursor into the membership's
-//! transition log and its own decision log beside it. Each training step it
-//! feeds the step's membership events plus implicit heartbeats through the
-//! state machine one event at a time, and translates each new transition
-//! into an [`ElasticAction`] the caller executes against the pipeline,
-//! naming the width the membership now serves:
+//! [`Controller`](crate::Controller) folds each step's membership events
+//! (scripted leaves, joins, flaps and slowdowns, plus the implicit
+//! heartbeats of everyone else) and the fail-stop losses recovery names
+//! through the [`ClusterMembership`](crate::ClusterMembership) state
+//! machine, and logs each decision as an [`ElasticEvent`]:
 //!
-//! * a serving device entering `Quarantined`/`Evicted` (a scripted leave, a
-//!   missed-heartbeat walk, or a fail-stop loss folded in as a leave by
-//!   [`ElasticCoordinator::on_loss`]) → [`ElasticAction::Shrink`] — re-plan
-//!   at the serving width and keep training degraded while the device
-//!   proves itself;
-//! * a device reaching `Readmitted` (or joining and proving itself) →
-//!   [`ElasticAction::Grow`] — re-plan at the serving width and migrate
-//!   state back through the repartition path;
-//! * an observed slowdown → [`ElasticAction::Replan`] with the serving
-//!   devices' multipliers, so the planner's balance objective charges the
-//!   slow device honestly (heterogeneity-aware planning);
+//! * a serving device entering `Quarantined` / `Evicted` →
+//!   [`ElasticAction::Shrink`], training on degraded while it proves itself;
+//! * a device reaching `Readmitted` → [`ElasticAction::Grow`], state
+//!   migrating back through the repartition path;
+//! * a slowdown of a serving device → [`ElasticAction::Replan`] with the
+//!   serving devices' multipliers;
 //! * the serving set dropping below the configured floor →
 //!   [`ElasticAction::Halt`].
 //!
-//! The coordinator is deterministic: actions are a pure function of the
-//! event history, and the per-step event order is canonicalised the way
-//! [`ClusterMembership::apply_all`] orders a batch, so replaying a chaos script reproduces the same
-//! grow/shrink sequence bit-for-bit on both executors.
+//! Decisions are a pure function of the event history: replaying a chaos
+//! script reproduces the same log bit for bit.
 
-use autopipe_core::ElasticConfig;
-use autopipe_exec::{MembershipChange, MembershipFault};
-
-use crate::membership::{sort_canonical, ClusterMembership, DeviceState, MemberEvent, TimedEvent};
-
-/// What the run loop must do in response to membership churn, in the order
-/// emitted.
+/// One membership decision, in the order taken.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ElasticAction {
     /// Re-plan onto `survivors` stages (the named device left the serving
@@ -55,7 +38,7 @@ pub enum ElasticAction {
         /// Device that rejoined the serving set.
         device: usize,
     },
-    /// Re-plan at the current width with these per-*stage* compute
+    /// Re-plan at the current width with these per-device compute
     /// multipliers (serving devices only, pipeline order) folded into the
     /// cost database.
     Replan {
@@ -69,7 +52,7 @@ pub enum ElasticAction {
     },
 }
 
-/// One coordinator decision, for reports and the chaos-campaign asserts.
+/// One logged decision, for reports and the chaos-campaign asserts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElasticEvent {
     /// Training step the action fired on.
@@ -78,174 +61,64 @@ pub struct ElasticEvent {
     pub action: ElasticAction,
 }
 
-/// Drives elastic membership for one pipeline. See the [module docs](self).
-#[derive(Debug, Clone)]
-pub struct ElasticCoordinator {
-    cfg: ElasticConfig,
-    membership: ClusterMembership,
-    /// Transitions already translated into actions.
-    cursor: usize,
-    log: Vec<ElasticEvent>,
-}
-
-impl ElasticCoordinator {
-    /// A coordinator for a cluster of `n` devices, all serving.
-    pub fn new(n: usize, cfg: ElasticConfig) -> ElasticCoordinator {
-        ElasticCoordinator {
-            membership: ClusterMembership::new(n, cfg.membership),
-            cfg,
-            cursor: 0,
-            log: Vec::new(),
-        }
-    }
-
-    /// Devices currently serving stages, in stage order.
-    pub fn serving(&self) -> Vec<usize> {
-        self.membership.serving_devices()
-    }
-
-    /// Current multiplier of each *serving* device, in stage order — what a
-    /// heterogeneity-aware re-plan should fold into the cost database.
-    pub fn serving_multipliers(&self) -> Vec<f64> {
-        self.membership.serving_multipliers()
-    }
-
-    /// Every action taken so far.
-    pub fn log(&self) -> &[ElasticEvent] {
-        &self.log
-    }
-
-    /// Feed one training step's membership faults (from the chaos script or
-    /// a real health checker) and return the actions to execute, in order.
-    /// Devices without an explicit event heartbeat implicitly — a
-    /// quarantined device proves itself simply by staying healthy.
-    pub fn on_step(&mut self, step: u64, faults: &[MembershipFault]) -> Vec<ElasticAction> {
-        let mut events: Vec<TimedEvent> = Vec::new();
-        let at = |device, event| TimedEvent {
-            at: step,
-            device,
-            event,
-        };
-        let mut slowdown = false;
-        for f in faults {
-            match f.change {
-                MembershipChange::Leave => events.push(at(f.device, MemberEvent::Leave)),
-                MembershipChange::Join => events.push(at(f.device, MemberEvent::Join)),
-                MembershipChange::Flap { beats } => {
-                    // A flap is `beats` silent heartbeat periods followed by
-                    // the device coming back — all observed within this
-                    // step's health-check window.
-                    for _ in 0..beats {
-                        events.push(at(f.device, MemberEvent::Missed));
-                    }
-                    events.push(at(f.device, MemberEvent::Heartbeat));
-                }
-                MembershipChange::Slowdown { factor } => {
-                    self.membership
-                        .set_multiplier(f.device, factor.max(f64::MIN_POSITIVE));
-                    slowdown = true;
-                }
-            }
-        }
-        // Implicit heartbeats for everyone else still on the roster.
-        for d in 0..self.membership.len() {
-            if self.membership.state(d) != DeviceState::Evicted
-                && !events.iter().any(|e| e.device == d)
-            {
-                events.push(at(d, MemberEvent::Heartbeat));
-            }
-        }
-        // Flap misses and the recovery beat must fold in script order for
-        // one device, which the canonical (at, device, rank) sort preserves
-        // (Missed ranks before Heartbeat). Each event's transition is
-        // translated before the next event folds, so every action names the
-        // width serving at that moment.
-        sort_canonical(&mut events);
-        let mut actions = Vec::new();
-        for e in events {
-            self.membership.observe(e.at, e.device, e.event);
-            self.translate(step, &mut actions);
-        }
-        if slowdown {
-            // Only re-plan when the serving set is actually skewed — an
-            // all-baseline update is a no-op.
-            let multipliers = self.serving_multipliers();
-            if multipliers.iter().any(|&m| m != 1.0) {
-                actions.push(ElasticAction::Replan { multipliers });
-            }
-        }
-        self.record(step, actions)
-    }
-
-    /// Fold a fail-stop loss into the membership as a graceful `Leave` of
-    /// the device serving pipeline position `position` (the crashed stage's
-    /// device index), and return what it calls for: a shrink to the width
-    /// still serving, or a halt below the floor.
-    ///
-    /// # Panics
-    ///
-    /// When `position` is not below the serving count — the pipeline is
-    /// always as wide as the membership's serving set.
-    pub fn on_loss(&mut self, step: u64, position: usize) -> Vec<ElasticAction> {
-        let device = self.serving()[position];
-        self.membership.observe(step, device, MemberEvent::Leave);
-        let mut actions = Vec::new();
-        self.translate(step, &mut actions);
-        self.record(step, actions)
-    }
-
-    /// Translate the transitions the membership logged since the last call.
-    fn translate(&mut self, step: u64, actions: &mut Vec<ElasticAction>) {
-        while let Some(&t) = self.membership.log().get(self.cursor) {
-            self.cursor += 1;
-            if t.from.serves() && !t.to.serves() {
-                let survivors = self.membership.serving();
-                actions.push(if survivors < self.cfg.min_devices {
-                    ElasticAction::Halt {
-                        reason: format!(
-                            "device {} {} left {survivors} serving devices, below the \
-                             elastic floor of {}",
-                            t.device,
-                            if t.to == DeviceState::Evicted {
-                                "evicted"
-                            } else {
-                                "quarantined"
-                            },
-                            self.cfg.min_devices
-                        ),
-                    }
-                } else {
-                    ElasticAction::Shrink {
-                        survivors,
-                        device: t.device,
-                    }
-                });
-            } else if t.to == DeviceState::Readmitted {
-                self.membership.mark_grown(step, t.device);
-                actions.push(ElasticAction::Grow {
-                    target: self.membership.serving(),
-                    device: t.device,
-                });
-            }
-        }
-    }
-
-    fn record(&mut self, step: u64, actions: Vec<ElasticAction>) -> Vec<ElasticAction> {
-        self.log.extend(actions.iter().map(|a| ElasticEvent {
-            step,
-            action: a.clone(),
-        }));
-        actions
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autopipe_core::MembershipConfig;
+    use crate::controller::{Action, Controller, Outcome};
+    use crate::watchdog::{CrashEvent, FaultReport};
+    use autopipe_core::{ElasticConfig, MembershipConfig, RecoveryConfig};
+    use autopipe_exec::{FailStopKind, MembershipChange, MembershipFault};
 
     fn cfg() -> ElasticConfig {
         ElasticConfig::default()
+    }
+
+    /// A controller for `n` devices under elastic membership, with recovery
+    /// armed so losses can be folded.
+    fn controller(n: usize, ec: ElasticConfig) -> Controller {
+        let recovery = RecoveryConfig::new("unused");
+        Controller::new(&vec![1.0; n], Some(&recovery), Some(&ec), None)
+    }
+
+    /// The membership decisions logged since `before`.
+    fn logged_since(c: &Controller, before: usize) -> Vec<ElasticAction> {
+        (c.elastic_log()[before..].iter())
+            .map(|e| e.action.clone())
+            .collect()
+    }
+
+    /// Fold a completed step with its scripted membership events.
+    fn on_step(c: &mut Controller, step: u64, faults: &[MembershipFault]) -> Vec<ElasticAction> {
+        let before = c.elastic_log().len();
+        let step = Outcome::Completed {
+            step,
+            membership: faults,
+            observed: None,
+        };
+        c.fold(step).unwrap();
+        logged_since(c, before)
+    }
+
+    /// Fold the loss of the device serving pipeline `position`.
+    fn on_loss(c: &mut Controller, step: u64, position: usize) -> Vec<ElasticAction> {
+        let before = c.elastic_log().len();
+        let report = FaultReport {
+            crashed: vec![CrashEvent {
+                device: position,
+                at_op: 0,
+                kind: FailStopKind::Lost,
+                detail: None,
+            }],
+            aborted: true,
+            ..FaultReport::default()
+        };
+        c.fold(Outcome::FailStop {
+            step,
+            report: &report,
+        })
+        .unwrap();
+        c.restored(0, 0);
+        logged_since(c, before)
     }
 
     fn fault(device: usize, at_step: u64, change: MembershipChange) -> MembershipFault {
@@ -258,8 +131,8 @@ mod tests {
 
     #[test]
     fn leave_shrinks_and_rejoin_grows_back() {
-        let mut c = ElasticCoordinator::new(4, cfg());
-        let a = c.on_step(1, &[fault(2, 1, MembershipChange::Leave)]);
+        let mut c = controller(4, cfg());
+        let a = on_step(&mut c, 1, &[fault(2, 1, MembershipChange::Leave)]);
         assert_eq!(
             a,
             vec![ElasticAction::Shrink {
@@ -269,12 +142,12 @@ mod tests {
         );
         assert_eq!(c.serving(), &[0, 1, 3]);
         // Rejoin: quarantined, then proves itself over the cooldown.
-        let a = c.on_step(2, &[fault(2, 2, MembershipChange::Join)]);
+        let a = on_step(&mut c, 2, &[fault(2, 2, MembershipChange::Join)]);
         assert!(a.is_empty(), "{a:?}");
         let cooldown = cfg().membership.quarantine_cooldown as u64;
         let mut grown = Vec::new();
         for s in 0..cooldown {
-            grown = c.on_step(3 + s, &[]);
+            grown = on_step(&mut c, 3 + s, &[]);
         }
         assert_eq!(
             grown,
@@ -284,18 +157,18 @@ mod tests {
             }]
         );
         assert_eq!(c.serving(), &[0, 1, 2, 3]);
-        assert_eq!(c.log().len(), 2);
+        assert_eq!(c.elastic_log().len(), 2);
     }
 
     #[test]
     fn a_loss_is_a_leave_of_the_device_serving_that_position() {
         let mut ec = cfg();
         ec.min_devices = 2;
-        let mut c = ElasticCoordinator::new(4, ec);
-        let _ = c.on_step(1, &[fault(1, 1, MembershipChange::Leave)]);
+        let mut c = controller(4, ec);
+        let _ = on_step(&mut c, 1, &[fault(1, 1, MembershipChange::Leave)]);
         // Position 1 of the degraded pipeline [0, 2, 3] is device 2.
         assert_eq!(
-            c.on_loss(2, 1),
+            on_loss(&mut c, 2, 1),
             vec![ElasticAction::Shrink {
                 survivors: 2,
                 device: 2
@@ -303,9 +176,11 @@ mod tests {
         );
         assert_eq!(c.serving(), &[0, 3]);
         // The lost device rejoins like any other departed one.
-        let _ = c.on_step(3, &[fault(2, 3, MembershipChange::Join)]);
+        let _ = on_step(&mut c, 3, &[fault(2, 3, MembershipChange::Join)]);
         let cooldown = cfg().membership.quarantine_cooldown as u64;
-        let grown: Vec<_> = (0..cooldown).flat_map(|s| c.on_step(4 + s, &[])).collect();
+        let grown: Vec<_> = (0..cooldown)
+            .flat_map(|s| on_step(&mut c, 4 + s, &[]))
+            .collect();
         assert_eq!(
             grown,
             vec![ElasticAction::Grow {
@@ -314,8 +189,8 @@ mod tests {
             }]
         );
         // A loss below the floor halts instead of shrinking.
-        let _ = c.on_loss(9, 0);
-        let halt = c.on_loss(10, 0);
+        let _ = on_loss(&mut c, 9, 0);
+        let halt = on_loss(&mut c, 10, 0);
         assert!(
             matches!(halt.as_slice(), [ElasticAction::Halt { .. }]),
             "{halt:?}"
@@ -325,10 +200,11 @@ mod tests {
     #[test]
     fn deep_flap_quarantines_then_proves_itself() {
         let mc = MembershipConfig::default();
-        let mut c = ElasticCoordinator::new(3, cfg());
+        let mut c = controller(3, cfg());
         // One flap long enough to cross quarantine_after: shrink now, grow
         // after the cooldown.
-        let a = c.on_step(
+        let a = on_step(
+            &mut c,
             1,
             &[fault(
                 1,
@@ -347,7 +223,7 @@ mod tests {
         );
         let mut last = Vec::new();
         for s in 0..mc.quarantine_cooldown as u64 + 1 {
-            last = c.on_step(2 + s, &[]);
+            last = on_step(&mut c, 2 + s, &[]);
             if !last.is_empty() {
                 break;
             }
@@ -364,11 +240,12 @@ mod tests {
     #[test]
     fn shallow_flaps_trip_the_hysteresis_not_each_outage() {
         let mc = MembershipConfig::default();
-        let mut c = ElasticCoordinator::new(3, cfg());
+        let mut c = controller(3, cfg());
         // Each flap is below quarantine_after: no shrink per flap...
         let mut shrunk = None;
         for i in 0..mc.flap_threshold as u64 {
-            let a = c.on_step(
+            let a = on_step(
+                &mut c,
                 1 + i,
                 &[fault(
                     0,
@@ -397,8 +274,9 @@ mod tests {
 
     #[test]
     fn slowdown_triggers_heterogeneity_replan_with_serving_multipliers() {
-        let mut c = ElasticCoordinator::new(3, cfg());
-        let a = c.on_step(
+        let mut c = controller(3, cfg());
+        let a = on_step(
+            &mut c,
             1,
             &[fault(1, 1, MembershipChange::Slowdown { factor: 2.5 })],
         );
@@ -409,7 +287,7 @@ mod tests {
             }]
         );
         // After device 1 leaves, its multiplier leaves the serving view too.
-        let _ = c.on_step(2, &[fault(1, 2, MembershipChange::Leave)]);
+        let _ = on_step(&mut c, 2, &[fault(1, 2, MembershipChange::Leave)]);
         assert_eq!(c.serving_multipliers(), vec![1.0, 1.0]);
     }
 
@@ -417,8 +295,8 @@ mod tests {
     fn halting_below_the_floor() {
         let mut ec = cfg();
         ec.min_devices = 2;
-        let mut c = ElasticCoordinator::new(2, ec);
-        let a = c.on_step(1, &[fault(0, 1, MembershipChange::Leave)]);
+        let mut c = controller(2, ec);
+        let a = on_step(&mut c, 1, &[fault(0, 1, MembershipChange::Leave)]);
         assert!(
             matches!(a.as_slice(), [ElasticAction::Halt { .. }]),
             "{a:?}"
@@ -433,17 +311,88 @@ mod tests {
             (4, fault(2, 4, MembershipChange::Join)),
         ];
         let run = |steps: u64| {
-            let mut c = ElasticCoordinator::new(4, cfg());
+            let mut c = controller(4, cfg());
             for s in 1..=steps {
                 let evs: Vec<MembershipFault> = script
                     .iter()
                     .filter(|(at, _)| *at == s)
                     .map(|(_, f)| *f)
                     .collect();
-                let _ = c.on_step(s, &evs);
+                let _ = on_step(&mut c, s, &evs);
             }
-            c.log().to_vec()
+            c.elastic_log().to_vec()
         };
         assert_eq!(run(12), run(12));
+    }
+
+    /// A fail-stop restored to an earlier generation replays the steps
+    /// since, but the cluster does not relive them: each step's scripted
+    /// events and implicit heartbeats fold once, so a replayed slowdown
+    /// does not re-plan again and a quarantined device's cooldown does not
+    /// count the replayed steps twice.
+    #[test]
+    fn a_replayed_step_folds_its_membership_once() {
+        let slow = |factor| fault(2, 0, MembershipChange::Slowdown { factor });
+        let script = |s: u64| match s {
+            1 => vec![fault(1, 1, MembershipChange::Leave)],
+            2 => vec![fault(1, 2, MembershipChange::Join)],
+            3 => vec![slow(2.0)],
+            4 => vec![slow(3.0)],
+            _ => vec![],
+        };
+        let mut clean = controller(4, cfg());
+        for s in 1..=8 {
+            on_step(&mut clean, s, &script(s));
+        }
+        let mut replayed = controller(4, cfg());
+        for s in 1..=4 {
+            on_step(&mut replayed, s, &script(s));
+        }
+        // Step 5 dies in place; the newest generation is step 2's.
+        let crash = FaultReport {
+            crashed: vec![CrashEvent {
+                device: 0,
+                at_op: 0,
+                kind: FailStopKind::Crash,
+                detail: None,
+            }],
+            aborted: true,
+            ..FaultReport::default()
+        };
+        let restore = Outcome::FailStop {
+            step: 4,
+            report: &crash,
+        };
+        assert_eq!(replayed.fold(restore).unwrap(), vec![Action::Restore]);
+        replayed.restored(2, 1);
+        for s in 3..=8 {
+            on_step(&mut replayed, s, &script(s));
+        }
+        assert_eq!(replayed.elastic_log(), clean.elastic_log());
+        let cooldown = cfg().membership.quarantine_cooldown as u64;
+        let replan = |multipliers| ElasticAction::Replan { multipliers };
+        assert_eq!(
+            (clean.elastic_log().iter())
+                .map(|e| (e.step, e.action.clone()))
+                .collect::<Vec<_>>(),
+            vec![
+                (
+                    1,
+                    ElasticAction::Shrink {
+                        survivors: 3,
+                        device: 1
+                    }
+                ),
+                (3, replan(vec![1.0, 2.0, 1.0])),
+                (4, replan(vec![1.0, 3.0, 1.0])),
+                (
+                    2 + cooldown,
+                    ElasticAction::Grow {
+                        target: 4,
+                        device: 1
+                    }
+                ),
+            ]
+        );
     }
 }

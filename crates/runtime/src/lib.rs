@@ -24,13 +24,19 @@
 //!
 //! Fault tolerance (see `DESIGN.md`): injected [`autopipe_exec::FaultPlan`]
 //! scripts replay in wall time, every channel wait runs under a stall
-//! [`watchdog`], persistent stragglers are detected by
-//! [`adaptive::StragglerMonitor`], and
+//! [`watchdog`], and
 //! [`Pipeline::repartition`](engine::Pipeline::repartition) hot-swaps plans
-//! between iterations without perturbing training numerics.
+//! between iterations without perturbing training numerics. What a run does
+//! between steps — checkpoint, restore and replay, shrink, grow, re-plan
+//! around a slow device, or halt — is decided in one place, the pure
+//! [`Controller`], which folds each step's outcome into ordered
+//! [`controller::Action`]s and owns the [`ClusterMembership`] record of who
+//! serves and how slow each device is; [`RecoveryStore`] is its checkpoint
+//! I/O.
 
 pub mod adaptive;
 pub mod checkpoint;
+pub mod controller;
 pub mod data;
 pub mod elastic;
 pub mod engine;
@@ -40,16 +46,16 @@ pub mod reference;
 mod stage;
 pub mod watchdog;
 
-pub use adaptive::{StragglerMonitor, StragglerObservation};
 pub use autopipe_core::{StragglerConfig, WatchdogConfig};
 pub use checkpoint::{
     restore_states, BackgroundCheckpointer, CheckpointError, CheckpointStore, FailPoint, Manifest,
     ModelShape, PipelineSnapshot, StagePayload, StageState, WriterStatus,
 };
+pub use controller::{Action, Controller, Outcome};
 pub use data::BatchSet;
-pub use elastic::{ElasticAction, ElasticCoordinator, ElasticEvent};
+pub use elastic::{ElasticAction, ElasticEvent};
 pub use engine::{IterationStats, Pipeline, PipelineConfig};
 pub use membership::{ClusterMembership, DeviceState, MemberEvent, TimedEvent, Transition};
-pub use recovery::{RecoveryAction, RecoveryCoordinator, RecoveryRecord};
+pub use recovery::{RecoveryAction, RecoveryRecord, RecoveryStore};
 pub use reference::ReferenceModel;
 pub use watchdog::{CrashEvent, FaultReport, RuntimeError, WatchdogEvent};

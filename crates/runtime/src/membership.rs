@@ -16,9 +16,9 @@
 //! The serving set is *derived* from the states: a device serves exactly
 //! while it is `Ready` or `Suspect`, and only
 //! `ClusterMembership::mark_grown` brings a device back into service, so
-//! the set the elastic coordinator re-plans for and the pipeline's width
-//! cannot drift apart. Each device record also carries the compute-time
-//! multiplier last observed for it, which is what a heterogeneity-aware
+//! the set the run controller re-plans for and the pipeline's width cannot
+//! drift apart. Each device record also carries the compute-time multiplier
+//! known for it (configured, scripted or measured), which is what every
 //! re-plan charges the device.
 //!
 //! Everything is counter-based (heartbeat periods, not wall-clock), so the
@@ -46,7 +46,7 @@ pub enum DeviceState {
     /// Missed `evict_after` heartbeats or left gracefully; out of the
     /// pipeline until an explicit join.
     Evicted,
-    /// Survived the quarantine cooldown; ready for the coordinator to grow
+    /// Survived the quarantine cooldown; ready for the controller to grow
     /// the pipeline back onto it (`ClusterMembership::mark_grown` →
     /// [`DeviceState::Ready`]). Not serving until then: a readmitted device
     /// that misses `suspect_after` heartbeats goes back to `Quarantined`.
@@ -104,7 +104,7 @@ pub struct TimedEvent {
     pub event: MemberEvent,
 }
 
-/// One state transition, for the coordinator and the campaign assertions.
+/// One state transition, for the controller and the campaign assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// Tick the transition happened on.
@@ -205,6 +205,11 @@ impl ClusterMembership {
         &self.log
     }
 
+    /// The multiplier recorded for `device` (1.0 for a device never seen).
+    pub(crate) fn multiplier(&self, device: usize) -> f64 {
+        self.devices.get(device).map_or(1.0, |d| d.multiplier)
+    }
+
     /// Record that `device` now runs `multiplier` times slower than
     /// profiled. A slowdown moves no state; it changes what the device is
     /// charged once it serves.
@@ -224,7 +229,7 @@ impl ClusterMembership {
         }
     }
 
-    /// The coordinator grew the pipeline back onto a `Readmitted` device.
+    /// The controller grew the pipeline back onto a `Readmitted` device.
     pub(crate) fn mark_grown(&mut self, at: u64, device: usize) {
         if self.devices[device].state == DeviceState::Readmitted {
             self.transition(at, device, DeviceState::Ready);

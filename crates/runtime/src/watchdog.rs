@@ -100,7 +100,7 @@ impl FaultReport {
         self.events.iter().filter(|e| !e.resolved).count()
     }
 
-    /// The first dead stage, if any (the recovery coordinator's trigger).
+    /// The first dead stage, if any.
     pub fn first_crash(&self) -> Option<&CrashEvent> {
         self.crashed.first()
     }
@@ -129,7 +129,7 @@ pub enum RuntimeError {
     Stalled(FaultReport),
     /// A stage thread died mid-iteration (scripted fail-stop or internal
     /// failure). The report carries the [`CrashEvent`]s and how far every
-    /// surviving device got — the recovery coordinator's input.
+    /// surviving device got — the run controller's input.
     StageDown {
         /// The first device observed dead.
         stage: usize,

@@ -13,9 +13,7 @@ pub use autopipe_core::{
     SessionConfig,
 };
 pub use autopipe_planner::{PlanService, RecomputePolicy, ServiceStats};
-pub use autopipe_runtime::{
-    ElasticAction, ElasticCoordinator, ElasticEvent, RecoveryAction, RecoveryRecord,
-};
+pub use autopipe_runtime::{ElasticAction, ElasticEvent, RecoveryAction, RecoveryRecord};
 pub use session::{PlannedSession, RunReport, Session, SimReport};
 
 pub use autopipe_core as core;

@@ -6,13 +6,14 @@
 //!    evicted without a graceful leave or the full missed-heartbeat
 //!    threshold, no device is readmitted before serving the quarantine
 //!    cooldown, any permutation of a timed event set folds to the same
-//!    terminal membership, and under random membership scripts mixed with
-//!    fail-stop losses the coordinator's log always accounts for exactly
-//!    the devices that serve;
+//!    terminal membership, and random fail-stops, membership scripts and
+//!    straggler timelines folded through the run controller keep its
+//!    width, step, halt and budget accounting;
 //! 2. **session-level elasticity** — scripted leaves shrink the pipeline
 //!    into degraded mode, rejoins grow it back through the checkpoint-path
 //!    repartition, slowdowns trigger heterogeneity-aware re-plans, a
-//!    fail-stop loss is one more departure every later decision sees, a
+//!    fail-stop loss is one more departure every later decision sees, every
+//!    re-shape charges the serving devices their configured multipliers, a
 //!    restartable crash restarts in place without leaving, every
 //!    swap keeps the policy and memory budget the run was planned under
 //!    (also on a resumed run), and the whole run stays deterministic under
@@ -26,18 +27,20 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use autopipe::{
-    ElasticAction, ElasticConfig, ElasticCoordinator, Error, MembershipConfig, RecomputePolicy,
-    RecoveryAction, RecoveryConfig, SchedulePolicy, Session,
+    ElasticAction, ElasticConfig, Error, MembershipConfig, RecomputePolicy, RecoveryAction,
+    RecoveryConfig, SchedulePolicy, Session,
 };
 use autopipe_exec::{
-    splitmix64, DeviceLost, FaultPlan, MembershipChange, MembershipFault, StageCrash,
+    splitmix64, DeviceLost, FailStopKind, FaultPlan, MembershipChange, MembershipFault, OpTimes,
+    Recorder, StageCrash, Timeline, TraceSink,
 };
 use autopipe_model::zoo;
 use autopipe_planner::PlanError;
 use autopipe_runtime::{
-    ClusterMembership, DeviceState, MemberEvent, RuntimeError, TimedEvent, WatchdogConfig,
+    Action, ClusterMembership, Controller, CrashEvent, DeviceState, FaultReport, MemberEvent,
+    Outcome, RuntimeError, StragglerConfig, TimedEvent, WatchdogConfig,
 };
-use autopipe_schedule::recompute_mask;
+use autopipe_schedule::{one_f_one_b, recompute_mask, Schedule};
 use autopipe_sim::memcheck::check_memory_budget;
 
 // ---------------------------------------------------------------------------
@@ -181,58 +184,182 @@ proptest! {
         prop_assert_eq!(m.serving(), census);
     }
 
-    /// A random membership script mixed with random fail-stop losses, fed
-    /// to the coordinator the way the session feeds it: after every step
-    /// the serving count is the starting width minus the shrinks plus the
-    /// grows on the log, every shrink / grow names the width serving right
-    /// after it, and every re-plan charges exactly the serving devices. A
-    /// halt ends the run, as it ends a session.
+    /// Random fail-stop reports (restartable crashes and device losses),
+    /// membership scripts and straggler timelines, folded through the run
+    /// controller the way a run folds them, with the pipeline and the
+    /// checkpoint store reduced to the steps they hold:
+    ///
+    /// * after every step the serving width is the starting width minus the
+    ///   shrinks plus the grows on the log, and every re-shape charges
+    ///   exactly the serving devices;
+    /// * a checkpoint snapshots the step just trained, a restore replays
+    ///   from the newest one, and the run ends having kept every step once;
+    /// * a replayed step folds no membership decision, and a straggler
+    ///   re-plan never shares a step with another re-shape;
+    /// * the run halts iff a departure would take the serving set below
+    ///   `min_devices`;
+    /// * a fail-stop errors iff `max_recoveries` are spent (or it takes the
+    ///   only device).
     #[test]
-    fn the_elastic_log_accounts_for_every_serving_device(seed in 0usize..1_000_000) {
+    fn every_fold_accounts_for_width_steps_and_budget(
+        seed in 0usize..1_000_000,
+        min_devices in 1usize..=3,
+        max_recoveries in 1usize..=4,
+    ) {
         const STEPS: u64 = 24;
         let seed = seed as u64;
         let script = FaultPlan::random_membership(seed, DEVICES, STEPS, 0.6, 1);
-        let mut c = ElasticCoordinator::new(
-            DEVICES,
-            ElasticConfig {
-                membership: fast_membership(),
-                ..ElasticConfig::default()
-            },
-        );
+        let elastic = ElasticConfig { membership: fast_membership(), min_devices };
+        let recovery = RecoveryConfig {
+            cadence: 3,
+            max_recoveries,
+            ..RecoveryConfig::new("unused")
+        };
+        let straggler = StragglerConfig { threshold: 1.5, window: 2 };
+        let mut ctl =
+            Controller::new(&[1.0; DEVICES], Some(&recovery), Some(&elastic), Some(straggler));
         let mut rng = splitmix64(seed ^ 0x1055);
-        let mut width = DEVICES;
-        'run: for step in 1..STEPS {
+        let (mut width, mut kept, mut newest, mut furthest) = (DEVICES, 0u64, 0u64, 0u64);
+        let mut failstops = 0usize;
+        while kept < STEPS {
             rng = splitmix64(rng);
-            let mut actions = Vec::new();
-            if rng % 5 == 0 {
-                let position = (rng >> 8) as usize % c.serving().len().max(1);
-                actions.extend(c.on_loss(step, position));
-            }
-            actions.extend(c.on_step(step, &script.membership_at(step)));
+            let logged = ctl.elastic_log().len();
+            let actions = if rng % 12 == 0 {
+                let kind = if (rng >> 8) % 2 == 0 { FailStopKind::Crash } else { FailStopKind::Lost };
+                let report = down((rng >> 16) as usize % width, kind);
+                failstops += 1;
+                match ctl.fold(Outcome::FailStop { step: kept, report: &report }) {
+                    Ok(actions) => {
+                        prop_assert!(failstops <= max_recoveries);
+                        actions
+                    }
+                    Err(e) => {
+                        let only = kind == FailStopKind::Lost && width == 1;
+                        prop_assert!(failstops > max_recoveries || only, "{e}");
+                        return Ok(());
+                    }
+                }
+            } else {
+                kept += 1;
+                let sched = one_f_one_b(width, 4);
+                let slow = |d: usize| rng % 3 == 0 && (rng >> (20 + d)) & 1 == 1;
+                let per_op: Vec<f64> =
+                    (0..width).map(|d| if slow(d) { 2.0 } else { 1.0 }).collect();
+                let tl = timeline(&sched, &per_op);
+                let replayed = kept <= furthest;
+                furthest = furthest.max(kept);
+                let actions = ctl
+                    .fold(Outcome::Completed {
+                        step: kept,
+                        membership: &script.membership_at(kept),
+                        observed: Some((&tl, &sched)),
+                    })
+                    .unwrap();
+                if replayed {
+                    prop_assert_eq!(ctl.elastic_log().len(), logged, "step {} replayed", kept);
+                }
+                actions
+            };
+            let reshapes = actions.iter().filter(|a| matches!(a, Action::Reshape { .. }));
+            let straggler = reshapes.clone().any(
+                |a| matches!(a, Action::Reshape { trigger: "straggler re-plan", .. }),
+            );
+            prop_assert!(!straggler || reshapes.count() == 1, "{:?}", actions);
             for action in actions {
                 match action {
-                    ElasticAction::Shrink { survivors, .. } => {
-                        width -= 1;
-                        prop_assert_eq!(survivors, width, "step {}: {:?}", step, c.log());
+                    Action::Checkpoint { step } => {
+                        prop_assert_eq!(step, kept);
+                        newest = step;
                     }
-                    ElasticAction::Grow { target, .. } => {
-                        width += 1;
-                        prop_assert_eq!(target, width, "step {}: {:?}", step, c.log());
+                    Action::Restore => {
+                        ctl.restored(newest, newest);
+                        kept = newest;
                     }
-                    ElasticAction::Replan { multipliers } => {
-                        prop_assert_eq!(multipliers.len(), width, "step {}", step);
+                    Action::Reshape { width: w, multipliers, .. } => {
+                        prop_assert_eq!(multipliers.len(), w);
+                        prop_assert!(w >= min_devices);
+                        width = w;
                     }
-                    ElasticAction::Halt { .. } => break 'run,
+                    Action::Halt { .. } => {
+                        // In place of the shrink a departure would have
+                        // called for.
+                        prop_assert!(width - 1 < min_devices);
+                        return Ok(());
+                    }
                 }
             }
             let count = |want: fn(&ElasticAction) -> bool| {
-                c.log().iter().filter(|e| want(&e.action)).count()
+                ctl.elastic_log().iter().filter(|e| want(&e.action)).count()
             };
             let shrinks = count(|a| matches!(a, ElasticAction::Shrink { .. }));
             let grows = count(|a| matches!(a, ElasticAction::Grow { .. }));
-            prop_assert_eq!(c.serving().len(), DEVICES + grows - shrinks, "step {}", step);
+            prop_assert_eq!(width, DEVICES + grows - shrinks, "{:?}", ctl.elastic_log());
+            prop_assert_eq!(ctl.serving().len(), width);
+            prop_assert!(width >= min_devices);
         }
+        prop_assert_eq!(ctl.recoveries(), failstops);
     }
+
+    /// A clean run — no fail-stop, no membership event, every step's
+    /// timeline within the straggler threshold of the first — never
+    /// re-shapes.
+    #[test]
+    fn a_clean_fold_never_reshapes(seed in 0usize..1_000_000) {
+        let recovery = RecoveryConfig::new("unused");
+        let elastic = ElasticConfig { membership: fast_membership(), min_devices: 1 };
+        let straggler = StragglerConfig { threshold: 1.5, window: 1 };
+        let mut ctl =
+            Controller::new(&[1.0; DEVICES], Some(&recovery), Some(&elastic), Some(straggler));
+        let sched = one_f_one_b(DEVICES, 4);
+        let mut rng = seed as u64;
+        for step in 1..=24 {
+            rng = splitmix64(rng);
+            let jitter = |d: usize| 1.0 + ((rng >> (8 * d)) & 0xFF) as f64 / 1024.0;
+            let tl = timeline(&sched, &(0..DEVICES).map(jitter).collect::<Vec<_>>());
+            let actions = ctl
+                .fold(Outcome::Completed { step, membership: &[], observed: Some((&tl, &sched)) })
+                .unwrap();
+            prop_assert_eq!(actions, vec![Action::Checkpoint { step }]);
+        }
+        prop_assert_eq!(ctl.replans(), 0);
+    }
+}
+
+/// A fail-stop report with one event of `kind` at pipeline position
+/// `device`.
+fn down(device: usize, kind: FailStopKind) -> FaultReport {
+    FaultReport {
+        crashed: vec![CrashEvent {
+            device,
+            at_op: 0,
+            kind,
+            detail: None,
+        }],
+        aborted: true,
+        ..FaultReport::default()
+    }
+}
+
+/// A timeline of `sched` in which every compute op on device `d` takes
+/// `per_op[d]` seconds.
+fn timeline(sched: &Schedule, per_op: &[f64]) -> Timeline {
+    let mut rec = Recorder::for_programs(&sched.devices);
+    for (d, ops) in sched.devices.iter().enumerate() {
+        let mut t = 0.0;
+        let times: Vec<OpTimes> = (ops.iter())
+            .map(|op| {
+                let start = t;
+                t += if op.is_compute() { per_op[d] } else { 0.01 };
+                OpTimes {
+                    start,
+                    ready: start,
+                    end: t,
+                }
+            })
+            .collect();
+        rec.record_run(d, &times);
+    }
+    rec.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -326,7 +453,7 @@ fn a_scripted_leave_shrinks_into_degraded_mode() {
 }
 
 /// Leave then rejoin: the pipeline shrinks to p − 1, the returning device
-/// proves itself through quarantine, and the coordinator grows back to p —
+/// proves itself through quarantine, and the controller grows back to p —
 /// parameters migrating through the same repartition path both ways. Back
 /// at the starting width the run is on the starting plan again (same costs,
 /// deterministic search): a run that never called `.slice()` is on plain
@@ -628,6 +755,75 @@ fn a_slowdown_triggers_a_heterogeneity_replan() {
         .expect("no heterogeneity replan on the log");
     assert_eq!(replan, vec![1.0, 3.0]);
     assert_eq!(report.final_partition.n_stages(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a `gpt2_tiny` session at m = 4, mbs = 2, seed 7 plans on devices
+/// with these multipliers.
+fn planned_partition(multipliers: Vec<f64>) -> autopipe::sim::Partition {
+    let stages = multipliers.len();
+    (Session::for_model(zoo::gpt2_tiny()).stages(stages))
+        .microbatches(4)
+        .microbatch_size(2)
+        .seed(7)
+        .device_multipliers(multipliers)
+        .plan()
+        .unwrap()
+        .plan()
+        .partition
+        .clone()
+}
+
+/// A configured multiplier belongs to its device: when device 0 of a
+/// `[1, 3, 1]` cluster leaves, the survivors are charged `[3, 1]`, not the
+/// first two entries of the configured list.
+#[test]
+fn a_shrink_charges_the_survivors_their_configured_multipliers() {
+    let mut faults = FaultPlan::default();
+    faults.membership.push(MembershipFault {
+        device: 0,
+        at_step: 1,
+        change: MembershipChange::Leave,
+    });
+    let (session, dir) = elastic_session("configured_shrink", faults, 2);
+    let report = (session.stages(3).device_multipliers(vec![1.0, 3.0, 1.0]))
+        .plan()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        report.final_partition,
+        planned_partition(vec![3.0, 1.0]),
+        "{:?}",
+        report.elastic_log
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A slowdown scripted on a configured heterogeneous cluster keeps the
+/// other devices' multipliers: `[1, 5]` with device 0 at 2× re-plans for
+/// `[2, 5]`, not for `[2, 1]`.
+#[test]
+fn a_slowdown_keeps_the_other_devices_configured_multipliers() {
+    let mut faults = FaultPlan::default();
+    faults.membership.push(MembershipFault {
+        device: 0,
+        at_step: 1,
+        change: MembershipChange::Slowdown { factor: 2.0 },
+    });
+    let (session, dir) = elastic_session("configured_slowdown", faults, 2);
+    let report = (session.device_multipliers(vec![1.0, 5.0]))
+        .plan()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        actions(&report),
+        vec![ElasticAction::Replan {
+            multipliers: vec![2.0, 5.0]
+        }]
+    );
+    assert_eq!(report.final_partition, planned_partition(vec![2.0, 5.0]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

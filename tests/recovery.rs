@@ -24,8 +24,8 @@ use autopipe_core::RecoveryConfig;
 use autopipe_exec::{FaultPlan, FaultSpec, StageCrash};
 use autopipe_model::{ModelConfig, ModelFamily};
 use autopipe_runtime::{
-    BatchSet, CheckpointError, CheckpointStore, FailPoint, Pipeline, PipelineConfig,
-    RecoveryAction, RecoveryCoordinator, RuntimeError, WatchdogConfig,
+    Action, BatchSet, CheckpointError, CheckpointStore, Controller, FailPoint, Outcome, Pipeline,
+    PipelineConfig, RecoveryStore, RuntimeError, WatchdogConfig,
 };
 use autopipe_schedule::{one_f_one_b, recompute_mask, sliced_1f1b, Schedule};
 use autopipe_sim::Partition;
@@ -73,38 +73,66 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Exactly-once training loop under recovery (the `Session` facade's loop,
-/// restated at the runtime layer); a shrink is re-split evenly onto the
-/// survivors under plain 1F1B.
+/// Synchronous checkpoints into `dir`, every step.
+fn sync_recovery(dir: &PathBuf) -> RecoveryConfig {
+    RecoveryConfig {
+        background: false,
+        ..RecoveryConfig::new(dir)
+    }
+}
+
+/// Exactly-once training under recovery: every outcome folds through the
+/// run controller (as the `Session` facade's loop does) and its actions are
+/// applied in order; a shrink is re-split evenly onto the survivors under
+/// plain 1F1B.
 fn train_with_recovery(
     mut pipe: Pipeline,
-    coord: &mut RecoveryCoordinator,
+    cfg: &RecoveryConfig,
     batch: &BatchSet,
     steps: usize,
-) -> (Vec<f32>, Pipeline) {
-    coord.prime(&mut pipe).unwrap();
+) -> (Vec<f32>, Pipeline, Controller) {
+    let mut store = RecoveryStore::open(cfg).unwrap();
+    store.prime(&mut pipe).unwrap();
+    let mut ctl = Controller::new(&vec![1.0; pipe.schedule().n_devices], Some(cfg), None, None);
     let mut losses: Vec<f32> = Vec::new();
     while losses.len() < steps {
-        match pipe.train_iteration(batch) {
+        let step = losses.len() as u64;
+        let outcome = match pipe.train_iteration(batch) {
             Ok(stats) => {
                 losses.push(stats.loss);
-                coord
-                    .maybe_checkpoint(&mut pipe, losses.len() as u64)
-                    .unwrap();
+                let (step, membership) = (step + 1, &[]);
+                ctl.fold(Outcome::Completed {
+                    step,
+                    membership,
+                    observed: None,
+                })
             }
-            Err(RuntimeError::StageDown { report, .. }) => {
-                let action = coord.recover(&mut pipe, &report).unwrap();
-                if let RecoveryAction::Shrunk { devices, .. } = action {
+            Err(RuntimeError::StageDown { report, .. }) => ctl.fold(Outcome::FailStop {
+                step,
+                report: &report,
+            }),
+            Err(other) => panic!("deadlock or unrecovered error: {other}"),
+        };
+        for action in outcome.unwrap() {
+            match action {
+                Action::Checkpoint { step } => {
+                    store.save(&mut pipe, step).unwrap();
+                }
+                Action::Restore => {
+                    let manifest = store.restore_newest(&mut pipe).unwrap();
+                    ctl.restored(manifest.step, manifest.generation);
+                    losses.truncate(manifest.step as usize);
+                }
+                Action::Reshape { width, .. } => {
                     let n = pipe.partition().n_blocks();
-                    pipe.repartition(&Partition::even(n, devices), one_f_one_b(devices, M))
+                    pipe.repartition(&Partition::even(n, width), one_f_one_b(width, M))
                         .unwrap();
                 }
-                losses.truncate(action.from_step() as usize);
+                Action::Halt { reason } => panic!("halted: {reason}"),
             }
-            Err(other) => panic!("deadlock or unrecovered error: {other}"),
         }
     }
-    (losses, pipe)
+    (losses, pipe, ctl)
 }
 
 /// Seeded campaign: random crash scripts, restart-in-place. Every seed must
@@ -122,18 +150,14 @@ fn seeded_crashes_restart_bit_identically() {
     let program_len = one_f_one_b(2, M).devices[0].len();
     for seed in 0..12u64 {
         let dir = temp_dir(&format!("campaign_restart_{seed}"));
-        let mut coord = RecoveryCoordinator::new(RecoveryConfig {
-            background: false,
-            ..RecoveryConfig::new(&dir)
-        })
-        .unwrap();
         let mut crashed = pipe(2, 77);
         crashed.set_faults(
             FaultPlan::random_failstop(seed, &FaultSpec::new(2, program_len, 1.0), 0.0),
             0.0,
         );
-        let (losses, recovered) = train_with_recovery(crashed, &mut coord, &batch, STEPS);
-        assert_eq!(coord.recoveries(), 1, "seed {seed}: crash never fired");
+        let (losses, recovered, ctl) =
+            train_with_recovery(crashed, &sync_recovery(&dir), &batch, STEPS);
+        assert_eq!(ctl.recoveries(), 1, "seed {seed}: crash never fired");
         assert_eq!(clean_losses, losses, "seed {seed}: trajectory drifted");
         assert_eq!(
             clean_sum.to_bits(),
@@ -159,18 +183,14 @@ fn seeded_losses_shrink_and_converge() {
     let program_len = one_f_one_b(4, M).devices[0].len();
     for seed in 0..12u64 {
         let dir = temp_dir(&format!("campaign_shrink_{seed}"));
-        let mut coord = RecoveryCoordinator::new(RecoveryConfig {
-            background: false,
-            ..RecoveryConfig::new(&dir)
-        })
-        .unwrap();
         let mut crashed = pipe(4, 77);
         crashed.set_faults(
             FaultPlan::random_failstop(seed, &FaultSpec::new(4, program_len, 1.0), 1.0),
             0.0,
         );
-        let (losses, recovered) = train_with_recovery(crashed, &mut coord, &batch, STEPS);
-        assert_eq!(coord.recoveries(), 1, "seed {seed}: loss never fired");
+        let (losses, recovered, ctl) =
+            train_with_recovery(crashed, &sync_recovery(&dir), &batch, STEPS);
+        assert_eq!(ctl.recoveries(), 1, "seed {seed}: loss never fired");
         assert_eq!(
             recovered.schedule().n_devices,
             3,
@@ -186,7 +206,7 @@ fn seeded_losses_shrink_and_converge() {
 /// the iteration comes back `StageDown` naming that device and op long before
 /// the first deadline, because a survivor's next receive sees the dead
 /// stage's links closed. One position where the survivor is blocked in a
-/// receive then goes through the coordinator and replays bit for bit.
+/// receive then goes through the controller and replays bit for bit.
 #[test]
 fn every_crash_position_is_detected_by_a_neighbours_next_receive() {
     let patient = WatchdogConfig {
@@ -230,16 +250,12 @@ fn every_crash_position_is_detected_by_a_neighbours_next_receive() {
         .map(|_| clean.train_iteration(&batch).unwrap().loss)
         .collect();
     let dir = temp_dir("crash_positions");
-    let mut coord = RecoveryCoordinator::new(RecoveryConfig {
-        background: false,
-        ..RecoveryConfig::new(&dir)
-    })
-    .unwrap();
     let mut crashed = pipe_on(sliced, 77);
     crashed.set_watchdog(patient);
     crashed.set_faults(crash_at(0, 5), 0.0);
-    let (losses, recovered) = train_with_recovery(crashed, &mut coord, &batch, STEPS);
-    assert_eq!(coord.recoveries(), 1);
+    let (losses, recovered, ctl) =
+        train_with_recovery(crashed, &sync_recovery(&dir), &batch, STEPS);
+    assert_eq!(ctl.recoveries(), 1);
     assert_eq!(clean_losses, losses);
     assert_eq!(
         clean.param_checksum().to_bits(),
