@@ -1,6 +1,6 @@
 //! The end-to-end AutoPipe pipeline: configs → Planner → Slicer → Plan.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_cost::CostDb;
 use autopipe_model::Granularity;
@@ -16,7 +16,7 @@ use crate::config::{SchedulePolicy, SessionConfig};
 use crate::strategy::choose_strategy;
 
 /// A complete executable plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Plan {
     /// Pipeline depth.
     pub stages: usize,

@@ -1,12 +1,12 @@
 //! Communication model helpers shared by simulators and planners.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hardware::Hardware;
 
 /// Communication cost model: α + bytes/β per point-to-point message, ring
 /// all-reduce for gradient synchronisation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CommModel {
     /// Per-message latency (α), seconds.
     pub latency: f64,

@@ -1,7 +1,7 @@
 //! Per-block cost database — the "runtime statistics" half of the model
 //! configs consumed by the Planner (Fig. 2).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_model::{build_blocks, Block, BlockKind, Granularity, ModelConfig};
 
@@ -9,7 +9,7 @@ use crate::flops;
 use crate::hardware::Hardware;
 
 /// Everything the planner/simulator needs to know about one block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BlockCost {
     /// Block kind (kept for memory modelling and reporting).
     pub kind: BlockKind,
@@ -39,7 +39,7 @@ impl BlockCost {
 }
 
 /// Cost database for one (model, hardware, micro-batch size) combination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostDb {
     /// Model name, for reports.
     pub model: String,

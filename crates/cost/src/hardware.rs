@@ -1,6 +1,6 @@
 //! Hardware profiles.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Description of one device class plus the interconnect between devices.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// §IV-D that intra- and inter-device communication speeds were "almost
 /// identical" in their environment, which is why AutoPipe skips device
 /// placement entirely).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Hardware {
     /// Profile name for reports.
     pub name: String,

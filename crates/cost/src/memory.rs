@@ -19,7 +19,7 @@
 //! with the activation terms inflated by a fragmentation multiplier
 //! (allocator fragmentation + NCCL/workspace overhead).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::costdb::BlockCost;
 use crate::hardware::Hardware;
@@ -41,7 +41,7 @@ pub const ACT_FRAG_MULT: f64 = 1.35;
 pub const INTERLEAVED_FRAG_MULT: f64 = 1.8;
 
 /// Itemised per-device memory usage in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryBreakdown {
     /// Persistent parameter + optimiser state.
     pub param_state: u64,

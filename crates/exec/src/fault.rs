@@ -38,14 +38,14 @@
 //! All delays are in the executor's native time unit (virtual seconds in the
 //! simulator; the runtime multiplies by its `time_scale`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_schedule::Part;
 
 use crate::msg::MsgKey;
 
 /// A degraded directed link: every message `from → to` pays extra delay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinkDegrade {
     /// Sending device.
     pub from: usize,
@@ -63,7 +63,7 @@ pub struct LinkDegrade {
 
 /// Lossy directed link: messages drop with `prob` and are redelivered after
 /// a retransmit timeout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MessageDrop {
     /// Sending device.
     pub from: usize,
@@ -76,7 +76,7 @@ pub struct MessageDrop {
 }
 
 /// A persistently slow pipeline stage: compute runs `factor`× slower.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Straggler {
     /// Slow pipeline stage (chunk-stage index for interleaved schedules).
     pub stage: usize,
@@ -85,7 +85,7 @@ pub struct Straggler {
 }
 
 /// A one-off device freeze before a specific op in its program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageStall {
     /// Frozen device.
     pub device: usize,
@@ -99,7 +99,7 @@ pub struct StageStall {
 /// executing op `at_op` of its program and stays dead for the rest of the
 /// iteration. The process (and its checkpointed state) survives, so recovery
 /// may respawn the stage in place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageCrash {
     /// Crashing device (= pipeline stage for non-interleaved schedules).
     pub device: usize,
@@ -110,7 +110,7 @@ pub struct StageCrash {
 /// A fail-stop device loss: like [`StageCrash`], but the device itself is
 /// gone (host down, accelerator off the bus) — recovery must re-plan the
 /// pipeline onto the surviving devices instead of respawning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceLost {
     /// Lost device.
     pub device: usize,
@@ -125,7 +125,7 @@ pub struct DeviceLost {
 /// decisions between iterations. Replayed identically by both executors
 /// because the script — like every other family — is a pure function of its
 /// seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum MembershipChange {
     /// A device arrives (or returns) and asks to join the pipeline.
     Join,
@@ -149,7 +149,7 @@ pub enum MembershipChange {
 
 /// One scripted membership event: `device` undergoes `change` at the
 /// boundary *before* training step `at_step` (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MembershipFault {
     /// Affected device.
     pub device: usize,
@@ -162,7 +162,7 @@ pub struct MembershipFault {
 /// What kind of fail-stop event hit a device. Drives the recovery policy
 /// choice: a `Crash` may be restarted in place, a `Lost` device forces
 /// shrink-and-replan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FailStopKind {
     /// The stage thread died but the device survives ([`StageCrash`]).
     Crash,
@@ -171,7 +171,7 @@ pub enum FailStopKind {
 }
 
 /// A complete seeded fault script. See the module docs for replay semantics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Seed all per-message decisions derive from.
     pub seed: u64,
@@ -608,14 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn scripts_serialise_round_trip() {
-        let plan = FaultPlan::random(9, &FaultSpec::new(4, 40, 1.0));
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
-    }
-
-    #[test]
     fn failstop_scripts_are_deterministic_and_in_range() {
         let spec = FaultSpec::new(4, 40, 1.0);
         for seed in 0..50 {
@@ -653,14 +645,6 @@ mod tests {
             at_op: 5,
         });
         assert_eq!(plan.crash_at(2, 5), Some(FailStopKind::Lost));
-    }
-
-    #[test]
-    fn failstop_scripts_serialise_round_trip() {
-        let plan = FaultPlan::random_failstop(11, &FaultSpec::new(4, 40, 1.0), 0.5);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 
     #[test]
@@ -720,14 +704,5 @@ mod tests {
         );
         assert_eq!(at[2].change, MembershipChange::Join);
         assert_eq!(plan.membership_at(2), Vec::new());
-    }
-
-    #[test]
-    fn membership_scripts_serialise_round_trip() {
-        let plan = FaultPlan::random_membership(13, 4, 12, 0.9, 2);
-        assert!(!plan.membership.is_empty(), "seed 13 must draw events");
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 }

@@ -1,6 +1,6 @@
 //! Message identity: pairing sends with receives across every transport.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_schedule::Part;
 
@@ -11,7 +11,7 @@ use autopipe_schedule::Part;
 /// sender. Keying on the consuming stage (not the device) disambiguates
 /// multiple chunks flowing between the same device pair under the
 /// interleaved schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct MsgKey {
     /// Gradient (backward) rather than activation (forward) message.
     pub is_grad: bool,

@@ -1,6 +1,6 @@
 //! The unified trace format both executors emit, and its derived metrics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::{json, Value};
 
 use autopipe_schedule::{Op, OpKind, Part};
@@ -19,7 +19,7 @@ use autopipe_schedule::{Op, OpKind, Part};
 /// is `op.chunk() · n_devices + device`, and the micro-batch/part live inside
 /// [`Op`]. This is the *view* type — [`Timeline`] stores ops and times in
 /// separate lanes (see [`OpTimes`]) and materialises these on iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceEvent {
     /// Device that executed the op.
     pub device: usize,
@@ -46,7 +46,7 @@ impl TraceEvent {
 /// execute their programs in order), so hot-path recording stores only this
 /// 24-byte struct and the full event is rebuilt on demand; see the
 /// `trace_overhead` bench for why that matters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OpTimes {
     /// When the op began (for receives: when the device reached it).
     pub start: f64,
@@ -58,7 +58,7 @@ pub struct OpTimes {
 }
 
 /// Per-device time decomposition of one iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceBreakdown {
     /// Device index.
     pub device: usize,
@@ -81,7 +81,7 @@ pub struct DeviceBreakdown {
 /// path and hand the op lanes over as one block copy (ops are flattened
 /// device-major to keep construction at two allocations). Iterate a
 /// device's materialised [`TraceEvent`]s with [`device`](Timeline::device).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Timeline {
     /// Every device's ops in execution order, device-major.
     ops: Vec<Op>,
@@ -316,7 +316,7 @@ impl Timeline {
 
 /// First divergence between two timelines' per-device op orderings — the
 /// structured error of [`Timeline::same_op_order`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum TraceMismatch {
     /// The two timelines cover a different number of devices.
     DeviceCount { left: usize, right: usize },
@@ -540,13 +540,5 @@ mod tests {
         }
         let text = serde_json::to_string(&v).unwrap();
         assert!(text.contains("traceEvents"));
-    }
-
-    #[test]
-    fn timeline_round_trips_through_serde() {
-        let t = tiny();
-        let text = serde_json::to_string(&serde_json::to_value(&t)).unwrap();
-        let back = Timeline::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -23,7 +23,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_schedule::{OpKind, Part, Schedule};
 
@@ -33,7 +33,7 @@ use crate::msg::MsgKey;
 /// pre-overlap behaviour) or chunked eager sends that pipeline against the
 /// producing compute op. Read by the virtual-time executors; the runtime's
 /// in-process sends never block, so it has no setting here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CommConfig {
     /// Run the comm lane overlapped with compute. Off reproduces the
     /// blocking simulators bit-for-bit.

@@ -1,6 +1,6 @@
 //! The planning unit: blocks and block sequences.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::{ModelConfig, ModelFamily};
 
@@ -8,7 +8,7 @@ use crate::config::{ModelConfig, ModelFamily};
 pub type BlockId = usize;
 
 /// The granularity at which a model is lowered to blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Granularity {
     /// One block per transformer layer (what DAPPLE/Piper/Megatron plan on).
     Layer,
@@ -19,7 +19,7 @@ pub enum Granularity {
 }
 
 /// What computation a block performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BlockKind {
     /// Token + positional embedding lookup. Parameter-heavy, compute-light —
     /// the canonical source of stage imbalance the paper motivates with.
@@ -51,7 +51,7 @@ impl BlockKind {
 }
 
 /// One schedulable block of a lowered model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Block {
     /// Position in the model's block sequence.
     pub id: BlockId,

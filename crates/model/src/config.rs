@@ -1,13 +1,13 @@
 //! Architectural description of a benchmark model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which family of transformer the model belongs to. The two families differ
 /// in their head blocks: GPT-2 ends in a final layer-norm plus a (weight-tied)
 /// language-model head projecting to the vocabulary; BERT pre-training ends in
 /// an MLM head (dense + layer-norm + vocab projection) and a small pooler for
 /// the NSP objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelFamily {
     /// Decoder-only causal LM (GPT-2 variants in Table I).
     Gpt2,
@@ -19,7 +19,7 @@ pub enum ModelFamily {
 ///
 /// These are the "model configs" of Fig. 2: everything the Planner needs to
 /// know about the network before profiling attaches runtime statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"GPT-2 345M"`.
     pub name: String,
@@ -106,7 +106,6 @@ impl ModelConfig {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::zoo;
 
     #[test]
@@ -123,14 +122,6 @@ mod tests {
             cfg.boundary_activation_elems(8),
             2 * cfg.boundary_activation_elems(4)
         );
-    }
-
-    #[test]
-    fn config_roundtrips_through_serde() {
-        let cfg = zoo::bert_large();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ModelConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
     }
 
     #[test]

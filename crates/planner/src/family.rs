@@ -528,6 +528,55 @@ mod tests {
         assert_eq!(off_plain.to_bits(), auto_plain.to_bits());
     }
 
+    /// GPT-2 345M at p = 4, m = 8 and p = 8, m = 16, and GPT-2 762M at p = 4,
+    /// m = 8 (mbs 4): every family replays and fits on its own partition
+    /// (AutoPipe's, or a balanced one per chunk for interleaved); zero-bubble
+    /// and 1F1B sliced twice idle less than plain 1F1B, and GPipe idles
+    /// more; the search's pick is no slower than the best of them.
+    #[test]
+    fn pick_is_no_slower_than_any_single_family() {
+        let hw = Hardware::rtx3090_cluster();
+        let cfg = FamilyConfig {
+            latency: hw.link_latency,
+            ..FamilyConfig::default()
+        };
+        for (model, p, m) in [
+            (zoo::gpt2_345m(), 4, 8),
+            (zoo::gpt2_345m(), 8, 16),
+            (zoo::gpt2_762m(), 4, 8),
+        ] {
+            let d = CostDb::build(&model, &hw, 4, true, Granularity::SubLayer);
+            let base = autopipe_plan(&d, p, m, &cfg.autopipe).unwrap().partition;
+            let weights: Vec<f64> = d.blocks.iter().map(|b| b.work()).collect();
+            let chunked = balanced_partition(&weights, 2 * p);
+            let families = [
+                (generators::one_f_one_b(p, m), &base),
+                (generators::sliced_1f1b(p, m, 2), &base),
+                (generators::gpipe(p, m), &base),
+                (generators::zero_bubble(p, m), &base),
+                (generators::interleaved(p, 2, m).unwrap(), &chunked),
+            ];
+            let (mut scratch, mut best, mut bubble) = (ReplayScratch::new(), f64::INFINITY, vec![]);
+            for (sched, part) in &families {
+                check_memory(part, &d, sched, &hw).unwrap();
+                let costs = EventCosts::from_stage_costs(&part.stage_costs(&d), cfg.latency);
+                let s =
+                    replay_schedule(sched, &costs, &EventConfig::default(), &mut scratch).unwrap();
+                let busy: f64 = s.device_busy.iter().sum();
+                bubble.push(1.0 - busy / (p as f64 * s.iteration_time));
+                best = best.min(s.iteration_time);
+            }
+            let (plain, sliced, gpipe, zb) = (bubble[0], bubble[1], bubble[2], bubble[3]);
+            assert!(zb < plain && sliced < plain && plain < gpipe, "{bubble:?}");
+            let pick = plan_families(&d, &hw, p, m, &cfg).unwrap();
+            assert!(
+                pick.iteration_time <= best,
+                "{} vs {best}",
+                pick.iteration_time
+            );
+        }
+    }
+
     #[test]
     fn infeasible_slice_counts_are_recorded_not_fatal() {
         let d = db(4);

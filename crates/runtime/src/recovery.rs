@@ -5,7 +5,8 @@
 //! when to restore (and, for a lost device, to shrink); [`RecoveryStore`]
 //! carries the I/O out: it primes a baseline generation, saves snapshots
 //! (synchronously or through the background writer), and restores the
-//! newest valid generation into the pipeline's current shape. The run
+//! newest valid generation into the pipeline's current shape, whatever
+//! shape wrote it. The run
 //! replays from the restored step with exactly-once semantics, so a
 //! restart-in-place trajectory is bit-identical to an uninterrupted run.
 //! Detection is the engine's: a dead stage's dropped endpoint closes its
@@ -15,6 +16,7 @@
 use std::fmt;
 
 use autopipe_core::{Error, RecoveryConfig};
+use autopipe_sim::Partition;
 
 use crate::checkpoint::{
     restore_states, BackgroundCheckpointer, CheckpointStore, Manifest, PipelineSnapshot,
@@ -144,14 +146,26 @@ impl RecoveryStore {
     /// Wait for every accepted background snapshot, load the newest valid
     /// generation into the pipeline's current shape, and clear the fired
     /// fail-stop events so a respawned stage does not re-die at the same op
-    /// on every replay. Returns the generation's manifest: its step is the
-    /// one to replay from. (A fresh read-only store handle is used so the
-    /// writer thread keeps ownership of its own.)
+    /// on every replay. A generation written before a re-shape is restored
+    /// in the shape that wrote it and migrated back by
+    /// [`Pipeline::repartition`]. Returns the generation's manifest: its
+    /// step is the one to replay from. (A fresh read-only store handle is
+    /// used so the writer thread keeps ownership of its own.)
     pub fn restore_newest(&mut self, pipeline: &mut Pipeline) -> Result<Manifest, Error> {
         self.drain();
         let reader = CheckpointStore::open(&self.cfg.dir, self.cfg.retain).map_err(Error::from)?;
         let (manifest, states) = reader.load_latest().map_err(Error::from)?;
+        let written = manifest.schedule().map_err(Error::from)?;
+        let reshaped = manifest.boundaries != pipeline.partition().boundaries()
+            || written != *pipeline.schedule();
+        let serving = reshaped.then(|| (pipeline.partition().clone(), pipeline.schedule().clone()));
+        if serving.is_some() {
+            pipeline.repartition(&Partition::new(manifest.boundaries.clone()), written)?;
+        }
         restore_states(pipeline, &states).map_err(Error::from)?;
+        if let Some((partition, schedule)) = serving {
+            pipeline.repartition(&partition, schedule)?;
+        }
         pipeline.clear_failstop_events();
         Ok(manifest)
     }
@@ -175,7 +189,6 @@ mod tests {
     use autopipe_exec::{DeviceLost, FailStopKind, FaultPlan, StageCrash};
     use autopipe_model::{ModelConfig, ModelFamily};
     use autopipe_schedule::one_f_one_b;
-    use autopipe_sim::Partition;
     use std::path::PathBuf;
 
     fn tiny() -> ModelConfig {
@@ -359,6 +372,34 @@ mod tests {
         // The hot-swap migration is numerically exact, so even the shrunk
         // trajectory replays the uninterrupted losses.
         assert_eq!(clean_losses, losses);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_migrates_a_generation_written_before_a_reshape() {
+        let dir = temp_dir("recover_reshaped");
+        let m = 4;
+        let one_stage = || (Partition::new(vec![0, 7]), one_f_one_b(1, m));
+        let mut want = pipe(2, m);
+        let (partition, schedule) = one_stage();
+        want.repartition(&partition, schedule).unwrap();
+
+        let mut served = pipe(2, m);
+        let mut store = RecoveryStore::open(&sync_recovery(&dir)).unwrap();
+        store.prime(&mut served).unwrap();
+        let batch = BatchSet::synthetic(52, m, 2, tiny().seq_len, tiny().vocab_size);
+        served.train_iteration(&batch).unwrap();
+        let (partition, schedule) = one_stage();
+        served.repartition(&partition, schedule).unwrap();
+        let manifest = store.restore_newest(&mut served).unwrap();
+
+        assert_eq!((manifest.step, manifest.boundaries.len()), (0, 3));
+        assert_eq!(served.schedule().n_stages(), 1);
+        assert_eq!(
+            served.param_checksum().to_bits(),
+            want.param_checksum().to_bits(),
+            "the primed parameters, re-split onto the serving shape"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -97,7 +97,7 @@ pub fn gpipe(p: usize, m: usize) -> Schedule {
 }
 
 /// AutoPipe sliced 1F1B (Fig. 8): [`one_f_one_b`] with the forwards of the
-/// first `sliced` micro-batches split in half by [`slice`].
+/// first `sliced` micro-batches split in half by [`slice()`].
 pub fn sliced_1f1b(p: usize, m: usize, sliced: usize) -> Schedule {
     let mut s = one_f_one_b(p, m);
     slice(&mut s, sliced);

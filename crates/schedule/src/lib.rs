@@ -21,7 +21,7 @@
 //! `program::lower` attaches the communication each slot implies. Two
 //! transforms then rewrite any lowered schedule:
 //!
-//! * [`slice`] — the AutoPipe Slicer's output (Fig. 8): the forwards of the
+//! * [`slice()`] — the AutoPipe Slicer's output (Fig. 8): the forwards of the
 //!   first `k` micro-batches split in half, the last sliced one's halves
 //!   shipped in one message (§III-C). [`generators::sliced_1f1b`] is 1F1B
 //!   sliced;
@@ -58,7 +58,7 @@ pub enum ScheduleKind {
 }
 
 /// A complete pipeline schedule: one op program per device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Schedule {
     /// Generator that produced this schedule.
     pub kind: ScheduleKind,
@@ -68,7 +68,7 @@ pub struct Schedule {
     pub n_chunks: usize,
     /// Micro-batches per iteration.
     pub n_microbatches: usize,
-    /// How many leading micro-batches [`slice`] split in half (0 = unsliced).
+    /// How many leading micro-batches [`slice()`] split in half (0 = unsliced).
     pub n_sliced: usize,
     /// Per-device op programs, executed strictly in order on each device.
     pub devices: Vec<Vec<Op>>,

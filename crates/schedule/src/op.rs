@@ -1,11 +1,11 @@
 //! Schedule operations.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which portion of a micro-batch an op carries. The AutoPipe Slicer splits
 /// a micro-batch "evenly into an appropriate number of pieces" — always two
 /// halves in the paper — so the IR models exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Part {
     /// The whole micro-batch.
     Full,
@@ -37,7 +37,7 @@ impl Part {
 }
 
 /// One operation in a device program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum OpKind {
     /// Forward pass of `part` of micro-batch `mb` through model chunk
     /// `chunk` on this device.
@@ -89,7 +89,7 @@ pub enum OpKind {
 
 /// An op plus nothing else (a struct so the IR can grow metadata without
 /// touching every consumer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Op {
     /// The operation.
     pub kind: OpKind,

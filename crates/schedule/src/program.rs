@@ -23,14 +23,14 @@
 //! pipeline against ([`Lane`]; enforced by
 //! [`crate::validate::validate`]).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::op::{Op, OpKind, Part};
 
 /// Scheduling phase a slot belongs to. Purely descriptive — lowering ignores
 /// it — but it keeps generators honest about their structure and gives
 /// tooling a shared vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Phase {
     /// Fill: forwards before the device's first backward.
     Warmup,
@@ -44,7 +44,7 @@ pub enum Phase {
 
 /// One compute intent in a device lane. Communication is implied, never
 /// written by generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Slot {
     /// Forward of micro-batch `mb` through chunk `chunk`, whole. Slicing
     /// splits it afterwards ([`crate::slice`]).

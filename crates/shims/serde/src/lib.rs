@@ -107,18 +107,6 @@ impl Value {
         }
     }
 
-    /// Derive-macro helper: unwrap an externally tagged enum variant
-    /// (`{"Variant": inner}`) into `(tag, inner)`.
-    pub fn variant(&self) -> Result<(&str, &Value), Error> {
-        match self {
-            Value::Object(o) if o.len() == 1 => Ok((o[0].0.as_str(), &o[0].1)),
-            other => Err(Error::custom(format!(
-                "expected single-key variant object, found {}",
-                other.kind_name()
-            ))),
-        }
-    }
-
     fn kind_name(&self) -> &'static str {
         match self {
             Value::Null => "null",

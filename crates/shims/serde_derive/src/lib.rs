@@ -7,7 +7,8 @@
 //! Supported shapes — exactly what this workspace derives on:
 //! - structs with named fields (any visibility, attributes skipped),
 //! - enums with unit variants, named-field variants and newtype variants
-//!   (externally tagged, matching serde's default representation).
+//!   (externally tagged, matching serde's default representation);
+//!   `Deserialize` takes unit variants only.
 //!
 //! Generics, tuple structs and `#[serde(...)]` attributes are not supported
 //! and produce a compile-time panic naming the offending item.
@@ -258,47 +259,20 @@ fn gen_enum_ser(name: &str, variants: &[(String, VariantShape)]) -> String {
 fn gen_enum_de(name: &str, variants: &[(String, VariantShape)]) -> String {
     let unit_arms: String = variants
         .iter()
-        .filter(|(_, s)| matches!(s, VariantShape::Unit))
-        .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
-        .collect();
-    let tagged_arms: String = variants
-        .iter()
-        .filter_map(|(v, shape)| match shape {
-            VariantShape::Unit => None,
-            VariantShape::Named(fields) => {
-                let inits: String = fields
-                    .iter()
-                    .map(|f| {
-                        format!("{f}: ::serde::Deserialize::from_value(_inner.field(\"{f}\")?)?,")
-                    })
-                    .collect();
-                Some(format!(
-                    "\"{v}\" => ::std::result::Result::Ok({name}::{v} {{ {inits} }}),"
-                ))
+        .map(|(v, shape)| match shape {
+            VariantShape::Unit => {
+                format!("Some(\"{v}\") => ::std::result::Result::Ok({name}::{v}),")
             }
-            VariantShape::Newtype => Some(format!(
-                "\"{v}\" => ::std::result::Result::Ok({name}::{v}(\
-                 ::serde::Deserialize::from_value(_inner)?)),"
-            )),
+            _ => panic!("serde_derive shim: Deserialize on `{name}::{v}`: only unit variants"),
         })
         .collect();
     format!(
         "{HEADER}impl ::serde::Deserialize for {name} {{\n\
          fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         match __v {{\n\
-         ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+         match __v.as_str() {{\n\
          {unit_arms}\n\
          _ => ::std::result::Result::Err(::serde::Error::custom(\
-            ::std::format!(\"unknown variant `{{}}` of {name}\", __s))),\n\
-         }},\n\
-         _ => {{\n\
-         let (_tag, _inner) = __v.variant()?;\n\
-         match _tag {{\n\
-         {tagged_arms}\n\
-         _ => ::std::result::Result::Err(::serde::Error::custom(\
-            ::std::format!(\"unknown variant `{{}}` of {name}\", _tag))),\n\
-         }}\n\
-         }}\n\
+            ::std::format!(\"unknown variant {{:?}} of {name}\", __v))),\n\
          }}\n}}\n}}\n"
     )
 }

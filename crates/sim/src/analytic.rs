@@ -39,7 +39,7 @@
 
 use std::array::from_fn;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::partition::StageCosts;
 
@@ -53,7 +53,7 @@ use crate::partition::StageCosts;
 /// producing compute span over a per-directed-edge FIFO link — the exact
 /// arithmetic of `VirtualTransport::send_overlapped`, so the fast tier stays
 /// bit-identical to the event simulator with overlap on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OverlapModel {
     /// Per-message (and per-chunk) latency α.
     pub latency: f64,
@@ -93,7 +93,7 @@ fn eager_send(link_free: &mut f64, span_end: f64, span_dur: f64, chunk_cost: f64
 }
 
 /// Forward or backward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum OpClass {
     /// Forward pass.
     Fwd,
@@ -102,7 +102,7 @@ pub enum OpClass {
 }
 
 /// Which pipeline phase an op belongs to (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Phase {
     /// Leading forwards before the first backward.
     Warmup,
@@ -113,7 +113,7 @@ pub enum Phase {
 }
 
 /// One simulated operation with its timing and dependency bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OpTime {
     /// Pipeline stage executing the op.
     pub stage: usize,
@@ -138,7 +138,7 @@ pub struct OpTime {
 }
 
 /// Output of the analytic simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalyticResult {
     /// End-to-end iteration time (start of first forward to end of last
     /// backward), seconds.
@@ -872,7 +872,7 @@ pub mod recurrence {
     use super::*;
 
     /// Result of the closed-form evaluation.
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
     pub struct RecurrenceResult {
         /// Iteration time from the recurrences.
         pub iteration_time: f64,

@@ -18,7 +18,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use std::convert::Infallible;
 
@@ -29,7 +29,7 @@ use autopipe_exec::{
 use autopipe_schedule::{OpKind, Schedule};
 
 /// Compute and communication costs for an event-simulated pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventCosts {
     /// Forward time per stage for one full micro-batch.
     pub f: Vec<f64>,
@@ -124,7 +124,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Output of an event simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventResult {
     /// Iteration time: max end over all devices.
     pub iteration_time: f64,
@@ -151,7 +151,7 @@ pub struct EventSummary {
 }
 
 /// One device's fail-stop death as observed by the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimCrash {
     /// The device that died.
     pub device: usize,

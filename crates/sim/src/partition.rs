@@ -1,6 +1,6 @@
 //! Pipeline partition schemes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_cost::CostDb;
 
@@ -8,7 +8,7 @@ use autopipe_cost::CostDb;
 ///
 /// `boundaries` has `n_stages + 1` entries; stage `s` owns blocks
 /// `boundaries[s] .. boundaries[s+1]`. Every stage is non-empty.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Partition {
     boundaries: Vec<usize>,
 }
@@ -161,7 +161,7 @@ impl Partition {
 ///
 /// `Default` yields an empty buffer suitable only as a target for
 /// [`Partition::stage_costs_into`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StageCosts {
     /// Forward time per stage for one micro-batch, seconds.
     pub f: Vec<f64>,

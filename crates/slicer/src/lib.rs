@@ -17,7 +17,7 @@
 //! `AutoPipe::plan_with` and `Session`'s `slice()` call, solves the count
 //! this way and slices the masked schedule in place.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use autopipe_schedule::sliced_1f1b;
 use autopipe_sim::event::{EventConfig, EventCosts};
@@ -25,7 +25,7 @@ use autopipe_sim::partition::StageCosts;
 use autopipe_sim::{replay_schedule, ReplayScratch};
 
 /// Outcome of slicing a partition scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SlicedPlan {
     /// Number of leading micro-batches to slice in half.
     pub n_sliced: usize,

@@ -1,11 +1,11 @@
 //! Optimisers over flat parameter lists.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::tensor::Tensor;
 
 /// Adam (Kingma & Ba) — the optimiser the paper trains with (§II-A).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,

@@ -3,12 +3,12 @@
 use std::cell::Cell;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::kernel::Kernel;
 
 /// A dense row-major f32 tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -3,13 +3,14 @@
 //! sweep for every family; the threaded runtime's measured peak of stashed
 //! micro-batches equals `memcheck`'s in-flight count on every family, mask
 //! and slice pattern; and budgeted planning stays deterministic while
-//! unlocking configs the no-recompute planner rejects.
+//! unlocking configs the no-recompute planner rejects, on the GPT-2 1.3B
+//! budget ladder whose anchors README and DESIGN §5f quote.
 
 use proptest::prelude::*;
 
 use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::{zoo, Granularity, ModelConfig, ModelFamily};
-use autopipe_planner::family::{plan_families, FamilyConfig};
+use autopipe_planner::family::{plan_families, FamilyConfig, FamilyOutcome};
 use autopipe_planner::{AutoPipeConfig, RecomputePolicy};
 use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig};
 use autopipe_schedule::{
@@ -18,7 +19,7 @@ use autopipe_schedule::{
 };
 use autopipe_sim::analytic::{simulate_replay_masked, simulate_time_masked, SimScratch};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
-use autopipe_sim::memcheck::{check_memory_budget, peak_in_flight};
+use autopipe_sim::memcheck::{check_memory_budget, device_memory, peak_in_flight};
 use autopipe_sim::{replay_schedule, Partition, ReplayScratch, StageCosts};
 
 /// A random schedule from any family with a random per-stage recompute
@@ -246,7 +247,8 @@ fn budgeted_auto_planning_unlocks_oom_configs_deterministically() {
     let d = db(4);
     let hw = Hardware::rtx3090_cluster();
     // Between the full-recompute floor (~16.03e9) and the no-recompute
-    // feasibility threshold (~16.66e9) measured by bench_memory.
+    // feasibility threshold (~16.66e9) that
+    // `recompute_frontier_on_the_gpt2_1_3b_budget_ladder` bisects.
     let budget = 16_300_000_000u64;
     let cfg = |recompute: RecomputePolicy| {
         FamilyConfig::for_planner(
@@ -278,4 +280,77 @@ fn budgeted_auto_planning_unlocks_oom_configs_deterministically() {
         again.iteration_time.to_bits(),
         auto.iteration_time.to_bits()
     );
+}
+
+/// The memory-budget frontier of GPT-2 1.3B (mbs 4, m = 16) on the 24 GB
+/// cluster at p ∈ {2, 4}. Recompute lowers the peak, from the plain winner's
+/// to the all-recompute winner's floor. The smallest budget `Off` still
+/// meets, bisected to 1/256, is the no-recompute threshold. Per depth, a
+/// ladder of 4 budgets strictly between floor and threshold and 3 from the
+/// threshold up plans under `Auto` everywhere, within 3 % of the plain
+/// winner's iteration time; of the 14 points, exactly the 8 below the
+/// threshold plan only under `Auto`; every planned point fits its budget.
+/// README and DESIGN §5f
+/// quote the p = 2 anchors (plain ≈ 18.0 GB, floor ≈ 16.0 GB, threshold ≈
+/// 16.7 GB) and the headroom recompute buys (≈ 0.6 GB at p = 2, ≈ 0.5 GB at
+/// p = 4).
+#[test]
+fn recompute_frontier_on_the_gpt2_1_3b_budget_ladder() {
+    let (d, hw) = (db(4), Hardware::rtx3090_cluster());
+    let plan = |p, memory_budget, recompute| {
+        let cfg = AutoPipeConfig {
+            memory_budget,
+            recompute,
+            ..AutoPipeConfig::default()
+        };
+        plan_families(
+            &d,
+            &hw,
+            p,
+            16,
+            &FamilyConfig::for_planner(cfg, hw.link_latency),
+        )
+    };
+    let peak = |o: &FamilyOutcome| {
+        let per_device = device_memory(&o.partition, &d, &o.schedule);
+        per_device.iter().map(|b| b.total()).max().unwrap()
+    };
+    let decigb = |bytes: u64| (bytes as f64 / 1e8).round() as u64;
+    let mut auto_only = 0;
+    for (p, anchors, headroom) in [(2, Some([180, 160, 167]), 6), (4, None, 5)] {
+        let plain = plan(p, None, RecomputePolicy::Off).unwrap();
+        let (hi, lo) = (
+            peak(&plain),
+            peak(&plan(p, None, RecomputePolicy::All).unwrap()),
+        );
+        assert!(
+            lo < hi,
+            "p={p}: recompute must lower the peak: {lo} vs {hi}"
+        );
+        let (mut infeasible, mut threshold) = (lo, hi);
+        while threshold - infeasible > threshold / 256 {
+            let mid = infeasible + (threshold - infeasible) / 2;
+            match plan(p, Some(mid), RecomputePolicy::Off) {
+                Ok(_) => threshold = mid,
+                Err(_) => infeasible = mid,
+            }
+        }
+        if let Some(anchors) = anchors {
+            assert_eq!([decigb(hi), decigb(lo), decigb(threshold)], anchors);
+        }
+        assert_eq!(decigb(threshold - lo), headroom, "p={p} headroom");
+        let below = (1..=4).map(|i| lo + (threshold - lo) * i / 5);
+        let above = (0..3).map(|j| threshold + (hi - threshold) * j / 3);
+        for budget in below.chain(above) {
+            let off = plan(p, Some(budget), RecomputePolicy::Off);
+            let auto = plan(p, Some(budget), RecomputePolicy::Auto).unwrap();
+            for o in off.iter().chain([&auto]) {
+                check_memory_budget(&o.partition, &d, &o.schedule, budget)
+                    .unwrap_or_else(|e| panic!("p={p} budget {budget}: {e}"));
+            }
+            assert!(auto.iteration_time <= 1.03 * plain.iteration_time);
+            auto_only += usize::from(off.is_err());
+        }
+    }
+    assert_eq!(auto_only, 8, "points plannable only with recomputation");
 }
