@@ -9,6 +9,8 @@
 use autopipe_core::{AutoPipe, SchedulePolicy, SessionConfig};
 use autopipe_cost::Hardware;
 use autopipe_model::{zoo, ModelConfig};
+use autopipe_planner::PlanService;
+use serde_json::Value;
 
 struct Args {
     model: ModelConfig,
@@ -99,10 +101,21 @@ fn main() {
         schedule_policy: args.policy,
         ..SessionConfig::new(args.model.clone(), args.gpus, args.mbs, args.gbs)
     };
-    match AutoPipe::plan(&cfg) {
-        Ok(plan) => {
+    // The steps a session's `plan()?.slice()?` runs, then the price.
+    let db = AutoPipe::cost_db(&cfg);
+    let service = PlanService::with_config(cfg.planner());
+    match AutoPipe::plan_with(&cfg, &db, &service) {
+        Ok(mut plan) => {
+            if cfg.schedule_policy == SchedulePolicy::Slicer {
+                plan.slice(&db);
+            }
+            let est_iteration_s = plan.price(&db, &cfg) + plan.grad_sync;
             if args.json {
-                println!("{}", serde_json::to_string_pretty(&plan).unwrap());
+                let mut json = serde_json::to_value(&plan);
+                if let Value::Object(fields) = &mut json {
+                    fields.push(("est_iteration_s".into(), Value::Num(est_iteration_s)));
+                }
+                println!("{}", serde_json::to_string_pretty(&json).unwrap());
             } else {
                 println!("model           : {}", args.model.name);
                 println!("hardware        : {}", args.hardware.name);
@@ -116,10 +129,7 @@ fn main() {
                     "sliced warmup   : {} micro-batch(es)",
                     plan.schedule.n_sliced
                 );
-                println!(
-                    "est. iteration  : {:.1} ms",
-                    plan.est_iteration_time() * 1e3
-                );
+                println!("est. iteration  : {:.1} ms", est_iteration_s * 1e3);
             }
         }
         Err(e) => {

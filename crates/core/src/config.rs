@@ -4,7 +4,7 @@
 //! [`AutoPipeConfig`], the event simulator's [`EventConfig`], the runtime's
 //! `PipelineConfig` — and callers had to keep them mutually consistent by
 //! hand. [`SessionConfig`] is the single source of truth: it describes the
-//! whole session — the job [`crate::AutoPipe::plan`] plans, and the faults,
+//! whole session — the job [`crate::AutoPipe::plan_with`] plans, and the faults,
 //! watchdog, straggler monitor and iteration count a run uses — validates
 //! every setting in one place ([`SessionConfig::validate`]) and *lowers*
 //! into each crate's struct ([`SessionConfig::planner`],

@@ -7,15 +7,16 @@ use autopipe_model::Granularity;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
+use autopipe_planner::{device_stage_costs, schedule_stage_costs};
 use autopipe_schedule::{apply_recompute, recompute_mask, slice, Schedule};
-use autopipe_sim::analytic::AnalyticResult;
-use autopipe_sim::Partition;
+use autopipe_sim::event::EventCosts;
+use autopipe_sim::{replay_schedule, Partition, ReplayScratch};
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
 
 use crate::config::{SchedulePolicy, SessionConfig};
 use crate::strategy::choose_strategy;
 
-/// A complete executable plan.
+/// A complete executable plan; [`Plan::price`] computes its time.
 #[derive(Debug, Clone, Serialize)]
 pub struct Plan {
     /// Pipeline depth.
@@ -32,12 +33,8 @@ pub struct Plan {
     pub schedule: Schedule,
     /// Per-stage transformer-layer counts (Table II convention).
     pub layer_counts: Vec<f64>,
-    /// Planner's simulated iteration time (pipeline only).
-    pub est_pipeline_time: f64,
     /// Gradient synchronisation time per iteration.
     pub grad_sync: f64,
-    /// Planner's analytic simulation of the chosen scheme.
-    pub analytic: AnalyticResult,
     /// Schemes the planner simulated.
     pub schemes_explored: usize,
     /// Planner wall-clock, seconds.
@@ -45,25 +42,35 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Estimated full iteration time.
-    pub fn est_iteration_time(&self) -> f64 {
-        self.est_pipeline_time + self.grad_sync
+    /// The plan's price, its only estimate: the pipeline time of one
+    /// iteration, replayed on [`schedule_stage_costs`] of `db` under `cfg`'s
+    /// event and link settings — the session's `simulate()` bit for bit.
+    /// Add `grad_sync` for a full iteration.
+    pub fn price(&self, db: &CostDb, cfg: &SessionConfig) -> f64 {
+        let costs = EventCosts::from_stage_costs(
+            &schedule_stage_costs(&self.partition, db, &self.schedule),
+            cfg.hardware.link_latency,
+        );
+        replay_schedule(
+            &self.schedule,
+            &costs,
+            &cfg.event(),
+            &mut ReplayScratch::new(),
+        )
+        .expect("a planned schedule replays")
+        .iteration_time
     }
 
     /// Apply the AutoPipe Slicer (Algorithm 2) to this plan's schedule, in
-    /// place. The sliced count is solved on the stage costs the partition
-    /// was searched under: masked on the stages the schedule recomputes,
-    /// whose backward carries the forward replay (a recomputing stage drains
-    /// its Warmup later). Slicing commutes with the recompute mask, so the
-    /// mask stays as it is. A no-op below two stages or on a schedule that
-    /// is already sliced. This is the one slicing step: [`AutoPipe::plan`],
-    /// the session's `slice()` and its re-plans all call it.
+    /// place. The sliced count is solved on the stage costs the plan is
+    /// priced on ([`schedule_stage_costs`]): masked on the stages the
+    /// schedule recomputes, whose backward carries the forward replay, and
+    /// charged each device's multiplier. Slicing commutes with the recompute
+    /// mask, so the mask stays as it is. A no-op below two stages (the count
+    /// is 0) or on a schedule that is already sliced. This is the one
+    /// slicing step: the session's `slice()` and its re-plans call it.
     pub fn slice(&mut self, db: &CostDb) {
-        if self.stages < 2 {
-            return;
-        }
-        let mask = recompute_mask(&self.schedule);
-        let costs = self.partition.stage_costs_recompute(db, &mask);
+        let costs = schedule_stage_costs(&self.partition, db, &self.schedule);
         slice(
             &mut self.schedule,
             plan_slicing(&costs, self.microbatches).n_sliced,
@@ -76,30 +83,16 @@ impl Plan {
 pub struct AutoPipe;
 
 impl AutoPipe {
-    /// Plan a training job: build the cost database (optionally through the
-    /// synthetic profiler), choose the DP×PP strategy, partition with the
-    /// Planner — through a fresh [`PlanService`] in the config's search
-    /// settings — and, under [`SchedulePolicy::Slicer`], reschedule the
-    /// Warmup phase with the Slicer.
-    pub fn plan(cfg: &SessionConfig) -> Result<Plan, PlanError> {
-        let db = Self::cost_db(cfg);
-        let mut plan = Self::plan_with(cfg, &db, &PlanService::with_config(cfg.planner()))?;
-        if cfg.schedule_policy == SchedulePolicy::Slicer {
-            plan.slice(&db);
-        }
-        Ok(plan)
-    }
-
-    /// The planning pass of [`Self::plan`], unsliced, served through
-    /// `service`: every backing partition search (one per candidate depth)
-    /// goes through the service's content-addressed cache, so re-planning a
-    /// known job answers from cache instead of searching. The config's own
-    /// search settings are the cache key's config component, so the result
-    /// is bit-identical whichever service answers. `db` is
-    /// [`Self::cost_db`] of `cfg`, built once by the caller, who usually
-    /// needs it afterwards too. Under [`SchedulePolicy::Auto`] the schedule
-    /// is the cross-family winner; otherwise it is plain 1F1B, for
-    /// [`Plan::slice`] to slice.
+    /// Plan a training job, unsliced: choose the DP×PP strategy and
+    /// partition with the Planner, served through `service`. Every backing
+    /// partition search (one per candidate depth) goes through the
+    /// service's content-addressed cache, so re-planning a known job answers
+    /// from cache instead of searching. The config's own search settings are
+    /// the cache key's config component, so the result is bit-identical
+    /// whichever service answers. `db` is [`Self::cost_db`] of `cfg`, built
+    /// once by the caller, who needs it afterwards to slice and price the
+    /// plan. Under [`SchedulePolicy::Auto`] the schedule is the cross-family
+    /// winner; otherwise it is plain 1F1B, for [`Plan::slice`] to slice.
     pub fn plan_with(
         cfg: &SessionConfig,
         db: &CostDb,
@@ -117,14 +110,13 @@ impl AutoPipe {
             service,
         )?;
         let mask = &choice.outcome.recompute;
-        let (schedule, partition, est_pipeline_time) =
+        let (mut schedule, partition) =
             if cfg.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
                 // Cross-family search: seed the sliced-count axis with the
-                // Slicer's Algorithm 2 pick — on the masked stage costs when
-                // the partition search bought memory feasibility with a
-                // recompute mask — so the classic AutoPipe schedule is
-                // always among the candidates.
-                let costs = choice.outcome.partition.stage_costs_recompute(db, mask);
+                // Slicer's Algorithm 2 pick, on the costs the plan will be
+                // priced on, so the classic AutoPipe schedule is always among
+                // the candidates.
+                let costs = device_stage_costs(&choice.outcome.partition, db, mask);
                 let mut fam_cfg = FamilyConfig::for_planner(planner, cfg.hardware.link_latency);
                 let algo2 = solve_sliced_count(&costs);
                 if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
@@ -141,19 +133,17 @@ impl AutoPipe {
                     &fam_cfg,
                     choice.outcome.partition.clone(),
                 )?;
-                (fam.schedule, fam.partition, fam.iteration_time)
+                (fam.schedule, fam.partition)
             } else {
                 (
                     autopipe_schedule::one_f_one_b(choice.stages, choice.microbatches),
                     choice.outcome.partition.clone(),
-                    choice.outcome.analytic.iteration_time,
                 )
             };
         // The partition search may have bought memory feasibility with a
         // recompute mask; the executable schedule must carry it. The family
         // search already lowers its own winner; the 1F1B schedule gets the
         // mask here, and slicing keeps it.
-        let mut schedule = schedule;
         if mask.iter().any(|&r| r) && !recompute_mask(&schedule).iter().any(|&r| r) {
             apply_recompute(&mut schedule, mask);
         }
@@ -164,9 +154,7 @@ impl AutoPipe {
             layer_counts: partition.layer_counts(db),
             partition,
             schedule,
-            est_pipeline_time,
             grad_sync: choice.grad_sync,
-            analytic: choice.outcome.analytic.clone(),
             schemes_explored: choice.outcome.schemes_explored,
             search_seconds: choice.outcome.search_time.as_secs_f64(),
         })
@@ -200,7 +188,7 @@ mod tests {
     use super::*;
     use autopipe_cost::profiler::ProfilerConfig;
     use autopipe_model::zoo;
-    use autopipe_schedule::validate;
+    use autopipe_schedule::{one_f_one_b, validate};
 
     /// GPT-2 345M pinned to four stages on four devices, micro-batch 4,
     /// global batch 128.
@@ -211,10 +199,22 @@ mod tests {
         }
     }
 
+    /// Plan `cfg` through a fresh service and slice it under
+    /// [`SchedulePolicy::Slicer`], with the cost database to price it on.
+    fn plan(cfg: &SessionConfig) -> (Plan, CostDb) {
+        let db = AutoPipe::cost_db(cfg);
+        let service = PlanService::with_config(cfg.planner());
+        let mut plan = AutoPipe::plan_with(cfg, &db, &service).unwrap();
+        if cfg.schedule_policy == SchedulePolicy::Slicer {
+            plan.slice(&db);
+        }
+        (plan, db)
+    }
+
     #[test]
     fn end_to_end_plan_is_executable() {
         let cfg = gpt2_345m_p4();
-        let plan = AutoPipe::plan(&cfg).unwrap();
+        let (plan, _) = plan(&cfg);
         assert_eq!(plan.stages, 4);
         assert_eq!(plan.microbatches, 32);
         assert!(plan.schedule.n_sliced >= 1);
@@ -229,7 +229,7 @@ mod tests {
             schedule_policy: SchedulePolicy::Plain,
             ..gpt2_345m_p4()
         };
-        let plan = AutoPipe::plan(&cfg).unwrap();
+        let (plan, _) = plan(&cfg);
         assert_eq!(plan.schedule.n_sliced, 0);
         validate(&plan.schedule).unwrap();
     }
@@ -242,8 +242,7 @@ mod tests {
             profiler: Some(ProfilerConfig::default()),
             ..gpt2_345m_p4()
         };
-        let plan = AutoPipe::plan(&cfg).unwrap();
-        let db = AutoPipe::cost_db(&cfg);
+        let (plan, db) = plan(&cfg);
         let sc = plan.partition.stage_costs(&db);
         let mean: f64 = (0..4).map(|x| sc.work(x)).sum::<f64>() / 4.0;
         let max = (0..4).map(|x| sc.work(x)).fold(0.0, f64::max);
@@ -256,10 +255,10 @@ mod tests {
             schedule_policy: SchedulePolicy::Auto,
             ..gpt2_345m_p4()
         };
-        let plan = AutoPipe::plan(&cfg).unwrap();
+        let (plan, db) = plan(&cfg);
         validate(&plan.schedule).expect("family winner must validate");
         assert_eq!(plan.partition.n_stages(), plan.schedule.n_stages());
-        assert!(plan.est_pipeline_time > 0.0);
+        assert!(plan.price(&db, &cfg) > 0.0);
         let total_layers: f64 = plan.layer_counts.iter().sum();
         assert_eq!(total_layers, 24.0);
     }
@@ -270,10 +269,40 @@ mod tests {
             schedule_policy: SchedulePolicy::Auto,
             ..gpt2_345m_p4()
         };
-        let a = AutoPipe::plan(&cfg).unwrap();
-        let b = AutoPipe::plan(&cfg).unwrap();
+        let (a, db) = plan(&cfg);
+        let (b, _) = plan(&cfg);
         assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.est_pipeline_time.to_bits(), b.est_pipeline_time.to_bits());
+        assert_eq!(a.price(&db, &cfg).to_bits(), b.price(&db, &cfg).to_bits());
+    }
+
+    #[test]
+    fn slicing_solves_on_the_costs_the_plan_is_priced_on() {
+        // GPT-2 345M, 4 stages, m = 8, mbs 4, one device 3× slower. On the
+        // costs the plan runs at, Algorithm 2 slices `k` micro-batches; on
+        // unmultiplied costs it sliced `old_k`, which prices no faster.
+        for (multipliers, k, price, old_k, old_price) in [
+            ([3.0, 1.0, 1.0, 1.0], 3, 4.8963, 1, 4.9216),
+            ([1.0, 1.0, 1.0, 3.0], 1, 2.6463, 2, 2.6463),
+        ] {
+            let cfg = SessionConfig {
+                fixed_stages: Some(4),
+                device_multipliers: multipliers.to_vec(),
+                ..SessionConfig::new(zoo::gpt2_345m(), 4, 4, 32)
+            };
+            let (plan, db) = plan(&cfg);
+            assert_eq!(plan.schedule.n_sliced, k, "{multipliers:?}");
+            let unmultiplied = plan.partition.stage_costs(&db);
+            assert_eq!(plan_slicing(&unmultiplied, 8).n_sliced, old_k);
+            let mut old = Plan {
+                schedule: one_f_one_b(4, 8),
+                ..plan.clone()
+            };
+            slice(&mut old.schedule, old_k);
+            let (new, old) = (plan.price(&db, &cfg), old.price(&db, &cfg));
+            assert!((new - price).abs() < 5e-5, "{multipliers:?}: {new}");
+            assert!((old - old_price).abs() < 5e-5, "{multipliers:?}: {old}");
+            assert!(new <= old, "{multipliers:?}: {new} vs {old}");
+        }
     }
 
     #[test]
@@ -282,7 +311,7 @@ mod tests {
             fixed_stages: Some(2),
             ..SessionConfig::new(zoo::bert_large(), 2, 16, 128)
         };
-        let plan = AutoPipe::plan(&cfg).unwrap();
+        let (plan, _) = plan(&cfg);
         let json = serde_json::to_string(&plan).unwrap();
         assert!(json.contains("\"stages\":2"));
     }

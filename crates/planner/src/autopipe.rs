@@ -397,7 +397,7 @@ fn max_stage_work(db: &CostDb, b: &[usize]) -> f64 {
 /// Scale per-stage costs by the device multipliers of a heterogeneous
 /// cluster (stage `s` runs on device `s` in single-chunk families). A no-op
 /// on homogeneous databases, so the hot path pays one branch.
-pub(crate) fn apply_device_multipliers(db: &CostDb, sc: &mut StageCosts) {
+fn apply_device_multipliers(db: &CostDb, sc: &mut StageCosts) {
     if !db.is_heterogeneous() {
         return;
     }
@@ -406,6 +406,17 @@ pub(crate) fn apply_device_multipliers(db: &CostDb, sc: &mut StageCosts) {
         sc.f[s] *= mult;
         sc.b[s] *= mult;
     }
+}
+
+/// The per-stage costs `partition` runs at: the masked rates
+/// ([`Partition::stage_costs_recompute`]) on the stages `mask` flags, times
+/// each stage's device multiplier (stage `s` of a `v`-chunk interleaved
+/// partition runs on device `s % p`; `device_multiplier` wraps by profile
+/// length). Every price of a plan is computed on these.
+pub fn device_stage_costs(partition: &Partition, db: &CostDb, mask: &[bool]) -> StageCosts {
+    let mut sc = partition.stage_costs_recompute(db, mask);
+    apply_device_multipliers(db, &mut sc);
+    sc
 }
 
 /// Plan a `p`-stage pipeline for the model in `db` running `m` micro-batches
@@ -667,12 +678,7 @@ fn search(
         mask.clear();
         mask.resize(partition.n_stages(), false);
     }
-    let mut costs = if use_mask {
-        partition.stage_costs_recompute(db, &mask)
-    } else {
-        partition.stage_costs(db)
-    };
-    apply_device_multipliers(db, &mut costs);
+    let costs = device_stage_costs(&partition, db, &mask);
     let analytic = simulate_replay_masked(
         &costs,
         m,

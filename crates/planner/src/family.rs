@@ -24,9 +24,7 @@ use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::memcheck::{check_memory_budget, device_memory};
 use autopipe_sim::{replay_schedule, CommConfig, Partition, ReplayScratch, StageCosts};
 
-use crate::autopipe::{
-    apply_device_multipliers, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy,
-};
+use crate::autopipe::{device_stage_costs, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy};
 use crate::balanced::balanced_partition;
 use crate::types::PlanError;
 
@@ -346,17 +344,10 @@ pub fn plan_families_with(
     })
 }
 
-/// The per-stage costs a (partition, schedule) pair runs at: the masked
-/// rates ([`Partition::stage_costs_recompute`]) on the stages `sched`
-/// recomputes, and each stage's times scaled by its device's multiplier.
-/// Stage `s` of a `v`-chunk interleaved partition runs on device `s % p`;
-/// `device_multiplier` wraps by profile length, which the coordinator sizes
-/// to the device count. The family search scores candidates on these, and a
-/// session's simulation replays its plan on them.
+/// The per-stage costs a (partition, schedule) pair runs at:
+/// [`device_stage_costs`] under the mask `sched` recomputes with.
 pub fn schedule_stage_costs(partition: &Partition, db: &CostDb, sched: &Schedule) -> StageCosts {
-    let mut sc = partition.stage_costs_recompute(db, &recompute_mask(sched));
-    apply_device_multipliers(db, &mut sc);
-    sc
+    device_stage_costs(partition, db, &recompute_mask(sched))
 }
 
 #[cfg(test)]

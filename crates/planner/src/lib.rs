@@ -38,7 +38,9 @@ pub mod replan;
 pub mod service;
 pub mod types;
 
-pub use autopipe::{plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy};
+pub use autopipe::{
+    device_stage_costs, plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy,
+};
 pub use balanced::balanced_partition;
 pub use family::{
     plan_families, plan_families_with, schedule_stage_costs, FamilyCandidate, FamilyConfig,

@@ -11,10 +11,12 @@
 //! the answer to what a schedule can execute; the schedule transform
 //! [`autopipe_schedule::slice`] applies it.
 //!
-//! A partition searched under a recompute mask is sliced on its masked
-//! costs — a recomputing stage's backward carries the forward replay.
-//! `autopipe_core::Plan::slice`, the one slicing step that both
-//! `AutoPipe::plan_with` and `Session`'s `slice()` call, solves the count
+//! A plan is sliced on the stage costs it is priced on
+//! (`autopipe_planner::schedule_stage_costs`): masked where the schedule
+//! recomputes — a recomputing stage's backward carries the forward replay —
+//! and charged each device's multiplier, so a skewed cluster gets the count
+//! Algorithm 2 picks for it. `autopipe_core::Plan::slice`, the one slicing
+//! step that `Session`'s `slice()` and its re-plans call, solves the count
 //! this way and slices the masked schedule in place.
 
 use serde::Serialize;
@@ -29,10 +31,6 @@ use autopipe_sim::{replay_schedule, ReplayScratch};
 pub struct SlicedPlan {
     /// Number of leading micro-batches to slice in half.
     pub n_sliced: usize,
-    /// Estimated startup overhead without slicing (fill time).
-    pub startup_before: f64,
-    /// Estimated startup overhead with slicing.
-    pub startup_after: f64,
 }
 
 /// Algorithm 2, ported literally from the paper.
@@ -143,21 +141,15 @@ pub fn solve_sliced_count_empirical(costs: &StageCosts, m: usize, latency: f64) 
     times.iter().position(|&t| t <= best + 1e-9).unwrap_or(0)
 }
 
-/// Slice a partition scheme: solve Algorithm 2, clamp to the Warmup depth
-/// and micro-batch count, and report startup estimates.
+/// Slice a partition scheme: solve Algorithm 2 and clamp to the Warmup
+/// depth and micro-batch count. The event simulator, not this function,
+/// measures what the slicing does to startup.
 pub fn plan_slicing(costs: &StageCosts, m: usize) -> SlicedPlan {
     let p = costs.n_stages();
     // Clamp Algorithm 2's answer to what is executable: never more sliced
     // micro-batches than exist, never past the Warmup depth.
     let n_sliced = solve_sliced_count(costs).min(m).min(p.saturating_sub(1));
-    let fill: f64 = costs.f[..p.saturating_sub(1)].iter().sum::<f64>()
-        + (p.saturating_sub(1)) as f64 * costs.comm;
-    let startup_after = if n_sliced == 0 { fill } else { fill / 2.0 };
-    SlicedPlan {
-        n_sliced,
-        startup_before: fill,
-        startup_after,
-    }
+    SlicedPlan { n_sliced }
 }
 
 #[cfg(test)]
@@ -345,9 +337,7 @@ mod tests {
         let c = balanced(1, 1.0, 2.0, 0.1);
         assert_eq!(solve_sliced_count(&c), 0);
         assert_eq!(solve_sliced_count_empirical(&c, 8, 0.001), 0);
-        let plan = plan_slicing(&c, 8);
-        assert_eq!(plan.n_sliced, 0);
-        assert_eq!(plan.startup_before, plan.startup_after);
+        assert_eq!(plan_slicing(&c, 8).n_sliced, 0);
     }
 
     #[test]
@@ -387,15 +377,5 @@ mod tests {
             solve_sliced_count_empirical(&balanced(4, 0.0, 0.0, 0.0), 8, 0.0),
             0
         );
-    }
-
-    #[test]
-    fn startup_estimates_are_consistent() {
-        let c = balanced(4, 1.0, 2.0, 0.05);
-        let plan = plan_slicing(&c, 8);
-        assert!(plan.startup_after <= plan.startup_before);
-        if plan.n_sliced > 0 {
-            assert!((plan.startup_after - plan.startup_before / 2.0).abs() < 1e-12);
-        }
     }
 }

@@ -52,19 +52,14 @@ fn main() {
     println!("\n== Slicer: Algorithm 2 on the planned partition ==");
     let sc = auto.partition.stage_costs(&db);
     let k = solve_sliced_count(&sc);
-    let sp = plan_slicing(&sc, m);
+    let n_sliced = plan_slicing(&sc, m).n_sliced;
     println!("Algorithm 2 says: slice the first {k} micro-batch(es)");
-    println!(
-        "estimated startup: {:.1} ms -> {:.1} ms",
-        sp.startup_before * 1e3,
-        sp.startup_after * 1e3
-    );
 
     // Verify on the event simulator with realistic per-op overheads.
     let ev = EventCosts::from_stage_costs(&sc, hw.link_latency);
     let cfg = EventConfig::actual_run(hw.kernel_overhead, 7);
     let plain = run_schedule(&one_f_one_b(p, m), &ev, &cfg).unwrap();
-    let sliced = run_schedule(&sliced_1f1b(p, m, sp.n_sliced), &ev, &cfg).unwrap();
+    let sliced = run_schedule(&sliced_1f1b(p, m, n_sliced), &ev, &cfg).unwrap();
     println!(
         "measured startup : {:.1} ms -> {:.1} ms ({:.0}% reduction)",
         plain.startup_overhead * 1e3,

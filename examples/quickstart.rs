@@ -31,10 +31,11 @@ fn main() -> Result<(), autopipe::Error> {
     );
     println!("layers per stage : {:?}", plan.layer_counts);
     println!("sliced warmup mbs: {}", plan.schedule.n_sliced);
+    let price = plan.price(planned.cost_db(), planned.config());
     println!(
         "est. iteration   : {:.1} ms (pipeline {:.1} ms + grad sync {:.1} ms)",
-        plan.est_iteration_time() * 1e3,
-        plan.est_pipeline_time * 1e3,
+        (price + plan.grad_sync) * 1e3,
+        price * 1e3,
         plan.grad_sync * 1e3
     );
     println!(

@@ -538,10 +538,10 @@ impl PlannedSession {
     }
 
     /// Apply the AutoPipe Slicer (Algorithm 2): slice the plain 1F1B
-    /// schedule's Warmup through [`Plan::slice`], the step
-    /// [`AutoPipe::plan`] slices with, so the recompute mask the partition
-    /// search chose is kept. A no-op for single-stage plans and
-    /// outside [`SchedulePolicy::Slicer`]: plain 1F1B stays plain, and
+    /// schedule's Warmup through [`Plan::slice`], on the costs the plan is
+    /// priced on, so the recompute mask the partition search chose is kept
+    /// and each device is charged its multiplier. A no-op for single-stage
+    /// plans and outside [`SchedulePolicy::Slicer`]: plain 1F1B stays plain, and
     /// under [`SchedulePolicy::Auto`] the family search already scored the
     /// sliced candidates — re-slicing would overwrite its pick.
     pub fn slice(mut self) -> Result<PlannedSession, Error> {
@@ -555,8 +555,8 @@ impl PlannedSession {
     /// fault-free, and additionally under the session's fault script when
     /// one is configured. The stage costs are the ones the family search
     /// scores with ([`schedule_stage_costs`]: masked where the schedule
-    /// recomputes, times each device's multiplier), so a cross-family plan
-    /// simulates to its own estimate.
+    /// recomputes, times each device's multiplier), so the clean run's
+    /// iteration time is [`Plan::price`] bit for bit.
     pub fn simulate(&self) -> Result<SimReport, Error> {
         let costs = EventCosts::from_stage_costs(
             &schedule_stage_costs(&self.plan.partition, &self.db, &self.plan.schedule),
@@ -775,7 +775,7 @@ mod tests {
     use autopipe_exec::{DeviceLost, FaultPlan, StageCrash};
     use autopipe_model::zoo;
     use autopipe_planner::AutoPipeConfig;
-    use autopipe_runtime::RecoveryAction;
+    use autopipe_runtime::{Manifest, RecoveryAction};
     use autopipe_schedule::{recompute_mask, zero_bubble};
     use proptest::prelude::*;
 
@@ -977,7 +977,7 @@ mod tests {
             );
             assert_eq!(
                 planned.simulate().unwrap().clean.iteration_time.to_bits(),
-                plan.est_pipeline_time.to_bits(),
+                plan.price(planned.cost_db(), planned.config()).to_bits(),
                 "{multipliers:?}"
             );
         }
@@ -1343,6 +1343,139 @@ mod tests {
                     prop_assert_eq!(&recompute_mask(&plan.schedule), mask);
                 }
             }
+        }
+    }
+
+    const POLICIES: [SchedulePolicy; 3] = [
+        SchedulePolicy::Slicer,
+        SchedulePolicy::Auto,
+        SchedulePolicy::Plain,
+    ];
+
+    /// `plan` priced on `db` under `planned`'s config, and the clean
+    /// iteration time `simulate()` reads for it there, as bits.
+    fn price_and_simulation(planned: &PlannedSession, db: &CostDb, plan: Plan) -> (u64, u64) {
+        let session = PlannedSession {
+            db: db.clone(),
+            plan,
+            ..planned.clone()
+        };
+        let simulated = session.simulate().unwrap().clean.iteration_time;
+        let price = session.plan.price(&session.db, &session.cfg);
+        (price.to_bits(), simulated.to_bits())
+    }
+
+    /// Peak per-device bytes of a planned session's schedule.
+    fn peak_bytes(planned: &PlannedSession) -> u64 {
+        let plan = planned.plan();
+        check_memory_budget(&plan.partition, &planned.db, &plan.schedule, u64::MAX)
+            .expect("an unlimited budget always fits")
+            .iter()
+            .map(|bd| bd.total())
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A plan's price is the clean iteration time `simulate()` reads,
+        /// bit for bit, wherever the plan is read: as planned, as sliced,
+        /// as re-planned after a shrink and after a slowdown, and as a
+        /// checkpoint manifest rebuilds its schedule.
+        #[test]
+        fn a_plan_prices_to_its_simulation_wherever_it_is_read(
+            model in 0usize..4,
+            p in 1usize..=8,
+            m in 1usize..=24,
+            policy in 0usize..3,
+            skew in (0usize..2, 0usize..8, 1.5f64..4.0),
+            overlap in 0usize..2,
+            budget in (0usize..2, 0.2f64..0.9),
+        ) {
+            let mut session = Session::for_model(zoo::benchmark_models()[model].clone())
+                .stages(p)
+                .microbatches(m)
+                .microbatch_size(4)
+                .schedule_policy(POLICIES[policy]);
+            let mut configured = vec![1.0; p];
+            if skew.0 == 1 {
+                configured[skew.1 % p] = skew.2;
+                session = session.device_multipliers(configured.clone());
+            }
+            if overlap == 1 {
+                session = session.overlap_comm(Hardware::rtx3090_cluster().link_latency, 4);
+            }
+            if budget.0 == 1 {
+                // Between the all-recompute floor and the plain peak, where
+                // only a recompute mask makes the plan fit.
+                let peak_under = |recompute| {
+                    let s = session.clone().recompute_policy(recompute);
+                    s.memory_budget(u64::MAX).plan().map(|s| peak_bytes(&s))
+                };
+                let floor = peak_under(RecomputePolicy::All);
+                if let (Ok(floor), Ok(peak)) = (floor, peak_under(RecomputePolicy::Off)) {
+                    let bytes = floor + (peak.saturating_sub(floor) as f64 * budget.1) as u64;
+                    session = session.recompute_policy(RecomputePolicy::Auto);
+                    session = session.memory_budget(bytes);
+                }
+            }
+            let planned = match session.plan() {
+                Ok(planned) => planned,
+                Err(e) => {
+                    prop_assert!(matches!(e, Error::Plan(_)), "{e}");
+                    return Ok(());
+                }
+            };
+            let (price, simulated) =
+                price_and_simulation(&planned, &planned.db, planned.plan.clone());
+            prop_assert_eq!(price, simulated, "planned");
+            let planned = planned.slice().unwrap();
+            let (price, simulated) =
+                price_and_simulation(&planned, &planned.db, planned.plan.clone());
+            prop_assert_eq!(price, simulated, "sliced");
+
+            let mut shrunk = configured.clone();
+            shrunk.remove(skew.1 % p);
+            let mut slowed = configured;
+            slowed[(skew.1 + 1) % p] *= 2.0;
+            let run = planned.contract();
+            for (trigger, multipliers) in [("shrink", shrunk), ("slowdown", slowed)] {
+                if multipliers.is_empty() {
+                    continue;
+                }
+                match run.replan(trigger, multipliers.len(), &multipliers) {
+                    Ok(plan) => {
+                        let db = planned.db.clone().with_device_multipliers(&multipliers);
+                        let (price, simulated) = price_and_simulation(&planned, &db, plan);
+                        prop_assert_eq!(price, simulated, "{}", trigger);
+                    }
+                    Err(e) => prop_assert!(matches!(e, Error::Plan(_)), "{e}"),
+                }
+            }
+
+            let plan = planned.plan();
+            let manifest = Manifest {
+                format: 0,
+                generation: 0,
+                step: 0,
+                tag: String::new(),
+                model: ModelShape::of(&planned.cfg.model),
+                boundaries: plan.partition.boundaries().to_vec(),
+                kind: plan.schedule.kind,
+                n_sliced: plan.schedule.n_sliced,
+                n_chunks: plan.schedule.n_chunks,
+                n_microbatches: plan.microbatches,
+                recompute: recompute_mask(&plan.schedule),
+                stages: Vec::new(),
+            };
+            let rebuilt = Plan {
+                schedule: manifest.schedule().unwrap(),
+                ..plan.clone()
+            };
+            prop_assert_eq!(&rebuilt.schedule, &plan.schedule);
+            let (price, simulated) = price_and_simulation(&planned, &planned.db, rebuilt);
+            prop_assert_eq!(price, simulated, "rebuilt from a manifest");
         }
     }
 

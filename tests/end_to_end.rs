@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use autopipe::{Error, PlanService, Session};
+use autopipe::{Error, PlanService, PlannedSession, Session};
 use autopipe_cost::profiler::ProfilerConfig;
 use autopipe_cost::Hardware;
 use autopipe_exec::CommConfig;
@@ -13,7 +13,7 @@ use autopipe_schedule::validate;
 use autopipe_sim::{run_schedule, EventConfig, EventCosts};
 
 /// The full AutoPipe front-end output is executable on the event simulator,
-/// and the event simulation lands near the planner's own estimate.
+/// and the event simulation is the plan's price.
 #[test]
 fn planned_schedule_simulates() {
     let planned = Session::for_model(zoo::gpt2_345m())
@@ -28,9 +28,8 @@ fn planned_schedule_simulates() {
     validate(&planned.plan().schedule).unwrap();
     let sim = planned.simulate().unwrap();
     assert!(sim.clean.iteration_time > 0.0);
-    let est = planned.plan().est_pipeline_time;
-    let rel = (sim.clean.iteration_time - est).abs() / est;
-    assert!(rel < 0.05, "event vs planner estimate diverge by {rel}");
+    let price = planned.plan().price(planned.cost_db(), planned.config());
+    assert_eq!(sim.clean.iteration_time.to_bits(), price.to_bits());
 }
 
 /// Sessions sharing one `PlanService` hit its content-addressed cache: the
@@ -65,8 +64,14 @@ fn sessions_sharing_a_plan_service_hit_the_cache() {
     for other in [&second, &unshared] {
         assert_eq!(first.plan().partition, other.plan().partition);
         assert_eq!(
-            first.plan().est_pipeline_time.to_bits(),
-            other.plan().est_pipeline_time.to_bits()
+            first
+                .plan()
+                .price(first.cost_db(), first.config())
+                .to_bits(),
+            other
+                .plan()
+                .price(other.cost_db(), other.config())
+                .to_bits()
         );
         assert_eq!(first.plan().schedule, other.plan().schedule);
     }
@@ -181,13 +186,9 @@ fn the_hardware_setting_reaches_the_plan() {
         .hardware(Hardware::a100_cluster())
         .plan()
         .unwrap();
-    let (rtx, a100) = (rtx.plan(), a100.plan());
-    assert!(
-        a100.est_iteration_time() < rtx.est_iteration_time(),
-        "A100 {} vs RTX-3090 {}",
-        a100.est_iteration_time(),
-        rtx.est_iteration_time()
-    );
+    let est = |s: &PlannedSession| s.plan().price(s.cost_db(), s.config()) + s.plan().grad_sync;
+    let (rtx, a100) = (est(&rtx), est(&a100));
+    assert!(a100 < rtx, "A100 {a100} vs RTX-3090 {rtx}");
 }
 
 /// `.profiled` plans on the synthetic profiler's measurements, whose bias
@@ -199,13 +200,9 @@ fn the_profiled_setting_plans_on_measured_costs() {
         .profiled(ProfilerConfig::default())
         .plan()
         .unwrap();
-    let (truth, measured) = (truth.plan(), measured.plan());
-    assert!(
-        measured.est_pipeline_time > truth.est_pipeline_time,
-        "profiled {} vs analytic {}",
-        measured.est_pipeline_time,
-        truth.est_pipeline_time
-    );
+    let price = |s: &PlannedSession| s.plan().price(s.cost_db(), s.config());
+    let (truth, measured) = (price(&truth), price(&measured));
+    assert!(measured > truth, "profiled {measured} vs analytic {truth}");
 }
 
 /// `.prune` toggles the wave search's dominance pruning (on by default):
