@@ -14,7 +14,7 @@ use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::balanced_partition;
 use autopipe_schedule::sliced_1f1b;
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
-use autopipe_sim::simulate_replay;
+use autopipe_sim::{simulate_replay_masked, SimScratch};
 use autopipe_slicer::solve_sliced_count;
 use serde_json::json;
 
@@ -54,7 +54,16 @@ pub(crate) fn heuristic_ablation() -> Vec<(String, usize, f64, f64)> {
             let db = cost_db(&model, &hw, 4);
             let weights: Vec<f64> = db.blocks.iter().map(|b| b.work()).collect();
             let seed = balanced_partition(&weights, p);
-            let seed_time = simulate_replay(&seed.stage_costs(&db), m).iteration_time;
+            // Priced like the planner: every stage replays its forwards.
+            let replays = vec![db.checkpointing; p];
+            let seed_time = simulate_replay_masked(
+                &seed.stage_costs(&db),
+                m,
+                &mut SimScratch::new(),
+                None,
+                Some(&replays),
+            )
+            .iteration_time;
             let full = plan(&db, p, m, &AutoPipeConfig::default()).unwrap();
             out.push((
                 model.name.clone(),

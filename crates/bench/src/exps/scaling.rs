@@ -6,11 +6,17 @@
 use autopipe_cost::Hardware;
 use autopipe_model::zoo;
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
-use autopipe_sim::metrics::max_mean_imbalance;
 use serde_json::json;
 
 use crate::report::{save_json, Table};
 use crate::systems::cost_db;
+
+/// Max/mean of the stages' busy time: the load each stage runs, its
+/// checkpointing replays included.
+fn busy_imbalance(busy: &[f64]) -> f64 {
+    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+    busy.iter().copied().fold(0.0, f64::max) / mean
+}
 
 /// Depth-axis rows: (layers, stages, search ms, schemes, max/mean stage
 /// imbalance).
@@ -27,7 +33,7 @@ pub(crate) fn depth_scaling() -> Vec<(usize, usize, f64, usize, f64)> {
             let m = 2 * p;
             let outcome = plan(&db, p, m, &AutoPipeConfig::default()).unwrap();
             let secs = outcome.search_time.as_secs_f64();
-            let imb = max_mean_imbalance(&outcome.partition.stage_costs(&db));
+            let imb = busy_imbalance(&outcome.analytic.stage_busy);
             out.push((layers, p, secs, outcome.schemes_explored, imb));
         }
     }
@@ -49,7 +55,7 @@ pub(crate) fn width_scaling() -> Vec<(String, usize, f64, f64)> {
         let p = 8;
         let outcome = plan(&db, p, 2 * p, &AutoPipeConfig::default()).unwrap();
         let secs = outcome.search_time.as_secs_f64();
-        let imb = max_mean_imbalance(&outcome.partition.stage_costs(&db));
+        let imb = busy_imbalance(&outcome.analytic.stage_busy);
         out.push((model.name.clone(), p, secs, imb));
     }
     out

@@ -7,7 +7,7 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::{Granularity, ModelConfig};
 use autopipe_planner::autopipe::{plan as autopipe_plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
-use autopipe_schedule::{interleaved, one_f_one_b, sliced_1f1b, Schedule};
+use autopipe_schedule::{apply_checkpointing, interleaved, one_f_one_b, sliced_1f1b, Schedule};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::memcheck::check_memory;
 use autopipe_sim::{Partition, StageCosts};
@@ -54,7 +54,7 @@ pub fn measure(
     p: usize,
     m: usize,
 ) -> Result<Obs, String> {
-    let (partition, schedule): (Partition, Schedule) = match system {
+    let (partition, mut schedule): (Partition, Schedule) = match system {
         System::Megatron => {
             let part = megatron::uniform_partition(db, p).map_err(|e| format!("X ({e})"))?;
             (part, one_f_one_b(p, m))
@@ -85,6 +85,9 @@ pub fn measure(
         }
     };
     check_memory(&partition, db, &schedule, hw).map_err(|_| "OOM".to_string())?;
+    if db.checkpointing {
+        apply_checkpointing(&mut schedule);
+    }
     Ok(run_measured(&partition, &schedule, db, hw))
 }
 

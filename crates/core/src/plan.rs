@@ -4,11 +4,11 @@ use serde::Serialize;
 
 use autopipe_cost::CostDb;
 use autopipe_model::Granularity;
+use autopipe_planner::device_stage_costs;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
-use autopipe_planner::{device_stage_costs, schedule_stage_costs};
-use autopipe_schedule::{apply_recompute, recompute_mask, slice, Schedule};
+use autopipe_schedule::{apply_checkpointing, apply_recompute, slice, Schedule};
 use autopipe_sim::event::EventCosts;
 use autopipe_sim::{replay_schedule, Partition, ReplayScratch};
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
@@ -43,12 +43,12 @@ pub struct Plan {
 
 impl Plan {
     /// The plan's price, its only estimate: the pipeline time of one
-    /// iteration, replayed on [`schedule_stage_costs`] of `db` under `cfg`'s
-    /// event and link settings — the session's `simulate()` bit for bit.
-    /// Add `grad_sync` for a full iteration.
+    /// iteration, its schedule replayed on [`device_stage_costs`] of `db`
+    /// under `cfg`'s event and link settings — the session's `simulate()`
+    /// bit for bit. Add `grad_sync` for a full iteration.
     pub fn price(&self, db: &CostDb, cfg: &SessionConfig) -> f64 {
         let costs = EventCosts::from_stage_costs(
-            &schedule_stage_costs(&self.partition, db, &self.schedule),
+            &device_stage_costs(&self.partition, db),
             cfg.hardware.link_latency,
         );
         replay_schedule(
@@ -63,14 +63,13 @@ impl Plan {
 
     /// Apply the AutoPipe Slicer (Algorithm 2) to this plan's schedule, in
     /// place. The sliced count is solved on the stage costs the plan is
-    /// priced on ([`schedule_stage_costs`]): masked on the stages the
-    /// schedule recomputes, whose backward carries the forward replay, and
-    /// charged each device's multiplier. Slicing commutes with the recompute
-    /// mask, so the mask stays as it is. A no-op below two stages (the count
-    /// is 0) or on a schedule that is already sliced. This is the one
-    /// slicing step: the session's `slice()` and its re-plans call it.
+    /// priced on ([`device_stage_costs`], each device's multiplier charged).
+    /// Slicing commutes with the `Recompute` ops, so they stay as they are.
+    /// A no-op below two stages (the count is 0) or on a schedule that is
+    /// already sliced. This is the one slicing step: the session's `slice()`
+    /// and its re-plans call it.
     pub fn slice(&mut self, db: &CostDb) {
-        let costs = schedule_stage_costs(&self.partition, db, &self.schedule);
+        let costs = device_stage_costs(&self.partition, db);
         slice(
             &mut self.schedule,
             plan_slicing(&costs, self.microbatches).n_sliced,
@@ -116,7 +115,7 @@ impl AutoPipe {
                 // Slicer's Algorithm 2 pick, on the costs the plan will be
                 // priced on, so the classic AutoPipe schedule is always among
                 // the candidates.
-                let costs = device_stage_costs(&choice.outcome.partition, db, mask);
+                let costs = device_stage_costs(&choice.outcome.partition, db);
                 let mut fam_cfg = FamilyConfig::for_planner(planner, cfg.hardware.link_latency);
                 let algo2 = solve_sliced_count(&costs);
                 if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
@@ -141,11 +140,15 @@ impl AutoPipe {
                 )
             };
         // The partition search may have bought memory feasibility with a
-        // recompute mask; the executable schedule must carry it. The family
-        // search already lowers its own winner; the 1F1B schedule gets the
-        // mask here, and slicing keeps it.
-        if mask.iter().any(|&r| r) && !recompute_mask(&schedule).iter().any(|&r| r) {
+        // recompute mask, and checkpointing replays on every stage; the
+        // executable schedule carries both as `Recompute` ops. The family
+        // search already lowers its own winner (lowering again changes
+        // nothing); the 1F1B schedule gets them here, and slicing keeps them.
+        if mask.iter().any(|&r| r) && !schedule.recompute.iter().any(|&r| r) {
             apply_recompute(&mut schedule, mask);
+        }
+        if db.checkpointing {
+            apply_checkpointing(&mut schedule);
         }
         Ok(Plan {
             stages: choice.stages,
@@ -281,8 +284,8 @@ mod tests {
         // costs the plan runs at, Algorithm 2 slices `k` micro-batches; on
         // unmultiplied costs it sliced `old_k`, which prices no faster.
         for (multipliers, k, price, old_k, old_price) in [
-            ([3.0, 1.0, 1.0, 1.0], 3, 4.8963, 1, 4.9216),
-            ([1.0, 1.0, 1.0, 3.0], 1, 2.6463, 2, 2.6463),
+            ([3.0, 1.0, 1.0, 1.0], 3, 4.7966, 1, 4.7966),
+            ([1.0, 1.0, 1.0, 3.0], 1, 2.4327, 2, 2.4327),
         ] {
             let cfg = SessionConfig {
                 fixed_stages: Some(4),
@@ -298,6 +301,7 @@ mod tests {
                 ..plan.clone()
             };
             slice(&mut old.schedule, old_k);
+            apply_checkpointing(&mut old.schedule);
             let (new, old) = (plan.price(&db, &cfg), old.price(&db, &cfg));
             assert!((new - price).abs() < 5e-5, "{multipliers:?}: {new}");
             assert!((old - old_price).abs() < 5e-5, "{multipliers:?}: {old}");

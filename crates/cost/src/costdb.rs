@@ -15,8 +15,8 @@ pub struct BlockCost {
     pub kind: BlockKind,
     /// Forward time for one micro-batch, seconds.
     pub fwd: f64,
-    /// Backward time for one micro-batch, seconds — includes the
-    /// recomputation forward when activation checkpointing is on.
+    /// Backward time for one micro-batch, seconds: the backward alone. A
+    /// checkpointed stage's re-forward is the schedule's `Recompute` op.
     pub bwd: f64,
     /// Parameters held by the block.
     pub params: u64,
@@ -52,7 +52,8 @@ pub struct CostDb {
     /// Micro-batch size these costs were computed for.
     pub mbs: usize,
     /// Whether activation checkpointing is on (it is in every paper
-    /// experiment, to avoid OOM).
+    /// experiment, to avoid OOM). It changes no block cost: the planner
+    /// lowers it to `Recompute` ops on every stage.
     pub checkpointing: bool,
     /// Planning granularity the block sequence was lowered at.
     pub granularity: Granularity,
@@ -90,7 +91,7 @@ impl CostDb {
         let blocks = build_blocks(cfg, granularity);
         let costs = blocks
             .iter()
-            .map(|b| Self::block_cost(cfg, hw, b, mbs, checkpointing))
+            .map(|b| Self::block_cost(cfg, hw, b, mbs))
             .collect();
         let comm_bytes = cfg.boundary_activation_elems(mbs) * hw.elem_bytes;
         let mut db = CostDb {
@@ -171,16 +172,10 @@ impl CostDb {
         }
     }
 
-    fn block_cost(
-        cfg: &ModelConfig,
-        hw: &Hardware,
-        block: &Block,
-        mbs: usize,
-        checkpointing: bool,
-    ) -> BlockCost {
+    fn block_cost(cfg: &ModelConfig, hw: &Hardware, block: &Block, mbs: usize) -> BlockCost {
         let fwd_flops = flops::block_fwd_flops(cfg, block, mbs);
         let fwd = hw.compute_time(fwd_flops);
-        let bwd = fwd * flops::bwd_multiplier(block.kind, checkpointing);
+        let bwd = fwd * flops::BWD_MULTIPLIER;
         let b = mbs as u64;
         let s = cfg.seq_len as u64;
         let h = cfg.hidden_size as u64;
@@ -230,27 +225,6 @@ impl CostDb {
     #[inline]
     pub fn range_bwd(&self, r: std::ops::Range<usize>) -> f64 {
         self.bwd_prefix[r.end] - self.bwd_prefix[r.start]
-    }
-
-    /// Backward time of blocks `r` *without* the per-block checkpoint
-    /// re-forwards baked into `bwd` when the database was built with
-    /// activation checkpointing. A stage executing a schedule-level
-    /// `Recompute` op replays its whole forward once, rebuilding every
-    /// block's caches, so its backward runs at the non-checkpointed rate —
-    /// charging both would double-count the replay. Equals [`range_bwd`]
-    /// when `checkpointing` is off.
-    ///
-    /// [`range_bwd`]: CostDb::range_bwd
-    pub fn range_bwd_no_ckpt(&self, r: std::ops::Range<usize>) -> f64 {
-        let mut b = self.range_bwd(r.clone());
-        if self.checkpointing {
-            b -= self.blocks[r]
-                .iter()
-                .filter(|c| c.kind.is_layer_body())
-                .map(|c| c.fwd)
-                .sum::<f64>();
-        }
-        b
     }
 
     /// Parameters held by blocks `r`, O(1).
@@ -322,16 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_slows_backward_only_for_layer_bodies() {
+    fn checkpointing_changes_no_block_cost() {
+        // The re-forward is a schedule op, not a backward surcharge.
         let with = db(4, true, Granularity::SubLayer);
         let without = db(4, false, Granularity::SubLayer);
-        for (w, wo) in with.blocks.iter().zip(&without.blocks) {
-            assert_eq!(w.fwd, wo.fwd);
-            if w.kind.is_layer_body() {
-                assert!(w.bwd > wo.bwd);
-            } else {
-                assert_eq!(w.bwd, wo.bwd);
-            }
+        assert_eq!(with.blocks, without.blocks);
+        for b in &with.blocks {
+            assert_eq!(b.bwd, 2.0 * b.fwd);
         }
     }
 

@@ -11,7 +11,10 @@
 //!
 //! Everything downstream — the analytic simulator, the discrete-event
 //! cluster simulator, all four planners and the slicer — speaks in the units
-//! defined here: **seconds** for durations, **bytes** for sizes.
+//! defined here: **seconds** for durations, **bytes** for sizes. A block's
+//! backward is the backward alone: activation checkpointing changes no
+//! block cost, because the schedule runs and prices its re-forward as a
+//! `Recompute` op.
 
 pub mod comm;
 pub mod costdb;

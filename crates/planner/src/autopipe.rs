@@ -337,11 +337,11 @@ fn resolve_mask(
 }
 
 /// Score `L ≤ LANES` candidates in one lockstep sweep, reusing the caller's
-/// scratch buffers so the per-candidate cost is allocation-free. Candidates
-/// that fit the budget only with recomputation are scored under their mask
-/// (masked stage costs + forward replays); infeasible candidates are scored
-/// plain — their time still drives successor generation, but the merge loop
-/// never lets them win.
+/// scratch buffers so the per-candidate cost is allocation-free. Each
+/// candidate is scored with the forward replays it would run: on every stage
+/// under global checkpointing, else on the stages of the recompute mask it
+/// needs to fit the budget. Infeasible candidates still score — their time
+/// drives successor generation — but the merge loop never lets them win.
 fn score<const L: usize>(
     parts: &[Partition; L],
     db: &CostDb,
@@ -351,15 +351,17 @@ fn score<const L: usize>(
     lanes: &mut [(StageCosts, Vec<bool>); LANES],
 ) -> [Score; L] {
     const { assert!(L <= LANES) };
-    // Per lane: (fits the budget, scored under its recompute mask).
-    let mut fit = [(false, false); L];
+    // Per lane: fits the budget; the lane's mask becomes the stages that
+    // replay their forwards — the mask's, or all under checkpointing.
+    let mut fit = [false; L];
     for ((part, (sc, mask)), fit) in parts.iter().zip(lanes.iter_mut()).zip(&mut fit) {
-        *fit = resolve_mask(part, db, m, cfg, mask);
-        if fit.1 {
-            part.stage_costs_recompute_into(db, mask, sc);
-        } else {
-            part.stage_costs_into(db, sc);
+        let use_mask;
+        (*fit, use_mask) = resolve_mask(part, db, m, cfg, mask);
+        if !use_mask || db.checkpointing {
+            mask.clear();
+            mask.resize(part.n_stages(), db.checkpointing);
         }
+        part.stage_costs_into(db, sc);
         apply_device_multipliers(db, sc);
     }
     let r = simulate_time_lanes::<L>(
@@ -367,14 +369,29 @@ fn score<const L: usize>(
         m,
         sim,
         cfg.overlap.as_ref(),
-        from_fn(|l| fit[l].1.then_some(lanes[l].1.as_slice())),
+        from_fn(|l| Some(lanes[l].1.as_slice())),
     );
     from_fn(|l| Score {
         iteration_time: r[l].iteration_time,
         master_stage: r[l].master_stage,
         b_master: lanes[l].0.b[r[l].master_stage],
-        feasible: fit[l].0,
+        feasible: fit[l],
     })
+}
+
+/// Per block, the work one micro-batch costs it: forward and backward, and
+/// under global checkpointing the forward again, which every stage but the
+/// last replays. The blocks behind the last layer body (final norm, head,
+/// pooler) are weighted without it: they belong on the last stage. Algorithm
+/// 1 balances these.
+pub(crate) fn block_weights(db: &CostDb) -> Vec<f64> {
+    let tail = db.blocks.iter().rposition(|b| b.kind.is_layer_body());
+    let replays = |i: usize| db.checkpointing && tail.is_some_and(|t| i <= t);
+    db.blocks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| b.work() + if replays(i) { b.fwd } else { 0.0 })
+        .collect()
 }
 
 /// The heaviest stage's forward+backward work under the scheme with
@@ -408,13 +425,13 @@ fn apply_device_multipliers(db: &CostDb, sc: &mut StageCosts) {
     }
 }
 
-/// The per-stage costs `partition` runs at: the masked rates
-/// ([`Partition::stage_costs_recompute`]) on the stages `mask` flags, times
-/// each stage's device multiplier (stage `s` of a `v`-chunk interleaved
-/// partition runs on device `s % p`; `device_multiplier` wraps by profile
-/// length). Every price of a plan is computed on these.
-pub fn device_stage_costs(partition: &Partition, db: &CostDb, mask: &[bool]) -> StageCosts {
-    let mut sc = partition.stage_costs_recompute(db, mask);
+/// The per-stage costs `partition` runs at: forward and backward times, each
+/// times its stage's device multiplier (stage `s` of a `v`-chunk
+/// interleaved partition runs on device `s % p`; `device_multiplier` wraps
+/// by profile length). Every price of a plan is computed on these; the
+/// schedule's `Recompute` ops are charged at `f`.
+pub fn device_stage_costs(partition: &Partition, db: &CostDb) -> StageCosts {
+    let mut sc = partition.stage_costs(db);
     apply_device_multipliers(db, &mut sc);
     sc
 }
@@ -491,7 +508,7 @@ fn search(
     scratch: &mut PlannerScratch,
 ) -> Result<AutoPipeOutcome, PlanError> {
     let t0 = Instant::now();
-    let weights: Vec<f64> = db.blocks.iter().map(|b| b.work()).collect();
+    let weights = block_weights(db);
     if p < 1 {
         return Err(PlanError::Infeasible("0-stage pipeline requested".into()));
     }
@@ -678,13 +695,13 @@ fn search(
         mask.clear();
         mask.resize(partition.n_stages(), false);
     }
-    let costs = device_stage_costs(&partition, db, &mask);
+    let replays: Vec<bool> = mask.iter().map(|&r| r || db.checkpointing).collect();
     let analytic = simulate_replay_masked(
-        &costs,
+        &device_stage_costs(&partition, db),
         m,
         sim,
         cfg.overlap.as_ref(),
-        use_mask.then_some(mask.as_slice()),
+        Some(&replays),
     );
     Ok(AutoPipeOutcome {
         partition,
@@ -794,11 +811,18 @@ mod tests {
     use crate::balanced::balanced_partition;
     use autopipe_cost::Hardware;
     use autopipe_model::{zoo, Granularity};
-    use autopipe_sim::analytic::simulate_replay;
     use autopipe_sim::metrics::balance_stddev;
 
     fn db(g: Granularity) -> CostDb {
         CostDb::build(&zoo::gpt2_345m(), &Hardware::rtx3090_cluster(), 4, true, g)
+    }
+
+    /// The replay of `part` as the planner prices it on the checkpointed
+    /// [`db`]: every stage replays its forwards.
+    fn checkpointed(part: &Partition, d: &CostDb, m: usize) -> AnalyticResult {
+        let replays = vec![true; part.n_stages()];
+        let costs = part.stage_costs(d);
+        simulate_replay_masked(&costs, m, &mut SimScratch::new(), None, Some(&replays))
     }
 
     #[test]
@@ -810,7 +834,7 @@ mod tests {
         // Megatron: 6 whole layers per stage, embedding with stage 0,
         // final-LN+head with stage 3.
         let mega = Partition::new(vec![0, 13, 25, 37, 51]);
-        let mega_res = simulate_replay(&mega.stage_costs(&d), m);
+        let mega_res = checkpointed(&mega, &d, m);
         assert!(
             out.analytic.iteration_time < mega_res.iteration_time,
             "autopipe {} vs megatron {}",
@@ -824,8 +848,8 @@ mod tests {
         let d = db(Granularity::SubLayer);
         let m = 8;
         let out = plan(&d, 4, m, &AutoPipeConfig::default()).unwrap();
-        let seed = balanced_partition(&d.blocks.iter().map(|b| b.work()).collect::<Vec<_>>(), 4);
-        let seed_res = simulate_replay(&seed.stage_costs(&d), m);
+        let seed = balanced_partition(&block_weights(&d), 4);
+        let seed_res = checkpointed(&seed, &d, m);
         assert!(out.analytic.iteration_time <= seed_res.iteration_time + 1e-12);
         // Balance should be decent: within 20% of perfectly even.
         let sc = out.partition.stage_costs(&d);
@@ -913,12 +937,14 @@ mod tests {
             overlapped.analytic.iteration_time,
             blocking.analytic.iteration_time
         );
+        // Global checkpointing replays on every stage.
+        let replays = vec![true; p];
         let rescored = simulate_replay_masked(
             &overlapped.partition.stage_costs(&d),
             m,
             &mut SimScratch::new(),
             Some(&ov),
-            None,
+            Some(&replays),
         );
         assert_eq!(
             overlapped.analytic.iteration_time.to_bits(),
@@ -930,7 +956,7 @@ mod tests {
             m,
             &mut SimScratch::new(),
             Some(&ov),
-            None,
+            Some(&replays),
         );
         assert!(
             overlapped.analytic.iteration_time <= blocking_rescored.iteration_time + 1e-12,
@@ -981,10 +1007,13 @@ mod tests {
     #[test]
     fn seeding_with_the_balanced_scheme_matches_the_cold_search() {
         // An incumbent equal to Algorithm 1's seed changes nothing but the
-        // one extra simulation that scored it.
+        // one extra simulation that scored it (below the scheme cap).
         let d = db(Granularity::SubLayer);
-        let cfg = AutoPipeConfig::default();
-        let weights: Vec<f64> = d.blocks.iter().map(|b| b.work()).collect();
+        let cfg = AutoPipeConfig {
+            max_schemes: 4096,
+            ..AutoPipeConfig::default()
+        };
+        let weights = block_weights(&d);
         for (p, m) in [(4, 8), (8, 16)] {
             let cold = plan(&d, p, m, &cfg).unwrap();
             let seed = balanced_partition(&weights, p);
@@ -1060,8 +1089,9 @@ mod tests {
         // Find a budget between the plain peak and the full-recompute peak
         // of the winning partition: Off must OOM, Auto must plan with a
         // non-empty mask and report a slower (never faster) iteration.
+        // Without global checkpointing, so the mask's replays are extra work.
         let hw = Hardware::rtx3090_cluster();
-        let d = CostDb::build(&zoo::gpt2_345m(), &hw, 16, true, Granularity::SubLayer);
+        let d = CostDb::build(&zoo::gpt2_345m(), &hw, 16, false, Granularity::SubLayer);
         let p = 4;
         let m = 8;
         let base = plan(&d, p, m, &AutoPipeConfig::default()).unwrap();
@@ -1114,9 +1144,8 @@ mod tests {
         let busy = |r: &AnalyticResult| r.stage_busy.iter().sum::<f64>();
         assert!(busy(&auto.analytic) > busy(&base.analytic));
         // The reported analytic must be reproducible from the outcome alone.
-        let costs = auto.partition.stage_costs_recompute(&d, &auto.recompute);
         let check = simulate_replay_masked(
-            &costs,
+            &device_stage_costs(&auto.partition, &d),
             m,
             &mut SimScratch::new(),
             None,
@@ -1135,13 +1164,14 @@ mod tests {
 
     #[test]
     fn all_policy_scores_the_replay_overhead() {
-        // Forcing recompute everywhere adds one full forward of busy time
-        // per stage per micro-batch beyond the checkpointed backward's
-        // built-in body replays — the mask is not free, and the search must
-        // score that overhead rather than reuse the unmasked costs. (The
-        // *iteration* time may still drop when the replay hides inside a
+        // Without global checkpointing, forcing recompute everywhere adds
+        // one full forward of busy time per micro-batch on every stage but
+        // the last — the mask is not free, and the search must score that
+        // overhead rather than reuse the unmasked costs. (The *iteration*
+        // time may still drop when the replay hides inside a
         // gradient-transit bubble, so busy time is the invariant.)
-        let d = db(Granularity::SubLayer);
+        let hw = Hardware::rtx3090_cluster();
+        let d = CostDb::build(&zoo::gpt2_345m(), &hw, 4, false, Granularity::SubLayer);
         let base = plan(&d, 4, 8, &AutoPipeConfig::default()).unwrap();
         let all = plan(
             &d,

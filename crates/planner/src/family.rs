@@ -9,7 +9,9 @@
 //! candidate on [`autopipe_schedule::validate()`] and the static memory check
 //! ([`autopipe_sim::memcheck`]), and scores the survivors with the event
 //! simulator's sweep, untraced ([`autopipe_sim::replay_schedule`]), on the
-//! stage costs [`schedule_stage_costs`] prices.
+//! stage costs [`device_stage_costs`] prices. Under global activation
+//! checkpointing every candidate carries its `Recompute` ops
+//! ([`apply_checkpointing`]) before it is gated and scored.
 //!
 //! The enumeration is **sequential and in a fixed order**, candidates are
 //! ranked by strict `<` on simulated iteration time (ties keep the earlier
@@ -18,13 +20,15 @@
 
 use autopipe_cost::{CostDb, Hardware};
 use autopipe_schedule::{
-    apply_recompute, generators, recompute_mask, slice, validate, Schedule, ScheduleKind,
+    apply_checkpointing, apply_recompute, generators, slice, validate, Schedule, ScheduleKind,
 };
 use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::memcheck::{check_memory_budget, device_memory};
-use autopipe_sim::{replay_schedule, CommConfig, Partition, ReplayScratch, StageCosts};
+use autopipe_sim::{replay_schedule, CommConfig, Partition, ReplayScratch};
 
-use crate::autopipe::{device_stage_costs, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy};
+use crate::autopipe::{
+    block_weights, device_stage_costs, plan as autopipe_plan, AutoPipeConfig, RecomputePolicy,
+};
 use crate::balanced::balanced_partition;
 use crate::types::PlanError;
 
@@ -147,7 +151,7 @@ pub fn plan_families_with(
     base: Partition,
 ) -> Result<FamilyOutcome, PlanError> {
     // One optimised p-stage partition backs every single-chunk family.
-    let weights: Vec<f64> = db.blocks.iter().map(|b| b.work()).collect();
+    let weights = block_weights(db);
 
     // Fixed enumeration order; ties in the ranking keep the earlier entry.
     let mut entries: Vec<(Schedule, Partition)> = Vec::new();
@@ -215,6 +219,12 @@ pub fn plan_families_with(
                 v,
                 e.to_string(),
             ),
+        }
+    }
+
+    if db.checkpointing {
+        for (sched, _) in &mut entries {
+            apply_checkpointing(sched);
         }
     }
 
@@ -298,10 +308,7 @@ pub fn plan_families_with(
             continue;
         };
         let scored_sched = masked_sched.as_ref().unwrap_or(sched);
-        let costs = EventCosts::from_stage_costs(
-            &schedule_stage_costs(partition, db, scored_sched),
-            cfg.latency,
-        );
+        let costs = EventCosts::from_stage_costs(&device_stage_costs(partition, db), cfg.latency);
         let ev = EventConfig {
             comm: cfg.comm,
             ..EventConfig::default()
@@ -344,16 +351,11 @@ pub fn plan_families_with(
     })
 }
 
-/// The per-stage costs a (partition, schedule) pair runs at:
-/// [`device_stage_costs`] under the mask `sched` recomputes with.
-pub fn schedule_stage_costs(partition: &Partition, db: &CostDb, sched: &Schedule) -> StageCosts {
-    device_stage_costs(partition, db, &recompute_mask(sched))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use autopipe_model::{zoo, Granularity};
+    use autopipe_schedule::recompute_mask;
     use autopipe_sim::memcheck::check_memory;
 
     fn db(mbs: usize) -> CostDb {
@@ -538,7 +540,7 @@ mod tests {
         ] {
             let d = CostDb::build(&model, &hw, 4, true, Granularity::SubLayer);
             let base = autopipe_plan(&d, p, m, &cfg.autopipe).unwrap().partition;
-            let weights: Vec<f64> = d.blocks.iter().map(|b| b.work()).collect();
+            let weights = block_weights(&d);
             let chunked = balanced_partition(&weights, 2 * p);
             let families = [
                 (generators::one_f_one_b(p, m), &base),
@@ -550,6 +552,9 @@ mod tests {
             let (mut scratch, mut best, mut bubble) = (ReplayScratch::new(), f64::INFINITY, vec![]);
             for (sched, part) in &families {
                 check_memory(part, &d, sched, &hw).unwrap();
+                let mut sched = sched.clone();
+                apply_checkpointing(&mut sched);
+                let sched = &sched;
                 let costs = EventCosts::from_stage_costs(&part.stage_costs(&d), cfg.latency);
                 let s =
                     replay_schedule(sched, &costs, &EventConfig::default(), &mut scratch).unwrap();

@@ -42,10 +42,7 @@ pub use autopipe::{
     device_stage_costs, plan as autopipe_plan, AutoPipeConfig, AutoPipeOutcome, RecomputePolicy,
 };
 pub use balanced::balanced_partition;
-pub use family::{
-    plan_families, plan_families_with, schedule_stage_costs, FamilyCandidate, FamilyConfig,
-    FamilyOutcome,
-};
+pub use family::{plan_families, plan_families_with, FamilyCandidate, FamilyConfig, FamilyOutcome};
 pub use replan::observed_cost_db;
 pub use service::{PlanService, Served, ServiceStats, Source};
 pub use types::{HybridPlan, PlanError};

@@ -80,11 +80,10 @@ proptest! {
 /// A warm start is not always as good as the cold search: when the search
 /// exhausts `max_schemes`, the seed's simulation is one scheme of the
 /// budget, so the warm search stops where a cold search one scheme shorter
-/// stops. Pinned from `plan_serve`'s drifted stream (seed 1, pool variant
-/// 2530): GPT-2 762M (75 blocks) at p = 16, m = 16, stages 1 and 6 running
-/// 1.27× and 1.81× slow, warm-started from the shape's cold winner. The
-/// cold search finds its winner with its 512th scheme; the warm answer is
-/// 0.15 % slower.
+/// stops. Pinned from a seeded drift sweep: GPT-2 762M (75 blocks) at
+/// p = 16, m = 16, stages 3 and 4 running 1.24× and 1.72× slow,
+/// warm-started from the shape's cold winner. The cold search spends its
+/// whole budget; the warm answer is 0.14 % slower.
 #[test]
 fn a_budget_bound_warm_start_can_settle_above_the_cold_plan() {
     let d = CostDb::build(
@@ -101,8 +100,8 @@ fn a_budget_bound_warm_start_can_settle_above_the_cold_plan() {
     let (p, m) = (16, 16);
     let base = plan(&d, p, m, &cfg).unwrap().partition;
     let mut ratios = [1.0; 16];
-    ratios[1] = 1.2658196676886855;
-    ratios[6] = 1.8075643490505775;
+    ratios[3] = 1.243384;
+    ratios[4] = 1.715036;
     let observed = observed_cost_db(&d, &base, &ratios).unwrap();
 
     let cold = plan(&observed, p, m, &cfg).unwrap();
@@ -119,14 +118,14 @@ fn a_budget_bound_warm_start_can_settle_above_the_cold_plan() {
     assert_eq!(warm.schemes_explored, cfg.max_schemes);
     assert_eq!(
         cold.partition.boundaries(),
-        [0, 7, 11, 16, 22, 27, 32, 35, 38, 43, 48, 53, 58, 63, 68, 73, 75]
+        [0, 7, 13, 18, 22, 25, 29, 34, 39, 44, 49, 54, 59, 64, 69, 73, 75]
     );
     assert_eq!(
         warm.partition.boundaries(),
-        [0, 6, 11, 16, 22, 27, 32, 35, 38, 43, 48, 53, 58, 63, 68, 73, 75]
+        [0, 6, 12, 17, 21, 24, 28, 34, 39, 44, 49, 54, 59, 64, 69, 73, 75]
     );
     let gap = warm.analytic.iteration_time / cold.analytic.iteration_time - 1.0;
-    assert!((gap - 0.001526).abs() < 1e-6, "gap {gap}");
+    assert!((gap - 0.001416).abs() < 1e-6, "gap {gap}");
 
     // The warm answer is the cold search's one scheme earlier.
     let shorter = AutoPipeConfig {

@@ -7,9 +7,9 @@
 //! ```text
 //! gen-000007/
 //!   manifest.json   pretty-printed JSON: format version, step, tag, model
-//!                   shape, partition boundaries, schedule geometry +
-//!                   recompute mask, and per stage payload its file name,
-//!                   byte length and CRC-32
+//!                   shape, partition boundaries, schedule geometry,
+//!                   recompute mask and checkpointing flag, and per stage
+//!                   payload its file name, byte length and CRC-32
 //!   stage-0.bin     one binary payload per stage, (device, chunk) order
 //!   stage-1.bin
 //! ```
@@ -17,7 +17,7 @@
 //! A stage payload is little-endian throughout:
 //!
 //! ```text
-//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 4)
+//! [8]  magic "AUTOPCKP"          [4] format version (u32, = 5)
 //! [16] Adam lr, beta1, beta2, eps (f32 × 4)    [8] Adam step (u64)
 //! [4]  tensor count n (u32)
 //! n ×  { [4] rank r (u32), r × [8] dimension (u64) }    the shape table
@@ -73,8 +73,8 @@ use serde::{Deserialize, Serialize};
 
 use autopipe_model::ModelConfig;
 use autopipe_schedule::{
-    apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, slice, zero_bubble, Schedule,
-    ScheduleKind,
+    apply_checkpointing, apply_recompute, gpipe, interleaved, one_f_one_b, recompute_mask, slice,
+    zero_bubble, Schedule, ScheduleKind,
 };
 use autopipe_tensor::{optim::Adam, Tensor};
 
@@ -229,8 +229,10 @@ pub struct StageState {
 /// Version of the on-disk format (manifest `format` field and payload
 /// header). Version 1 was the unversioned JSON-payload layout; version 2
 /// had no [`ModelShape`] in the manifest; version 3 could record sliced
-/// 1F1B as a family of its own rather than as 1F1B plus its `n_sliced`.
-const FORMAT: u32 = 4;
+/// 1F1B as a family of its own rather than as 1F1B plus its `n_sliced`;
+/// version 4 did not record global checkpointing, whose `Recompute` ops
+/// the schedule carries.
+const FORMAT: u32 = 5;
 const MAGIC: [u8; 8] = *b"AUTOPCKP";
 
 /// A `Write` that accumulates the CRC-32 and length of what passes through.
@@ -563,6 +565,9 @@ pub struct Manifest {
     pub n_microbatches: usize,
     /// Per-stage recompute mask of the schedule ([`recompute_mask`]).
     pub recompute: Vec<bool>,
+    /// Whether the pipeline ran global activation checkpointing, lowered
+    /// into its schedule's ops.
+    pub checkpointing: bool,
     /// Per-stage payload entries, in (device, chunk) order.
     pub stages: Vec<StagePayload>,
 }
@@ -570,8 +575,8 @@ pub struct Manifest {
 impl Manifest {
     /// The schedule of the pipeline that wrote the snapshot: its family's
     /// generator at the recorded geometry, sliced for the recorded
-    /// `n_sliced` and with the recorded recompute mask applied. Equal to the
-    /// `Pipeline::schedule()` that was captured.
+    /// `n_sliced`, with the recorded recompute mask and checkpointing
+    /// lowered. Equal to the `Pipeline::schedule()` that was captured.
     pub fn schedule(&self) -> Result<Schedule, CheckpointError> {
         let bad = |why: String| CheckpointError::Mismatch(format!("manifest schedule: {why}"));
         let n_stages = self.boundaries.len().saturating_sub(1);
@@ -596,6 +601,9 @@ impl Manifest {
         };
         slice(&mut schedule, self.n_sliced);
         apply_recompute(&mut schedule, &self.recompute);
+        if self.checkpointing {
+            apply_checkpointing(&mut schedule);
+        }
         Ok(schedule)
     }
 }
@@ -623,6 +631,8 @@ pub struct PipelineSnapshot {
     pub n_microbatches: usize,
     /// Per-stage recompute mask of the schedule.
     pub recompute: Vec<bool>,
+    /// Whether the pipeline runs global activation checkpointing.
+    pub checkpointing: bool,
     /// Per-stage states, (device, chunk) order.
     pub stages: Vec<StageState>,
 }
@@ -650,6 +660,7 @@ impl PipelineSnapshot {
             n_chunks,
             n_microbatches,
             recompute,
+            checkpointing: pipeline.checkpointing(),
             stages: pipeline
                 .stages_mut()
                 .iter_mut()
@@ -787,6 +798,7 @@ impl CheckpointStore {
             n_chunks: snap.n_chunks,
             n_microbatches: snap.n_microbatches,
             recompute: snap.recompute.clone(),
+            checkpointing: snap.checkpointing,
             stages: entries,
         };
         let mpath = tmp.join("manifest.json");
@@ -1210,7 +1222,16 @@ mod tests {
                 "n_microbatches": 4, "recompute": [false, false],
                 "stages": [{"file": "stage-0.bin", "crc32": 0, "bytes": 2},
                            {"file": "stage-1.bin", "crc32": 0, "bytes": 2}]}"#;
-        for (version, manifest, ext) in [(1, v1, "json"), (2, v2, "bin"), (3, v3, "bin")] {
+        // Version 4 did not record global checkpointing.
+        let v4 = v3
+            .replace(r#""format": 3"#, r#""format": 4"#)
+            .replace("Sliced1F1B", "OneFOneB");
+        for (version, manifest, ext) in [
+            (1, v1, "json"),
+            (2, v2, "bin"),
+            (3, v3, "bin"),
+            (4, &v4, "bin"),
+        ] {
             let dir = temp_dir(&format!("ckpt_v{version}"));
             let mut store = CheckpointStore::open(&dir, 4).unwrap();
             let old = dir.join("gen-000000");
@@ -1259,7 +1280,7 @@ mod tests {
         apply_recompute(&mut sliced_zb, &[false, true]);
         let dir = temp_dir("ckpt_sched");
         let mut store = CheckpointStore::open(&dir, 1).unwrap();
-        for schedule in [
+        let schedules = [
             one_f_one_b(2, 4),
             sliced_1f1b(2, 4, 2),
             gpipe(2, 4),
@@ -1268,19 +1289,21 @@ mod tests {
             masked,
             masked_chunks,
             sliced_zb,
-        ] {
+        ];
+        for (schedule, checkpointing) in schedules.iter().flat_map(|s| [(s, false), (s, true)]) {
             let even = |n: usize| (0..=n).map(|s| s * 9 / n).collect();
             let mut p = Pipeline::try_new(&PipelineConfig {
                 model: three_layers.clone(),
                 partition: Partition::new(even(schedule.n_stages())),
-                schedule,
+                schedule: schedule.clone(),
                 lr: 1e-3,
                 seed: 1,
-                checkpointing: false,
+                checkpointing,
             })
             .unwrap();
             store.save(&p.snapshot(0, "sched")).unwrap();
             let (manifest, _) = store.load_latest().unwrap();
+            assert_eq!(manifest.checkpointing, checkpointing);
             assert_eq!(manifest.schedule().unwrap(), *p.schedule());
         }
 

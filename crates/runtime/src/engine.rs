@@ -18,14 +18,17 @@
 //! `StageModel` tensor math, sleeps the injected delays and receives
 //! under the stall [`watchdog`](crate::watchdog), all in wall time.
 //!
-//! Activation checkpointing (§II-C) drops a stage's caches at each forward
-//! and re-runs the forward before the backward, except where that buys
-//! nothing: a forward whose record the device's very next compute op
-//! consumes (its `Recompute`, `Bwd` or `BwdInput`) keeps its caches. The
+//! Activation recomputation runs only as the schedule's `Recompute` op: a
+//! forward drops its caches exactly when a later `Recompute` of its
+//! micro-batch rebuilds them (the
 //! [`kept_forwards`](autopipe_schedule::kept_forwards) table of the running
-//! schedule says which; it covers every forward on 1F1B's last stage and
-//! the last forward on every GPipe stage, changes no result, and never
-//! lets a checkpointed stage hold more than one micro-batch's caches.
+//! schedule), and every backward finds its caches built. Global
+//! checkpointing ([`PipelineConfig::checkpointing`]) is lowered into the
+//! running schedule's ops when the pipeline is built or repartitioned.
+//! The lowering replays no forward whose next compute op is its own
+//! backward (every forward on 1F1B's last stage, the last forward on every
+//! GPipe stage), changes no result, and never lets a recomputing stage hold
+//! more than one micro-batch's caches.
 //!
 //! Fault tolerance: a seeded [`FaultPlan`] replays here in wall time (the
 //! same script, through the same interpreter, that the event simulator
@@ -71,7 +74,9 @@ pub struct PipelineConfig {
     pub lr: f32,
     /// Parameter-init seed (shared with [`crate::ReferenceModel`]).
     pub seed: u64,
-    /// Activation checkpointing (§II-C).
+    /// Activation checkpointing (§II-C): the pipeline lowers it into the
+    /// schedule as `Recompute` ops on every stage
+    /// ([`apply_checkpointing`](autopipe_schedule::apply_checkpointing)).
     pub checkpointing: bool,
 }
 
@@ -113,8 +118,7 @@ pub struct Pipeline {
     stages: Vec<Vec<StageModel>>,
     schedule: Schedule,
     /// [`kept_forwards`](autopipe_schedule::kept_forwards) of `schedule`:
-    /// per device, per op, whether a checkpointed stage's forward keeps its
-    /// caches.
+    /// per device, per op, whether a forward keeps its caches.
     keep: Vec<Vec<bool>>,
     partition: Partition,
     model: ModelShape,
@@ -130,14 +134,13 @@ pub struct Pipeline {
     last_report: Option<FaultReport>,
 }
 
-/// Which stages run their forwards checkpointed: every stage under global
-/// activation checkpointing, else the stages the schedule recomputes
-/// (caches are dropped at `Fwd` and rebuilt by the `Recompute` op).
-fn checkpointed_stages(checkpointing: bool, sched: &Schedule) -> Vec<bool> {
-    autopipe_schedule::recompute_mask(sched)
-        .into_iter()
-        .map(|recompute| checkpointing || recompute)
-        .collect()
+/// `schedule` with global activation checkpointing lowered into its ops
+/// when `checkpointing` is on.
+fn lowered(mut schedule: Schedule, checkpointing: bool) -> Schedule {
+    if checkpointing {
+        autopipe_schedule::apply_checkpointing(&mut schedule);
+    }
+    schedule
 }
 
 impl Pipeline {
@@ -167,28 +170,21 @@ impl Pipeline {
                 all.len()
             )));
         }
-        let ckpt = checkpointed_stages(cfg.checkpointing, &cfg.schedule);
+        let schedule = lowered(cfg.schedule.clone(), cfg.checkpointing);
         let stages = (0..p)
             .map(|d| {
                 (0..v)
                     .map(|c| {
                         let stage = cfg.schedule.stage_of(d, c);
-                        StageModel::new(
-                            &all,
-                            &cfg.partition,
-                            stage,
-                            cfg.model.seq_len,
-                            cfg.lr,
-                            ckpt[stage],
-                        )
+                        StageModel::new(&all, &cfg.partition, stage, cfg.model.seq_len, cfg.lr)
                     })
                     .collect()
             })
             .collect();
         Ok(Pipeline {
             stages,
-            schedule: cfg.schedule.clone(),
-            keep: autopipe_schedule::kept_forwards(&cfg.schedule),
+            keep: autopipe_schedule::kept_forwards(&schedule),
+            schedule,
             partition: cfg.partition.clone(),
             model: ModelShape::of(&cfg.model),
             checkpointing: cfg.checkpointing,
@@ -226,6 +222,11 @@ impl Pipeline {
     /// Shape of the model this pipeline trains.
     pub fn model(&self) -> ModelShape {
         self.model
+    }
+
+    /// Whether global activation checkpointing is lowered into the schedule.
+    pub(crate) fn checkpointing(&self) -> bool {
+        self.checkpointing
     }
 
     /// Export a durable snapshot of the full training state plus the plan
@@ -470,8 +471,8 @@ impl Pipeline {
     /// [`forward_backward`](Pipeline::forward_backward), in micro-batches'
     /// worth like [`last_peak_in_flight`](Pipeline::last_peak_in_flight).
     /// A part's cache set counts from the forward (or recompute) that
-    /// builds it until its backward or grad-input ends, or until a
-    /// checkpointed forward drops it. A checkpointed stage holds at most
+    /// builds it until its backward or grad-input ends, or until a forward
+    /// the schedule recomputes drops it. A recomputing stage holds at most
     /// one micro-batch's worth. Cleared like
     /// [`last_timeline`](Pipeline::last_timeline).
     pub fn last_peak_caches(&self) -> Option<&[Vec<f64>]> {
@@ -490,7 +491,8 @@ impl Pipeline {
         &self.partition
     }
 
-    /// The schedule currently executing.
+    /// The schedule currently executing, global checkpointing lowered into
+    /// its ops.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
@@ -530,7 +532,8 @@ impl Pipeline {
         }
 
         // 1. Collect the old stages in stage order (devices may interleave).
-        let old_sched = std::mem::replace(&mut self.schedule, schedule);
+        let old_sched =
+            std::mem::replace(&mut self.schedule, lowered(schedule, self.checkpointing));
         self.keep = autopipe_schedule::kept_forwards(&self.schedule);
         let n_old = old_sched.n_stages();
         let mut by_stage: Vec<Option<StageModel>> = (0..n_old).map(|_| None).collect();
@@ -571,7 +574,6 @@ impl Pipeline {
         // 3. Re-split along the new boundaries and import the migrated
         // state into fresh stages.
         let mut built: Vec<Option<StageModel>> = (0..partition.n_stages()).map(|_| None).collect();
-        let ckpt = checkpointed_stages(self.checkpointing, &self.schedule);
         let mut mod_iter = modules.into_iter();
         let mut par_iter = params.into_iter();
         let mut m_iter = mom1.into_iter();
@@ -583,7 +585,7 @@ impl Pipeline {
             let stage_params: Vec<Tensor> = par_iter.by_ref().take(nparams).collect();
             let stage_m: Vec<Tensor> = m_iter.by_ref().take(nparams).collect();
             let stage_v: Vec<Tensor> = v_iter.by_ref().take(nparams).collect();
-            let mut stage = StageModel::from_parts(mods, self.model.seq_len, lr, ckpt[s]);
+            let mut stage = StageModel::from_parts(mods, self.model.seq_len, lr);
             stage.import_state(
                 &stage_params,
                 Adam::from_moments(lr, step_count, stage_m, stage_v),
@@ -1082,35 +1084,123 @@ mod tests {
         );
     }
 
+    /// Per device, the micro-batches' worth of forward passes its stages
+    /// have run.
+    fn forward_passes(pipe: &Pipeline) -> Vec<f64> {
+        pipe.stages
+            .iter()
+            .map(|chunks| chunks.iter().map(StageModel::forwards_run).sum())
+            .collect()
+    }
+
     #[test]
     fn a_checkpointed_stage_skips_the_recompute_its_next_op_would_run() {
         // 1F1B's last stage backwards each micro-batch right after its
         // forward, so it keeps every forward's caches: m forward passes per
         // iteration. The first stage holds two micro-batches in flight and
-        // recomputes each one: 2m. Without the keep table both read 2m.
+        // recomputes each one: 2m.
         let model = tiny();
         let m = 8;
         let batch = BatchSet::synthetic(5, m, 2, model.seq_len, model.vocab_size);
-        let per_iteration = |pipe: &mut Pipeline| -> Vec<u64> {
-            let count = |pipe: &Pipeline| pipe.stages.iter().map(|c| c[0].forwards_run()).collect();
-            let before: Vec<u64> = count(pipe);
+        let per_iteration = |pipe: &mut Pipeline| -> Vec<f64> {
+            let before = forward_passes(pipe);
             pipe.train_iteration(&batch).unwrap();
-            let after: Vec<u64> = count(pipe);
+            let after = forward_passes(pipe);
             after.iter().zip(&before).map(|(a, b)| a - b).collect()
         };
-        let mut masked = one_f_one_b(2, m);
+        let m = m as f64;
+        let mut masked = one_f_one_b(2, 8);
         apply_recompute(&mut masked, &[true, true]);
-        for (sched, ckpt) in [(one_f_one_b(2, m), true), (masked, false)] {
+        for (sched, ckpt) in [(one_f_one_b(2, 8), true), (masked, false)] {
             let mut pipe = Pipeline::try_new(&cfg(sched, partition2(), ckpt)).unwrap();
-            assert_eq!(per_iteration(&mut pipe), [2 * m as u64, m as u64]);
+            assert_eq!(per_iteration(&mut pipe), [2.0 * m, m]);
             // The swapped-in plan brings its own table: GPipe keeps only
             // the last forward on each stage.
-            pipe.repartition(&partition2(), gpipe(2, m)).unwrap();
-            let want = if ckpt { 2 * m as u64 - 1 } else { m as u64 };
+            pipe.repartition(&partition2(), gpipe(2, 8)).unwrap();
+            let want = if ckpt { 2.0 * m - 1.0 } else { m };
             assert_eq!(per_iteration(&mut pipe), [want, want]);
         }
-        let mut plain = Pipeline::try_new(&cfg(one_f_one_b(2, m), partition2(), false)).unwrap();
-        assert_eq!(per_iteration(&mut plain), [m as u64, m as u64]);
+        let mut plain = Pipeline::try_new(&cfg(one_f_one_b(2, 8), partition2(), false)).unwrap();
+        assert_eq!(per_iteration(&mut plain), [m, m]);
+    }
+
+    #[test]
+    fn forward_passes_equal_the_programs_forwards_and_recomputes() {
+        // The memory-planning grid: every family at p ∈ {2, 4} and m ∈ {1,
+        // 2, 4, 8} — 1F1B, GPipe, zero-bubble, sliced 1F1B at every k ≤
+        // min(m, p), interleaved v = 2 where p divides m, and GPipe,
+        // zero-bubble and interleaved sliced at k ∈ {1, 2} — under no, every
+        // and every other stage's recompute, checkpointing off and on. Each
+        // `Recompute` rebuilds its whole micro-batch and nothing else runs a
+        // forward, so a device's forward passes are its program's forwards
+        // (halves weigh ½) plus its recomputes.
+        let model = tiny4();
+        let blocks = build_modules(&model, 0).len();
+        let mut points = 0;
+        for p in [2, 4] {
+            for m in [1, 2, 4, 8] {
+                let chunked = (m % p == 0).then(|| interleaved(p, 2, m).unwrap());
+                let mut families = vec![one_f_one_b(p, m), gpipe(p, m), zero_bubble(p, m)];
+                if m >= 2 {
+                    families.extend((0..=m.min(p)).map(|k| sliced_1f1b(p, m, k)));
+                }
+                families.extend(chunked.clone());
+                for base in [gpipe(p, m), zero_bubble(p, m)].into_iter().chain(chunked) {
+                    for k in 1..=m.min(2) {
+                        let mut sliced = base.clone();
+                        slice(&mut sliced, k);
+                        families.push(sliced);
+                    }
+                }
+                let batch = BatchSet::synthetic(7, m, 2, model.seq_len, model.vocab_size);
+                for sched in families {
+                    let n = sched.n_stages();
+                    for mask in [
+                        vec![false; n],
+                        vec![true; n],
+                        (0..n).map(|s| s % 2 == 0).collect(),
+                    ] {
+                        let mut masked = sched.clone();
+                        apply_recompute(&mut masked, &mask);
+                        for checkpointing in [false, true] {
+                            let mut pipe = Pipeline::try_new(&PipelineConfig {
+                                model: model.clone(),
+                                partition: Partition::even(blocks, n),
+                                schedule: masked.clone(),
+                                lr: 1e-3,
+                                seed: 3,
+                                checkpointing,
+                            })
+                            .unwrap();
+                            pipe.forward_backward(&batch).unwrap();
+                            let program: Vec<f64> = pipe
+                                .schedule()
+                                .devices
+                                .iter()
+                                .map(|ops| {
+                                    ops.iter()
+                                        .map(|o| match o.kind {
+                                            OpKind::Fwd { part, .. } => part.frac(),
+                                            OpKind::Recompute { .. } => 1.0,
+                                            _ => 0.0,
+                                        })
+                                        .sum()
+                                })
+                                .collect();
+                            assert_eq!(
+                                forward_passes(&pipe),
+                                program,
+                                "{:?} p={p} m={m} k={} mask={mask:?} ckpt={checkpointing}",
+                                sched.kind,
+                                sched.n_sliced
+                            );
+                            points += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(points, 534, "config points");
     }
 
     #[test]
@@ -1562,28 +1652,23 @@ mod tests {
 
     #[test]
     fn repartition_keeps_the_recompute_mask() {
-        // A hot swap onto a masked plan must checkpoint the masked stages
-        // exactly as a fresh pipeline of that plan does; otherwise their
-        // `Recompute` ops are no-ops over full caches.
+        // A hot swap runs the swapped-in plan's `Recompute` ops, plus
+        // global checkpointing's, exactly as a fresh pipeline of that plan
+        // does; the keep table follows the lowered program.
         let mut masked = one_f_one_b(2, 4);
         apply_recompute(&mut masked, &[true, false]);
-        let flags = |pipe: &Pipeline| -> Vec<bool> {
-            pipe.stages
+        for (sched, ckpt) in [(masked, false), (one_f_one_b(2, 4), true)] {
+            let fresh = Pipeline::try_new(&cfg(sched.clone(), partition2(), ckpt)).unwrap();
+            assert!(fresh.schedule().devices[0]
                 .iter()
-                .flatten()
-                .map(|s| s.checkpointing())
-                .collect()
-        };
-        let fresh = Pipeline::try_new(&cfg(masked.clone(), partition2(), false)).unwrap();
-        assert_eq!(flags(&fresh), [true, false]);
-        let mut swapped = Pipeline::try_new(&cfg(
-            one_f_one_b(2, 4),
-            Partition::new(vec![0, 4, 7]),
-            false,
-        ))
-        .unwrap();
-        swapped.repartition(&partition2(), masked).unwrap();
-        assert_eq!(flags(&swapped), flags(&fresh));
+                .any(|o| matches!(o.kind, OpKind::Recompute { .. })));
+            let mut swapped =
+                Pipeline::try_new(&cfg(one_f_one_b(2, 4), Partition::new(vec![0, 4, 7]), ckpt))
+                    .unwrap();
+            swapped.repartition(&partition2(), sched).unwrap();
+            assert_eq!(swapped.schedule(), fresh.schedule());
+            assert_eq!(swapped.keep, fresh.keep);
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! 2. pipeline-parallel training is numerically equivalent to single-device
 //!    training (the consistency property the paper's dependency rules exist
 //!    to guarantee, Fig. 1) — including with activation checkpointing and
-//!    with micro-batch slicing;
+//!    with micro-batch slicing. A re-forward runs only as the schedule's
+//!    `Recompute` op: global checkpointing is lowered into the running
+//!    schedule, a forward drops its caches exactly when a later `Recompute`
+//!    rebuilds them, and a backward never rebuilds caches itself;
 //! 3. data×pipeline hybrid training with gradient all-reduce matches the
 //!    same single-device reference.
 //!

@@ -18,15 +18,16 @@ pub struct ReferenceModel {
 
 impl ReferenceModel {
     /// Build with the same seed as a [`crate::Pipeline`] for equality.
-    /// `checkpointing` mirrors [`crate::PipelineConfig::checkpointing`] but
-    /// never makes this trainer recompute: one device runs each backward
-    /// right after its forward, so every forward keeps its caches by the
-    /// pipeline's own rule ([`autopipe_schedule::kept_forwards`]).
+    /// `checkpointing` mirrors [`crate::PipelineConfig::checkpointing`] and
+    /// changes no result: one device runs each backward right after its
+    /// forward, so the lowering replays no forward and every forward keeps
+    /// its caches.
     pub fn new(cfg: &ModelConfig, seed: u64, lr: f32, checkpointing: bool) -> ReferenceModel {
+        let _ = checkpointing;
         let all = build_modules(cfg, seed);
         let part = Partition::new(vec![0, all.len()]);
         ReferenceModel {
-            stage: StageModel::new(&all, &part, 0, cfg.seq_len, lr, checkpointing),
+            stage: StageModel::new(&all, &part, 0, cfg.seq_len, lr),
         }
     }
 

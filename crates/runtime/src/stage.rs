@@ -152,7 +152,7 @@ enum ModCache {
 /// `autopipe_sim::memcheck::peak_in_flight` releases it at.
 enum Stash {
     /// Forwarded: the stage input, the head stage's targets, and the
-    /// activation caches unless a checkpointed forward dropped them.
+    /// activation caches unless the forward dropped them for a `Recompute`.
     Forwarded {
         input: StageInput,
         targets: Option<Vec<usize>>,
@@ -182,14 +182,10 @@ pub struct StageModel {
     /// Peak of `caches_live`, counting each set from the forward that
     /// builds it, since [`take_peak_caches`](StageModel::take_peak_caches).
     peak_caches: f64,
-    /// Forward passes run: forwards, recomputes and backward rebuilds.
-    #[cfg(test)]
-    forwards_run: u64,
     seq: usize,
-    /// Re-run forwards at backward time from the stashed stage input
-    /// instead of keeping caches (§II-C activation checkpointing), except
-    /// for the forwards the schedule's next compute op consumes.
-    checkpointing: bool,
+    /// Micro-batches' worth of forward passes run: forwards and recomputes.
+    #[cfg(test)]
+    forwards_run: f64,
 }
 
 impl StageModel {
@@ -200,22 +196,16 @@ impl StageModel {
         stage: usize,
         seq: usize,
         lr: f32,
-        checkpointing: bool,
     ) -> StageModel {
         let modules = all_modules[partition.range(stage)].to_vec();
-        StageModel::from_parts(modules, seq, lr, checkpointing)
+        StageModel::from_parts(modules, seq, lr)
     }
 
     /// Rebuild a stage around an already-built module run — the receiving
     /// side of a partition hot-swap. Parameters and optimiser moments are
     /// expected to follow via [`StageModel::import_state`]
     /// (the fresh Adam built here is placeholder state).
-    pub(crate) fn from_parts(
-        modules: Vec<Module>,
-        seq: usize,
-        lr: f32,
-        checkpointing: bool,
-    ) -> StageModel {
+    pub(crate) fn from_parts(modules: Vec<Module>, seq: usize, lr: f32) -> StageModel {
         let grads: Vec<Tensor> = modules
             .iter()
             .flat_map(|m| m.params().into_iter().map(|p| Tensor::zeros(p.shape())))
@@ -230,10 +220,9 @@ impl StageModel {
             in_flight: 0.0,
             caches_live: 0.0,
             peak_caches: 0.0,
-            #[cfg(test)]
-            forwards_run: 0,
             seq,
-            checkpointing,
+            #[cfg(test)]
+            forwards_run: 0.0,
         }
     }
 
@@ -246,11 +235,9 @@ impl StageModel {
     /// Forward `part` of micro-batch `mb`, opening its stash record.
     /// `targets` are the part's labels, on the stage holding the LM head.
     ///
-    /// The record keeps the activation caches unless the stage is
-    /// checkpointed and `keep` is false. `keep` is the schedule's
+    /// The record keeps the activation caches iff `keep`, the schedule's
     /// [`kept_forwards`](autopipe_schedule::kept_forwards) entry for this
-    /// op: the device's next compute op consumes this record, so dropping
-    /// the caches would only make that op rebuild the same set first.
+    /// op: false when a later `Recompute` of this micro-batch rebuilds them.
     pub(crate) fn forward(
         &mut self,
         mb: usize,
@@ -260,7 +247,6 @@ impl StageModel {
         keep: bool,
     ) -> StageOutput {
         let (out, caches) = self.run_forward(&input, targets.as_deref(), part);
-        let keep = keep || !self.checkpointing;
         self.built_caches(part, keep);
         let record = Stash::Forwarded {
             input,
@@ -277,13 +263,11 @@ impl StageModel {
     }
 
     /// Replay the forward of micro-batch `mb` from the stashed stage inputs,
-    /// rebuilding the activation caches a checkpointed forward dropped — the
-    /// schedule IR's `Recompute` op. `run_forward` is pure, so the rebuilt
-    /// caches are bit-identical to the ones the forward would have kept;
-    /// parts whose caches are still live are left untouched. That makes the
-    /// op a timed no-op on unmasked stages, and on a kept forward: one the
-    /// schedule runs right before this op. Returns `false` when no forward
-    /// state of `mb` is live on this stage.
+    /// rebuilding the activation caches its forward dropped — the schedule
+    /// IR's `Recompute` op. `run_forward` is pure, so the rebuilt caches are
+    /// bit-identical to the ones the forward would have kept; parts whose
+    /// caches are still live are left untouched. Returns `false` when no
+    /// forward state of `mb` is live on this stage.
     pub(crate) fn recompute_microbatch(&mut self, mb: usize) -> bool {
         let mut forwarded = false;
         for part in [Part::Full, Part::Half1, Part::Half2] {
@@ -331,7 +315,7 @@ impl StageModel {
         }
         #[cfg(test)]
         {
-            self.forwards_run += 1;
+            self.forwards_run += part.frac();
         }
     }
 
@@ -415,21 +399,11 @@ impl StageModel {
         apply: Option<f32>,
     ) -> Option<Tensor> {
         let Some(Stash::Forwarded {
-            input,
-            targets,
-            caches,
+            caches: Some(caches),
+            ..
         }) = self.stash.remove(&(mb, part))
         else {
-            panic!("{part:?} of micro-batch {mb} has no forward state on this stage");
-        };
-        // Activation checkpointing: re-run the forward to rebuild caches.
-        let caches = match caches {
-            Some(caches) => caches,
-            None => {
-                let caches = self.run_forward(&input, targets.as_deref(), part).1;
-                self.built_caches(part, true);
-                caches
-            }
+            panic!("{part:?} of micro-batch {mb} has no forward caches on this stage");
         };
 
         let mut dy: Option<Tensor> = d_out.cloned();
@@ -666,11 +640,7 @@ mod tests {
     use autopipe_model::ModelFamily;
 
     impl StageModel {
-        pub(crate) fn checkpointing(&self) -> bool {
-            self.checkpointing
-        }
-
-        pub(crate) fn forwards_run(&self) -> u64 {
+        pub(crate) fn forwards_run(&self) -> f64 {
             self.forwards_run
         }
     }
@@ -725,11 +695,11 @@ mod tests {
         let cfg = tiny();
         let mods = build_modules(&cfg, 1);
         let part = Partition::new(vec![0, mods.len()]);
-        let mut stage = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
+        let mut stage = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3);
         assert!(stage.has_embedding() && stage.has_head());
         let ids: Vec<usize> = (0..2 * cfg.seq_len).map(|i| i % cfg.vocab_size).collect();
         let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
-        let out = stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets), false);
+        let out = stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets), true);
         let loss = match out {
             StageOutput::Loss(l) => l,
             _ => panic!("single-stage model must produce a loss"),
@@ -745,22 +715,27 @@ mod tests {
         let cfg = tiny();
         let mods = build_modules(&cfg, 3);
         let part = Partition::new(vec![0, mods.len()]);
-        let run = |ckpt: bool| -> f64 {
-            let mut stage = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, ckpt);
+        let run = |recompute: bool| -> f64 {
+            let mut stage = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3);
             let ids: Vec<usize> = (0..2 * cfg.seq_len)
                 .map(|i| (i * 3) % cfg.vocab_size)
                 .collect();
             let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
-            stage.forward(0, Part::Full, StageInput::Tokens(ids), Some(targets), false);
+            stage.forward(
+                0,
+                Part::Full,
+                StageInput::Tokens(ids),
+                Some(targets),
+                !recompute,
+            );
+            if recompute {
+                assert!(stage.recompute_microbatch(0));
+            }
             stage.backward_part(0, Part::Full, None, Some(1.0));
+            assert_eq!(stage.forwards_run(), if recompute { 2.0 } else { 1.0 });
             stage.grads.iter().map(|g| g.sum()).sum()
         };
-        let cached = run(false);
-        let ckpt = run(true);
-        assert!(
-            (cached - ckpt).abs() < 1e-6 * (1.0 + cached.abs()),
-            "{cached} vs {ckpt}"
-        );
+        assert_eq!(run(false).to_bits(), run(true).to_bits());
     }
 
     #[test]
@@ -775,33 +750,33 @@ mod tests {
         let targets: Vec<usize> = ids.iter().map(|&t| (t + 1) % cfg.vocab_size).collect();
 
         // Full micro-batch.
-        let mut full = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
+        let mut full = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3);
         full.forward(
             0,
             Part::Full,
             StageInput::Tokens(ids.clone()),
             Some(targets.clone()),
-            false,
+            true,
         );
         full.backward_part(0, Part::Full, None, Some(1.0));
         let gf: f64 = full.grads.iter().map(|g| g.sum()).sum();
 
         // Two halves (split along the batch dimension).
-        let mut halves = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3, false);
+        let mut halves = StageModel::new(&mods, &part, 0, cfg.seq_len, 1e-3);
         let split = mbs / 2 * cfg.seq_len;
         halves.forward(
             0,
             Part::Half1,
             StageInput::Tokens(ids[..split].to_vec()),
             Some(targets[..split].to_vec()),
-            false,
+            true,
         );
         halves.forward(
             0,
             Part::Half2,
             StageInput::Tokens(ids[split..].to_vec()),
             Some(targets[split..].to_vec()),
-            false,
+            true,
         );
         halves.backward_part(0, Part::Half1, None, Some(1.0));
         halves.backward_part(0, Part::Half2, None, Some(1.0));

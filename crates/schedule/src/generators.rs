@@ -43,6 +43,7 @@ fn assemble(kind: ScheduleKind, p: usize, v: usize, m: usize, lanes: Vec<Lane>) 
         n_chunks: v,
         n_microbatches: m,
         n_sliced: 0,
+        recompute: vec![false; p * v],
         devices,
     }
 }

@@ -25,7 +25,9 @@
 //!   first `k` micro-batches split in half, the last sliced one's halves
 //!   shipped in one message (§III-C). [`generators::sliced_1f1b`] is 1F1B
 //!   sliced;
-//! * [`apply_recompute`] — stage-level activation recomputation.
+//! * [`apply_recompute`] and [`apply_checkpointing`] — activation
+//!   recomputation, on the stages of a memory mask or on every stage: one
+//!   `Recompute` op before each backward whose forward dropped its caches.
 
 pub mod generators;
 pub mod op;
@@ -36,7 +38,7 @@ pub mod validate;
 
 pub use generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble};
 pub use op::{Op, OpKind, Part};
-pub use recompute::{apply_recompute, kept_forwards, recompute_mask};
+pub use recompute::{apply_checkpointing, apply_recompute, kept_forwards, recompute_mask};
 pub use slicing::slice;
 pub use validate::{validate, ValidationError};
 
@@ -70,6 +72,11 @@ pub struct Schedule {
     pub n_microbatches: usize,
     /// How many leading micro-batches [`slice()`] split in half (0 = unsliced).
     pub n_sliced: usize,
+    /// Per-stage recompute mask ([`apply_recompute`]): the stages that stash
+    /// only their input per in-flight micro-batch, which the memory model
+    /// charges. Global checkpointing ([`apply_checkpointing`]) adds the same
+    /// ops without setting it.
+    pub recompute: Vec<bool>,
     /// Per-device op programs, executed strictly in order on each device.
     pub devices: Vec<Vec<Op>>,
 }

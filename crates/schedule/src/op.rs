@@ -57,10 +57,11 @@ pub enum OpKind {
     BwdWeight { mb: usize, chunk: usize },
     /// Replay the forward of micro-batch `mb` through chunk `chunk` from the
     /// stashed stage input, rebuilding the activation caches the following
-    /// backward consumes (stage-level activation recomputation). Emitted
-    /// only on stages whose recompute flag is set; costs one stage forward
-    /// and lets the stage stash a single input activation per in-flight
-    /// micro-batch instead of every block's checkpoint.
+    /// backward consumes. The only re-forward there is: global activation
+    /// checkpointing and the per-stage recompute mask both lower to it
+    /// ([`crate::recompute`]), before each backward whose own forward is not
+    /// the device's previous compute op. Every simulator prices it at one
+    /// stage forward.
     Recompute { mb: usize, chunk: usize },
     /// Ship the output activation of (`mb`, `chunk`, `part`) to device `to`.
     SendAct {

@@ -1,12 +1,18 @@
-//! Stage-level activation recomputation as a schedule transform.
+//! Activation recomputation as a schedule transform.
 //!
-//! [`apply_recompute`] rewrites any lowered schedule so that every stage
-//! whose mask bit is set replays its forward ([`OpKind::Recompute`])
-//! immediately before each micro-batch's backward. The insertion point is
-//! *before* the backward's `RecvGrad` when one exists, so the replay
-//! overlaps the gradient's wire time instead of waiting behind it — the
-//! device is idle there anyway, and the stashed stage input is all the
-//! replay needs.
+//! A stage whose forward drops its activation caches replays that forward
+//! ([`OpKind::Recompute`]) before the micro-batch's backward; the op is the
+//! only re-forward there is, and every simulator prices it at one stage
+//! forward. Two settings lower to it: the memory-driven per-stage mask
+//! ([`apply_recompute`], recorded in [`Schedule::recompute`] so the memory
+//! model charges those stages an input-only stash) and global activation
+//! checkpointing ([`apply_checkpointing`], every stage, per-block stash).
+//! The op goes *before* the backward's `RecvGrad` when one exists, so the
+//! replay overlaps the gradient's wire time instead of waiting behind it —
+//! the device is idle there anyway, and the stashed stage input is all the
+//! replay needs. It is omitted where the device's previous compute op is
+//! the micro-batch's own forward: that forward keeps its caches
+//! ([`kept_forwards`]), because dropping them would buy no memory.
 //!
 //! Keeping recomputation a post-lowering transform (rather than a per-
 //! generator concern) means every family — 1F1B, GPipe, zero-bubble,
@@ -14,23 +20,15 @@
 //! comm-adjacency invariant the overlapped engine relies on is preserved by
 //! construction: no `Recompute` is ever placed between a compute op and the
 //! send it feeds.
-//!
-//! [`kept_forwards`] names the forwards whose caches a checkpointed stage
-//! keeps anyway: those whose record the device's very next compute op
-//! consumes, so dropping and rebuilding the caches would buy no memory.
 
 use crate::op::{Op, OpKind};
 use crate::Schedule;
 
-/// Insert a [`OpKind::Recompute`] before each fused or grad-input backward
-/// on every stage whose `mask` bit is set. `mask` is indexed by pipeline
-/// stage (`chunk · p + device`) and must have exactly
-/// [`Schedule::n_stages`] entries. Grad-weight ops are untouched: they
-/// consume the caches the grad-input's recompute rebuilt.
-///
-/// The transform is idempotent on schedules without recompute ops; applying
-/// it twice would double-insert, so callers apply it to freshly generated
-/// schedules only.
+/// Recompute on every stage whose `mask` bit is set, and record the mask in
+/// [`Schedule::recompute`]. `mask` is indexed by pipeline stage
+/// (`chunk · p + device`) and must have exactly [`Schedule::n_stages`]
+/// entries. Grad-weight ops get no replay: they consume the caches the
+/// grad-input's replay rebuilt.
 pub fn apply_recompute(sched: &mut Schedule, mask: &[bool]) {
     assert_eq!(
         mask.len(),
@@ -42,14 +40,32 @@ pub fn apply_recompute(sched: &mut Schedule, mask: &[bool]) {
     if !mask.iter().any(|&m| m) {
         return;
     }
+    for (r, &m) in sched.recompute.iter_mut().zip(mask) {
+        *r |= m;
+    }
+    insert_recomputes(sched, |stage| mask[stage]);
+}
+
+/// Global activation checkpointing (§II-C): recompute on every stage. The
+/// recorded mask is left as it is, so the memory model keeps charging the
+/// per-block stash of checkpointing.
+pub fn apply_checkpointing(sched: &mut Schedule) {
+    insert_recomputes(sched, |_| true);
+}
+
+/// Insert a `Recompute` before each fused or grad-input backward on the
+/// stages `on` selects, unless the device's previous compute op already
+/// built that micro-batch's caches: its own forward, or a `Recompute` of
+/// it. So the lowering is idempotent, and the two settings commute.
+fn insert_recomputes(sched: &mut Schedule, on: impl Fn(usize) -> bool) {
     let p = sched.n_devices;
     for (d, ops) in sched.devices.iter_mut().enumerate() {
-        let mut out: Vec<Op> = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            let op = ops[i];
-            // A backward's recompute goes before its RecvGrad (when the
-            // stage has one) so the replay overlaps the gradient transfer.
+        let mut out: Vec<Op> = Vec::with_capacity(ops.len() + sched.n_microbatches);
+        // The (mb, chunk) whose caches the last compute op built.
+        let mut built: Option<(usize, usize)> = None;
+        for (i, &op) in ops.iter().enumerate() {
+            // A backward's replay goes before its RecvGrad, when the stage
+            // has one.
             let backward = match op.kind {
                 OpKind::RecvGrad { mb, chunk, .. }
                     if matches!(
@@ -61,80 +77,65 @@ pub fn apply_recompute(sched: &mut Schedule, mask: &[bool]) {
                 {
                     Some((mb, chunk))
                 }
-                OpKind::Bwd { mb, chunk } | OpKind::BwdInput { mb, chunk } => {
-                    // No preceding RecvGrad for this backward (last stage).
-                    let after_recv = i > 0
+                OpKind::Bwd { mb, chunk } | OpKind::BwdInput { mb, chunk }
+                    if !(i > 0
                         && matches!(
                             ops[i - 1].kind,
                             OpKind::RecvGrad { mb: rmb, chunk: rc, .. }
                                 if rmb == mb && rc == chunk
-                        );
-                    if after_recv {
-                        None // already handled at the RecvGrad
-                    } else {
-                        Some((mb, chunk))
-                    }
+                        )) =>
+                {
+                    Some((mb, chunk))
                 }
                 _ => None,
             };
             if let Some((mb, chunk)) = backward {
-                if mask[chunk * p + d] {
+                if on(chunk * p + d) && built != Some((mb, chunk)) {
                     out.push(Op::new(OpKind::Recompute { mb, chunk }));
+                    built = Some((mb, chunk));
                 }
             }
+            match op.kind {
+                OpKind::Fwd { mb, chunk, .. } | OpKind::Recompute { mb, chunk } => {
+                    built = Some((mb, chunk));
+                }
+                OpKind::Bwd { .. } | OpKind::BwdInput { .. } | OpKind::BwdWeight { .. } => {
+                    built = None;
+                }
+                _ => {}
+            }
             out.push(op);
-            i += 1;
         }
         *ops = out;
     }
 }
 
-/// Recover the per-stage recompute mask from a schedule's ops: stage `s` is
-/// masked iff any device program contains a `Recompute` op for it. The
-/// memory model and the runtime both key off this, so the mask never needs
-/// to travel beside the schedule.
+/// The per-stage recompute mask the schedule carries
+/// ([`Schedule::recompute`]): what the memory model charges an input-only
+/// stash for. Global checkpointing's ops do not set it.
 pub fn recompute_mask(sched: &Schedule) -> Vec<bool> {
-    let mut mask = vec![false; sched.n_stages()];
-    for (d, ops) in sched.devices.iter().enumerate() {
-        for op in ops {
-            if let OpKind::Recompute { chunk, .. } = op.kind {
-                mask[sched.stage_of(d, chunk)] = true;
-            }
-        }
-    }
-    mask
+    sched.recompute.clone()
 }
 
-/// Per device program, per op: `true` at each `Fwd { mb, chunk, .. }`
-/// whose next compute op on the device is the `Recompute`, `Bwd` or
-/// `BwdInput` of the same `(mb, chunk)` — the op that consumes the record
-/// the forward opens. A checkpointed stage keeps those forwards' activation
-/// caches instead of dropping them: the consumer would rebuild the same
-/// cache set before any other compute op runs, so keeping it changes no
-/// result and no peak, and saves one stage forward.
-///
-/// A sliced micro-batch's `Half1` is never kept (its `Half2` forward comes
-/// next); a `Half2` is kept when its backward follows, which consumes it
-/// first.
+/// Per device program, per op: `true` at each `Fwd` that keeps its
+/// activation caches until its backward, because no later `Recompute` on the
+/// device replays its `(mb, chunk)`; a forward the program replays drops
+/// them. This is the runtime's cache rule. Every forward of a stage without
+/// recomputation is kept, and so is a forward whose next compute op is its
+/// own backward, which the lowering never replays; a sliced micro-batch
+/// keeps or drops both halves.
 pub fn kept_forwards(sched: &Schedule) -> Vec<Vec<bool>> {
+    let v = sched.n_chunks;
     sched
         .devices
         .iter()
         .map(|ops| {
             let mut keep = vec![false; ops.len()];
-            // The (mb, chunk) the next compute op consumes, if it consumes
-            // a forward's record.
-            let mut next: Option<(usize, usize)> = None;
+            let mut replayed = vec![false; sched.n_microbatches * v];
             for (i, op) in ops.iter().enumerate().rev() {
                 match op.kind {
-                    OpKind::Fwd { mb, chunk, .. } => {
-                        keep[i] = next == Some((mb, chunk));
-                        next = None;
-                    }
-                    OpKind::Recompute { mb, chunk }
-                    | OpKind::Bwd { mb, chunk }
-                    | OpKind::BwdInput { mb, chunk } => next = Some((mb, chunk)),
-                    OpKind::BwdWeight { .. } => next = None,
+                    OpKind::Recompute { mb, chunk } => replayed[mb * v + chunk] = true,
+                    OpKind::Fwd { mb, chunk, .. } => keep[i] = !replayed[mb * v + chunk],
                     _ => {}
                 }
             }
@@ -179,23 +180,107 @@ mod tests {
         }
     }
 
+    /// The compute op before program position `i` on `ops`, if any.
+    fn prev_compute(ops: &[Op], i: usize) -> Option<OpKind> {
+        ops[..i]
+            .iter()
+            .rev()
+            .find(|o| o.is_compute())
+            .map(|o| o.kind)
+    }
+
     #[test]
-    fn one_recompute_per_backward_on_masked_stages() {
+    fn every_masked_backward_follows_its_recompute_or_its_own_forward() {
         for base in families() {
             let n = base.n_stages();
-            let mask = vec![true; n];
             let mut sched = base.clone();
-            apply_recompute(&mut sched, &mask);
+            apply_recompute(&mut sched, &vec![true; n]);
             for (d, ops) in sched.devices.iter().enumerate() {
-                let backwards = ops
-                    .iter()
-                    .filter(|o| matches!(o.kind, OpKind::Bwd { .. } | OpKind::BwdInput { .. }))
-                    .count();
-                let recomputes = ops
-                    .iter()
-                    .filter(|o| matches!(o.kind, OpKind::Recompute { .. }))
-                    .count();
-                assert_eq!(recomputes, backwards, "{:?} device {d}", sched.kind);
+                for (i, op) in ops.iter().enumerate() {
+                    let (OpKind::Bwd { mb, chunk } | OpKind::BwdInput { mb, chunk }) = op.kind
+                    else {
+                        continue;
+                    };
+                    let built = matches!(
+                        prev_compute(ops, i),
+                        Some(OpKind::Recompute { mb: r, chunk: c } | OpKind::Fwd { mb: r, chunk: c, .. })
+                            if (r, c) == (mb, chunk)
+                    );
+                    assert!(
+                        built,
+                        "{:?} device {d}: backward {mb} without its caches",
+                        sched.kind
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_recompute_directly_follows_its_own_forward() {
+        let mut bases = families();
+        for k in [1, 2] {
+            for base in [
+                gpipe(4, 8),
+                zero_bubble(4, 8),
+                interleaved(4, 2, 8).unwrap(),
+            ] {
+                let mut sliced = base.clone();
+                crate::slice(&mut sliced, k);
+                bases.push(sliced);
+            }
+        }
+        bases.extend([one_f_one_b(4, 1), gpipe(4, 1), zero_bubble(4, 1)]);
+        for base in bases {
+            for mask in masks(base.n_stages()) {
+                let mut sched = base.clone();
+                apply_recompute(&mut sched, &mask);
+                apply_checkpointing(&mut sched);
+                for (d, ops) in sched.devices.iter().enumerate() {
+                    for (i, op) in ops.iter().enumerate() {
+                        let OpKind::Recompute { mb, chunk } = op.kind else {
+                            continue;
+                        };
+                        assert!(
+                            !matches!(
+                                prev_compute(ops, i),
+                                Some(OpKind::Fwd { mb: f, chunk: c, .. }) if (f, c) == (mb, chunk)
+                            ),
+                            "{:?} k={} device {d}: Recompute({mb}, {chunk}) right after its forward",
+                            sched.kind,
+                            sched.n_sliced
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checkpointing_and_the_mask_lower_to_the_same_ops() {
+        for base in families() {
+            let n = base.n_stages();
+            let mut all = base.clone();
+            apply_recompute(&mut all, &vec![true; n]);
+            let mut ckpt = base.clone();
+            apply_checkpointing(&mut ckpt);
+            assert_eq!(ckpt.devices, all.devices, "{:?}", base.kind);
+            // Only the mask is recorded for the memory model.
+            assert_eq!(recompute_mask(&ckpt), vec![false; n]);
+            for mask in masks(n) {
+                let mut a = base.clone();
+                apply_recompute(&mut a, &mask);
+                apply_checkpointing(&mut a);
+                let mut b = base.clone();
+                apply_checkpointing(&mut b);
+                apply_recompute(&mut b, &mask);
+                assert_eq!(a, b, "{:?} mask {mask:?}: the settings commute", base.kind);
+                assert_eq!(a.devices, ckpt.devices);
+                assert_eq!(recompute_mask(&a), mask);
+                // Lowering again changes nothing.
+                apply_checkpointing(&mut b);
+                apply_recompute(&mut b, &mask);
+                assert_eq!(a, b);
             }
         }
     }
@@ -240,10 +325,11 @@ mod tests {
     }
 
     /// Every forward the keep table marks, as `(device, mb, part, chunk)`,
-    /// after applying `mask` to a copy of `base`.
+    /// after applying `mask` and global checkpointing to a copy of `base`.
     fn kept(base: &Schedule, mask: &[bool]) -> Vec<(usize, usize, Part, usize)> {
         let mut sched = base.clone();
         apply_recompute(&mut sched, mask);
+        apply_checkpointing(&mut sched);
         let table = kept_forwards(&sched);
         let mut out = Vec::new();
         for (d, ops) in sched.devices.iter().enumerate() {
@@ -254,13 +340,20 @@ mod tests {
                     continue;
                 };
                 if table[d][i] {
-                    // The next compute op consumes this very record.
-                    let next = ops[i + 1..].iter().find(|o| o.is_compute()).unwrap();
+                    // The next compute op past this micro-batch's forwards
+                    // consumes this very record.
+                    let next = ops[i + 1..]
+                        .iter()
+                        .find(|o| {
+                            o.is_compute()
+                                && !matches!(o.kind, OpKind::Fwd { mb: n, chunk: c, .. }
+                                    if (n, c) == (mb, chunk))
+                        })
+                        .unwrap();
                     assert!(
                         matches!(
                             next.kind,
-                            OpKind::Recompute { mb: n, chunk: c }
-                            | OpKind::Bwd { mb: n, chunk: c }
+                            OpKind::Bwd { mb: n, chunk: c }
                             | OpKind::BwdInput { mb: n, chunk: c }
                                 if (n, c) == (mb, chunk)
                         ),
@@ -318,12 +411,9 @@ mod tests {
                 }
                 for k in 1..=m.min(p) {
                     let base = sliced_1f1b(p, m, k);
-                    // Half2 and Full forwards on the last stage; never a Half1.
-                    let want: Vec<_> = forwards_of(&base, last)
-                        .into_iter()
-                        .filter(|f| f.2 != Part::Half1)
-                        .collect();
-                    assert!(want.iter().any(|f| f.2 == Part::Half2), "k={k}");
+                    // Every forward on the last stage, both halves included.
+                    let want = forwards_of(&base, last);
+                    assert!(want.iter().any(|f| f.2 == Part::Half1), "k={k}");
                     for mask in masks(p) {
                         assert_eq!(kept(&base, &mask), want, "sliced p={p} m={m} k={k}");
                     }

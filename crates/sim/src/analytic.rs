@@ -237,7 +237,8 @@ pub struct SimScratch {
     f: Vec<f64>,
     /// Per-stage backward time of every lane.
     b: Vec<f64>,
-    /// Per-stage recompute flag of every lane.
+    /// Per-stage flag of every lane: the stage replays its forward before
+    /// each backward.
     masked: Vec<bool>,
     /// End time of the forward of micro-batch `mb` at stage `x`, at `x*m+mb`.
     fwd_end: Vec<f64>,
@@ -541,12 +542,12 @@ pub fn simulate_replay(costs: &StageCosts, m: usize) -> AnalyticResult {
 ///
 /// A masked stage replays its forward (`f[x]`) before each backward — the
 /// analytic image of the schedule IR's `Recompute` op, which the lowering
-/// places *before* the gradient receive. The replay therefore starts as soon
-/// as the device is free, and the backward starts at
-/// `max(dev_free + f[x], grad_arrival)` — the same floats, in the same
-/// order, as the event simulator's `Recompute` arm, keeping the two
-/// bit-identical. Callers pass `b[x]` at the *non-checkpointed* rate for
-/// masked stages ([`crate::partition::Partition::stage_costs_recompute`]).
+/// places *before* the gradient receive and omits where the backward
+/// follows its own forward (on the last stage, and everywhere when
+/// `m = 1`). The replay therefore starts as soon as the device is free, and
+/// the backward starts at `max(dev_free + f[x], grad_arrival)` — the same
+/// floats, in the same order, as the event simulator's `Recompute` arm,
+/// keeping the two bit-identical.
 pub fn simulate_replay_masked(
     costs: &StageCosts,
     m: usize,
@@ -651,10 +652,13 @@ fn sweep<const L: usize, S: Sink<L>>(
     let f = lanes::<L, _>(f, n);
     let b = lanes::<L, _>(b, n);
     let masked = lanes::<L, _>(masked, n);
+    // 1F1B runs a backward right after its own forward only on the last
+    // stage, or on every stage when m = 1: no replay there.
+    let replays = |x: usize| x + 1 < n && m > 1;
     for x in 0..n {
         f[x] = from_fn(|l| costs[l].f[x]);
         b[x] = from_fn(|l| costs[l].b[x]);
-        masked[x] = from_fn(|l| recompute[l].is_some_and(|r| r[x]));
+        masked[x] = from_fn(|l| replays(x) && recompute[l].is_some_and(|r| r[x]));
     }
     // Every end time and arrival is written by the sweep before anything
     // reads it, so these only need the right length, not zeroing.
@@ -834,7 +838,7 @@ fn sweep<const L: usize, S: Sink<L>>(
         // and dominates the pipeline"). Highest count wins; ties go to the
         // stage closest to the end of the pipeline (the paper's uniqueness
         // rule). Degenerate pipelines (m < n can leave no 1F1B ops on the
-        // path) fall back to the heaviest stage.
+        // path) fall back to the heaviest stage, its replays counted.
         let mut master = None;
         let mut best = 0usize;
         for (x, &c) in path_count.iter().enumerate() {
@@ -844,11 +848,9 @@ fn sweep<const L: usize, S: Sink<L>>(
             }
         }
         let costs = costs[l];
-        let master_stage = master.unwrap_or_else(|| {
-            (0..n)
-                .max_by(|&a, &b| costs.work(a).total_cmp(&costs.work(b)))
-                .unwrap()
-        });
+        let load = |x: usize| costs.work(x) + if masked[x][l] { f[x][l] } else { 0.0 };
+        let master_stage =
+            master.unwrap_or_else(|| (0..n).max_by(|&a, &b| load(a).total_cmp(&load(b))).unwrap());
 
         let startup_overhead = if n == 1 {
             0.0
@@ -1369,6 +1371,19 @@ mod tests {
                 rec.iteration_time,
                 plain.iteration_time
             );
+        }
+    }
+
+    #[test]
+    fn a_backward_after_its_own_forward_replays_nothing() {
+        // The last stage and a lone micro-batch keep their caches.
+        let c = costs(vec![1.0, 1.3, 0.9, 1.1], vec![2.0, 2.6, 1.8, 2.2], 0.05);
+        let last = [false, false, false, true];
+        for (m, mask) in [(8, &last[..]), (1, &[true; 4][..])] {
+            let plain = simulate_replay(&c, m);
+            let rec = simulate_replay_masked(&c, m, &mut SimScratch::new(), None, Some(mask));
+            assert_eq!(rec.iteration_time, plain.iteration_time, "m={m}");
+            assert_eq!(rec.stage_busy, plain.stage_busy, "m={m}");
         }
     }
 

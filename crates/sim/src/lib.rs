@@ -13,7 +13,9 @@
 //!   (scalars only, allocation-free over reusable [`SimScratch`] buffers —
 //!   the planner scores [`LANES`] candidates per call), `simulate_time`
 //!   (its one-lane instance) and `simulate_replay` (one lane, plus the op
-//!   arena and critical path). The paper's closed-form `recurrence` (block-renumbered
+//!   arena and critical path); a stage that recomputes pays `f` before each
+//!   backward that does not follow its own forward, as the schedule's
+//!   `Recompute` op does. The paper's closed-form `recurrence` (block-renumbered
 //!   1F1B equations + reverse-renumbered Cooldown equations + Warmup
 //!   estimated from one micro-batch's total forward time) is the independent
 //!   oracle; it agrees up to the paper's own approximations.

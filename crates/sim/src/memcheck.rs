@@ -13,15 +13,13 @@
 //! chunk-forwards for interleaving) while staying correct for any new
 //! family expressed in the IR.
 
-use std::collections::HashMap;
-
 use autopipe_cost::{
     memory::{
         stage_memory_frac, working_set, ACT_FRAG_MULT, INTERLEAVED_FRAG_MULT, PARAM_STATE_BYTES,
     },
     CostDb, Hardware, MemoryBreakdown,
 };
-use autopipe_schedule::{apply_recompute, recompute_mask, OpKind, Schedule};
+use autopipe_schedule::{OpKind, Schedule};
 
 use crate::partition::Partition;
 
@@ -79,20 +77,20 @@ impl std::error::Error for OomError {}
 /// accumulated fraction; a grad-input releases nothing (zero-bubble
 /// schedules keep the checkpoint until the deferred grad-weight retires).
 pub fn peak_in_flight(sched: &Schedule, device: usize) -> f64 {
-    let mut live: HashMap<(usize, usize), f64> = HashMap::new();
+    // Live fraction per (micro-batch, chunk), at `mb · n_chunks + chunk`.
+    let v = sched.n_chunks;
+    let mut live = vec![0.0_f64; sched.n_microbatches * v];
     let mut total = 0.0_f64;
     let mut peak = 0.0_f64;
     for op in &sched.devices[device] {
         match op.kind {
             OpKind::Fwd { mb, chunk, part } => {
-                *live.entry((mb, chunk)).or_insert(0.0) += part.frac();
+                live[mb * v + chunk] += part.frac();
                 total += part.frac();
                 peak = peak.max(total);
             }
             OpKind::Bwd { mb, chunk } | OpKind::BwdWeight { mb, chunk } => {
-                if let Some(f) = live.remove(&(mb, chunk)) {
-                    total -= f;
-                }
+                total -= std::mem::take(&mut live[mb * v + chunk]);
             }
             _ => {}
         }
@@ -104,11 +102,12 @@ pub fn peak_in_flight(sched: &Schedule, device: usize) -> f64 {
 /// `partition` must have exactly `sched.n_stages()` stages (for the
 /// interleaved schedule: one partition stage per chunk-stage).
 ///
-/// Recompute-aware: stages whose op programs contain `Recompute` ops (see
-/// [`autopipe_schedule::recompute_mask`]) stash only their input activation
-/// per in-flight micro-batch; the full per-block checkpoint set is charged
+/// Recompute-aware: the stages of the schedule's recompute mask
+/// ([`Schedule::recompute`]) stash only their input activation per
+/// in-flight micro-batch; the full per-block checkpoint set is charged
 /// once, to the working term, for the micro-batch whose backward the replay
-/// is feeding. The in-flight count itself comes from the generic
+/// is feeding. Every other stage is charged the per-block checkpoints of
+/// global activation checkpointing, whether or not its program replays. The in-flight count itself comes from the generic
 /// peak-liveness replay, fractional for sliced schedules (a live half
 /// micro-batch is charged as a half, not rounded up — non-uniform slice
 /// patterns are exact, and equal to the threaded runtime's measured peak).
@@ -116,7 +115,7 @@ pub fn device_memory(partition: &Partition, db: &CostDb, sched: &Schedule) -> Ve
     let p = sched.n_devices;
     let v = sched.n_chunks;
     assert_eq!(partition.n_stages(), sched.n_stages());
-    let mask = recompute_mask(sched);
+    let mask = &sched.recompute;
     (0..p)
         .map(|d| {
             let peak = peak_in_flight(sched, d).max(1.0);
@@ -217,19 +216,21 @@ pub fn check_memory_budget(
 }
 
 /// Would the configuration fit `budget` if every stage recomputed? `false`
-/// when the schedule already contains recompute ops (the headroom is spent).
+/// when the schedule's mask already recomputes (the headroom is spent).
 fn fits_with_full_recompute(
     partition: &Partition,
     db: &CostDb,
     sched: &Schedule,
     budget: u64,
 ) -> bool {
-    if recompute_mask(sched).iter().any(|&m| m) {
+    if sched.recompute.iter().any(|&m| m) {
         return false;
     }
-    let mut all = sched.clone();
-    let mask = vec![true; all.n_stages()];
-    apply_recompute(&mut all, &mask);
+    // The memory model reads only the mask, so no ops need lowering.
+    let all = Schedule {
+        recompute: vec![true; sched.n_stages()],
+        ..sched.clone()
+    };
     device_memory(partition, db, &all)
         .iter()
         .all(|bd| bd.total() <= budget)
@@ -239,6 +240,7 @@ fn fits_with_full_recompute(
 mod tests {
     use super::*;
     use autopipe_model::{zoo, Granularity};
+    use autopipe_schedule::apply_recompute;
     use autopipe_schedule::generators::{gpipe, interleaved, one_f_one_b, sliced_1f1b};
 
     fn db(mbs: usize) -> CostDb {
@@ -268,6 +270,34 @@ mod tests {
         apply_recompute(&mut rec, &[true; 4]);
         let r = device_memory(&part, &d, &rec);
         assert!(r[0].checkpoints < o[0].checkpoints);
+    }
+
+    #[test]
+    fn the_mask_not_the_ops_sets_the_stash() {
+        // Global checkpointing's replays leave the per-block stash charged;
+        // the mask alone switches a stage to its input-only stash.
+        use autopipe_schedule::apply_checkpointing;
+        let d = db(8);
+        let part = Partition::even(d.len(), 4);
+        let plain = one_f_one_b(4, 8);
+        let mut ckpt = plain.clone();
+        apply_checkpointing(&mut ckpt);
+        assert_eq!(
+            device_memory(&part, &d, &ckpt),
+            device_memory(&part, &d, &plain)
+        );
+        let mut masked = plain.clone();
+        apply_recompute(&mut masked, &[true; 4]);
+        let mut both = ckpt.clone();
+        apply_recompute(&mut both, &[true; 4]);
+        assert_eq!(
+            device_memory(&part, &d, &both),
+            device_memory(&part, &d, &masked)
+        );
+        assert_ne!(
+            device_memory(&part, &d, &masked),
+            device_memory(&part, &d, &plain)
+        );
     }
 
     #[test]

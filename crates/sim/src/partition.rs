@@ -105,41 +105,6 @@ impl Partition {
         out.comm = db.comm;
     }
 
-    /// Per-stage costs when the stages flagged in `mask` run with
-    /// schedule-level activation recomputation. A masked stage's backward is
-    /// the *non-checkpointed* rate ([`CostDb::range_bwd_no_ckpt`]): the
-    /// `Recompute` op replays the stage forward once (charged separately by
-    /// the simulators, at `f[stage]`), so the per-block re-forwards baked
-    /// into the checkpointed `bwd` must not be charged again.
-    pub fn stage_costs_recompute(&self, db: &CostDb, mask: &[bool]) -> StageCosts {
-        let mut out = StageCosts::default();
-        self.stage_costs_recompute_into(db, mask, &mut out);
-        out
-    }
-
-    /// [`Self::stage_costs_recompute`] into a caller-owned buffer.
-    pub fn stage_costs_recompute_into(&self, db: &CostDb, mask: &[bool], out: &mut StageCosts) {
-        assert_eq!(
-            self.n_blocks(),
-            db.len(),
-            "partition covers {} blocks but cost db has {}",
-            self.n_blocks(),
-            db.len()
-        );
-        assert_eq!(mask.len(), self.n_stages(), "mask/stage count mismatch");
-        out.f.clear();
-        out.b.clear();
-        for s in 0..self.n_stages() {
-            out.f.push(db.range_fwd(self.range(s)));
-            out.b.push(if mask[s] {
-                db.range_bwd_no_ckpt(self.range(s))
-            } else {
-                db.range_bwd(self.range(s))
-            });
-        }
-        out.comm = db.comm;
-    }
-
     /// Per-stage transformer-layer-equivalents — Table II's reporting
     /// convention (`.5` per lone sub-layer block).
     pub fn layer_counts(&self, db: &CostDb) -> Vec<f64> {
@@ -165,7 +130,8 @@ impl Partition {
 pub struct StageCosts {
     /// Forward time per stage for one micro-batch, seconds.
     pub f: Vec<f64>,
-    /// Backward time per stage (includes checkpoint recompute), seconds.
+    /// Backward time per stage, seconds: the backward alone. Schedules price
+    /// a checkpointed stage's re-forward as a `Recompute` op, at `f`.
     pub b: Vec<f64>,
     /// Single boundary communication cost, seconds.
     pub comm: f64,

@@ -12,12 +12,11 @@
 //! [`autopipe_schedule::slice`] applies it.
 //!
 //! A plan is sliced on the stage costs it is priced on
-//! (`autopipe_planner::schedule_stage_costs`): masked where the schedule
-//! recomputes — a recomputing stage's backward carries the forward replay —
-//! and charged each device's multiplier, so a skewed cluster gets the count
-//! Algorithm 2 picks for it. `autopipe_core::Plan::slice`, the one slicing
-//! step that `Session`'s `slice()` and its re-plans call, solves the count
-//! this way and slices the masked schedule in place.
+//! (`autopipe_planner::device_stage_costs`): each device's multiplier
+//! charged, so a skewed cluster gets the count Algorithm 2 picks for it.
+//! `autopipe_core::Plan::slice`, the one slicing step that `Session`'s
+//! `slice()` and its re-plans call, solves the count this way and slices the
+//! schedule in place, its `Recompute` ops included.
 
 use serde::Serialize;
 

@@ -56,7 +56,7 @@ use autopipe_core::{
 use autopipe_cost::{profiler::ProfilerConfig, CostDb, Hardware};
 use autopipe_exec::FaultPlan;
 use autopipe_model::ModelConfig;
-use autopipe_planner::{schedule_stage_costs, PlanError, PlanService, RecomputePolicy};
+use autopipe_planner::{device_stage_costs, PlanError, PlanService, RecomputePolicy};
 use autopipe_runtime::{
     restore_states, Action, BatchSet, CheckpointError, CheckpointStore, Controller, ElasticEvent,
     FaultReport, ModelShape, Outcome, Pipeline, PipelineConfig, RecoveryRecord, RecoveryStore,
@@ -554,12 +554,12 @@ impl PlannedSession {
     /// Run the planned schedule through the discrete-event simulator —
     /// fault-free, and additionally under the session's fault script when
     /// one is configured. The stage costs are the ones the family search
-    /// scores with ([`schedule_stage_costs`]: masked where the schedule
-    /// recomputes, times each device's multiplier), so the clean run's
+    /// scores with ([`device_stage_costs`]: times each device's multiplier;
+    /// the schedule's `Recompute` ops run at `f`), so the clean run's
     /// iteration time is [`Plan::price`] bit for bit.
     pub fn simulate(&self) -> Result<SimReport, Error> {
         let costs = EventCosts::from_stage_costs(
-            &schedule_stage_costs(&self.plan.partition, &self.db, &self.plan.schedule),
+            &device_stage_costs(&self.plan.partition, &self.db),
             self.cfg.hardware.link_latency,
         );
         let event_cfg = self.cfg.event();
@@ -1467,6 +1467,7 @@ mod tests {
                 n_chunks: plan.schedule.n_chunks,
                 n_microbatches: plan.microbatches,
                 recompute: recompute_mask(&plan.schedule),
+                checkpointing: planned.cfg.checkpointing,
                 stages: Vec::new(),
             };
             let rebuilt = Plan {

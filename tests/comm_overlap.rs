@@ -23,7 +23,7 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_exec::{AlphaBeta, CommConfig, MsgKey, VirtualTransport};
 use autopipe_model::{zoo, Granularity};
 use autopipe_planner::{autopipe_plan, AutoPipeConfig};
-use autopipe_schedule::{one_f_one_b, Part};
+use autopipe_schedule::{apply_checkpointing, one_f_one_b, Part};
 use autopipe_sim::analytic::{
     simulate_replay_masked, simulate_time_masked, OverlapModel, SimScratch,
 };
@@ -179,8 +179,9 @@ fn overlap_wins_ten_percent_on_comm_heavy_pipelines_across_engines() {
 /// volume × 256). Under overlap, the overlap-aware planner's pick is never
 /// slower than the blocking planner's pick re-scored there. On the
 /// comm-bound link at p = 4 the picks differ, and the overlapped engine
-/// (best of k ∈ {1, 2, 4, 8} chunks) cuts the replayed 1F1B iteration on the
-/// blocking pick by 25–30 % (README and DESIGN §5e quote "up to ~28%").
+/// (best of k ∈ {1, 2, 4, 8} chunks) cuts the replayed, checkpointed 1F1B
+/// iteration on the blocking pick by 22–27 % (README and DESIGN §5e quote
+/// "up to ~24%").
 #[test]
 fn overlap_aware_planning_on_a_gpt2_345m_link_ladder() {
     let hw = Hardware::rtx3090_cluster();
@@ -197,9 +198,15 @@ fn overlap_aware_planning_on_a_gpt2_345m_link_ladder() {
                 ..AutoPipeConfig::default()
             };
             let aware = autopipe_plan(&db, p, m, &aware).unwrap();
-            let costs = blocking.partition.stage_costs(&db);
-            let rescored =
-                simulate_replay_masked(&costs, m, &mut SimScratch::new(), Some(&ov), None);
+            // Checkpointing replays every stage's forwards.
+            let (costs, replays) = (blocking.partition.stage_costs(&db), vec![true; p]);
+            let rescored = simulate_replay_masked(
+                &costs,
+                m,
+                &mut SimScratch::new(),
+                Some(&ov),
+                Some(&replays),
+            );
             assert!(
                 aware.analytic.iteration_time <= rescored.iteration_time + 1e-12,
                 "p={p} link ×{vol_scale}: overlap-aware pick {} loses to the blocking pick {}",
@@ -211,10 +218,9 @@ fn overlap_aware_planning_on_a_gpt2_345m_link_ladder() {
             }
             let (aware, blocking) = (aware.partition, blocking.partition);
             assert_ne!(aware.boundaries(), blocking.boundaries());
-            let (sched, ec) = (
-                one_f_one_b(p, m),
-                EventCosts::from_stage_costs(&costs, latency),
-            );
+            let mut sched = one_f_one_b(p, m);
+            apply_checkpointing(&mut sched);
+            let ec = EventCosts::from_stage_costs(&costs, latency);
             let iteration = |comm| {
                 let cfg = EventConfig {
                     comm,
@@ -227,7 +233,7 @@ fn overlap_aware_planning_on_a_gpt2_345m_link_ladder() {
             let best = overlapped.into_iter().fold(f64::INFINITY, f64::min);
             let gain = 1.0 - best / iteration(CommConfig::default());
             assert!(
-                (0.25..0.30).contains(&gain),
+                (0.22..0.27).contains(&gain),
                 "comm-bound overlap gain {gain:.3}"
             );
         }
