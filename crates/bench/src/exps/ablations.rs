@@ -12,7 +12,7 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::{zoo, Granularity};
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::balanced_partition;
-use autopipe_schedule::sliced_1f1b;
+use autopipe_schedule::{apply_checkpointing, sliced_1f1b};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::{simulate_replay_masked, SimScratch};
 use autopipe_slicer::solve_sliced_count;
@@ -90,7 +90,11 @@ pub(crate) fn slice_sweep(p: usize, m: usize) -> (Vec<(usize, f64, f64)>, usize)
     let cfg = EventConfig::actual_run(hw.kernel_overhead, 3);
     let rows = (0..p)
         .map(|k| {
-            let r = run_schedule(&sliced_1f1b(p, m, k), &ev, &cfg).unwrap();
+            let mut sched = sliced_1f1b(p, m, k);
+            if db.checkpointing {
+                apply_checkpointing(&mut sched);
+            }
+            let r = run_schedule(&sched, &ev, &cfg).unwrap();
             (k, r.iteration_time, r.startup_overhead)
         })
         .collect();

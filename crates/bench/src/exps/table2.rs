@@ -3,6 +3,7 @@
 use autopipe_core::table2::{table2_partitions, TABLE2_LAYERS};
 use autopipe_cost::Hardware;
 use autopipe_model::zoo;
+use autopipe_sim::{simulate_replay_masked, SimScratch};
 use serde_json::json;
 
 use crate::report::{save_json, Table};
@@ -14,6 +15,8 @@ pub fn run() {
     let hw = Hardware::rtx3090_cluster();
     let db = cost_db(&zoo::gpt2_345m(), &hw, 4);
     let m = 8;
+    // Priced like the planner: every stage replays its forwards.
+    let replays = [db.checkpointing; 4];
     let mut t = Table::new(&[
         "Partition ID",
         "stage 0",
@@ -25,7 +28,7 @@ pub fn run() {
     let mut records = Vec::new();
     for (i, part) in table2_partitions(&db).iter().enumerate() {
         let sc = part.stage_costs(&db);
-        let sim = autopipe_sim::simulate_replay(&sc, m);
+        let sim = simulate_replay_masked(&sc, m, &mut SimScratch::new(), None, Some(&replays));
         let row = TABLE2_LAYERS[i];
         t.row(vec![
             (i + 1).to_string(),

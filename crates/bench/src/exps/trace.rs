@@ -7,7 +7,7 @@ use autopipe_cost::Hardware;
 use autopipe_model::zoo;
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
-use autopipe_schedule::{one_f_one_b, sliced_1f1b};
+use autopipe_schedule::{apply_checkpointing, one_f_one_b, sliced_1f1b};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_slicer::plan_slicing;
 
@@ -27,10 +27,13 @@ pub fn run() {
     let auto_sched = sliced_1f1b(p, m, plan_slicing(&auto_part.stage_costs(&db), m).n_sliced);
 
     let mut t = Table::new(&["system", "iteration (ms)", "bubble frac", "trace file"]);
-    for (name, part, sched) in [
+    for (name, part, mut sched) in [
         ("megatron", &mega_part, one_f_one_b(p, m)),
         ("autopipe", &auto_part, auto_sched),
     ] {
+        if db.checkpointing {
+            apply_checkpointing(&mut sched);
+        }
         let sc = part.stage_costs(&db);
         let ev = EventCosts::from_stage_costs(&sc, hw.link_latency);
         let r = run_schedule(&sched, &ev, &EventConfig::actual_run(hw.kernel_overhead, 1)).unwrap();

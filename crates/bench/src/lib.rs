@@ -8,5 +8,5 @@
 //! `results/<experiment>.json`.
 
 pub mod exps;
-pub mod report;
+mod report;
 pub mod systems;

@@ -71,7 +71,7 @@ pub(crate) fn ms(v: &Result<f64, String>) -> String {
 }
 
 /// Append a JSON record under `results/<name>.json`.
-pub fn save_json(name: &str, value: &Value) {
+pub(crate) fn save_json(name: &str, value: &Value) {
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_err() {
         return;

@@ -10,7 +10,7 @@ use autopipe_planner::baselines::megatron;
 use autopipe_schedule::{apply_checkpointing, interleaved, one_f_one_b, sliced_1f1b, Schedule};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
 use autopipe_sim::memcheck::check_memory;
-use autopipe_sim::{Partition, StageCosts};
+use autopipe_sim::Partition;
 use autopipe_slicer::plan_slicing;
 
 /// What the event simulator observed for one configuration.
@@ -36,8 +36,6 @@ pub enum System {
     /// Planner + Slicer (full AutoPipe).
     AutoPipe,
 }
-
-impl System {}
 
 /// Build the cost database all experiments share.
 pub fn cost_db(model: &ModelConfig, hw: &Hardware, mbs: usize) -> CostDb {
@@ -99,8 +97,7 @@ pub(crate) fn run_measured(
     db: &CostDb,
     hw: &Hardware,
 ) -> Obs {
-    let sc = stage_costs_for(partition, schedule, db);
-    let costs = EventCosts::from_stage_costs(&sc, hw.link_latency);
+    let costs = EventCosts::from_stage_costs(&partition.stage_costs(db), hw.link_latency);
     let seed = 0xC0FFEE
         ^ (schedule.n_devices as u64) << 32
         ^ (schedule.n_microbatches as u64) << 8
@@ -111,16 +108,6 @@ pub(crate) fn run_measured(
         iteration: r.iteration_time,
         startup: r.startup_overhead,
     }
-}
-
-/// Stage costs covering every chunk-stage of `schedule`.
-pub(crate) fn stage_costs_for(
-    partition: &Partition,
-    schedule: &Schedule,
-    db: &CostDb,
-) -> StageCosts {
-    assert_eq!(partition.n_stages(), schedule.n_stages());
-    partition.stage_costs(db)
 }
 
 #[cfg(test)]

@@ -77,6 +77,44 @@ proptest! {
     }
 }
 
+/// The serving workload's two-straggler drift (GPT-2 345M, p = 8, m = 16,
+/// stages 1 and 6 running 1.8× and 1.4× slow): the warm re-plan is the cold
+/// pruned search's plan, bit for bit, and the unpruned search's plan.
+#[test]
+fn a_two_straggler_drift_warm_starts_to_the_cold_plan() {
+    let (p, m) = (8, 16);
+    let d = db();
+    let cfg = AutoPipeConfig {
+        prune: true,
+        ..AutoPipeConfig::default()
+    };
+    let base = plan(&d, p, m, &cfg).unwrap().partition;
+    let mut ratios = [1.0; 8];
+    ratios[1] = 1.8;
+    ratios[6] = 1.4;
+    let observed = observed_cost_db(&d, &base, &ratios).unwrap();
+
+    let warm = plan_seeded(
+        &observed,
+        p,
+        m,
+        &cfg,
+        std::slice::from_ref(&base),
+        &mut PlannerScratch::new(),
+    )
+    .unwrap();
+    let cold = plan(&observed, p, m, &cfg).unwrap();
+    assert_eq!(warm.partition, cold.partition);
+    assert_eq!(
+        warm.analytic.iteration_time.to_bits(),
+        cold.analytic.iteration_time.to_bits()
+    );
+    let unpruned = plan(&observed, p, m, &AutoPipeConfig::default()).unwrap();
+    assert_eq!(warm.partition, unpruned.partition);
+    let gap = warm.analytic.iteration_time / unpruned.analytic.iteration_time - 1.0;
+    assert!(gap.abs() <= 1e-9, "gap {gap}");
+}
+
 /// A warm start is not always as good as the cold search: when the search
 /// exhausts `max_schemes`, the seed's simulation is one scheme of the
 /// budget, so the warm search stops where a cold search one scheme shorter

@@ -11,9 +11,9 @@ use autopipe_cost::{CostDb, Hardware};
 use autopipe_model::{zoo, Granularity};
 use autopipe_planner::autopipe::{plan, AutoPipeConfig};
 use autopipe_planner::baselines::megatron;
-use autopipe_schedule::{one_f_one_b, sliced_1f1b};
+use autopipe_schedule::{apply_checkpointing, one_f_one_b, sliced_1f1b, Schedule};
 use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
-use autopipe_sim::simulate_replay;
+use autopipe_sim::{simulate_replay_masked, SimScratch};
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
 
 fn main() {
@@ -28,9 +28,11 @@ fn main() {
     let auto = plan(&db, p, m, &AutoPipeConfig::default()).expect("planning failed");
 
     println!("== Planner: Megatron uniform vs AutoPipe sub-layer ==");
+    // Checkpointed stages replay each forward before its backward.
+    let replays = vec![db.checkpointing; p];
     for (name, part) in [("Megatron-LM", &mega), ("AutoPipe", &auto.partition)] {
         let sc = part.stage_costs(&db);
-        let sim = simulate_replay(&sc, m);
+        let sim = simulate_replay_masked(&sc, m, &mut SimScratch::new(), None, Some(&replays));
         let per_stage: Vec<String> = (0..p)
             .map(|x| format!("{:.1}ms", sc.work(x) * 1e3))
             .collect();
@@ -58,8 +60,14 @@ fn main() {
     // Verify on the event simulator with realistic per-op overheads.
     let ev = EventCosts::from_stage_costs(&sc, hw.link_latency);
     let cfg = EventConfig::actual_run(hw.kernel_overhead, 7);
-    let plain = run_schedule(&one_f_one_b(p, m), &ev, &cfg).unwrap();
-    let sliced = run_schedule(&sliced_1f1b(p, m, n_sliced), &ev, &cfg).unwrap();
+    let lowered = |mut sched: Schedule| {
+        if db.checkpointing {
+            apply_checkpointing(&mut sched);
+        }
+        sched
+    };
+    let plain = run_schedule(&lowered(one_f_one_b(p, m)), &ev, &cfg).unwrap();
+    let sliced = run_schedule(&lowered(sliced_1f1b(p, m, n_sliced)), &ev, &cfg).unwrap();
     println!(
         "measured startup : {:.1} ms -> {:.1} ms ({:.0}% reduction)",
         plain.startup_overhead * 1e3,

@@ -1,6 +1,6 @@
 //! Elastic membership, end to end.
 //!
-//! Three layers of evidence, mirroring `results/BENCH_elastic.json`:
+//! Four layers of evidence:
 //!
 //! 1. a **property suite** over the membership state machine — no device is
 //!    evicted without a graceful leave or the full missed-heartbeat
@@ -17,8 +17,10 @@
 //!    restartable crash restarts in place without leaving, every
 //!    swap keeps the policy and memory budget the run was planned under
 //!    (also on a resumed run), and the whole run stays deterministic under
-//!    replay;
-//! 3. **config validation** — elastic sessions without recovery, bad
+//!    replay, also over seeded random membership scripts;
+//! 3. **the price of degraded mode and of heterogeneity** — what serving at
+//!    p − 1 costs, and what a plan that knows the device speeds wins;
+//! 4. **config validation** — elastic sessions without recovery, bad
 //!    multipliers and bad thresholds are rejected up front with actionable
 //!    errors.
 
@@ -30,18 +32,20 @@ use autopipe::{
     ElasticAction, ElasticConfig, Error, MembershipConfig, RecomputePolicy, RecoveryAction,
     RecoveryConfig, SchedulePolicy, Session,
 };
+use autopipe_cost::{CostDb, Hardware};
 use autopipe_exec::{
     splitmix64, DeviceLost, FailStopKind, FaultPlan, MembershipChange, MembershipFault, OpTimes,
     Recorder, StageCrash, Timeline, TraceSink,
 };
-use autopipe_model::zoo;
-use autopipe_planner::PlanError;
+use autopipe_model::{zoo, Granularity};
+use autopipe_planner::{autopipe_plan, device_stage_costs, AutoPipeConfig, PlanError};
 use autopipe_runtime::{
     Action, ClusterMembership, Controller, CrashEvent, DeviceState, FaultReport, MemberEvent,
     Outcome, RuntimeError, StragglerConfig, TimedEvent, WatchdogConfig,
 };
 use autopipe_schedule::{one_f_one_b, recompute_mask, Schedule};
 use autopipe_sim::memcheck::check_memory_budget;
+use autopipe_sim::{simulate_replay_masked, Partition, SimScratch};
 
 // ---------------------------------------------------------------------------
 // 1. Property suite over the membership state machine.
@@ -760,7 +764,7 @@ fn a_slowdown_triggers_a_heterogeneity_replan() {
 
 /// What a `gpt2_tiny` session at m = 4, mbs = 2, seed 7 plans on devices
 /// with these multipliers.
-fn planned_partition(multipliers: Vec<f64>) -> autopipe::sim::Partition {
+fn planned_partition(multipliers: Vec<f64>) -> Partition {
     let stages = multipliers.len();
     (Session::for_model(zoo::gpt2_tiny()).stages(stages))
         .microbatches(4)
@@ -861,8 +865,109 @@ fn elastic_runs_replay_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// Seeded chaos: each `random_membership` script (joins, leaves, flaps and
+/// slowdowns on a two-device session, eight steps) runs twice through
+/// `Session`. No run deadlocks, and the two runs of a seed end the same way:
+/// the same losses, elastic decisions and parameter bits, or the same halt.
+/// Seeds 0..10 reach every decision: seed 0 shrinks, grows back and
+/// re-plans, and seed 3 halts when its last serving device is quarantined.
+#[test]
+fn seeded_membership_scripts_replay_bit_identically() {
+    const STEPS: usize = 8;
+    let (mut shrinks, mut grows, mut replans, mut halts) = (0, 0, 0, 0);
+    for seed in 0..10 {
+        let run = |replay: &str| {
+            let script = FaultPlan::random_membership(seed, 2, STEPS as u64, 0.5, 1);
+            let (session, dir) = elastic_session(&format!("chaos_{seed}_{replay}"), script, STEPS);
+            let ended = match session.plan().unwrap().run() {
+                Ok(r) => {
+                    let losses: Vec<u32> = r.losses.iter().map(|l| l.to_bits()).collect();
+                    Ok((losses, r.elastic_log, r.param_checksum.to_bits()))
+                }
+                Err(e) => {
+                    assert!(
+                        matches!(&e, Error::Runtime(r) if matches!(
+                            r.downcast_ref::<RuntimeError>(),
+                            Some(RuntimeError::Elastic(_))
+                        )),
+                        "seed {seed}: {e}"
+                    );
+                    Err(e.to_string())
+                }
+            };
+            let _ = std::fs::remove_dir_all(&dir);
+            ended
+        };
+        let first = run("a");
+        assert_eq!(first, run("b"), "seed {seed}: the replay ended differently");
+        let Ok((_, log, _)) = first else {
+            halts += 1;
+            continue;
+        };
+        for e in &log {
+            match e.action {
+                ElasticAction::Shrink { .. } => shrinks += 1,
+                ElasticAction::Grow { .. } => grows += 1,
+                ElasticAction::Replan { .. } => replans += 1,
+                ElasticAction::Halt { .. } => {}
+            }
+        }
+    }
+    assert!(
+        shrinks > 0 && grows > 0 && replans > 0 && halts > 0,
+        "{shrinks} shrinks, {grows} grows, {replans} re-plans, {halts} halts"
+    );
+}
+
 // ---------------------------------------------------------------------------
-// 3. Config validation.
+// 3. The price of degraded mode and of heterogeneity.
+// ---------------------------------------------------------------------------
+
+fn gpt2_345m_db() -> CostDb {
+    let hw = Hardware::rtx3090_cluster();
+    CostDb::build(&zoo::gpt2_345m(), &hw, 4, true, Granularity::SubLayer)
+}
+
+/// Degraded mode's price on GPT-2 345M at m = 8: the best three-stage plan,
+/// what a four-device pipeline serves while one device is out, runs ×1.223
+/// the best four-stage plan's iteration.
+#[test]
+fn serving_at_three_of_four_devices_costs_a_fifth_more() {
+    let db = gpt2_345m_db();
+    let cfg = AutoPipeConfig::default();
+    let full = autopipe_plan(&db, 4, 8, &cfg).unwrap();
+    let degraded = autopipe_plan(&db, 3, 8, &cfg).unwrap();
+    let cost = degraded.analytic.iteration_time / full.analytic.iteration_time;
+    assert!((cost - 1.223).abs() < 5e-4, "degraded cost ×{cost:.4}");
+}
+
+/// On a cluster whose device 2 runs 2.5× slow, the plan searched on the true
+/// device speeds beats the homogeneous plan, both priced on those speeds
+/// with every stage's re-forward: 2 290.16 vs 4 303.08 ms, ×1.879.
+#[test]
+fn the_heterogeneity_aware_plan_beats_the_homogeneous_one_on_a_skewed_cluster() {
+    let (p, m) = (4, 8);
+    let db = gpt2_345m_db();
+    let skewed = db.clone().with_device_multipliers(&[1.0, 1.0, 2.5, 1.0]);
+    let cfg = AutoPipeConfig::default();
+    let homo = autopipe_plan(&db, p, m, &cfg).unwrap();
+    let hetero = autopipe_plan(&skewed, p, m, &cfg).unwrap();
+    let price = |part: &Partition| {
+        let costs = device_stage_costs(part, &skewed);
+        let replays = [skewed.checkpointing; 4];
+        simulate_replay_masked(&costs, m, &mut SimScratch::new(), None, Some(&replays))
+            .iteration_time
+    };
+    let (t_homo, t_hetero) = (price(&homo.partition), price(&hetero.partition));
+    assert_eq!(t_hetero.to_bits(), hetero.analytic.iteration_time.to_bits());
+    assert!((t_hetero * 1e3 - 2290.16).abs() < 0.01, "{t_hetero}");
+    assert!((t_homo * 1e3 - 4303.08).abs() < 0.01, "{t_homo}");
+    let win = t_homo / t_hetero;
+    assert!((win - 1.879).abs() < 5e-4, "win ×{win:.4}");
+}
+
+// ---------------------------------------------------------------------------
+// 4. Config validation.
 // ---------------------------------------------------------------------------
 
 /// Elastic membership without checkpointing configured is rejected up

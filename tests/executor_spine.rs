@@ -15,7 +15,7 @@
 //!    the event simulator's timeline within floating-point tolerance.
 
 use autopipe_exec::{CommConfig, Timeline};
-use autopipe_model::{ModelConfig, ModelFamily};
+use autopipe_model::{build_blocks, zoo, Granularity, ModelConfig, ModelFamily};
 use autopipe_runtime::{BatchSet, Pipeline, PipelineConfig};
 use autopipe_schedule::{
     gpipe, interleaved, one_f_one_b, sliced_1f1b, zero_bubble, OpKind, Part, Schedule,
@@ -36,10 +36,14 @@ fn tiny() -> ModelConfig {
     }
 }
 
-/// Run `sched` through the threaded runtime on the tiny model and return
-/// its timeline.
-fn runtime_timeline(sched: &Schedule, partition: Vec<usize>, mbs: usize) -> Timeline {
-    let model = tiny();
+/// Run `sched` through the threaded runtime on `model` and return its
+/// timeline.
+fn runtime_timeline(
+    model: ModelConfig,
+    sched: &Schedule,
+    partition: Vec<usize>,
+    mbs: usize,
+) -> Timeline {
     let m = sched.n_microbatches;
     let batch = BatchSet::synthetic(21, m, mbs, model.seq_len, model.vocab_size);
     let mut pipe = Pipeline::try_new(&PipelineConfig {
@@ -75,7 +79,11 @@ fn simulated_timeline(sched: &Schedule, comm: CommConfig) -> Timeline {
 }
 
 fn assert_consistent(sched: &Schedule, partition: Vec<usize>, mbs: usize) {
-    let real = runtime_timeline(sched, partition, mbs);
+    assert_consistent_on(tiny(), sched, partition, mbs);
+}
+
+fn assert_consistent_on(model: ModelConfig, sched: &Schedule, partition: Vec<usize>, mbs: usize) {
+    let real = runtime_timeline(model, sched, partition, mbs);
     // Check 1: wall-clock execution and virtual-time simulation ran the
     // exact same per-device op sequences — under both simulated comm
     // engines, since overlap moves wire time, never ops.
@@ -94,6 +102,12 @@ fn assert_consistent(sched: &Schedule, partition: Vec<usize>, mbs: usize) {
 fn one_f_one_b_runs_identically_on_both_executors() {
     // Two devices over the 7-block tiny model.
     assert_consistent(&one_f_one_b(2, 4), vec![0, 3, 7], 2);
+    // `gpt2_tiny` at both widths a two-device elastic session serves at.
+    let model = zoo::gpt2_tiny();
+    let n = build_blocks(&model, Granularity::SubLayer).len();
+    for (p, partition) in [(1, vec![0, n]), (2, vec![0, n / 2, n])] {
+        assert_consistent_on(model.clone(), &one_f_one_b(p, 4), partition, 2);
+    }
 }
 
 #[test]

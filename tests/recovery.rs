@@ -5,7 +5,8 @@
 //! 1. a **seeded campaign** of random fail-stop scripts against the
 //!    threaded runtime with durable checkpointing armed — every crash
 //!    recovers, every restart-in-place trajectory is bit-identical to the
-//!    uninterrupted run, every device loss shrinks and converges;
+//!    uninterrupted run, every device loss shrinks and converges, and a
+//!    shrink followed by a grow back trains like the uninterrupted run;
 //! 2. **every crash position** of a sliced two-stage and a plain four-stage
 //!    program is detected by a neighbour's next receive, not by the
 //!    watchdog's deadlines;
@@ -52,6 +53,7 @@ fn pipe(p: usize, seed: u64) -> Pipeline {
 
 fn pipe_on(schedule: Schedule, seed: u64) -> Pipeline {
     let partition = match schedule.n_devices {
+        1 => Partition::new(vec![0, 7]),
         2 => Partition::new(vec![0, 3, 7]),
         4 => Partition::new(vec![0, 2, 4, 6, 7]),
         other => panic!("no fixture for {other} devices"),
@@ -199,6 +201,70 @@ fn seeded_losses_shrink_and_converge() {
         assert_eq!(clean_losses, losses, "seed {seed}: trajectory drifted");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A shrink and a grow back, at the runtime layer: the pipeline serves on
+/// one device after step 3 and on two again after step 5 (the steps at which
+/// a session's controller re-shapes for a leave at step 3 and a rejoin at
+/// step 4 under a one-step quarantine). Both swaps go through
+/// `Pipeline::repartition`, and the run's losses and parameters are the
+/// uninterrupted two-stage run's, bit for bit. A fresh one-stage pipeline
+/// restored from the generation saved just before the grow, then grown the
+/// same way, replays the post-grow steps bit for bit: a grow leaves nothing
+/// behind that a restart could not rebuild.
+#[test]
+fn a_shrink_and_a_grow_back_train_like_the_uninterrupted_run() {
+    const STEPS: usize = 10;
+    let (shrink_after, grow_after) = (3, 5);
+    let model = tiny();
+    let batch = BatchSet::synthetic(99, M, 2, model.seq_len, model.vocab_size);
+    let mut clean = pipe(2, 77);
+    let clean_losses: Vec<f32> = (0..STEPS)
+        .map(|_| clean.train_iteration(&batch).unwrap().loss)
+        .collect();
+
+    let dir = temp_dir("grow");
+    let mut store = CheckpointStore::open(&dir, 1).unwrap();
+    let mut elastic = pipe(2, 77);
+    let (wide, wide_schedule) = (elastic.partition().clone(), elastic.schedule().clone());
+    let mut losses = Vec::new();
+    for step in 1..=STEPS {
+        losses.push(elastic.train_iteration(&batch).unwrap().loss);
+        if step == shrink_after {
+            let narrow = Partition::even(wide.n_blocks(), 1);
+            elastic.repartition(&narrow, one_f_one_b(1, M)).unwrap();
+        } else if step == grow_after {
+            store
+                .save(&elastic.snapshot(step as u64, "pre-grow"))
+                .unwrap();
+            elastic.repartition(&wide, wide_schedule.clone()).unwrap();
+        }
+    }
+    assert_eq!(clean_losses, losses, "the re-shaped run drifted");
+    assert_eq!(
+        clean.param_checksum().to_bits(),
+        elastic.param_checksum().to_bits()
+    );
+
+    let (manifest, states) = store.load_latest().unwrap();
+    assert_eq!(manifest.step, grow_after as u64);
+    let mut fresh = pipe(1, 5);
+    autopipe_runtime::restore_states(&mut fresh, &states).unwrap();
+    fresh.repartition(&wide, wide_schedule).unwrap();
+    for (i, expected) in losses.iter().enumerate().skip(grow_after) {
+        let got = fresh.train_iteration(&batch).unwrap().loss;
+        assert_eq!(
+            expected.to_bits(),
+            got.to_bits(),
+            "post-grow step {}",
+            i + 1
+        );
+    }
+    assert_eq!(
+        fresh.param_checksum().to_bits(),
+        elastic.param_checksum().to_bits()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every (device, op) crash position of a sliced p = 2 and a plain p = 4
