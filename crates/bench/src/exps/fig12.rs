@@ -73,9 +73,9 @@ pub fn run() {
         ]);
         records.push(json!({
             "model": model, "gpus": g,
-            "dapple_s": d.seconds, "dapple_schemes": d.schemes,
-            "piper_s": p.seconds, "piper_schemes": p.schemes,
-            "autopipe_s": a.seconds, "autopipe_schemes": a.schemes,
+            "dapple_wall_s": d.seconds, "dapple_schemes": d.schemes,
+            "piper_wall_s": p.seconds, "piper_schemes": p.schemes,
+            "autopipe_wall_s": a.seconds, "autopipe_schemes": a.schemes,
         }));
     }
     t.print(&format!("Fig. 12: planner search cost ({g} GPUs)"));

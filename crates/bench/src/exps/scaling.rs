@@ -80,7 +80,7 @@ pub fn run() {
             format!("{imb:.3}"),
         ]);
         records.push(json!({"axis": "depth", "layers": layers, "stages": p,
-                            "search_s": secs, "schemes": schemes, "imbalance": imb}));
+                            "search_wall_s": secs, "schemes": schemes, "imbalance": imb}));
     }
     t.print("Scaling: planner cost and balance vs model depth (345M-width GPTs)");
 
@@ -93,7 +93,7 @@ pub fn run() {
             format!("{imb:.3}"),
         ]);
         records.push(json!({"axis": "width", "model": model, "stages": p,
-                            "search_s": secs, "imbalance": imb}));
+                            "search_wall_s": secs, "imbalance": imb}));
     }
     t.print("Scaling: planner cost and balance vs model width (GPT-2 345M .. GPT-3 6.7B)");
     save_json("scaling", &json!(records));

@@ -70,16 +70,15 @@ pub(crate) fn ms(v: &Result<f64, String>) -> String {
     }
 }
 
-/// Append a JSON record under `results/<name>.json`.
+/// Write `value` to `results/<name>.json`, replacing the file. Panics,
+/// naming the path, when the directory or the file cannot be written: a
+/// silent failure would leave a stale result in place.
 pub(crate) fn save_json(name: &str, value: &Value) {
     let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
+    fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
     let path = dir.join(format!("{name}.json"));
-    if let Ok(s) = serde_json::to_string_pretty(value) {
-        let _ = fs::write(path, s);
-    }
+    let s = serde_json::to_string_pretty(value).expect("a JSON value serialises");
+    fs::write(&path, s).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 #[cfg(test)]
