@@ -7,13 +7,14 @@
 //! lines share their trend and the gap between them is stable.
 
 use autopipe_core::table2::table2_partitions;
+use autopipe_core::Plan;
 use autopipe_cost::Hardware;
 use autopipe_model::zoo;
 use autopipe_schedule::one_f_one_b;
 use serde_json::json;
 
 use crate::report::{save_json, Table};
-use crate::systems::{cost_db, run_measured};
+use crate::systems::{actual_run, cost_db};
 
 /// Per-scheme (simulated, actual) per-micro-batch times in seconds.
 pub(crate) fn series() -> Vec<(f64, f64)> {
@@ -25,7 +26,17 @@ pub(crate) fn series() -> Vec<(f64, f64)> {
         .map(|part| {
             let sc = part.stage_costs(&db);
             let sim = autopipe_sim::simulate_replay(&sc, m).per_microbatch_time(m);
-            let actual = run_measured(part, &one_f_one_b(4, m), &db, &hw).iteration / m as f64;
+            // The actual run replays no forward: its re-forward is not
+            // priced yet, so it runs the 1F1B schedule as generated.
+            let plan = Plan {
+                schedule: one_f_one_b(4, m),
+                ..Plan::new(part.clone(), 1, m, 0, None, &db).expect("1F1B generates")
+            };
+            let actual = plan
+                .simulate(&db, hw.link_latency, &actual_run(&plan, &hw))
+                .expect("a plan simulates")
+                .iteration_time
+                / m as f64;
             (sim, actual)
         })
         .collect()

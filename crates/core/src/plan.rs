@@ -8,9 +8,12 @@ use autopipe_planner::device_stage_costs;
 use autopipe_planner::family::{plan_families_with, FamilyConfig};
 use autopipe_planner::service::PlanService;
 use autopipe_planner::types::PlanError;
-use autopipe_schedule::{apply_checkpointing, apply_recompute, slice, Schedule};
-use autopipe_sim::event::EventCosts;
-use autopipe_sim::{replay_schedule, Partition, ReplayScratch};
+use autopipe_schedule::generators::GenerateError;
+use autopipe_schedule::{
+    apply_checkpointing, apply_recompute, interleaved, one_f_one_b, slice, Schedule,
+};
+use autopipe_sim::event::{EventConfig, EventCosts, EventResult};
+use autopipe_sim::{replay_schedule, run_schedule, Partition, ReplayScratch, SimError};
 use autopipe_slicer::{plan_slicing, solve_sliced_count};
 
 use crate::config::{SchedulePolicy, SessionConfig};
@@ -42,18 +45,81 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The plan that runs `partition` under 1F1B (`chunks` = 1) or
+    /// Megatron-LM's interleaved schedule (`chunks` model chunks per device),
+    /// `microbatches` per iteration, the first `sliced` of them sliced
+    /// ([`Plan::slice`] solves Algorithm 2's count instead), lowered as
+    /// [`AutoPipe::plan_with`] lowers its own. One replica, no gradient sync,
+    /// no search: a baseline's plan, or a given partition's.
+    pub fn new(
+        partition: Partition,
+        chunks: usize,
+        microbatches: usize,
+        sliced: usize,
+        recompute: Option<&[bool]>,
+        db: &CostDb,
+    ) -> Result<Plan, GenerateError> {
+        let p = partition.n_stages() / chunks.max(1);
+        let mut schedule = match chunks {
+            1 => one_f_one_b(p, microbatches),
+            v => interleaved(p, v, microbatches)?,
+        };
+        slice(&mut schedule, sliced);
+        let mask = recompute.unwrap_or(&[]);
+        Ok(Plan::lowered(partition, schedule, mask, db))
+    }
+
+    /// The lowering every plan shares: the stages of `mask` (unless the
+    /// schedule carries a mask already) and, under checkpointing, every
+    /// stage replay their forwards as `Recompute` ops. Slicing commutes with
+    /// them.
+    fn lowered(partition: Partition, mut schedule: Schedule, mask: &[bool], db: &CostDb) -> Plan {
+        if mask.iter().any(|&r| r) && !schedule.recompute.iter().any(|&r| r) {
+            apply_recompute(&mut schedule, mask);
+        }
+        if db.checkpointing {
+            apply_checkpointing(&mut schedule);
+        }
+        Plan {
+            stages: schedule.n_devices,
+            dp: 1,
+            microbatches: schedule.n_microbatches,
+            layer_counts: partition.layer_counts(db),
+            partition,
+            schedule,
+            grad_sync: 0.0,
+            schemes_explored: 0,
+            search_seconds: 0.0,
+        }
+    }
+
+    /// The event-simulator costs of this plan: each stage at its
+    /// [`device_stage_costs`], each message split at `link_latency`.
+    fn event_costs(&self, db: &CostDb, link_latency: f64) -> EventCosts {
+        EventCosts::from_stage_costs(&device_stage_costs(&self.partition, db), link_latency)
+    }
+
+    /// Run the plan on the event simulator under `event`, with its per-op
+    /// timeline: the session's `simulate()`, and under
+    /// [`EventConfig::actual_run`] the experiments' "actual run".
+    pub fn simulate(
+        &self,
+        db: &CostDb,
+        link_latency: f64,
+        event: &EventConfig,
+    ) -> Result<EventResult, SimError> {
+        run_schedule(&self.schedule, &self.event_costs(db, link_latency), event)
+    }
+
     /// The plan's price, its only estimate: the pipeline time of one
-    /// iteration, its schedule replayed on [`device_stage_costs`] of `db`
-    /// under `cfg`'s event and link settings — the session's `simulate()`
-    /// bit for bit. Add `grad_sync` for a full iteration.
+    /// iteration, its schedule replayed without a timeline on the costs
+    /// [`Plan::simulate`] runs at, under `cfg`'s event and link settings —
+    /// the session's `simulate()` bit for bit. Add `grad_sync` for a full
+    /// iteration.
     pub fn price(&self, db: &CostDb, cfg: &SessionConfig) -> f64 {
-        let costs = EventCosts::from_stage_costs(
-            &device_stage_costs(&self.partition, db),
-            cfg.hardware.link_latency,
-        );
         replay_schedule(
             &self.schedule,
-            &costs,
+            &self.event_costs(db, cfg.hardware.link_latency),
             &cfg.event(),
             &mut ReplayScratch::new(),
         )
@@ -108,58 +174,42 @@ impl AutoPipe {
             &planner,
             service,
         )?;
-        let mask = &choice.outcome.recompute;
-        let (mut schedule, partition) =
-            if cfg.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
-                // Cross-family search: seed the sliced-count axis with the
-                // Slicer's Algorithm 2 pick, on the costs the plan will be
-                // priced on, so the classic AutoPipe schedule is always among
-                // the candidates.
-                let costs = device_stage_costs(&choice.outcome.partition, db);
-                let mut fam_cfg = FamilyConfig::for_planner(planner, cfg.hardware.link_latency);
-                let algo2 = solve_sliced_count(&costs);
-                if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
-                    fam_cfg.sliced_counts.insert(0, algo2);
-                }
-                // Strategy selection already planned this depth under the
-                // same search config; its winner backs the single-chunk
-                // families.
-                let fam = plan_families_with(
-                    db,
-                    &cfg.hardware,
-                    choice.stages,
-                    choice.microbatches,
-                    &fam_cfg,
-                    choice.outcome.partition.clone(),
-                )?;
-                (fam.schedule, fam.partition)
-            } else {
-                (
-                    autopipe_schedule::one_f_one_b(choice.stages, choice.microbatches),
-                    choice.outcome.partition.clone(),
-                )
-            };
         // The partition search may have bought memory feasibility with a
-        // recompute mask, and checkpointing replays on every stage; the
-        // executable schedule carries both as `Recompute` ops. The family
-        // search already lowers its own winner (lowering again changes
-        // nothing); the 1F1B schedule gets them here, and slicing keeps them.
-        if mask.iter().any(|&r| r) && !schedule.recompute.iter().any(|&r| r) {
-            apply_recompute(&mut schedule, mask);
-        }
-        if db.checkpointing {
-            apply_checkpointing(&mut schedule);
-        }
+        // recompute mask; the family search lowers its own winner.
+        let mask = &choice.outcome.recompute;
+        let plan = if cfg.schedule_policy == SchedulePolicy::Auto && choice.stages >= 2 {
+            // Cross-family search: seed the sliced-count axis with the
+            // Slicer's Algorithm 2 pick, on the costs the plan will be
+            // priced on, so the classic AutoPipe schedule is always among
+            // the candidates.
+            let costs = device_stage_costs(&choice.outcome.partition, db);
+            let mut fam_cfg = FamilyConfig::for_planner(planner, cfg.hardware.link_latency);
+            let algo2 = solve_sliced_count(&costs);
+            if algo2 >= 2 && !fam_cfg.sliced_counts.contains(&algo2) {
+                fam_cfg.sliced_counts.insert(0, algo2);
+            }
+            // Strategy selection already planned this depth under the
+            // same search config; its winner backs the single-chunk
+            // families.
+            let fam = plan_families_with(
+                db,
+                &cfg.hardware,
+                choice.stages,
+                choice.microbatches,
+                &fam_cfg,
+                choice.outcome.partition.clone(),
+            )?;
+            Plan::lowered(fam.partition, fam.schedule, mask, db)
+        } else {
+            let partition = choice.outcome.partition.clone();
+            Plan::new(partition, 1, choice.microbatches, 0, Some(mask), db).expect("1F1B generates")
+        };
         Ok(Plan {
-            stages: choice.stages,
             dp: choice.dp,
-            microbatches: choice.microbatches,
-            layer_counts: partition.layer_counts(db),
-            partition,
-            schedule,
             grad_sync: choice.grad_sync,
             schemes_explored: choice.outcome.schemes_explored,
             search_seconds: choice.outcome.search_time.as_secs_f64(),
+            ..plan
         })
     }
 
@@ -224,6 +274,33 @@ mod tests {
         validate(&plan.schedule).expect("planned schedule must validate");
         let total_layers: f64 = plan.layer_counts.iter().sum();
         assert_eq!(total_layers, 24.0);
+    }
+
+    #[test]
+    fn a_baseline_plan_is_lowered_as_the_planner_lowers_its_own() {
+        // The Slicer's plan, rebuilt from its partition and sliced count:
+        // the same program, price and simulated time.
+        let cfg = gpt2_345m_p4();
+        let (planned, db) = plan(&cfg);
+        let (m, k) = (planned.microbatches, planned.schedule.n_sliced);
+        let base = Plan::new(planned.partition.clone(), 1, m, k, None, &db).unwrap();
+        assert_eq!(base.schedule, planned.schedule);
+        assert_eq!(base.layer_counts, planned.layer_counts);
+        assert_eq!((base.stages, base.dp, base.grad_sync), (4, 1, 0.0));
+        let price = planned.price(&db, &cfg).to_bits();
+        let sim = base.simulate(&db, cfg.hardware.link_latency, &cfg.event());
+        assert_eq!(base.price(&db, &cfg).to_bits(), price);
+        assert_eq!(sim.unwrap().iteration_time.to_bits(), price);
+        // Interleaved: `chunks` model chunks per device.
+        let part = autopipe_planner::baselines::megatron::interleaved_partition(&db, 4, 2);
+        let inter = Plan::new(part.unwrap(), 2, m, 0, None, &db).unwrap();
+        assert_eq!((inter.stages, inter.schedule.n_chunks), (4, 2));
+        validate(&inter.schedule).unwrap();
+        let odd = Plan::new(inter.partition, 2, 6, 0, None, &db);
+        assert!(matches!(
+            odd,
+            Err(GenerateError::MicrobatchesNotMultipleOfDepth { .. })
+        ));
     }
 
     #[test]

@@ -98,7 +98,10 @@ pub fn gpipe(p: usize, m: usize) -> Schedule {
 }
 
 /// AutoPipe sliced 1F1B (Fig. 8): [`one_f_one_b`] with the forwards of the
-/// first `sliced` micro-batches split in half by [`slice()`].
+/// first `sliced` micro-batches split in half by [`slice()`]. A shorthand
+/// for tests, the benchmark's schedule probes and the `train_pipeline`
+/// example; a plan is sliced by `autopipe_core::Plan::slice` (Algorithm 2's
+/// count) or built sliced by `autopipe_core::Plan::new`.
 pub fn sliced_1f1b(p: usize, m: usize, sliced: usize) -> Schedule {
     let mut s = one_f_one_b(p, m);
     slice(&mut s, sliced);

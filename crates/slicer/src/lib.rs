@@ -5,11 +5,10 @@
 //! **how many micro-batches must be sliced** so that the halved fill
 //! propagates all the way down the pipeline without the unbroken
 //! micro-batches stalling behind the halves. [`solve_sliced_count`] is a
-//! literal port of the paper's Algorithm 2; [`solve_sliced_count_empirical`]
-//! answers the same question by brute force against the discrete-event
-//! simulator and is used to cross-validate the port. [`plan_slicing`] clamps
-//! the answer to what a schedule can execute; the schedule transform
-//! [`autopipe_schedule::slice`] applies it.
+//! literal port of the paper's Algorithm 2, cross-validated in this crate's
+//! tests against a brute-force search on the discrete-event simulator.
+//! [`plan_slicing`] clamps the answer to what a schedule can execute; the
+//! schedule transform [`autopipe_schedule::slice`] applies it.
 //!
 //! A plan is sliced on the stage costs it is priced on
 //! (`autopipe_planner::device_stage_costs`): each device's multiplier
@@ -20,10 +19,7 @@
 
 use serde::Serialize;
 
-use autopipe_schedule::sliced_1f1b;
-use autopipe_sim::event::{EventConfig, EventCosts};
 use autopipe_sim::partition::StageCosts;
-use autopipe_sim::{replay_schedule, ReplayScratch};
 
 /// Outcome of slicing a partition scheme.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -116,30 +112,6 @@ fn degenerate_free(costs: &StageCosts) -> bool {
         && costs.comm >= 0.0
 }
 
-/// Brute-force solver: slice `k = 0..p` micro-batches, run the event
-/// simulator, and return the smallest `k` whose iteration time is within
-/// `1e-9` of the best — the "appropriate number" the paper's Algorithm 2
-/// approximates analytically.
-pub fn solve_sliced_count_empirical(costs: &StageCosts, m: usize, latency: f64) -> usize {
-    let p = costs.n_stages();
-    if p < 2 || m == 0 || !degenerate_free(costs) {
-        return 0;
-    }
-    let ev = EventCosts::from_stage_costs(costs, latency);
-    let cfg = EventConfig::default();
-    let max_k = (p - 1).min(m);
-    let mut scratch = ReplayScratch::new();
-    let times: Vec<f64> = (0..=max_k)
-        .map(|k| {
-            replay_schedule(&sliced_1f1b(p, m, k), &ev, &cfg, &mut scratch)
-                .expect("sliced schedule must simulate")
-                .iteration_time
-        })
-        .collect();
-    let best = times.iter().copied().fold(f64::INFINITY, f64::min);
-    times.iter().position(|&t| t <= best + 1e-9).unwrap_or(0)
-}
-
 /// Slice a partition scheme: solve Algorithm 2 and clamp to the Warmup
 /// depth and micro-batch count. The event simulator, not this function,
 /// measures what the slicing does to startup.
@@ -154,7 +126,33 @@ pub fn plan_slicing(costs: &StageCosts, m: usize) -> SlicedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autopipe_sim::event::run_schedule;
+    use autopipe_schedule::sliced_1f1b;
+    use autopipe_sim::event::{run_schedule, EventConfig, EventCosts};
+    use autopipe_sim::{replay_schedule, ReplayScratch};
+
+    /// Brute-force solver: slice `k = 0..p` micro-batches, run the event
+    /// simulator, and return the smallest `k` whose iteration time is within
+    /// `1e-9` of the best — the "appropriate number" the paper's Algorithm 2
+    /// approximates analytically.
+    fn solve_sliced_count_empirical(costs: &StageCosts, m: usize, latency: f64) -> usize {
+        let p = costs.n_stages();
+        if p < 2 || m == 0 || !degenerate_free(costs) {
+            return 0;
+        }
+        let ev = EventCosts::from_stage_costs(costs, latency);
+        let cfg = EventConfig::default();
+        let max_k = (p - 1).min(m);
+        let mut scratch = ReplayScratch::new();
+        let times: Vec<f64> = (0..=max_k)
+            .map(|k| {
+                replay_schedule(&sliced_1f1b(p, m, k), &ev, &cfg, &mut scratch)
+                    .expect("sliced schedule must simulate")
+                    .iteration_time
+            })
+            .collect();
+        let best = times.iter().copied().fold(f64::INFINITY, f64::min);
+        times.iter().position(|&t| t <= best + 1e-9).unwrap_or(0)
+    }
 
     fn balanced(p: usize, f: f64, b: f64, comm: f64) -> StageCosts {
         StageCosts::new(vec![f; p], vec![b; p], comm)

@@ -63,7 +63,7 @@ use autopipe_runtime::{
     RuntimeError,
 };
 use autopipe_schedule::{validate, Schedule, ScheduleKind};
-use autopipe_sim::event::{run_schedule, run_schedule_faulty, EventCosts, EventResult};
+use autopipe_sim::event::{run_schedule_faulty, EventCosts, EventResult};
 use autopipe_sim::memcheck::check_memory_budget;
 use autopipe_sim::OverlapModel;
 use autopipe_sim::Partition;
@@ -552,22 +552,22 @@ impl PlannedSession {
     }
 
     /// Run the planned schedule through the discrete-event simulator —
-    /// fault-free, and additionally under the session's fault script when
-    /// one is configured. The stage costs are the ones the family search
-    /// scores with ([`device_stage_costs`]: times each device's multiplier;
-    /// the schedule's `Recompute` ops run at `f`), so the clean run's
-    /// iteration time is [`Plan::price`] bit for bit.
+    /// fault-free ([`Plan::simulate`]), and additionally under the session's
+    /// fault script when one is configured. The stage costs are the ones the
+    /// family search scores with ([`device_stage_costs`]: times each device's
+    /// multiplier; the schedule's `Recompute` ops run at `f`), so the clean
+    /// run's iteration time is [`Plan::price`] bit for bit.
     pub fn simulate(&self) -> Result<SimReport, Error> {
-        let costs = EventCosts::from_stage_costs(
-            &device_stage_costs(&self.plan.partition, &self.db),
-            self.cfg.hardware.link_latency,
-        );
+        let latency = self.cfg.hardware.link_latency;
         let event_cfg = self.cfg.event();
-        let clean = run_schedule(&self.plan.schedule, &costs, &event_cfg)?;
+        let clean = self.plan.simulate(&self.db, latency, &event_cfg)?;
         let faulty = match &self.cfg.faults {
             Some((fp, _)) => Some(run_schedule_faulty(
                 &self.plan.schedule,
-                &costs,
+                &EventCosts::from_stage_costs(
+                    &device_stage_costs(&self.plan.partition, &self.db),
+                    latency,
+                ),
                 &event_cfg,
                 fp,
             )?),
